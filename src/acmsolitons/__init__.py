@@ -25,7 +25,7 @@ from .geometry import (
     VectorField,
     sample_points,
 )
-from .solitons import BaseFrame, DeformedFrame, SolitonCandidate, classify
+from .solitons import Frame, SolitonCandidate, classify
 from .suites import (
     REPORT_VERSION,
     CheckResult,
@@ -39,13 +39,12 @@ __all__ = [
     "__version__",
     "ALL_SUITES",
     "AcmStructure",
-    "BaseFrame",
     "ChartManifold",
     "CheckResult",
     "ConfigError",
-    "DeformedFrame",
     "DeformedStructure",
     "EvalError",
+    "Frame",
     "NotKenmotsuError",
     "ParseError",
     "REPORT_VERSION",

@@ -140,7 +140,7 @@ class DeformedStructure:
 
     def require_kenmotsu(self, point) -> None:
         res = kenmotsu_residual(self.base, point)
-        if res > self.kenmotsu_tol:
+        if not res <= self.kenmotsu_tol:
             raise NotKenmotsuError(
                 f"closed deformation forms need a Kenmotsu base; "
                 f"{self.base.manifold.name} has residual {res:.3e} at {point}"
@@ -371,30 +371,35 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
 # ---------------------------------------------------------------------------
 # Harmonicity transfer and the Ricci-norm bound
 
-def harmonic_transfer(structure: AcmStructure, f: ScalarField, points,
-                      probe_a: float = 2.0, tol: float = 1e-9) -> dict:
+def harmonic_transfer(ds: DeformedStructure, f: ScalarField, points,
+                      tol: float = 1e-9) -> dict:
     """Whether a harmonic f stays harmonic under deformation.
 
     A harmonic f is harmonic for every deformed metric iff
         Hess(f)(xi, xi) = -2n eta(grad f)
     holds; since Lap f = 0 makes the deformed Laplacian a multiple of
     2n xi(f) + xi(xi(f)) that is the content of the closed form above.  The
-    check is evaluated at ``probe_a`` and reported as not applicable when f
-    is not harmonic to begin with.
+    check is evaluated at the parameter of ``ds`` and reported as not
+    applicable when f is not harmonic to begin with.  A non-finite value
+    raises StructureError naming the point.
     """
-    ds = deform(structure, probe_a)
+    structure = ds.base
     man = structure.manifold
     n = structure.n
     max_lap = 0.0
     max_lap_bar = 0.0
     max_condition = 0.0
     for p in points:
-        max_lap = max(max_lap, abs(laplacian(man, f, p)))
-        max_lap_bar = max(max_lap_bar, abs(ds.laplacian_closed(f, p)))
+        lap = laplacian(man, f, p)
+        lap_bar = ds.laplacian_closed(f, p)
         hess = hessian(man, f, p).data
         xi = structure.xi_values(p)
         eta_grad = float(structure.eta_values(p) @ grad(man, f, p))
         condition = float(xi @ hess @ xi) + 2.0 * n * eta_grad
+        if not np.all(np.isfinite((lap, lap_bar, condition))):
+            raise StructureError(f"harmonic transfer not finite at {p}")
+        max_lap = max(max_lap, abs(lap))
+        max_lap_bar = max(max_lap_bar, abs(lap_bar))
         max_condition = max(max_condition, abs(condition))
     harmonic = max_lap <= tol
     return {
@@ -405,7 +410,7 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points,
         "max_lap": max_lap,
         "max_lap_bar": max_lap_bar,
         "max_condition_residual": max_condition,
-        "probe_a": float(probe_a),
+        "probe_a": ds.a,
     }
 
 

@@ -248,7 +248,10 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
 
     Raises EvalError on domain violations: division by zero, log of a
     non-positive value, sqrt of a negative value, a negative base with a
-    non-integer exponent, overflow, or a coordinate missing from ``point``.
+    non-integer exponent, overflow inside a function call or a power, or a
+    coordinate missing from ``point``.  The operators + - * / follow IEEE
+    arithmetic and can return inf or nan without raising; callers that
+    need finite values check for them.
     """
     if isinstance(e, Const):
         return e.value

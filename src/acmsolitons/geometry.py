@@ -23,8 +23,6 @@ R(X, Y) xi = eta(X) Y - eta(Y) X and Ric(xi, xi) = -2n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .expr import Const, Expr, diff, evaluate, mul
@@ -112,13 +110,18 @@ class ChartManifold:
         """True when every domain constraint is strictly positive."""
         return all(evaluate(c, point) > 0.0 for c in self.constraints)
 
+    def _finite(self, values: np.ndarray, what: str, point) -> np.ndarray:
+        if not np.all(np.isfinite(values)):
+            raise StructureError(f"{what} of {self.name} not finite at {point}")
+        return values
+
     def metric_values(self, point) -> np.ndarray:
         d = self.dim
         out = np.empty((d, d))
         for i in range(d):
             for j in range(i, d):
                 out[i, j] = out[j, i] = evaluate(self.metric[i][j], point)
-        return out
+        return self._finite(out, "metric", point)
 
     def metric_partials(self, point) -> np.ndarray:
         d = self.dim
@@ -127,7 +130,7 @@ class ChartManifold:
             for i in range(d):
                 for j in range(i, d):
                     out[k, i, j] = out[k, j, i] = evaluate(self._dg[k][i][j], point)
-        return out
+        return self._finite(out, "metric first partials", point)
 
     def metric_second_partials(self, point) -> np.ndarray:
         d = self.dim
@@ -139,6 +142,7 @@ class ChartManifold:
                         out[l, k, i, j] = out[l, k, j, i] = evaluate(
                             self._d2g[l][k][i][j], point
                         )
+        self._finite(out, "metric second partials", point)
         # mixed partials commute; symmetrize away evaluation-order noise
         return 0.5 * (out + np.transpose(out, (1, 0, 2, 3)))
 
@@ -155,9 +159,9 @@ class ChartManifold:
 # Curvature
 
 def christoffel(manifold, point) -> np.ndarray:
-    """Christoffel symbols Gamma[l, i, j] of the Levi-Civita connection."""
-    m = manifold.metric_at_cached(point)
-    return _christoffel_from_metric(m)
+    """Christoffel symbols Gamma[l, i, j] of the Levi-Civita connection,
+    taken from the cached curvature bundle."""
+    return curvature_bundle(manifold, point)["gamma"]
 
 
 def _gamma_combo(dg: np.ndarray) -> np.ndarray:
@@ -165,20 +169,17 @@ def _gamma_combo(dg: np.ndarray) -> np.ndarray:
     return dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
 
 
-def _christoffel_from_metric(m: MetricAtPoint) -> np.ndarray:
-    return 0.5 * np.einsum("lk,ijk->lij", m.inv, _gamma_combo(m.dg))
-
-
 def christoffel_partials(manifold, point) -> np.ndarray:
     """dGamma[a, l, i, j] = d_a Gamma^l_ij, from exact metric partials."""
     m = manifold.metric_at_cached(point)
+    d2g = manifold.metric_second_partials(point)
     dinv = -np.einsum("lm,amn,nk->alk", m.inv, m.dg, m.inv)
     combo = _gamma_combo(m.dg)
     # dcombo[a, i, j, k] = d_a combo[i, j, k], using d2g[l,k,i,j] = d_l d_k g_ij
     dcombo = (
-        m.d2g
-        + np.transpose(m.d2g, (0, 2, 1, 3))
-        - np.transpose(m.d2g, (0, 2, 3, 1))
+        d2g
+        + np.transpose(d2g, (0, 2, 1, 3))
+        - np.transpose(d2g, (0, 2, 3, 1))
     )
     return 0.5 * (
         np.einsum("alk,ijk->alij", dinv, combo)
@@ -211,7 +212,7 @@ def _check_curvature_symmetries(r04: np.ndarray, name, point):
     }
     for label, residual in checks.items():
         worst = float(np.max(np.abs(residual)))
-        if worst > tol:
+        if not worst <= tol:  # a NaN residual fails too
             raise StructureError(
                 f"{label} fails on {name} at {point} (residual {worst:.3e})"
             )
@@ -224,7 +225,7 @@ def curvature_bundle(manifold, point) -> dict:
     if found is not None:
         return found
     m = manifold.metric_at_cached(point)
-    gamma = _christoffel_from_metric(m)
+    gamma = 0.5 * np.einsum("lk,ijk->lij", m.inv, _gamma_combo(m.dg))
     dgamma = christoffel_partials(manifold, point)
     # R13[l,a,b,c] = d_a Gamma^l_bc - d_b Gamma^l_ac
     #              + Gamma^l_am Gamma^m_bc - Gamma^l_bm Gamma^m_ac
@@ -354,8 +355,7 @@ def grad(manifold, f: ScalarField, point) -> np.ndarray:
 
 def hessian(manifold, f: ScalarField, point) -> TensorValue:
     """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    m = manifold.metric_at_cached(point)
-    gamma = _christoffel_from_metric(m)
+    gamma = christoffel(manifold, point)
     df = f.gradient_covector(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
     out = ddf - np.einsum("kij,k->ij", gamma, df)
@@ -364,8 +364,7 @@ def hessian(manifold, f: ScalarField, point) -> TensorValue:
 
 def divergence(manifold, field: VectorField, point) -> float:
     """div V = d_i V^i + Gamma^i_ik V^k."""
-    m = manifold.metric_at_cached(point)
-    gamma = _christoffel_from_metric(m)
+    gamma = christoffel(manifold, point)
     v = field.values(manifold.coords, point)
     dv = field.partials(manifold.coords, point)
     return float(np.trace(dv) + np.einsum("iik,k->", gamma, v))
@@ -520,13 +519,12 @@ class AcmStructure:
         return res
 
     def acm_residual(self, point) -> float:
-        return max(self.validate(point).values())
+        return float(np.max(tuple(self.validate(point).values())))
 
 
 def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> np.ndarray:
     """nablaV[i, k] = (nabla_{d_i} field)^k = d_i V^k + Gamma^k_im V^m."""
-    m = manifold.metric_at_cached(point)
-    gamma = _christoffel_from_metric(m)
+    gamma = christoffel(manifold, point)
     v = field.values(manifold.coords, point)
     dv = field.partials(manifold.coords, point)
     return dv + np.einsum("kim,m->ik", gamma, v)
@@ -534,8 +532,7 @@ def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> 
 
 def nabla_phi_tensor(structure: AcmStructure, point) -> np.ndarray:
     """(nabla_i phi)^k_j as [i, k, j], from exact partials of phi and g."""
-    m = structure.manifold.metric_at_cached(point)
-    gamma = _christoffel_from_metric(m)
+    gamma = christoffel(structure.manifold, point)
     phi = structure.phi_values(point)
     dphi = structure.phi_partials(point)
     # dphi[i, k, j] = d_i phi^k_j since the derivative index comes first
@@ -579,8 +576,8 @@ def kenmotsu_details(structure: AcmStructure, point) -> dict:
 
 
 def kenmotsu_residual(structure: AcmStructure, point) -> float:
-    """Largest residual of the Kenmotsu condition at a point."""
-    return max(kenmotsu_details(structure, point).values())
+    """Largest residual of the Kenmotsu condition at a point (NaN if any is)."""
+    return float(np.max(tuple(kenmotsu_details(structure, point).values())))
 
 
 # ---------------------------------------------------------------------------

@@ -62,14 +62,9 @@ from .tensor import StructureError, TensorValue, hs_inner, kulkarni_nomizu
 __all__ = [
     "STEADY_BAND",
     "SolitonCandidate",
-    "BaseFrame",
-    "DeformedFrame",
+    "Frame",
     "classify",
     "soliton_residuals",
-    "riemann_residual_full",
-    "riemann_residual_traced",
-    "ricci_residual_full",
-    "ricci_residual_scalar",
     "xi_of_eta_potential",
     "theorem_lambda",
     "implied_curvature",
@@ -127,15 +122,20 @@ class SolitonCandidate:
 # ---------------------------------------------------------------------------
 # Frames
 
-class BaseFrame:
-    """Quantities of an undeformed structure (parameter symbol a -> 1)."""
+class Frame:
+    """Soliton quantities of one structure, with the symbol a set to ``a``.
 
-    kind = "base"
+    Everything is computed directly on the structure's own chart.  For a
+    deformed structure that chart carries g_bar, so no closed form enters a
+    soliton residual; the closed forms are checked against the same direct
+    computation in the section2-identities suite.  The base frame of a
+    structure is ``Frame(structure, 1.0)``.
+    """
 
-    def __init__(self, structure: AcmStructure):
+    def __init__(self, structure: AcmStructure, a: float):
         self.structure = structure
         self.manifold = structure.manifold
-        self.a = 1.0
+        self.a = float(a)
         self._fields = {}
 
     @property
@@ -147,14 +147,9 @@ class BaseFrame:
         ext.setdefault("a", self.a)
         return ext
 
-    def metric(self, point):
-        return self.manifold.metric_at_cached(point)
-
-    def curvature(self, point):
-        bundle = curvature_bundle(self.manifold, point)
-        return bundle["R04"], bundle["Ric"].data, bundle["scal"]
-
     def _field(self, candidate) -> VectorField:
+        if candidate.potential == "reeb":
+            return self.structure.xi_field()
         found = self._fields.get(candidate.name)
         if found is None:
             found = VectorField(candidate.components)
@@ -166,10 +161,6 @@ class BaseFrame:
         if candidate.potential == "gradient":
             return gradient_lie_derivative(
                 self.manifold, candidate.scalar, pe
-            ).data
-        if candidate.potential == "reeb":
-            return lie_derivative_metric(
-                self.manifold, self.structure.xi_field(), pe
             ).data
         return lie_derivative_metric(self.manifold, self._field(candidate), pe).data
 
@@ -177,87 +168,6 @@ class BaseFrame:
         pe = self.point_of(point)
         if candidate.potential == "gradient":
             return laplacian(self.manifold, candidate.scalar, pe)
-        if candidate.potential == "reeb":
-            return divergence(self.manifold, self.structure.xi_field(), pe)
-        return divergence(self.manifold, self._field(candidate), pe)
-
-    def lam_value(self, candidate, point) -> float:
-        return evaluate(candidate.lam, self.point_of(point))
-
-
-class DeformedFrame:
-    """Quantities of a deformed structure.
-
-    Curvature, gradient potentials and the Reeb potential come from the
-    closed forms when ``use_closed`` (the default); direct evaluation on the
-    deformed chart is kept for cross-checks.  Explicit vector potentials are
-    always differentiated directly.
-    """
-
-    kind = "deformed"
-
-    def __init__(self, deformed: DeformedStructure, use_closed: bool = True):
-        self.deformed = deformed
-        self.structure = deformed.structure
-        self.manifold = deformed.manifold
-        self.a = deformed.a
-        self.use_closed = use_closed
-        self._fields = {}
-
-    @property
-    def n(self) -> int:
-        return self.deformed.n
-
-    def point_of(self, point) -> dict:
-        ext = dict(point)
-        ext.setdefault("a", self.a)
-        return ext
-
-    def metric(self, point):
-        return self.manifold.metric_at_cached(point)
-
-    def curvature(self, point):
-        if self.use_closed:
-            closed = self.deformed.curvature_closed(point)
-            return closed["R04"], closed["Ric"].data, closed["scal"]
-        bundle = curvature_bundle(self.manifold, point)
-        return bundle["R04"], bundle["Ric"].data, bundle["scal"]
-
-    def _field(self, candidate) -> VectorField:
-        found = self._fields.get(candidate.name)
-        if found is None:
-            found = VectorField(candidate.components)
-            self._fields[candidate.name] = found
-        return found
-
-    def lie_metric(self, candidate, point) -> np.ndarray:
-        pe = self.point_of(point)
-        if candidate.potential == "gradient":
-            if self.use_closed:
-                return 2.0 * self.deformed.hessian_closed(candidate.scalar, pe).data
-            return gradient_lie_derivative(
-                self.manifold, candidate.scalar, pe
-            ).data
-        if candidate.potential == "reeb":
-            if self.use_closed:
-                return self.deformed.lie_reeb_closed(pe).data
-            return lie_derivative_metric(
-                self.manifold, self.structure.xi_field(), pe
-            ).data
-        return lie_derivative_metric(
-            self.manifold, self._field(candidate), pe
-        ).data
-
-    def div_potential(self, candidate, point) -> float:
-        pe = self.point_of(point)
-        if candidate.potential == "gradient":
-            if self.use_closed:
-                return self.deformed.laplacian_closed(candidate.scalar, pe)
-            return laplacian(self.manifold, candidate.scalar, pe)
-        if candidate.potential == "reeb":
-            if self.use_closed:
-                return self.deformed.div_reeb_closed()
-            return divergence(self.manifold, self.structure.xi_field(), pe)
         return divergence(self.manifold, self._field(candidate), pe)
 
     def lam_value(self, candidate, point) -> float:
@@ -267,68 +177,44 @@ class DeformedFrame:
 # ---------------------------------------------------------------------------
 # Equation residuals (max-abs over components)
 
-def riemann_residual_full(frame, candidate, point) -> float:
-    m = frame.metric(point)
-    r04, _, _ = frame.curvature(point)
+def soliton_residuals(frame: Frame, candidate, point) -> dict:
+    """All residual levels for one candidate at one point.
+
+    Curvature, L_V g, div V and lambda are each evaluated once; riemann
+    candidates get the full, once-traced and twice-traced residuals, ricci
+    candidates the full and scalar ones.
+    """
+    n = frame.n
+    bundle = curvature_bundle(frame.manifold, point)
+    g = bundle["metric"].g
+    ric = bundle["Ric"].data
+    scal = bundle["scal"]
+    lie = frame.lie_metric(candidate, point)
+    div_v = frame.div_potential(candidate, point)
     lam = frame.lam_value(candidate, point)
-    g_t = TensorValue(0, 2, m.g, symmetric=True)
-    lie_t = TensorValue(0, 2, frame.lie_metric(candidate, point), symmetric=True)
-    res = (
-        2.0 * r04
+    out = {"lambda": lam, "classification": classify(lam)}
+    if candidate.kind == "ricci":
+        out["full"] = float(np.max(np.abs(0.5 * lie + ric - lam * g)))
+        out["scalar"] = abs(float(scal - ((2 * n + 1) * lam - div_v)))
+        return out
+    if 2 * n - 1 <= 0:
+        raise StructureError("traced soliton equations need dimension >= 3")
+    g_t = TensorValue(0, 2, g, symmetric=True)
+    lie_t = TensorValue(0, 2, lie, symmetric=True)
+    full = (
+        2.0 * bundle["R04"]
         + kulkarni_nomizu(lie_t, g_t).data
         - lam * kulkarni_nomizu(g_t, g_t).data
     )
-    return float(np.max(np.abs(res)))
-
-
-def riemann_residual_traced(frame, candidate, point) -> tuple:
-    """Once- and twice-traced residuals (max-abs, abs)."""
-    n = frame.n
-    if 2 * n - 1 <= 0:
-        raise StructureError("traced soliton equations need dimension >= 3")
-    m = frame.metric(point)
-    _, ric, scal = frame.curvature(point)
-    lie = frame.lie_metric(candidate, point)
-    div_v = frame.div_potential(candidate, point)
-    lam = frame.lam_value(candidate, point)
     eq4 = (
         0.5 * lie
         + ric / (2 * n - 1)
-        - ((2 * n * lam - div_v) / (2 * n - 1)) * m.g
+        - ((2 * n * lam - div_v) / (2 * n - 1)) * g
     )
     eq9 = scal - 2 * n * ((2 * n + 1) * lam - 2.0 * div_v)
-    return float(np.max(np.abs(eq4))), abs(float(eq9))
-
-
-def ricci_residual_full(frame, candidate, point) -> float:
-    m = frame.metric(point)
-    _, ric, _ = frame.curvature(point)
-    lie = frame.lie_metric(candidate, point)
-    lam = frame.lam_value(candidate, point)
-    res = 0.5 * lie + ric - lam * m.g
-    return float(np.max(np.abs(res)))
-
-
-def ricci_residual_scalar(frame, candidate, point) -> float:
-    _, _, scal = frame.curvature(point)
-    div_v = frame.div_potential(candidate, point)
-    lam = frame.lam_value(candidate, point)
-    n = frame.n
-    return abs(float(scal - ((2 * n + 1) * lam - div_v)))
-
-
-def soliton_residuals(frame, candidate, point) -> dict:
-    """All residual levels for one candidate at one point."""
-    lam = frame.lam_value(candidate, point)
-    out = {"lambda": lam, "classification": classify(lam)}
-    if candidate.kind == "riemann":
-        out["full"] = riemann_residual_full(frame, candidate, point)
-        eq4, eq9 = riemann_residual_traced(frame, candidate, point)
-        out["traced"] = eq4
-        out["scalar"] = eq9
-    else:
-        out["full"] = ricci_residual_full(frame, candidate, point)
-        out["scalar"] = ricci_residual_scalar(frame, candidate, point)
+    out["full"] = float(np.max(np.abs(full)))
+    out["traced"] = float(np.max(np.abs(eq4)))
+    out["scalar"] = abs(float(eq9))
     return out
 
 

@@ -12,6 +12,7 @@ id, keys are sorted, and no timing data enters the report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .config import VerificationConfig
 from .deformation import (
     KENMOTSU_TOL,
+    DeformedStructure,
     admissible_interval,
     deform,
     harmonic_transfer,
@@ -27,22 +29,19 @@ from .deformation import (
 )
 from .expr import EvalError, coordinates_of
 from .geometry import (
-    christoffel,
     covariant_derivative,
     curvature_bundle,
     divergence,
     grad,
     hessian,
     kenmotsu_details,
-    kenmotsu_residual,
     laplacian,
     lie_derivative_metric,
     nabla_phi_tensor,
     sample_points,
 )
 from .solitons import (
-    BaseFrame,
-    DeformedFrame,
+    Frame,
     inequality_battery,
     orthogonal_gradient_values,
     solenoidal_implied,
@@ -61,7 +60,10 @@ __all__ = [
     "report_json",
 ]
 
-REPORT_VERSION = "0.1.0"
+REPORT_VERSION = "0.2.0"
+
+# the deformation parameter at which remark23 probes harmonic transfer
+_HARMONIC_PROBE_A = 2.0
 
 
 class SuiteError(StructureError):
@@ -103,8 +105,76 @@ def _rel(x, y) -> float:
     return float(np.max(np.abs(x - y))) / scale
 
 
+def _below(margin) -> float:
+    """How far a one-sided margin falls below zero; NaN stays NaN."""
+    return 0.0 if margin >= 0.0 else -margin
+
+
 def _a_tag(a: float) -> str:
     return f"[a={a:g}]"
+
+
+def _worst(points, residuals, check_id):
+    """Worst residual of each key over the sample points.
+
+    ``residuals(p)`` yields (key, residual) pairs at sample p.  A key may
+    repeat, and a residual of None marks a key whose hypothesis fails at p.
+    Returns (worst, applicable): per key, the largest residual and the
+    number of samples that gave it one.  A non-finite residual raises
+    SuiteError naming ``check_id(key)`` and the sample, since a NaN would
+    otherwise compare as passing.
+    """
+    worst = {}
+    applicable = {}
+    for p in points:
+        seen = set()
+        for key, r in residuals(p):
+            if key not in worst:
+                worst[key] = 0.0
+                applicable[key] = 0
+            if r is None:
+                continue
+            if not math.isfinite(r):
+                raise SuiteError(
+                    f"check {check_id(key)} has residual {r} at sample {p}"
+                )
+            if r > worst[key]:
+                worst[key] = r
+            if key not in seen:
+                seen.add(key)
+                applicable[key] += 1
+    return worst, applicable
+
+
+class _Run:
+    """What the suites of one run share.
+
+    The sample points, and one deformed structure and one soliton frame per
+    parameter a, each built on first use.  Every suite reads the same
+    objects, so a deformed chart is differentiated once per run and its
+    per-point caches fill once.
+    """
+
+    def __init__(self, config: VerificationConfig, points):
+        self.config = config
+        self.points = points
+        self._deformed = {}
+        self._frames = None
+
+    def deformed(self, a: float) -> DeformedStructure:
+        found = self._deformed.get(a)
+        if found is None:
+            found = self._deformed[a] = deform(self.config.structure, a)
+        return found
+
+    def frames(self) -> list:
+        """(tag, frame) for the base frame, then one per a of the grid."""
+        if self._frames is None:
+            self._frames = [("", Frame(self.config.structure, 1.0))] + [
+                (_a_tag(a), Frame(self.deformed(a).structure, a))
+                for a in self.config.a_grid
+            ]
+        return self._frames
 
 
 def _result(check_id, anchor, npoints, residual, tol, **kw) -> CheckResult:
@@ -127,16 +197,15 @@ _ACM_ANCHORS = {
 }
 
 
-def _suite_acm_axioms(config, points, override):
-    structure = config.structure
+def _suite_acm_axioms(run, override):
+    structure = run.config.structure
     tol = 1e-10 if override is None else override
-    worst = {k: 0.0 for k in _ACM_ANCHORS}
-    for p in points:
-        res = structure.validate(p)
-        for k in worst:
-            worst[k] = max(worst[k], res[k])
+    worst, _ = _worst(
+        run.points, lambda p: structure.validate(p).items(),
+        lambda k: f"acm/{k}",
+    )
     return [
-        _result(f"acm/{k}", _ACM_ANCHORS[k], len(points), worst[k], tol)
+        _result(f"acm/{k}", _ACM_ANCHORS[k], len(run.points), worst[k], tol)
         for k in _ACM_ANCHORS
     ]
 
@@ -154,42 +223,38 @@ _KENMOTSU_ANCHORS = {
 }
 
 
-def _suite_kenmotsu(config, points, override):
-    s = config.structure
+def _suite_kenmotsu(run, override):
+    s = run.config.structure
     man = s.manifold
     n = s.n
-    d = man.dim
     tol_alg = 1e-10 if override is None else override
     tol_curv = 1e-9 if override is None else override
-    eye = np.eye(d)
-    worst = {k: 0.0 for k in _KENMOTSU_ANCHORS}
-    for p in points:
+    eye = np.eye(man.dim)
+
+    def residuals(p):
         det = kenmotsu_details(s, p)
-        worst["nabla-phi"] = max(worst["nabla-phi"], det["nabla-phi"])
-        worst["nabla-xi"] = max(worst["nabla-xi"], det["nabla-xi"])
-        worst["div-xi"] = max(
-            worst["div-xi"],
-            abs(divergence(man, s.xi_field(), p) - 2.0 * n),
-        )
         m = man.metric_at_cached(p)
         eta = s.eta_values(p)
         xi = s.xi_values(p)
         lie = lie_derivative_metric(man, s.xi_field(), p).data
-        worst["lie-xi-metric"] = max(
-            worst["lie-xi-metric"],
-            float(np.max(np.abs(lie - 2.0 * (m.g - np.outer(eta, eta))))),
-        )
         bundle = curvature_bundle(man, p)
         rxy_xi = np.einsum("labc,c->lab", bundle["R13"], xi)
         target = (
             np.einsum("a,lb->lab", eta, eye)
             - np.einsum("b,la->lab", eta, eye)
         )
-        worst["curvature-reeb"] = max(
-            worst["curvature-reeb"], float(np.max(np.abs(rxy_xi - target)))
-        )
         ric_xi = float(xi @ bundle["Ric"].data @ xi)
-        worst["ricci-reeb"] = max(worst["ricci-reeb"], abs(ric_xi + 2.0 * n))
+        return (
+            ("nabla-phi", det["nabla-phi"]),
+            ("nabla-xi", det["nabla-xi"]),
+            ("div-xi", abs(divergence(man, s.xi_field(), p) - 2.0 * n)),
+            ("lie-xi-metric",
+             float(np.max(np.abs(lie - 2.0 * (m.g - np.outer(eta, eta)))))),
+            ("curvature-reeb", float(np.max(np.abs(rxy_xi - target)))),
+            ("ricci-reeb", abs(ric_xi + 2.0 * n)),
+        )
+
+    worst, _ = _worst(run.points, residuals, lambda k: f"kenmotsu/{k}")
     tols = {
         "nabla-phi": tol_alg,
         "nabla-xi": tol_alg,
@@ -199,7 +264,8 @@ def _suite_kenmotsu(config, points, override):
         "ricci-reeb": tol_curv,
     }
     return [
-        _result(f"kenmotsu/{k}", _KENMOTSU_ANCHORS[k], len(points), worst[k], tols[k])
+        _result(f"kenmotsu/{k}", _KENMOTSU_ANCHORS[k], len(run.points),
+                worst[k], tols[k])
         for k in _KENMOTSU_ANCHORS
     ]
 
@@ -226,73 +292,74 @@ _SECTION2_ANCHORS = {
 }
 
 
-def _suite_section2(config, points, override):
+def _suite_section2(run, override):
+    config = run.config
     structure = config.structure
     f = config.scalar
     checks = []
     div_fields = sorted(config.vectors) or [None]
     for a in config.a_grid:
-        ds = deform(structure, a)
+        ds = run.deformed(a)
         xi_field = ds.structure.xi_field()
         tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
         tol_acm = 1e-10 if override is None else override
-        worst = {k: 0.0 for k in _SECTION2_ANCHORS}
+        tag = _a_tag(a)
 
-        def bump(key, value):
-            if value > worst[key]:
-                worst[key] = value
-
-        for p in points:
+        def residuals(p):
             ds.require_kenmotsu(p)
             mb = ds.manifold.metric_at_cached(p)
             direct = curvature_bundle(ds.manifold, p)
             closed = ds.curvature_closed(p)
-            bump("christoffel", _rel(ds.christoffel_closed(p), christoffel(ds.manifold, p)))
-            bump("curvature-13", _rel(closed["R13"], direct["R13"]))
-            bump("curvature-04", _rel(closed["R04"], direct["R04"]))
-            bump("ricci", _rel(closed["Ric"].data, direct["Ric"].data))
-            bump("scalar", _rel(closed["scal"], direct["scal"]))
-            bump("inverse-metric", _rel(ds.inverse_metric_closed(p), mb.inv))
-            bump("nabla-phi", _rel(ds.nabla_phi_closed(p), nabla_phi_tensor(ds.structure, p)))
-            bump("nabla-reeb", _rel(
+            yield "christoffel", _rel(ds.christoffel_closed(p), direct["gamma"])
+            yield "curvature-13", _rel(closed["R13"], direct["R13"])
+            yield "curvature-04", _rel(closed["R04"], direct["R04"])
+            yield "ricci", _rel(closed["Ric"].data, direct["Ric"].data)
+            yield "scalar", _rel(closed["scal"], direct["scal"])
+            yield "inverse-metric", _rel(ds.inverse_metric_closed(p), mb.inv)
+            yield "nabla-phi", _rel(
+                ds.nabla_phi_closed(p), nabla_phi_tensor(ds.structure, p)
+            )
+            yield "nabla-reeb", _rel(
                 ds.nabla_reeb_closed(p),
                 covariant_derivative(ds.manifold, xi_field, p),
-            ))
-            bump("lie-reeb-metric", _rel(
+            )
+            yield "lie-reeb-metric", _rel(
                 ds.lie_reeb_closed(p).data,
                 lie_derivative_metric(ds.manifold, xi_field, p).data,
-            ))
-            bump("div-reeb", _rel(
-                ds.div_reeb_closed(),
-                divergence(ds.manifold, xi_field, p),
-            ))
+            )
+            yield "div-reeb", _rel(
+                ds.div_reeb_closed(), divergence(ds.manifold, xi_field, p)
+            )
             if f is not None:
-                bump("hessian", _rel(
+                yield "hessian", _rel(
                     ds.hessian_closed(f, p).data, hessian(ds.manifold, f, p).data
-                ))
-                bump("gradient", _rel(
+                )
+                yield "gradient", _rel(
                     ds.gradient_closed(f, p), grad(ds.manifold, f, p)
-                ))
-                bump("laplacian", _rel(
+                )
+                yield "laplacian", _rel(
                     ds.laplacian_closed(f, p), laplacian(ds.manifold, f, p)
-                ))
+                )
+            pe = dict(p)
+            pe.setdefault("a", a)
             for wname in div_fields:
                 field = xi_field if wname is None else config.vectors[wname]
-                pe = dict(p)
-                pe.setdefault("a", a)
-                bump("divergence", _rel(
+                yield "divergence", _rel(
                     divergence(ds.manifold, field, pe),
                     divergence(structure.manifold, field, pe),
-                ))
-            bump("deformed-acm", ds.structure.acm_residual(p))
-        tag = _a_tag(a)
+                )
+            yield "deformed-acm", ds.structure.acm_residual(p)
+
+        worst, _ = _worst(
+            run.points, residuals, lambda k: f"section2/{k}{tag}"
+        )
         for key in _SECTION2_ANCHORS:
             if f is None and key in ("hessian", "gradient", "laplacian"):
                 continue
             this_tol = tol_acm if key == "deformed-acm" else tol
             checks.append(_result(
                 f"section2/{key}{tag}", _SECTION2_ANCHORS[key],
-                len(points), worst[key], this_tol,
+                len(run.points), worst[key], this_tol,
             ))
     return checks
 
@@ -314,26 +381,23 @@ _PROP22_ANCHORS = {
 }
 
 
-def _suite_prop22(config, points, override):
-    structure = config.structure
-    f = config.scalar
+def _suite_prop22(run, override):
+    f = run.config.scalar
     checks = []
-    for a in config.a_grid:
-        ds = deform(structure, a)
+    for a in run.config.a_grid:
+        ds = run.deformed(a)
         tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
-        worst = {}
-        for p in points:
-            for item in prop_inner_battery(ds, f, p):
-                r = max(
-                    _rel(item["direct"], item["transfer"]),
-                    _rel(item["direct"], item["closed"]),
-                )
-                key = item["pair"]
-                worst[key] = max(worst.get(key, 0.0), r)
         tag = _a_tag(a)
+
+        def residuals(p):
+            for item in prop_inner_battery(ds, f, p):
+                yield item["pair"], _rel(item["direct"], item["transfer"])
+                yield item["pair"], _rel(item["direct"], item["closed"])
+
+        worst, _ = _worst(run.points, residuals, lambda k: f"prop22/{k}{tag}")
         for key, anchor in _PROP22_ANCHORS.items():
             checks.append(_result(
-                f"prop22/{key}{tag}", anchor, len(points), worst[key], tol
+                f"prop22/{key}{tag}", anchor, len(run.points), worst[key], tol
             ))
     return checks
 
@@ -341,19 +405,25 @@ def _suite_prop22(config, points, override):
 # ---------------------------------------------------------------------------
 # remark23
 
-def _suite_remark23(config, points, override):
-    structure = config.structure
+def _suite_remark23(run, override):
+    structure = run.config.structure
+    points = run.points
     tol = 1e-9 if override is None else override
     checks = []
-    for a in config.a_grid:
-        worst = 0.0
-        for p in points:
+
+    def shortfall(p):
+        for a in run.config.a_grid:
             res = ricci_norm_bound(structure, p, a)
-            worst = max(worst, max(0.0, res["bound"] - res["ric_norm_sq"]))
+            yield a, _below(res["ric_norm_sq"] - res["bound"])
+
+    worst, _ = _worst(
+        points, shortfall, lambda a: f"remark23/norm-bound{_a_tag(a)}"
+    )
+    for a in run.config.a_grid:
         checks.append(_result(
             f"remark23/norm-bound{_a_tag(a)}",
             "|Ric|^2 >= 4n^2(a^2-1)/a^2",
-            len(points), worst, tol,
+            len(points), worst[a], tol,
         ))
 
     lo, hi = admissible_interval(2.0, 1)
@@ -364,8 +434,8 @@ def _suite_remark23(config, points, override):
         0, arith, 1e-12 if override is None else override,
     ))
 
-    f = config.scalar
-    ht = harmonic_transfer(structure, f, points)
+    f = run.config.scalar
+    ht = harmonic_transfer(run.deformed(_HARMONIC_PROBE_A), f, points)
     if not ht["applicable"]:
         checks.append(CheckResult(
             "remark23/harmonic-transfer",
@@ -435,111 +505,126 @@ _EQ_ANCHORS = {
 }
 
 
-def _frames(config):
-    out = [("", BaseFrame(config.structure))]
-    for a in config.a_grid:
-        out.append((_a_tag(a), DeformedFrame(deform(config.structure, a))))
-    return out
-
-
-def _soliton_suite(config, points, override, kind):
+def _soliton_suite(run, override, kind):
+    config = run.config
     structure = config.structure
     man = structure.manifold
+    points = run.points
+    npts = len(points)
     tol_eq = 1e-8 if override is None else override
     tol_thm = 1e-9 if override is None else override
     prefix = f"{kind}-soliton"
     anchors = _EQ_ANCHORS[kind]
     checks = []
-    frames = _frames(config)
     keys = ("full", "traced", "scalar") if kind == "riemann" else ("full", "scalar")
 
     for cand in config.candidates:
         if cand.kind != kind:
             continue
-        for tag, frame in frames:
-            agg = {k: 0.0 for k in keys}
+        gradient = cand.potential == "gradient"
+        for tag, frame in run.frames():
             labels = set()
-            for p in points:
+
+            def residuals(p):
                 res = soliton_residuals(frame, cand, p)
                 labels.add(res["classification"])
                 for k in keys:
-                    agg[k] = max(agg[k], res[k])
-            cls = labels.pop() if len(labels) == 1 else "mixed"
-            for k in keys:
-                checks.append(_result(
-                    f"{prefix}/{cand.name}/{k}{tag}", anchors[k],
-                    len(points), agg[k], tol_eq, classification=cls,
-                ))
-        if cand.potential == "gradient":
-            for tag, frame in frames:
-                worst = 0.0
-                for p in points:
+                    yield k, res[k]
+                if gradient:
                     lam_thm = theorem_lambda(
                         kind, "gradient", structure, p, frame.a,
                         scalar=cand.scalar,
                     )
-                    worst = max(worst, _rel(lam_thm, frame.lam_value(cand, p)))
+                    yield "lambda-gradient", _rel(
+                        lam_thm, frame.lam_value(cand, p)
+                    )
+
+            worst, _ = _worst(
+                points, residuals, lambda k: f"{prefix}/{cand.name}/{k}{tag}"
+            )
+            cls = labels.pop() if len(labels) == 1 else "mixed"
+            for k in keys:
+                checks.append(_result(
+                    f"{prefix}/{cand.name}/{k}{tag}", anchors[k],
+                    npts, worst[k], tol_eq, classification=cls,
+                ))
+            if gradient:
                 checks.append(_result(
                     f"{prefix}/{cand.name}/lambda-gradient{tag}",
-                    anchors["lambda-gradient"], len(points), worst, tol_thm,
+                    anchors["lambda-gradient"], npts,
+                    worst["lambda-gradient"], tol_thm,
                 ))
 
-    for a in config.a_grid:
-        worst = 0.0
-        for p in points:
+    def compatibility(p):
+        for a in config.a_grid:
             res = xi_compatibility(kind, structure, p, a=a)
             scale = max(1.0, res["scale"])
-            worst = max(
-                worst,
-                res["premise_residual"] / scale,
-                res["residual_at_star"] / scale,
-                max(
-                    0.0,
-                    0.5 * res["perturbation"] * res["scale"]
-                    - res["residual_perturbed"],
-                ) / scale,
-            )
+            yield a, res["premise_residual"] / scale
+            yield a, res["residual_at_star"] / scale
+            yield a, _below(
+                res["residual_perturbed"]
+                - 0.5 * res["perturbation"] * res["scale"]
+            ) / scale
+
+    worst, _ = _worst(
+        points, compatibility,
+        lambda a: f"{prefix}/reeb-compatibility{_a_tag(a)}",
+    )
+    for a in config.a_grid:
         checks.append(_result(
             f"{prefix}/reeb-compatibility{_a_tag(a)}",
-            anchors["reeb-compatibility"], len(points), worst, tol_thm,
+            anchors["reeb-compatibility"], npts, worst[a], tol_thm,
         ))
 
-    for wname in sorted(config.vectors):
-        field = config.vectors[wname]
-        if any("a" in coordinates_of(c) for c in field.components):
-            continue
-        max_div = max(abs(divergence(man, field, p)) for p in points)
-        if max_div > 1e-9:
-            continue
+    # fields free of the symbol a whose divergence vanishes at every sample
+    fields = {
+        w: v for w, v in sorted(config.vectors.items())
+        if not any("a" in coordinates_of(c) for c in v.components)
+    }
+    max_div, _ = _worst(
+        points,
+        lambda p: ((w, abs(divergence(man, v, p))) for w, v in fields.items()),
+        lambda w: f"{prefix}/solenoidal-trace/{w}",
+    )
+    solenoidal = [w for w in fields if max_div[w] <= 1e-9]
+
+    def trace(p):
+        for w in solenoidal:
+            for a in config.a_grid:
+                res = solenoidal_implied(kind, structure, fields[w], p, a)
+                yield (w, a), res["trace_residual"] / max(1.0, abs(res["scal"]))
+
+    worst, _ = _worst(
+        points, trace,
+        lambda key: f"{prefix}/solenoidal-trace/{key[0]}{_a_tag(key[1])}",
+    )
+    for w in solenoidal:
         for a in config.a_grid:
-            worst = 0.0
-            for p in points:
-                res = solenoidal_implied(kind, structure, field, p, a)
-                worst = max(
-                    worst,
-                    res["trace_residual"] / max(1.0, abs(res["scal"])),
-                )
             checks.append(_result(
-                f"{prefix}/solenoidal-trace/{wname}{_a_tag(a)}",
-                anchors["solenoidal-trace"], len(points), worst, tol_thm,
+                f"{prefix}/solenoidal-trace/{w}{_a_tag(a)}",
+                anchors["solenoidal-trace"], npts, worst[(w, a)], tol_thm,
             ))
 
     f = config.scalar
     if f is not None:
-        for a in config.a_grid:
-            worst = 0.0
-            applicable = 0
-            for p in points:
+        def orthogonal(p):
+            for a in config.a_grid:
                 res = orthogonal_gradient_values(kind, structure, f, p, a)
                 if not res["applicable"]:
+                    yield a, None
                     continue
-                applicable += 1
                 lam_thm = theorem_lambda(
                     kind, "gradient", structure, p, a, scalar=f
                 )
-                worst = max(worst, _rel(res["lambda_bar"], lam_thm))
+                yield a, _rel(res["lambda_bar"], lam_thm)
+
+        worst, applicable = _worst(
+            points, orthogonal,
+            lambda a: f"{prefix}/orthogonal-gradient{_a_tag(a)}",
+        )
+        for a in config.a_grid:
             cid = f"{prefix}/orthogonal-gradient{_a_tag(a)}"
-            if applicable == 0:
+            if applicable[a] == 0:
                 checks.append(CheckResult(
                     cid, anchors["orthogonal-gradient"], 0, 0.0, tol_thm, True,
                     detail="hypothesis xi(f) = 0 fails at every sample; no claim checked",
@@ -547,17 +632,17 @@ def _soliton_suite(config, points, override, kind):
             else:
                 checks.append(_result(
                     cid, anchors["orthogonal-gradient"],
-                    applicable, worst, tol_thm,
+                    applicable[a], worst[a], tol_thm,
                 ))
     return checks
 
 
-def _suite_riemann_solitons(config, points, override):
-    return _soliton_suite(config, points, override, "riemann")
+def _suite_riemann_solitons(run, override):
+    return _soliton_suite(run, override, "riemann")
 
 
-def _suite_ricci_solitons(config, points, override):
-    return _soliton_suite(config, points, override, "ricci")
+def _suite_ricci_solitons(run, override):
+    return _soliton_suite(run, override, "ricci")
 
 
 # ---------------------------------------------------------------------------
@@ -626,48 +711,45 @@ _INEQ_ANCHORS = {
 }
 
 
-def _suite_inequalities(config, points, override):
-    structure = config.structure
-    f = config.scalar
+def _suite_inequalities(run, override):
+    f = run.config.scalar
+    npts = len(run.points)
     tol = 1e-8 if override is None else override
     checks = []
     for kind in ("riemann", "ricci"):
-        for a in config.a_grid:
-            ds = deform(structure, a)
-            agg = {}
-            for p in points:
+        for a in run.config.a_grid:
+            ds = run.deformed(a)
+            tag = _a_tag(a)
+
+            def residuals(p):
                 for item in inequality_battery(ds, f, kind, p):
-                    rec = agg.setdefault(
-                        item["check"], {"residual": 0.0, "applicable": 0}
-                    )
                     if not item["applicable"]:
+                        yield item["check"], None
                         continue
-                    rec["applicable"] += 1
                     scale = max(1.0, abs(item["lhs"]), abs(item["rhs"]))
                     if item["equality"]:
-                        r = abs(item["margin"]) / scale
+                        yield item["check"], abs(item["margin"]) / scale
                     else:
-                        r = max(0.0, -item["margin"]) / scale
-                    rec["residual"] = max(rec["residual"], r)
-            tag = _a_tag(a)
-            for name, rec in agg.items():
+                        yield item["check"], _below(item["margin"]) / scale
+
+            worst, applicable = _worst(
+                run.points, residuals,
+                lambda name: f"inequality/{kind}/{name}{tag}",
+            )
+            for name, count in applicable.items():
                 cid = f"inequality/{kind}/{name}{tag}"
                 anchor = _INEQ_ANCHORS[kind][name]
-                if rec["applicable"] == 0:
+                if count == 0:
                     checks.append(CheckResult(
                         cid, anchor, 0, 0.0, tol, True,
                         detail="hypothesis fails at every sample; no claim checked",
                     ))
                 else:
                     detail = None
-                    if rec["applicable"] < len(points):
-                        detail = (
-                            f"checked at {rec['applicable']} of "
-                            f"{len(points)} samples"
-                        )
+                    if count < npts:
+                        detail = f"checked at {count} of {npts} samples"
                     checks.append(_result(
-                        cid, anchor, rec["applicable"], rec["residual"], tol,
-                        detail=detail,
+                        cid, anchor, count, worst[name], tol, detail=detail,
                     ))
     return checks
 
@@ -705,6 +787,7 @@ def run_suites(config: VerificationConfig) -> list:
     points = sample_points(
         config.manifold, config.box, config.points, config.seed
     )
+    run = _Run(config, points)
     checks = []
     gate = None
     for suite in config.suites:
@@ -718,29 +801,32 @@ def run_suites(config: VerificationConfig) -> list:
                 detail="fixture defines no [structure] section",
             ))
             continue
-        if suite in _GATED:
-            if gate is None:
-                gate = max(
-                    kenmotsu_residual(config.structure, p) for p in points
-                )
-            if gate > KENMOTSU_TOL:
+        try:
+            if suite in _GATED:
+                if gate is None:
+                    worst, _ = _worst(
+                        points,
+                        lambda p: kenmotsu_details(config.structure, p).items(),
+                        lambda k: f"{suite}/kenmotsu-gate",
+                    )
+                    gate = max(worst.values())
+                if gate > KENMOTSU_TOL:
+                    checks.append(CheckResult(
+                        f"{suite}/kenmotsu-gate",
+                        "closed deformation forms require a Kenmotsu base",
+                        len(points), float(gate), KENMOTSU_TOL, False,
+                        detail="base structure is not Kenmotsu; suite skipped",
+                    ))
+                    continue
+            if suite in _NEEDS_SCALAR and config.scalar is None:
                 checks.append(CheckResult(
-                    f"{suite}/kenmotsu-gate",
-                    "closed deformation forms require a Kenmotsu base",
-                    len(points), float(gate), KENMOTSU_TOL, False,
-                    detail="base structure is not Kenmotsu; suite skipped",
+                    f"{suite}/scalar-missing",
+                    "suite needs a scalar field; set scalar in [run]",
+                    len(points), 1.0, 0.0, False,
+                    detail="no scalar field configured",
                 ))
                 continue
-        if suite in _NEEDS_SCALAR and config.scalar is None:
-            checks.append(CheckResult(
-                f"{suite}/scalar-missing",
-                "suite needs a scalar field; set scalar in [run]",
-                len(points), 1.0, 0.0, False,
-                detail="no scalar field configured",
-            ))
-            continue
-        try:
-            checks.extend(runner(config, points, override))
+            checks.extend(runner(run, override))
         except (EvalError, StructureError) as err:
             raise SuiteError(f"suite {suite}: {err}") from err
     checks.sort(key=lambda c: c.check_id)

@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import evaluate
-
 __all__ = [
     "TensorValue", "MetricAtPoint", "StructureError",
-    "metric_at", "kulkarni_nomizu", "hs_inner", "contract", "tensor_product",
+    "metric_at", "kulkarni_nomizu", "hs_inner",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -72,24 +70,18 @@ class TensorValue:
 
 @dataclass(frozen=True, eq=False)
 class MetricAtPoint:
-    """Metric components and their coordinate derivatives at one point.
+    """Metric components and their first partials at one point.
 
     Attributes
     ----------
     g : (d, d) metric components
     inv : (d, d) inverse metric, computed by LU factorization
-    det : determinant of g
     dg : (d, d, d) first partials, dg[k, i, j] = d_k g_ij
-    d2g : (d, d, d, d) second partials, d2g[l, k, i, j] = d_l d_k g_ij,
-          symmetrized over (l, k)
     """
 
-    point: dict
     g: np.ndarray
     inv: np.ndarray
-    det: float
     dg: np.ndarray
-    d2g: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -99,8 +91,9 @@ class MetricAtPoint:
 def metric_at(manifold, point) -> MetricAtPoint:
     """Evaluate a manifold's metric and its partials at ``point``.
 
-    Positive definiteness is enforced by attempting a Cholesky
-    factorization; failure raises StructureError naming the point.
+    The manifold refuses non-finite components; positive definiteness is
+    enforced by attempting a Cholesky factorization.  Failure raises
+    StructureError naming the point.
     """
     g = manifold.metric_values(point)
     dim = g.shape[0]
@@ -115,10 +108,7 @@ def metric_at(manifold, point) -> MetricAtPoint:
     residual = float(np.max(np.abs(g @ inv - np.eye(dim))))
     if residual > _INVERSE_TOL:
         raise StructureError(f"metric too ill-conditioned at {point}")
-    det = float(np.linalg.det(g))
-    dg = manifold.metric_partials(point)
-    d2g = manifold.metric_second_partials(point)
-    return MetricAtPoint(point=dict(point), g=g, inv=inv, det=det, dg=dg, d2g=d2g)
+    return MetricAtPoint(g=g, inv=inv, dg=manifold.metric_partials(point))
 
 
 def kulkarni_nomizu(t1: TensorValue, t2: TensorValue) -> TensorValue:
@@ -146,34 +136,3 @@ def hs_inner(t1: TensorValue, t2: TensorValue, m: MetricAtPoint) -> float:
         if (t.p, t.q) != (0, 2):
             raise StructureError("Hilbert-Schmidt pairing needs (0,2) tensors")
     return float(np.einsum("ik,jl,ij,kl->", m.inv, m.inv, t1.data, t2.data))
-
-
-def contract(t: TensorValue, upper: int, lower: int) -> TensorValue:
-    """Contract the ``upper``-th contravariant axis with the ``lower``-th
-    covariant axis."""
-    if not (0 <= upper < t.p and 0 <= lower < t.q):
-        raise StructureError(
-            f"no ({upper},{lower}) contraction on a ({t.p},{t.q}) tensor"
-        )
-    data = np.trace(t.data, axis1=upper, axis2=t.p + lower)
-    return TensorValue(t.p - 1, t.q - 1, data)
-
-
-def tensor_product(t1: TensorValue, t2: TensorValue) -> TensorValue:
-    """Outer product, regrouping axes so upper indices come first."""
-    data = np.tensordot(t1.data, t2.data, axes=0)
-    # axes currently: up1, low1, up2, low2; move up2 ahead of low1
-    order = (
-        list(range(t1.p))
-        + [t1.p + t1.q + k for k in range(t2.p)]
-        + list(range(t1.p, t1.p + t1.q))
-        + [t1.p + t1.q + t2.p + k for k in range(t2.q)]
-    )
-    return TensorValue(t1.p + t2.p, t1.q + t2.q, np.transpose(data, order))
-
-
-def evaluate_matrix(exprs, point) -> np.ndarray:
-    """Evaluate a nested tuple/list of expressions into an ndarray."""
-    if isinstance(exprs, (tuple, list)):
-        return np.array([evaluate_matrix(entry, point) for entry in exprs])
-    return evaluate(exprs, point)

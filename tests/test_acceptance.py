@@ -21,8 +21,7 @@ from acmsolitons.geometry import (
     sample_points,
 )
 from acmsolitons.solitons import (
-    BaseFrame,
-    DeformedFrame,
+    Frame,
     SolitonCandidate,
     implied_curvature,
     inequality_battery,
@@ -129,8 +128,8 @@ def _example_worst(cfg, points, names):
     labels = set()
     for name in names:
         cand = _cand(cfg, name)
-        frames = [BaseFrame(cfg.structure)] + [
-            DeformedFrame(deform(cfg.structure, a)) for a in A_GRID
+        frames = [Frame(cfg.structure, 1.0)] + [
+            Frame(deform(cfg.structure, a).structure, a) for a in A_GRID
         ]
         for frame in frames:
             for p in points:
@@ -279,7 +278,7 @@ def test_criterion_07_trace_implication():
     coords = cfg.manifold.coords
     pts = _points(cfg)[:5]
     rng = np.random.default_rng(20260814)
-    frame = BaseFrame(s)
+    frame = Frame(s, 1.0)
     worst_ratio = 0.0
     checked = 0
     for k in range(200):

@@ -219,7 +219,9 @@ class TestHarmonicTransfer:
     def test_planar_harmonic_stays_harmonic(self, kenmotsu3, kenmotsu3_points):
         coords = kenmotsu3.manifold.coords
         f = ScalarField(parse_expr("x", coords=coords))
-        res = harmonic_transfer(kenmotsu3.structure, f, kenmotsu3_points[:16])
+        res = harmonic_transfer(
+            deform(kenmotsu3.structure, 2.0), f, kenmotsu3_points[:16]
+        )
         assert res["applicable"]
         assert res["deformed_harmonic"]
         assert res["condition_holds"]
@@ -230,7 +232,9 @@ class TestHarmonicTransfer:
         f = ScalarField(
             parse_expr("x^2 * exp(-2*z) - exp(-4*z)/4", coords=coords)
         )
-        res = harmonic_transfer(kenmotsu3.structure, f, kenmotsu3_points[:16])
+        res = harmonic_transfer(
+            deform(kenmotsu3.structure, 2.0), f, kenmotsu3_points[:16]
+        )
         assert res["applicable"]
         assert not res["deformed_harmonic"]
         assert not res["condition_holds"]
@@ -238,7 +242,8 @@ class TestHarmonicTransfer:
 
     def test_nonharmonic_not_applicable(self, kenmotsu3, kenmotsu3_points):
         res = harmonic_transfer(
-            kenmotsu3.structure, kenmotsu3.scalars["f"], kenmotsu3_points[:8]
+            deform(kenmotsu3.structure, 2.0), kenmotsu3.scalars["f"],
+            kenmotsu3_points[:8],
         )
         assert not res["applicable"]
 

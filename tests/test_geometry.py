@@ -292,3 +292,39 @@ class TestSampling:
         man = sphere2.manifold
         with pytest.raises(StructureError):
             man.metric_at_cached(man.point(theta=0.0, phi=0.0))
+
+
+def _blowup_chart(entry):
+    coords = ("x", "y")
+    zero = parse_expr("0", coords=coords)
+    one = parse_expr("1", coords=coords)
+    g_xx = parse_expr(entry, coords=coords)
+    return ChartManifold(coords, [[g_xx, zero], [zero, one]], name="blowup")
+
+
+class TestNonFiniteMetric:
+    @pytest.mark.parametrize("entry", [
+        "exp(300*x)*exp(300*x)",  # inf
+        "exp(300*x)*exp(300*x) - exp(300*x)*exp(300*x) + 1",  # nan
+    ])
+    def test_metric_refused(self, entry):
+        man = _blowup_chart(entry)
+        with pytest.raises(StructureError, match=r"metric of blowup not finite at .*1\.5"):
+            man.metric_at_cached(man.point(x=1.5, y=0.0))
+
+    def test_second_partials_refused(self):
+        # g = e^{1000 x} and its first partial are finite at x = 0.7, the
+        # second partial 1e6 e^{700} is not
+        man = _blowup_chart("exp(1000*x)")
+        p = man.point(x=0.7, y=0.0)
+        assert np.all(np.isfinite(man.metric_at_cached(p).dg))
+        with pytest.raises(StructureError, match="second partials of blowup"):
+            curvature_bundle(man, p)
+
+    def test_curvature_symmetry_check_refuses_nan(self):
+        from acmsolitons.geometry import _check_curvature_symmetries
+
+        with pytest.raises(StructureError, match="fails on chart"):
+            _check_curvature_symmetries(
+                np.full((2, 2, 2, 2), np.nan), "chart", {"x": 0.0}
+            )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acmsolitons.deformation import deform
-from acmsolitons.expr import parse_expr
+from acmsolitons.expr import evaluate, parse_expr
 from acmsolitons.geometry import (
     ScalarField,
     VectorField,
@@ -14,8 +14,7 @@ from acmsolitons.geometry import (
     sample_points,
 )
 from acmsolitons.solitons import (
-    BaseFrame,
-    DeformedFrame,
+    Frame,
     SolitonCandidate,
     classify,
     implied_curvature,
@@ -28,7 +27,12 @@ from acmsolitons.solitons import (
     xi_compatibility,
     xi_of_eta_potential,
 )
-from acmsolitons.tensor import StructureError, hs_inner
+from acmsolitons.tensor import (
+    StructureError,
+    TensorValue,
+    hs_inner,
+    kulkarni_nomizu,
+)
 
 A_GRID = (0.5, 1.0, 2.0, 3.7)
 
@@ -53,7 +57,7 @@ class TestClassify:
         wide = builtin_config("kenmotsu3-wide")
         pts = sample_points(wide.manifold, wide.box, wide.points, wide.seed)
         cand = next(c for c in wide.candidates if c.kind == "ricci")
-        frame = BaseFrame(wide.structure)
+        frame = Frame(wide.structure, 1.0)
         labels = {classify(frame.lam_value(cand, p)) for p in pts}
         # lambda = exp(z) - 2 changes sign at z = ln 2 inside the box
         assert "shrinking" in labels and "expanding" in labels
@@ -80,7 +84,7 @@ class TestExampleResiduals:
     @pytest.mark.parametrize("name", ["riemann-grad", "riemann-vector"])
     def test_riemann_example(self, kenmotsu3, kenmotsu3_points, name):
         cand = _cand(kenmotsu3, name)
-        frame = BaseFrame(kenmotsu3.structure)
+        frame = Frame(kenmotsu3.structure, 1.0)
         for p in kenmotsu3_points[:10]:
             res = soliton_residuals(frame, cand, p)
             assert res["full"] <= 1e-8
@@ -91,7 +95,7 @@ class TestExampleResiduals:
     @pytest.mark.parametrize("name", ["ricci-grad", "ricci-vector"])
     def test_ricci_example(self, kenmotsu3, kenmotsu3_points, name):
         cand = _cand(kenmotsu3, name)
-        frame = BaseFrame(kenmotsu3.structure)
+        frame = Frame(kenmotsu3.structure, 1.0)
         for p in kenmotsu3_points[:10]:
             res = soliton_residuals(frame, cand, p)
             assert res["full"] <= 1e-8
@@ -103,7 +107,7 @@ class TestExampleResiduals:
     @pytest.mark.parametrize("name", ["riemann-grad", "ricci-grad"])
     def test_deformed_examples(self, kenmotsu3, kenmotsu3_points, a, name):
         cand = _cand(kenmotsu3, name)
-        frame = DeformedFrame(deform(kenmotsu3.structure, a))
+        frame = Frame(deform(kenmotsu3.structure, a).structure, a)
         for p in kenmotsu3_points[:6]:
             res = soliton_residuals(frame, cand, p)
             assert res["full"] <= 1e-8
@@ -115,7 +119,7 @@ class TestExampleResiduals:
             parse_expr("exp(z)", coords=coords),
             scalar=kenmotsu3.scalars["f"],
         )
-        frame = BaseFrame(kenmotsu3.structure)
+        frame = Frame(kenmotsu3.structure, 1.0)
         worst = max(
             soliton_residuals(frame, wrong, p)["full"]
             for p in kenmotsu3_points[:10]
@@ -124,8 +128,8 @@ class TestExampleResiduals:
 
     def test_base_frame_equals_unit_deformation(self, kenmotsu3, kenmotsu3_points):
         cand = _cand(kenmotsu3, "riemann-grad")
-        base = BaseFrame(kenmotsu3.structure)
-        unit = DeformedFrame(deform(kenmotsu3.structure, 1.0))
+        base = Frame(kenmotsu3.structure, 1.0)
+        unit = Frame(deform(kenmotsu3.structure, 1.0).structure, 1.0)
         p = kenmotsu3_points[0]
         assert soliton_residuals(base, cand, p)["full"] == pytest.approx(
             soliton_residuals(unit, cand, p)["full"], abs=1e-12
@@ -340,3 +344,93 @@ class TestInequalities:
         items = {e["check"]: e for e in inequality_battery(ds, f, "ricci", p)}
         assert items["reconstruction"]["lhs"] == pytest.approx(direct, rel=1e-12)
         assert items["reconstruction"]["rhs"] == pytest.approx(direct, rel=1e-10)
+
+
+def _closed_residuals(ds, cand, p):
+    """Residuals of ``cand`` in the frame of ``ds``, assembled from the
+    closed forms over the base instead of the deformed chart."""
+    a = ds.a
+    n = ds.n
+    m = ds.base.manifold.metric_at_cached(p)
+    eta = ds.base.eta_values(p)
+    gbar = a * m.g + a * (a - 1.0) * np.outer(eta, eta)
+    closed = ds.curvature_closed(p)
+    ric, scal = closed["Ric"].data, closed["scal"]
+    if cand.potential == "gradient":
+        lie = 2.0 * ds.hessian_closed(cand.scalar, p).data
+        div_v = ds.laplacian_closed(cand.scalar, p)
+    else:
+        lie = ds.lie_reeb_closed(p).data
+        div_v = ds.div_reeb_closed()
+    lam = evaluate(cand.lam, dict(p, a=a))
+    if cand.kind == "ricci":
+        return {
+            "full": np.max(np.abs(0.5 * lie + ric - lam * gbar)),
+            "scalar": abs(scal - ((2 * n + 1) * lam - div_v)),
+        }
+    g_t = TensorValue(0, 2, gbar, symmetric=True)
+    lie_t = TensorValue(0, 2, lie, symmetric=True)
+    full = (
+        2.0 * closed["R04"]
+        + kulkarni_nomizu(lie_t, g_t).data
+        - lam * kulkarni_nomizu(g_t, g_t).data
+    )
+    traced = (
+        0.5 * lie + ric / (2 * n - 1)
+        - ((2 * n * lam - div_v) / (2 * n - 1)) * gbar
+    )
+    return {
+        "full": np.max(np.abs(full)),
+        "traced": np.max(np.abs(traced)),
+        "scalar": abs(scal - 2 * n * ((2 * n + 1) * lam - 2.0 * div_v)),
+    }
+
+
+class TestFrame:
+    @pytest.mark.parametrize("a", A_GRID)
+    @pytest.mark.parametrize("kind", ["riemann", "ricci"])
+    @pytest.mark.parametrize("potential", ["gradient", "reeb"])
+    def test_direct_frame_matches_closed_forms(
+        self, kenmotsu3, kenmotsu3_points, a, kind, potential
+    ):
+        # a wrong lambda keeps every residual O(1), so agreement is relative
+        coords = kenmotsu3.manifold.coords + ("a",)
+        cand = SolitonCandidate(
+            "wrong", kind, potential, parse_expr("3*exp(z) + a", coords=coords),
+            scalar=kenmotsu3.scalars["f"] if potential == "gradient" else None,
+        )
+        ds = deform(kenmotsu3.structure, a)
+        frame = Frame(ds.structure, a)
+        for p in kenmotsu3_points[:6]:
+            got = soliton_residuals(frame, cand, p)
+            want = _closed_residuals(ds, cand, p)
+            assert set(want) <= set(got)
+            for level, value in want.items():
+                assert value >= 0.1, level
+                assert got[level] == pytest.approx(value, rel=1e-9), level
+
+    def test_lambda_without_a_factor_fails_off_unit(
+        self, kenmotsu3, kenmotsu3_points
+    ):
+        # riemann-grad's lambda is (2 exp(z) - 1)/a^2; without 1/a^2 it is
+        # right only where a = 1, which shows the frame substitutes a and
+        # works on g_bar
+        coords = kenmotsu3.manifold.coords + ("a",)
+        cand = SolitonCandidate(
+            "no-a", "riemann", "gradient",
+            parse_expr("2*exp(z) - 1", coords=coords),
+            scalar=kenmotsu3.scalars["f"],
+        )
+        frames = [("base", Frame(kenmotsu3.structure, 1.0))] + [
+            (a, Frame(deform(kenmotsu3.structure, a).structure, a))
+            for a in A_GRID
+        ]
+        for label, frame in frames:
+            worst = max(
+                soliton_residuals(frame, cand, p)["full"]
+                for p in kenmotsu3_points[:6]
+            )
+            if label in ("base", 1.0):
+                assert worst <= 1e-8, label
+            else:
+                assert worst > 1e-3, label
