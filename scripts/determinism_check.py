@@ -18,11 +18,15 @@ def main() -> int:
     parser.add_argument("--fixture", default="kenmotsu3",
                         choices=builtin_names())
     parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--points", type=int, default=None,
+                        help="override the fixture's sample count")
     args = parser.parse_args()
 
     digests = []
     for k in range(args.runs):
         config = builtin_config(args.fixture)
+        if args.points is not None:
+            config.points = args.points
         text = report_json(build_report(config, run_suites(config)))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         digests.append(digest)

@@ -83,6 +83,8 @@ def _apply_overrides(config, args) -> None:
             raise ConfigError("--points must be positive")
         config.points = args.points
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
         config.seed = args.seed
     for item in args.tol_override:
         name, sep, value = item.partition("=")

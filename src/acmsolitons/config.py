@@ -343,6 +343,8 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
             raise ConfigError(f"{source}: [run] {key} must be an integer") from err
 
     seed = _int("seed", 42)
+    if seed < 0:
+        raise ConfigError(f"{source}: [run] seed must be non-negative")
     points = _int("points", 64)
     if points <= 0:
         raise ConfigError(f"{source}: [run] points must be positive")

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .expr import Const, add, mul
+from .expr import Const, add, first_sample, mul
 from .geometry import (
     AcmStructure,
     ChartManifold,
@@ -53,7 +53,7 @@ from .geometry import (
     kenmotsu_residual,
     laplacian,
 )
-from .tensor import StructureError, TensorValue, hs_inner
+from .tensor import StructureError, hs_inner, outer, symmetric
 
 __all__ = [
     "KENMOTSU_TOL",
@@ -81,12 +81,12 @@ def deformation_curvature_term(g: np.ndarray, eta: np.ndarray) -> np.ndarray:
     T[a,b,c,d] = eta_c (eta_a g_bd - eta_b g_ad)
                  - g_ac (g_bd - eta_b eta_d) + g_bc (g_ad - eta_a eta_d)
     """
-    p = g - np.outer(eta, eta)
+    p = g - outer(eta, eta)
     return (
-        np.einsum("c,a,bd->abcd", eta, eta, g)
-        - np.einsum("c,b,ad->abcd", eta, eta, g)
-        - np.einsum("ac,bd->abcd", g, p)
-        + np.einsum("bc,ad->abcd", g, p)
+        np.einsum("...c,...a,...bd->...abcd", eta, eta, g)
+        - np.einsum("...c,...b,...ad->...abcd", eta, eta, g)
+        - np.einsum("...ac,...bd->...abcd", g, p)
+        + np.einsum("...bc,...ad->...abcd", g, p)
     )
 
 
@@ -97,7 +97,7 @@ class DeformedStructure:
     (phi, xi_bar, eta_bar), so direct computation is always available.  The
     metric entries are built with folding constructors; at a = 1 they
     collapse to the base expressions and direct evaluation reproduces the
-    base floats bit for bit.
+    base floats bit for bit.  Every closed form takes a point or a batch.
     """
 
     def __init__(self, base: AcmStructure, a: float,
@@ -140,10 +140,13 @@ class DeformedStructure:
 
     def require_kenmotsu(self, point) -> None:
         res = kenmotsu_residual(self.base, point)
-        if not res <= self.kenmotsu_tol:
+        bad = ~(res <= self.kenmotsu_tol)
+        if np.any(bad):
+            first = np.atleast_1d(res)[np.argmax(bad)]
             raise NotKenmotsuError(
                 f"closed deformation forms need a Kenmotsu base; "
-                f"{self.base.manifold.name} has residual {res:.3e} at {point}"
+                f"{self.base.manifold.name} has residual {first:.3e} at "
+                f"{first_sample(point, bad)}"
             )
 
     # -- metric-level closed forms ------------------------------------------
@@ -157,7 +160,7 @@ class DeformedStructure:
         m = self.base.manifold.metric_at_cached(point)
         xi = self.base.xi_values(point)
         a = self.a
-        return m.inv / a - ((a - 1.0) / (a * a)) * np.outer(xi, xi)
+        return m.inv / a - ((a - 1.0) / (a * a)) * outer(xi, xi)
 
     def christoffel_closed(self, point) -> np.ndarray:
         self.require_kenmotsu(point)
@@ -165,8 +168,10 @@ class DeformedStructure:
         m = self.base.manifold.metric_at_cached(point)
         eta = self.base.eta_values(point)
         xi = self.base.xi_values(point)
-        p = m.g - np.outer(eta, eta)
-        return gamma + ((self.a - 1.0) / self.a) * np.einsum("ij,l->lij", p, xi)
+        p = m.g - outer(eta, eta)
+        return gamma + ((self.a - 1.0) / self.a) * np.einsum(
+            "...ij,...l->...lij", p, xi
+        )
 
     def curvature_closed(self, point) -> dict:
         """R13, R04, Ric and scal of g_bar from the base curvature."""
@@ -176,19 +181,20 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         a = self.a
         n = self.n
-        p = g - np.outer(eta, eta)  # g(phi ., phi .)
+        p = g - outer(eta, eta)  # g(phi ., phi .)
         eye = np.eye(self.manifold.dim)
         r13 = bundle["R13"] + ((a - 1.0) / a) * (
-            np.einsum("bc,la->labc", p, eye) - np.einsum("ac,lb->labc", p, eye)
+            np.einsum("...bc,la->...labc", p, eye)
+            - np.einsum("...ac,lb->...labc", p, eye)
         )
         r04 = a * bundle["R04"] + (a - 1.0) * deformation_curvature_term(g, eta)
-        ric = bundle["Ric"].data + (2.0 * n * (a - 1.0) / a) * p
+        ric = bundle["Ric"] + (2.0 * n * (a - 1.0) / a) * p
         scal = bundle["scal"] / a + 2.0 * n * (2 * n + 1) * (a - 1.0) / (a * a)
         return {
             "R13": r13,
             "R04": r04,
-            "Ric": TensorValue(0, 2, ric, symmetric=True),
-            "scal": float(scal),
+            "Ric": symmetric(ric, point),
+            "scal": scal,
         }
 
     # -- structure tensors ---------------------------------------------------
@@ -200,10 +206,10 @@ class DeformedStructure:
         phi = self.base.phi_values(point)
         xi = self.base.xi_values(point)
         eta = self.base.eta_values(point)
-        g_phi = np.einsum("mi,mj->ij", phi, m.g)
+        g_phi = np.einsum("...mi,...mj->...ij", phi, m.g)
         return (
-            np.einsum("ij,k->ikj", g_phi, xi) / self.a
-            - np.einsum("j,ki->ikj", eta, phi)
+            np.einsum("...ij,...k->...ikj", g_phi, xi) / self.a
+            - np.einsum("...j,...ki->...ikj", eta, phi)
         )
 
     def nabla_reeb_closed(self, point) -> np.ndarray:
@@ -212,16 +218,14 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         xi = self.base.xi_values(point)
         d = self.manifold.dim
-        return (np.eye(d) - np.outer(eta, xi)) / self.a
+        return (np.eye(d) - outer(eta, xi)) / self.a
 
-    def lie_reeb_closed(self, point) -> TensorValue:
+    def lie_reeb_closed(self, point) -> np.ndarray:
         """L_{xi_bar} g_bar = 2 (g - eta (x) eta)."""
         self.require_kenmotsu(point)
         m = self.base.manifold.metric_at_cached(point)
         eta = self.base.eta_values(point)
-        return TensorValue(
-            0, 2, 2.0 * (m.g - np.outer(eta, eta)), symmetric=True
-        )
+        return symmetric(2.0 * (m.g - outer(eta, eta)), point)
 
     def div_reeb_closed(self) -> float:
         return 2.0 * self.n / self.a
@@ -235,22 +239,22 @@ class DeformedStructure:
         dxi = self.base.xi_partials(point)
         df = f.gradient_covector(man.coords, point)
         ddf = f.second_partials(man.coords, point)
-        xif = float(xi @ df)
-        xixif = float(
-            np.einsum("k,km,m->", xi, dxi, df)
-            + np.einsum("k,m,km->", xi, xi, ddf)
+        xif = np.einsum("...k,...k->...", xi, df)
+        xixif = (
+            np.einsum("...k,...km,...m->...", xi, dxi, df)
+            + np.einsum("...k,...m,...km->...", xi, xi, ddf)
         )
         return xif, xixif
 
-    def hessian_closed(self, f: ScalarField, point) -> TensorValue:
+    def hessian_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
         m = self.base.manifold.metric_at_cached(point)
         eta = self.base.eta_values(point)
         xif, _ = self.xi_derivatives(f, point)
-        p = m.g - np.outer(eta, eta)
-        data = hessian(self.base.manifold, f, point).data
-        data = data - ((self.a - 1.0) / self.a) * xif * p
-        return TensorValue(0, 2, data, symmetric=True)
+        p = m.g - outer(eta, eta)
+        data = hessian(self.base.manifold, f, point)
+        data = data - ((self.a - 1.0) / self.a) * xif[..., None, None] * p
+        return symmetric(data, point)
 
     def gradient_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
@@ -259,13 +263,13 @@ class DeformedStructure:
         a = self.a
         return grad(self.base.manifold, f, point) / a - (
             (a - 1.0) / (a * a)
-        ) * xif * xi
+        ) * xif[..., None] * xi
 
-    def laplacian_closed(self, f: ScalarField, point) -> float:
+    def laplacian_closed(self, f: ScalarField, point):
         self.require_kenmotsu(point)
         xif, xixif = self.xi_derivatives(f, point)
         a = self.a
-        return float(
+        return (
             laplacian(self.base.manifold, f, point) / a
             - 2.0 * self.n * (a - 1.0) / (a * a) * xif
             - (a - 1.0) / (a * a) * xixif
@@ -273,7 +277,7 @@ class DeformedStructure:
 
     # -- inner products ------------------------------------------------------
 
-    def inner_pa(self, t1: TensorValue, t2: TensorValue, point) -> float:
+    def inner_pa(self, t1, t2, point):
         """<T1, T2>_{g_bar} from base data.
 
         Exact when i_xi T = T(xi,xi) eta holds for both arguments; the
@@ -284,8 +288,8 @@ class DeformedStructure:
         m = self.base.manifold.metric_at_cached(point)
         xi = self.base.xi_values(point)
         a2 = self.a * self.a
-        t1xx = float(xi @ t1.data @ xi)
-        t2xx = float(xi @ t2.data @ xi)
+        t1xx = np.einsum("...i,...ij,...j->...", xi, t1, xi)
+        t2xx = np.einsum("...i,...ij,...j->...", xi, t2, xi)
         return hs_inner(t1, t2, m) / a2 - (a2 - 1.0) / (a2 * a2) * t1xx * t2xx
 
 
@@ -319,7 +323,7 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     against the deformed inverse metric), ``transfer`` (the base-data
     inner-product formula) and ``closed`` (the fully reduced form, which over
     a Kenmotsu base needs only scal, Lap(f), xi-derivatives of f and the
-    base norms).
+    base norms).  Constant closed forms are plain floats.
     """
     ds.require_kenmotsu(point)
     base_man = ds.base.manifold
@@ -330,10 +334,10 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     a4 = a2 * a2
     eta = ds.base.eta_values(point)
     tensors = {
-        "g": TensorValue(0, 2, m.g, symmetric=True),
+        "g": m.g,
         "ric": bundle["Ric"],
         "hess": hessian(base_man, f, point),
-        "etaeta": TensorValue(0, 2, np.outer(eta, eta), symmetric=True),
+        "etaeta": outer(eta, eta),
     }
     xif, xixif = ds.xi_derivatives(f, point)
     scal = bundle["scal"]
@@ -362,7 +366,7 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
                 "pair": f"{k1}-{k2}",
                 "direct": hs_inner(t1, t2, mbar),
                 "transfer": ds.inner_pa(t1, t2, point),
-                "closed": float(closed[(k1, k2)]),
+                "closed": closed[(k1, k2)],
             }
         )
     return out
@@ -379,28 +383,31 @@ def harmonic_transfer(ds: DeformedStructure, f: ScalarField, points,
         Hess(f)(xi, xi) = -2n eta(grad f)
     holds; since Lap f = 0 makes the deformed Laplacian a multiple of
     2n xi(f) + xi(xi(f)) that is the content of the closed form above.  The
-    check is evaluated at the parameter of ``ds`` and reported as not
-    applicable when f is not harmonic to begin with.  A non-finite value
-    raises StructureError naming the point.
+    check is evaluated over the batch ``points`` at the parameter of ``ds``
+    and reported as not applicable when f is not harmonic to begin with.  A
+    non-finite value raises StructureError naming the first such sample.
     """
     structure = ds.base
     man = structure.manifold
     n = structure.n
-    max_lap = 0.0
-    max_lap_bar = 0.0
-    max_condition = 0.0
-    for p in points:
-        lap = laplacian(man, f, p)
-        lap_bar = ds.laplacian_closed(f, p)
-        hess = hessian(man, f, p).data
-        xi = structure.xi_values(p)
-        eta_grad = float(structure.eta_values(p) @ grad(man, f, p))
-        condition = float(xi @ hess @ xi) + 2.0 * n * eta_grad
-        if not np.all(np.isfinite((lap, lap_bar, condition))):
-            raise StructureError(f"harmonic transfer not finite at {p}")
-        max_lap = max(max_lap, abs(lap))
-        max_lap_bar = max(max_lap_bar, abs(lap_bar))
-        max_condition = max(max_condition, abs(condition))
+    lap = laplacian(man, f, points)
+    lap_bar = ds.laplacian_closed(f, points)
+    xi = structure.xi_values(points)
+    eta_grad = np.einsum(
+        "...i,...i->...", structure.eta_values(points), grad(man, f, points)
+    )
+    condition = (
+        np.einsum("...i,...ij,...j->...", xi, hessian(man, f, points), xi)
+        + 2.0 * n * eta_grad
+    )
+    finite = np.isfinite(lap) & np.isfinite(lap_bar) & np.isfinite(condition)
+    if not np.all(finite):
+        raise StructureError(
+            f"harmonic transfer not finite at {first_sample(points, ~finite)}"
+        )
+    max_lap = float(np.max(np.abs(lap)))
+    max_lap_bar = float(np.max(np.abs(lap_bar)))
+    max_condition = float(np.max(np.abs(condition)))
     harmonic = max_lap <= tol
     return {
         "applicable": harmonic,
@@ -423,7 +430,7 @@ def ricci_norm_bound(structure: AcmStructure, point, a: float) -> dict:
     return {
         "ric_norm_sq": ric_sq,
         "bound": bound,
-        "satisfied": bool(ric_sq >= bound - 1e-9),
+        "satisfied": ric_sq >= bound - 1e-9,
     }
 
 

@@ -6,6 +6,7 @@ functions exp, log, sin, cos, tan, sinh, cosh, tanh, sqrt.  Trees are
 immutable and hashable, evaluation is plain IEEE double arithmetic, and
 differentiation is exact and closed over the same node set, so rounding
 during evaluation is the only numerical error introduced downstream.
+Evaluation takes a single point or a whole batch of sample points at once.
 
 Everything here is pure; trees may be shared and evaluated concurrently.
 """
@@ -17,10 +18,13 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 __all__ = [
     "Expr", "Const", "Coord", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "EvalError", "FUNCTIONS", "CONSTANTS",
-    "parse_expr", "evaluate", "diff", "simplify_basic", "render",
+    "parse_expr", "evaluate", "first_sample", "diff", "substitute",
+    "simplify_basic", "render",
     "coordinates_of", "add", "sub", "mul", "div", "neg", "pow_", "call",
 ]
 
@@ -38,10 +42,12 @@ class ParseError(ExprError):
 
 
 class EvalError(ExprError):
-    """Domain violation during evaluation; carries the offending subtree."""
+    """Domain violation during evaluation; carries the offending subtree
+    and, for a domain error, the first sample where it occurs."""
 
-    def __init__(self, message: str, subtree: "Expr"):
-        super().__init__(f"{message} in '{render(subtree)}'")
+    def __init__(self, message: str, subtree: "Expr", sample: dict = None):
+        where = "" if sample is None else f" at sample {sample}"
+        super().__init__(f"{message} in '{render(subtree)}'{where}")
         self.subtree = subtree
 
 
@@ -139,16 +145,16 @@ class Call(Expr):
     arg: Expr
 
 
-FUNCTIONS: Mapping[str, Callable[[float], float]] = {
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "sqrt": math.sqrt,
+FUNCTIONS: Mapping[str, Callable] = {
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "tanh": np.tanh,
+    "sqrt": np.sqrt,
 }
 
 CONSTANTS: Mapping[str, float] = {"pi": math.pi, "e": math.e}
@@ -243,16 +249,45 @@ def call(func: str, arg: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def evaluate(e: Expr, point: Mapping[str, float]) -> float:
-    """Evaluate ``e`` at ``point`` (a mapping coordinate name -> value).
+def evaluate(e: Expr, point: Mapping):
+    """Evaluate ``e`` at ``point``, a mapping coordinate name -> value.
+
+    A value is a float for a single point, or an (N,) array for a batch of
+    N sample points; the result is then a float or an (N,) array (a tree
+    that reads no coordinate stays a float and broadcasts).
 
     Raises EvalError on domain violations: division by zero, log of a
     non-positive value, sqrt of a negative value, a negative base with a
     non-integer exponent, overflow inside a function call or a power, or a
-    coordinate missing from ``point``.  The operators + - * / follow IEEE
-    arithmetic and can return inf or nan without raising; callers that
-    need finite values check for them.
+    coordinate missing from ``point``.  Each is found with a mask over the
+    batch, and the error names the first offending sample.  The operators
+    + - * / follow IEEE arithmetic and can return inf or nan without
+    raising; callers that need finite values check for them.
     """
+    with np.errstate(all="ignore"):
+        return _evaluate(e, point)
+
+
+def first_sample(point: Mapping, flags) -> dict:
+    """The sample of ``point`` at which ``flags`` first holds.
+
+    ``point`` is a single point or a batch (values of shape (N,)); ``flags``
+    broadcasts against it.  Returns the sample's values as a plain dict.
+    """
+    values = {k: np.asarray(v, dtype=float) for k, v in point.items()}
+    shape = np.broadcast_shapes(*(v.shape for v in values.values()))
+    if not shape:
+        return {k: float(v) for k, v in values.items()}
+    i = int(np.argmax(np.broadcast_to(flags, shape)))
+    return {k: float(v if v.ndim == 0 else v[i]) for k, v in values.items()}
+
+
+def _refuse(bad, message: str, e: Expr, point) -> None:
+    if np.any(bad):
+        raise EvalError(message, e, first_sample(point, bad))
+
+
+def _evaluate(e: Expr, point):
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Coord):
@@ -261,45 +296,46 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
         except KeyError:
             raise EvalError(f"unknown coordinate '{e.name}'", e) from None
     if isinstance(e, Neg):
-        return -evaluate(e.arg, point)
+        return -_evaluate(e.arg, point)
     if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
+        return _evaluate(e.left, point) + _evaluate(e.right, point)
     if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
+        return _evaluate(e.left, point) - _evaluate(e.right, point)
     if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
+        return _evaluate(e.left, point) * _evaluate(e.right, point)
     if isinstance(e, Div):
-        denominator = evaluate(e.right, point)
-        if denominator == 0.0:
-            raise EvalError("division by zero", e)
-        return evaluate(e.left, point) / denominator
+        denominator = _evaluate(e.right, point)
+        _refuse(np.equal(denominator, 0.0), "division by zero", e, point)
+        return _evaluate(e.left, point) / denominator
     if isinstance(e, Pow):
-        return _eval_pow(e, point)
+        return _evaluate_pow(e, point)
     if isinstance(e, Call):
-        value = evaluate(e.arg, point)
-        fn = FUNCTIONS[e.func]
-        if e.func == "log" and value <= 0.0:
-            raise EvalError("log of a non-positive value", e)
-        if e.func == "sqrt" and value < 0.0:
-            raise EvalError("sqrt of a negative value", e)
-        try:
-            return fn(value)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{e.func} failed ({exc})", e) from None
+        value = _evaluate(e.arg, point)
+        if e.func == "log":
+            _refuse(np.less_equal(value, 0.0), "log of a non-positive value", e, point)
+        if e.func == "sqrt":
+            _refuse(np.less(value, 0.0), "sqrt of a negative value", e, point)
+        out = FUNCTIONS[e.func](value)
+        _refuse(np.isfinite(value) & ~np.isfinite(out),
+                f"{e.func} failed (math range error)", e, point)
+        _refuse(np.isinf(value) & np.isnan(out),
+                f"{e.func} failed (math domain error)", e, point)
+        return out
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _eval_pow(e: Pow, point: Mapping[str, float]) -> float:
-    base = evaluate(e.base, point)
-    exponent = evaluate(e.exponent, point)
-    if base == 0.0 and exponent < 0.0:
-        raise EvalError("zero base with negative exponent", e)
-    if base < 0.0 and not float(exponent).is_integer():
-        raise EvalError("negative base with non-integer exponent", e)
-    try:
-        return math.pow(base, exponent)
-    except (ValueError, OverflowError) as exc:
-        raise EvalError(f"power failed ({exc})", e) from None
+def _evaluate_pow(e: Pow, point):
+    base = _evaluate(e.base, point)
+    exponent = _evaluate(e.exponent, point)
+    _refuse(np.equal(base, 0.0) & np.less(exponent, 0.0),
+            "zero base with negative exponent", e, point)
+    integral = np.isfinite(exponent) & np.equal(np.floor(exponent), exponent)
+    _refuse(np.less(base, 0.0) & ~integral,
+            "negative base with non-integer exponent", e, point)
+    out = np.power(base, exponent)
+    _refuse(np.isfinite(base) & np.isfinite(exponent) & ~np.isfinite(out),
+            "power failed (math range error)", e, point)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +394,31 @@ def diff(e: Expr, name: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Substitution
+
+def substitute(e: Expr, values: Mapping[str, float]) -> Expr:
+    """``e`` with every coordinate named in ``values`` replaced by that
+    constant.
+
+    Nodes are rebuilt as they are, without folding, so the result evaluates
+    with the same arithmetic as ``e`` at a point that sets those names.
+    """
+    if isinstance(e, Coord):
+        return Const(float(values[e.name])) if e.name in values else e
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Neg):
+        return Neg(substitute(e.arg, values))
+    if isinstance(e, Call):
+        return Call(e.func, substitute(e.arg, values))
+    if isinstance(e, Pow):
+        return Pow(substitute(e.base, values), substitute(e.exponent, values))
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e)(substitute(e.left, values), substitute(e.right, values))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
 # Simplification
 
 def simplify_basic(e: Expr) -> Expr:
@@ -399,7 +460,7 @@ def _fold_node(e: Expr) -> Expr:
         value = evaluate(e, {})
     except EvalError:
         return e
-    return Const(value) if math.isfinite(value) else e
+    return Const(float(value)) if math.isfinite(value) else e
 
 
 # ---------------------------------------------------------------------------

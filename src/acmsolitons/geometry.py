@@ -3,9 +3,11 @@
 A ChartManifold is a single coordinate chart: named coordinates, a
 symmetric metric of expressions, and optional open-domain constraints
 (expressions required to be strictly positive).  All geometry is evaluated
-pointwise; the symbolic layer only ever differentiates the defining
-expressions, so each operator below matches its textbook coordinate
-formula exactly:
+at a point, a mapping coordinate -> float, or at a whole batch of sample
+points at once, a ``Samples`` mapping coordinate -> (N,) array; batched
+results carry the sample axis in front of the tensor axes.  The symbolic
+layer only ever differentiates the defining expressions, so each operator
+below matches its textbook coordinate formula exactly:
 
 * Christoffel symbols  Gamma^l_ij = (1/2) g^{lk} (d_i g_jk + d_j g_ik - d_k g_ij)
 * curvature            R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
@@ -25,23 +27,100 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Const, Expr, diff, evaluate, mul
-from .tensor import MetricAtPoint, StructureError, TensorValue, metric_at
+from .expr import Const, EvalError, Expr, diff, evaluate, first_sample, mul
+from .tensor import MetricData, StructureError, max_abs, outer, symmetric
 
 __all__ = [
-    "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
+    "Samples", "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
     "christoffel", "christoffel_partials", "riemann", "ricci", "scalar_curv",
     "curvature_bundle", "lie_derivative_metric", "grad", "hessian",
     "divergence", "laplacian", "gradient_lie_derivative",
     "covariant_derivative", "nabla_phi_tensor",
-    "kenmotsu_residual", "kenmotsu_details", "sample_points",
+    "kenmotsu_residual", "kenmotsu_details", "sample_points", "sample_batch",
 ]
 
 _CURVATURE_SYMMETRY_TOL = 1e-10
+_INVERSE_TOL = 1e-10
 
 
-def _point_key(coords, point):
-    return tuple(point[c] for c in coords)
+class Samples(dict):
+    """A batch of N sample points: coordinate name -> (N,) array.
+
+    What a run derives from the batch alone (metric data, curvature,
+    Hessians of scalar fields, Kenmotsu residuals, the values and partials
+    of fields) is memoised on it, keyed by the chart, structure or field it
+    belongs to, or by the expressions evaluated, so each is computed once
+    per batch whichever suite asks first.
+    """
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.memo = {}
+
+    @classmethod
+    def stack(cls, points) -> "Samples":
+        """The batch of a sequence of single points with the same keys."""
+        return cls({
+            c: np.array([p[c] for p in points], dtype=float) for c in points[0]
+        })
+
+    @property
+    def count(self) -> int:
+        return len(next(iter(self.values())))
+
+    def points(self) -> list:
+        """The samples as single points, in order."""
+        columns = [(c, v.tolist()) for c, v in self.items()]
+        return [
+            {c: values[i] for c, values in columns} for i in range(self.count)
+        ]
+
+
+def _memo(point, key, compute):
+    """``compute()``, memoised under ``key`` when ``point`` is a batch
+    (a single point carries no memo)."""
+    memo = getattr(point, "memo", None)
+    if memo is None:
+        return compute()
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = compute()
+    return found
+
+
+def _shape(point) -> tuple:
+    """The sample shape of a point, () for one point and (N,) for a batch."""
+    return np.broadcast_shapes(*(np.shape(v) for v in point.values()))
+
+
+def _evaluate_all(exprs, point, dims) -> np.ndarray:
+    """Evaluate a flat sequence of expressions into components of shape
+    ``dims``, behind the sample axis of ``point``."""
+    shape = _shape(point)
+    out = np.empty(shape + (len(exprs),))
+    for k, e in enumerate(exprs):
+        out[..., k] = evaluate(e, point)
+    return out.reshape(shape + dims)
+
+
+def _values(exprs, point, dims) -> np.ndarray:
+    """``_evaluate_all``, memoised on a batch by the expressions themselves.
+
+    A field's values and partials are evaluated once per batch whichever
+    operator asks; callers must not write into the result.
+    """
+    exprs = tuple(exprs)
+    return _memo(point, (exprs, dims),
+                 lambda: _evaluate_all(exprs, point, dims))
+
+
+def _swap(t: np.ndarray) -> np.ndarray:
+    return np.swapaxes(t, -1, -2)
+
+
+def _refuse(bad, message: str, point) -> None:
+    if np.any(bad):
+        raise StructureError(f"{message} at {first_sample(point, bad)}")
 
 
 class ChartManifold:
@@ -89,8 +168,6 @@ class ChartManifold:
             )
             for cl in self.coords
         )
-        self._metric_cache = {}
-        self._curvature_cache = {}
 
     @property
     def n(self) -> int:
@@ -106,53 +183,109 @@ class ChartManifold:
             )
         return {c: float(values[c]) for c in self.coords}
 
-    def contains(self, point) -> bool:
-        """True when every domain constraint is strictly positive."""
-        return all(evaluate(c, point) > 0.0 for c in self.constraints)
+    def contains(self, point):
+        """Whether each sample lies in the domain (every constraint > 0).
 
-    def _finite(self, values: np.ndarray, what: str, point) -> np.ndarray:
-        if not np.all(np.isfinite(values)):
-            raise StructureError(f"{what} of {self.name} not finite at {point}")
+        A sample is evaluated at a constraint only while the earlier ones
+        hold there, so a constraint may be undefined where an earlier one
+        already excludes the sample.  When one cannot be evaluated, the
+        EvalError names the first sample, in order, that fails that way.
+        """
+        shape = _shape(point)
+        flat = {k: np.broadcast_to(v, shape).reshape(-1) for k, v in point.items()}
+        inside = np.ones(int(np.prod(shape)), dtype=bool)
+        for c in self.constraints:
+            alive = np.flatnonzero(inside)
+            if alive.size == 0:
+                break
+            try:
+                values = evaluate(c, {k: v[alive] for k, v in flat.items()})
+            except EvalError:
+                # a later constraint may be undefined at an earlier sample
+                # than this one; settle which, sample by sample
+                if inside.size > 1:
+                    for i in range(inside.size):
+                        self.contains({k: v[i] for k, v in flat.items()})
+                raise
+            inside[alive] = np.greater(values, 0.0)
+        return inside.reshape(shape)[()]
+
+    def _finite(self, values: np.ndarray, rank: int, what: str, point) -> np.ndarray:
+        _refuse(~np.isfinite(max_abs(values, rank)),
+                f"{what} of {self.name} not finite", point)
         return values
 
     def metric_values(self, point) -> np.ndarray:
         d = self.dim
-        out = np.empty((d, d))
+        out = np.empty(_shape(point) + (d, d))
         for i in range(d):
             for j in range(i, d):
-                out[i, j] = out[j, i] = evaluate(self.metric[i][j], point)
-        return self._finite(out, "metric", point)
+                out[..., i, j] = out[..., j, i] = evaluate(self.metric[i][j], point)
+        return self._finite(out, 2, "metric", point)
 
     def metric_partials(self, point) -> np.ndarray:
         d = self.dim
-        out = np.empty((d, d, d))
+        out = np.empty(_shape(point) + (d, d, d))
         for k in range(d):
             for i in range(d):
                 for j in range(i, d):
-                    out[k, i, j] = out[k, j, i] = evaluate(self._dg[k][i][j], point)
-        return self._finite(out, "metric first partials", point)
+                    out[..., k, i, j] = out[..., k, j, i] = evaluate(
+                        self._dg[k][i][j], point
+                    )
+        return self._finite(out, 3, "metric first partials", point)
 
     def metric_second_partials(self, point) -> np.ndarray:
         d = self.dim
-        out = np.empty((d, d, d, d))
+        out = np.empty(_shape(point) + (d, d, d, d))
         for l in range(d):
             for k in range(d):
                 for i in range(d):
                     for j in range(i, d):
-                        out[l, k, i, j] = out[l, k, j, i] = evaluate(
+                        out[..., l, k, i, j] = out[..., l, k, j, i] = evaluate(
                             self._d2g[l][k][i][j], point
                         )
-        self._finite(out, "metric second partials", point)
+        self._finite(out, 4, "metric second partials", point)
         # mixed partials commute; symmetrize away evaluation-order noise
-        return 0.5 * (out + np.transpose(out, (1, 0, 2, 3)))
+        out += np.swapaxes(out, -4, -3)
+        out *= 0.5
+        return out
 
-    def metric_at_cached(self, point) -> MetricAtPoint:
-        key = _point_key(self.coords, point)
-        found = self._metric_cache.get(key)
-        if found is None:
-            found = metric_at(self, point)
-            self._metric_cache[key] = found
-        return found
+    def metric_at_cached(self, point) -> MetricData:
+        """Metric data at ``point``, memoised on a batch.
+
+        The chart refuses non-finite components; positive definiteness is
+        enforced by a Cholesky factorization and the inverse must reproduce
+        the identity to 1e-10.  Failure raises StructureError naming the
+        first offending sample.
+        """
+        return _memo(point, (self, "metric"), lambda: self._metric_data(point))
+
+    def _metric_data(self, point) -> MetricData:
+        g = symmetric(self.metric_values(point), point)
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            _refuse(~_cholesky_succeeds(g),
+                    f"metric of {self.name} not positive definite", point)
+        inv = np.linalg.inv(g)
+        _refuse(max_abs(g @ inv - np.eye(self.dim), 2) > _INVERSE_TOL,
+                f"metric of {self.name} too ill-conditioned", point)
+        dg = self.metric_partials(point)
+        dinv = -np.einsum("...lm,...amn,...nk->...alk", inv, dg, inv)
+        return MetricData(g=g, inv=inv, dg=dg, dinv=dinv)
+
+
+def _cholesky_succeeds(g: np.ndarray) -> np.ndarray:
+    """Per sample, whether g factors; locates the sample that failed a
+    batched factorization."""
+    ok = []
+    for block in g.reshape((-1,) + g.shape[-2:]):
+        try:
+            np.linalg.cholesky(block)
+            ok.append(True)
+        except np.linalg.LinAlgError:
+            ok.append(False)
+    return np.array(ok).reshape(g.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -160,31 +293,28 @@ class ChartManifold:
 
 def christoffel(manifold, point) -> np.ndarray:
     """Christoffel symbols Gamma[l, i, j] of the Levi-Civita connection,
-    taken from the cached curvature bundle."""
+    taken from the curvature bundle."""
     return curvature_bundle(manifold, point)["gamma"]
 
 
 def _gamma_combo(dg: np.ndarray) -> np.ndarray:
     """combo[i, j, k] = d_i g_jk + d_j g_ik - d_k g_ij for dg[k,i,j] = d_k g_ij."""
-    return dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
+    return dg + np.einsum("...jik->...ijk", dg) - np.einsum("...kij->...ijk", dg)
 
 
 def christoffel_partials(manifold, point) -> np.ndarray:
     """dGamma[a, l, i, j] = d_a Gamma^l_ij, from exact metric partials."""
     m = manifold.metric_at_cached(point)
     d2g = manifold.metric_second_partials(point)
-    dinv = -np.einsum("lm,amn,nk->alk", m.inv, m.dg, m.inv)
-    combo = _gamma_combo(m.dg)
     # dcombo[a, i, j, k] = d_a combo[i, j, k], using d2g[l,k,i,j] = d_l d_k g_ij
-    dcombo = (
-        d2g
-        + np.transpose(d2g, (0, 2, 1, 3))
-        - np.transpose(d2g, (0, 2, 3, 1))
-    )
-    return 0.5 * (
-        np.einsum("alk,ijk->alij", dinv, combo)
-        + np.einsum("lk,aijk->alij", m.inv, dcombo)
-    )
+    dcombo = d2g + np.einsum("...ajik->...aijk", d2g)
+    dcombo -= np.einsum("...akij->...aijk", d2g)
+    del d2g
+    out = np.einsum("...lk,...aijk->...alij", m.inv, dcombo)
+    del dcombo
+    out += np.einsum("...alk,...ijk->...alij", m.dinv, _gamma_combo(m.dg))
+    out *= 0.5
+    return out
 
 
 def riemann(manifold, point):
@@ -200,61 +330,69 @@ def riemann(manifold, point):
 
 
 def _check_curvature_symmetries(r04: np.ndarray, name, point):
-    scale = max(float(np.max(np.abs(r04))), 1.0)
-    tol = _CURVATURE_SYMMETRY_TOL * scale
-    checks = {
-        "antisymmetry in the first pair": r04 + np.transpose(r04, (1, 0, 2, 3)),
-        "antisymmetry in the second pair": r04 + np.transpose(r04, (0, 1, 3, 2)),
-        "pair interchange symmetry": r04 - np.transpose(r04, (2, 3, 0, 1)),
-        "first Bianchi identity": r04
-        + np.transpose(r04, (1, 2, 0, 3))
-        + np.transpose(r04, (2, 0, 1, 3)),
-    }
-    for label, residual in checks.items():
-        worst = float(np.max(np.abs(residual)))
-        if not worst <= tol:  # a NaN residual fails too
-            raise StructureError(
-                f"{label} fails on {name} at {point} (residual {worst:.3e})"
-            )
+    labels = (
+        "antisymmetry in the first pair",
+        "antisymmetry in the second pair",
+        "pair interchange symmetry",
+        "first Bianchi identity",
+    )
+    residuals = (
+        lambda: r04 + np.einsum("...bacd->...abcd", r04),
+        lambda: r04 + np.einsum("...abdc->...abcd", r04),
+        lambda: r04 - np.einsum("...cdab->...abcd", r04),
+        lambda: r04 + np.einsum("...cabd->...abcd", r04)
+        + np.einsum("...bcad->...abcd", r04),
+    )
+    tol = _CURVATURE_SYMMETRY_TOL * np.maximum(max_abs(r04, 4), 1.0)
+    # one residual tensor at a time keeps a large batch's peak memory low
+    worst = np.stack([max_abs(r(), 4) for r in residuals], axis=-1)
+    bad = ~(worst <= tol[..., None])  # a NaN residual fails too
+    if np.any(bad):
+        rows = bad.reshape(-1, len(labels))
+        s = int(np.argmax(rows.any(axis=1)))
+        k = int(np.argmax(rows[s]))
+        raise StructureError(
+            f"{labels[k]} fails on {name} at "
+            f"{first_sample(point, bad.any(axis=-1))} "
+            f"(residual {worst.reshape(-1, len(labels))[s, k]:.3e})"
+        )
 
 
 def curvature_bundle(manifold, point) -> dict:
-    """All curvature data at a point, cached per manifold and point."""
-    key = _point_key(manifold.coords, point)
-    found = manifold._curvature_cache.get(key)
-    if found is not None:
-        return found
+    """All curvature data at ``point``, memoised on a batch."""
+    return _memo(point, (manifold, "curvature"),
+                 lambda: _curvature(manifold, point))
+
+
+def _curvature(manifold, point) -> dict:
     m = manifold.metric_at_cached(point)
-    gamma = 0.5 * np.einsum("lk,ijk->lij", m.inv, _gamma_combo(m.dg))
+    gamma = 0.5 * np.einsum("...lk,...ijk->...lij", m.inv, _gamma_combo(m.dg))
     dgamma = christoffel_partials(manifold, point)
     # R13[l,a,b,c] = d_a Gamma^l_bc - d_b Gamma^l_ac
     #              + Gamma^l_am Gamma^m_bc - Gamma^l_bm Gamma^m_ac
-    r13 = np.transpose(dgamma, (1, 0, 2, 3)) - np.transpose(dgamma, (1, 2, 0, 3))
-    r13 = r13 + np.einsum("lam,mbc->labc", gamma, gamma) - np.einsum(
-        "lbm,mac->labc", gamma, gamma
-    )
-    r04 = np.einsum("labc,ld->abcd", r13, m.g)
+    r13 = np.einsum("...albc->...labc", dgamma) - np.einsum("...blac->...labc", dgamma)
+    del dgamma
+    r13 += np.einsum("...lam,...mbc->...labc", gamma, gamma)
+    r13 -= np.einsum("...lbm,...mac->...labc", gamma, gamma)
+    r04 = np.einsum("...labc,...ld->...abcd", r13, m.g)
     _check_curvature_symmetries(r04, manifold.name, point)
-    ric = np.einsum("aabc->bc", r13)
-    scal = float(np.einsum("bc,bc->", m.inv, ric))
-    bundle = {
+    ric = np.einsum("...aabc->...bc", r13)
+    return {
         "metric": m,
         "gamma": gamma,
         "R13": r13,
         "R04": r04,
-        "Ric": TensorValue(0, 2, 0.5 * (ric + ric.T), symmetric=True),
-        "scal": scal,
+        "Ric": symmetric(0.5 * (ric + _swap(ric)), point),
+        "scal": np.einsum("...bc,...bc->...", m.inv, ric),
     }
-    manifold._curvature_cache[key] = bundle
-    return bundle
 
 
-def ricci(manifold, point) -> TensorValue:
+def ricci(manifold, point) -> np.ndarray:
     """Ricci tensor, the contraction of curvature on its first slot."""
     return curvature_bundle(manifold, point)["Ric"]
 
 
-def scalar_curv(manifold, point) -> float:
+def scalar_curv(manifold, point):
     return curvature_bundle(manifold, point)["scal"]
 
 
@@ -284,22 +422,20 @@ class ScalarField:
             self._dd[key] = found
         return found
 
-    def value(self, point) -> float:
+    def value(self, point):
         return evaluate(self.expr, point)
 
     def gradient_covector(self, coords, point) -> np.ndarray:
-        return np.array([evaluate(self.partial(c), point) for c in coords])
+        return _values([self.partial(c) for c in coords], point, (len(coords),))
 
     def second_partials(self, coords, point) -> np.ndarray:
         d = len(coords)
-        out = np.empty((d, d))
-        for i, ci in enumerate(coords):
-            for j, cj in enumerate(coords):
-                if j < i:
-                    continue
-                out[i, j] = evaluate(self.second_partial(ci, cj), point)
-                out[j, i] = out[i, j]
-        return out
+        # d_i d_j f is evaluated from one tree for both orders
+        exprs = [
+            self.second_partial(coords[min(i, j)], coords[max(i, j)])
+            for i in range(d) for j in range(d)
+        ]
+        return _values(exprs, point, (d, d))
 
 
 class VectorField:
@@ -310,7 +446,7 @@ class VectorField:
         self._d = {}
 
     def values(self, coords, point) -> np.ndarray:
-        return np.array([evaluate(c, point) for c in self.components])
+        return _values(self.components, point, (len(self.components),))
 
     def partial_exprs(self, coord: str):
         found = self._d.get(coord)
@@ -322,70 +458,74 @@ class VectorField:
     def partials(self, coords, point) -> np.ndarray:
         """dV[i, k] = d_i V^k."""
         d = len(coords)
-        out = np.empty((d, d))
-        for i, ci in enumerate(coords):
-            row = self.partial_exprs(ci)
-            for k in range(d):
-                out[i, k] = evaluate(row[k], point)
-        return out
+        exprs = [e for c in coords for e in self.partial_exprs(c)]
+        return _values(exprs, point, (d, d))
 
 
-def lie_derivative_metric(manifold, field: VectorField, point) -> TensorValue:
-    """(L_V g)_ij at a point."""
+def lie_derivative_metric(manifold, field: VectorField, point) -> np.ndarray:
+    """(L_V g)_ij at ``point``."""
     m = manifold.metric_at_cached(point)
     v = field.values(manifold.coords, point)
     dv = field.partials(manifold.coords, point)
-    return _lie_metric_numeric(m, v, dv)
+    return _lie_metric_numeric(m, v, dv, point)
 
 
-def _lie_metric_numeric(m: MetricAtPoint, v, dv) -> TensorValue:
+def _lie_metric_numeric(m: MetricData, v, dv, point) -> np.ndarray:
     out = (
-        np.einsum("k,kij->ij", v, m.dg)
-        + np.einsum("ik,kj->ij", dv, m.g)
-        + np.einsum("jk,ik->ij", dv, m.g)
+        np.einsum("...k,...kij->...ij", v, m.dg)
+        + np.einsum("...ik,...kj->...ij", dv, m.g)
+        + np.einsum("...jk,...ik->...ij", dv, m.g)
     )
-    return TensorValue(0, 2, 0.5 * (out + out.T), symmetric=True)
+    return symmetric(0.5 * (out + _swap(out)), point)
 
 
 def grad(manifold, f: ScalarField, point) -> np.ndarray:
     """(grad f)^i = g^{ij} d_j f."""
     m = manifold.metric_at_cached(point)
-    return m.inv @ f.gradient_covector(manifold.coords, point)
+    df = f.gradient_covector(manifold.coords, point)
+    return np.einsum("...ij,...j->...i", m.inv, df)
 
 
-def hessian(manifold, f: ScalarField, point) -> TensorValue:
-    """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
+def hessian(manifold, f: ScalarField, point) -> np.ndarray:
+    """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f, memoised on a batch."""
+    return _memo(point, (manifold, f, "hessian"),
+                 lambda: _hessian(manifold, f, point))
+
+
+def _hessian(manifold, f: ScalarField, point) -> np.ndarray:
     gamma = christoffel(manifold, point)
     df = f.gradient_covector(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
-    out = ddf - np.einsum("kij,k->ij", gamma, df)
-    return TensorValue(0, 2, 0.5 * (out + out.T), symmetric=True)
+    out = ddf - np.einsum("...kij,...k->...ij", gamma, df)
+    return symmetric(0.5 * (out + _swap(out)), point)
 
 
-def divergence(manifold, field: VectorField, point) -> float:
+def divergence(manifold, field: VectorField, point):
     """div V = d_i V^i + Gamma^i_ik V^k."""
     gamma = christoffel(manifold, point)
     v = field.values(manifold.coords, point)
     dv = field.partials(manifold.coords, point)
-    return float(np.trace(dv) + np.einsum("iik,k->", gamma, v))
+    return np.einsum("...ii->...", dv) + np.einsum("...iik,...k->...", gamma, v)
 
 
-def laplacian(manifold, f: ScalarField, point) -> float:
+def laplacian(manifold, f: ScalarField, point):
     """Laplace-Beltrami operator, the metric trace of the Hessian."""
     m = manifold.metric_at_cached(point)
-    return float(np.einsum("ij,ij->", m.inv, hessian(manifold, f, point).data))
+    return np.einsum("...ij,...ij->...", m.inv, hessian(manifold, f, point))
 
 
-def gradient_lie_derivative(manifold, f: ScalarField, point) -> TensorValue:
+def gradient_lie_derivative(manifold, f: ScalarField, point) -> np.ndarray:
     """(L_{grad f} g)_ij, with the gradient field differentiated numerically
     through exact metric and scalar partials (no symbolic inverse metric)."""
     m = manifold.metric_at_cached(point)
     df = f.gradient_covector(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
-    dinv = -np.einsum("lm,amn,nk->alk", m.inv, m.dg, m.inv)
-    v = m.inv @ df
-    dv = np.einsum("aik,k->ai", dinv, df) + np.einsum("ik,ak->ai", m.inv, ddf)
-    return _lie_metric_numeric(m, v, dv)
+    v = np.einsum("...ik,...k->...i", m.inv, df)
+    dv = (
+        np.einsum("...aik,...k->...ai", m.dinv, df)
+        + np.einsum("...ik,...ak->...ai", m.inv, ddf)
+    )
+    return _lie_metric_numeric(m, v, dv, point)
 
 
 # ---------------------------------------------------------------------------
@@ -426,53 +566,49 @@ class AcmStructure:
         self.eta = tuple(eta)
         self._dphi = {}
         self._dxi = {}
-        self._kenmotsu_cache = {}
         self._xi_field = None
 
     @property
     def n(self) -> int:
         return self.manifold.n
 
+    # phi and its partials are read once or twice per structure and batch,
+    # so they are not memoised: that keeps a large batch's memory down
     def phi_values(self, point) -> np.ndarray:
         d = self.manifold.dim
-        return np.array(
-            [[evaluate(self.phi[i][j], point) for j in range(d)] for i in range(d)]
-        )
+        return _evaluate_all([e for row in self.phi for e in row], point, (d, d))
 
     def xi_values(self, point) -> np.ndarray:
-        return np.array([evaluate(c, point) for c in self.xi])
+        return _values(self.xi, point, (len(self.xi),))
 
     def eta_values(self, point) -> np.ndarray:
-        return np.array([evaluate(c, point) for c in self.eta])
+        return _values(self.eta, point, (len(self.eta),))
 
     def phi_partials(self, point) -> np.ndarray:
         """dphi[k, i, j] = d_k phi^i_j."""
         d = self.manifold.dim
-        out = np.empty((d, d, d))
-        for k, ck in enumerate(self.manifold.coords):
+        exprs = []
+        for ck in self.manifold.coords:
             rows = self._dphi.get(ck)
             if rows is None:
                 rows = tuple(
                     tuple(diff(self.phi[i][j], ck) for j in range(d)) for i in range(d)
                 )
                 self._dphi[ck] = rows
-            for i in range(d):
-                for j in range(d):
-                    out[k, i, j] = evaluate(rows[i][j], point)
-        return out
+            exprs.extend(e for row in rows for e in row)
+        return _evaluate_all(exprs, point, (d, d, d))
 
     def xi_partials(self, point) -> np.ndarray:
         """dxi[k, i] = d_k xi^i."""
         d = self.manifold.dim
-        out = np.empty((d, d))
-        for k, ck in enumerate(self.manifold.coords):
+        exprs = []
+        for ck in self.manifold.coords:
             row = self._dxi.get(ck)
             if row is None:
                 row = tuple(diff(c, ck) for c in self.xi)
                 self._dxi[ck] = row
-            for i in range(d):
-                out[k, i] = evaluate(row[i], point)
-        return out
+            exprs.extend(row)
+        return _values(exprs, point, (d, d))
 
     def xi_field(self) -> VectorField:
         if self._xi_field is None:
@@ -497,29 +633,27 @@ class AcmStructure:
         return ScalarField(expr)
 
     def validate(self, point) -> dict:
-        """Residuals of the defining axioms at a point (all should vanish)."""
+        """Residuals of the defining axioms at ``point`` (all should vanish)."""
         m = self.manifold.metric_at_cached(point)
         phi = self.phi_values(point)
         xi = self.xi_values(point)
         eta = self.eta_values(point)
-        d = self.manifold.dim
-        eye = np.eye(d)
-        res = {
-            "phi-squared": float(
-                np.max(np.abs(phi @ phi - (-eye + np.outer(xi, eta))))
+        eye = np.eye(self.manifold.dim)
+        return {
+            "phi-squared": max_abs(phi @ phi - (-eye + outer(xi, eta)), 2),
+            "eta-xi": np.abs(np.einsum("...i,...i->...", eta, xi) - 1.0),
+            "eta-is-xi-flat": max_abs(
+                eta - np.einsum("...ij,...j->...i", m.g, xi), 1
             ),
-            "eta-xi": abs(float(eta @ xi) - 1.0),
-            "eta-is-xi-flat": float(np.max(np.abs(eta - m.g @ xi))),
-            "phi-compatibility": float(
-                np.max(np.abs(phi.T @ m.g @ phi - (m.g - np.outer(eta, eta))))
+            "phi-compatibility": max_abs(
+                _swap(phi) @ m.g @ phi - (m.g - outer(eta, eta)), 2
             ),
-            "phi-xi": float(np.max(np.abs(phi @ xi))),
-            "eta-phi": float(np.max(np.abs(eta @ phi))),
+            "phi-xi": max_abs(np.einsum("...ij,...j->...i", phi, xi), 1),
+            "eta-phi": max_abs(np.einsum("...i,...ij->...j", eta, phi), 1),
         }
-        return res
 
-    def acm_residual(self, point) -> float:
-        return float(np.max(tuple(self.validate(point).values())))
+    def acm_residual(self, point):
+        return np.max(np.stack(tuple(self.validate(point).values())), axis=0)
 
 
 def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> np.ndarray:
@@ -527,7 +661,7 @@ def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> 
     gamma = christoffel(manifold, point)
     v = field.values(manifold.coords, point)
     dv = field.partials(manifold.coords, point)
-    return dv + np.einsum("kim,m->ik", gamma, v)
+    return dv + np.einsum("...kim,...m->...ik", gamma, v)
 
 
 def nabla_phi_tensor(structure: AcmStructure, point) -> np.ndarray:
@@ -538,8 +672,8 @@ def nabla_phi_tensor(structure: AcmStructure, point) -> np.ndarray:
     # dphi[i, k, j] = d_i phi^k_j since the derivative index comes first
     return (
         dphi
-        + np.einsum("kim,mj->ikj", gamma, phi)
-        - np.einsum("mij,km->ikj", gamma, phi)
+        + np.einsum("...kim,...mj->...ikj", gamma, phi)
+        - np.einsum("...mij,...km->...ikj", gamma, phi)
     )
 
 
@@ -549,62 +683,80 @@ def kenmotsu_details(structure: AcmStructure, point) -> dict:
     The defining condition is
         (nabla_X phi) Y = g(phi X, Y) xi - eta(Y) phi X,
     and the corollary checked alongside is nabla xi = I - eta (x) xi.
+    Memoised on a batch.
     """
-    key = _point_key(structure.manifold.coords, point)
-    found = structure._kenmotsu_cache.get(key)
-    if found is not None:
-        return found
+    return _memo(point, (structure, "kenmotsu"),
+                 lambda: _kenmotsu(structure, point))
+
+
+def _kenmotsu(structure: AcmStructure, point) -> dict:
     m = structure.manifold.metric_at_cached(point)
     phi = structure.phi_values(point)
     xi = structure.xi_values(point)
     eta = structure.eta_values(point)
-    d = structure.manifold.dim
-
     nabla_phi = nabla_phi_tensor(structure, point)
     # target: g(phi d_i, d_j) xi^k - eta_j phi^k_i
-    g_phi = np.einsum("mi,mj->ij", phi, m.g)
-    target = np.einsum("ij,k->ikj", g_phi, xi) - np.einsum("j,ki->ikj", eta, phi)
-    res_phi = float(np.max(np.abs(nabla_phi - target)))
-
+    g_phi = np.einsum("...mi,...mj->...ij", phi, m.g)
+    target = (
+        np.einsum("...ij,...k->...ikj", g_phi, xi)
+        - np.einsum("...j,...ki->...ikj", eta, phi)
+    )
     nabla_xi = covariant_derivative(structure.manifold, structure.xi_field(), point)
-    target_xi = np.eye(d) - np.outer(eta, xi)
-    res_xi = float(np.max(np.abs(nabla_xi - target_xi)))
+    target_xi = np.eye(structure.manifold.dim) - outer(eta, xi)
+    return {
+        "nabla-phi": max_abs(nabla_phi - target, 3),
+        "nabla-xi": max_abs(nabla_xi - target_xi, 2),
+    }
 
-    found = {"nabla-phi": res_phi, "nabla-xi": res_xi}
-    structure._kenmotsu_cache[key] = found
-    return found
 
-
-def kenmotsu_residual(structure: AcmStructure, point) -> float:
-    """Largest residual of the Kenmotsu condition at a point (NaN if any is)."""
-    return float(np.max(tuple(kenmotsu_details(structure, point).values())))
+def kenmotsu_residual(structure: AcmStructure, point):
+    """Largest residual of the Kenmotsu condition (NaN if any is)."""
+    details = kenmotsu_details(structure, point)
+    return np.maximum(details["nabla-phi"], details["nabla-xi"])
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 
-def sample_points(manifold, box, count, seed):
+def sample_batch(manifold, box, count, seed) -> Samples:
     """Deterministic uniform samples in ``box`` lying in the chart domain.
 
     ``box`` maps each coordinate to (lo, hi).  Rejection sampling enforces
-    the domain constraints; sampling order is fixed by the coordinate order,
-    so a given seed always yields the same points.
+    the domain constraints.  Candidates are drawn in blocks of exactly the
+    number still missing, which yields the same doubles as drawing them one
+    by one, so a given seed always yields the same points.  A constraint
+    that cannot be evaluated raises StructureError naming the chart, the
+    constraint subtree and the sample.
     """
     rng = np.random.default_rng(seed)
     lows = np.array([box[c][0] for c in manifold.coords])
     highs = np.array([box[c][1] for c in manifold.coords])
-    points = []
-    attempts = 0
     limit = 1000 * count + 1000
-    while len(points) < count:
-        attempts += 1
-        if attempts > limit:
+    blocks = []
+    accepted = drawn = 0
+    while accepted < count:
+        if drawn >= limit:
             raise StructureError(
                 f"could not draw {count} points inside the domain of "
                 f"{manifold.name}; box {box} may miss the domain"
             )
-        draw = rng.uniform(lows, highs)
-        candidate = dict(zip(manifold.coords, map(float, draw)))
-        if manifold.contains(candidate):
-            points.append(candidate)
-    return points
+        k = min(count - accepted, limit - drawn)
+        draw = rng.uniform(lows, highs, size=(k, manifold.dim))
+        drawn += k
+        try:
+            inside = manifold.contains(dict(zip(manifold.coords, draw.T)))
+        except EvalError as err:
+            raise StructureError(
+                f"domain constraint of {manifold.name} cannot be evaluated: {err}"
+            ) from err
+        blocks.append(draw[inside])
+        accepted += int(np.count_nonzero(inside))
+    points = np.concatenate(blocks)
+    return Samples({
+        c: np.ascontiguousarray(points[:, i]) for i, c in enumerate(manifold.coords)
+    })
+
+
+def sample_points(manifold, box, count, seed) -> list:
+    """``sample_batch`` as a list of single points."""
+    return sample_batch(manifold, box, count, seed).points()

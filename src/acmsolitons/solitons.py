@@ -18,7 +18,8 @@ and tracing again
 
 the ricci trace is scal = (2n+1) lambda - div V.  Residuals are reported as
 max-abs over components, so the traced residuals are controlled by the full
-ones through the inverse-metric entries.
+ones through the inverse-metric entries.  Every function takes a point or
+a batch of sample points, and returns per-sample values for a batch.
 
 For a deformed Kenmotsu frame the lambda of each scenario is pinned:
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import DeformedStructure, deformation_curvature_term
-from .expr import Expr, evaluate
+from .expr import Expr, evaluate, substitute
 from .geometry import (
     AcmStructure,
     ScalarField,
@@ -57,7 +58,9 @@ from .geometry import (
     laplacian,
     lie_derivative_metric,
 )
-from .tensor import StructureError, TensorValue, hs_inner, kulkarni_nomizu
+from .tensor import (
+    StructureError, hs_inner, kulkarni_nomizu, max_abs, outer, symmetric,
+)
 
 __all__ = [
     "STEADY_BAND",
@@ -78,11 +81,20 @@ __all__ = [
 STEADY_BAND = 1e-10
 
 
-def classify(lam_value: float) -> str:
-    """shrinking / steady / expanding by the sign of lambda."""
-    if abs(lam_value) <= STEADY_BAND:
-        return "steady"
-    return "shrinking" if lam_value > 0.0 else "expanding"
+def classify(lam_value):
+    """shrinking / steady / expanding by the sign of lambda, per sample."""
+    lam = np.asarray(lam_value)
+    labels = np.where(
+        np.abs(lam) <= STEADY_BAND,
+        "steady",
+        np.where(lam > 0.0, "shrinking", "expanding"),
+    )
+    return labels[()]
+
+
+def _tensor(scalar):
+    """A per-sample scalar, shaped to scale per-sample (0, 2) tensors."""
+    return np.asarray(scalar)[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,7 @@ class SolitonCandidate:
     The potential is an explicit vector field, the gradient of a scalar, or
     the Reeb field of whatever frame the candidate is evaluated in.
     Component and lambda expressions may reference the reserved symbol
-    ``a``, which evaluates to the frame's deformation parameter (1 in an
+    ``a``, which stands for the frame's deformation parameter (1 in an
     undeformed frame); that way a single candidate describes the whole
     deformation family.
     """
@@ -142,43 +154,38 @@ class Frame:
     def n(self) -> int:
         return self.structure.n
 
-    def point_of(self, point) -> dict:
-        ext = dict(point)
-        ext.setdefault("a", self.a)
-        return ext
+    def bind(self, e: Expr) -> Expr:
+        """``e`` with the symbol a set to this frame's parameter."""
+        return substitute(e, {"a": self.a})
 
     def _field(self, candidate) -> VectorField:
         if candidate.potential == "reeb":
             return self.structure.xi_field()
         found = self._fields.get(candidate.name)
         if found is None:
-            found = VectorField(candidate.components)
+            found = VectorField(self.bind(c) for c in candidate.components)
             self._fields[candidate.name] = found
         return found
 
     def lie_metric(self, candidate, point) -> np.ndarray:
-        pe = self.point_of(point)
         if candidate.potential == "gradient":
-            return gradient_lie_derivative(
-                self.manifold, candidate.scalar, pe
-            ).data
-        return lie_derivative_metric(self.manifold, self._field(candidate), pe).data
+            return gradient_lie_derivative(self.manifold, candidate.scalar, point)
+        return lie_derivative_metric(self.manifold, self._field(candidate), point)
 
-    def div_potential(self, candidate, point) -> float:
-        pe = self.point_of(point)
+    def div_potential(self, candidate, point):
         if candidate.potential == "gradient":
-            return laplacian(self.manifold, candidate.scalar, pe)
-        return divergence(self.manifold, self._field(candidate), pe)
+            return laplacian(self.manifold, candidate.scalar, point)
+        return divergence(self.manifold, self._field(candidate), point)
 
-    def lam_value(self, candidate, point) -> float:
-        return evaluate(candidate.lam, self.point_of(point))
+    def lam_value(self, candidate, point):
+        return evaluate(self.bind(candidate.lam), point)
 
 
 # ---------------------------------------------------------------------------
 # Equation residuals (max-abs over components)
 
 def soliton_residuals(frame: Frame, candidate, point) -> dict:
-    """All residual levels for one candidate at one point.
+    """All residual levels for one candidate at ``point``, per sample.
 
     Curvature, L_V g, div V and lambda are each evaluated once; riemann
     candidates get the full, once-traced and twice-traced residuals, ricci
@@ -187,48 +194,52 @@ def soliton_residuals(frame: Frame, candidate, point) -> dict:
     n = frame.n
     bundle = curvature_bundle(frame.manifold, point)
     g = bundle["metric"].g
-    ric = bundle["Ric"].data
+    ric = bundle["Ric"]
     scal = bundle["scal"]
     lie = frame.lie_metric(candidate, point)
     div_v = frame.div_potential(candidate, point)
-    lam = frame.lam_value(candidate, point)
+    lam = np.broadcast_to(frame.lam_value(candidate, point), np.shape(scal))
     out = {"lambda": lam, "classification": classify(lam)}
     if candidate.kind == "ricci":
-        out["full"] = float(np.max(np.abs(0.5 * lie + ric - lam * g)))
-        out["scalar"] = abs(float(scal - ((2 * n + 1) * lam - div_v)))
+        out["full"] = max_abs(0.5 * lie + ric - _tensor(lam) * g, 2)
+        out["scalar"] = np.abs(scal - ((2 * n + 1) * lam - div_v))
         return out
     if 2 * n - 1 <= 0:
         raise StructureError("traced soliton equations need dimension >= 3")
-    g_t = TensorValue(0, 2, g, symmetric=True)
-    lie_t = TensorValue(0, 2, lie, symmetric=True)
     full = (
         2.0 * bundle["R04"]
-        + kulkarni_nomizu(lie_t, g_t).data
-        - lam * kulkarni_nomizu(g_t, g_t).data
+        + kulkarni_nomizu(lie, g)
+        - lam[..., None, None, None, None] * kulkarni_nomizu(g, g)
     )
     eq4 = (
         0.5 * lie
         + ric / (2 * n - 1)
-        - ((2 * n * lam - div_v) / (2 * n - 1)) * g
+        - _tensor((2 * n * lam - div_v) / (2 * n - 1)) * g
     )
     eq9 = scal - 2 * n * ((2 * n + 1) * lam - 2.0 * div_v)
-    out["full"] = float(np.max(np.abs(full)))
-    out["traced"] = float(np.max(np.abs(eq4)))
-    out["scalar"] = abs(float(eq9))
+    out["full"] = max_abs(full, 4)
+    out["traced"] = max_abs(eq4, 2)
+    out["scalar"] = np.abs(eq9)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Scenario lambdas
 
-def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point) -> float:
+
+def _reeb_reeb(t, xi):
+    """T(xi, xi) per sample."""
+    return np.einsum("...i,...ij,...j->...", xi, t, xi)
+
+
+def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
     """xi(eta(V)) as an exact symbolic directional derivative."""
     return structure.xi_directional(structure.eta_of_field(field)).value(point)
 
 
 def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
                    a: float, *, vector: VectorField = None,
-                   scalar: ScalarField = None) -> float:
+                   scalar: ScalarField = None):
     """The lambda pinned by (kind, scenario) over a Kenmotsu base.
 
     All inputs are base-frame quantities; ``a`` is the deformation
@@ -247,11 +258,14 @@ def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
         return sigma - 2.0 * n / a2
     if scenario == "gradient":
         man = structure.manifold
-        hess_xx = _hess_reeb_reeb(structure, scalar, point)
+        hess_xx = _reeb_reeb(
+            hessian(man, scalar, point), structure.xi_values(point)
+        )
         if kind == "riemann":
             lap = laplacian(man, scalar, point)
-            eta_grad = float(
-                structure.eta_values(point) @ grad(man, scalar, point)
+            eta_grad = np.einsum(
+                "...i,...i->...",
+                structure.eta_values(point), grad(man, scalar, point),
             )
             return (
                 lap / (2 * n * a)
@@ -261,12 +275,6 @@ def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
             )
         return hess_xx / a2 - 2.0 * n / a2
     raise StructureError(f"unknown scenario {scenario!r}")
-
-
-def _hess_reeb_reeb(structure, scalar, point) -> float:
-    xi = structure.xi_values(point)
-    hess = hessian(structure.manifold, scalar, point).data
-    return float(xi @ hess @ xi)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +296,7 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a: float) -> di
     g = m.g
     eta = structure.eta_values(point)
     n = structure.n
-    ee = np.outer(eta, eta)
+    ee = outer(eta, eta)
     out = {}
     if kind == "riemann":
         ric = -(4 * n - 1.0) * g + (2 * n - 1.0) * ee
@@ -297,11 +305,14 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a: float) -> di
         out["lambda_bar"] = (a - 1.0) / (a * a)
         out["r04"] = (
             -2.0
-            * (np.einsum("ad,bc->abcd", g, g) - np.einsum("ac,bd->abcd", g, g))
-            + np.einsum("ad,b,c->abcd", g, eta, eta)
-            - np.einsum("ac,b,d->abcd", g, eta, eta)
-            + np.einsum("bc,a,d->abcd", g, eta, eta)
-            - np.einsum("bd,a,c->abcd", g, eta, eta)
+            * (
+                np.einsum("...ad,...bc->...abcd", g, g)
+                - np.einsum("...ac,...bd->...abcd", g, g)
+            )
+            + np.einsum("...ad,...b,...c->...abcd", g, eta, eta)
+            - np.einsum("...ac,...b,...d->...abcd", g, eta, eta)
+            + np.einsum("...bc,...a,...d->...abcd", g, eta, eta)
+            - np.einsum("...bd,...a,...c->...abcd", g, eta, eta)
         )
     elif kind == "ricci":
         ric = -(2 * n + 1.0) * g + ee
@@ -310,10 +321,9 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a: float) -> di
         out["lambda_bar"] = -2.0 * n / (a * a)
     else:
         raise StructureError(f"unknown soliton kind {kind!r}")
-    ric_t = TensorValue(0, 2, ric, symmetric=True)
-    out["ric"] = ric_t
-    out["ric_trace"] = float(np.einsum("ij,ij->", m.inv, ric))
-    out["ric_norm_computed"] = hs_inner(ric_t, ric_t, m)
+    out["ric"] = symmetric(ric, point)
+    out["ric_trace"] = np.einsum("...ij,...ij->...", m.inv, ric)
+    out["ric_norm_computed"] = hs_inner(ric, ric, m)
     return out
 
 
@@ -328,7 +338,7 @@ def reeb_soliton_general(kind: str, structure: AcmStructure, point, a: float,
     g = m.g
     eta = structure.eta_values(point)
     n = structure.n
-    ee = np.outer(eta, eta)
+    ee = outer(eta, eta)
     if kind == "riemann":
         cg = 2 * n * a * lambda_bar - (4 * n - 1.0) - 2 * n * (a - 1.0) / a
         ce = (
@@ -350,8 +360,8 @@ def reeb_soliton_general(kind: str, structure: AcmStructure, point, a: float,
             - 2 * n * (2 * n + 1) * (a - 1.0) / a
         )
     return {
-        "ric": TensorValue(0, 2, cg * g + ce * ee, symmetric=True),
-        "scal": float(scal),
+        "ric": symmetric(cg * g + ce * ee, point),
+        "scal": scal,
     }
 
 
@@ -371,27 +381,30 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
     nv = covariant_derivative(man, vector, point)
     v = vector.values(man.coords, point)
     sigma = xi_of_eta_potential(structure, vector, point)
-    nv_flat = np.einsum("ik,kj->ij", nv, g)
-    sym_nv = nv_flat + nv_flat.T
-    w = np.einsum("ik,k->i", nv, eta) + g @ v
-    eta_v = float(eta @ v)
-    ee = np.outer(eta, eta)
-    brace = np.outer(eta, w) + np.outer(w, eta) - 2.0 * eta_v * ee
+    nv_flat = np.einsum("...ik,...kj->...ij", nv, g)
+    sym_nv = nv_flat + np.swapaxes(nv_flat, -1, -2)
+    w = (
+        np.einsum("...ik,...k->...i", nv, eta)
+        + np.einsum("...ij,...j->...i", g, v)
+    )
+    eta_v = np.einsum("...i,...i->...", eta, v)
+    ee = outer(eta, eta)
+    brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
     c = float(2 * n - 1) if kind == "riemann" else 1.0
     ric = (
-        (c * a * sigma - 2.0 * n) * g
-        + c * a * (a - 1.0) * sigma * ee
+        _tensor(c * a * sigma - 2.0 * n) * g
+        + _tensor(c * a * (a - 1.0) * sigma) * ee
         - 0.5 * c * a * sym_nv
         - 0.5 * c * a * (a - 1.0) * brace
     )
     scal = (2 * n + 1.0) * (c * a * sigma - 2.0 * n)
-    ric_t = TensorValue(0, 2, 0.5 * (ric + ric.T), symmetric=True)
-    trace = float(np.einsum("ij,ij->", m.inv, ric_t.data))
+    ric = symmetric(0.5 * (ric + np.swapaxes(ric, -1, -2)), point)
+    trace = np.einsum("...ij,...ij->...", m.inv, ric)
     return {
         "sigma": sigma,
-        "ric": ric_t,
-        "scal": float(scal),
-        "trace_residual": abs(trace - scal),
+        "ric": ric,
+        "scal": scal,
+        "trace_residual": np.abs(trace - scal),
         "div_v": divergence(man, vector, point),
         "lambda_bar": theorem_lambda(
             kind, "solenoidal", structure, point, a, vector=vector
@@ -407,7 +420,9 @@ def orthogonal_gradient_values(kind: str, structure: AcmStructure,
     n = structure.n
     lap = laplacian(man, scalar, point)
     xi = structure.xi_values(point)
-    xif = float(xi @ scalar.gradient_covector(man.coords, point))
+    xif = np.einsum(
+        "...i,...i->...", xi, scalar.gradient_covector(man.coords, point)
+    )
     if kind == "riemann":
         lam = lap / (2 * n * a) - 1.0 / (a * a)
         scal = -(2 * n - 1.0) * lap - 2 * n * (2 * n + 1.0)
@@ -415,10 +430,10 @@ def orthogonal_gradient_values(kind: str, structure: AcmStructure,
         lam = -2.0 * n / (a * a)
         scal = -lap - 2 * n * (2 * n + 1.0)
     return {
-        "lambda_bar": float(lam),
-        "scal": float(scal),
+        "lambda_bar": lam,
+        "scal": scal,
         "xi_f": xif,
-        "applicable": abs(xif) <= 1e-9,
+        "applicable": np.abs(xif) <= 1e-9,
     }
 
 
@@ -439,45 +454,39 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
     g = m.g
     eta = structure.eta_values(point)
     n = structure.n
-    ee = np.outer(eta, eta)
+    ee = outer(eta, eta)
     implied = implied_curvature(kind, structure, point, a)
     lie = 2.0 * (g - ee)  # L_xi g over a Kenmotsu base
     gbar = a * g + a * (a - 1.0) * ee
-    g_t = TensorValue(0, 2, g, symmetric=True)
-    lie_t = TensorValue(0, 2, lie, symmetric=True)
-    gbar_t = TensorValue(0, 2, gbar, symmetric=True)
     if kind == "riemann":
         r04 = implied["r04"]
-        kn_gg = kulkarni_nomizu(g_t, g_t).data
-        kn_lg = kulkarni_nomizu(lie_t, g_t).data
+        kn_gg = kulkarni_nomizu(g, g)
+        kn_lg = kulkarni_nomizu(lie, g)
 
         def residual(lam):
-            return float(np.max(np.abs(2.0 * r04 + kn_lg - lam * kn_gg)))
+            return max_abs(2.0 * r04 + kn_lg - lam * kn_gg, 4)
 
         lam_star = 0.0
         r04_bar = a * r04 + (a - 1.0) * deformation_curvature_term(g, eta)
-        premise = float(
-            np.max(
-                np.abs(
-                    2.0 * r04_bar
-                    + kulkarni_nomizu(lie_t, gbar_t).data
-                    - implied["lambda_bar"] * kulkarni_nomizu(gbar_t, gbar_t).data
-                )
-            )
+        premise = max_abs(
+            2.0 * r04_bar
+            + kulkarni_nomizu(lie, gbar)
+            - implied["lambda_bar"] * kulkarni_nomizu(gbar, gbar),
+            4,
         )
-        scale = float(np.max(np.abs(kn_gg)))
+        scale = max_abs(kn_gg, 4)
     else:
-        ric = implied["ric"].data
+        ric = implied["ric"]
 
         def residual(lam):
-            return float(np.max(np.abs(0.5 * lie + ric - lam * g)))
+            return max_abs(0.5 * lie + ric - lam * g, 2)
 
         lam_star = -2.0 * n
         ric_bar = ric + (2.0 * n * (a - 1.0) / a) * (g - ee)
-        premise = float(
-            np.max(np.abs(0.5 * lie + ric_bar - implied["lambda_bar"] * gbar))
+        premise = max_abs(
+            0.5 * lie + ric_bar - implied["lambda_bar"] * gbar, 2
         )
-        scale = float(np.max(np.abs(g)))
+        scale = max_abs(g, 2)
     return {
         "lambda_star": lam_star,
         "premise_residual": premise,
@@ -497,9 +506,10 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
 
     Each entry carries lhs, rhs and margin = lhs - rhs; ``equality`` marks
     reconstruction identities (margin must vanish), the rest are one-sided
-    bounds.  Entries whose hypothesis (orthogonality to the Reeb field,
-    harmonicity, solenoidality) fails at the point are flagged not
-    applicable and carry no claim there.  All of it presumes the gradient
+    bounds; lhs, rhs, margin and applicable hold one value per sample.
+    Entries whose hypothesis (orthogonality to the Reeb field, harmonicity,
+    solenoidality) fails at a sample are flagged not applicable there and
+    carry no claim there.  All of it presumes the gradient
     soliton equation holds with the pinned lambda.
     """
     ds.require_kenmotsu(point)
@@ -509,8 +519,8 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
     bundle = curvature_bundle(man, point)
     m = bundle["metric"]
     scal_g = bundle["scal"]
-    hess_t = hessian(man, f, point)
-    hess_sq = hs_inner(hess_t, hess_t, m)
+    hess = hessian(man, f, point)
+    hess_sq = hs_inner(hess, hess, m)
     ric_sq = hs_inner(bundle["Ric"], bundle["Ric"], m)
     lap_g = laplacian(man, f, point)
     xif, xixif = ds.xi_derivatives(f, point)
@@ -529,17 +539,17 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
         items.append(
             {
                 "check": name,
-                "lhs": float(lhs),
-                "rhs": float(rhs),
-                "margin": float(lhs - rhs),
+                "lhs": lhs,
+                "rhs": rhs,
+                "margin": lhs - rhs,
                 "equality": equality,
-                "applicable": bool(applicable),
+                "applicable": applicable,
             }
         )
 
-    orthogonal = abs(xif) <= gate_tol
-    harmonic = abs(lap_g) <= gate_tol
-    solenoidal_bar = abs(lap_bar) <= gate_tol
+    orthogonal = np.abs(xif) <= gate_tol
+    harmonic = np.abs(lap_g) <= gate_tol
+    solenoidal_bar = np.abs(lap_bar) <= gate_tol
     if kind == "riemann":
         c = float((2 * n - 1) ** 2)
         put(
@@ -590,7 +600,7 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
             "base-bound-orthogonal-harmonic",
             ric_sq,
             c * hess_sq + 4 * n * n * (2 * n + 1) * (a2 - 1.0) / a2,
-            applicable=orthogonal and harmonic,
+            applicable=orthogonal & harmonic,
         )
         put(
             "base-bound-solenoidal",
@@ -641,7 +651,7 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
             "base-bound-orthogonal-harmonic",
             ric_sq,
             hess_sq + 4 * n * n * (2 * n + 1) * (a2 - 1.0) / a2,
-            applicable=orthogonal and harmonic,
+            applicable=orthogonal & harmonic,
         )
         put(
             "base-bound-solenoidal",

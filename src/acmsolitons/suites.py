@@ -1,7 +1,9 @@
 """Check suites over sampled chart points, with deterministic reports.
 
 Each suite turns into a list of named checks; a check aggregates a residual
-over all sample points and compares it against a tolerance.  Closed-form
+over all sample points and compares it against a tolerance.  Every
+quantity is evaluated once for the whole batch of sample points, as one
+value per sample, and a check takes the max over the batch.  Closed-form
 versus direct comparisons use a relative residual (scaled by the larger of
 1 and the magnitudes involved), algebraic axiom checks and soliton equation
 residuals are absolute.  Reports are plain dicts whose JSON serialization
@@ -12,7 +14,6 @@ id, keys are sorted, and no timing data enters the report.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,10 @@ from .deformation import (
     prop_inner_battery,
     ricci_norm_bound,
 )
-from .expr import EvalError, coordinates_of
+from .expr import EvalError, coordinates_of, first_sample, substitute
 from .geometry import (
+    Samples,
+    VectorField,
     covariant_derivative,
     curvature_bundle,
     divergence,
@@ -38,7 +41,7 @@ from .geometry import (
     laplacian,
     lie_derivative_metric,
     nabla_phi_tensor,
-    sample_points,
+    sample_batch,
 )
 from .solitons import (
     Frame,
@@ -49,7 +52,7 @@ from .solitons import (
     theorem_lambda,
     xi_compatibility,
 )
-from .tensor import StructureError
+from .tensor import StructureError, max_abs, outer
 
 __all__ = [
     "REPORT_VERSION",
@@ -60,7 +63,7 @@ __all__ = [
     "report_json",
 ]
 
-REPORT_VERSION = "0.2.0"
+REPORT_VERSION = "0.3.0"
 
 # the deformation parameter at which remark23 probes harmonic transfer
 _HARMONIC_PROBE_A = 2.0
@@ -97,65 +100,70 @@ class CheckResult:
         return out
 
 
-def _rel(x, y) -> float:
-    """max-abs difference scaled by max(1, |x|, |y|)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-    return float(np.max(np.abs(x - y))) / scale
+def _rel(x, y) -> np.ndarray:
+    """Per-sample max-abs difference scaled by max(1, |x|, |y|).
+
+    ``x`` and ``y`` carry the sample axis first; either may be a constant.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    rank = x.ndim - 1
+    scale = np.maximum(1.0, np.maximum(max_abs(x, rank), max_abs(y, rank)))
+    return max_abs(x - y, rank) / scale
 
 
-def _below(margin) -> float:
+def _below(margin) -> np.ndarray:
     """How far a one-sided margin falls below zero; NaN stays NaN."""
-    return 0.0 if margin >= 0.0 else -margin
+    return np.where(margin >= 0.0, 0.0, -margin)
 
 
 def _a_tag(a: float) -> str:
     return f"[a={a:g}]"
 
 
-def _worst(points, residuals, check_id):
-    """Worst residual of each key over the sample points.
+def _worst(points: Samples, items, check_id):
+    """Worst residual of each key over the batch.
 
-    ``residuals(p)`` yields (key, residual) pairs at sample p.  A key may
-    repeat, and a residual of None marks a key whose hypothesis fails at p.
-    Returns (worst, applicable): per key, the largest residual and the
-    number of samples that gave it one.  A non-finite residual raises
-    SuiteError naming ``check_id(key)`` and the sample, since a NaN would
-    otherwise compare as passing.
+    ``items`` lists (key, residuals) or (key, residuals, applicable), in
+    the order the checks are computed at a sample; residuals hold one value
+    per sample and ``applicable``, a mask, marks the samples where the
+    key's hypothesis holds (all when absent).  A key may repeat.  Returns
+    (worst, applicable): per key, the largest residual over the samples
+    where it applies, and the number of those samples.  A non-finite
+    residual raises SuiteError naming ``check_id(key)`` and the earliest
+    sample with one, since a NaN would otherwise compare as passing.
     """
+    shape = (points.count,)
+    rows = []
+    for key, residual, *mask in items:
+        applies = np.broadcast_to(mask[0] if mask else True, shape)
+        rows.append((key, np.broadcast_to(residual, shape), applies))
+    bad = np.array([applies & ~np.isfinite(r) for _, r, applies in rows])
+    if bad.any():
+        s = int(np.argmax(bad.any(axis=0)))
+        key, residual, _ = rows[int(np.argmax(bad[:, s]))]
+        raise SuiteError(
+            f"check {check_id(key)} has residual {residual[s]} at sample "
+            f"{first_sample(points, bad.any(axis=0))}"
+        )
     worst = {}
-    applicable = {}
-    for p in points:
-        seen = set()
-        for key, r in residuals(p):
-            if key not in worst:
-                worst[key] = 0.0
-                applicable[key] = 0
-            if r is None:
-                continue
-            if not math.isfinite(r):
-                raise SuiteError(
-                    f"check {check_id(key)} has residual {r} at sample {p}"
-                )
-            if r > worst[key]:
-                worst[key] = r
-            if key not in seen:
-                seen.add(key)
-                applicable[key] += 1
-    return worst, applicable
+    covered = {}
+    for key, residual, applies in rows:
+        top = float(np.max(residual, where=applies, initial=0.0))
+        worst[key] = max(worst.get(key, 0.0), top)
+        covered[key] = covered.get(key, False) | applies
+    return worst, {key: int(np.count_nonzero(m)) for key, m in covered.items()}
 
 
 class _Run:
     """What the suites of one run share.
 
-    The sample points, and one deformed structure and one soliton frame per
-    parameter a, each built on first use.  Every suite reads the same
-    objects, so a deformed chart is differentiated once per run and its
-    per-point caches fill once.
+    The batch of sample points, and one deformed structure and one soliton
+    frame per parameter a, each built on first use.  Every suite reads the
+    same objects, so a deformed chart is differentiated once per run, and
+    its metric and curvature, memoised on the batch, are evaluated once.
     """
 
-    def __init__(self, config: VerificationConfig, points):
+    def __init__(self, config: VerificationConfig, points: Samples):
         self.config = config
         self.points = points
         self._deformed = {}
@@ -201,11 +209,11 @@ def _suite_acm_axioms(run, override):
     structure = run.config.structure
     tol = 1e-10 if override is None else override
     worst, _ = _worst(
-        run.points, lambda p: structure.validate(p).items(),
+        run.points, structure.validate(run.points).items(),
         lambda k: f"acm/{k}",
     )
     return [
-        _result(f"acm/{k}", _ACM_ANCHORS[k], len(run.points), worst[k], tol)
+        _result(f"acm/{k}", _ACM_ANCHORS[k], run.points.count, worst[k], tol)
         for k in _ACM_ANCHORS
     ]
 
@@ -227,34 +235,31 @@ def _suite_kenmotsu(run, override):
     s = run.config.structure
     man = s.manifold
     n = s.n
+    pts = run.points
     tol_alg = 1e-10 if override is None else override
     tol_curv = 1e-9 if override is None else override
     eye = np.eye(man.dim)
 
-    def residuals(p):
-        det = kenmotsu_details(s, p)
-        m = man.metric_at_cached(p)
-        eta = s.eta_values(p)
-        xi = s.xi_values(p)
-        lie = lie_derivative_metric(man, s.xi_field(), p).data
-        bundle = curvature_bundle(man, p)
-        rxy_xi = np.einsum("labc,c->lab", bundle["R13"], xi)
-        target = (
-            np.einsum("a,lb->lab", eta, eye)
-            - np.einsum("b,la->lab", eta, eye)
-        )
-        ric_xi = float(xi @ bundle["Ric"].data @ xi)
-        return (
-            ("nabla-phi", det["nabla-phi"]),
-            ("nabla-xi", det["nabla-xi"]),
-            ("div-xi", abs(divergence(man, s.xi_field(), p) - 2.0 * n)),
-            ("lie-xi-metric",
-             float(np.max(np.abs(lie - 2.0 * (m.g - np.outer(eta, eta)))))),
-            ("curvature-reeb", float(np.max(np.abs(rxy_xi - target)))),
-            ("ricci-reeb", abs(ric_xi + 2.0 * n)),
-        )
-
-    worst, _ = _worst(run.points, residuals, lambda k: f"kenmotsu/{k}")
+    det = kenmotsu_details(s, pts)
+    m = man.metric_at_cached(pts)
+    eta = s.eta_values(pts)
+    xi = s.xi_values(pts)
+    lie = lie_derivative_metric(man, s.xi_field(), pts)
+    bundle = curvature_bundle(man, pts)
+    rxy_xi = np.einsum("...labc,...c->...lab", bundle["R13"], xi)
+    target = (
+        np.einsum("...a,lb->...lab", eta, eye)
+        - np.einsum("...b,la->...lab", eta, eye)
+    )
+    ric_xi = np.einsum("...i,...ij,...j->...", xi, bundle["Ric"], xi)
+    worst, _ = _worst(pts, (
+        ("nabla-phi", det["nabla-phi"]),
+        ("nabla-xi", det["nabla-xi"]),
+        ("div-xi", np.abs(divergence(man, s.xi_field(), pts) - 2.0 * n)),
+        ("lie-xi-metric", max_abs(lie - 2.0 * (m.g - outer(eta, eta)), 2)),
+        ("curvature-reeb", max_abs(rxy_xi - target, 3)),
+        ("ricci-reeb", np.abs(ric_xi + 2.0 * n)),
+    ), lambda k: f"kenmotsu/{k}")
     tols = {
         "nabla-phi": tol_alg,
         "nabla-xi": tol_alg,
@@ -264,7 +269,7 @@ def _suite_kenmotsu(run, override):
         "ricci-reeb": tol_curv,
     }
     return [
-        _result(f"kenmotsu/{k}", _KENMOTSU_ANCHORS[k], len(run.points),
+        _result(f"kenmotsu/{k}", _KENMOTSU_ANCHORS[k], pts.count,
                 worst[k], tols[k])
         for k in _KENMOTSU_ANCHORS
     ]
@@ -292,10 +297,16 @@ _SECTION2_ANCHORS = {
 }
 
 
+def _bind_a(field: VectorField, a: float) -> VectorField:
+    """``field`` with the symbol a set to ``a``."""
+    return VectorField(substitute(c, {"a": a}) for c in field.components)
+
+
 def _suite_section2(run, override):
     config = run.config
     structure = config.structure
     f = config.scalar
+    pts = run.points
     checks = []
     div_fields = sorted(config.vectors) or [None]
     for a in config.a_grid:
@@ -305,61 +316,60 @@ def _suite_section2(run, override):
         tol_acm = 1e-10 if override is None else override
         tag = _a_tag(a)
 
-        def residuals(p):
-            ds.require_kenmotsu(p)
-            mb = ds.manifold.metric_at_cached(p)
-            direct = curvature_bundle(ds.manifold, p)
-            closed = ds.curvature_closed(p)
-            yield "christoffel", _rel(ds.christoffel_closed(p), direct["gamma"])
-            yield "curvature-13", _rel(closed["R13"], direct["R13"])
-            yield "curvature-04", _rel(closed["R04"], direct["R04"])
-            yield "ricci", _rel(closed["Ric"].data, direct["Ric"].data)
-            yield "scalar", _rel(closed["scal"], direct["scal"])
-            yield "inverse-metric", _rel(ds.inverse_metric_closed(p), mb.inv)
-            yield "nabla-phi", _rel(
-                ds.nabla_phi_closed(p), nabla_phi_tensor(ds.structure, p)
-            )
-            yield "nabla-reeb", _rel(
-                ds.nabla_reeb_closed(p),
-                covariant_derivative(ds.manifold, xi_field, p),
-            )
-            yield "lie-reeb-metric", _rel(
-                ds.lie_reeb_closed(p).data,
-                lie_derivative_metric(ds.manifold, xi_field, p).data,
-            )
-            yield "div-reeb", _rel(
-                ds.div_reeb_closed(), divergence(ds.manifold, xi_field, p)
-            )
-            if f is not None:
-                yield "hessian", _rel(
-                    ds.hessian_closed(f, p).data, hessian(ds.manifold, f, p).data
-                )
-                yield "gradient", _rel(
-                    ds.gradient_closed(f, p), grad(ds.manifold, f, p)
-                )
-                yield "laplacian", _rel(
-                    ds.laplacian_closed(f, p), laplacian(ds.manifold, f, p)
-                )
-            pe = dict(p)
-            pe.setdefault("a", a)
-            for wname in div_fields:
-                field = xi_field if wname is None else config.vectors[wname]
-                yield "divergence", _rel(
-                    divergence(ds.manifold, field, pe),
-                    divergence(structure.manifold, field, pe),
-                )
-            yield "deformed-acm", ds.structure.acm_residual(p)
+        ds.require_kenmotsu(pts)
+        mb = ds.manifold.metric_at_cached(pts)
+        direct = curvature_bundle(ds.manifold, pts)
+        closed = ds.curvature_closed(pts)
+        items = [
+            ("christoffel", _rel(ds.christoffel_closed(pts), direct["gamma"])),
+            ("curvature-13", _rel(closed["R13"], direct["R13"])),
+            ("curvature-04", _rel(closed["R04"], direct["R04"])),
+            ("ricci", _rel(closed["Ric"], direct["Ric"])),
+            ("scalar", _rel(closed["scal"], direct["scal"])),
+            ("inverse-metric", _rel(ds.inverse_metric_closed(pts), mb.inv)),
+            ("nabla-phi", _rel(
+                ds.nabla_phi_closed(pts), nabla_phi_tensor(ds.structure, pts)
+            )),
+            ("nabla-reeb", _rel(
+                ds.nabla_reeb_closed(pts),
+                covariant_derivative(ds.manifold, xi_field, pts),
+            )),
+            ("lie-reeb-metric", _rel(
+                ds.lie_reeb_closed(pts),
+                lie_derivative_metric(ds.manifold, xi_field, pts),
+            )),
+            ("div-reeb", _rel(
+                ds.div_reeb_closed(), divergence(ds.manifold, xi_field, pts)
+            )),
+        ]
+        if f is not None:
+            items += [
+                ("hessian", _rel(
+                    ds.hessian_closed(f, pts), hessian(ds.manifold, f, pts)
+                )),
+                ("gradient", _rel(
+                    ds.gradient_closed(f, pts), grad(ds.manifold, f, pts)
+                )),
+                ("laplacian", _rel(
+                    ds.laplacian_closed(f, pts), laplacian(ds.manifold, f, pts)
+                )),
+            ]
+        for wname in div_fields:
+            field = xi_field if wname is None else _bind_a(config.vectors[wname], a)
+            items.append(("divergence", _rel(
+                divergence(ds.manifold, field, pts),
+                divergence(structure.manifold, field, pts),
+            )))
+        items.append(("deformed-acm", ds.structure.acm_residual(pts)))
 
-        worst, _ = _worst(
-            run.points, residuals, lambda k: f"section2/{k}{tag}"
-        )
+        worst, _ = _worst(pts, items, lambda k: f"section2/{k}{tag}")
         for key in _SECTION2_ANCHORS:
             if f is None and key in ("hessian", "gradient", "laplacian"):
                 continue
             this_tol = tol_acm if key == "deformed-acm" else tol
             checks.append(_result(
                 f"section2/{key}{tag}", _SECTION2_ANCHORS[key],
-                len(run.points), worst[key], this_tol,
+                pts.count, worst[key], this_tol,
             ))
     return checks
 
@@ -389,15 +399,14 @@ def _suite_prop22(run, override):
         tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
         tag = _a_tag(a)
 
-        def residuals(p):
-            for item in prop_inner_battery(ds, f, p):
-                yield item["pair"], _rel(item["direct"], item["transfer"])
-                yield item["pair"], _rel(item["direct"], item["closed"])
-
-        worst, _ = _worst(run.points, residuals, lambda k: f"prop22/{k}{tag}")
+        items = []
+        for item in prop_inner_battery(ds, f, run.points):
+            items.append((item["pair"], _rel(item["direct"], item["transfer"])))
+            items.append((item["pair"], _rel(item["direct"], item["closed"])))
+        worst, _ = _worst(run.points, items, lambda k: f"prop22/{k}{tag}")
         for key, anchor in _PROP22_ANCHORS.items():
             checks.append(_result(
-                f"prop22/{key}{tag}", anchor, len(run.points), worst[key], tol
+                f"prop22/{key}{tag}", anchor, run.points.count, worst[key], tol
             ))
     return checks
 
@@ -411,11 +420,10 @@ def _suite_remark23(run, override):
     tol = 1e-9 if override is None else override
     checks = []
 
-    def shortfall(p):
-        for a in run.config.a_grid:
-            res = ricci_norm_bound(structure, p, a)
-            yield a, _below(res["ric_norm_sq"] - res["bound"])
-
+    shortfall = []
+    for a in run.config.a_grid:
+        res = ricci_norm_bound(structure, points, a)
+        shortfall.append((a, _below(res["ric_norm_sq"] - res["bound"])))
     worst, _ = _worst(
         points, shortfall, lambda a: f"remark23/norm-bound{_a_tag(a)}"
     )
@@ -423,7 +431,7 @@ def _suite_remark23(run, override):
         checks.append(_result(
             f"remark23/norm-bound{_a_tag(a)}",
             "|Ric|^2 >= 4n^2(a^2-1)/a^2",
-            len(points), worst[a], tol,
+            points.count, worst[a], tol,
         ))
 
     lo, hi = admissible_interval(2.0, 1)
@@ -440,7 +448,7 @@ def _suite_remark23(run, override):
         checks.append(CheckResult(
             "remark23/harmonic-transfer",
             "a harmonic f stays harmonic iff Hess f(xi,xi) = -2n eta(grad f)",
-            len(points), 0.0, 0.5, True,
+            points.count, 0.0, 0.5, True,
             detail=(
                 "not applicable: f is not harmonic "
                 f"(max |Lap f| = {ht['max_lap']:.3e})"
@@ -452,7 +460,7 @@ def _suite_remark23(run, override):
         checks.append(CheckResult(
             "remark23/harmonic-transfer",
             "a harmonic f stays harmonic iff Hess f(xi,xi) = -2n eta(grad f)",
-            len(points), residual, 0.5, agree,
+            points.count, residual, 0.5, agree,
             detail=(
                 f"max |Lap_bar f| = {ht['max_lap_bar']:.3e} at a = "
                 f"{ht['probe_a']:g}; condition residual = "
@@ -510,7 +518,7 @@ def _soliton_suite(run, override, kind):
     structure = config.structure
     man = structure.manifold
     points = run.points
-    npts = len(points)
+    npts = points.count
     tol_eq = 1e-8 if override is None else override
     tol_thm = 1e-9 if override is None else override
     prefix = f"{kind}-soliton"
@@ -523,24 +531,19 @@ def _soliton_suite(run, override, kind):
             continue
         gradient = cand.potential == "gradient"
         for tag, frame in run.frames():
-            labels = set()
-
-            def residuals(p):
-                res = soliton_residuals(frame, cand, p)
-                labels.add(res["classification"])
-                for k in keys:
-                    yield k, res[k]
-                if gradient:
-                    lam_thm = theorem_lambda(
-                        kind, "gradient", structure, p, frame.a,
-                        scalar=cand.scalar,
-                    )
-                    yield "lambda-gradient", _rel(
-                        lam_thm, frame.lam_value(cand, p)
-                    )
-
+            res = soliton_residuals(frame, cand, points)
+            labels = set(np.atleast_1d(res["classification"]).tolist())
+            items = [(k, res[k]) for k in keys]
+            if gradient:
+                lam_thm = theorem_lambda(
+                    kind, "gradient", structure, points, frame.a,
+                    scalar=cand.scalar,
+                )
+                items.append(("lambda-gradient", _rel(
+                    lam_thm, frame.lam_value(cand, points)
+                )))
             worst, _ = _worst(
-                points, residuals, lambda k: f"{prefix}/{cand.name}/{k}{tag}"
+                points, items, lambda k: f"{prefix}/{cand.name}/{k}{tag}"
             )
             cls = labels.pop() if len(labels) == 1 else "mixed"
             for k in keys:
@@ -555,17 +558,18 @@ def _soliton_suite(run, override, kind):
                     worst["lambda-gradient"], tol_thm,
                 ))
 
-    def compatibility(p):
-        for a in config.a_grid:
-            res = xi_compatibility(kind, structure, p, a=a)
-            scale = max(1.0, res["scale"])
-            yield a, res["premise_residual"] / scale
-            yield a, res["residual_at_star"] / scale
-            yield a, _below(
+    compatibility = []
+    for a in config.a_grid:
+        res = xi_compatibility(kind, structure, points, a=a)
+        scale = np.maximum(1.0, res["scale"])
+        compatibility += [
+            (a, res["premise_residual"] / scale),
+            (a, res["residual_at_star"] / scale),
+            (a, _below(
                 res["residual_perturbed"]
                 - 0.5 * res["perturbation"] * res["scale"]
-            ) / scale
-
+            ) / scale),
+        ]
     worst, _ = _worst(
         points, compatibility,
         lambda a: f"{prefix}/reeb-compatibility{_a_tag(a)}",
@@ -583,17 +587,18 @@ def _soliton_suite(run, override, kind):
     }
     max_div, _ = _worst(
         points,
-        lambda p: ((w, abs(divergence(man, v, p))) for w, v in fields.items()),
+        [(w, np.abs(divergence(man, v, points))) for w, v in fields.items()],
         lambda w: f"{prefix}/solenoidal-trace/{w}",
     )
     solenoidal = [w for w in fields if max_div[w] <= 1e-9]
 
-    def trace(p):
-        for w in solenoidal:
-            for a in config.a_grid:
-                res = solenoidal_implied(kind, structure, fields[w], p, a)
-                yield (w, a), res["trace_residual"] / max(1.0, abs(res["scal"]))
-
+    trace = []
+    for w in solenoidal:
+        for a in config.a_grid:
+            res = solenoidal_implied(kind, structure, fields[w], points, a)
+            trace.append((
+                (w, a), res["trace_residual"] / np.maximum(1.0, np.abs(res["scal"]))
+            ))
     worst, _ = _worst(
         points, trace,
         lambda key: f"{prefix}/solenoidal-trace/{key[0]}{_a_tag(key[1])}",
@@ -607,17 +612,15 @@ def _soliton_suite(run, override, kind):
 
     f = config.scalar
     if f is not None:
-        def orthogonal(p):
-            for a in config.a_grid:
-                res = orthogonal_gradient_values(kind, structure, f, p, a)
-                if not res["applicable"]:
-                    yield a, None
-                    continue
-                lam_thm = theorem_lambda(
-                    kind, "gradient", structure, p, a, scalar=f
-                )
-                yield a, _rel(res["lambda_bar"], lam_thm)
-
+        orthogonal = []
+        for a in config.a_grid:
+            res = orthogonal_gradient_values(kind, structure, f, points, a)
+            lam_thm = theorem_lambda(
+                kind, "gradient", structure, points, a, scalar=f
+            )
+            orthogonal.append(
+                (a, _rel(res["lambda_bar"], lam_thm), res["applicable"])
+            )
         worst, applicable = _worst(
             points, orthogonal,
             lambda a: f"{prefix}/orthogonal-gradient{_a_tag(a)}",
@@ -713,25 +716,23 @@ _INEQ_ANCHORS = {
 
 def _suite_inequalities(run, override):
     f = run.config.scalar
-    npts = len(run.points)
+    npts = run.points.count
     tol = 1e-8 if override is None else override
     checks = []
     for kind in ("riemann", "ricci"):
         for a in run.config.a_grid:
             ds = run.deformed(a)
             tag = _a_tag(a)
-
-            def residuals(p):
-                for item in inequality_battery(ds, f, kind, p):
-                    if not item["applicable"]:
-                        yield item["check"], None
-                        continue
-                    scale = max(1.0, abs(item["lhs"]), abs(item["rhs"]))
-                    if item["equality"]:
-                        yield item["check"], abs(item["margin"]) / scale
-                    else:
-                        yield item["check"], _below(item["margin"]) / scale
-
+            residuals = []
+            for item in inequality_battery(ds, f, kind, run.points):
+                scale = np.maximum(
+                    1.0, np.maximum(np.abs(item["lhs"]), np.abs(item["rhs"]))
+                )
+                margin = item["margin"]
+                shortfall = np.abs(margin) if item["equality"] else _below(margin)
+                residuals.append(
+                    (item["check"], shortfall / scale, item["applicable"])
+                )
             worst, applicable = _worst(
                 run.points, residuals,
                 lambda name: f"inequality/{kind}/{name}{tag}",
@@ -784,7 +785,7 @@ _NEEDS_SCALAR = frozenset(("prop22-norms", "remark23", "inequalities"))
 
 def run_suites(config: VerificationConfig) -> list:
     """All checks for the configured suites, sorted by check id."""
-    points = sample_points(
+    points = sample_batch(
         config.manifold, config.box, config.points, config.seed
     )
     run = _Run(config, points)
@@ -797,7 +798,7 @@ def run_suites(config: VerificationConfig) -> list:
             checks.append(CheckResult(
                 f"{suite}/requires-structure",
                 "suite needs an almost contact metric structure",
-                len(points), 1.0, 0.0, False,
+                points.count, 1.0, 0.0, False,
                 detail="fixture defines no [structure] section",
             ))
             continue
@@ -806,7 +807,7 @@ def run_suites(config: VerificationConfig) -> list:
                 if gate is None:
                     worst, _ = _worst(
                         points,
-                        lambda p: kenmotsu_details(config.structure, p).items(),
+                        kenmotsu_details(config.structure, points).items(),
                         lambda k: f"{suite}/kenmotsu-gate",
                     )
                     gate = max(worst.values())
@@ -814,7 +815,7 @@ def run_suites(config: VerificationConfig) -> list:
                     checks.append(CheckResult(
                         f"{suite}/kenmotsu-gate",
                         "closed deformation forms require a Kenmotsu base",
-                        len(points), float(gate), KENMOTSU_TOL, False,
+                        points.count, float(gate), KENMOTSU_TOL, False,
                         detail="base structure is not Kenmotsu; suite skipped",
                     ))
                     continue
@@ -822,7 +823,7 @@ def run_suites(config: VerificationConfig) -> list:
                 checks.append(CheckResult(
                     f"{suite}/scalar-missing",
                     "suite needs a scalar field; set scalar in [run]",
-                    len(points), 1.0, 0.0, False,
+                    points.count, 1.0, 0.0, False,
                     detail="no scalar field configured",
                 ))
                 continue

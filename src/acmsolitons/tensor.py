@@ -1,10 +1,13 @@
-"""Pointwise dense tensors and metric data at a chart point.
+"""Dense tensors and metric data at one point or at a batch of points.
 
 Conventions used across the package:
 
-* a (p, q) tensor is stored as a dense ndarray whose first p axes are the
-  contravariant (upper) indices and whose last q axes are the covariant
-  (lower) ones;
+* a (p, q) tensor is stored as a dense ndarray whose first p tensor axes
+  are the contravariant (upper) indices and whose last q axes are the
+  covariant (lower) ones;
+* data for a batch of N sample points carries one leading sample axis in
+  front of the tensor axes, so (N, d, d) holds a (0, 2) tensor per sample;
+  the functions here work on either, through ``...`` einsums;
 * the curvature (0, 4) index order is R(X, Y, Z, W) = g(R(X, Y)Z, W) with
   slots stored in that order;
 * the Hilbert-Schmidt pairing of two (0, 2) tensors is
@@ -17,13 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expr import first_sample
+
 __all__ = [
-    "TensorValue", "MetricAtPoint", "StructureError",
-    "metric_at", "kulkarni_nomizu", "hs_inner",
+    "TensorValue", "MetricData", "StructureError",
+    "max_abs", "symmetric", "outer", "kulkarni_nomizu", "hs_inner",
 ]
 
 _SYMMETRY_TOL = 1e-12
-_INVERSE_TOL = 1e-10
 
 
 class StructureError(Exception):
@@ -69,70 +73,81 @@ class TensorValue:
 
 
 @dataclass(frozen=True, eq=False)
-class MetricAtPoint:
-    """Metric components and their first partials at one point.
+class MetricData:
+    """Metric components and their first partials at a point or a batch.
 
-    Attributes
+    Attributes (each with the sample axis in front for a batch)
     ----------
     g : (d, d) metric components
     inv : (d, d) inverse metric, computed by LU factorization
     dg : (d, d, d) first partials, dg[k, i, j] = d_k g_ij
+    dinv : (d, d, d) partials of the inverse, dinv[k, i, j] = d_k g^ij
+        = -(g^-1 (d_k g) g^-1)_ij
     """
 
     g: np.ndarray
     inv: np.ndarray
     dg: np.ndarray
+    dinv: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
-def metric_at(manifold, point) -> MetricAtPoint:
-    """Evaluate a manifold's metric and its partials at ``point``.
+def max_abs(data, rank: int):
+    """Largest |component| of each sample's rank-``rank`` tensor.
 
-    The manifold refuses non-finite components; positive definiteness is
-    enforced by attempting a Cholesky factorization.  Failure raises
-    StructureError naming the point.
+    Reduces the last ``rank`` axes; NaN anywhere in a sample's tensor gives
+    NaN for that sample.
     """
-    g = manifold.metric_values(point)
-    dim = g.shape[0]
-    scale = max(float(np.max(np.abs(g))), 1.0)
-    if float(np.max(np.abs(g - g.T))) > _SYMMETRY_TOL * scale:
-        raise StructureError(f"metric not symmetric at {point}")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise StructureError(f"metric not positive definite at {point}") from None
-    inv = np.linalg.inv(g)
-    residual = float(np.max(np.abs(g @ inv - np.eye(dim))))
-    if residual > _INVERSE_TOL:
-        raise StructureError(f"metric too ill-conditioned at {point}")
-    return MetricAtPoint(g=g, inv=inv, dg=manifold.metric_partials(point))
+    if not rank:
+        return np.abs(data)
+    axes = tuple(range(-rank, 0))
+    return np.maximum(np.max(data, axis=axes), -np.min(data, axis=axes))
 
 
-def kulkarni_nomizu(t1: TensorValue, t2: TensorValue) -> TensorValue:
+def symmetric(data, point) -> np.ndarray:
+    """``data`` checked as symmetric (0, 2) tensors, sample by sample.
+
+    Each sample's components must be finite and symmetric to 1e-12
+    relative to max(1, max |component|).  Failure raises StructureError
+    naming the first offending sample of ``point``.
+    """
+    finite = np.isfinite(max_abs(data, 2))
+    if not np.all(finite):
+        raise StructureError(
+            f"non-finite tensor component at {first_sample(point, ~finite)}"
+        )
+    scale = np.maximum(max_abs(data, 2), 1.0)
+    bad = max_abs(data - np.swapaxes(data, -1, -2), 2) > _SYMMETRY_TOL * scale
+    if np.any(bad):
+        raise StructureError(
+            f"tensor declared symmetric is not at {first_sample(point, bad)}"
+        )
+    return data
+
+
+def outer(u, v) -> np.ndarray:
+    """u (x) v of two (covariant or contravariant) vectors, per sample."""
+    return u[..., :, None] * v[..., None, :]
+
+
+def kulkarni_nomizu(a, b) -> np.ndarray:
     """Kulkarni-Nomizu product of two symmetric (0, 2) tensors.
 
-    (T1 o T2)(X,Y,Z,W) = T1(X,W)T2(Y,Z) + T1(Y,Z)T2(X,W)
-                         - T1(X,Z)T2(Y,W) - T1(Y,W)T2(X,Z)
+    (A o B)(X,Y,Z,W) = A(X,W)B(Y,Z) + A(Y,Z)B(X,W)
+                       - A(X,Z)B(Y,W) - A(Y,W)B(X,Z)
     """
-    for t in (t1, t2):
-        if (t.p, t.q) != (0, 2):
-            raise StructureError("Kulkarni-Nomizu product needs (0,2) tensors")
-    a, b = t1.data, t2.data
-    out = (
-        np.einsum("ad,bc->abcd", a, b)
-        + np.einsum("bc,ad->abcd", a, b)
-        - np.einsum("ac,bd->abcd", a, b)
-        - np.einsum("bd,ac->abcd", a, b)
+    return (
+        np.einsum("...ad,...bc->...abcd", a, b)
+        + np.einsum("...bc,...ad->...abcd", a, b)
+        - np.einsum("...ac,...bd->...abcd", a, b)
+        - np.einsum("...bd,...ac->...abcd", a, b)
     )
-    return TensorValue(0, 4, out)
 
 
-def hs_inner(t1: TensorValue, t2: TensorValue, m: MetricAtPoint) -> float:
-    """Hilbert-Schmidt pairing of two (0, 2) tensors under the metric ``m``."""
-    for t in (t1, t2):
-        if (t.p, t.q) != (0, 2):
-            raise StructureError("Hilbert-Schmidt pairing needs (0,2) tensors")
-    return float(np.einsum("ik,jl,ij,kl->", m.inv, m.inv, t1.data, t2.data))
+def hs_inner(t1, t2, m):
+    """Hilbert-Schmidt pairing of two (0, 2) tensors under the metric ``m``
+    (anything with an ``inv`` attribute)."""
+    return np.einsum("...ik,...jl,...ij,...kl->...", m.inv, m.inv, t1, t2)

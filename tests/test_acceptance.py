@@ -65,7 +65,7 @@ def test_criterion_01_kenmotsu_axioms():
         )
         m = man.metric_at_cached(p)
         eta = s.eta_values(p)
-        lie = lie_derivative_metric(man, xi_field, p).data
+        lie = lie_derivative_metric(man, xi_field, p)
         worst["lie"] = max(
             worst["lie"],
             float(np.max(np.abs(lie - 2.0 * (m.g - np.outer(eta, eta))))),
@@ -78,7 +78,7 @@ def test_criterion_01_kenmotsu_axioms():
         )
         worst["curv"] = max(worst["curv"], float(np.max(np.abs(got - want))))
         worst["ric"] = max(
-            worst["ric"], abs(float(xi @ bundle["Ric"].data @ xi) + 2.0)
+            worst["ric"], abs(float(xi @ bundle["Ric"] @ xi) + 2.0)
         )
     ok = (
         worst["structure"] <= 1e-10
@@ -189,7 +189,7 @@ def test_criterion_05_lambda_theorems_consistent():
         worst_mid = max(
             worst_mid,
             abs(laplacian(man, f, p) - 3.0 * ez) / ez,
-            abs(float(s.xi_values(p) @ hessian(man, f, p).data
+            abs(float(s.xi_values(p) @ hessian(man, f, p)
                       @ s.xi_values(p)) - ez) / ez,
         )
         xif, xixif = ds.xi_derivatives(f, p)
@@ -253,7 +253,7 @@ def test_criterion_06_implied_constants(kenmotsu5):
             for kind, want in closed.items():
                 out = implied_curvature(kind, s, p, a)
                 ric = out["ric"]
-                trace = float(np.trace(np.linalg.solve(m.g, ric.data)))
+                trace = float(np.trace(np.linalg.solve(m.g, ric)))
                 norm = hs_inner(ric, ric, m)
                 worst = max(
                     worst,
@@ -261,7 +261,7 @@ def test_criterion_06_implied_constants(kenmotsu5):
                     abs(out["scal"] - want["scal"]),
                     abs(trace - want["scal"]),
                     abs(out["ric_trace"] - trace),
-                    abs(float(xi @ ric.data @ xi) + 2.0 * n),
+                    abs(float(xi @ ric @ xi) + 2.0 * n),
                     abs(norm - want["ric_norm"]),
                     abs(out["ric_norm_computed"] - norm),
                     abs(out["ric_norm_stated"] - want["ric_norm_stated"]),

@@ -147,6 +147,13 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="positive"):
             load_config_text(MINIMAL + "[run]\npoints = 0\n")
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            load_config_text(MINIMAL + "[run]\nseed = -1\n")
+
+    def test_zero_seed_accepted(self):
+        assert load_config_text(MINIMAL + "[run]\nseed = 0\n").seed == 0
+
     def test_unknown_suite(self):
         with pytest.raises(ConfigError, match="unknown suite"):
             load_config_text(MINIMAL + "[run]\nsuites = kenmotsu, frobnicate\n")
@@ -230,6 +237,20 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert "must be positive, got -1" in err
+
+    def test_negative_seed_flag(self, capsys):
+        rc = main(["--builtin", "sphere2", "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--seed must be non-negative" in err
+
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        path = tmp_path / "seed.ini"
+        path.write_text(MINIMAL + "[run]\nseed = -1\n", encoding="utf-8")
+        rc = main(["--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "seed must be non-negative" in err
 
     def test_config_error_names_the_symbol(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -14,6 +14,7 @@ from acmsolitons.deformation import (
 )
 from acmsolitons.expr import parse_expr
 from acmsolitons.geometry import (
+    Samples,
     ScalarField,
     christoffel,
     covariant_derivative,
@@ -129,7 +130,7 @@ class TestClosedForms:
             direct = curvature_bundle(ds.manifold, p)
             assert _rel(closed["R13"], direct["R13"]) <= tol
             assert _rel(closed["R04"], direct["R04"]) <= tol
-            assert _rel(closed["Ric"].data, direct["Ric"].data) <= tol
+            assert _rel(closed["Ric"], direct["Ric"]) <= tol
             assert _rel(closed["scal"], direct["scal"]) <= tol
 
     @pytest.mark.parametrize("a", A_GRID)
@@ -140,7 +141,7 @@ class TestClosedForms:
         xi_field = ds.structure.xi_field()
         for p in kenmotsu3_points[:4]:
             assert _rel(
-                ds.hessian_closed(f, p).data, hessian(ds.manifold, f, p).data
+                ds.hessian_closed(f, p), hessian(ds.manifold, f, p)
             ) <= tol
             assert _rel(
                 ds.gradient_closed(f, p), grad(ds.manifold, f, p)
@@ -156,8 +157,8 @@ class TestClosedForms:
                 covariant_derivative(ds.manifold, xi_field, p),
             ) <= tol
             assert _rel(
-                ds.lie_reeb_closed(p).data,
-                lie_derivative_metric(ds.manifold, xi_field, p).data,
+                ds.lie_reeb_closed(p),
+                lie_derivative_metric(ds.manifold, xi_field, p),
             ) <= tol
             assert _rel(
                 ds.div_reeb_closed(), divergence(ds.manifold, xi_field, p)
@@ -196,9 +197,9 @@ class TestCurvatureTerm:
             eta = rng.normal(size=d)
             t_a = TensorValue(0, 2, A, symmetric=True)
             t_e = TensorValue(0, 2, np.outer(eta, eta), symmetric=True)
-            want = 0.5 * kulkarni_nomizu(t_a, t_a).data - kulkarni_nomizu(
-                t_a, t_e
-            ).data
+            want = 0.5 * kulkarni_nomizu(t_a.data, t_a.data) - kulkarni_nomizu(
+                t_a.data, t_e.data
+            )
             got = deformation_curvature_term(A, eta)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -220,7 +221,8 @@ class TestHarmonicTransfer:
         coords = kenmotsu3.manifold.coords
         f = ScalarField(parse_expr("x", coords=coords))
         res = harmonic_transfer(
-            deform(kenmotsu3.structure, 2.0), f, kenmotsu3_points[:16]
+            deform(kenmotsu3.structure, 2.0), f,
+            Samples.stack(kenmotsu3_points[:16]),
         )
         assert res["applicable"]
         assert res["deformed_harmonic"]
@@ -233,7 +235,8 @@ class TestHarmonicTransfer:
             parse_expr("x^2 * exp(-2*z) - exp(-4*z)/4", coords=coords)
         )
         res = harmonic_transfer(
-            deform(kenmotsu3.structure, 2.0), f, kenmotsu3_points[:16]
+            deform(kenmotsu3.structure, 2.0), f,
+            Samples.stack(kenmotsu3_points[:16]),
         )
         assert res["applicable"]
         assert not res["deformed_harmonic"]
@@ -243,7 +246,7 @@ class TestHarmonicTransfer:
     def test_nonharmonic_not_applicable(self, kenmotsu3, kenmotsu3_points):
         res = harmonic_transfer(
             deform(kenmotsu3.structure, 2.0), kenmotsu3.scalars["f"],
-            kenmotsu3_points[:8],
+            Samples.stack(kenmotsu3_points[:8]),
         )
         assert not res["applicable"]
 

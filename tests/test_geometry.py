@@ -136,7 +136,7 @@ class TestCurvature:
         for p in sample_points(man, sphere2.box, 10, 3):
             assert scalar_curv(man, p) == pytest.approx(2.0, abs=1e-9)
             g = man.metric_values(p)
-            assert np.allclose(ricci(man, p).data, g, atol=1e-9)
+            assert np.allclose(ricci(man, p), g, atol=1e-9)
 
     def test_polar_is_flat(self, polar2):
         p = polar2.point(r=1.3, t=-0.6)
@@ -148,7 +148,7 @@ class TestCurvature:
         man = kenmotsu3.manifold
         for p in kenmotsu3_points[:10]:
             g = man.metric_values(p)
-            assert np.allclose(ricci(man, p).data, -2.0 * g, atol=1e-10)
+            assert np.allclose(ricci(man, p), -2.0 * g, atol=1e-10)
             assert scalar_curv(man, p) == pytest.approx(-6.0, abs=1e-10)
 
     def test_curvature_reeb_convention(self, kenmotsu3, kenmotsu3_points):
@@ -163,7 +163,7 @@ class TestCurvature:
         eye = np.eye(3)
         want = np.einsum("a,lb->lab", eta, eye) - np.einsum("b,la->lab", eta, eye)
         assert np.allclose(got, want, atol=1e-10)
-        assert float(xi @ bundle["Ric"].data @ xi) == pytest.approx(-2.0, abs=1e-10)
+        assert float(xi @ bundle["Ric"] @ xi) == pytest.approx(-2.0, abs=1e-10)
 
 
 class TestOperators:
@@ -173,7 +173,7 @@ class TestOperators:
         for p in kenmotsu3_points[:10]:
             g = man.metric_values(p)
             ez = np.exp(p["z"])
-            assert np.allclose(hessian(man, f, p).data, ez * g, atol=1e-9)
+            assert np.allclose(hessian(man, f, p), ez * g, atol=1e-9)
             assert laplacian(man, f, p) == pytest.approx(3.0 * ez, rel=1e-12)
 
     def test_gradient_is_reeb_multiple(self, kenmotsu3, kenmotsu3_points):
@@ -188,8 +188,8 @@ class TestOperators:
         man = kenmotsu3.manifold
         f = kenmotsu3.scalars["f"]
         for p in kenmotsu3_points[:6]:
-            lie = gradient_lie_derivative(man, f, p).data
-            assert np.allclose(lie, 2.0 * hessian(man, f, p).data, atol=1e-9)
+            lie = gradient_lie_derivative(man, f, p)
+            assert np.allclose(lie, 2.0 * hessian(man, f, p), atol=1e-9)
 
     def test_divergence_of_reeb(self, kenmotsu3, kenmotsu3_points):
         man = kenmotsu3.manifold
@@ -201,7 +201,7 @@ class TestOperators:
         man = kenmotsu3.manifold
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
-        lie = lie_derivative_metric(man, s.xi_field(), p).data
+        lie = lie_derivative_metric(man, s.xi_field(), p)
         g = man.metric_values(p)
         eta = s.eta_values(p)
         assert np.allclose(lie, 2.0 * (g - np.outer(eta, eta)), atol=1e-12)
@@ -213,7 +213,7 @@ class TestOperators:
             parse_expr(t, coords=man.coords) for t in ("1", "0", "0")
         ))
         p = kenmotsu3_points[0]
-        assert np.max(np.abs(lie_derivative_metric(man, w, p).data)) <= 1e-12
+        assert np.max(np.abs(lie_derivative_metric(man, w, p))) <= 1e-12
 
     def test_covariant_derivative_of_reeb(self, kenmotsu3, kenmotsu3_points):
         man = kenmotsu3.manifold
@@ -246,7 +246,7 @@ class TestStructures:
             assert s.acm_residual(p) <= 1e-12
             assert kenmotsu_residual(s, p) <= 1e-12
             xi = s.xi_values(p)
-            ric_xi_xi = float(xi @ curvature_bundle(man, p)["Ric"].data @ xi)
+            ric_xi_xi = float(xi @ curvature_bundle(man, p)["Ric"] @ xi)
             assert abs(ric_xi_xi + 2.0 * s.n) <= 1e-9
 
     def test_euclidean_is_acm_but_not_kenmotsu(self, euclidean3):

@@ -5,21 +5,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from acmsolitons.config import builtin_names
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_all_checks_keeps_negative_controls_negative():
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_all_checks.py"),
-         "--points", "8"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_run_all_checks_keeps_negative_controls_negative():
+    proc = _run_script("run_all_checks.py", "--points", "8")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     verdicts = {
         line.split()[0]: line for line in proc.stdout.splitlines() if line
@@ -27,3 +32,11 @@ def test_run_all_checks_keeps_negative_controls_negative():
     assert sorted(verdicts) == sorted(builtin_names())
     for line in verdicts.values():
         assert line.endswith("as intended"), line
+
+
+@pytest.mark.parametrize("fixture", builtin_names())
+def test_determinism_check_passes(fixture):
+    proc = _run_script("determinism_check.py", "--fixture", fixture,
+                       "--points", "8")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "deterministic: 3 identical reports" in proc.stdout

@@ -149,7 +149,7 @@ class TestTheoremLambda:
             assert xif == pytest.approx(ez, rel=1e-12)
             assert xixif == pytest.approx(ez, rel=1e-12)
             xi = s.xi_values(p)
-            hxx = float(xi @ hessian(man, f, p).data @ xi)
+            hxx = float(xi @ hessian(man, f, p) @ xi)
             assert hxx == pytest.approx(ez, rel=1e-12)
 
     @pytest.mark.parametrize("a", A_GRID)
@@ -235,7 +235,7 @@ class TestImpliedCurvature:
                 kind, s, p, a, implied["lambda_bar"]
             )
             assert np.allclose(
-                general["ric"].data, implied["ric"].data, atol=1e-10
+                general["ric"], implied["ric"], atol=1e-10
             )
             assert general["scal"] == pytest.approx(implied["scal"], abs=1e-10)
 
@@ -355,12 +355,12 @@ def _closed_residuals(ds, cand, p):
     eta = ds.base.eta_values(p)
     gbar = a * m.g + a * (a - 1.0) * np.outer(eta, eta)
     closed = ds.curvature_closed(p)
-    ric, scal = closed["Ric"].data, closed["scal"]
+    ric, scal = closed["Ric"], closed["scal"]
     if cand.potential == "gradient":
-        lie = 2.0 * ds.hessian_closed(cand.scalar, p).data
+        lie = 2.0 * ds.hessian_closed(cand.scalar, p)
         div_v = ds.laplacian_closed(cand.scalar, p)
     else:
-        lie = ds.lie_reeb_closed(p).data
+        lie = ds.lie_reeb_closed(p)
         div_v = ds.div_reeb_closed()
     lam = evaluate(cand.lam, dict(p, a=a))
     if cand.kind == "ricci":
@@ -372,8 +372,8 @@ def _closed_residuals(ds, cand, p):
     lie_t = TensorValue(0, 2, lie, symmetric=True)
     full = (
         2.0 * closed["R04"]
-        + kulkarni_nomizu(lie_t, g_t).data
-        - lam * kulkarni_nomizu(g_t, g_t).data
+        + kulkarni_nomizu(lie_t.data, g_t.data)
+        - lam * kulkarni_nomizu(g_t.data, g_t.data)
     )
     traced = (
         0.5 * lie + ric / (2 * n - 1)

@@ -1,11 +1,13 @@
 """Suite driver: shared deformations and refusal of non-finite residuals."""
 
+import numpy as np
 import pytest
 
 from acmsolitons import suites
 from acmsolitons.cli import main
 from acmsolitons.config import builtin_config, load_config_text
 from acmsolitons.suites import SuiteError, run_suites
+from acmsolitons.tensor import StructureError
 
 # kenmotsu3 plus a field B whose components are inf - inf = nan once
 # exp(300 z)^2 overflows (z > 1.19 or so)
@@ -56,6 +58,73 @@ class TestNonFiniteResidual:
         assert rc == 2
         assert "section2/divergence" in capsys.readouterr().err
         assert not report.exists()
+
+
+# a domain constraint that is undefined on half of the sampling box: log(x)
+# needs x > 0, and box_x keeps the default (-1, 1)
+LOG_DOMAIN = """
+[manifold]
+name = log-domain
+coordinates = x, y, z
+constraints = log(x)
+g_x_x = 1
+g_y_y = 1
+g_z_z = 1
+"""
+
+
+def _first_candidate_outside_log_domain(seed=42):
+    """The first candidate of the sequential rejection sampler with x <= 0."""
+    rng = np.random.default_rng(seed)
+    while True:
+        draw = rng.uniform(np.full(3, -1.0), np.full(3, 1.0))
+        if draw[0] <= 0.0:
+            return dict(zip(("x", "y", "z"), map(float, draw)))
+
+
+# two constraints: log(x + 0.9) is undefined only for x <= -0.9, and log(y)
+# is reached only where log(x + 0.9) > 0, i.e. x > 0.1
+TWO_CONSTRAINTS = LOG_DOMAIN.replace(
+    "constraints = log(x)", "constraints = log(x + 0.9); log(y)"
+)
+
+
+def _first_candidate_outside_two_constraints(seed=42):
+    """The first candidate the one-at-a-time sampler cannot test."""
+    rng = np.random.default_rng(seed)
+    while True:
+        x, y, z = rng.uniform(np.full(3, -1.0), np.full(3, 1.0))
+        if x <= -0.9 or (x > 0.1 and y <= 0.0):
+            return {"x": float(x), "y": float(y), "z": float(z)}
+
+
+class TestSamplingDomainError:
+    def test_run_names_fixture_constraint_and_sample(self):
+        with pytest.raises(StructureError) as info:
+            run_suites(load_config_text(LOG_DOMAIN))
+        message = str(info.value)
+        assert "log-domain" in message
+        assert "'log(x)'" in message
+        assert f"at sample {_first_candidate_outside_log_domain()}" in message
+
+    def test_earliest_sample_over_two_constraints(self):
+        # the second constraint fails at an earlier candidate than the first
+        expected = _first_candidate_outside_two_constraints()
+        assert expected["x"] > 0.1
+        with pytest.raises(StructureError) as info:
+            run_suites(load_config_text(TWO_CONSTRAINTS))
+        message = str(info.value)
+        assert "'log(y)'" in message
+        assert f"at sample {expected}" in message
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "log.ini"
+        path.write_text(LOG_DOMAIN, encoding="utf-8")
+        rc = main(["--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "log(x)" in err and "log-domain" in err
 
 
 class TestSharedDeformations:

@@ -40,15 +40,15 @@ class TestKulkarniNomizu:
             A = _sym(rng, d)
             B = _sym(rng, d)
             got = kulkarni_nomizu(
-                TensorValue(0, 2, A, symmetric=True),
-                TensorValue(0, 2, B, symmetric=True),
-            ).data
+                TensorValue(0, 2, A, symmetric=True).data,
+                TensorValue(0, 2, B, symmetric=True).data,
+            )
             assert np.allclose(got, _kn_loops(A, B), atol=1e-13)
 
     def test_gg_on_orthonormal_pair(self):
         g = np.eye(3)
         t = TensorValue(0, 2, g, symmetric=True)
-        kn = kulkarni_nomizu(t, t).data
+        kn = kulkarni_nomizu(t.data, t.data)
         # (g kn g)(e1, e2, e2, e1) = 2 for orthonormal e1, e2
         assert kn[0, 1, 1, 0] == pytest.approx(2.0)
         assert kn[0, 1, 0, 1] == pytest.approx(-2.0)
@@ -58,9 +58,9 @@ class TestKulkarniNomizu:
         A = _sym(rng, 3)
         B = _sym(rng, 3)
         kn = kulkarni_nomizu(
-            TensorValue(0, 2, A, symmetric=True),
-            TensorValue(0, 2, B, symmetric=True),
-        ).data
+            TensorValue(0, 2, A, symmetric=True).data,
+            TensorValue(0, 2, B, symmetric=True).data,
+        )
         assert np.allclose(kn, -np.transpose(kn, (1, 0, 2, 3)))
         assert np.allclose(kn, -np.transpose(kn, (0, 1, 3, 2)))
         assert np.allclose(kn, np.transpose(kn, (2, 3, 0, 1)))
@@ -70,7 +70,7 @@ class TestKulkarniNomizu:
     def test_rank_one_squares_vanish(self, rng):
         eta = rng.normal(size=4)
         ee = TensorValue(0, 2, np.outer(eta, eta), symmetric=True)
-        kn = kulkarni_nomizu(ee, ee).data
+        kn = kulkarni_nomizu(ee.data, ee.data)
         assert np.max(np.abs(kn)) <= 1e-14
 
 
@@ -86,7 +86,7 @@ class TestHsInner:
         m = _FakeMetric(g)
         t = TensorValue(0, 2, g, symmetric=True)
         # <g, g> = dim
-        assert hs_inner(t, t, m) == pytest.approx(3.0)
+        assert hs_inner(t.data, t.data, m) == pytest.approx(3.0)
 
     def test_trace_pairing(self, rng):
         g = np.diag([1.5, 0.5, 2.0])
@@ -95,7 +95,7 @@ class TestHsInner:
         t_g = TensorValue(0, 2, g, symmetric=True)
         t_a = TensorValue(0, 2, A, symmetric=True)
         # <g, A> = trace of A taken with g
-        assert hs_inner(t_g, t_a, m) == pytest.approx(
+        assert hs_inner(t_g.data, t_a.data, m) == pytest.approx(
             float(np.einsum("ij,ij->", m.inv, A))
         )
 
@@ -110,7 +110,7 @@ class TestHsInner:
             t = TensorValue(
                 0, 2, alpha * g + beta * np.outer(eta, eta), symmetric=True
             )
-            assert hs_inner(t, t, m) == pytest.approx(
+            assert hs_inner(t.data, t.data, m) == pytest.approx(
                 alpha * alpha * d + 2 * alpha * beta + beta * beta
             )
 
@@ -133,9 +133,11 @@ def test_kn_symmetrized_in_arguments(seed):
     A = _sym(r, 3)
     B = _sym(r, 3)
     ab = kulkarni_nomizu(
-        TensorValue(0, 2, A, symmetric=True), TensorValue(0, 2, B, symmetric=True)
-    ).data
+        TensorValue(0, 2, A, symmetric=True).data,
+        TensorValue(0, 2, B, symmetric=True).data,
+    )
     ba = kulkarni_nomizu(
-        TensorValue(0, 2, B, symmetric=True), TensorValue(0, 2, A, symmetric=True)
-    ).data
+        TensorValue(0, 2, B, symmetric=True).data,
+        TensorValue(0, 2, A, symmetric=True).data,
+    )
     assert np.allclose(ab, ba, atol=1e-13)
