@@ -21,6 +21,10 @@ def main() -> int:
     parser.add_argument("--points", type=int, default=None,
                         help="override the fixture's sample count")
     args = parser.parse_args()
+    if args.runs < 2:
+        parser.error("--runs must be at least 2 to compare reports")
+    if args.points is not None and args.points < 1:
+        parser.error("--points must be at least 1")
 
     digests = []
     for k in range(args.runs):

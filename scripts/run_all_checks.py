@@ -23,6 +23,8 @@ def main() -> int:
     parser.add_argument("--points", type=int, default=None,
                         help="override the sample count of every fixture")
     args = parser.parse_args()
+    if args.points is not None and args.points < 1:
+        parser.error("--points must be at least 1")
 
     ok = True
     for name in builtin_names():

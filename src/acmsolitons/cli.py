@@ -15,6 +15,8 @@ from .config import (
     ConfigError,
     builtin_config,
     builtin_names,
+    check_a,
+    check_tolerance,
     load_config,
 )
 from .suites import build_report, report_json, run_suites
@@ -73,10 +75,7 @@ def _apply_overrides(config, args) -> None:
         except ValueError as err:
             raise ConfigError("--a must be a comma-separated number list") from err
         for value in grid:
-            if not value > 0.0:
-                raise ConfigError(
-                    f"deformation parameter must be positive, got {value:g}"
-                )
+            check_a(value, "--a")
         config.a_grid = grid
     if args.points is not None:
         if args.points <= 0:
@@ -94,9 +93,11 @@ def _apply_overrides(config, args) -> None:
         if name not in ALL_SUITES:
             raise ConfigError(f"tolerance override for unknown suite {name!r}")
         try:
-            config.tol_overrides[name] = float(value)
+            tol = float(value)
         except ValueError as err:
             raise ConfigError(f"bad tolerance value {value!r}") from err
+        check_tolerance(tol, f"--tol-override {name}")
+        config.tol_overrides[name] = tol
 
 
 def main(argv=None) -> int:

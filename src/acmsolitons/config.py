@@ -37,6 +37,8 @@ __all__ = [
     "load_config_text",
     "builtin_config",
     "builtin_names",
+    "check_a",
+    "check_tolerance",
 ]
 
 ALL_SUITES = (
@@ -131,10 +133,20 @@ def _check_name(name: str, source: str, what: str) -> None:
         )
 
 
-def _positive_a(value: float, source: str):
+def check_a(value: float, source: str) -> None:
+    """Refuse a deformation parameter that is not positive and finite."""
     if not math.isfinite(value) or value <= 0.0:
         raise ConfigError(
-            f"{source}: deformation parameter must be positive, got {value:g}"
+            f"{source}: deformation parameter must be positive and finite, "
+            f"got {value:g}"
+        )
+
+
+def check_tolerance(value: float, source: str) -> None:
+    """Refuse a tolerance that is negative, infinite or NaN."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(
+            f"{source}: tolerance must be finite and non-negative, got {value:g}"
         )
 
 
@@ -358,7 +370,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
         except ValueError as err:
             raise ConfigError(f"{source}: [run] a must be a list of numbers") from err
     for value in a_grid:
-        _positive_a(value, source)
+        check_a(value, source)
 
     suites_text = run.pop("suites", None)
     if suites_text is None:
@@ -405,11 +417,13 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
                     f"{source}: tolerance override for unknown suite {sname!r}"
                 )
             try:
-                tol_overrides[sname] = float(run.pop(key))
+                value = float(run.pop(key))
             except ValueError as err:
                 raise ConfigError(
                     f"{source}: [run] {key} must be a number"
                 ) from err
+            check_tolerance(value, f"{source}: [run] {key}")
+            tol_overrides[sname] = value
     if run:
         raise ConfigError(
             f"{source}: unknown [run] entries: {', '.join(sorted(run))}"

@@ -53,7 +53,7 @@ from .geometry import (
     kenmotsu_residual,
     laplacian,
 )
-from .tensor import StructureError, hs_inner, outer, symmetric
+from .tensor import StructureError, hs_inner, kulkarni_nomizu, outer, symmetric
 
 __all__ = [
     "KENMOTSU_TOL",
@@ -79,15 +79,10 @@ def deformation_curvature_term(g: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The (0,4) tensor multiplying (a - 1) in the deformed curvature.
 
     T[a,b,c,d] = eta_c (eta_a g_bd - eta_b g_ad)
-                 - g_ac (g_bd - eta_b eta_d) + g_bc (g_ad - eta_a eta_d)
+                 - g_ac (g_bd - eta_b eta_d) + g_bc (g_ad - eta_a eta_d),
+    which is the Kulkarni-Nomizu product g o (g/2 - eta (x) eta).
     """
-    p = g - outer(eta, eta)
-    return (
-        np.einsum("...c,...a,...bd->...abcd", eta, eta, g)
-        - np.einsum("...c,...b,...ad->...abcd", eta, eta, g)
-        - np.einsum("...ac,...bd->...abcd", g, p)
-        + np.einsum("...bc,...ad->...abcd", g, p)
-    )
+    return kulkarni_nomizu(g, 0.5 * g - outer(eta, eta))
 
 
 class DeformedStructure:
@@ -105,7 +100,7 @@ class DeformedStructure:
         a = float(a)
         if not math.isfinite(a) or a <= 0.0:
             raise StructureError(
-                f"deformation parameter must be positive, got {a!r}"
+                f"deformation parameter must be positive and finite, got {a!r}"
             )
         self.base = base
         self.a = a

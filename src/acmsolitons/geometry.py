@@ -271,7 +271,9 @@ class ChartManifold:
         _refuse(max_abs(g @ inv - np.eye(self.dim), 2) > _INVERSE_TOL,
                 f"metric of {self.name} too ill-conditioned", point)
         dg = self.metric_partials(point)
-        dinv = -np.einsum("...lm,...amn,...nk->...alk", inv, dg, inv)
+        inv1 = inv[..., None, :, :]  # g^-1 broadcast over the partials d_a
+        dinv = inv1 @ dg @ inv1
+        np.negative(dinv, out=dinv)
         return MetricData(g=g, inv=inv, dg=dg, dinv=dinv)
 
 
@@ -310,9 +312,15 @@ def christoffel_partials(manifold, point) -> np.ndarray:
     dcombo = d2g + np.einsum("...ajik->...aijk", d2g)
     dcombo -= np.einsum("...akij->...aijk", d2g)
     del d2g
-    out = np.einsum("...lk,...aijk->...alij", m.inv, dcombo)
+    d = m.dim
+    shape = dcombo.shape
+    lead = shape[:-4]
+    # out[a, l, i, j] = g^lk dcombo[a, i, j, k] + dinv[a, l, k] combo[i, j, k]
+    raised = dcombo.reshape(lead + (d ** 3, d)) @ _swap(m.inv)
     del dcombo
-    out += np.einsum("...alk,...ijk->...alij", m.dinv, _gamma_combo(m.dg))
+    combo = _gamma_combo(m.dg).reshape(lead + (1, d * d, d))
+    out = (m.dinv @ _swap(combo)).reshape(shape)
+    out += np.moveaxis(raised.reshape(shape), -1, -3)
     out *= 0.5
     return out
 
@@ -364,17 +372,33 @@ def curvature_bundle(manifold, point) -> dict:
                  lambda: _curvature(manifold, point))
 
 
+def _riemann_tensors(gamma, dgamma, g):
+    """R13 and R04 from the Christoffel symbols, their partials and g.
+
+    R13[l,a,b,c] = d_a Gamma^l_bc - d_b Gamma^l_ac
+                 + Gamma^l_am Gamma^m_bc - Gamma^l_bm Gamma^m_ac
+    """
+    d = g.shape[-1]
+    shape = dgamma.shape
+    lead = shape[:-4]
+    r13 = np.einsum("...albc->...labc", dgamma) - np.einsum("...blac->...labc", dgamma)
+    # gg[l,a,b,c] = Gamma^l_am Gamma^m_bc; the second product is gg with
+    # a and b swapped
+    gg = gamma.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
+    gg = gg.reshape(shape)
+    r13 += gg
+    r13 -= np.swapaxes(gg, -3, -2)
+    del gg
+    r04 = np.moveaxis(r13, -4, -1) @ g[..., None, None, :, :]
+    return r13, r04
+
+
 def _curvature(manifold, point) -> dict:
     m = manifold.metric_at_cached(point)
     gamma = 0.5 * np.einsum("...lk,...ijk->...lij", m.inv, _gamma_combo(m.dg))
     dgamma = christoffel_partials(manifold, point)
-    # R13[l,a,b,c] = d_a Gamma^l_bc - d_b Gamma^l_ac
-    #              + Gamma^l_am Gamma^m_bc - Gamma^l_bm Gamma^m_ac
-    r13 = np.einsum("...albc->...labc", dgamma) - np.einsum("...blac->...labc", dgamma)
+    r13, r04 = _riemann_tensors(gamma, dgamma, m.g)
     del dgamma
-    r13 += np.einsum("...lam,...mbc->...labc", gamma, gamma)
-    r13 -= np.einsum("...lbm,...mac->...labc", gamma, gamma)
-    r04 = np.einsum("...labc,...ld->...abcd", r13, m.g)
     _check_curvature_symmetries(r04, manifold.name, point)
     ric = np.einsum("...aabc->...bc", r13)
     return {

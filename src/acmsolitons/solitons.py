@@ -206,11 +206,8 @@ def soliton_residuals(frame: Frame, candidate, point) -> dict:
         return out
     if 2 * n - 1 <= 0:
         raise StructureError("traced soliton equations need dimension >= 3")
-    full = (
-        2.0 * bundle["R04"]
-        + kulkarni_nomizu(lie, g)
-        - lam[..., None, None, None, None] * kulkarni_nomizu(g, g)
-    )
+    # L_V g o g - lambda g o g as one product: o is linear in each slot
+    full = 2.0 * bundle["R04"] + kulkarni_nomizu(lie - _tensor(lam) * g, g)
     eq4 = (
         0.5 * lie
         + ric / (2 * n - 1)
@@ -303,17 +300,7 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a: float) -> di
         out["scal"] = -8.0 * n * n
         out["ric_norm_stated"] = float(2 * n * (16 * n * n - 6 * n + 1))
         out["lambda_bar"] = (a - 1.0) / (a * a)
-        out["r04"] = (
-            -2.0
-            * (
-                np.einsum("...ad,...bc->...abcd", g, g)
-                - np.einsum("...ac,...bd->...abcd", g, g)
-            )
-            + np.einsum("...ad,...b,...c->...abcd", g, eta, eta)
-            - np.einsum("...ac,...b,...d->...abcd", g, eta, eta)
-            + np.einsum("...bc,...a,...d->...abcd", g, eta, eta)
-            - np.einsum("...bd,...a,...c->...abcd", g, eta, eta)
-        )
+        out["r04"] = kulkarni_nomizu(g, ee - g)
     elif kind == "ricci":
         ric = -(2 * n + 1.0) * g + ee
         out["scal"] = -4.0 * n * (n + 1)
@@ -468,11 +455,9 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
 
         lam_star = 0.0
         r04_bar = a * r04 + (a - 1.0) * deformation_curvature_term(g, eta)
+        lam_bar = implied["lambda_bar"]
         premise = max_abs(
-            2.0 * r04_bar
-            + kulkarni_nomizu(lie, gbar)
-            - implied["lambda_bar"] * kulkarni_nomizu(gbar, gbar),
-            4,
+            2.0 * r04_bar + kulkarni_nomizu(lie - lam_bar * gbar, gbar), 4
         )
         scale = max_abs(kn_gg, 4)
     else:

@@ -63,7 +63,7 @@ __all__ = [
     "report_json",
 ]
 
-REPORT_VERSION = "0.3.0"
+REPORT_VERSION = "0.4.0"
 
 # the deformation parameter at which remark23 probes harmonic transfer
 _HARMONIC_PROBE_A = 2.0

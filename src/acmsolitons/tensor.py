@@ -7,7 +7,8 @@ Conventions used across the package:
   covariant (lower) ones;
 * data for a batch of N sample points carries one leading sample axis in
   front of the tensor axes, so (N, d, d) holds a (0, 2) tensor per sample;
-  the functions here work on either, through ``...`` einsums;
+  the functions here work on either, contracting with batched matmul
+  and broadcast products;
 * the curvature (0, 4) index order is R(X, Y, Z, W) = g(R(X, Y)Z, W) with
   slots stored in that order;
 * the Hilbert-Schmidt pairing of two (0, 2) tensors is
@@ -139,15 +140,15 @@ def kulkarni_nomizu(a, b) -> np.ndarray:
     (A o B)(X,Y,Z,W) = A(X,W)B(Y,Z) + A(Y,Z)B(X,W)
                        - A(X,Z)B(Y,W) - A(Y,W)B(X,Z)
     """
-    return (
-        np.einsum("...ad,...bc->...abcd", a, b)
-        + np.einsum("...bc,...ad->...abcd", a, b)
-        - np.einsum("...ac,...bd->...abcd", a, b)
-        - np.einsum("...bd,...ac->...abcd", a, b)
-    )
+    # h[a,b,c,d] = A_ad B_bc - A_ac B_bd; the other two terms are h with
+    # both the (a, b) and the (c, d) slots swapped
+    h = a[..., :, None, None, :] * b[..., None, :, :, None]
+    h -= a[..., :, None, :, None] * b[..., None, :, None, :]
+    return h + np.swapaxes(np.swapaxes(h, -4, -3), -2, -1)
 
 
 def hs_inner(t1, t2, m):
     """Hilbert-Schmidt pairing of two (0, 2) tensors under the metric ``m``
     (anything with an ``inv`` attribute)."""
-    return np.einsum("...ik,...jl,...ij,...kl->...", m.inv, m.inv, t1, t2)
+    raised = np.swapaxes(m.inv, -1, -2) @ t1 @ m.inv
+    return np.sum(raised * t2, axis=(-2, -1))

@@ -139,9 +139,17 @@ class TestConfigErrors:
 
     def test_negative_deformation_parameter(self):
         with pytest.raises(
-            ConfigError, match="must be positive, got -1"
+            ConfigError, match="must be positive and finite, got -1"
         ):
             load_config_text(MINIMAL + "[run]\na = 0.5, -1\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_value(self, value):
+        with pytest.raises(
+            ConfigError, match=r"\[run\] tol_kenmotsu: tolerance must be "
+            "finite and non-negative"
+        ):
+            load_config_text(MINIMAL + f"[run]\ntol_kenmotsu = {value}\n")
 
     def test_zero_points(self):
         with pytest.raises(ConfigError, match="positive"):
@@ -236,7 +244,16 @@ class TestCliExitCodes:
         rc = main(["--builtin", "kenmotsu3", "--a", "-1"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "must be positive, got -1" in err
+        assert "must be positive and finite, got -1" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_a_flag_refused_before_the_run(self, value, capsys):
+        rc = main(["--builtin", "kenmotsu3", "--a", f"1,{value}"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert f"--a: deformation parameter must be positive and finite, " \
+               f"got {value}" in err
+        assert out == ""
 
     def test_negative_seed_flag(self, capsys):
         rc = main(["--builtin", "sphere2", "--seed", "-1"])
@@ -272,6 +289,16 @@ class TestCliExitCodes:
         rc = main(["--builtin", "kenmotsu3", "--tol-override", "kenmotsu"])
         assert rc == 2
         assert "SUITE=TOL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tol_override_value(self, value, capsys):
+        rc = main(["--builtin", "euclidean3", "--points", "6",
+                   "--tol-override", f"acm-axioms={value}"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "--tol-override acm-axioms: tolerance must be finite and " \
+               "non-negative" in err
+        assert out == ""
 
     def test_tol_override_can_flip_outcome(self, capsys):
         args = ["--builtin", "euclidean3", "--points", "6",

@@ -1,0 +1,172 @@
+"""Each batched-matmul contraction equals its ``...`` einsum definition.
+
+The einsum strings here are the reference forms of the contractions in
+``tensor``, ``geometry``, ``deformation`` and ``solitons``.  The data are
+random, batched and, wherever the function does not itself require a
+symmetric metric, not symmetric, at d = 3 and d = 5: symmetric data would
+hide a swapped index.  The tolerance is fixed from the dtype: float64 eps
+(2.2e-16) times the 625 terms of the largest sum at d = 5 is 1.4e-13, so
+1e-12 x max(1, max |reference|) leaves a margin for the reordered sums.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from acmsolitons.deformation import deformation_curvature_term
+from acmsolitons.expr import Const
+from acmsolitons.geometry import (
+    ChartManifold,
+    _riemann_tensors,
+    christoffel_partials,
+)
+from acmsolitons.solitons import implied_curvature
+from acmsolitons.tensor import MetricData, hs_inner, kulkarni_nomizu
+
+BATCH = 7
+DIMS = (3, 5)
+
+
+def _close(got, ref):
+    assert got.shape == ref.shape
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert float(np.max(np.abs(got - ref))) <= 1e-12 * scale
+
+
+def _random(d, *tensor_axes, seed):
+    rng = np.random.default_rng(seed * 10 + d)
+    return rng.normal(size=(BATCH,) + (d,) * len(tensor_axes))
+
+
+def _spd(d, seed):
+    """A batch of random symmetric positive definite metrics."""
+    m = _random(d, "i", "j", seed=seed)
+    return m @ np.swapaxes(m, -1, -2) + d * np.eye(d)
+
+
+def _kn_ref(a, b):
+    return (
+        np.einsum("...ad,...bc->...abcd", a, b)
+        + np.einsum("...bc,...ad->...abcd", a, b)
+        - np.einsum("...ac,...bd->...abcd", a, b)
+        - np.einsum("...bd,...ac->...abcd", a, b)
+    )
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_hs_inner(d):
+    inv, t1, t2 = (_random(d, "i", "j", seed=s) for s in (1, 2, 3))
+    m = SimpleNamespace(inv=inv)
+    ref = np.einsum("...ik,...jl,...ij,...kl->...", inv, inv, t1, t2)
+    _close(hs_inner(t1, t2, m), ref)
+    one = SimpleNamespace(inv=inv[0])
+    _close(np.asarray(hs_inner(t1[0], t2[0], one)), ref[0])
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_kulkarni_nomizu(d):
+    a, b = (_random(d, "i", "j", seed=s) for s in (4, 5))
+    ref = _kn_ref(a, b)
+    _close(kulkarni_nomizu(a, b), ref)
+    _close(kulkarni_nomizu(a[0], b[0]), ref[0])
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_inverse_metric_partials(d):
+    g = _spd(d, seed=6)
+    dg = _random(d, "k", "i", "j", seed=7)
+    coords = [f"x{i}" for i in range(d)]
+    chart = ChartManifold(
+        coords, [[Const(float(i == j)) for j in range(d)] for i in range(d)]
+    )
+    chart.metric_values = lambda point: g
+    chart.metric_partials = lambda point: dg
+    m = chart.metric_at_cached({c: np.zeros(BATCH) for c in coords})
+    ref = -np.einsum("...lm,...amn,...nk->...alk", m.inv, dg, m.inv)
+    _close(m.dinv, ref)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_christoffel_partials(d):
+    g, inv = (_random(d, "i", "j", seed=s) for s in (8, 9))
+    dg, dinv = (_random(d, "k", "i", "j", seed=s) for s in (10, 11))
+    d2g = _random(d, "l", "k", "i", "j", seed=12)
+    manifold = SimpleNamespace(
+        metric_at_cached=lambda point: MetricData(g=g, inv=inv, dg=dg, dinv=dinv),
+        metric_second_partials=lambda point: d2g,
+    )
+    dcombo = (
+        d2g
+        + np.einsum("...ajik->...aijk", d2g)
+        - np.einsum("...akij->...aijk", d2g)
+    )
+    combo = (
+        dg
+        + np.einsum("...jik->...ijk", dg)
+        - np.einsum("...kij->...ijk", dg)
+    )
+    ref = 0.5 * (
+        np.einsum("...lk,...aijk->...alij", inv, dcombo)
+        + np.einsum("...alk,...ijk->...alij", dinv, combo)
+    )
+    _close(christoffel_partials(manifold, None), ref)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_riemann_tensors(d):
+    g = _random(d, "i", "j", seed=13)
+    gamma = _random(d, "l", "i", "j", seed=14)
+    dgamma = _random(d, "a", "l", "i", "j", seed=15)
+    r13_ref = (
+        np.einsum("...albc->...labc", dgamma)
+        - np.einsum("...blac->...labc", dgamma)
+        + np.einsum("...lam,...mbc->...labc", gamma, gamma)
+        - np.einsum("...lbm,...mac->...labc", gamma, gamma)
+    )
+    r04_ref = np.einsum("...labc,...ld->...abcd", r13_ref, g)
+    r13, r04 = _riemann_tensors(gamma, dgamma, g)
+    _close(r13, r13_ref)
+    _close(r04, r04_ref)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_deformation_curvature_term(d):
+    g = _random(d, "i", "j", seed=16)
+    eta = _random(d, "i", seed=17)
+    p = g - eta[..., :, None] * eta[..., None, :]
+    ref = (
+        np.einsum("...c,...a,...bd->...abcd", eta, eta, g)
+        - np.einsum("...c,...b,...ad->...abcd", eta, eta, g)
+        - np.einsum("...ac,...bd->...abcd", g, p)
+        + np.einsum("...bc,...ad->...abcd", g, p)
+    )
+    _close(deformation_curvature_term(g, eta), ref)
+    _close(deformation_curvature_term(g[0], eta[0]), ref[0])
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_implied_riemann_curvature(d):
+    # g is a metric here: implied_curvature checks its Ricci tensor for
+    # symmetry, so only eta is free of symmetry
+    g = _spd(d, seed=18)
+    eta = _random(d, "i", seed=19)
+    m = MetricData(g=g, inv=np.linalg.inv(g), dg=None, dinv=None)
+    structure = SimpleNamespace(
+        manifold=SimpleNamespace(metric_at_cached=lambda point: m),
+        eta_values=lambda point: eta,
+        n=(d - 1) // 2,
+    )
+    ref = (
+        -2.0
+        * (
+            np.einsum("...ad,...bc->...abcd", g, g)
+            - np.einsum("...ac,...bd->...abcd", g, g)
+        )
+        + np.einsum("...ad,...b,...c->...abcd", g, eta, eta)
+        - np.einsum("...ac,...b,...d->...abcd", g, eta, eta)
+        + np.einsum("...bc,...a,...d->...abcd", g, eta, eta)
+        - np.einsum("...bd,...a,...c->...abcd", g, eta, eta)
+    )
+    point = {"x": np.zeros(BATCH)}
+    _close(implied_curvature("riemann", structure, point, 2.0)["r04"], ref)

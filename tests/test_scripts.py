@@ -40,3 +40,17 @@ def test_determinism_check_passes(fixture):
                        "--points", "8")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "deterministic: 3 identical reports" in proc.stdout
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("run_all_checks.py", ["--points", "0"], "--points must be at least 1"),
+    ("determinism_check.py", ["--points", "0"], "--points must be at least 1"),
+    ("determinism_check.py", ["--runs", "0"], "--runs must be at least 2"),
+    ("determinism_check.py", ["--runs", "1"], "--runs must be at least 2"),
+])
+def test_bad_counts_are_refused(script, args, message):
+    proc = _run_script(script, *args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
