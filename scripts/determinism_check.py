@@ -9,14 +9,19 @@ import argparse
 import hashlib
 import sys
 
-from acmsolitons.config import builtin_config, builtin_names
+from acmsolitons.config import (
+    ConfigError, builtin_config, builtin_names, load_config,
+)
 from acmsolitons.suites import build_report, report_json, run_suites
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fixture", default="kenmotsu3",
-                        choices=builtin_names())
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--fixture", choices=builtin_names(),
+                        help="a built-in fixture (default kenmotsu3)")
+    source.add_argument("--config", metavar="PATH",
+                        help="a definition file instead of a built-in fixture")
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--points", type=int, default=None,
                         help="override the fixture's sample count")
@@ -28,7 +33,13 @@ def main() -> int:
 
     digests = []
     for k in range(args.runs):
-        config = builtin_config(args.fixture)
+        try:
+            if args.config is not None:
+                config = load_config(args.config)
+            else:
+                config = builtin_config(args.fixture or "kenmotsu3")
+        except ConfigError as err:
+            parser.error(str(err))
         if args.points is not None:
             config.points = args.points
         text = report_json(build_report(config, run_suites(config)))

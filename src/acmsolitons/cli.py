@@ -15,7 +15,7 @@ from .config import (
     ConfigError,
     builtin_config,
     builtin_names,
-    check_a,
+    check_grid,
     check_tolerance,
     load_config,
 )
@@ -74,8 +74,7 @@ def _apply_overrides(config, args) -> None:
             grid = tuple(float(t) for t in args.a_grid.split(","))
         except ValueError as err:
             raise ConfigError("--a must be a comma-separated number list") from err
-        for value in grid:
-            check_a(value, "--a")
+        check_grid(grid, "--a")
         config.a_grid = grid
     if args.points is not None:
         if args.points <= 0:

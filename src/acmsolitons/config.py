@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .expr import ParseError, parse_expr
+from .expr import ParseError, a_tag, parse_expr
 from .geometry import AcmStructure, ChartManifold, ScalarField, VectorField
 from .solitons import SolitonCandidate
 from .tensor import StructureError
@@ -37,7 +37,7 @@ __all__ = [
     "load_config_text",
     "builtin_config",
     "builtin_names",
-    "check_a",
+    "check_grid",
     "check_tolerance",
 ]
 
@@ -133,13 +133,24 @@ def _check_name(name: str, source: str, what: str) -> None:
         )
 
 
-def check_a(value: float, source: str) -> None:
-    """Refuse a deformation parameter that is not positive and finite."""
-    if not math.isfinite(value) or value <= 0.0:
-        raise ConfigError(
-            f"{source}: deformation parameter must be positive and finite, "
-            f"got {value:g}"
-        )
+def check_grid(grid, source: str) -> None:
+    """Refuse a deformation grid with a value that is not positive and
+    finite, or with two values whose check tags [a=...] coincide, since
+    their checks would share ids."""
+    seen = {}
+    for value in grid:
+        if not math.isfinite(value) or value <= 0.0:
+            raise ConfigError(
+                f"{source}: deformation parameter must be positive and finite, "
+                f"got {value:g}"
+            )
+        tag = a_tag(value)
+        if tag in seen:
+            raise ConfigError(
+                f"{source}: deformation parameters {seen[tag]!r} and {value!r} "
+                f"share the check tag {tag}"
+            )
+        seen[tag] = value
 
 
 def check_tolerance(value: float, source: str) -> None:
@@ -369,8 +380,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
             a_grid = tuple(float(t) for t in a_text.split(","))
         except ValueError as err:
             raise ConfigError(f"{source}: [run] a must be a list of numbers") from err
-    for value in a_grid:
-        check_a(value, source)
+    check_grid(a_grid, f"{source}: [run] a")
 
     suites_text = run.pop("suites", None)
     if suites_text is None:

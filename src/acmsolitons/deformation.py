@@ -5,8 +5,12 @@ For a constant a > 0 the structure (phi, xi, eta, g) deforms to
     phi_bar = phi,   xi_bar = xi / a,   eta_bar = a eta,
     g_bar   = a g + a (a - 1) eta (x) eta,
 
-which is again almost contact metric.  Over a Kenmotsu base every deformed
-quantity has a closed form in base data:
+which is again almost contact metric.  A deformation covers one value of a
+or a whole grid of them at once: its chart keeps a as the symbol ``a``, is
+built and differentiated once, and is evaluated on a batch that binds a to
+the grid (see ``geometry.with_a``), an (A, N) batch for A values and N
+samples.  Over a Kenmotsu base every deformed quantity has a closed form
+in base data:
 
     Gamma_bar^l_ij = Gamma^l_ij + ((a-1)/a) (g_ij - eta_i eta_j) xi^l
     R_bar(X,Y)Z    = R(X,Y)Z + ((a-1)/a)[g(phi Y, phi Z) X - g(phi X, phi Z) Y]
@@ -29,10 +33,12 @@ together with the inner-product transfer for symmetric (0,2)-tensors
     <T1, T2>_bar = (1/a^2) <T1, T2>_g - ((a^2-1)/a^4) T1(xi,xi) T2(xi,xi),
 
 exact whenever i_xi T = T(xi,xi) eta for both arguments (true for g, Ric and
-eta (x) eta over a Kenmotsu base).  Each closed form refuses to evaluate
-when the base structure fails the Kenmotsu condition, since none of them is
-valid then.  The deformed chart itself is always constructed, so every
-closed form can be compared against a direct computation from g_bar.
+eta (x) eta over a Kenmotsu base).  Each closed form reads its base data on
+the samples alone, once for every value of a, and returns one value per a
+and sample.  Each refuses to evaluate when the base structure fails the
+Kenmotsu condition, since none of them is valid then.  The deformed chart
+itself is always constructed, so every closed form can be compared against
+a direct computation from g_bar.
 """
 
 from __future__ import annotations
@@ -41,17 +47,20 @@ import math
 
 import numpy as np
 
-from .expr import Const, add, first_sample, mul
+from .expr import A, Const, Coord, add, div, locate, mul, sub, substitute
 from .geometry import (
     AcmStructure,
     ChartManifold,
     ScalarField,
+    a_column,
     christoffel,
     curvature_bundle,
     grad,
     hessian,
     kenmotsu_residual,
     laplacian,
+    memoised,
+    with_a,
 )
 from .tensor import StructureError, hs_inner, kulkarni_nomizu, outer, symmetric
 
@@ -61,6 +70,7 @@ __all__ = [
     "DeformedStructure",
     "deform",
     "deformation_curvature_term",
+    "base_inner",
     "prop_inner_battery",
     "harmonic_transfer",
     "ricci_norm_bound",
@@ -85,53 +95,101 @@ def deformation_curvature_term(g: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return kulkarni_nomizu(g, 0.5 * g - outer(eta, eta))
 
 
-class DeformedStructure:
-    """A deformed structure plus closed forms for its geometry.
+def _fixed(structure: AcmStructure, a: float) -> AcmStructure:
+    """``structure``, whose expressions read the symbol a, with a set to
+    the constant ``a``."""
 
-    ``manifold`` carries g_bar symbolically and ``structure`` the deformed
-    (phi, xi_bar, eta_bar), so direct computation is always available.  The
-    metric entries are built with folding constructors; at a = 1 they
-    collapse to the base expressions and direct evaluation reproduces the
-    base floats bit for bit.  Every closed form takes a point or a batch.
+    def fix(exprs):
+        return [substitute(e, {A: a}) for e in exprs]
+
+    man = structure.manifold
+    chart = ChartManifold(
+        man.coords, [fix(row) for row in man.metric], fix(man.constraints),
+        name=f"{man.name}={a:g}",
+    )
+    return AcmStructure(
+        chart, [fix(row) for row in structure.phi], fix(structure.xi),
+        eta=fix(structure.eta),
+    )
+
+
+class DeformedStructure:
+    """A deformed structure, over one value of a or a grid, plus closed
+    forms for its geometry.
+
+    ``a`` is one value or an (A,) array.  ``manifold`` carries g_bar with
+    entries a g_ij + a(a-1) eta_i eta_j in the symbol a, and ``structure``
+    the deformed (phi, xi/a, a eta); each is built and differentiated once,
+    whatever the number of values.  Direct computation evaluates them at
+    ``at(point)``, which binds a to the values, and every closed form takes
+    a point or a batch of the base and returns data of the same shape: the
+    a axis, if any, in front of the sample axis.  At a = 1 the entries and
+    their partials evaluate to the base floats bit for bit, since 1 g = g
+    and 1 (1 - 1) eta_i eta_j adds zero.
+
+    Deforming a structure that was itself deformed at one value of a first
+    sets that value in its expressions, so a names this deformation's
+    parameter alone.
     """
 
-    def __init__(self, base: AcmStructure, a: float,
-                 kenmotsu_tol: float = KENMOTSU_TOL):
-        a = float(a)
-        if not math.isfinite(a) or a <= 0.0:
+    def __init__(self, base: AcmStructure, a, kenmotsu_tol: float = KENMOTSU_TOL):
+        a = np.asarray(a, dtype=float)
+        bad = np.atleast_1d(~(np.isfinite(a) & (a > 0.0)))
+        if np.any(bad):
             raise StructureError(
-                f"deformation parameter must be positive and finite, got {a!r}"
+                "deformation parameter must be positive and finite, got "
+                f"{float(np.atleast_1d(a)[bad][0])!r}"
             )
+        if a.ndim > 1:
+            raise StructureError("deformation parameters must form a 1-d grid")
+        if base.reads_a:
+            inner = base.deformation
+            if inner is None or inner.a.ndim:
+                raise StructureError(
+                    "only a structure deformed at one value of a can be "
+                    "deformed again"
+                )
+            base = _fixed(base, float(inner.a))
         self.base = base
         self.a = a
         self.kenmotsu_tol = kenmotsu_tol
         man = base.manifold
         d = man.dim
-        ca = Const(a)
-        cb = Const(a * (a - 1.0))
+        pa = Coord(A)
+        pb = mul(pa, sub(pa, Const(1.0)))
         gbar = [[None] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
                 entry = add(
-                    mul(ca, man.metric[i][j]),
-                    mul(cb, mul(base.eta[i], base.eta[j])),
+                    mul(pa, man.metric[i][j]),
+                    mul(pb, mul(base.eta[i], base.eta[j])),
                 )
                 gbar[i][j] = entry
                 gbar[j][i] = entry
         self.manifold = ChartManifold(
-            man.coords, gbar, man.constraints, name=f"{man.name}|a={a:g}"
+            man.coords, gbar, man.constraints, name=f"{man.name}|a"
         )
-        inv_a = Const(1.0 / a)
+        inv_a = div(Const(1.0), pa)
         self.structure = AcmStructure(
             self.manifold,
             base.phi,
             tuple(mul(inv_a, c) for c in base.xi),
-            eta=tuple(mul(ca, c) for c in base.eta),
+            eta=tuple(mul(pa, c) for c in base.eta),
         )
+        self.structure.deformation = self
 
     @property
     def n(self) -> int:
         return self.base.n
+
+    def at(self, point):
+        """``point`` with a bound to this deformation's parameters."""
+        return with_a(point, self.a)
+
+    def _a(self, point, rank: int = 0) -> np.ndarray:
+        """The parameters shaped to scale rank-``rank`` data at ``point``."""
+        column = a_column(self.a, point)
+        return column.reshape(column.shape + (1,) * rank)
 
     def require_kenmotsu(self, point) -> None:
         res = kenmotsu_residual(self.base, point)
@@ -141,7 +199,7 @@ class DeformedStructure:
             raise NotKenmotsuError(
                 f"closed deformation forms need a Kenmotsu base; "
                 f"{self.base.manifold.name} has residual {first:.3e} at "
-                f"{first_sample(point, bad)}"
+                f"{locate(point, bad)}"
             )
 
     # -- metric-level closed forms ------------------------------------------
@@ -154,7 +212,7 @@ class DeformedStructure:
         """
         m = self.base.manifold.metric_at_cached(point)
         xi = self.base.xi_values(point)
-        a = self.a
+        a = self._a(point, 2)
         return m.inv / a - ((a - 1.0) / (a * a)) * outer(xi, xi)
 
     def christoffel_closed(self, point) -> np.ndarray:
@@ -164,33 +222,44 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         xi = self.base.xi_values(point)
         p = m.g - outer(eta, eta)
-        return gamma + ((self.a - 1.0) / self.a) * np.einsum(
-            "...ij,...l->...lij", p, xi
-        )
+        a = self._a(point, 3)
+        return gamma + ((a - 1.0) / a) * np.einsum("...ij,...l->...lij", p, xi)
+
+    def ricci_closed(self, point) -> dict:
+        """Ric and scal of g_bar from the base curvature."""
+        self.require_kenmotsu(point)
+        bundle = curvature_bundle(self.base.manifold, point)
+        eta = self.base.eta_values(point)
+        n = self.n
+        a = self._a(point)
+        q = (2.0 * n * (a - 1.0) / a)[..., None, None]
+        ric = bundle["Ric"] + q * (bundle["metric"].g - outer(eta, eta))
+        return {
+            "Ric": symmetric(ric, self.at(point)),
+            "scal": bundle["scal"] / a + 2.0 * n * (2 * n + 1) * (a - 1.0) / (a * a),
+        }
 
     def curvature_closed(self, point) -> dict:
         """R13, R04, Ric and scal of g_bar from the base curvature."""
-        self.require_kenmotsu(point)
+        out = self.ricci_closed(point)
         bundle = curvature_bundle(self.base.manifold, point)
         g = bundle["metric"].g
         eta = self.base.eta_values(point)
-        a = self.a
-        n = self.n
         p = g - outer(eta, eta)  # g(phi ., phi .)
         eye = np.eye(self.manifold.dim)
-        r13 = bundle["R13"] + ((a - 1.0) / a) * (
+        a = self._a(point, 4)
+        # each stacked (0, 4) tensor is summed in place, so at most two of
+        # them are alive at a time
+        r04 = a * bundle["R04"]
+        r04 += (a - 1.0) * deformation_curvature_term(g, eta)
+        r13 = ((a - 1.0) / a) * (
             np.einsum("...bc,la->...labc", p, eye)
             - np.einsum("...ac,lb->...labc", p, eye)
         )
-        r04 = a * bundle["R04"] + (a - 1.0) * deformation_curvature_term(g, eta)
-        ric = bundle["Ric"] + (2.0 * n * (a - 1.0) / a) * p
-        scal = bundle["scal"] / a + 2.0 * n * (2 * n + 1) * (a - 1.0) / (a * a)
-        return {
-            "R13": r13,
-            "R04": r04,
-            "Ric": symmetric(ric, point),
-            "scal": scal,
-        }
+        r13 += bundle["R13"]
+        out["R13"] = r13
+        out["R04"] = r04
+        return out
 
     # -- structure tensors ---------------------------------------------------
 
@@ -203,7 +272,7 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         g_phi = np.einsum("...mi,...mj->...ij", phi, m.g)
         return (
-            np.einsum("...ij,...k->...ikj", g_phi, xi) / self.a
+            np.einsum("...ij,...k->...ikj", g_phi, xi) / self._a(point, 3)
             - np.einsum("...j,...ki->...ikj", eta, phi)
         )
 
@@ -213,17 +282,18 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         xi = self.base.xi_values(point)
         d = self.manifold.dim
-        return (np.eye(d) - outer(eta, xi)) / self.a
+        return (np.eye(d) - outer(eta, xi)) / self._a(point, 2)
 
     def lie_reeb_closed(self, point) -> np.ndarray:
-        """L_{xi_bar} g_bar = 2 (g - eta (x) eta)."""
+        """L_{xi_bar} g_bar = 2 (g - eta (x) eta), the same for every a."""
         self.require_kenmotsu(point)
         m = self.base.manifold.metric_at_cached(point)
         eta = self.base.eta_values(point)
         return symmetric(2.0 * (m.g - outer(eta, eta)), point)
 
-    def div_reeb_closed(self) -> float:
-        return 2.0 * self.n / self.a
+    def div_reeb_closed(self, point=None):
+        """div_bar(xi_bar) = 2n/a, shaped for ``point`` when one is given."""
+        return 2.0 * self.n / self._a({} if point is None else point)
 
     # -- scalar operators ----------------------------------------------------
 
@@ -247,15 +317,16 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         xif, _ = self.xi_derivatives(f, point)
         p = m.g - outer(eta, eta)
+        a = self._a(point, 2)
         data = hessian(self.base.manifold, f, point)
-        data = data - ((self.a - 1.0) / self.a) * xif[..., None, None] * p
-        return symmetric(data, point)
+        data = data - ((a - 1.0) / a) * xif[..., None, None] * p
+        return symmetric(data, self.at(point))
 
     def gradient_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
         xi = self.base.xi_values(point)
         xif, _ = self.xi_derivatives(f, point)
-        a = self.a
+        a = self._a(point, 1)
         return grad(self.base.manifold, f, point) / a - (
             (a - 1.0) / (a * a)
         ) * xif[..., None] * xi
@@ -263,34 +334,18 @@ class DeformedStructure:
     def laplacian_closed(self, f: ScalarField, point):
         self.require_kenmotsu(point)
         xif, xixif = self.xi_derivatives(f, point)
-        a = self.a
+        a = self._a(point)
         return (
             laplacian(self.base.manifold, f, point) / a
             - 2.0 * self.n * (a - 1.0) / (a * a) * xif
             - (a - 1.0) / (a * a) * xixif
         )
 
-    # -- inner products ------------------------------------------------------
 
-    def inner_pa(self, t1, t2, point):
-        """<T1, T2>_{g_bar} from base data.
-
-        Exact when i_xi T = T(xi,xi) eta holds for both arguments; the
-        symmetric tensors of the norm battery all satisfy it over a
-        Kenmotsu base.
-        """
-        self.require_kenmotsu(point)
-        m = self.base.manifold.metric_at_cached(point)
-        xi = self.base.xi_values(point)
-        a2 = self.a * self.a
-        t1xx = np.einsum("...i,...ij,...j->...", xi, t1, xi)
-        t2xx = np.einsum("...i,...ij,...j->...", xi, t2, xi)
-        return hs_inner(t1, t2, m) / a2 - (a2 - 1.0) / (a2 * a2) * t1xx * t2xx
-
-
-def deform(structure: AcmStructure, a: float,
+def deform(structure: AcmStructure, a,
            kenmotsu_tol: float = KENMOTSU_TOL) -> DeformedStructure:
-    """Deformed structure for parameter a > 0 (a = 1 is the identity)."""
+    """Deformed structure for a parameter a > 0 (a = 1 is the identity),
+    or for a 1-d grid of them at once."""
     return DeformedStructure(structure, a, kenmotsu_tol)
 
 
@@ -311,6 +366,32 @@ _BATTERY_PAIRS = (
 )
 
 
+def _base_tensor(structure: AcmStructure, name: str, point, f=None):
+    """g, Ric, Hess(f) or eta (x) eta of the base, by name."""
+    man = structure.manifold
+    if name == "g":
+        return man.metric_at_cached(point).g
+    if name == "ric":
+        return curvature_bundle(man, point)["Ric"]
+    if name == "hess":
+        return hessian(man, f, point)
+    eta = structure.eta_values(point)
+    return outer(eta, eta)
+
+
+def base_inner(structure: AcmStructure, pair: tuple, point, f=None):
+    """<T1, T2>_g of two base tensors named as in ``_BATTERY_PAIRS``.
+
+    Memoised on a batch, so each pairing is contracted once per run
+    whichever battery or bound asks for it; ``f`` is needed for "hess".
+    """
+    key = (structure, pair, f if "hess" in pair else None, "inner")
+    return memoised(point, key, lambda p: hs_inner(
+        *(_base_tensor(structure, name, p, f) for name in pair),
+        structure.manifold.metric_at_cached(p),
+    ), reads_a=False)
+
+
 def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     """All g_bar inner products among g, Ric, Hess(f) and eta (x) eta.
 
@@ -318,49 +399,49 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     against the deformed inverse metric), ``transfer`` (the base-data
     inner-product formula) and ``closed`` (the fully reduced form, which over
     a Kenmotsu base needs only scal, Lap(f), xi-derivatives of f and the
-    base norms).  Constant closed forms are plain floats.
+    base norms).  Each holds one value per a and sample.
     """
     ds.require_kenmotsu(point)
-    base_man = ds.base.manifold
-    bundle = curvature_bundle(base_man, point)
-    m = bundle["metric"]
+    base = ds.base
     n = ds.n
-    a2 = ds.a * ds.a
+    a2 = a_column(ds.a, point) ** 2
     a4 = a2 * a2
-    eta = ds.base.eta_values(point)
     tensors = {
-        "g": m.g,
-        "ric": bundle["Ric"],
-        "hess": hessian(base_man, f, point),
-        "etaeta": outer(eta, eta),
+        name: _base_tensor(base, name, point, f)
+        for name in ("g", "ric", "hess", "etaeta")
     }
+    xi = base.xi_values(point)
+    reeb = {
+        name: np.einsum("...i,...ij,...j->...", xi, t, xi)
+        for name, t in tensors.items()
+    }
+    inner = {pair: base_inner(base, pair, point, f) for pair in _BATTERY_PAIRS}
     xif, xixif = ds.xi_derivatives(f, point)
-    scal = bundle["scal"]
-    lap = laplacian(base_man, f, point)
-    ric_sq = hs_inner(tensors["ric"], tensors["ric"], m)
-    ric_hess = hs_inner(tensors["ric"], tensors["hess"], m)
-    hess_sq = hs_inner(tensors["hess"], tensors["hess"], m)
+    scal = curvature_bundle(base.manifold, point)["scal"]
+    lap = laplacian(base.manifold, f, point)
     closed = {
         ("g", "g"): (2 * n * a2 + 1.0) / a4,
         ("g", "ric"): scal / a2 + 2 * n * (a2 - 1.0) / a4,
         ("g", "hess"): lap / a2 - (a2 - 1.0) / a4 * xixif,
         ("g", "etaeta"): 1.0 / a4,
-        ("ric", "ric"): ric_sq / a2 - 4 * n * n * (a2 - 1.0) / a4,
-        ("ric", "hess"): ric_hess / a2 + 2 * n * (a2 - 1.0) / a4 * xixif,
+        ("ric", "ric"): inner[("ric", "ric")] / a2 - 4 * n * n * (a2 - 1.0) / a4,
+        ("ric", "hess"): inner[("ric", "hess")] / a2
+        + 2 * n * (a2 - 1.0) / a4 * xixif,
         ("ric", "etaeta"): -2.0 * n / a4,
-        ("hess", "hess"): hess_sq / a2 - (a2 - 1.0) / a4 * xixif * xixif,
+        ("hess", "hess"): inner[("hess", "hess")] / a2
+        - (a2 - 1.0) / a4 * xixif * xixif,
         ("hess", "etaeta"): xixif / a4,
         ("etaeta", "etaeta"): 1.0 / a4,
     }
-    mbar = ds.manifold.metric_at_cached(point)
+    mbar = ds.manifold.metric_at_cached(ds.at(point))
     out = []
     for k1, k2 in _BATTERY_PAIRS:
-        t1, t2 = tensors[k1], tensors[k2]
         out.append(
             {
                 "pair": f"{k1}-{k2}",
-                "direct": hs_inner(t1, t2, mbar),
-                "transfer": ds.inner_pa(t1, t2, point),
+                "direct": hs_inner(tensors[k1], tensors[k2], mbar),
+                "transfer": inner[(k1, k2)] / a2
+                - (a2 - 1.0) / a4 * reeb[k1] * reeb[k2],
                 "closed": closed[(k1, k2)],
             }
         )
@@ -378,9 +459,10 @@ def harmonic_transfer(ds: DeformedStructure, f: ScalarField, points,
         Hess(f)(xi, xi) = -2n eta(grad f)
     holds; since Lap f = 0 makes the deformed Laplacian a multiple of
     2n xi(f) + xi(xi(f)) that is the content of the closed form above.  The
-    check is evaluated over the batch ``points`` at the parameter of ``ds``
-    and reported as not applicable when f is not harmonic to begin with.  A
-    non-finite value raises StructureError naming the first such sample.
+    check is evaluated over the batch ``points`` at each parameter of
+    ``ds``, and reported as not applicable when f is not harmonic to begin
+    with; what depends on a holds one value per parameter.  A non-finite
+    value raises StructureError naming the first such sample.
     """
     structure = ds.base
     man = structure.manifold
@@ -398,10 +480,10 @@ def harmonic_transfer(ds: DeformedStructure, f: ScalarField, points,
     finite = np.isfinite(lap) & np.isfinite(lap_bar) & np.isfinite(condition)
     if not np.all(finite):
         raise StructureError(
-            f"harmonic transfer not finite at {first_sample(points, ~finite)}"
+            f"harmonic transfer not finite at {locate(ds.at(points), ~finite)}"
         )
     max_lap = float(np.max(np.abs(lap)))
-    max_lap_bar = float(np.max(np.abs(lap_bar)))
+    max_lap_bar = np.max(np.abs(lap_bar).reshape(ds.a.shape + (-1,)), axis=-1)
     max_condition = float(np.max(np.abs(condition)))
     harmonic = max_lap <= tol
     return {
@@ -416,12 +498,12 @@ def harmonic_transfer(ds: DeformedStructure, f: ScalarField, points,
     }
 
 
-def ricci_norm_bound(structure: AcmStructure, point, a: float) -> dict:
+def ricci_norm_bound(structure: AcmStructure, point, a) -> dict:
     """|Ric|_g^2 >= 4 n^2 (a^2 - 1)/a^2, forced by |Ric_bar|^2 >= 0."""
-    bundle = curvature_bundle(structure.manifold, point)
-    ric_sq = hs_inner(bundle["Ric"], bundle["Ric"], bundle["metric"])
+    ric_sq = base_inner(structure, ("ric", "ric"), point)
     n = structure.n
-    bound = 4.0 * n * n * (a * a - 1.0) / (a * a)
+    a2 = a_column(a, point) ** 2
+    bound = 4.0 * n * n * (a2 - 1.0) / a2
     return {
         "ric_norm_sq": ric_sq,
         "bound": bound,

@@ -6,7 +6,9 @@ functions exp, log, sin, cos, tan, sinh, cosh, tanh, sqrt.  Trees are
 immutable and hashable, evaluation is plain IEEE double arithmetic, and
 differentiation is exact and closed over the same node set, so rounding
 during evaluation is the only numerical error introduced downstream.
-Evaluation takes a single point or a whole batch of sample points at once.
+Evaluation takes a single point or a whole batch of sample points at once;
+a point may also bind the reserved symbol ``a``, the deformation parameter,
+to one value or to a column of values in front of the sample axis.
 
 Everything here is pure; trees may be shared and evaluated concurrently.
 """
@@ -22,8 +24,8 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "Coord", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "ExprError", "ParseError", "EvalError", "FUNCTIONS", "CONSTANTS",
-    "parse_expr", "evaluate", "first_sample", "diff", "substitute",
+    "ExprError", "ParseError", "EvalError", "FUNCTIONS", "CONSTANTS", "A",
+    "parse_expr", "evaluate", "locate", "a_tag", "diff", "substitute",
     "simplify_basic", "render",
     "coordinates_of", "add", "sub", "mul", "div", "neg", "pow_", "call",
 ]
@@ -43,9 +45,10 @@ class ParseError(ExprError):
 
 class EvalError(ExprError):
     """Domain violation during evaluation; carries the offending subtree
-    and, for a domain error, the first sample where it occurs."""
+    and, for a domain error, the first sample where it occurs (the text
+    ``locate`` gives)."""
 
-    def __init__(self, message: str, subtree: "Expr", sample: dict = None):
+    def __init__(self, message: str, subtree: "Expr", sample: str = None):
         where = "" if sample is None else f" at sample {sample}"
         super().__init__(f"{message} in '{render(subtree)}'{where}")
         self.subtree = subtree
@@ -159,6 +162,9 @@ FUNCTIONS: Mapping[str, Callable] = {
 
 CONSTANTS: Mapping[str, float] = {"pi": math.pi, "e": math.e}
 
+# the reserved symbol of the deformation parameter
+A = "a"
+
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
 
@@ -268,23 +274,32 @@ def evaluate(e: Expr, point: Mapping):
         return _evaluate(e, point)
 
 
-def first_sample(point: Mapping, flags) -> dict:
-    """The sample of ``point`` at which ``flags`` first holds.
+def a_tag(a) -> str:
+    """The tag naming one value of the deformation parameter, ``[a=...]``,
+    in check ids and messages."""
+    return f"[a={float(a):g}]"
 
-    ``point`` is a single point or a batch (values of shape (N,)); ``flags``
-    broadcasts against it.  Returns the sample's values as a plain dict.
+
+def locate(point, flags) -> str:
+    """The sample of ``point`` at which ``flags`` first holds, as text.
+
+    ``point`` is a single point or a batch (values of shape (N,)) and may
+    bind the symbol a to a column of shape (A, 1); ``flags`` broadcasts
+    against it.  Samples are taken in row-major order, the first a first.
+    The text is the sample's coordinates as a plain dict, followed by the
+    ``a_tag`` of its a when ``point`` binds one.
     """
     values = {k: np.asarray(v, dtype=float) for k, v in point.items()}
-    shape = np.broadcast_shapes(*(v.shape for v in values.values()))
-    if not shape:
-        return {k: float(v) for k, v in values.items()}
+    shape = np.broadcast_shapes(np.shape(flags), *(v.shape for v in values.values()))
     i = int(np.argmax(np.broadcast_to(flags, shape)))
-    return {k: float(v if v.ndim == 0 else v[i]) for k, v in values.items()}
+    at = {k: float(np.broadcast_to(v, shape).flat[i]) for k, v in values.items()}
+    a = at.pop(A, None)
+    return f"{at}" if a is None else f"{at} {a_tag(a)}"
 
 
 def _refuse(bad, message: str, e: Expr, point) -> None:
     if np.any(bad):
-        raise EvalError(message, e, first_sample(point, bad))
+        raise EvalError(message, e, locate(point, bad))
 
 
 def _evaluate(e: Expr, point):

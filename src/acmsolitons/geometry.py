@@ -5,7 +5,12 @@ symmetric metric of expressions, and optional open-domain constraints
 (expressions required to be strictly positive).  All geometry is evaluated
 at a point, a mapping coordinate -> float, or at a whole batch of sample
 points at once, a ``Samples`` mapping coordinate -> (N,) array; batched
-results carry the sample axis in front of the tensor axes.  The symbolic
+results carry the sample axis in front of the tensor axes.  Expressions may
+also read the reserved symbol a, the deformation parameter, which a point
+binds with ``with_a``: to one value, or to an (A,) array that puts an a
+axis in front of the sample axis, so an (A, N) batch evaluates every value
+of a at once.  Whatever reads no a is computed without it, on the samples
+alone, and broadcasts against the a axis.  The symbolic
 layer only ever differentiates the defining expressions, so each operator
 below matches its textbook coordinate formula exactly:
 
@@ -25,13 +30,18 @@ R(X, Y) xi = eta(X) Y - eta(Y) X and Ric(xi, xi) = -2n.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .expr import Const, EvalError, Expr, diff, evaluate, first_sample, mul
+from .expr import (
+    A, Const, EvalError, Expr, coordinates_of, diff, evaluate, locate, mul,
+)
 from .tensor import MetricData, StructureError, max_abs, outer, symmetric
 
 __all__ = [
-    "Samples", "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
+    "Samples", "with_a", "a_column", "memoised",
+    "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
     "christoffel", "christoffel_partials", "riemann", "ricci", "scalar_curv",
     "curvature_bundle", "lie_derivative_metric", "grad", "hessian",
     "divergence", "laplacian", "gradient_lie_derivative",
@@ -50,12 +60,14 @@ class Samples(dict):
     Hessians of scalar fields, Kenmotsu residuals, the values and partials
     of fields) is memoised on it, keyed by the chart, structure or field it
     belongs to, or by the expressions evaluated, so each is computed once
-    per batch whichever suite asks first.
+    per batch whichever suite asks first.  A batch that binds the symbol a
+    (see ``with_a``) keeps the batch it binds as ``parent``.
     """
 
-    def __init__(self, values):
+    def __init__(self, values, parent=None):
         super().__init__(values)
         self.memo = {}
+        self.parent = parent
 
     @classmethod
     def stack(cls, points) -> "Samples":
@@ -65,8 +77,14 @@ class Samples(dict):
         })
 
     @property
+    def shape(self) -> tuple:
+        """(N,), or (A, N) when a is bound to A values."""
+        return _shape(self)
+
+    @property
     def count(self) -> int:
-        return len(next(iter(self.values())))
+        """The number of sample points N."""
+        return self.shape[-1]
 
     def points(self) -> list:
         """The samples as single points, in order."""
@@ -76,26 +94,73 @@ class Samples(dict):
         ]
 
 
-def _memo(point, key, compute):
-    """``compute()``, memoised under ``key`` when ``point`` is a batch
-    (a single point carries no memo)."""
+def _shape(point) -> tuple:
+    """The sample shape of a point: () for one point, (N,) for a batch,
+    with the a axis in front when a is bound to an array."""
+    return np.broadcast_shapes(*(np.shape(v) for v in point.values()))
+
+
+def _unbound(point):
+    """``point`` without the symbol a: the batch a bound batch binds, or a
+    single point with a dropped."""
+    parent = getattr(point, "parent", None)
+    if parent is not None:
+        return parent
+    if A in point:
+        return {k: v for k, v in point.items() if k != A}
+    return point
+
+
+def a_column(a, point) -> np.ndarray:
+    """``a``, one value or an (A,) array, shaped to broadcast in front of
+    the sample axes of ``point``."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(a.shape + (1,) * len(_shape(_unbound(point))))
+
+
+def with_a(point, a):
+    """``point`` with the symbol a bound to ``a``, one value or an (A,)
+    array; an array gives an a axis in front of the sample axis.
+
+    Binding a batch gives a batch memoised on it, so every caller binding
+    the same values shares one bound batch and what is memoised on it.
+    """
+    base = _unbound(point)
+    column = a_column(a, base)
+    if not isinstance(base, Samples):
+        return {**base, A: column}
+    return memoised(
+        base, (A, column.shape, column.tobytes()),
+        lambda b: Samples({**b, A: column}, parent=b),
+    )
+
+
+def memoised(point, key, compute, reads_a=True):
+    """``compute(p)``, memoised under ``key`` when ``p`` is a batch (a
+    single point carries no memo).
+
+    ``p`` is ``point``; for a quantity that does not read the symbol a
+    (``reads_a`` false) it is ``_unbound(point)``, so base data is computed
+    on the samples alone and shared by every binding of a.
+    """
+    if not reads_a:
+        point = _unbound(point)
     memo = getattr(point, "memo", None)
     if memo is None:
-        return compute()
+        return compute(point)
     found = memo.get(key)
     if found is None:
-        found = memo[key] = compute()
+        found = memo[key] = compute(point)
     return found
 
 
-def _shape(point) -> tuple:
-    """The sample shape of a point, () for one point and (N,) for a batch."""
-    return np.broadcast_shapes(*(np.shape(v) for v in point.values()))
+def _reads_a(exprs) -> bool:
+    return any(A in coordinates_of(e) for e in exprs)
 
 
 def _evaluate_all(exprs, point, dims) -> np.ndarray:
     """Evaluate a flat sequence of expressions into components of shape
-    ``dims``, behind the sample axis of ``point``."""
+    ``dims``, behind the sample axes of ``point``."""
     shape = _shape(point)
     out = np.empty(shape + (len(exprs),))
     for k, e in enumerate(exprs):
@@ -103,15 +168,15 @@ def _evaluate_all(exprs, point, dims) -> np.ndarray:
     return out.reshape(shape + dims)
 
 
-def _values(exprs, point, dims) -> np.ndarray:
+def _values(exprs, point, dims, reads_a) -> np.ndarray:
     """``_evaluate_all``, memoised on a batch by the expressions themselves.
 
     A field's values and partials are evaluated once per batch whichever
     operator asks; callers must not write into the result.
     """
     exprs = tuple(exprs)
-    return _memo(point, (exprs, dims),
-                 lambda: _evaluate_all(exprs, point, dims))
+    return memoised(point, (exprs, dims),
+                    lambda p: _evaluate_all(exprs, p, dims), reads_a)
 
 
 def _swap(t: np.ndarray) -> np.ndarray:
@@ -120,7 +185,7 @@ def _swap(t: np.ndarray) -> np.ndarray:
 
 def _refuse(bad, message: str, point) -> None:
     if np.any(bad):
-        raise StructureError(f"{message} at {first_sample(point, bad)}")
+        raise StructureError(f"{message} at {locate(point, bad)}")
 
 
 class ChartManifold:
@@ -167,6 +232,13 @@ class ChartManifold:
                 for k in range(d)
             )
             for cl in self.coords
+        )
+
+    @cached_property
+    def reads_a(self) -> bool:
+        """Whether the metric or a constraint reads the symbol a."""
+        return _reads_a(
+            [e for row in self.metric for e in row] + list(self.constraints)
         )
 
     @property
@@ -245,9 +317,13 @@ class ChartManifold:
                             self._d2g[l][k][i][j], point
                         )
         self._finite(out, 4, "metric second partials", point)
-        # mixed partials commute; symmetrize away evaluation-order noise
-        out += np.swapaxes(out, -4, -3)
-        out *= 0.5
+        # mixed partials commute; symmetrize away evaluation-order noise,
+        # one pair (l, k) at a time so no copy of ``out`` is made
+        for l in range(d):
+            for k in range(l + 1, d):
+                mean = out[..., l, k, :, :] + out[..., k, l, :, :]
+                mean *= 0.5
+                out[..., l, k, :, :] = out[..., k, l, :, :] = mean
         return out
 
     def metric_at_cached(self, point) -> MetricData:
@@ -258,7 +334,7 @@ class ChartManifold:
         the identity to 1e-10.  Failure raises StructureError naming the
         first offending sample.
         """
-        return _memo(point, (self, "metric"), lambda: self._metric_data(point))
+        return memoised(point, (self, "metric"), self._metric_data, self.reads_a)
 
     def _metric_data(self, point) -> MetricData:
         g = symmetric(self.metric_values(point), point)
@@ -344,12 +420,17 @@ def _check_curvature_symmetries(r04: np.ndarray, name, point):
         "pair interchange symmetry",
         "first Bianchi identity",
     )
+
+    def bianchi():
+        out = r04 + np.einsum("...cabd->...abcd", r04)
+        out += np.einsum("...bcad->...abcd", r04)
+        return out
+
     residuals = (
         lambda: r04 + np.einsum("...bacd->...abcd", r04),
         lambda: r04 + np.einsum("...abdc->...abcd", r04),
         lambda: r04 - np.einsum("...cdab->...abcd", r04),
-        lambda: r04 + np.einsum("...cabd->...abcd", r04)
-        + np.einsum("...bcad->...abcd", r04),
+        bianchi,
     )
     tol = _CURVATURE_SYMMETRY_TOL * np.maximum(max_abs(r04, 4), 1.0)
     # one residual tensor at a time keeps a large batch's peak memory low
@@ -361,15 +442,15 @@ def _check_curvature_symmetries(r04: np.ndarray, name, point):
         k = int(np.argmax(rows[s]))
         raise StructureError(
             f"{labels[k]} fails on {name} at "
-            f"{first_sample(point, bad.any(axis=-1))} "
+            f"{locate(point, bad.any(axis=-1))} "
             f"(residual {worst.reshape(-1, len(labels))[s, k]:.3e})"
         )
 
 
 def curvature_bundle(manifold, point) -> dict:
     """All curvature data at ``point``, memoised on a batch."""
-    return _memo(point, (manifold, "curvature"),
-                 lambda: _curvature(manifold, point))
+    return memoised(point, (manifold, "curvature"),
+                    lambda p: _curvature(manifold, p), manifold.reads_a)
 
 
 def _riemann_tensors(gamma, dgamma, g):
@@ -377,11 +458,15 @@ def _riemann_tensors(gamma, dgamma, g):
 
     R13[l,a,b,c] = d_a Gamma^l_bc - d_b Gamma^l_ac
                  + Gamma^l_am Gamma^m_bc - Gamma^l_bm Gamma^m_ac
+
+    ``dgamma`` is released once R13 no longer needs it, so a caller that
+    passes its only reference keeps one fewer (0, 4) array alive.
     """
     d = g.shape[-1]
     shape = dgamma.shape
     lead = shape[:-4]
     r13 = np.einsum("...albc->...labc", dgamma) - np.einsum("...blac->...labc", dgamma)
+    del dgamma
     # gg[l,a,b,c] = Gamma^l_am Gamma^m_bc; the second product is gg with
     # a and b swapped
     gg = gamma.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
@@ -396,9 +481,9 @@ def _riemann_tensors(gamma, dgamma, g):
 def _curvature(manifold, point) -> dict:
     m = manifold.metric_at_cached(point)
     gamma = 0.5 * np.einsum("...lk,...ijk->...lij", m.inv, _gamma_combo(m.dg))
-    dgamma = christoffel_partials(manifold, point)
-    r13, r04 = _riemann_tensors(gamma, dgamma, m.g)
-    del dgamma
+    r13, r04 = _riemann_tensors(
+        gamma, christoffel_partials(manifold, point), m.g
+    )
     _check_curvature_symmetries(r04, manifold.name, point)
     ric = np.einsum("...aabc->...bc", r13)
     return {
@@ -431,6 +516,10 @@ class ScalarField:
         self._d = {}
         self._dd = {}
 
+    @cached_property
+    def reads_a(self) -> bool:
+        return _reads_a((self.expr,))
+
     def partial(self, coord: str) -> Expr:
         found = self._d.get(coord)
         if found is None:
@@ -450,7 +539,8 @@ class ScalarField:
         return evaluate(self.expr, point)
 
     def gradient_covector(self, coords, point) -> np.ndarray:
-        return _values([self.partial(c) for c in coords], point, (len(coords),))
+        return _values([self.partial(c) for c in coords], point, (len(coords),),
+                       self.reads_a)
 
     def second_partials(self, coords, point) -> np.ndarray:
         d = len(coords)
@@ -459,7 +549,7 @@ class ScalarField:
             self.second_partial(coords[min(i, j)], coords[max(i, j)])
             for i in range(d) for j in range(d)
         ]
-        return _values(exprs, point, (d, d))
+        return _values(exprs, point, (d, d), self.reads_a)
 
 
 class VectorField:
@@ -469,8 +559,13 @@ class VectorField:
         self.components = tuple(components)
         self._d = {}
 
+    @cached_property
+    def reads_a(self) -> bool:
+        return _reads_a(self.components)
+
     def values(self, coords, point) -> np.ndarray:
-        return _values(self.components, point, (len(self.components),))
+        return _values(self.components, point, (len(self.components),),
+                       self.reads_a)
 
     def partial_exprs(self, coord: str):
         found = self._d.get(coord)
@@ -483,7 +578,7 @@ class VectorField:
         """dV[i, k] = d_i V^k."""
         d = len(coords)
         exprs = [e for c in coords for e in self.partial_exprs(c)]
-        return _values(exprs, point, (d, d))
+        return _values(exprs, point, (d, d), self.reads_a)
 
 
 def lie_derivative_metric(manifold, field: VectorField, point) -> np.ndarray:
@@ -512,8 +607,9 @@ def grad(manifold, f: ScalarField, point) -> np.ndarray:
 
 def hessian(manifold, f: ScalarField, point) -> np.ndarray:
     """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f, memoised on a batch."""
-    return _memo(point, (manifold, f, "hessian"),
-                 lambda: _hessian(manifold, f, point))
+    return memoised(point, (manifold, f, "hessian"),
+                    lambda p: _hessian(manifold, f, p),
+                    manifold.reads_a or f.reads_a)
 
 
 def _hessian(manifold, f: ScalarField, point) -> np.ndarray:
@@ -588,6 +684,8 @@ class AcmStructure:
                 for i in range(d)
             )
         self.eta = tuple(eta)
+        # the DeformedStructure this is the deformed structure of, if any
+        self.deformation = None
         self._dphi = {}
         self._dxi = {}
         self._xi_field = None
@@ -596,6 +694,13 @@ class AcmStructure:
     def n(self) -> int:
         return self.manifold.n
 
+    @cached_property
+    def reads_a(self) -> bool:
+        """Whether the chart or one of phi, xi, eta reads the symbol a."""
+        return self.manifold.reads_a or _reads_a(
+            [e for row in self.phi for e in row] + list(self.xi) + list(self.eta)
+        )
+
     # phi and its partials are read once or twice per structure and batch,
     # so they are not memoised: that keeps a large batch's memory down
     def phi_values(self, point) -> np.ndarray:
@@ -603,10 +708,10 @@ class AcmStructure:
         return _evaluate_all([e for row in self.phi for e in row], point, (d, d))
 
     def xi_values(self, point) -> np.ndarray:
-        return _values(self.xi, point, (len(self.xi),))
+        return _values(self.xi, point, (len(self.xi),), self.reads_a)
 
     def eta_values(self, point) -> np.ndarray:
-        return _values(self.eta, point, (len(self.eta),))
+        return _values(self.eta, point, (len(self.eta),), self.reads_a)
 
     def phi_partials(self, point) -> np.ndarray:
         """dphi[k, i, j] = d_k phi^i_j."""
@@ -632,7 +737,7 @@ class AcmStructure:
                 row = tuple(diff(c, ck) for c in self.xi)
                 self._dxi[ck] = row
             exprs.extend(row)
-        return _values(exprs, point, (d, d))
+        return _values(exprs, point, (d, d), self.reads_a)
 
     def xi_field(self) -> VectorField:
         if self._xi_field is None:
@@ -677,7 +782,7 @@ class AcmStructure:
         }
 
     def acm_residual(self, point):
-        return np.max(np.stack(tuple(self.validate(point).values())), axis=0)
+        return np.max(np.broadcast_arrays(*self.validate(point).values()), axis=0)
 
 
 def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> np.ndarray:
@@ -709,8 +814,8 @@ def kenmotsu_details(structure: AcmStructure, point) -> dict:
     and the corollary checked alongside is nabla xi = I - eta (x) xi.
     Memoised on a batch.
     """
-    return _memo(point, (structure, "kenmotsu"),
-                 lambda: _kenmotsu(structure, point))
+    return memoised(point, (structure, "kenmotsu"),
+                    lambda p: _kenmotsu(structure, p), structure.reads_a)
 
 
 def _kenmotsu(structure: AcmStructure, point) -> dict:

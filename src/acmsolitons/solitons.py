@@ -19,7 +19,10 @@ and tracing again
 the ricci trace is scal = (2n+1) lambda - div V.  Residuals are reported as
 max-abs over components, so the traced residuals are controlled by the full
 ones through the inverse-metric entries.  Every function takes a point or
-a batch of sample points, and returns per-sample values for a batch.
+a batch of sample points, and returns per-sample values for a batch.  A
+deformation parameter ``a`` is one value or an (A,) array of them; an
+array puts an a axis in front of the sample axis of what depends on a,
+while base data is computed on the samples alone and broadcasts.
 
 For a deformed Kenmotsu frame the lambda of each scenario is pinned:
 
@@ -40,15 +43,17 @@ inequalities for the gradient scenario are implemented below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .deformation import DeformedStructure, deformation_curvature_term
-from .expr import Expr, evaluate, substitute
+from .deformation import DeformedStructure, base_inner, deformation_curvature_term
+from .expr import Expr, evaluate
 from .geometry import (
     AcmStructure,
     ScalarField,
     VectorField,
+    a_column,
     covariant_derivative,
     curvature_bundle,
     divergence,
@@ -57,6 +62,8 @@ from .geometry import (
     hessian,
     laplacian,
     lie_derivative_metric,
+    memoised,
+    with_a,
 )
 from .tensor import (
     StructureError, hs_inner, kulkarni_nomizu, max_abs, outer, symmetric,
@@ -104,8 +111,8 @@ class SolitonCandidate:
     The potential is an explicit vector field, the gradient of a scalar, or
     the Reeb field of whatever frame the candidate is evaluated in.
     Component and lambda expressions may reference the reserved symbol
-    ``a``, which stands for the frame's deformation parameter (1 in an
-    undeformed frame); that way a single candidate describes the whole
+    ``a``, which the frame's batch binds to its deformation parameters (1
+    in an undeformed frame); that way a single candidate describes the whole
     deformation family.
     """
 
@@ -130,13 +137,20 @@ class SolitonCandidate:
                 f"candidate {self.name!r} needs a scalar potential"
             )
 
+    @cached_property
+    def field(self) -> VectorField:
+        """The explicit vector potential, shared by every frame."""
+        return VectorField(self.components)
+
 
 # ---------------------------------------------------------------------------
 # Frames
 
 class Frame:
-    """Soliton quantities of one structure, with the symbol a set to ``a``.
+    """Soliton quantities of one structure, with the symbol a bound to ``a``.
 
+    ``a`` is one value or an (A,) array; the frame evaluates at ``at(point)``,
+    which binds a there, so a grid of values is one (A, N) batch.
     Everything is computed directly on the structure's own chart.  For a
     deformed structure that chart carries g_bar, so no closed form enters a
     soliton residual; the closed forms are checked against the same direct
@@ -144,41 +158,38 @@ class Frame:
     structure is ``Frame(structure, 1.0)``.
     """
 
-    def __init__(self, structure: AcmStructure, a: float):
+    def __init__(self, structure: AcmStructure, a):
         self.structure = structure
         self.manifold = structure.manifold
-        self.a = float(a)
-        self._fields = {}
+        self.a = np.asarray(a, dtype=float)
 
     @property
     def n(self) -> int:
         return self.structure.n
 
-    def bind(self, e: Expr) -> Expr:
-        """``e`` with the symbol a set to this frame's parameter."""
-        return substitute(e, {"a": self.a})
+    def at(self, point):
+        """``point`` with a bound to this frame's parameters."""
+        return with_a(point, self.a)
 
     def _field(self, candidate) -> VectorField:
         if candidate.potential == "reeb":
             return self.structure.xi_field()
-        found = self._fields.get(candidate.name)
-        if found is None:
-            found = VectorField(self.bind(c) for c in candidate.components)
-            self._fields[candidate.name] = found
-        return found
+        return candidate.field
 
     def lie_metric(self, candidate, point) -> np.ndarray:
+        point = self.at(point)
         if candidate.potential == "gradient":
             return gradient_lie_derivative(self.manifold, candidate.scalar, point)
         return lie_derivative_metric(self.manifold, self._field(candidate), point)
 
     def div_potential(self, candidate, point):
+        point = self.at(point)
         if candidate.potential == "gradient":
             return laplacian(self.manifold, candidate.scalar, point)
         return divergence(self.manifold, self._field(candidate), point)
 
     def lam_value(self, candidate, point):
-        return evaluate(self.bind(candidate.lam), point)
+        return evaluate(candidate.lam, self.at(point))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +203,7 @@ def soliton_residuals(frame: Frame, candidate, point) -> dict:
     candidates the full and scalar ones.
     """
     n = frame.n
+    point = frame.at(point)
     bundle = curvature_bundle(frame.manifold, point)
     g = bundle["metric"].g
     ric = bundle["Ric"]
@@ -206,8 +218,10 @@ def soliton_residuals(frame: Frame, candidate, point) -> dict:
         return out
     if 2 * n - 1 <= 0:
         raise StructureError("traced soliton equations need dimension >= 3")
-    # L_V g o g - lambda g o g as one product: o is linear in each slot
-    full = 2.0 * bundle["R04"] + kulkarni_nomizu(lie - _tensor(lam) * g, g)
+    # L_V g o g - lambda g o g as one product: o is linear in each slot;
+    # summed in place, so one (0, 4) temporary is alive at a time
+    full = kulkarni_nomizu(lie - _tensor(lam) * g, g)
+    full += 2.0 * bundle["R04"]
     eq4 = (
         0.5 * lie
         + ric / (2 * n - 1)
@@ -235,14 +249,15 @@ def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
 
 
 def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
-                   a: float, *, vector: VectorField = None,
+                   a, *, vector: VectorField = None,
                    scalar: ScalarField = None):
     """The lambda pinned by (kind, scenario) over a Kenmotsu base.
 
     All inputs are base-frame quantities; ``a`` is the deformation
-    parameter of the frame the soliton lives in.
+    parameter of the frame the soliton lives in, or an array of them.
     """
     n = structure.n
+    a = a_column(a, point)
     a2 = a * a
     if scenario == "reeb":
         if kind == "riemann":
@@ -277,7 +292,17 @@ def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
 # ---------------------------------------------------------------------------
 # Curvature implied by the Reeb scenario
 
-def implied_curvature(kind: str, structure: AcmStructure, point, a: float) -> dict:
+def _reeb_forced(kind: str, g, ee, n: int):
+    """The base Ricci tensor and, for the riemann kind, the (0,4) curvature
+    forced by a deformed-Reeb soliton."""
+    if kind == "riemann":
+        return -(4 * n - 1.0) * g + (2 * n - 1.0) * ee, kulkarni_nomizu(g, ee - g)
+    if kind == "ricci":
+        return -(2 * n + 1.0) * g + ee, None
+    raise StructureError(f"unknown soliton kind {kind!r}")
+
+
+def implied_curvature(kind: str, structure: AcmStructure, point, a) -> dict:
     """Base curvature forced by a deformed-Reeb soliton.
 
     Returns the implied Ricci tensor and scalar curvature, the stated value
@@ -290,32 +315,25 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a: float) -> di
     callers must not treat them as an identity.
     """
     m = structure.manifold.metric_at_cached(point)
-    g = m.g
     eta = structure.eta_values(point)
     n = structure.n
-    ee = outer(eta, eta)
-    out = {}
+    ric, r04 = _reeb_forced(kind, m.g, outer(eta, eta), n)
+    out = {"lambda_bar": theorem_lambda(kind, "reeb", structure, point, a)}
     if kind == "riemann":
-        ric = -(4 * n - 1.0) * g + (2 * n - 1.0) * ee
         out["scal"] = -8.0 * n * n
         out["ric_norm_stated"] = float(2 * n * (16 * n * n - 6 * n + 1))
-        out["lambda_bar"] = (a - 1.0) / (a * a)
-        out["r04"] = kulkarni_nomizu(g, ee - g)
-    elif kind == "ricci":
-        ric = -(2 * n + 1.0) * g + ee
+        out["r04"] = r04
+    else:
         out["scal"] = -4.0 * n * (n + 1)
         out["ric_norm_stated"] = float(2 * n * (4 * n * n + 6 * n + 3))
-        out["lambda_bar"] = -2.0 * n / (a * a)
-    else:
-        raise StructureError(f"unknown soliton kind {kind!r}")
     out["ric"] = symmetric(ric, point)
     out["ric_trace"] = np.einsum("...ij,...ij->...", m.inv, ric)
     out["ric_norm_computed"] = hs_inner(ric, ric, m)
     return out
 
 
-def reeb_soliton_general(kind: str, structure: AcmStructure, point, a: float,
-                         lambda_bar: float) -> dict:
+def reeb_soliton_general(kind: str, structure: AcmStructure, point, a,
+                         lambda_bar) -> dict:
     """Implied Ricci and scal for a general Reeb-scenario lambda.
 
     Substituting the pinned lambda reduces these to the fixed tensors of
@@ -326,6 +344,8 @@ def reeb_soliton_general(kind: str, structure: AcmStructure, point, a: float,
     eta = structure.eta_values(point)
     n = structure.n
     ee = outer(eta, eta)
+    bound = with_a(point, a)
+    a = a_column(a, point)
     if kind == "riemann":
         cg = 2 * n * a * lambda_bar - (4 * n - 1.0) - 2 * n * (a - 1.0) / a
         ce = (
@@ -347,13 +367,13 @@ def reeb_soliton_general(kind: str, structure: AcmStructure, point, a: float,
             - 2 * n * (2 * n + 1) * (a - 1.0) / a
         )
     return {
-        "ric": symmetric(cg * g + ce * ee, point),
+        "ric": symmetric(_tensor(cg) * g + _tensor(ce) * ee, bound),
         "scal": scal,
     }
 
 
 def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
-                       point, a: float) -> dict:
+                       point, a) -> dict:
     """Ricci tensor and scal forced by a solenoidal-potential soliton.
 
     The tensor is evaluated with the actual covariant derivative of V; its
@@ -378,14 +398,16 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
     ee = outer(eta, eta)
     brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
     c = float(2 * n - 1) if kind == "riemann" else 1.0
+    ca = c * a_column(a, point)
+    q = ca * (a_column(a, point) - 1.0)
     ric = (
-        _tensor(c * a * sigma - 2.0 * n) * g
-        + _tensor(c * a * (a - 1.0) * sigma) * ee
-        - 0.5 * c * a * sym_nv
-        - 0.5 * c * a * (a - 1.0) * brace
+        _tensor(ca * sigma - 2.0 * n) * g
+        + _tensor(q * sigma) * ee
+        - _tensor(0.5 * ca) * sym_nv
+        - _tensor(0.5 * q) * brace
     )
-    scal = (2 * n + 1.0) * (c * a * sigma - 2.0 * n)
-    ric = symmetric(0.5 * (ric + np.swapaxes(ric, -1, -2)), point)
+    scal = (2 * n + 1.0) * (ca * sigma - 2.0 * n)
+    ric = symmetric(0.5 * (ric + np.swapaxes(ric, -1, -2)), with_a(point, a))
     trace = np.einsum("...ij,...ij->...", m.inv, ric)
     return {
         "sigma": sigma,
@@ -400,11 +422,12 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
 
 
 def orthogonal_gradient_values(kind: str, structure: AcmStructure,
-                               scalar: ScalarField, point, a: float) -> dict:
+                               scalar: ScalarField, point, a) -> dict:
     """lambda and scal when the gradient potential is g_bar-orthogonal to
     the Reeb field, which amounts to xi(f) = 0."""
     man = structure.manifold
     n = structure.n
+    a = a_column(a, point)
     lap = laplacian(man, scalar, point)
     xi = structure.xi_values(point)
     xif = np.einsum(
@@ -428,7 +451,7 @@ def orthogonal_gradient_values(kind: str, structure: AcmStructure,
 # Reeb compatibility across the deformation
 
 def xi_compatibility(kind: str, structure: AcmStructure, point,
-                     a: float = 2.0, perturbation: float = 0.5) -> dict:
+                     a=2.0, perturbation: float = 0.5) -> dict:
     """Premise and conclusion of the Reeb-compatibility statement.
 
     Premise: with the curvature implied by the deformed-Reeb soliton, that
@@ -442,11 +465,12 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
     eta = structure.eta_values(point)
     n = structure.n
     ee = outer(eta, eta)
-    implied = implied_curvature(kind, structure, point, a)
+    ric, r04 = _reeb_forced(kind, g, ee, n)
+    lam_bar = _tensor(theorem_lambda(kind, "reeb", structure, point, a))
     lie = 2.0 * (g - ee)  # L_xi g over a Kenmotsu base
-    gbar = a * g + a * (a - 1.0) * ee
+    a2 = _tensor(a_column(a, point))  # a, shaped to scale (0, 2) tensors
+    gbar = a2 * g + a2 * (a2 - 1.0) * ee
     if kind == "riemann":
-        r04 = implied["r04"]
         kn_gg = kulkarni_nomizu(g, g)
         kn_lg = kulkarni_nomizu(lie, g)
 
@@ -454,23 +478,22 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
             return max_abs(2.0 * r04 + kn_lg - lam * kn_gg, 4)
 
         lam_star = 0.0
-        r04_bar = a * r04 + (a - 1.0) * deformation_curvature_term(g, eta)
-        lam_bar = implied["lambda_bar"]
-        premise = max_abs(
-            2.0 * r04_bar + kulkarni_nomizu(lie - lam_bar * gbar, gbar), 4
-        )
+        a4 = a2[..., None, None]
+        # 2 R_bar + (L g_bar - lambda g_bar) o g_bar, summed in place
+        r04_bar = a4 * r04
+        r04_bar += (a4 - 1.0) * deformation_curvature_term(g, eta)
+        r04_bar *= 2.0
+        r04_bar += kulkarni_nomizu(lie - lam_bar * gbar, gbar)
+        premise = max_abs(r04_bar, 4)
+        del r04_bar
         scale = max_abs(kn_gg, 4)
     else:
-        ric = implied["ric"]
-
         def residual(lam):
             return max_abs(0.5 * lie + ric - lam * g, 2)
 
         lam_star = -2.0 * n
-        ric_bar = ric + (2.0 * n * (a - 1.0) / a) * (g - ee)
-        premise = max_abs(
-            0.5 * lie + ric_bar - implied["lambda_bar"] * gbar, 2
-        )
+        ric_bar = ric + (2.0 * n * (a2 - 1.0) / a2) * (g - ee)
+        premise = max_abs(0.5 * lie + ric_bar - lam_bar * gbar, 2)
         scale = max_abs(g, 2)
     return {
         "lambda_star": lam_star,
@@ -485,37 +508,54 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
 # ---------------------------------------------------------------------------
 # Norm inequalities for the gradient scenario
 
+def _gradient_norms(ds: DeformedStructure, f: ScalarField, point) -> dict:
+    """The data of ``inequality_battery`` that both kinds share, memoised
+    on a batch: base and deformed norms, Laplacians and xi-derivatives."""
+
+    def compute(p):
+        ds.require_kenmotsu(p)
+        base = ds.base
+        man = base.manifold
+        mbar = ds.manifold.metric_at_cached(ds.at(p))
+        ric_bar = ds.ricci_closed(p)["Ric"]
+        hess_bar = ds.hessian_closed(f, p)
+        xif, xixif = ds.xi_derivatives(f, p)
+        return {
+            "scal": curvature_bundle(man, p)["scal"],
+            "hess_sq": base_inner(base, ("hess", "hess"), p, f),
+            "ric_sq": base_inner(base, ("ric", "ric"), p),
+            "lap": laplacian(man, f, p),
+            "xif": xif,
+            "xixif": xixif,
+            "ric_bar_sq": hs_inner(ric_bar, ric_bar, mbar),
+            "hess_bar_sq": hs_inner(hess_bar, hess_bar, mbar),
+            "lap_bar": ds.laplacian_closed(f, p),
+        }
+
+    return memoised(point, (ds, f, "gradient norms"), compute)
+
+
 def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
                        point, *, gate_tol: float = 1e-9) -> list:
     """Norm identities and bounds for a deformed gradient soliton.
 
     Each entry carries lhs, rhs and margin = lhs - rhs; ``equality`` marks
     reconstruction identities (margin must vanish), the rest are one-sided
-    bounds; lhs, rhs, margin and applicable hold one value per sample.
-    Entries whose hypothesis (orthogonality to the Reeb field, harmonicity,
-    solenoidality) fails at a sample are flagged not applicable there and
-    carry no claim there.  All of it presumes the gradient
+    bounds; lhs, rhs, margin and applicable hold one value per a of ``ds``
+    and sample.  Entries whose hypothesis (orthogonality to the Reeb field,
+    harmonicity, solenoidality) fails at a sample are flagged not applicable
+    there and carry no claim there.  All of it presumes the gradient
     soliton equation holds with the pinned lambda.
     """
-    ds.require_kenmotsu(point)
-    a = ds.a
+    data = _gradient_norms(ds, f, point)
+    scal_g = data["scal"]
+    hess_sq, ric_sq = data["hess_sq"], data["ric_sq"]
+    lap_g, xif, xixif = data["lap"], data["xif"], data["xixif"]
+    hess_bar_sq, ric_bar_sq = data["hess_bar_sq"], data["ric_bar_sq"]
+    lap_bar = data["lap_bar"]
     n = ds.n
-    man = ds.base.manifold
-    bundle = curvature_bundle(man, point)
-    m = bundle["metric"]
-    scal_g = bundle["scal"]
-    hess = hessian(man, f, point)
-    hess_sq = hs_inner(hess, hess, m)
-    ric_sq = hs_inner(bundle["Ric"], bundle["Ric"], m)
-    lap_g = laplacian(man, f, point)
-    xif, xixif = ds.xi_derivatives(f, point)
-    closed = ds.curvature_closed(point)
-    mbar = ds.manifold.metric_at_cached(point)
-    ric_bar_sq = hs_inner(closed["Ric"], closed["Ric"], mbar)
-    hess_bar = ds.hessian_closed(f, point)
-    hess_bar_sq = hs_inner(hess_bar, hess_bar, mbar)
-    lap_bar = ds.laplacian_closed(f, point)
-    lam_bar = theorem_lambda(kind, "gradient", ds.base, point, a, scalar=f)
+    lam_bar = theorem_lambda(kind, "gradient", ds.base, point, ds.a, scalar=f)
+    a = a_column(ds.a, point)
     q = (a - 1.0) / a
     a2 = a * a
     items = []

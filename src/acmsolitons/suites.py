@@ -3,7 +3,9 @@
 Each suite turns into a list of named checks; a check aggregates a residual
 over all sample points and compares it against a tolerance.  Every
 quantity is evaluated once for the whole batch of sample points, as one
-value per sample, and a check takes the max over the batch.  Closed-form
+value per sample; what depends on the deformation parameter is evaluated
+once for the whole a-grid too, as one value per a and sample, and each
+[a=...] check takes the max over its row.  Closed-form
 versus direct comparisons use a relative residual (scaled by the larger of
 1 and the magnitudes involved), algebraic axiom checks and soliton equation
 residuals are absolute.  Reports are plain dicts whose JSON serialization
@@ -28,10 +30,9 @@ from .deformation import (
     prop_inner_battery,
     ricci_norm_bound,
 )
-from .expr import EvalError, coordinates_of, first_sample, substitute
+from .expr import A, EvalError, a_tag, coordinates_of, locate
 from .geometry import (
     Samples,
-    VectorField,
     covariant_derivative,
     curvature_bundle,
     divergence,
@@ -88,7 +89,7 @@ class CheckResult:
         out = {
             "id": self.check_id,
             "anchor": self.anchor,
-            "points": self.points,
+            "points": int(self.points),
             "max_residual": float(self.max_residual),
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
@@ -100,13 +101,14 @@ class CheckResult:
         return out
 
 
-def _rel(x, y) -> np.ndarray:
-    """Per-sample max-abs difference scaled by max(1, |x|, |y|).
+def _rel(x, y, rank: int = 0) -> np.ndarray:
+    """Per-sample max-abs difference of rank-``rank`` data, scaled by
+    max(1, |x|, |y|).
 
-    ``x`` and ``y`` carry the sample axis first; either may be a constant.
+    ``x`` and ``y`` broadcast together, sample axes first; either may be a
+    constant.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    rank = x.ndim - 1
     scale = np.maximum(1.0, np.maximum(max_abs(x, rank), max_abs(y, rank)))
     return max_abs(x - y, rank) / scale
 
@@ -116,73 +118,75 @@ def _below(margin) -> np.ndarray:
     return np.where(margin >= 0.0, 0.0, -margin)
 
 
-def _a_tag(a: float) -> str:
-    return f"[a={a:g}]"
+def _worst(batch: Samples, items, check_id):
+    """Worst residual of each key over the samples, per value of a.
 
-
-def _worst(points: Samples, items, check_id):
-    """Worst residual of each key over the batch.
-
-    ``items`` lists (key, residuals) or (key, residuals, applicable), in
-    the order the checks are computed at a sample; residuals hold one value
-    per sample and ``applicable``, a mask, marks the samples where the
-    key's hypothesis holds (all when absent).  A key may repeat.  Returns
-    (worst, applicable): per key, the largest residual over the samples
-    where it applies, and the number of those samples.  A non-finite
-    residual raises SuiteError naming ``check_id(key)`` and the earliest
-    sample with one, since a NaN would otherwise compare as passing.
+    ``batch`` is the batch the residuals belong to: N samples, or (A, N)
+    when it binds a grid of a.  ``items`` lists (key, residuals) or (key,
+    residuals, applicable), in the order the checks are computed;
+    residuals broadcast to the batch and ``applicable``, a mask, marks the
+    samples where the key's hypothesis holds (all when absent).  A key may
+    repeat.  Returns (worst, applicable): per key, the largest residual over
+    the samples where it applies, and the number of those samples, each
+    with one entry per a (a 0-d array without an a axis).  A non-finite
+    residual raises SuiteError naming ``check_id(key)`` with the tag of its
+    a and the earliest (a, sample) with one, since a NaN would otherwise
+    compare as passing.
     """
-    shape = (points.count,)
+    shape = batch.shape
     rows = []
     for key, residual, *mask in items:
         applies = np.broadcast_to(mask[0] if mask else True, shape)
         rows.append((key, np.broadcast_to(residual, shape), applies))
     bad = np.array([applies & ~np.isfinite(r) for _, r, applies in rows])
     if bad.any():
-        s = int(np.argmax(bad.any(axis=0)))
-        key, residual, _ = rows[int(np.argmax(bad[:, s]))]
+        flat = bad.reshape(len(rows), -1)
+        s = int(np.argmax(flat.any(axis=0)))
+        key, residual, _ = rows[int(np.argmax(flat[:, s]))]
+        tag = a_tag(np.broadcast_to(batch[A], shape).flat[s]) if len(shape) > 1 else ""
         raise SuiteError(
-            f"check {check_id(key)} has residual {residual[s]} at sample "
-            f"{first_sample(points, bad.any(axis=0))}"
+            f"check {check_id(key)}{tag} has residual {residual.flat[s]} at "
+            f"sample {locate(batch, bad.any(axis=0))}"
         )
     worst = {}
     covered = {}
     for key, residual, applies in rows:
-        top = float(np.max(residual, where=applies, initial=0.0))
-        worst[key] = max(worst.get(key, 0.0), top)
+        top = np.max(residual, axis=-1, where=applies, initial=0.0)
+        held = worst.get(key, 0.0)
+        worst[key] = np.where(top > held, top, held)  # a tie keeps +0.0
         covered[key] = covered.get(key, False) | applies
-    return worst, {key: int(np.count_nonzero(m)) for key, m in covered.items()}
+    return worst, {key: np.count_nonzero(m, axis=-1) for key, m in covered.items()}
 
 
 class _Run:
     """What the suites of one run share.
 
-    The batch of sample points, and one deformed structure and one soliton
-    frame per parameter a, each built on first use.  Every suite reads the
-    same objects, so a deformed chart is differentiated once per run, and
-    its metric and curvature, memoised on the batch, are evaluated once.
+    The batch of sample points, and one deformation over the whole a-grid,
+    plus remark23's probe a when the grid lacks it, built on first use.
+    Its chart is differentiated once per run, and what it evaluates on the
+    (A, N) batch, memoised there, is evaluated once; the grid's values lead
+    the a axis, so row i belongs to the grid's i-th value.
     """
 
     def __init__(self, config: VerificationConfig, points: Samples):
         self.config = config
         self.points = points
-        self._deformed = {}
-        self._frames = None
+        self._deformed = None
 
-    def deformed(self, a: float) -> DeformedStructure:
-        found = self._deformed.get(a)
-        if found is None:
-            found = self._deformed[a] = deform(self.config.structure, a)
-        return found
+    def deformed(self) -> DeformedStructure:
+        if self._deformed is None:
+            grid = tuple(self.config.a_grid)
+            if _HARMONIC_PROBE_A not in grid:
+                grid += (_HARMONIC_PROBE_A,)
+            self._deformed = deform(self.config.structure, grid)
+        return self._deformed
 
-    def frames(self) -> list:
-        """(tag, frame) for the base frame, then one per a of the grid."""
-        if self._frames is None:
-            self._frames = [("", Frame(self.config.structure, 1.0))] + [
-                (_a_tag(a), Frame(self.deformed(a).structure, a))
-                for a in self.config.a_grid
-            ]
-        return self._frames
+    def rows(self, batch: Samples) -> list:
+        """(tag, index) of each row of residuals on ``batch`` to report:
+        one untagged row without an a axis, else one per a of the grid."""
+        if len(batch.shape) == 1:
+            return [("", ())]
+        return [(a_tag(a), i) for i, a in enumerate(self.config.a_grid)]
 
 
 def _result(check_id, anchor, npoints, residual, tol, **kw) -> CheckResult:
@@ -297,79 +301,75 @@ _SECTION2_ANCHORS = {
 }
 
 
-def _bind_a(field: VectorField, a: float) -> VectorField:
-    """``field`` with the symbol a set to ``a``."""
-    return VectorField(substitute(c, {"a": a}) for c in field.components)
-
-
 def _suite_section2(run, override):
     config = run.config
     structure = config.structure
     f = config.scalar
     pts = run.points
-    checks = []
+    ds = run.deformed()
+    pa = ds.at(pts)
+    xi_field = ds.structure.xi_field()
     div_fields = sorted(config.vectors) or [None]
-    for a in config.a_grid:
-        ds = run.deformed(a)
-        xi_field = ds.structure.xi_field()
-        tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
-        tol_acm = 1e-10 if override is None else override
-        tag = _a_tag(a)
 
-        ds.require_kenmotsu(pts)
-        mb = ds.manifold.metric_at_cached(pts)
-        direct = curvature_bundle(ds.manifold, pts)
-        closed = ds.curvature_closed(pts)
-        items = [
-            ("christoffel", _rel(ds.christoffel_closed(pts), direct["gamma"])),
-            ("curvature-13", _rel(closed["R13"], direct["R13"])),
-            ("curvature-04", _rel(closed["R04"], direct["R04"])),
-            ("ricci", _rel(closed["Ric"], direct["Ric"])),
-            ("scalar", _rel(closed["scal"], direct["scal"])),
-            ("inverse-metric", _rel(ds.inverse_metric_closed(pts), mb.inv)),
-            ("nabla-phi", _rel(
-                ds.nabla_phi_closed(pts), nabla_phi_tensor(ds.structure, pts)
+    ds.require_kenmotsu(pts)
+    mb = ds.manifold.metric_at_cached(pa)
+    direct = curvature_bundle(ds.manifold, pa)
+    closed = ds.curvature_closed(pts)
+    items = [
+        ("christoffel", _rel(ds.christoffel_closed(pts), direct["gamma"], 3)),
+        ("curvature-13", _rel(closed["R13"], direct["R13"], 4)),
+        ("curvature-04", _rel(closed["R04"], direct["R04"], 4)),
+        ("ricci", _rel(closed["Ric"], direct["Ric"], 2)),
+        ("scalar", _rel(closed["scal"], direct["scal"])),
+        ("inverse-metric", _rel(ds.inverse_metric_closed(pts), mb.inv, 2)),
+        ("nabla-phi", _rel(
+            ds.nabla_phi_closed(pts), nabla_phi_tensor(ds.structure, pa), 3
+        )),
+        ("nabla-reeb", _rel(
+            ds.nabla_reeb_closed(pts),
+            covariant_derivative(ds.manifold, xi_field, pa), 2,
+        )),
+        ("lie-reeb-metric", _rel(
+            ds.lie_reeb_closed(pts),
+            lie_derivative_metric(ds.manifold, xi_field, pa), 2,
+        )),
+        ("div-reeb", _rel(
+            ds.div_reeb_closed(pts), divergence(ds.manifold, xi_field, pa)
+        )),
+    ]
+    del closed  # the stacked 4-tensors are reduced
+    if f is not None:
+        items += [
+            ("hessian", _rel(
+                ds.hessian_closed(f, pts), hessian(ds.manifold, f, pa), 2
             )),
-            ("nabla-reeb", _rel(
-                ds.nabla_reeb_closed(pts),
-                covariant_derivative(ds.manifold, xi_field, pts),
+            ("gradient", _rel(
+                ds.gradient_closed(f, pts), grad(ds.manifold, f, pa), 1
             )),
-            ("lie-reeb-metric", _rel(
-                ds.lie_reeb_closed(pts),
-                lie_derivative_metric(ds.manifold, xi_field, pts),
-            )),
-            ("div-reeb", _rel(
-                ds.div_reeb_closed(), divergence(ds.manifold, xi_field, pts)
+            ("laplacian", _rel(
+                ds.laplacian_closed(f, pts), laplacian(ds.manifold, f, pa)
             )),
         ]
-        if f is not None:
-            items += [
-                ("hessian", _rel(
-                    ds.hessian_closed(f, pts), hessian(ds.manifold, f, pts)
-                )),
-                ("gradient", _rel(
-                    ds.gradient_closed(f, pts), grad(ds.manifold, f, pts)
-                )),
-                ("laplacian", _rel(
-                    ds.laplacian_closed(f, pts), laplacian(ds.manifold, f, pts)
-                )),
-            ]
-        for wname in div_fields:
-            field = xi_field if wname is None else _bind_a(config.vectors[wname], a)
-            items.append(("divergence", _rel(
-                divergence(ds.manifold, field, pts),
-                divergence(structure.manifold, field, pts),
-            )))
-        items.append(("deformed-acm", ds.structure.acm_residual(pts)))
+    for wname in div_fields:
+        field = xi_field if wname is None else config.vectors[wname]
+        items.append(("divergence", _rel(
+            divergence(ds.manifold, field, pa),
+            divergence(structure.manifold, field, pa),
+        )))
+    items.append(("deformed-acm", ds.structure.acm_residual(pa)))
 
-        worst, _ = _worst(pts, items, lambda k: f"section2/{k}{tag}")
+    worst, _ = _worst(pa, items, lambda k: f"section2/{k}")
+    checks = []
+    for i, a in enumerate(config.a_grid):
+        tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
+        tol_acm = 1e-10 if override is None else override
         for key in _SECTION2_ANCHORS:
             if f is None and key in ("hessian", "gradient", "laplacian"):
                 continue
             this_tol = tol_acm if key == "deformed-acm" else tol
             checks.append(_result(
-                f"section2/{key}{tag}", _SECTION2_ANCHORS[key],
-                pts.count, worst[key], this_tol,
+                f"section2/{key}{a_tag(a)}", _SECTION2_ANCHORS[key],
+                pts.count, worst[key][i], this_tol,
             ))
     return checks
 
@@ -393,20 +393,19 @@ _PROP22_ANCHORS = {
 
 def _suite_prop22(run, override):
     f = run.config.scalar
+    ds = run.deformed()
+    items = []
+    for item in prop_inner_battery(ds, f, run.points):
+        items.append((item["pair"], _rel(item["direct"], item["transfer"])))
+        items.append((item["pair"], _rel(item["direct"], item["closed"])))
+    worst, _ = _worst(ds.at(run.points), items, lambda k: f"prop22/{k}")
     checks = []
-    for a in run.config.a_grid:
-        ds = run.deformed(a)
+    for i, a in enumerate(run.config.a_grid):
         tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
-        tag = _a_tag(a)
-
-        items = []
-        for item in prop_inner_battery(ds, f, run.points):
-            items.append((item["pair"], _rel(item["direct"], item["transfer"])))
-            items.append((item["pair"], _rel(item["direct"], item["closed"])))
-        worst, _ = _worst(run.points, items, lambda k: f"prop22/{k}{tag}")
         for key, anchor in _PROP22_ANCHORS.items():
             checks.append(_result(
-                f"prop22/{key}{tag}", anchor, run.points.count, worst[key], tol
+                f"prop22/{key}{a_tag(a)}", anchor, run.points.count,
+                worst[key][i], tol,
             ))
     return checks
 
@@ -420,18 +419,18 @@ def _suite_remark23(run, override):
     tol = 1e-9 if override is None else override
     checks = []
 
-    shortfall = []
-    for a in run.config.a_grid:
-        res = ricci_norm_bound(structure, points, a)
-        shortfall.append((a, _below(res["ric_norm_sq"] - res["bound"])))
+    ds = run.deformed()
+    res = ricci_norm_bound(structure, points, ds.a)
     worst, _ = _worst(
-        points, shortfall, lambda a: f"remark23/norm-bound{_a_tag(a)}"
+        ds.at(points),
+        [("norm-bound", _below(res["ric_norm_sq"] - res["bound"]))],
+        lambda k: f"remark23/{k}",
     )
-    for a in run.config.a_grid:
+    for i, a in enumerate(run.config.a_grid):
         checks.append(_result(
-            f"remark23/norm-bound{_a_tag(a)}",
+            f"remark23/norm-bound{a_tag(a)}",
             "|Ric|^2 >= 4n^2(a^2-1)/a^2",
-            points.count, worst[a], tol,
+            points.count, worst["norm-bound"][i], tol,
         ))
 
     lo, hi = admissible_interval(2.0, 1)
@@ -443,7 +442,8 @@ def _suite_remark23(run, override):
     ))
 
     f = run.config.scalar
-    ht = harmonic_transfer(run.deformed(_HARMONIC_PROBE_A), f, points)
+    ht = harmonic_transfer(ds, f, points)
+    probe = int(np.flatnonzero(ds.a == _HARMONIC_PROBE_A)[0])
     if not ht["applicable"]:
         checks.append(CheckResult(
             "remark23/harmonic-transfer",
@@ -455,15 +455,15 @@ def _suite_remark23(run, override):
             ),
         ))
     else:
-        agree = ht["deformed_harmonic"] == ht["condition_holds"]
+        agree = bool(ht["deformed_harmonic"][probe]) == ht["condition_holds"]
         residual = 0.0 if agree else 1.0
         checks.append(CheckResult(
             "remark23/harmonic-transfer",
             "a harmonic f stays harmonic iff Hess f(xi,xi) = -2n eta(grad f)",
             points.count, residual, 0.5, agree,
             detail=(
-                f"max |Lap_bar f| = {ht['max_lap_bar']:.3e} at a = "
-                f"{ht['probe_a']:g}; condition residual = "
+                f"max |Lap_bar f| = {ht['max_lap_bar'][probe]:.3e} at a = "
+                f"{ht['probe_a'][probe]:g}; condition residual = "
                 f"{ht['max_condition_residual']:.3e}"
             ),
         ))
@@ -526,116 +526,86 @@ def _soliton_suite(run, override, kind):
     checks = []
     keys = ("full", "traced", "scalar") if kind == "riemann" else ("full", "scalar")
 
+    ds = run.deformed()
+    frames = (Frame(structure, 1.0), Frame(ds.structure, ds.a))
     for cand in config.candidates:
         if cand.kind != kind:
             continue
         gradient = cand.potential == "gradient"
-        for tag, frame in run.frames():
+        for frame in frames:
+            batch = frame.at(points)
             res = soliton_residuals(frame, cand, points)
-            labels = set(np.atleast_1d(res["classification"]).tolist())
             items = [(k, res[k]) for k in keys]
             if gradient:
                 lam_thm = theorem_lambda(
                     kind, "gradient", structure, points, frame.a,
                     scalar=cand.scalar,
                 )
-                items.append(("lambda-gradient", _rel(
-                    lam_thm, frame.lam_value(cand, points)
-                )))
+                items.append(("lambda-gradient", _rel(lam_thm, res["lambda"])))
             worst, _ = _worst(
-                points, items, lambda k: f"{prefix}/{cand.name}/{k}{tag}"
+                batch, items, lambda k: f"{prefix}/{cand.name}/{k}"
             )
-            cls = labels.pop() if len(labels) == 1 else "mixed"
-            for k in keys:
-                checks.append(_result(
-                    f"{prefix}/{cand.name}/{k}{tag}", anchors[k],
-                    npts, worst[k], tol_eq, classification=cls,
-                ))
-            if gradient:
-                checks.append(_result(
-                    f"{prefix}/{cand.name}/lambda-gradient{tag}",
-                    anchors["lambda-gradient"], npts,
-                    worst["lambda-gradient"], tol_thm,
-                ))
+            for tag, i in run.rows(batch):
+                labels = set(np.atleast_1d(res["classification"][i]).tolist())
+                cls = labels.pop() if len(labels) == 1 else "mixed"
+                for k in keys:
+                    checks.append(_result(
+                        f"{prefix}/{cand.name}/{k}{tag}", anchors[k],
+                        npts, worst[k][i], tol_eq, classification=cls,
+                    ))
+                if gradient:
+                    checks.append(_result(
+                        f"{prefix}/{cand.name}/lambda-gradient{tag}",
+                        anchors["lambda-gradient"], npts,
+                        worst["lambda-gradient"][i], tol_thm,
+                    ))
 
-    compatibility = []
-    for a in config.a_grid:
-        res = xi_compatibility(kind, structure, points, a=a)
-        scale = np.maximum(1.0, res["scale"])
-        compatibility += [
-            (a, res["premise_residual"] / scale),
-            (a, res["residual_at_star"] / scale),
-            (a, _below(
-                res["residual_perturbed"]
-                - 0.5 * res["perturbation"] * res["scale"]
-            ) / scale),
-        ]
-    worst, _ = _worst(
-        points, compatibility,
-        lambda a: f"{prefix}/reeb-compatibility{_a_tag(a)}",
-    )
-    for a in config.a_grid:
-        checks.append(_result(
-            f"{prefix}/reeb-compatibility{_a_tag(a)}",
-            anchors["reeb-compatibility"], npts, worst[a], tol_thm,
-        ))
-
+    # the Reeb-compatibility, solenoidal-trace and orthogonal-gradient
+    # claims, one aggregation pass over the (A, N) batch
+    res = xi_compatibility(kind, structure, points, a=ds.a)
+    scale = np.maximum(1.0, res["scale"])
+    items = [
+        ("reeb-compatibility", res["premise_residual"] / scale),
+        ("reeb-compatibility", res["residual_at_star"] / scale),
+        ("reeb-compatibility", _below(
+            res["residual_perturbed"] - 0.5 * res["perturbation"] * res["scale"]
+        ) / scale),
+    ]
     # fields free of the symbol a whose divergence vanishes at every sample
     fields = {
         w: v for w, v in sorted(config.vectors.items())
-        if not any("a" in coordinates_of(c) for c in v.components)
+        if not any(A in coordinates_of(c) for c in v.components)
     }
     max_div, _ = _worst(
         points,
         [(w, np.abs(divergence(man, v, points))) for w, v in fields.items()],
         lambda w: f"{prefix}/solenoidal-trace/{w}",
     )
-    solenoidal = [w for w in fields if max_div[w] <= 1e-9]
-
-    trace = []
-    for w in solenoidal:
-        for a in config.a_grid:
-            res = solenoidal_implied(kind, structure, fields[w], points, a)
-            trace.append((
-                (w, a), res["trace_residual"] / np.maximum(1.0, np.abs(res["scal"]))
-            ))
-    worst, _ = _worst(
-        points, trace,
-        lambda key: f"{prefix}/solenoidal-trace/{key[0]}{_a_tag(key[1])}",
-    )
-    for w in solenoidal:
-        for a in config.a_grid:
-            checks.append(_result(
-                f"{prefix}/solenoidal-trace/{w}{_a_tag(a)}",
-                anchors["solenoidal-trace"], npts, worst[(w, a)], tol_thm,
-            ))
-
+    for w in fields:
+        if max_div[w] <= 1e-9:
+            res = solenoidal_implied(kind, structure, fields[w], points, ds.a)
+            items.append((f"solenoidal-trace/{w}", res["trace_residual"]
+                          / np.maximum(1.0, np.abs(res["scal"]))))
     f = config.scalar
     if f is not None:
-        orthogonal = []
-        for a in config.a_grid:
-            res = orthogonal_gradient_values(kind, structure, f, points, a)
-            lam_thm = theorem_lambda(
-                kind, "gradient", structure, points, a, scalar=f
-            )
-            orthogonal.append(
-                (a, _rel(res["lambda_bar"], lam_thm), res["applicable"])
-            )
-        worst, applicable = _worst(
-            points, orthogonal,
-            lambda a: f"{prefix}/orthogonal-gradient{_a_tag(a)}",
-        )
-        for a in config.a_grid:
-            cid = f"{prefix}/orthogonal-gradient{_a_tag(a)}"
-            if applicable[a] == 0:
+        res = orthogonal_gradient_values(kind, structure, f, points, ds.a)
+        lam_thm = theorem_lambda(kind, "gradient", structure, points, ds.a,
+                                 scalar=f)
+        items.append(("orthogonal-gradient", _rel(res["lambda_bar"], lam_thm),
+                      res["applicable"]))
+    worst, applicable = _worst(ds.at(points), items, lambda k: f"{prefix}/{k}")
+    for i, a in enumerate(config.a_grid):
+        for key, counts in applicable.items():
+            cid = f"{prefix}/{key}{a_tag(a)}"
+            anchor = anchors[key.split("/")[0]]
+            if counts[i] == 0:
                 checks.append(CheckResult(
-                    cid, anchors["orthogonal-gradient"], 0, 0.0, tol_thm, True,
+                    cid, anchor, 0, 0.0, tol_thm, True,
                     detail="hypothesis xi(f) = 0 fails at every sample; no claim checked",
                 ))
             else:
                 checks.append(_result(
-                    cid, anchors["orthogonal-gradient"],
-                    applicable[a], worst[a], tol_thm,
+                    cid, anchor, counts[i], worst[key][i], tol_thm,
                 ))
     return checks
 
@@ -718,40 +688,40 @@ def _suite_inequalities(run, override):
     f = run.config.scalar
     npts = run.points.count
     tol = 1e-8 if override is None else override
-    checks = []
+    ds = run.deformed()
+    residuals = []
     for kind in ("riemann", "ricci"):
-        for a in run.config.a_grid:
-            ds = run.deformed(a)
-            tag = _a_tag(a)
-            residuals = []
-            for item in inequality_battery(ds, f, kind, run.points):
-                scale = np.maximum(
-                    1.0, np.maximum(np.abs(item["lhs"]), np.abs(item["rhs"]))
-                )
-                margin = item["margin"]
-                shortfall = np.abs(margin) if item["equality"] else _below(margin)
-                residuals.append(
-                    (item["check"], shortfall / scale, item["applicable"])
-                )
-            worst, applicable = _worst(
-                run.points, residuals,
-                lambda name: f"inequality/{kind}/{name}{tag}",
+        for item in inequality_battery(ds, f, kind, run.points):
+            scale = np.maximum(
+                1.0, np.maximum(np.abs(item["lhs"]), np.abs(item["rhs"]))
             )
-            for name, count in applicable.items():
-                cid = f"inequality/{kind}/{name}{tag}"
-                anchor = _INEQ_ANCHORS[kind][name]
-                if count == 0:
-                    checks.append(CheckResult(
-                        cid, anchor, 0, 0.0, tol, True,
-                        detail="hypothesis fails at every sample; no claim checked",
-                    ))
-                else:
-                    detail = None
-                    if count < npts:
-                        detail = f"checked at {count} of {npts} samples"
-                    checks.append(_result(
-                        cid, anchor, count, worst[name], tol, detail=detail,
-                    ))
+            margin = item["margin"]
+            shortfall = np.abs(margin) if item["equality"] else _below(margin)
+            residuals.append((
+                f"{kind}/{item['check']}", shortfall / scale, item["applicable"]
+            ))
+    worst, applicable = _worst(
+        ds.at(run.points), residuals, lambda key: f"inequality/{key}"
+    )
+    checks = []
+    for i, a in enumerate(run.config.a_grid):
+        for key, counts in applicable.items():
+            cid = f"inequality/{key}{a_tag(a)}"
+            kind, name = key.split("/")
+            anchor = _INEQ_ANCHORS[kind][name]
+            count = counts[i]
+            if count == 0:
+                checks.append(CheckResult(
+                    cid, anchor, 0, 0.0, tol, True,
+                    detail="hypothesis fails at every sample; no claim checked",
+                ))
+            else:
+                detail = None
+                if count < npts:
+                    detail = f"checked at {count} of {npts} samples"
+                checks.append(_result(
+                    cid, anchor, count, worst[key][i], tol, detail=detail,
+                ))
     return checks
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import first_sample
+from .expr import locate
 
 __all__ = [
     "TensorValue", "MetricData", "StructureError",
@@ -118,13 +118,13 @@ def symmetric(data, point) -> np.ndarray:
     finite = np.isfinite(max_abs(data, 2))
     if not np.all(finite):
         raise StructureError(
-            f"non-finite tensor component at {first_sample(point, ~finite)}"
+            f"non-finite tensor component at {locate(point, ~finite)}"
         )
     scale = np.maximum(max_abs(data, 2), 1.0)
     bad = max_abs(data - np.swapaxes(data, -1, -2), 2) > _SYMMETRY_TOL * scale
     if np.any(bad):
         raise StructureError(
-            f"tensor declared symmetric is not at {first_sample(point, bad)}"
+            f"tensor declared symmetric is not at {locate(point, bad)}"
         )
     return data
 

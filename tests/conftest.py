@@ -56,8 +56,13 @@ box_z = 1.05, 2.2
 
 
 @pytest.fixture(scope="session")
-def kenmotsu5():
-    return load_config_text(_KENMOTSU5, source="tests:kenmotsu5")
+def kenmotsu5_text():
+    return _KENMOTSU5
+
+
+@pytest.fixture(scope="session")
+def kenmotsu5(kenmotsu5_text):
+    return load_config_text(kenmotsu5_text, source="tests:kenmotsu5")
 
 
 @pytest.fixture(scope="session")

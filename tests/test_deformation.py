@@ -46,16 +46,16 @@ class TestConstruction:
         ds = deform(kenmotsu3.structure, 2.0)
         p = ds.manifold.point(x=0.0, y=0.0, z=1.0)
         e2 = np.exp(2.0)
-        got = ds.manifold.metric_values(p)
+        got = ds.manifold.metric_values(ds.at(p))
         assert np.allclose(got, np.diag([2 * e2, 2 * e2, 4.0]), atol=1e-12)
 
     def test_reeb_normalization(self, kenmotsu3, kenmotsu3_points):
         for a in (0.5, 3.7):
             ds = deform(kenmotsu3.structure, a)
             p = kenmotsu3_points[0]
-            gbar = ds.manifold.metric_values(p)
+            gbar = ds.manifold.metric_values(ds.at(p))
             xi = kenmotsu3.structure.xi_values(p)
-            xibar = ds.structure.xi_values(p)
+            xibar = ds.structure.xi_values(ds.at(p))
             assert float(xi @ gbar @ xi) == pytest.approx(a * a, rel=1e-12)
             assert float(xibar @ gbar @ xibar) == pytest.approx(1.0, rel=1e-12)
 
@@ -63,14 +63,14 @@ class TestConstruction:
         for a in A_GRID:
             ds = deform(kenmotsu3.structure, a)
             for p in kenmotsu3_points[:4]:
-                assert ds.structure.acm_residual(p) <= 1e-12
+                assert ds.structure.acm_residual(ds.at(p)) <= 1e-12
 
     def test_identity_at_a_equal_one_is_bitexact(self, kenmotsu3, kenmotsu3_points):
         ds = deform(kenmotsu3.structure, 1.0)
         man = kenmotsu3.manifold
         for p in kenmotsu3_points[:4]:
             g0 = man.metric_values(p)
-            g1 = ds.manifold.metric_values(p)
+            g1 = ds.manifold.metric_values(ds.at(p))
             assert np.array_equal(g0, g1)
 
     def test_composition(self, kenmotsu3, kenmotsu3_points):
@@ -82,16 +82,18 @@ class TestConstruction:
         direct = deform(s, a * b)
         p = kenmotsu3_points[0]
         assert np.allclose(
-            composed.manifold.metric_values(p),
-            direct.manifold.metric_values(p),
+            composed.manifold.metric_values(composed.at(p)),
+            direct.manifold.metric_values(direct.at(p)),
             rtol=1e-12, atol=1e-12,
         )
         assert np.allclose(
-            composed.structure.xi_values(p), direct.structure.xi_values(p),
+            composed.structure.xi_values(composed.at(p)),
+            direct.structure.xi_values(direct.at(p)),
             rtol=1e-12,
         )
         assert np.allclose(
-            composed.structure.eta_values(p), direct.structure.eta_values(p),
+            composed.structure.eta_values(composed.at(p)),
+            direct.structure.eta_values(direct.at(p)),
             rtol=1e-12,
         )
 
@@ -109,7 +111,7 @@ class TestClosedForms:
     def test_inverse_metric(self, kenmotsu3, kenmotsu3_points, a):
         ds = deform(kenmotsu3.structure, a)
         for p in kenmotsu3_points[:6]:
-            direct = np.linalg.inv(ds.manifold.metric_values(p))
+            direct = np.linalg.inv(ds.manifold.metric_values(ds.at(p)))
             assert _rel(ds.inverse_metric_closed(p), direct) <= 1e-10
 
     @pytest.mark.parametrize("a", A_GRID)
@@ -118,7 +120,7 @@ class TestClosedForms:
         tol = 1e-12 if a == 1.0 else 1e-8
         for p in kenmotsu3_points[:6]:
             assert _rel(
-                ds.christoffel_closed(p), christoffel(ds.manifold, p)
+                ds.christoffel_closed(p), christoffel(ds.manifold, ds.at(p))
             ) <= tol
 
     @pytest.mark.parametrize("a", A_GRID)
@@ -127,7 +129,7 @@ class TestClosedForms:
         tol = 1e-12 if a == 1.0 else 1e-8
         for p in kenmotsu3_points[:4]:
             closed = ds.curvature_closed(p)
-            direct = curvature_bundle(ds.manifold, p)
+            direct = curvature_bundle(ds.manifold, ds.at(p))
             assert _rel(closed["R13"], direct["R13"]) <= tol
             assert _rel(closed["R04"], direct["R04"]) <= tol
             assert _rel(closed["Ric"], direct["Ric"]) <= tol
@@ -141,27 +143,29 @@ class TestClosedForms:
         xi_field = ds.structure.xi_field()
         for p in kenmotsu3_points[:4]:
             assert _rel(
-                ds.hessian_closed(f, p), hessian(ds.manifold, f, p)
+                ds.hessian_closed(f, p), hessian(ds.manifold, f, ds.at(p))
             ) <= tol
             assert _rel(
-                ds.gradient_closed(f, p), grad(ds.manifold, f, p)
+                ds.gradient_closed(f, p), grad(ds.manifold, f, ds.at(p))
             ) <= tol
             assert _rel(
-                ds.laplacian_closed(f, p), laplacian(ds.manifold, f, p)
+                ds.laplacian_closed(f, p), laplacian(ds.manifold, f, ds.at(p))
             ) <= tol
             assert _rel(
-                ds.nabla_phi_closed(p), nabla_phi_tensor(ds.structure, p)
+                ds.nabla_phi_closed(p),
+                nabla_phi_tensor(ds.structure, ds.at(p)),
             ) <= tol
             assert _rel(
                 ds.nabla_reeb_closed(p),
-                covariant_derivative(ds.manifold, xi_field, p),
+                covariant_derivative(ds.manifold, xi_field, ds.at(p)),
             ) <= tol
             assert _rel(
                 ds.lie_reeb_closed(p),
-                lie_derivative_metric(ds.manifold, xi_field, p),
+                lie_derivative_metric(ds.manifold, xi_field, ds.at(p)),
             ) <= tol
             assert _rel(
-                ds.div_reeb_closed(), divergence(ds.manifold, xi_field, p)
+                ds.div_reeb_closed(),
+                divergence(ds.manifold, xi_field, ds.at(p)),
             ) <= tol
 
     def test_frozen_values_at_a2(self, kenmotsu3, kenmotsu3_points):

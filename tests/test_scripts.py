@@ -42,6 +42,27 @@ def test_determinism_check_passes(fixture):
     assert "deterministic: 3 identical reports" in proc.stdout
 
 
+def test_determinism_check_on_a_definition_file(tmp_path, kenmotsu5_text):
+    path = tmp_path / "kenmotsu5.ini"
+    path.write_text(kenmotsu5_text, encoding="utf-8")
+    proc = _run_script("determinism_check.py", "--config", str(path),
+                       "--points", "4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "deterministic: 3 identical reports" in proc.stdout
+
+
+def test_determinism_check_takes_one_source(tmp_path):
+    proc = _run_script("determinism_check.py", "--config", "x.ini",
+                       "--fixture", "kenmotsu3")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "not allowed with argument" in proc.stderr
+    proc = _run_script("determinism_check.py", "--config",
+                       str(tmp_path / "missing.ini"))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "cannot read config" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("script, args, message", [
     ("run_all_checks.py", ["--points", "0"], "--points must be at least 1"),
     ("determinism_check.py", ["--points", "0"], "--points must be at least 1"),

@@ -339,7 +339,7 @@ class TestInequalities:
         f = kenmotsu3.scalars["f"]
         p = kenmotsu3_points[0]
         hb = ds.hessian_closed(f, p)
-        mbar = ds.manifold.metric_at_cached(p)
+        mbar = ds.manifold.metric_at_cached(ds.at(p))
         direct = hs_inner(hb, hb, mbar)
         items = {e["check"]: e for e in inequality_battery(ds, f, "ricci", p)}
         assert items["reconstruction"]["lhs"] == pytest.approx(direct, rel=1e-12)

@@ -137,7 +137,7 @@ class TestSharedDeformations:
         real = suites.deform
 
         def counting(structure, a):
-            calls.append(a)
+            calls.extend(a)
             return real(structure, a)
 
         monkeypatch.setattr(suites, "deform", counting)
