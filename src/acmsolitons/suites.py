@@ -162,10 +162,9 @@ class _Run:
     """What the suites of one run share.
 
     The batch of sample points, and one deformation over the whole a-grid,
-    plus remark23's probe a when the grid lacks it, built on first use.
-    Its chart is differentiated once per run, and what it evaluates on the
-    (A, N) batch, memoised there, is evaluated once; the grid's values lead
-    the a axis, so row i belongs to the grid's i-th value.
+    built on first use.  Its chart is differentiated once per run, and what
+    it evaluates on the (A, N) batch, memoised there, is evaluated once;
+    row i of the a axis belongs to the grid's i-th value.
     """
 
     def __init__(self, config: VerificationConfig, points: Samples):
@@ -175,18 +174,16 @@ class _Run:
 
     def deformed(self) -> DeformedStructure:
         if self._deformed is None:
-            grid = tuple(self.config.a_grid)
-            if _HARMONIC_PROBE_A not in grid:
-                grid += (_HARMONIC_PROBE_A,)
-            self._deformed = deform(self.config.structure, grid)
+            self._deformed = deform(self.config.structure, self.config.a_grid)
         return self._deformed
 
     def rows(self, batch: Samples) -> list:
-        """(tag, index) of each row of residuals on ``batch`` to report:
-        one untagged row without an a axis, else one per a of the grid."""
+        """(a, tag, index) of each row of residuals on ``batch`` to report:
+        one untagged row for the base (a = 1) without an a axis, else one
+        per a of the grid."""
         if len(batch.shape) == 1:
-            return [("", ())]
-        return [(a_tag(a), i) for i, a in enumerate(self.config.a_grid)]
+            return [(1.0, "", ())]
+        return [(a, a_tag(a), i) for i, a in enumerate(self.config.a_grid)]
 
 
 def _result(check_id, anchor, npoints, residual, tol, **kw) -> CheckResult:
@@ -360,7 +357,7 @@ def _suite_section2(run, override):
 
     worst, _ = _worst(pa, items, lambda k: f"section2/{k}")
     checks = []
-    for i, a in enumerate(config.a_grid):
+    for a, tag, i in run.rows(pa):
         tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
         tol_acm = 1e-10 if override is None else override
         for key in _SECTION2_ANCHORS:
@@ -368,7 +365,7 @@ def _suite_section2(run, override):
                 continue
             this_tol = tol_acm if key == "deformed-acm" else tol
             checks.append(_result(
-                f"section2/{key}{a_tag(a)}", _SECTION2_ANCHORS[key],
+                f"section2/{key}{tag}", _SECTION2_ANCHORS[key],
                 pts.count, worst[key][i], this_tol,
             ))
     return checks
@@ -398,13 +395,14 @@ def _suite_prop22(run, override):
     for item in prop_inner_battery(ds, f, run.points):
         items.append((item["pair"], _rel(item["direct"], item["transfer"])))
         items.append((item["pair"], _rel(item["direct"], item["closed"])))
-    worst, _ = _worst(ds.at(run.points), items, lambda k: f"prop22/{k}")
+    batch = ds.at(run.points)
+    worst, _ = _worst(batch, items, lambda k: f"prop22/{k}")
     checks = []
-    for i, a in enumerate(run.config.a_grid):
+    for a, tag, i in run.rows(batch):
         tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
         for key, anchor in _PROP22_ANCHORS.items():
             checks.append(_result(
-                f"prop22/{key}{a_tag(a)}", anchor, run.points.count,
+                f"prop22/{key}{tag}", anchor, run.points.count,
                 worst[key][i], tol,
             ))
     return checks
@@ -420,15 +418,16 @@ def _suite_remark23(run, override):
     checks = []
 
     ds = run.deformed()
+    batch = ds.at(points)
     res = ricci_norm_bound(structure, points, ds.a)
     worst, _ = _worst(
-        ds.at(points),
+        batch,
         [("norm-bound", _below(res["ric_norm_sq"] - res["bound"]))],
         lambda k: f"remark23/{k}",
     )
-    for i, a in enumerate(run.config.a_grid):
+    for _, tag, i in run.rows(batch):
         checks.append(_result(
-            f"remark23/norm-bound{a_tag(a)}",
+            f"remark23/norm-bound{tag}",
             "|Ric|^2 >= 4n^2(a^2-1)/a^2",
             points.count, worst["norm-bound"][i], tol,
         ))
@@ -441,7 +440,11 @@ def _suite_remark23(run, override):
         0, arith, 1e-12 if override is None else override,
     ))
 
+    # the probe is a row of the run's deformation when the grid holds it;
+    # else it is deformed alone, so no other suite evaluates it
     f = run.config.scalar
+    if _HARMONIC_PROBE_A not in ds.a:
+        ds = deform(structure, (_HARMONIC_PROBE_A,))
     ht = harmonic_transfer(ds, f, points)
     probe = int(np.flatnonzero(ds.a == _HARMONIC_PROBE_A)[0])
     if not ht["applicable"]:
@@ -545,7 +548,7 @@ def _soliton_suite(run, override, kind):
             worst, _ = _worst(
                 batch, items, lambda k: f"{prefix}/{cand.name}/{k}"
             )
-            for tag, i in run.rows(batch):
+            for _, tag, i in run.rows(batch):
                 labels = set(np.atleast_1d(res["classification"][i]).tolist())
                 cls = labels.pop() if len(labels) == 1 else "mixed"
                 for k in keys:
@@ -593,10 +596,11 @@ def _soliton_suite(run, override, kind):
                                  scalar=f)
         items.append(("orthogonal-gradient", _rel(res["lambda_bar"], lam_thm),
                       res["applicable"]))
-    worst, applicable = _worst(ds.at(points), items, lambda k: f"{prefix}/{k}")
-    for i, a in enumerate(config.a_grid):
+    batch = ds.at(points)
+    worst, applicable = _worst(batch, items, lambda k: f"{prefix}/{k}")
+    for _, tag, i in run.rows(batch):
         for key, counts in applicable.items():
-            cid = f"{prefix}/{key}{a_tag(a)}"
+            cid = f"{prefix}/{key}{tag}"
             anchor = anchors[key.split("/")[0]]
             if counts[i] == 0:
                 checks.append(CheckResult(
@@ -700,13 +704,14 @@ def _suite_inequalities(run, override):
             residuals.append((
                 f"{kind}/{item['check']}", shortfall / scale, item["applicable"]
             ))
+    batch = ds.at(run.points)
     worst, applicable = _worst(
-        ds.at(run.points), residuals, lambda key: f"inequality/{key}"
+        batch, residuals, lambda key: f"inequality/{key}"
     )
     checks = []
-    for i, a in enumerate(run.config.a_grid):
+    for _, tag, i in run.rows(batch):
         for key, counts in applicable.items():
-            cid = f"inequality/{key}{a_tag(a)}"
+            cid = f"inequality/{key}{tag}"
             kind, name = key.split("/")
             anchor = _INEQ_ANCHORS[kind][name]
             count = counts[i]

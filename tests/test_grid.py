@@ -217,13 +217,19 @@ class TestOneDeformationPerRun:
         monkeypatch.setattr(suites, "deform", counting)
         return calls
 
-    def test_grid_and_probe_in_one_call(self, monkeypatch):
-        calls = self._counting(monkeypatch)
+    @pytest.mark.parametrize("grid, calls", [
+        ((1.0, 2.0, 3.0), [(1.0, 2.0, 3.0)]),
+        # remark23's harmonic-transfer probe a = 2 is no row of the grid's
+        # deformation, so no other suite evaluates it
+        ((1.0, 3.0), [(1.0, 3.0), (2.0,)]),
+    ])
+    def test_grid_and_probe_calls(self, monkeypatch, grid, calls):
+        seen = self._counting(monkeypatch)
         config = builtin_config("kenmotsu3")
         config.points = 2
-        config.a_grid = (1.0, 3.0)
+        config.a_grid = grid
         assert all(c.passed for c in run_suites(config))
-        assert calls == [(1.0, 3.0, 2.0)]
+        assert seen == calls
 
     def test_no_deformation_before_the_gate(self, monkeypatch):
         calls = self._counting(monkeypatch)
@@ -310,6 +316,18 @@ class TestErrorsNameTheA:
         message = str(info.value)
         assert "check section2/divergence[a=0.5] has residual nan" in message
         assert message.endswith("[a=0.5]")
+
+
+@pytest.mark.parametrize("lam", ["1/(a - 2)", "log(1.5 - a)"])
+def test_only_grid_values_reach_the_candidates(lam):
+    # a lambda undefined at the probe a = 2 alone is fine on a grid
+    # without 2: remark23's probe is no row of what the candidates read
+    text = _with_candidate(lam).replace("a = 0.5, 1, 2, 3.7", "a = 0.5, 1")
+    checks = run_suites(load_config_text(text))
+    ids = [c.check_id for c in checks if "/riemann-log/" in c.check_id]
+    assert ids
+    assert not any("[a=2]" in c.check_id for c in checks)
+    assert {i.rsplit("[", 1)[-1] for i in ids if "[" in i} == {"a=0.5]", "a=1]"}
 
 
 def test_no_base_pairing_contracted_twice(monkeypatch):

@@ -130,7 +130,7 @@ class TestSamplingDomainError:
 class TestSharedDeformations:
     @pytest.mark.parametrize("grid, built", [
         ((0.5, 1.0, 2.0, 3.7), [0.5, 1.0, 2.0, 3.7]),
-        ((1.0, 3.0), [1.0, 2.0, 3.0]),  # remark23 adds its probe a = 2
+        ((1.0, 3.0), [1.0, 2.0, 3.0]),  # remark23 deforms its probe a = 2 apart
     ])
     def test_one_deformation_per_parameter(self, monkeypatch, grid, built):
         calls = []
