@@ -121,8 +121,13 @@ def main(argv=None) -> int:
 
     report = build_report(config, checks)
     if args.report is not None:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_json(report))
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report_json(report))
+        except OSError as err:
+            print(f"error: cannot write report {args.report}: {err}",
+                  file=sys.stderr)
+            return 2
 
     if not args.quiet:
         for c in checks:

@@ -70,6 +70,7 @@ __all__ = [
     "DeformedStructure",
     "deform",
     "deformation_curvature_term",
+    "laplacian_bar",
     "base_inner",
     "prop_inner_battery",
     "harmonic_transfer",
@@ -93,6 +94,16 @@ def deformation_curvature_term(g: np.ndarray, eta: np.ndarray) -> np.ndarray:
     which is the Kulkarni-Nomizu product g o (g/2 - eta (x) eta).
     """
     return kulkarni_nomizu(g, 0.5 * g - outer(eta, eta))
+
+
+def laplacian_bar(n: int, a, lap, xif, xixif):
+    """Lap_bar(f) = Lap(f)/a - ((a-1)/a^2)[2n xi(f) + xi(xi(f))] from base
+    data over a Kenmotsu base."""
+    return (
+        lap / a
+        - 2.0 * n * (a - 1.0) / (a * a) * xif
+        - (a - 1.0) / (a * a) * xixif
+    )
 
 
 def _fixed(structure: AcmStructure, a: float) -> AcmStructure:
@@ -334,11 +345,9 @@ class DeformedStructure:
     def laplacian_closed(self, f: ScalarField, point):
         self.require_kenmotsu(point)
         xif, xixif = self.xi_derivatives(f, point)
-        a = self._a(point)
-        return (
-            laplacian(self.base.manifold, f, point) / a
-            - 2.0 * self.n * (a - 1.0) / (a * a) * xif
-            - (a - 1.0) / (a * a) * xixif
+        return laplacian_bar(
+            self.n, self._a(point), laplacian(self.base.manifold, f, point),
+            xif, xixif,
         )
 
 

@@ -26,7 +26,7 @@ __all__ = [
     "Expr", "Const", "Coord", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "EvalError", "FUNCTIONS", "CONSTANTS", "A",
     "parse_expr", "evaluate", "locate", "a_tag", "diff", "substitute",
-    "simplify_basic", "render",
+    "render",
     "coordinates_of", "add", "sub", "mul", "div", "neg", "pow_", "call",
 ]
 
@@ -431,51 +431,6 @@ def substitute(e: Expr, values: Mapping[str, float]) -> Expr:
     if isinstance(e, (Add, Sub, Mul, Div)):
         return type(e)(substitute(e.left, values), substitute(e.right, values))
     raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Simplification
-
-def simplify_basic(e: Expr) -> Expr:
-    """Constant folding plus 0/1 identity elimination, applied bottom-up.
-
-    The result evaluates identically to the input (up to rounding) at every
-    point where the input is defined.
-    """
-    if isinstance(e, (Const, Coord)):
-        return e
-    if isinstance(e, Neg):
-        return neg(simplify_basic(e.arg))
-    if isinstance(e, Add):
-        return add(simplify_basic(e.left), simplify_basic(e.right))
-    if isinstance(e, Sub):
-        return sub(simplify_basic(e.left), simplify_basic(e.right))
-    if isinstance(e, Mul):
-        return mul(simplify_basic(e.left), simplify_basic(e.right))
-    if isinstance(e, Div):
-        return div(simplify_basic(e.left), simplify_basic(e.right))
-    if isinstance(e, Pow):
-        base = simplify_basic(e.base)
-        exponent = simplify_basic(e.exponent)
-        if _const_value(base) == 1.0:
-            return _ONE
-        folded = pow_(base, exponent)
-        if isinstance(folded, Pow) and isinstance(base, Const) and isinstance(exponent, Const):
-            return _fold_node(folded)
-        return folded
-    if isinstance(e, Call):
-        arg = simplify_basic(e.arg)
-        return _fold_node(Call(e.func, arg)) if isinstance(arg, Const) else Call(e.func, arg)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _fold_node(e: Expr) -> Expr:
-    # Fold a constant-argument node when its value is defined and finite.
-    try:
-        value = evaluate(e, {})
-    except EvalError:
-        return e
-    return Const(float(value)) if math.isfinite(value) else e
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,26 @@ soliton function lambda:
               - lambda (g (*) g)  with (*) the Kulkarni-Nomizu product;
     ricci:    (1/2) L_V g + Ric - lambda g.
 
-Tracing the riemann equation once gives
+Tracing the riemann equation once, and taking the ricci one as it stands,
+gives one (0,2) equation with two constants,
 
-    (1/2) L_V g + Ric/(2n-1) - ((2n lambda - div V)/(2n-1)) g = 0,
+    Ric = -(k/2) L_V g + beta g,   scal = (2n+1) beta - k div V,
+    riemann: k = 2n-1, beta = 2n lambda - div V;   ricci: k = 1, beta = lambda,
 
-and tracing again
+and every scalar and (0,2) closed form below is written once through
+(k, beta); only the (0,4) riemann equation has no ricci counterpart.
+Residuals are reported as max-abs over components, so the traced residuals
+are controlled by the full ones through the inverse-metric entries.  Every
+function takes a point or a batch of sample points, and returns per-sample
+values for a batch.  A deformation parameter ``a`` is one value or an (A,)
+array of them; an array puts an a axis in front of the sample axis of what
+depends on a, while base data is computed on the samples alone and
+broadcasts.
 
-    scal = 2n[(2n+1) lambda - 2 div V];
-
-the ricci trace is scal = (2n+1) lambda - div V.  Residuals are reported as
-max-abs over components, so the traced residuals are controlled by the full
-ones through the inverse-metric entries.  Every function takes a point or
-a batch of sample points, and returns per-sample values for a batch.  A
-deformation parameter ``a`` is one value or an (A,) array of them; an
-array puts an a axis in front of the sample axis of what depends on a,
-while base data is computed on the samples alone and broadcasts.
-
-For a deformed Kenmotsu frame the lambda of each scenario is pinned:
+For a deformed Kenmotsu frame beta = k xi_bar(eta_bar(V)) - 2n/a^2, with
+xi_bar(eta_bar(V)) = 0, xi(eta(V)), xi(xi(f))/a^2 and div V = 2n/a, 0,
+Lap_bar(f) for the Reeb, solenoidal and gradient scenario; so the lambda of
+each scenario is pinned:
 
     riemann, Reeb:       lambda = (a-1)/a^2
     riemann, solenoidal: lambda = ((2n-1)/2n) xi(eta(V)) - 1/a^2
@@ -44,10 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import DeformedStructure, base_inner, deformation_curvature_term
+from .deformation import (
+    DeformedStructure, base_inner, deformation_curvature_term, laplacian_bar,
+)
 from .expr import Expr, evaluate
 from .geometry import (
     AcmStructure,
@@ -102,6 +108,31 @@ def classify(lam_value):
 def _tensor(scalar):
     """A per-sample scalar, shaped to scale per-sample (0, 2) tensors."""
     return np.asarray(scalar)[..., None, None]
+
+
+class _Trace(NamedTuple):
+    """Ric = -(k/2) L_V g + beta g with beta = w lambda - s div V: the
+    (0, 2) form of both soliton kinds."""
+
+    k: float
+    w: float
+    s: float
+
+    def lam(self, beta, div_v):
+        return (beta + self.s * div_v) / self.w
+
+    def beta(self, lam, div_v):
+        return self.w * lam - self.s * div_v
+
+
+def _trace(kind: str, n: int) -> _Trace:
+    if kind == "riemann":
+        if 2 * n - 1 <= 0:
+            raise StructureError("traced soliton equations need dimension >= 3")
+        return _Trace(2.0 * n - 1.0, 2.0 * n, 1.0)
+    if kind == "ricci":
+        return _Trace(1.0, 1.0, 0.0)
+    raise StructureError(f"unknown soliton kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -200,37 +231,34 @@ def soliton_residuals(frame: Frame, candidate, point) -> dict:
 
     Curvature, L_V g, div V and lambda are each evaluated once; riemann
     candidates get the full, once-traced and twice-traced residuals, ricci
-    candidates the full and scalar ones.
+    candidates the full and scalar ones.  The (0, 2) equation is the full
+    ricci residual and the once-traced riemann one.
     """
     n = frame.n
+    tr = _trace(candidate.kind, n)
     point = frame.at(point)
     bundle = curvature_bundle(frame.manifold, point)
     g = bundle["metric"].g
-    ric = bundle["Ric"]
     scal = bundle["scal"]
     lie = frame.lie_metric(candidate, point)
     div_v = frame.div_potential(candidate, point)
     lam = np.broadcast_to(frame.lam_value(candidate, point), np.shape(scal))
-    out = {"lambda": lam, "classification": classify(lam)}
+    beta = tr.beta(lam, div_v)
+    out = {
+        "lambda": lam,
+        "classification": classify(lam),
+        "scalar": np.abs(scal - ((2 * n + 1) * beta - tr.k * div_v)),
+    }
+    eq2 = max_abs(0.5 * lie + (bundle["Ric"] - _tensor(beta) * g) / tr.k, 2)
     if candidate.kind == "ricci":
-        out["full"] = max_abs(0.5 * lie + ric - _tensor(lam) * g, 2)
-        out["scalar"] = np.abs(scal - ((2 * n + 1) * lam - div_v))
+        out["full"] = eq2
         return out
-    if 2 * n - 1 <= 0:
-        raise StructureError("traced soliton equations need dimension >= 3")
     # L_V g o g - lambda g o g as one product: o is linear in each slot;
     # summed in place, so one (0, 4) temporary is alive at a time
     full = kulkarni_nomizu(lie - _tensor(lam) * g, g)
     full += 2.0 * bundle["R04"]
-    eq4 = (
-        0.5 * lie
-        + ric / (2 * n - 1)
-        - _tensor((2 * n * lam - div_v) / (2 * n - 1)) * g
-    )
-    eq9 = scal - 2 * n * ((2 * n + 1) * lam - 2.0 * div_v)
     out["full"] = max_abs(full, 4)
-    out["traced"] = max_abs(eq4, 2)
-    out["scalar"] = np.abs(eq9)
+    out["traced"] = eq2
     return out
 
 
@@ -255,51 +283,42 @@ def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
 
     All inputs are base-frame quantities; ``a`` is the deformation
     parameter of the frame the soliton lives in, or an array of them.
+    The lambda is that of beta = k xi_bar(eta_bar(V)) - 2n/a^2.
     """
     n = structure.n
+    tr = _trace(kind, n)
     a = a_column(a, point)
     a2 = a * a
     if scenario == "reeb":
-        if kind == "riemann":
-            return (a - 1.0) / a2
-        return -2.0 * n / a2
-    if scenario == "solenoidal":
-        sigma = xi_of_eta_potential(structure, vector, point)
-        if kind == "riemann":
-            return (2 * n - 1.0) / (2 * n) * sigma - 1.0 / a2
-        return sigma - 2.0 * n / a2
-    if scenario == "gradient":
+        xi_eta_v, div_v = 0.0, 2.0 * n / a
+    elif scenario == "solenoidal":
+        xi_eta_v, div_v = xi_of_eta_potential(structure, vector, point), 0.0
+    elif scenario == "gradient":
         man = structure.manifold
-        hess_xx = _reeb_reeb(
+        # Hess f(xi, xi) = xi(xi(f)), as nabla_xi xi = 0 over a Kenmotsu base
+        xixif = _reeb_reeb(
             hessian(man, scalar, point), structure.xi_values(point)
         )
-        if kind == "riemann":
-            lap = laplacian(man, scalar, point)
-            eta_grad = np.einsum(
-                "...i,...i->...",
-                structure.eta_values(point), grad(man, scalar, point),
-            )
-            return (
-                lap / (2 * n * a)
-                - (a - 1.0) / a2 * eta_grad
-                + (2 * n - a) / (2 * n * a2) * hess_xx
-                - 1.0 / a2
-            )
-        return hess_xx / a2 - 2.0 * n / a2
-    raise StructureError(f"unknown scenario {scenario!r}")
+        eta_grad = np.einsum(
+            "...i,...i->...",
+            structure.eta_values(point), grad(man, scalar, point),
+        )
+        xi_eta_v = xixif / a2
+        div_v = laplacian_bar(
+            n, a, laplacian(man, scalar, point), eta_grad, xixif
+        )
+    else:
+        raise StructureError(f"unknown scenario {scenario!r}")
+    return tr.lam(tr.k * xi_eta_v - 2.0 * n / a2, div_v)
 
 
 # ---------------------------------------------------------------------------
 # Curvature implied by the Reeb scenario
 
 def _reeb_forced(kind: str, g, ee, n: int):
-    """The base Ricci tensor and, for the riemann kind, the (0,4) curvature
-    forced by a deformed-Reeb soliton."""
-    if kind == "riemann":
-        return -(4 * n - 1.0) * g + (2 * n - 1.0) * ee, kulkarni_nomizu(g, ee - g)
-    if kind == "ricci":
-        return -(2 * n + 1.0) * g + ee, None
-    raise StructureError(f"unknown soliton kind {kind!r}")
+    """The base Ricci tensor -k(g - eta (x) eta) - 2n g forced by a
+    deformed-Reeb soliton; the riemann kind also forces R = g o (ee - g)."""
+    return -_trace(kind, n).k * (g - ee) - 2.0 * n * g
 
 
 def implied_curvature(kind: str, structure: AcmStructure, point, a) -> dict:
@@ -317,14 +336,16 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a) -> dict:
     m = structure.manifold.metric_at_cached(point)
     eta = structure.eta_values(point)
     n = structure.n
-    ric, r04 = _reeb_forced(kind, m.g, outer(eta, eta), n)
-    out = {"lambda_bar": theorem_lambda(kind, "reeb", structure, point, a)}
+    ee = outer(eta, eta)
+    ric = _reeb_forced(kind, m.g, ee, n)
+    out = {
+        "lambda_bar": theorem_lambda(kind, "reeb", structure, point, a),
+        "scal": -2.0 * n * (_trace(kind, n).k + 2 * n + 1),
+    }
     if kind == "riemann":
-        out["scal"] = -8.0 * n * n
         out["ric_norm_stated"] = float(2 * n * (16 * n * n - 6 * n + 1))
-        out["r04"] = r04
+        out["r04"] = kulkarni_nomizu(m.g, ee - m.g)
     else:
-        out["scal"] = -4.0 * n * (n + 1)
         out["ric_norm_stated"] = float(2 * n * (4 * n * n + 6 * n + 3))
     out["ric"] = symmetric(ric, point)
     out["ric_trace"] = np.einsum("...ij,...ij->...", m.inv, ric)
@@ -340,35 +361,19 @@ def reeb_soliton_general(kind: str, structure: AcmStructure, point, a,
     ``implied_curvature``.
     """
     m = structure.manifold.metric_at_cached(point)
-    g = m.g
     eta = structure.eta_values(point)
     n = structure.n
-    ee = outer(eta, eta)
     bound = with_a(point, a)
     a = a_column(a, point)
-    if kind == "riemann":
-        cg = 2 * n * a * lambda_bar - (4 * n - 1.0) - 2 * n * (a - 1.0) / a
-        ce = (
-            2 * n * a * (a - 1.0) * lambda_bar
-            + (4 * n - 1.0 - 2 * n * a)
-            + 2 * n * (a - 1.0) / a
-        )
-        scal = (
-            2 * n * (2 * n + 1) * a * lambda_bar
-            - 8.0 * n * n
-            - 2 * n * (2 * n + 1) * (a - 1.0) / a
-        )
-    else:
-        cg = a * lambda_bar - 1.0 - 2 * n * (a - 1.0) / a
-        ce = a * (a - 1.0) * lambda_bar + 1.0 + 2 * n * (a - 1.0) / a
-        scal = (
-            (2 * n + 1) * a * lambda_bar
-            - 2.0 * n
-            - 2 * n * (2 * n + 1) * (a - 1.0) / a
-        )
+    tr = _trace(kind, n)
+    k = tr.k
+    beta_a = a * tr.beta(lambda_bar, 2.0 * n / a)
+    shift = 2.0 * n * (a - 1.0) / a
+    cg = beta_a - k - shift
+    ce = beta_a * (a - 1.0) + k + shift
     return {
-        "ric": symmetric(_tensor(cg) * g + _tensor(ce) * ee, bound),
-        "scal": scal,
+        "ric": symmetric(_tensor(cg) * m.g + _tensor(ce) * outer(eta, eta), bound),
+        "scal": (2 * n + 1) * (beta_a - shift) - 2 * n * k,
     }
 
 
@@ -397,8 +402,7 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
     eta_v = np.einsum("...i,...i->...", eta, v)
     ee = outer(eta, eta)
     brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
-    c = float(2 * n - 1) if kind == "riemann" else 1.0
-    ca = c * a_column(a, point)
+    ca = _trace(kind, n).k * a_column(a, point)
     q = ca * (a_column(a, point) - 1.0)
     ric = (
         _tensor(ca * sigma - 2.0 * n) * g
@@ -424,24 +428,20 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
 def orthogonal_gradient_values(kind: str, structure: AcmStructure,
                                scalar: ScalarField, point, a) -> dict:
     """lambda and scal when the gradient potential is g_bar-orthogonal to
-    the Reeb field, which amounts to xi(f) = 0."""
+    the Reeb field, which amounts to xi(f) = 0; then xi(xi(f)) = 0 and
+    Lap_bar(f) = Lap(f)/a, so beta = -2n/a^2."""
     man = structure.manifold
     n = structure.n
+    tr = _trace(kind, n)
     a = a_column(a, point)
     lap = laplacian(man, scalar, point)
     xi = structure.xi_values(point)
     xif = np.einsum(
         "...i,...i->...", xi, scalar.gradient_covector(man.coords, point)
     )
-    if kind == "riemann":
-        lam = lap / (2 * n * a) - 1.0 / (a * a)
-        scal = -(2 * n - 1.0) * lap - 2 * n * (2 * n + 1.0)
-    else:
-        lam = -2.0 * n / (a * a)
-        scal = -lap - 2 * n * (2 * n + 1.0)
     return {
-        "lambda_bar": lam,
-        "scal": scal,
+        "lambda_bar": tr.lam(-2.0 * n / (a * a), lap / a),
+        "scal": -tr.k * lap - 2 * n * (2 * n + 1.0),
         "xi_f": xif,
         "applicable": np.abs(xif) <= 1e-9,
     }
@@ -465,19 +465,20 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
     eta = structure.eta_values(point)
     n = structure.n
     ee = outer(eta, eta)
-    ric, r04 = _reeb_forced(kind, g, ee, n)
     lam_bar = _tensor(theorem_lambda(kind, "reeb", structure, point, a))
+    # the forced Ric solves the base (0, 2) equation with beta = -2n
+    lam_star = _trace(kind, n).lam(-2.0 * n, 2.0 * n)
     lie = 2.0 * (g - ee)  # L_xi g over a Kenmotsu base
     a2 = _tensor(a_column(a, point))  # a, shaped to scale (0, 2) tensors
     gbar = a2 * g + a2 * (a2 - 1.0) * ee
     if kind == "riemann":
+        r04 = kulkarni_nomizu(g, ee - g)
         kn_gg = kulkarni_nomizu(g, g)
         kn_lg = kulkarni_nomizu(lie, g)
 
         def residual(lam):
             return max_abs(2.0 * r04 + kn_lg - lam * kn_gg, 4)
 
-        lam_star = 0.0
         a4 = a2[..., None, None]
         # 2 R_bar + (L g_bar - lambda g_bar) o g_bar, summed in place
         r04_bar = a4 * r04
@@ -488,10 +489,11 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
         del r04_bar
         scale = max_abs(kn_gg, 4)
     else:
+        ric = _reeb_forced(kind, g, ee, n)
+
         def residual(lam):
             return max_abs(0.5 * lie + ric - lam * g, 2)
 
-        lam_star = -2.0 * n
         ric_bar = ric + (2.0 * n * (a2 - 1.0) / a2) * (g - ee)
         premise = max_abs(0.5 * lie + ric_bar - lam_bar * gbar, 2)
         scale = max_abs(g, 2)
@@ -547,15 +549,29 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
     there and carry no claim there.  All of it presumes the gradient
     soliton equation holds with the pinned lambda.
     """
-    data = _gradient_norms(ds, f, point)
+    lam_bar = theorem_lambda(kind, "gradient", ds.base, point, ds.a, scalar=f)
+    return _battery(
+        ds.n, _trace(kind, ds.n), a_column(ds.a, point), lam_bar,
+        _gradient_norms(ds, f, point), gate_tol,
+    )
+
+
+def _battery(n: int, tr: _Trace, a, lam_bar, data: dict, gate_tol) -> list:
+    """The entries of ``inequality_battery`` from the soliton constants, the
+    pinned lambda and the ``_gradient_norms`` data.
+
+    Ric_bar = -k Hess_bar f + beta g_bar gives the reconstruction
+    k^2 |Hess_bar f|^2 = |Ric_bar|^2 + 2k beta Lap_bar(f) - (2n+1) beta^2
+    and, with c = k^2, every bound below for both kinds.
+    """
     scal_g = data["scal"]
     hess_sq, ric_sq = data["hess_sq"], data["ric_sq"]
     lap_g, xif, xixif = data["lap"], data["xif"], data["xixif"]
     hess_bar_sq, ric_bar_sq = data["hess_bar_sq"], data["ric_bar_sq"]
     lap_bar = data["lap_bar"]
-    n = ds.n
-    lam_bar = theorem_lambda(kind, "gradient", ds.base, point, ds.a, scalar=f)
-    a = a_column(ds.a, point)
+    k = tr.k
+    c = k * k
+    beta = tr.beta(lam_bar, lap_bar)
     q = (a - 1.0) / a
     a2 = a * a
     items = []
@@ -575,113 +591,54 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
     orthogonal = np.abs(xif) <= gate_tol
     harmonic = np.abs(lap_g) <= gate_tol
     solenoidal_bar = np.abs(lap_bar) <= gate_tol
-    if kind == "riemann":
-        c = float((2 * n - 1) ** 2)
-        put(
-            "reconstruction",
-            hess_bar_sq,
-            (
-                ric_bar_sq
-                - 4 * n * n * (2 * n + 1) * lam_bar ** 2
-                + 16 * n * n * lap_bar * lam_bar
-                - (6 * n - 1) * lap_bar ** 2
-            )
-            / c,
-            equality=True,
-        )
-        put(
-            "deformed-bound",
-            ric_bar_sq,
-            c * (hess_bar_sq - lap_bar ** 2 / (2 * n + 1)),
-        )
-        put(
-            "deformed-bound-solenoidal",
-            ric_bar_sq,
-            c * hess_bar_sq,
-            applicable=solenoidal_bar,
-        )
-        put(
-            "base-bound",
-            ric_sq,
-            c * hess_sq
-            - 4 * n * q * scal_g
-            - 4 * n * n * (2 * n + 1) * q * q
-            - c / (2 * n + 1) * lap_g ** 2
-            - 2 * c / (2 * n + 1) * q * (xif - xixif) * lap_g
-            + 2 * n * c / (2 * n + 1) * q * q * xif ** 2
-            - 2 * c * (n + n * a + a) * (a - 1.0) / ((2 * n + 1) * a2) * xixif ** 2
-            + 2 * c * (2 * n + a) * (a - 1.0) / ((2 * n + 1) * a2) * xif * xixif,
-        )
-        put(
-            "base-bound-orthogonal",
-            ric_sq,
-            c * hess_sq
-            - c / (2 * n + 1) * lap_g ** 2
-            + 4 * n * (2 * n - 1) * q * lap_g
-            + 4 * n * n * (2 * n + 1) * (a2 - 1.0) / a2,
-            applicable=orthogonal,
-        )
-        put(
-            "base-bound-orthogonal-harmonic",
-            ric_sq,
-            c * hess_sq + 4 * n * n * (2 * n + 1) * (a2 - 1.0) / a2,
-            applicable=orthogonal & harmonic,
-        )
-        put(
-            "base-bound-solenoidal",
-            ric_sq,
-            c * hess_sq + (a2 - 1.0) / a2 * (4 * n * n - c * xixif ** 2),
-            applicable=solenoidal_bar,
-        )
-    else:
-        put(
-            "reconstruction",
-            hess_bar_sq,
-            ric_bar_sq - (2 * n + 1) * lam_bar ** 2 + 2.0 * lap_bar * lam_bar,
-            equality=True,
-        )
-        put(
-            "deformed-bound",
-            ric_bar_sq,
-            hess_bar_sq - lap_bar ** 2 / (2 * n + 1),
-        )
-        put(
-            "deformed-bound-solenoidal",
-            ric_bar_sq,
-            hess_bar_sq,
-            applicable=solenoidal_bar,
-        )
-        put(
-            "base-bound",
-            ric_sq,
-            hess_sq
-            - 4 * n * q * scal_g
-            - 4 * n * n * (2 * n + 1) * q * q
-            - lap_g ** 2 / (2 * n + 1)
-            - 2.0 / (2 * n + 1) * q * (xif - xixif) * lap_g
-            + 2 * (2 * n + a) * (a - 1.0) / ((2 * n + 1) * a2) * xif * xixif
-            + 2 * n / (2 * n + 1) * q * q * xif ** 2
-            - 2 * (n + n * a + a) * (a - 1.0) / ((2 * n + 1) * a2) * xixif ** 2,
-        )
-        put(
-            "base-bound-orthogonal",
-            ric_sq,
-            hess_sq
-            - lap_g ** 2 / (2 * n + 1)
-            + 4 * n * q * lap_g
-            + 4 * n * n * (2 * n + 1) * (a2 - 1.0) / a2,
-            applicable=orthogonal,
-        )
-        put(
-            "base-bound-orthogonal-harmonic",
-            ric_sq,
-            hess_sq + 4 * n * n * (2 * n + 1) * (a2 - 1.0) / a2,
-            applicable=orthogonal & harmonic,
-        )
-        put(
-            "base-bound-solenoidal",
-            ric_sq,
-            hess_sq + (a2 - 1.0) / a2 * (4 * n * n - xixif ** 2),
-            applicable=solenoidal_bar,
-        )
+    put(
+        "reconstruction",
+        hess_bar_sq,
+        (ric_bar_sq + 2.0 * k * beta * lap_bar - (2 * n + 1) * beta ** 2) / c,
+        equality=True,
+    )
+    put(
+        "deformed-bound",
+        ric_bar_sq,
+        c * (hess_bar_sq - lap_bar ** 2 / (2 * n + 1)),
+    )
+    put(
+        "deformed-bound-solenoidal",
+        ric_bar_sq,
+        c * hess_bar_sq,
+        applicable=solenoidal_bar,
+    )
+    put(
+        "base-bound",
+        ric_sq,
+        c * hess_sq
+        - 4 * n * q * scal_g
+        - 4 * n * n * (2 * n + 1) * q * q
+        - c / (2 * n + 1) * lap_g ** 2
+        - 2 * c / (2 * n + 1) * q * (xif - xixif) * lap_g
+        + 2 * n * c / (2 * n + 1) * q * q * xif ** 2
+        - 2 * c * (n + n * a + a) * (a - 1.0) / ((2 * n + 1) * a2) * xixif ** 2
+        + 2 * c * (2 * n + a) * (a - 1.0) / ((2 * n + 1) * a2) * xif * xixif,
+    )
+    put(
+        "base-bound-orthogonal",
+        ric_sq,
+        c * hess_sq
+        - c / (2 * n + 1) * lap_g ** 2
+        + 4 * n * k * q * lap_g
+        + 4 * n * n * (2 * n + 1) * (a2 - 1.0) / a2,
+        applicable=orthogonal,
+    )
+    put(
+        "base-bound-orthogonal-harmonic",
+        ric_sq,
+        c * hess_sq + 4 * n * n * (2 * n + 1) * (a2 - 1.0) / a2,
+        applicable=orthogonal & harmonic,
+    )
+    put(
+        "base-bound-solenoidal",
+        ric_sq,
+        c * hess_sq + (a2 - 1.0) / a2 * (4 * n * n - c * xixif ** 2),
+        applicable=solenoidal_bar,
+    )
     return items

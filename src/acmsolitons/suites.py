@@ -64,7 +64,7 @@ __all__ = [
     "report_json",
 ]
 
-REPORT_VERSION = "0.4.0"
+REPORT_VERSION = "0.5.0"
 
 # the deformation parameter at which remark23 probes harmonic transfer
 _HARMONIC_PROBE_A = 2.0
@@ -625,66 +625,40 @@ def _suite_ricci_solitons(run, override):
 # ---------------------------------------------------------------------------
 # inequalities
 
+# one template for both kinds: Ric_bar = -k Hess_bar f + beta g_bar, with
+# k = 2n-1, beta = 2n lambda - Lap_bar(f) (riemann) or k = 1, beta = lambda
+_INEQ_TEMPLATE = {
+    "reconstruction": (
+        "k^2 |Hess_bar f|^2 = |Ric_bar|^2 + 2k beta Lap_bar(f) "
+        "- (2n+1) beta^2, Ric_bar = -k Hess_bar f + beta g_bar"
+    ),
+    "deformed-bound": "|Ric_bar|^2 >= k^2 [|Hess_bar f|^2 - Lap_bar(f)^2/(2n+1)]",
+    "deformed-bound-solenoidal": (
+        "|Ric_bar|^2 >= k^2 |Hess_bar f|^2 when Lap_bar(f) = 0"
+    ),
+    "base-bound": (
+        "|Ric|^2 >= k^2 |Hess f|^2 - 4nq scal - 4n^2(2n+1)q^2 "
+        "- (k^2/(2n+1))[Lap(f)^2 + 2q(xi(f) - xi(xi f))Lap(f) "
+        "- 2n q^2 xi(f)^2] - (2k^2(a-1)/((2n+1)a^2))"
+        "[(n+na+a) xi(xi f)^2 - (2n+a) xi(f) xi(xi f)], q = (a-1)/a"
+    ),
+    "base-bound-orthogonal": (
+        "|Ric|^2 >= k^2 [|Hess f|^2 - Lap(f)^2/(2n+1)] + 4nkq Lap(f) "
+        "+ 4n^2(2n+1)(a^2-1)/a^2 when xi(f) = 0, q = (a-1)/a"
+    ),
+    "base-bound-orthogonal-harmonic": (
+        "|Ric|^2 >= k^2 |Hess f|^2 + 4n^2(2n+1)(a^2-1)/a^2 "
+        "when xi(f) = 0 and Lap(f) = 0"
+    ),
+    "base-bound-solenoidal": (
+        "|Ric|^2 >= k^2 |Hess f|^2 + ((a^2-1)/a^2)[4n^2 - k^2 xi(xi f)^2] "
+        "when Lap_bar(f) = 0"
+    ),
+}
+
 _INEQ_ANCHORS = {
-    "riemann": {
-        "reconstruction": (
-            "(2n-1)^2 |Hess_bar f|^2 = |Ric_bar|^2 - 4n^2(2n+1) lambda^2 "
-            "+ 16n^2 Lap_bar(f) lambda - (6n-1) Lap_bar(f)^2"
-        ),
-        "deformed-bound": (
-            "|Ric_bar|^2 >= (2n-1)^2 [|Hess_bar f|^2 - Lap_bar(f)^2/(2n+1)]"
-        ),
-        "deformed-bound-solenoidal": (
-            "|Ric_bar|^2 >= (2n-1)^2 |Hess_bar f|^2 when Lap_bar(f) = 0"
-        ),
-        "base-bound": (
-            "|Ric|^2 >= (2n-1)^2|Hess f|^2 - 4nq scal - 4n^2(2n+1)q^2 "
-            "- ((2n-1)^2/(2n+1))[Lap(f)^2 + 2q(xi(f) - xi(xi f))Lap(f) "
-            "- 2n q^2 xi(f)^2] - (2(2n-1)^2(a-1)/((2n+1)a^2))"
-            "[(n+na+a) xi(xi f)^2 - (2n+a) xi(f) xi(xi f)], q = (a-1)/a"
-        ),
-        "base-bound-orthogonal": (
-            "|Ric|^2 >= (2n-1)^2[|Hess f|^2 - Lap(f)^2/(2n+1)] "
-            "+ 4n(2n-1)q Lap(f) + 4n^2(2n+1)(a^2-1)/a^2 when xi(f) = 0"
-        ),
-        "base-bound-orthogonal-harmonic": (
-            "|Ric|^2 >= (2n-1)^2 |Hess f|^2 + 4n^2(2n+1)(a^2-1)/a^2 "
-            "when xi(f) = 0 and Lap(f) = 0"
-        ),
-        "base-bound-solenoidal": (
-            "|Ric|^2 >= (2n-1)^2 |Hess f|^2 + ((a^2-1)/a^2)"
-            "[4n^2 - (2n-1)^2 xi(xi f)^2] when Lap_bar(f) = 0"
-        ),
-    },
-    "ricci": {
-        "reconstruction": (
-            "|Hess_bar f|^2 = |Ric_bar|^2 - (2n+1) lambda^2 + 2 Lap_bar(f) lambda"
-        ),
-        "deformed-bound": (
-            "|Ric_bar|^2 >= |Hess_bar f|^2 - Lap_bar(f)^2/(2n+1)"
-        ),
-        "deformed-bound-solenoidal": (
-            "|Ric_bar|^2 >= |Hess_bar f|^2 when Lap_bar(f) = 0"
-        ),
-        "base-bound": (
-            "|Ric|^2 >= |Hess f|^2 - 4nq scal - 4n^2(2n+1)q^2 "
-            "- (1/(2n+1))[Lap(f)^2 + 2q(xi(f) - xi(xi f))Lap(f) "
-            "- 2n q^2 xi(f)^2] - (2(a-1)/((2n+1)a^2))"
-            "[(n+na+a) xi(xi f)^2 - (2n+a) xi(f) xi(xi f)], q = (a-1)/a"
-        ),
-        "base-bound-orthogonal": (
-            "|Ric|^2 >= |Hess f|^2 - Lap(f)^2/(2n+1) + 4nq Lap(f) "
-            "+ 4n^2(2n+1)(a^2-1)/a^2 when xi(f) = 0"
-        ),
-        "base-bound-orthogonal-harmonic": (
-            "|Ric|^2 >= |Hess f|^2 + 4n^2(2n+1)(a^2-1)/a^2 "
-            "when xi(f) = 0 and Lap(f) = 0"
-        ),
-        "base-bound-solenoidal": (
-            "|Ric|^2 >= |Hess f|^2 + ((a^2-1)/a^2)(4n^2 - xi(xi f)^2) "
-            "when Lap_bar(f) = 0"
-        ),
-    },
+    kind: {name: f"{text}; k = {k}" for name, text in _INEQ_TEMPLATE.items()}
+    for kind, k in (("riemann", "2n-1"), ("ricci", "1"))
 }
 
 

@@ -240,6 +240,16 @@ class TestCliExitCodes:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_report(self, tmp_path, capsys, where):
+        # the run completes, so exit 1 would read as a failed check
+        path = tmp_path / "no" / "r.json" if where == "missing-dir" else tmp_path
+        rc = main(["--builtin", "sphere2", "--points", "6",
+                   "--report", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot write report {path}: ")
+
     def test_negative_a_flag(self, capsys):
         rc = main(["--builtin", "kenmotsu3", "--a", "-1"])
         err = capsys.readouterr().err

@@ -29,7 +29,6 @@ from acmsolitons.expr import (
     parse_expr,
     pow_,
     render,
-    simplify_basic,
     sub,
 )
 
@@ -185,19 +184,6 @@ def test_render_parse_round_trip(e):
     if abs(expected) > 1e12:
         return
     assert evaluate(back, POINT) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_exprs(3))
-def test_simplify_preserves_value(e):
-    s = simplify_basic(e)
-    try:
-        expected = evaluate(e, POINT)
-    except EvalError:
-        return
-    if abs(expected) > 1e12:
-        return
-    assert evaluate(s, POINT) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
