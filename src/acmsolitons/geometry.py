@@ -61,7 +61,8 @@ class Samples(dict):
     of fields) is memoised on it, keyed by the chart, structure or field it
     belongs to, or by the expressions evaluated, so each is computed once
     per batch whichever suite asks first.  A batch that binds the symbol a
-    (see ``with_a``) keeps the batch it binds as ``parent``.
+    (see ``with_a``) keeps the batch it binds as ``parent``.  A batch is
+    never written to once built.
     """
 
     def __init__(self, values, parent=None):
@@ -76,10 +77,10 @@ class Samples(dict):
             c: np.array([p[c] for p in points], dtype=float) for c in points[0]
         })
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         """(N,), or (A, N) when a is bound to A values."""
-        return _shape(self)
+        return np.broadcast_shapes(*(np.shape(v) for v in self.values()))
 
     @property
     def count(self) -> int:
@@ -97,6 +98,8 @@ class Samples(dict):
 def _shape(point) -> tuple:
     """The sample shape of a point: () for one point, (N,) for a batch,
     with the a axis in front when a is bound to an array."""
+    if isinstance(point, Samples):
+        return point.shape
     return np.broadcast_shapes(*(np.shape(v) for v in point.values()))
 
 
@@ -160,11 +163,22 @@ def _reads_a(exprs) -> bool:
 
 def _evaluate_all(exprs, point, dims) -> np.ndarray:
     """Evaluate a flat sequence of expressions into components of shape
-    ``dims``, behind the sample axes of ``point``."""
+    ``dims``, behind the sample axes of ``point``.
+
+    A constant is written as it stands, and a tree equal to an earlier one
+    (a mirrored entry, or mixed partials that fold to one tree) is copied
+    from it; every other tree is evaluated, in order, so a domain error
+    names the same subtree and sample as evaluating each entry would.
+    """
     shape = _shape(point)
     out = np.empty(shape + (len(exprs),))
+    first = {}
     for k, e in enumerate(exprs):
-        out[..., k] = evaluate(e, point)
+        if isinstance(e, Const):
+            out[..., k] = e.value
+            continue
+        j = first.setdefault(e, k)
+        out[..., k] = evaluate(e, point) if j == k else out[..., j]
     return out.reshape(shape + dims)
 
 
@@ -218,28 +232,15 @@ class ChartManifold:
                         f"metric of {name} is not symmetric at entry ({i},{j})"
                     )
         self.constraints = tuple(constraints)
-        d = self.dim
-        self._dg = tuple(
-            tuple(tuple(diff(self.metric[i][j], ck) for j in range(d)) for i in range(d))
-            for ck in self.coords
-        )
-        self._d2g = tuple(
-            tuple(
-                tuple(
-                    tuple(diff(self._dg[k][i][j], cl) for j in range(d))
-                    for i in range(d)
-                )
-                for k in range(d)
-            )
-            for cl in self.coords
-        )
+        # g_ij, d_k g_ij and d_l d_k g_ij, each flat in row-major order
+        self._g = [e for row in self.metric for e in row]
+        self._dg = [diff(e, c) for c in self.coords for e in self._g]
+        self._d2g = [diff(e, c) for c in self.coords for e in self._dg]
 
     @cached_property
     def reads_a(self) -> bool:
         """Whether the metric or a constraint reads the symbol a."""
-        return _reads_a(
-            [e for row in self.metric for e in row] + list(self.constraints)
-        )
+        return _reads_a(self._g + list(self.constraints))
 
     @property
     def n(self) -> int:
@@ -287,35 +288,21 @@ class ChartManifold:
                 f"{what} of {self.name} not finite", point)
         return values
 
+    # the metric is symmetric entry by entry, so _evaluate_all evaluates
+    # each (i, j) entry and its partials once and copies them to (j, i)
     def metric_values(self, point) -> np.ndarray:
         d = self.dim
-        out = np.empty(_shape(point) + (d, d))
-        for i in range(d):
-            for j in range(i, d):
-                out[..., i, j] = out[..., j, i] = evaluate(self.metric[i][j], point)
+        out = _evaluate_all(self._g, point, (d, d))
         return self._finite(out, 2, "metric", point)
 
     def metric_partials(self, point) -> np.ndarray:
         d = self.dim
-        out = np.empty(_shape(point) + (d, d, d))
-        for k in range(d):
-            for i in range(d):
-                for j in range(i, d):
-                    out[..., k, i, j] = out[..., k, j, i] = evaluate(
-                        self._dg[k][i][j], point
-                    )
+        out = _evaluate_all(self._dg, point, (d, d, d))
         return self._finite(out, 3, "metric first partials", point)
 
     def metric_second_partials(self, point) -> np.ndarray:
         d = self.dim
-        out = np.empty(_shape(point) + (d, d, d, d))
-        for l in range(d):
-            for k in range(d):
-                for i in range(d):
-                    for j in range(i, d):
-                        out[..., l, k, i, j] = out[..., l, k, j, i] = evaluate(
-                            self._d2g[l][k][i][j], point
-                        )
+        out = _evaluate_all(self._d2g, point, (d, d, d, d))
         self._finite(out, 4, "metric second partials", point)
         # mixed partials commute; symmetrize away evaluation-order noise,
         # one pair (l, k) at a time so no copy of ``out`` is made
@@ -478,9 +465,20 @@ def _riemann_tensors(gamma, dgamma, g):
     return r13, r04
 
 
+def _christoffel(m: MetricData) -> np.ndarray:
+    """Gamma[l, i, j] = (1/2) g^lk combo[i, j, k], as one matmul over the
+    flattened (i, j) pairs."""
+    d = m.dim
+    lead = m.dg.shape[:-3]
+    combo = _gamma_combo(m.dg).reshape(lead + (d * d, d))
+    gamma = (m.inv @ _swap(combo)).reshape(lead + (d, d, d))
+    gamma *= 0.5
+    return gamma
+
+
 def _curvature(manifold, point) -> dict:
     m = manifold.metric_at_cached(point)
-    gamma = 0.5 * np.einsum("...lk,...ijk->...lij", m.inv, _gamma_combo(m.dg))
+    gamma = _christoffel(m)
     r13, r04 = _riemann_tensors(
         gamma, christoffel_partials(manifold, point), m.g
     )
@@ -590,11 +588,9 @@ def lie_derivative_metric(manifold, field: VectorField, point) -> np.ndarray:
 
 
 def _lie_metric_numeric(m: MetricData, v, dv, point) -> np.ndarray:
-    out = (
-        np.einsum("...k,...kij->...ij", v, m.dg)
-        + np.einsum("...ik,...kj->...ij", dv, m.g)
-        + np.einsum("...jk,...ik->...ij", dv, m.g)
-    )
+    # g_kj d_i V^k is dV g; g_ik d_j V^k is its transpose, as g is symmetric
+    dv_g = dv @ m.g
+    out = np.einsum("...k,...kij->...ij", v, m.dg) + dv_g + _swap(dv_g)
     return symmetric(0.5 * (out + _swap(out)), point)
 
 
@@ -640,11 +636,10 @@ def gradient_lie_derivative(manifold, f: ScalarField, point) -> np.ndarray:
     m = manifold.metric_at_cached(point)
     df = f.gradient_covector(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
-    v = np.einsum("...ik,...k->...i", m.inv, df)
-    dv = (
-        np.einsum("...aik,...k->...ai", m.dinv, df)
-        + np.einsum("...ik,...ak->...ai", m.inv, ddf)
-    )
+    column = df[..., :, None]
+    v = (m.inv @ column)[..., 0]
+    # dv[a, i] = d_a g^ik d_k f + g^ik d_a d_k f
+    dv = (m.dinv @ column[..., None, :, :])[..., 0] + ddf @ _swap(m.inv)
     return _lie_metric_numeric(m, v, dv, point)
 
 
@@ -798,12 +793,16 @@ def nabla_phi_tensor(structure: AcmStructure, point) -> np.ndarray:
     gamma = christoffel(structure.manifold, point)
     phi = structure.phi_values(point)
     dphi = structure.phi_partials(point)
-    # dphi[i, k, j] = d_i phi^k_j since the derivative index comes first
-    return (
-        dphi
-        + np.einsum("...kim,...mj->...ikj", gamma, phi)
-        - np.einsum("...mij,...km->...ikj", gamma, phi)
-    )
+    d = phi.shape[-1]
+    lead = gamma.shape[:-3]
+    # dphi[i, k, j] = d_i phi^k_j since the derivative index comes first;
+    # Gamma^k_im phi^m_j comes as [(k, i), j], phi^k_m Gamma^m_ij as
+    # [k, (i, j)]
+    turn = gamma.reshape(lead + (d * d, d)) @ phi
+    out = dphi + np.swapaxes(turn.reshape(turn.shape[:-2] + (d, d, d)), -3, -2)
+    turn = phi @ gamma.reshape(lead + (d, d * d))
+    out -= np.swapaxes(turn.reshape(turn.shape[:-2] + (d, d, d)), -3, -2)
+    return out
 
 
 def kenmotsu_details(structure: AcmStructure, point) -> dict:

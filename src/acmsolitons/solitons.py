@@ -207,17 +207,29 @@ class Frame:
             return self.structure.xi_field()
         return candidate.field
 
-    def lie_metric(self, candidate, point) -> np.ndarray:
-        point = self.at(point)
+    def _potential(self, candidate, what: str, point, gradient, vector):
+        """``gradient(chart, f, p)`` or ``vector(chart, V, p)`` at the bound
+        batch ``p``, memoised there by the chart and the potential: the
+        scalar field, or the components, as each candidate builds its own
+        VectorField.  Candidates of both kinds with one potential share it.
+        """
         if candidate.potential == "gradient":
-            return gradient_lie_derivative(self.manifold, candidate.scalar, point)
-        return lie_derivative_metric(self.manifold, self._field(candidate), point)
+            potential, compute = candidate.scalar, gradient
+            key = potential
+        else:
+            potential, compute = self._field(candidate), vector
+            key = potential.components
+        return memoised(self.at(point), (self.manifold, what, key),
+                        lambda p: compute(self.manifold, potential, p))
+
+    def lie_metric(self, candidate, point) -> np.ndarray:
+        """L_V g of the candidate's potential; callers must not write into
+        it."""
+        return self._potential(candidate, "lie", point,
+                               gradient_lie_derivative, lie_derivative_metric)
 
     def div_potential(self, candidate, point):
-        point = self.at(point)
-        if candidate.potential == "gradient":
-            return laplacian(self.manifold, candidate.scalar, point)
-        return divergence(self.manifold, self._field(candidate), point)
+        return self._potential(candidate, "div", point, laplacian, divergence)
 
     def lam_value(self, candidate, point):
         return evaluate(candidate.lam, self.at(point))
@@ -357,8 +369,9 @@ def reeb_soliton_general(kind: str, structure: AcmStructure, point, a,
                          lambda_bar) -> dict:
     """Implied Ricci and scal for a general Reeb-scenario lambda.
 
-    Substituting the pinned lambda reduces these to the fixed tensors of
-    ``implied_curvature``.
+    The Ricci tensor is c_g g + c_e eta (x) eta and scal is its g-trace
+    (2n+1) c_g + c_e, as |eta|_g = 1.  Substituting the pinned lambda
+    reduces these to the fixed tensors of ``implied_curvature``.
     """
     m = structure.manifold.metric_at_cached(point)
     eta = structure.eta_values(point)
@@ -373,7 +386,7 @@ def reeb_soliton_general(kind: str, structure: AcmStructure, point, a,
     ce = beta_a * (a - 1.0) + k + shift
     return {
         "ric": symmetric(_tensor(cg) * m.g + _tensor(ce) * outer(eta, eta), bound),
-        "scal": (2 * n + 1) * (beta_a - shift) - 2 * n * k,
+        "scal": (2 * n + 1) * cg + ce,
     }
 
 

@@ -106,9 +106,10 @@ def _rel(x, y, rank: int = 0) -> np.ndarray:
     max(1, |x|, |y|).
 
     ``x`` and ``y`` broadcast together, sample axes first; either may be a
-    constant.
+    constant.  Each is reduced on its own sample axes before the two meet.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     scale = np.maximum(1.0, np.maximum(max_abs(x, rank), max_abs(y, rank)))
     return max_abs(x - y, rank) / scale
 
@@ -124,25 +125,29 @@ def _worst(batch: Samples, items, check_id):
     ``batch`` is the batch the residuals belong to: N samples, or (A, N)
     when it binds a grid of a.  ``items`` lists (key, residuals) or (key,
     residuals, applicable), in the order the checks are computed;
-    residuals broadcast to the batch and ``applicable``, a mask, marks the
-    samples where the key's hypothesis holds (all when absent).  A key may
-    repeat.  Returns (worst, applicable): per key, the largest residual over
-    the samples where it applies, and the number of those samples, each
-    with one entry per a (a 0-d array without an a axis).  A non-finite
-    residual raises SuiteError naming ``check_id(key)`` with the tag of its
-    a and the earliest (a, sample) with one, since a NaN would otherwise
-    compare as passing.
+    residuals, never negative, broadcast to the batch and ``applicable``, a
+    mask, marks the samples where the key's hypothesis holds (all when
+    absent).  A key may repeat.  Returns (worst, applicable): per key, the
+    largest residual over the samples where it applies, and the number of
+    those samples, each with one entry per a (a 0-d array without an a
+    axis).  A non-finite residual raises SuiteError naming
+    ``check_id(key)`` with the tag of its a and the earliest (a, sample)
+    with one, since a NaN would otherwise compare as passing.
     """
     shape = batch.shape
     rows = []
     for key, residual, *mask in items:
-        applies = np.broadcast_to(mask[0] if mask else True, shape)
-        rows.append((key, np.broadcast_to(residual, shape), applies))
-    bad = np.array([applies & ~np.isfinite(r) for _, r, applies in rows])
-    if bad.any():
+        applies = np.broadcast_to(mask[0], shape) if mask else True
+        residual = np.broadcast_to(residual, shape)
+        top = np.max(residual, axis=-1, where=applies, initial=0.0)
+        rows.append((key, residual, applies, top))
+    # residuals are never negative, so a NaN or inf where one applies
+    # leaves its row's maximum non-finite
+    if not all(np.isfinite(top).all() for *_, top in rows):
+        bad = np.array([applies & ~np.isfinite(r) for _, r, applies, _ in rows])
         flat = bad.reshape(len(rows), -1)
         s = int(np.argmax(flat.any(axis=0)))
-        key, residual, _ = rows[int(np.argmax(flat[:, s]))]
+        key, residual, *_ = rows[int(np.argmax(flat[:, s]))]
         tag = a_tag(np.broadcast_to(batch[A], shape).flat[s]) if len(shape) > 1 else ""
         raise SuiteError(
             f"check {check_id(key)}{tag} has residual {residual.flat[s]} at "
@@ -150,12 +155,14 @@ def _worst(batch: Samples, items, check_id):
         )
     worst = {}
     covered = {}
-    for key, residual, applies in rows:
-        top = np.max(residual, axis=-1, where=applies, initial=0.0)
+    for key, _, applies, top in rows:
         held = worst.get(key, 0.0)
         worst[key] = np.where(top > held, top, held)  # a tie keeps +0.0
         covered[key] = covered.get(key, False) | applies
-    return worst, {key: np.count_nonzero(m, axis=-1) for key, m in covered.items()}
+    return worst, {
+        key: np.count_nonzero(np.broadcast_to(m, shape), axis=-1)
+        for key, m in covered.items()
+    }
 
 
 class _Run:

@@ -17,6 +17,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,12 +101,21 @@ def max_abs(data, rank: int):
     """Largest |component| of each sample's rank-``rank`` tensor.
 
     Reduces the last ``rank`` axes; NaN anywhere in a sample's tensor gives
-    NaN for that sample.
+    NaN for that sample.  |data| is taken once, into one component axis:
+    with at most 27 components that axis leads, so the reduction is a few
+    elementwise maxima over whole sample arrays rather than one short
+    reduction per sample.
     """
     if not rank:
         return np.abs(data)
-    axes = tuple(range(-rank, 0))
-    return np.maximum(np.max(data, axis=axes), -np.min(data, axis=axes))
+    lead = data.shape[:data.ndim - rank]
+    size = math.prod(data.shape[data.ndim - rank:])
+    flat = data.reshape(lead + (size,))
+    if size > 27:
+        return np.abs(flat).max(axis=-1)
+    k = len(lead)
+    components = np.abs(flat.transpose((k,) + tuple(range(k))), order="C")
+    return components.max(axis=0)
 
 
 def symmetric(data, point) -> np.ndarray:
@@ -115,13 +125,15 @@ def symmetric(data, point) -> np.ndarray:
     relative to max(1, max |component|).  Failure raises StructureError
     naming the first offending sample of ``point``.
     """
-    finite = np.isfinite(max_abs(data, 2))
+    # one reduction gives both the finiteness test and the scale
+    scale = max_abs(data, 2)
+    finite = np.isfinite(scale)
     if not np.all(finite):
         raise StructureError(
             f"non-finite tensor component at {locate(point, ~finite)}"
         )
-    scale = np.maximum(max_abs(data, 2), 1.0)
-    bad = max_abs(data - np.swapaxes(data, -1, -2), 2) > _SYMMETRY_TOL * scale
+    asym = max_abs(data - np.swapaxes(data, -1, -2), 2)
+    bad = asym > _SYMMETRY_TOL * np.maximum(scale, 1.0)
     if np.any(bad):
         raise StructureError(
             f"tensor declared symmetric is not at {locate(point, bad)}"

@@ -14,12 +14,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from acmsolitons import geometry
 from acmsolitons.deformation import deformation_curvature_term
 from acmsolitons.expr import Const
 from acmsolitons.geometry import (
     ChartManifold,
+    _christoffel,
+    _lie_metric_numeric,
     _riemann_tensors,
     christoffel_partials,
+    gradient_lie_derivative,
+    nabla_phi_tensor,
 )
 from acmsolitons.solitons import implied_curvature
 from acmsolitons.tensor import MetricData, hs_inner, kulkarni_nomizu
@@ -51,6 +56,14 @@ def _kn_ref(a, b):
         + np.einsum("...bc,...ad->...abcd", a, b)
         - np.einsum("...ac,...bd->...abcd", a, b)
         - np.einsum("...bd,...ac->...abcd", a, b)
+    )
+
+
+def _combo_ref(dg):
+    return (
+        dg
+        + np.einsum("...jik->...ijk", dg)
+        - np.einsum("...kij->...ijk", dg)
     )
 
 
@@ -101,14 +114,9 @@ def test_christoffel_partials(d):
         + np.einsum("...ajik->...aijk", d2g)
         - np.einsum("...akij->...aijk", d2g)
     )
-    combo = (
-        dg
-        + np.einsum("...jik->...ijk", dg)
-        - np.einsum("...kij->...ijk", dg)
-    )
     ref = 0.5 * (
         np.einsum("...lk,...aijk->...alij", inv, dcombo)
-        + np.einsum("...alk,...ijk->...alij", dinv, combo)
+        + np.einsum("...alk,...ijk->...alij", dinv, _combo_ref(dg))
     )
     _close(christoffel_partials(manifold, None), ref)
 
@@ -170,3 +178,77 @@ def test_implied_riemann_curvature(d):
     )
     point = {"x": np.zeros(BATCH)}
     _close(implied_curvature("riemann", structure, point, 2.0)["r04"], ref)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_christoffel(d):
+    inv = _random(d, "i", "j", seed=20)
+    dg = _random(d, "k", "i", "j", seed=21)
+    m = MetricData(g=_spd(d, seed=20), inv=inv, dg=dg, dinv=None)
+    ref = 0.5 * np.einsum("...lk,...ijk->...lij", inv, _combo_ref(dg))
+    _close(_christoffel(m), ref)
+
+
+def _lie_ref(g, dg, v, dv):
+    out = (
+        np.einsum("...k,...kij->...ij", v, dg)
+        + np.einsum("...ik,...kj->...ij", dv, g)
+        + np.einsum("...jk,...ik->...ij", dv, g)
+    )
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_lie_metric(d):
+    # g is a metric: dV g stands for both g-contractions only when it is
+    # symmetric; dg, V and dV are free
+    g = _spd(d, seed=22)
+    dg = _random(d, "k", "i", "j", seed=23)
+    v = _random(d, "i", seed=24)
+    dv = _random(d, "i", "k", seed=25)
+    m = MetricData(g=g, inv=None, dg=dg, dinv=None)
+    point = {"x": np.zeros(BATCH)}
+    _close(_lie_metric_numeric(m, v, dv, point), _lie_ref(g, dg, v, dv))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_gradient_lie_derivative(d):
+    g = _spd(d, seed=26)
+    inv = _random(d, "i", "j", seed=27)
+    dg, dinv = (_random(d, "k", "i", "j", seed=s) for s in (28, 29))
+    df = _random(d, "i", seed=30)
+    ddf = _random(d, "a", "k", seed=31)
+    m = MetricData(g=g, inv=inv, dg=dg, dinv=dinv)
+    manifold = SimpleNamespace(
+        coords=None, metric_at_cached=lambda point: m
+    )
+    f = SimpleNamespace(
+        gradient_covector=lambda coords, point: df,
+        second_partials=lambda coords, point: ddf,
+    )
+    v = np.einsum("...ik,...k->...i", inv, df)
+    dv = (
+        np.einsum("...aik,...k->...ai", dinv, df)
+        + np.einsum("...ik,...ak->...ai", inv, ddf)
+    )
+    point = {"x": np.zeros(BATCH)}
+    _close(gradient_lie_derivative(manifold, f, point), _lie_ref(g, dg, v, dv))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_nabla_phi_tensor(d, monkeypatch):
+    gamma = _random(d, "l", "i", "j", seed=32)
+    phi = _random(d, "i", "j", seed=33)
+    dphi = _random(d, "k", "i", "j", seed=34)
+    monkeypatch.setattr(geometry, "christoffel", lambda man, point: gamma)
+    structure = SimpleNamespace(
+        manifold=None,
+        phi_values=lambda point: phi,
+        phi_partials=lambda point: dphi,
+    )
+    ref = (
+        dphi
+        + np.einsum("...kim,...mj->...ikj", gamma, phi)
+        - np.einsum("...mij,...km->...ikj", gamma, phi)
+    )
+    _close(nabla_phi_tensor(structure, None), ref)

@@ -340,3 +340,73 @@ class TestNonFiniteMetric:
             _check_curvature_symmetries(
                 np.full((2, 2, 2, 2), np.nan), "chart", {"x": 0.0}
             )
+
+
+class TestEntryEvaluation:
+    """Each metric entry and partial is written from one evaluation of its
+    tree; constants are not evaluated at all."""
+
+    COORDS = ("x", "y", "z")
+
+    def _chart(self, entries):
+        g = [[parse_expr("0", self.COORDS) for _ in range(3)] for _ in range(3)]
+        for i in range(3):
+            g[i][i] = parse_expr("1", self.COORDS)
+        for (i, j), text in entries.items():
+            g[i][j] = g[j][i] = parse_expr(text, self.COORDS)
+        return ChartManifold(self.COORDS, g)
+
+    def _batch(self):
+        from acmsolitons.geometry import Samples
+
+        return Samples({
+            "x": np.array([1.0, 0.5, -1.0, -2.0]),
+            "y": np.array([0.3, -0.2, 0.0, 2.0]),
+            "z": np.array([1.0, 2.0, 3.0, 0.0]),
+        })
+
+    @pytest.mark.parametrize("name, subtree", [
+        ("metric_values", "1.0 / (y * z)"),
+        ("metric_partials", "-z / (y * z)^2.0"),
+        ("metric_second_partials",
+         "-(-z * (2.0 * (y * z) * z)) / ((y * z)^2.0)^2.0"),
+    ])
+    def test_domain_error_names_the_subtree_and_sample(self, name, subtree):
+        # the (1, 2) entry and its mirror (2, 1) fail at the third sample,
+        # where y = 0; the error names the tree and that sample
+        from acmsolitons.expr import EvalError
+
+        man = self._chart({(2, 1): "1/(y*z)", (0, 0): "2 + x^2"})
+        with pytest.raises(EvalError) as info:
+            getattr(man, name)(self._batch())
+        assert str(info.value) == (
+            f"division by zero in '{subtree}' at sample "
+            "{'x': -1.0, 'y': 0.0, 'z': 3.0}"
+        )
+
+    def test_constants_and_repeats_are_not_evaluated(self, monkeypatch):
+        from acmsolitons import geometry
+
+        seen = []
+        real = geometry.evaluate
+
+        def recording(e, point):
+            seen.append(e)
+            return real(e, point)
+
+        monkeypatch.setattr(geometry, "evaluate", recording)
+        man = self._chart({(0, 1): "x*y", (2, 2): "exp(z)"})
+        batch = self._batch()
+        g = man.metric_values(batch)
+        assert seen == [
+            parse_expr("x*y", self.COORDS), parse_expr("exp(z)", self.COORDS)
+        ]
+        assert np.array_equal(g[:, 0, 1], batch["x"] * batch["y"])
+        assert np.array_equal(g[:, 1, 0], g[:, 0, 1])
+        # d_x d_y (x y) = d_y d_x (x y) = 1 folds to a constant; the only
+        # trees left to evaluate are those in exp(z)
+        seen.clear()
+        d2g = man.metric_second_partials(batch)
+        assert all("z" in str(e) for e in seen)
+        assert len(seen) == len(set(seen)) == 1
+        assert np.array_equal(d2g[:, 0, 1, 0, 1], np.ones(4))

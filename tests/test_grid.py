@@ -349,3 +349,33 @@ def test_no_base_pairing_contracted_twice(monkeypatch):
     assert all(c.passed for c in run_suites(config))
     assert seen
     assert len(set(seen)) == len(seen)
+
+
+def test_each_lie_derivative_taken_once(monkeypatch):
+    # L_V g of one potential on one chart is computed once per run, for
+    # every candidate, kind and suite that reads it: the riemann and ricci
+    # candidates of kenmotsu3 share grad f and V in both frames, and the
+    # kenmotsu and section2 suites take L_xi g on the base and deformed
+    # charts
+    seen = {"gradient": [], "vector": []}
+    real_gradient = solitons.gradient_lie_derivative
+    real_vector = solitons.lie_derivative_metric
+
+    def gradient(man, f, point):
+        seen["gradient"].append((man, f))
+        return real_gradient(man, f, point)
+
+    def vector(man, field, point):
+        seen["vector"].append((man, field.components))
+        return real_vector(man, field, point)
+
+    monkeypatch.setattr(solitons, "gradient_lie_derivative", gradient)
+    monkeypatch.setattr(solitons, "lie_derivative_metric", vector)
+    monkeypatch.setattr(suites, "lie_derivative_metric", vector)
+    config = builtin_config("kenmotsu3")
+    config.points = 16
+    assert all(c.passed for c in run_suites(config))
+    assert len(seen["gradient"]) == 2  # (base, deformed) x f
+    assert len(seen["vector"]) == 4  # (base, deformed) x (V, xi)
+    for calls in seen.values():
+        assert len(set(calls)) == len(calls)

@@ -148,19 +148,12 @@ def _reeb_general_ref(kind, n, a, lambda_bar, g, ee):
             + (4 * n - 1.0 - 2 * n * a)
             + 2 * n * (a - 1.0) / a
         )
-        scal = (
-            2 * n * (2 * n + 1) * a * lambda_bar
-            - 8.0 * n * n
-            - 2 * n * (2 * n + 1) * (a - 1.0) / a
-        )
     else:
         cg = a * lambda_bar - 1.0 - 2 * n * (a - 1.0) / a
         ce = a * (a - 1.0) * lambda_bar + 1.0 + 2 * n * (a - 1.0) / a
-        scal = (
-            (2 * n + 1) * a * lambda_bar
-            - 2.0 * n
-            - 2 * n * (2 * n + 1) * (a - 1.0) / a
-        )
+    # the g-trace of cg g + ce eta (x) eta for a unit eta; the scal written
+    # before the merge agreed with it only at the pinned lambda
+    scal = (2 * n + 1) * cg + ce
     return cg[..., None, None] * g + ce[..., None, None] * ee, scal
 
 

@@ -239,6 +239,22 @@ class TestImpliedCurvature:
             )
             assert general["scal"] == pytest.approx(implied["scal"], abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["riemann", "ricci"])
+    def test_general_scal_is_the_trace_off_the_pinned_lambda(
+        self, kenmotsu3, kenmotsu3_points, kind
+    ):
+        # away from the pinned lambda the scal must still be the g-trace of
+        # the implied Ricci tensor (at lambda_bar + 0.3 the two differed by
+        # (1-a)(a^2 beta + 2n)/a: 0.15 and -1.2 for riemann at a = 0.5, 2)
+        s = kenmotsu3.structure
+        p = kenmotsu3_points[0]
+        inv = s.manifold.metric_at_cached(p).inv
+        for a in (0.5, 2.0, 3.7):
+            shifted = implied_curvature(kind, s, p, a)["lambda_bar"] + 0.3
+            general = reeb_soliton_general(kind, s, p, a, shifted)
+            trace = np.einsum("ij,ij->", inv, general["ric"])
+            assert general["scal"] == pytest.approx(trace, rel=1e-12, abs=1e-12)
+
 
 class TestReebCompatibility:
     @pytest.mark.parametrize("kind", ["riemann", "ricci"])

@@ -9,6 +9,8 @@ from acmsolitons.tensor import (
     TensorValue,
     hs_inner,
     kulkarni_nomizu,
+    max_abs,
+    symmetric,
 )
 
 
@@ -141,3 +143,89 @@ def test_kn_symmetrized_in_arguments(seed):
         TensorValue(0, 2, A, symmetric=True).data,
     )
     assert np.allclose(ab, ba, atol=1e-13)
+
+
+def _max_abs_ref(x, rank):
+    axes = tuple(range(-rank, 0))
+    return np.maximum(np.max(x, axis=axes), -np.min(x, axis=axes))
+
+
+def _max_abs_cases(rng, d, rank):
+    """(N,) and (A, N) batches of rank-``rank`` tensors: contiguous, as a
+    view with two tensor axes swapped, and as a view whose sample axes
+    come last in memory."""
+    for lead in ((6,), (4, 6)):
+        shape = lead + (d,) * rank
+        x = rng.normal(size=shape)
+        yield x
+        if rank >= 2:
+            yield np.swapaxes(x, -1, -2)
+        back = rng.normal(size=(d,) * rank + lead)
+        yield np.moveaxis(back, tuple(range(rank)), tuple(range(-rank, 0)))
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize("d", (3, 5))
+    @pytest.mark.parametrize("rank", (0, 1, 2, 3, 4))
+    def test_equals_max_of_max_and_minus_min(self, rng, d, rank):
+        for x in _max_abs_cases(rng, d, rank):
+            np.testing.assert_array_equal(max_abs(x, rank), _max_abs_ref(x, rank))
+
+    @pytest.mark.parametrize("d", (3, 5))
+    @pytest.mark.parametrize("rank", (1, 2, 3, 4))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_stays_in_its_sample(self, rng, d, rank, bad):
+        for x in _max_abs_cases(rng, d, rank):
+            x = np.copy(x)  # order "K": the copy keeps the memory order
+            lead = x.shape[:-rank]
+            sample = tuple(n // 2 for n in lead)
+            component = tuple(rng.integers(0, d, size=rank))
+            x[sample + component] = bad
+            got = max_abs(x, rank)
+            np.testing.assert_array_equal(got, _max_abs_ref(x, rank))
+            finite = np.ones(lead, dtype=bool)
+            finite[sample] = False
+            assert np.isfinite(got).tolist() == finite.tolist()
+
+    def test_single_tensor(self, rng):
+        x = rng.normal(size=(3, 3))
+        assert max_abs(x, 2) == np.max(np.abs(x))
+
+
+class TestSymmetric:
+    def _batch(self, rng):
+        m = rng.normal(size=(5, 3, 3))
+        return m + np.swapaxes(m, -1, -2)
+
+    def test_passes_symmetric_data_through(self, rng):
+        data = self._batch(rng)
+        assert symmetric(data, {"x": np.arange(5.0)}) is data
+
+    def test_names_the_first_non_finite_sample(self, rng):
+        data = self._batch(rng)
+        data[3, 0, 0] = np.nan
+        data[4, 1, 2] = np.inf
+        data[1, 0, 1] += 1e-3  # asymmetric, but non-finite is checked first
+        with pytest.raises(StructureError) as info:
+            symmetric(data, {"x": np.arange(5.0)})
+        assert str(info.value) == "non-finite tensor component at {'x': 3.0}"
+
+    def test_names_the_first_asymmetric_sample(self, rng):
+        data = self._batch(rng)
+        data[2, 0, 1] += 1e-9
+        data[4, 1, 2] += 1.0
+        with pytest.raises(StructureError) as info:
+            symmetric(data, {"x": np.arange(5.0)})
+        assert str(info.value) == "tensor declared symmetric is not at {'x': 2.0}"
+
+    def test_relative_tolerance(self, rng):
+        # 1e-12 relative to max(1, max |component|): 5e-11 is noise at a
+        # scale of 1e3, an asymmetry at a scale of 1
+        data = self._batch(rng)
+        data[0] *= 1e3 / np.max(np.abs(data[0]))
+        data[0, 0, 1] += 5e-10
+        symmetric(data, {"x": np.arange(5.0)})
+        data[1] /= np.max(np.abs(data[1]))
+        data[1, 0, 1] += 5e-12
+        with pytest.raises(StructureError, match=r"at \{'x': 1.0\}"):
+            symmetric(data, {"x": np.arange(5.0)})
