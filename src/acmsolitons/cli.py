@@ -18,6 +18,7 @@ from .config import (
     check_grid,
     check_tolerance,
     load_config,
+    parse_suites,
 )
 from .suites import build_report, report_json, run_suites
 from .tensor import StructureError
@@ -60,15 +61,7 @@ def _parse_args(argv):
 
 def _apply_overrides(config, args) -> None:
     if args.suites is not None:
-        suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-        for s in suites:
-            if s not in ALL_SUITES:
-                raise ConfigError(
-                    f"unknown suite {s!r}; valid suites: {', '.join(ALL_SUITES)}"
-                )
-        if not suites:
-            raise ConfigError("--suites must name at least one suite")
-        config.suites = suites
+        config.suites = parse_suites(args.suites, "--suites")
     if args.a_grid is not None:
         try:
             grid = tuple(float(t) for t in args.a_grid.split(","))

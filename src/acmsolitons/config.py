@@ -39,6 +39,7 @@ __all__ = [
     "builtin_names",
     "check_grid",
     "check_tolerance",
+    "parse_suites",
 ]
 
 ALL_SUITES = (
@@ -151,6 +152,24 @@ def check_grid(grid, source: str) -> None:
                 f"share the check tag {tag}"
             )
         seen[tag] = value
+
+
+def parse_suites(text: str, source: str) -> tuple:
+    """The suites a comma-separated list names, in its order.  Refuses an
+    empty list, an unknown name and a name given twice (its checks would
+    share ids), naming ``source``."""
+    suites = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not suites:
+        raise ConfigError(f"{source}: must name at least one suite")
+    for i, s in enumerate(suites):
+        if s not in ALL_SUITES:
+            raise ConfigError(
+                f"{source}: unknown suite {s!r}; valid suites: "
+                f"{', '.join(ALL_SUITES)}"
+            )
+        if s in suites[:i]:
+            raise ConfigError(f"{source}: suite {s!r} is named twice")
+    return suites
 
 
 def check_tolerance(value: float, source: str) -> None:
@@ -386,13 +405,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
     if suites_text is None:
         suites = ALL_SUITES
     else:
-        suites = tuple(t.strip() for t in suites_text.split(",") if t.strip())
-        for s in suites:
-            if s not in ALL_SUITES:
-                raise ConfigError(
-                    f"{source}: unknown suite {s!r}; valid suites: "
-                    f"{', '.join(ALL_SUITES)}"
-                )
+        suites = parse_suites(suites_text, f"{source}: [run] suites")
 
     scalar_name = run.pop("scalar", None)
     if scalar_name is None and "f" in scalars:
@@ -414,6 +427,8 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
             raise ConfigError(
                 f"{source}: [run] box_{c} must be 'low, high'"
             ) from err
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"{source}: [run] box_{c} must be finite")
         if not lo < hi:
             raise ConfigError(f"{source}: [run] box_{c} must have low < high")
         box[c] = (lo, hi)

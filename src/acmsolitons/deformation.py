@@ -143,7 +143,7 @@ class DeformedStructure:
     parameter alone.
     """
 
-    def __init__(self, base: AcmStructure, a, kenmotsu_tol: float = KENMOTSU_TOL):
+    def __init__(self, base: AcmStructure, a):
         a = np.asarray(a, dtype=float)
         bad = np.atleast_1d(~(np.isfinite(a) & (a > 0.0)))
         if np.any(bad):
@@ -163,7 +163,6 @@ class DeformedStructure:
             base = _fixed(base, float(inner.a))
         self.base = base
         self.a = a
-        self.kenmotsu_tol = kenmotsu_tol
         man = base.manifold
         d = man.dim
         pa = Coord(A)
@@ -204,7 +203,7 @@ class DeformedStructure:
 
     def require_kenmotsu(self, point) -> None:
         res = kenmotsu_residual(self.base, point)
-        bad = ~(res <= self.kenmotsu_tol)
+        bad = ~(res <= KENMOTSU_TOL)
         if np.any(bad):
             first = np.atleast_1d(res)[np.argmax(bad)]
             raise NotKenmotsuError(
@@ -309,18 +308,23 @@ class DeformedStructure:
     # -- scalar operators ----------------------------------------------------
 
     def xi_derivatives(self, f: ScalarField, point) -> tuple:
-        """xi(f) and xi(xi(f)) from exact partials of f and xi."""
-        man = self.base.manifold
-        xi = self.base.xi_values(point)
-        dxi = self.base.xi_partials(point)
-        df = f.gradient_covector(man.coords, point)
-        ddf = f.second_partials(man.coords, point)
-        xif = np.einsum("...k,...k->...", xi, df)
-        xixif = (
-            np.einsum("...k,...km,...m->...", xi, dxi, df)
-            + np.einsum("...k,...m,...km->...", xi, xi, ddf)
-        )
-        return xif, xixif
+        """xi(f) and xi(xi(f)) from exact partials of f and xi, memoised
+        on a batch."""
+        def compute(p):
+            man = self.base.manifold
+            xi = self.base.xi_values(p)
+            dxi = self.base.xi_partials(p)
+            df = f.gradient_covector(man.coords, p)
+            ddf = f.second_partials(man.coords, p)
+            xif = np.einsum("...k,...k->...", xi, df)
+            xixif = (
+                np.einsum("...k,...km,...m->...", xi, dxi, df)
+                + np.einsum("...k,...m,...km->...", xi, xi, ddf)
+            )
+            return xif, xixif
+
+        return memoised(point, (self.base, f, "xi derivatives"), compute,
+                        f.reads_a)
 
     def hessian_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
@@ -351,11 +355,10 @@ class DeformedStructure:
         )
 
 
-def deform(structure: AcmStructure, a,
-           kenmotsu_tol: float = KENMOTSU_TOL) -> DeformedStructure:
+def deform(structure: AcmStructure, a) -> DeformedStructure:
     """Deformed structure for a parameter a > 0 (a = 1 is the identity),
     or for a 1-d grid of them at once."""
-    return DeformedStructure(structure, a, kenmotsu_tol)
+    return DeformedStructure(structure, a)
 
 
 # ---------------------------------------------------------------------------

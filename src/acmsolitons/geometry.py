@@ -57,10 +57,10 @@ class Samples(dict):
     """A batch of N sample points: coordinate name -> (N,) array.
 
     What a run derives from the batch alone (metric data, curvature,
-    Hessians of scalar fields, Kenmotsu residuals, the values and partials
-    of fields) is memoised on it, keyed by the chart, structure or field it
-    belongs to, or by the expressions evaluated, so each is computed once
-    per batch whichever suite asks first.  A batch that binds the symbol a
+    Hessians of scalar fields, divergences, Kenmotsu residuals, the values
+    and partials of fields) is memoised on it, keyed by the chart,
+    structure or field it belongs to, or by the expressions evaluated, so
+    each is computed once per batch whichever suite asks first.  A batch that binds the symbol a
     (see ``with_a``) keeps the batch it binds as ``parent``.  A batch is
     never written to once built.
     """
@@ -617,11 +617,15 @@ def _hessian(manifold, f: ScalarField, point) -> np.ndarray:
 
 
 def divergence(manifold, field: VectorField, point):
-    """div V = d_i V^i + Gamma^i_ik V^k."""
-    gamma = christoffel(manifold, point)
-    v = field.values(manifold.coords, point)
-    dv = field.partials(manifold.coords, point)
-    return np.einsum("...ii->...", dv) + np.einsum("...iik,...k->...", gamma, v)
+    """div V = d_i V^i + Gamma^i_ik V^k, memoised on a batch."""
+    def compute(p):
+        gamma = christoffel(manifold, p)
+        v = field.values(manifold.coords, p)
+        dv = field.partials(manifold.coords, p)
+        return np.einsum("...ii->...", dv) + np.einsum("...iik,...k->...", gamma, v)
+
+    return memoised(point, (manifold, field.components, "divergence"),
+                    compute, manifold.reads_a or field.reads_a)
 
 
 def laplacian(manifold, f: ScalarField, point):
@@ -853,12 +857,17 @@ def sample_batch(manifold, box, count, seed) -> Samples:
     the domain constraints.  Candidates are drawn in blocks of exactly the
     number still missing, which yields the same doubles as drawing them one
     by one, so a given seed always yields the same points.  A constraint
-    that cannot be evaluated raises StructureError naming the chart, the
-    constraint subtree and the sample.
+    that cannot be evaluated, or a box whose width overflows, raises
+    StructureError naming the chart and the constraint subtree and sample,
+    or the coordinate.
     """
     rng = np.random.default_rng(seed)
     lows = np.array([box[c][0] for c in manifold.coords])
     highs = np.array([box[c][1] for c in manifold.coords])
+    for c in manifold.coords:
+        if not np.isfinite(float(box[c][1]) - float(box[c][0])):
+            raise StructureError(f"sampling box of {manifold.name} is too "
+                                 f"wide in {c}: {box[c]} has no finite width")
     limit = 1000 * count + 1000
     blocks = []
     accepted = drawn = 0

@@ -1,13 +1,13 @@
 """Check suites over sampled chart points, with deterministic reports.
 
-Each suite turns into a list of named checks; a check aggregates a residual
-over all sample points and compares it against a tolerance.  Every
-quantity is evaluated once for the whole batch of sample points, as one
-value per sample; what depends on the deformation parameter is evaluated
-once for the whole a-grid too, as one value per a and sample, and each
-[a=...] check takes the max over its row.  Closed-form
-versus direct comparisons use a relative residual (scaled by the larger of
-1 and the magnitudes involved), algebraic axiom checks and soliton equation
+Every quantity is evaluated once for the whole batch of sample points, as
+one value per sample; what depends on the deformation parameter is
+evaluated once for the whole a-grid too, as one value per a and sample.
+Each suite hands its residuals over as claims, and one function, ``_emit``,
+turns them into checks the same way for every suite: the worst residual of
+each [a=...] row against a tolerance.  Closed-form versus direct
+comparisons use a relative residual (scaled by the larger of 1 and the
+magnitudes involved), algebraic axiom checks and soliton equation
 residuals are absolute.  Reports are plain dicts whose JSON serialization
 is byte-stable for a fixed (config, seed, version): checks are sorted by
 id, keys are sorted, and no timing data enters the report.
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,22 +124,22 @@ def _below(margin) -> np.ndarray:
 def _worst(batch: Samples, items, check_id):
     """Worst residual of each key over the samples, per value of a.
 
-    ``batch`` is the batch the residuals belong to: N samples, or (A, N)
-    when it binds a grid of a.  ``items`` lists (key, residuals) or (key,
-    residuals, applicable), in the order the checks are computed;
-    residuals, never negative, broadcast to the batch and ``applicable``, a
-    mask, marks the samples where the key's hypothesis holds (all when
-    absent).  A key may repeat.  Returns (worst, applicable): per key, the
-    largest residual over the samples where it applies, and the number of
-    those samples, each with one entry per a (a 0-d array without an a
-    axis).  A non-finite residual raises SuiteError naming
-    ``check_id(key)`` with the tag of its a and the earliest (a, sample)
-    with one, since a NaN would otherwise compare as passing.
+    ``batch`` holds N samples, or (A, N) when it binds a grid of a.
+    ``items`` lists (key, residuals) or (key, residuals, applicable), in
+    the order they are computed: residuals, never negative, and the mask
+    ``applicable`` of samples where the key's hypothesis holds (None or
+    absent: all) broadcast to the batch.  A key may repeat.  Returns
+    (worst, applicable): per key, the largest residual over the samples
+    where it applies and the number of those samples, one entry per a (0-d
+    without an a axis).  A non-finite residual raises SuiteError naming
+    ``check_id(key)``, the tag of its a and the earliest (a, sample) with
+    one, since a NaN would otherwise compare as passing.
     """
     shape = batch.shape
     rows = []
     for key, residual, *mask in items:
-        applies = np.broadcast_to(mask[0], shape) if mask else True
+        mask = mask[0] if mask else None
+        applies = True if mask is None else np.broadcast_to(mask, shape)
         residual = np.broadcast_to(residual, shape)
         top = np.max(residual, axis=-1, where=applies, initial=0.0)
         rows.append((key, residual, applies, top))
@@ -165,6 +167,82 @@ def _worst(batch: Samples, items, check_id):
     }
 
 
+class Claim(NamedTuple):
+    """One identity or bound of the paper, as residuals on a batch.
+
+    ``key`` names the check under its suite's prefix; ``tol`` is its
+    default tolerance, a number or a function of a; ``residual`` is never
+    negative and broadcasts to the batch.  ``applies`` masks the samples
+    where the claim's ``hypothesis`` holds (None: everywhere), and
+    ``labels`` are per-sample soliton classifications (None: the check
+    carries none).
+    """
+
+    key: str
+    anchor: str
+    tol: object
+    residual: object
+    applies: object = None
+    labels: object = None
+    hypothesis: str = "hypothesis"
+
+
+def _closed_tol(a) -> float:
+    """Tolerance of a closed form against direct computation: both are
+    the same expression at a = 1, rounded differently elsewhere."""
+    return 1e-12 if a == 1.0 else 1e-8
+
+
+def _emit(batch: Samples, prefix: str, override, claims) -> list:
+    """The checks ``prefix/key[a=...]`` of ``claims`` on ``batch``.
+
+    One check per key and row of a (one untagged row when ``batch`` binds
+    no a).  A check takes the worst residual of its key's claims on its
+    row (``_worst``: a repeated key takes the larger, a non-finite
+    residual raises SuiteError) and passes at or below its tolerance:
+    ``override`` when given, else the first claim's default.  Where the
+    key's hypothesis holds at no sample of the row the check is vacuous;
+    where it holds at only some, its detail says at how many.  A row whose
+    labels are all one label is classified by it, else as "mixed".
+    """
+    shape = batch.shape
+    npts = shape[-1]
+    a_row = [1.0] if len(shape) == 1 else np.ravel(batch[A]).tolist()
+    tags = [""] if len(shape) == 1 else [a_tag(a) for a in a_row]
+    worst, counts = _worst(
+        batch, [(c.key, c.residual, c.applies) for c in claims],
+        lambda key: f"{prefix}/{key}",
+    )
+    first = {}
+    for c in claims:
+        first.setdefault(c.key, c)
+    checks = []
+    for key, c in first.items():
+        tol = c.tol if override is None else override
+        tols = [tol(a) for a in a_row] if callable(tol) else [tol] * len(a_row)
+        tops = np.reshape(worst[key], -1).tolist()
+        ns = np.reshape(counts[key], -1).tolist()
+        classes = [None] * len(a_row)
+        if c.labels is not None:
+            rows = np.broadcast_to(c.labels, shape).reshape(len(a_row), npts)
+            classes = [
+                row[0] if len(set(row)) == 1 else "mixed"
+                for row in rows.tolist()
+            ]
+        for tag, top, n, tol, cls in zip(tags, tops, ns, tols, classes):
+            if n == 0:
+                top, passed = 0.0, True
+                detail = f"{c.hypothesis} fails at every sample; no claim checked"
+            else:
+                passed = top <= tol
+                detail = f"checked at {n} of {npts} samples" if n < npts else None
+            checks.append(CheckResult(
+                f"{prefix}/{key}{tag}", c.anchor, n, top, tol, passed, cls,
+                detail,
+            ))
+    return checks
+
+
 class _Run:
     """What the suites of one run share.
 
@@ -177,27 +255,10 @@ class _Run:
     def __init__(self, config: VerificationConfig, points: Samples):
         self.config = config
         self.points = points
-        self._deformed = None
 
+    @cached_property
     def deformed(self) -> DeformedStructure:
-        if self._deformed is None:
-            self._deformed = deform(self.config.structure, self.config.a_grid)
-        return self._deformed
-
-    def rows(self, batch: Samples) -> list:
-        """(a, tag, index) of each row of residuals on ``batch`` to report:
-        one untagged row for the base (a = 1) without an a axis, else one
-        per a of the grid."""
-        if len(batch.shape) == 1:
-            return [(1.0, "", ())]
-        return [(a, a_tag(a), i) for i, a in enumerate(self.config.a_grid)]
-
-
-def _result(check_id, anchor, npoints, residual, tol, **kw) -> CheckResult:
-    return CheckResult(
-        check_id, anchor, npoints, float(residual), float(tol),
-        bool(residual <= tol), **kw
-    )
+        return deform(self.config.structure, self.config.a_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +275,10 @@ _ACM_ANCHORS = {
 
 
 def _suite_acm_axioms(run, override):
-    structure = run.config.structure
-    tol = 1e-10 if override is None else override
-    worst, _ = _worst(
-        run.points, structure.validate(run.points).items(),
-        lambda k: f"acm/{k}",
-    )
-    return [
-        _result(f"acm/{k}", _ACM_ANCHORS[k], run.points.count, worst[k], tol)
-        for k in _ACM_ANCHORS
-    ]
+    residuals = run.config.structure.validate(run.points)
+    return _emit(run.points, "acm", override, [
+        Claim(k, _ACM_ANCHORS[k], 1e-10, r) for k, r in residuals.items()
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +299,6 @@ def _suite_kenmotsu(run, override):
     man = s.manifold
     n = s.n
     pts = run.points
-    tol_alg = 1e-10 if override is None else override
-    tol_curv = 1e-9 if override is None else override
     eye = np.eye(man.dim)
 
     det = kenmotsu_details(s, pts)
@@ -260,27 +313,18 @@ def _suite_kenmotsu(run, override):
         - np.einsum("...b,la->...lab", eta, eye)
     )
     ric_xi = np.einsum("...i,...ij,...j->...", xi, bundle["Ric"], xi)
-    worst, _ = _worst(pts, (
-        ("nabla-phi", det["nabla-phi"]),
-        ("nabla-xi", det["nabla-xi"]),
-        ("div-xi", np.abs(divergence(man, s.xi_field(), pts) - 2.0 * n)),
-        ("lie-xi-metric", max_abs(lie - 2.0 * (m.g - outer(eta, eta)), 2)),
-        ("curvature-reeb", max_abs(rxy_xi - target, 3)),
-        ("ricci-reeb", np.abs(ric_xi + 2.0 * n)),
-    ), lambda k: f"kenmotsu/{k}")
-    tols = {
-        "nabla-phi": tol_alg,
-        "nabla-xi": tol_alg,
-        "div-xi": tol_alg,
-        "lie-xi-metric": tol_alg,
-        "curvature-reeb": tol_curv,
-        "ricci-reeb": tol_curv,
-    }
-    return [
-        _result(f"kenmotsu/{k}", _KENMOTSU_ANCHORS[k], pts.count,
-                worst[k], tols[k])
-        for k in _KENMOTSU_ANCHORS
-    ]
+    return _emit(pts, "kenmotsu", override, [
+        Claim(k, _KENMOTSU_ANCHORS[k], tol, r) for k, tol, r in (
+            ("nabla-phi", 1e-10, det["nabla-phi"]),
+            ("nabla-xi", 1e-10, det["nabla-xi"]),
+            ("div-xi", 1e-10,
+             np.abs(divergence(man, s.xi_field(), pts) - 2.0 * n)),
+            ("lie-xi-metric", 1e-10,
+             max_abs(lie - 2.0 * (m.g - outer(eta, eta)), 2)),
+            ("curvature-reeb", 1e-9, max_abs(rxy_xi - target, 3)),
+            ("ricci-reeb", 1e-9, np.abs(ric_xi + 2.0 * n)),
+        )
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +354,7 @@ def _suite_section2(run, override):
     structure = config.structure
     f = config.scalar
     pts = run.points
-    ds = run.deformed()
+    ds = run.deformed
     pa = ds.at(pts)
     xi_field = ds.structure.xi_field()
     div_fields = sorted(config.vectors) or [None]
@@ -360,22 +404,14 @@ def _suite_section2(run, override):
             divergence(ds.manifold, field, pa),
             divergence(structure.manifold, field, pa),
         )))
-    items.append(("deformed-acm", ds.structure.acm_residual(pa)))
-
-    worst, _ = _worst(pa, items, lambda k: f"section2/{k}")
-    checks = []
-    for a, tag, i in run.rows(pa):
-        tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
-        tol_acm = 1e-10 if override is None else override
-        for key in _SECTION2_ANCHORS:
-            if f is None and key in ("hessian", "gradient", "laplacian"):
-                continue
-            this_tol = tol_acm if key == "deformed-acm" else tol
-            checks.append(_result(
-                f"section2/{key}{tag}", _SECTION2_ANCHORS[key],
-                pts.count, worst[key][i], this_tol,
-            ))
-    return checks
+    claims = [
+        Claim(key, _SECTION2_ANCHORS[key], _closed_tol, r) for key, r in items
+    ]
+    claims.append(Claim(
+        "deformed-acm", _SECTION2_ANCHORS["deformed-acm"], 1e-10,
+        ds.structure.acm_residual(pa),
+    ))
+    return _emit(pa, "section2", override, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +433,16 @@ _PROP22_ANCHORS = {
 
 def _suite_prop22(run, override):
     f = run.config.scalar
-    ds = run.deformed()
-    items = []
+    ds = run.deformed
+    claims = []
     for item in prop_inner_battery(ds, f, run.points):
-        items.append((item["pair"], _rel(item["direct"], item["transfer"])))
-        items.append((item["pair"], _rel(item["direct"], item["closed"])))
-    batch = ds.at(run.points)
-    worst, _ = _worst(batch, items, lambda k: f"prop22/{k}")
-    checks = []
-    for a, tag, i in run.rows(batch):
-        tol = (1e-12 if a == 1.0 else 1e-8) if override is None else override
-        for key, anchor in _PROP22_ANCHORS.items():
-            checks.append(_result(
-                f"prop22/{key}{tag}", anchor, run.points.count,
-                worst[key][i], tol,
+        anchor = _PROP22_ANCHORS[item["pair"]]
+        for other in ("transfer", "closed"):
+            claims.append(Claim(
+                item["pair"], anchor, _closed_tol,
+                _rel(item["direct"], item[other]),
             ))
-    return checks
+    return _emit(ds.at(run.points), "prop22", override, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +451,20 @@ def _suite_prop22(run, override):
 def _suite_remark23(run, override):
     structure = run.config.structure
     points = run.points
-    tol = 1e-9 if override is None else override
-    checks = []
-
-    ds = run.deformed()
-    batch = ds.at(points)
+    ds = run.deformed
     res = ricci_norm_bound(structure, points, ds.a)
-    worst, _ = _worst(
-        batch,
-        [("norm-bound", _below(res["ric_norm_sq"] - res["bound"]))],
-        lambda k: f"remark23/{k}",
-    )
-    for _, tag, i in run.rows(batch):
-        checks.append(_result(
-            f"remark23/norm-bound{tag}",
-            "|Ric|^2 >= 4n^2(a^2-1)/a^2",
-            points.count, worst["norm-bound"][i], tol,
-        ))
+    checks = _emit(ds.at(points), "remark23", override, [Claim(
+        "norm-bound", "|Ric|^2 >= 4n^2(a^2-1)/a^2", 1e-9,
+        _below(res["ric_norm_sq"] - res["bound"]),
+    )])
 
     lo, hi = admissible_interval(2.0, 1)
     arith = abs(lo - 0.0) + abs(hi - 2.0)
-    checks.append(_result(
+    tol = 1e-12 if override is None else override
+    checks.append(CheckResult(
         "remark23/admissible-interval",
         "|Ric|^2 = 2, n = 1 gives the admissible range a in (0, 2)",
-        0, arith, 1e-12 if override is None else override,
+        0, float(arith), float(tol), bool(arith <= tol),
     ))
 
     # the probe is a row of the run's deformation when the grid holds it;
@@ -455,28 +475,21 @@ def _suite_remark23(run, override):
     ht = harmonic_transfer(ds, f, points)
     probe = int(np.flatnonzero(ds.a == _HARMONIC_PROBE_A)[0])
     if not ht["applicable"]:
-        checks.append(CheckResult(
-            "remark23/harmonic-transfer",
-            "a harmonic f stays harmonic iff Hess f(xi,xi) = -2n eta(grad f)",
-            points.count, 0.0, 0.5, True,
-            detail=(
-                "not applicable: f is not harmonic "
-                f"(max |Lap f| = {ht['max_lap']:.3e})"
-            ),
-        ))
+        agree = True
+        detail = ("not applicable: f is not harmonic "
+                  f"(max |Lap f| = {ht['max_lap']:.3e})")
     else:
         agree = bool(ht["deformed_harmonic"][probe]) == ht["condition_holds"]
-        residual = 0.0 if agree else 1.0
-        checks.append(CheckResult(
-            "remark23/harmonic-transfer",
-            "a harmonic f stays harmonic iff Hess f(xi,xi) = -2n eta(grad f)",
-            points.count, residual, 0.5, agree,
-            detail=(
-                f"max |Lap_bar f| = {ht['max_lap_bar'][probe]:.3e} at a = "
-                f"{ht['probe_a'][probe]:g}; condition residual = "
-                f"{ht['max_condition_residual']:.3e}"
-            ),
-        ))
+        detail = (
+            f"max |Lap_bar f| = {ht['max_lap_bar'][probe]:.3e} at a = "
+            f"{ht['probe_a'][probe]:g}; condition residual = "
+            f"{ht['max_condition_residual']:.3e}"
+        )
+    checks.append(CheckResult(
+        "remark23/harmonic-transfer",
+        "a harmonic f stays harmonic iff Hess f(xi,xi) = -2n eta(grad f)",
+        points.count, 0.0 if agree else 1.0, 0.5, agree, detail=detail,
+    ))
     return checks
 
 
@@ -528,58 +541,48 @@ def _soliton_suite(run, override, kind):
     structure = config.structure
     man = structure.manifold
     points = run.points
-    npts = points.count
-    tol_eq = 1e-8 if override is None else override
-    tol_thm = 1e-9 if override is None else override
     prefix = f"{kind}-soliton"
     anchors = _EQ_ANCHORS[kind]
     checks = []
     keys = ("full", "traced", "scalar") if kind == "riemann" else ("full", "scalar")
 
-    ds = run.deformed()
+    ds = run.deformed
     frames = (Frame(structure, 1.0), Frame(ds.structure, ds.a))
     for cand in config.candidates:
         if cand.kind != kind:
             continue
-        gradient = cand.potential == "gradient"
         for frame in frames:
-            batch = frame.at(points)
             res = soliton_residuals(frame, cand, points)
-            items = [(k, res[k]) for k in keys]
-            if gradient:
+            claims = [
+                Claim(f"{cand.name}/{k}", anchors[k], 1e-8, res[k],
+                      labels=res["classification"])
+                for k in keys
+            ]
+            if cand.potential == "gradient":
                 lam_thm = theorem_lambda(
                     kind, "gradient", structure, points, frame.a,
                     scalar=cand.scalar,
                 )
-                items.append(("lambda-gradient", _rel(lam_thm, res["lambda"])))
-            worst, _ = _worst(
-                batch, items, lambda k: f"{prefix}/{cand.name}/{k}"
-            )
-            for _, tag, i in run.rows(batch):
-                labels = set(np.atleast_1d(res["classification"][i]).tolist())
-                cls = labels.pop() if len(labels) == 1 else "mixed"
-                for k in keys:
-                    checks.append(_result(
-                        f"{prefix}/{cand.name}/{k}{tag}", anchors[k],
-                        npts, worst[k][i], tol_eq, classification=cls,
-                    ))
-                if gradient:
-                    checks.append(_result(
-                        f"{prefix}/{cand.name}/lambda-gradient{tag}",
-                        anchors["lambda-gradient"], npts,
-                        worst["lambda-gradient"][i], tol_thm,
-                    ))
+                claims.append(Claim(
+                    f"{cand.name}/lambda-gradient", anchors["lambda-gradient"],
+                    1e-9, _rel(lam_thm, res["lambda"]),
+                ))
+            checks += _emit(frame.at(points), prefix, override, claims)
 
     # the Reeb-compatibility, solenoidal-trace and orthogonal-gradient
     # claims, one aggregation pass over the (A, N) batch
     res = xi_compatibility(kind, structure, points, a=ds.a)
     scale = np.maximum(1.0, res["scale"])
-    items = [
-        ("reeb-compatibility", res["premise_residual"] / scale),
-        ("reeb-compatibility", res["residual_at_star"] / scale),
-        ("reeb-compatibility", _below(
-            res["residual_perturbed"] - 0.5 * res["perturbation"] * res["scale"]
-        ) / scale),
+    claims = [
+        Claim("reeb-compatibility", anchors["reeb-compatibility"], 1e-9, r)
+        for r in (
+            res["premise_residual"] / scale,
+            res["residual_at_star"] / scale,
+            _below(
+                res["residual_perturbed"]
+                - 0.5 * res["perturbation"] * res["scale"]
+            ) / scale,
+        )
     ]
     # fields free of the symbol a whose divergence vanishes at every sample
     fields = {
@@ -594,31 +597,21 @@ def _soliton_suite(run, override, kind):
     for w in fields:
         if max_div[w] <= 1e-9:
             res = solenoidal_implied(kind, structure, fields[w], points, ds.a)
-            items.append((f"solenoidal-trace/{w}", res["trace_residual"]
-                          / np.maximum(1.0, np.abs(res["scal"]))))
+            claims.append(Claim(
+                f"solenoidal-trace/{w}", anchors["solenoidal-trace"], 1e-9,
+                res["trace_residual"] / np.maximum(1.0, np.abs(res["scal"])),
+            ))
     f = config.scalar
     if f is not None:
         res = orthogonal_gradient_values(kind, structure, f, points, ds.a)
         lam_thm = theorem_lambda(kind, "gradient", structure, points, ds.a,
                                  scalar=f)
-        items.append(("orthogonal-gradient", _rel(res["lambda_bar"], lam_thm),
-                      res["applicable"]))
-    batch = ds.at(points)
-    worst, applicable = _worst(batch, items, lambda k: f"{prefix}/{k}")
-    for _, tag, i in run.rows(batch):
-        for key, counts in applicable.items():
-            cid = f"{prefix}/{key}{tag}"
-            anchor = anchors[key.split("/")[0]]
-            if counts[i] == 0:
-                checks.append(CheckResult(
-                    cid, anchor, 0, 0.0, tol_thm, True,
-                    detail="hypothesis xi(f) = 0 fails at every sample; no claim checked",
-                ))
-            else:
-                checks.append(_result(
-                    cid, anchor, counts[i], worst[key][i], tol_thm,
-                ))
-    return checks
+        claims.append(Claim(
+            "orthogonal-gradient", anchors["orthogonal-gradient"], 1e-9,
+            _rel(res["lambda_bar"], lam_thm), res["applicable"],
+            hypothesis="hypothesis xi(f) = 0",
+        ))
+    return checks + _emit(ds.at(points), prefix, override, claims)
 
 
 def _suite_riemann_solitons(run, override):
@@ -670,45 +663,20 @@ _INEQ_ANCHORS = {
 
 
 def _suite_inequalities(run, override):
-    f = run.config.scalar
-    npts = run.points.count
-    tol = 1e-8 if override is None else override
-    ds = run.deformed()
-    residuals = []
+    ds = run.deformed
+    claims = []
     for kind in ("riemann", "ricci"):
-        for item in inequality_battery(ds, f, kind, run.points):
+        for item in inequality_battery(ds, run.config.scalar, kind, run.points):
             scale = np.maximum(
                 1.0, np.maximum(np.abs(item["lhs"]), np.abs(item["rhs"]))
             )
             margin = item["margin"]
             shortfall = np.abs(margin) if item["equality"] else _below(margin)
-            residuals.append((
-                f"{kind}/{item['check']}", shortfall / scale, item["applicable"]
+            claims.append(Claim(
+                f"{kind}/{item['check']}", _INEQ_ANCHORS[kind][item["check"]],
+                1e-8, shortfall / scale, item["applicable"],
             ))
-    batch = ds.at(run.points)
-    worst, applicable = _worst(
-        batch, residuals, lambda key: f"inequality/{key}"
-    )
-    checks = []
-    for _, tag, i in run.rows(batch):
-        for key, counts in applicable.items():
-            cid = f"inequality/{key}{tag}"
-            kind, name = key.split("/")
-            anchor = _INEQ_ANCHORS[kind][name]
-            count = counts[i]
-            if count == 0:
-                checks.append(CheckResult(
-                    cid, anchor, 0, 0.0, tol, True,
-                    detail="hypothesis fails at every sample; no claim checked",
-                ))
-            else:
-                detail = None
-                if count < npts:
-                    detail = f"checked at {count} of {npts} samples"
-                checks.append(_result(
-                    cid, anchor, count, worst[key][i], tol, detail=detail,
-                ))
-    return checks
+    return _emit(ds.at(run.points), "inequality", override, claims)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ import pytest
 
 from acmsolitons.cli import main
 from acmsolitons.config import (
+    _BUILTINS,
     ALL_SUITES,
     ConfigError,
     builtin_config,
     builtin_names,
     load_config_text,
 )
+from acmsolitons.geometry import sample_batch
+from acmsolitons.tensor import StructureError
 
 MINIMAL = """
 [manifold]
@@ -178,6 +181,30 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="box_w"):
             load_config_text(MINIMAL + "[run]\nbox_w = 0, 1\n")
 
+    @pytest.mark.parametrize("text", ["", " , ,"])
+    def test_empty_suite_list(self, text):
+        with pytest.raises(ConfigError,
+                           match=r"\[run\] suites: must name at least one"):
+            load_config_text(MINIMAL + f"[run]\nsuites = {text}\n")
+
+    def test_repeated_suite(self):
+        with pytest.raises(ConfigError,
+                           match=r"\[run\] suites: suite 'kenmotsu' is named twice"):
+            load_config_text(
+                MINIMAL + "[run]\nsuites = kenmotsu, acm-axioms, kenmotsu\n"
+            )
+
+    @pytest.mark.parametrize("box", ["1.05, inf", "-inf, 2", "nan, 1"])
+    def test_non_finite_box(self, box):
+        with pytest.raises(ConfigError, match=r"\[run\] box_z must be finite"):
+            load_config_text(MINIMAL + f"[run]\nbox_z = {box}\n")
+
+    def test_overflowing_box_is_refused_at_sampling(self):
+        cfg = load_config_text(MINIMAL + "[run]\nbox_z = -1e308, 1e308\n")
+        with pytest.raises(StructureError,
+                           match="sampling box of demo is too wide in z"):
+            sample_batch(cfg.manifold, cfg.box, cfg.points, cfg.seed)
+
     def test_parse_error_carries_location(self):
         with pytest.raises(ConfigError, match="scalar f"):
             load_config_text(MINIMAL + "[scalars]\nf = exp(\n")
@@ -294,6 +321,36 @@ class TestCliExitCodes:
         rc = main(["--builtin", "kenmotsu3", "--suites", "frobnicate"])
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("", "--suites: must name at least one suite"),
+        (" , ", "--suites: must name at least one suite"),
+        ("kenmotsu,kenmotsu", "--suites: suite 'kenmotsu' is named twice"),
+    ])
+    def test_bad_suite_list_flag(self, flag, message, capsys):
+        rc = main(["--builtin", "kenmotsu3", "--suites", flag])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("box, message", [
+        ("1.05, inf", "[run] box_z must be finite"),
+        ("-inf, 2", "[run] box_z must be finite"),
+        ("-1e308, 1e308", "sampling box of kenmotsu3 is too wide in z"),
+    ])
+    def test_bad_box_exits_2(self, box, message, tmp_path, capsys):
+        text = _BUILTINS["kenmotsu3"]
+        assert "box_z = 1.05, 2.2" in text
+        path = tmp_path / "box.ini"
+        path.write_text(text.replace("box_z = 1.05, 2.2", f"box_z = {box}"),
+                        encoding="utf-8")
+        rc = main(["--config", str(path), "--quiet"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_bad_tol_override(self, capsys):
         rc = main(["--builtin", "kenmotsu3", "--tol-override", "kenmotsu"])

@@ -16,6 +16,7 @@ from acmsolitons.expr import parse_expr
 from acmsolitons.geometry import (
     Samples,
     ScalarField,
+    VectorField,
     christoffel,
     covariant_derivative,
     curvature_bundle,
@@ -282,3 +283,33 @@ class TestRefusal:
             ds.curvature_closed(p)
         with pytest.raises(NotKenmotsuError):
             prop_inner_battery(ds, euclidean3.scalars["f"], p)
+
+
+class TestMemo:
+    """Base-batch helpers run once per batch and argument."""
+
+    def test_xi_derivatives_once_per_base_batch(self, kenmotsu3, kenmotsu3_points):
+        pts = Samples.stack(kenmotsu3_points[:5])
+        f = kenmotsu3.scalars["f"]
+        first = deform(kenmotsu3.structure, A_GRID).xi_derivatives(f, pts)
+        again = deform(kenmotsu3.structure, 2.0).xi_derivatives(f, pts)
+        assert again is first
+        xif, xixif = first
+        for i, p in enumerate(kenmotsu3_points[:5]):
+            single = deform(kenmotsu3.structure, 2.0).xi_derivatives(f, p)
+            assert single[0] == pytest.approx(xif[i], rel=1e-14)
+            assert single[1] == pytest.approx(xixif[i], rel=1e-14)
+
+    def test_divergence_once_per_chart_and_components(
+            self, kenmotsu3, kenmotsu3_points):
+        pts = Samples.stack(kenmotsu3_points[:5])
+        man = kenmotsu3.manifold
+        field = kenmotsu3.structure.xi_field()
+        first = divergence(man, field, pts)
+        assert first == pytest.approx(2.0, rel=1e-12)
+        assert divergence(man, VectorField(field.components), pts) is first
+        ds = deform(kenmotsu3.structure, A_GRID)
+        bound = divergence(ds.manifold, field, ds.at(pts))
+        assert bound is not first and bound.shape == (len(A_GRID), 5)
+        for i, p in enumerate(kenmotsu3_points[:5]):
+            assert divergence(man, field, p) == pytest.approx(first[i], rel=1e-14)
