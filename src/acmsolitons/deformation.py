@@ -62,7 +62,10 @@ from .geometry import (
     memoised,
     with_a,
 )
-from .tensor import StructureError, hs_inner, kulkarni_nomizu, outer, symmetric
+from .tensor import (
+    StructureError, component_major, hs_inner, kulkarni_nomizu, outer,
+    sample_major, symmetric,
+)
 
 __all__ = [
     "KENMOTSU_TOL",
@@ -255,20 +258,23 @@ class DeformedStructure:
         bundle = curvature_bundle(self.base.manifold, point)
         g = bundle["metric"].g
         eta = self.base.eta_values(point)
-        p = g - outer(eta, eta)  # g(phi ., phi .)
-        eye = np.eye(self.manifold.dim)
-        a = self._a(point, 4)
-        # each stacked (0, 4) tensor is summed in place, so at most two of
-        # them are alive at a time
-        r04 = a * bundle["R04"]
-        r04 += (a - 1.0) * deformation_curvature_term(g, eta)
-        r13 = ((a - 1.0) / a) * (
-            np.einsum("...bc,la->...labc", p, eye)
-            - np.einsum("...ac,lb->...labc", p, eye)
+        a = self._a(point)
+        k = a.ndim  # sample axes, a in front
+        # component-major, where a scales whole rows of samples; each
+        # stacked (0, 4) tensor is summed in place
+        r04 = a * component_major(bundle["R04"], 4, k)
+        r04 += (a - 1.0) * component_major(
+            deformation_curvature_term(g, eta), 4, k
         )
-        r13 += bundle["R13"]
-        out["R13"] = r13
-        out["R04"] = r04
+        p = component_major(g - outer(eta, eta), 2, k)  # g(phi ., phi .)
+        eye = np.eye(self.manifold.dim)[(...,) + (None,) * (2 + k)]
+        # ((a-1)/a) (delta^l_a p_bc - delta^l_b p_ac)
+        r13 = ((a - 1.0) / a) * (
+            p[None, None] * eye - p[None, :, None] * eye.swapaxes(1, 2)
+        )
+        r13 += component_major(bundle["R13"], 4, k)
+        out["R13"] = sample_major(r13, 4)
+        out["R04"] = sample_major(r04, 4)
         return out
 
     # -- structure tensors ---------------------------------------------------

@@ -37,7 +37,10 @@ import numpy as np
 from .expr import (
     A, Const, EvalError, Expr, coordinates_of, diff, evaluate, locate, mul,
 )
-from .tensor import MetricData, StructureError, max_abs, outer, symmetric
+from .tensor import (
+    MetricData, StructureError, component_major, max_abs, outer, sample_major,
+    symmetric,
+)
 
 __all__ = [
     "Samples", "with_a", "a_column", "memoised",
@@ -302,16 +305,13 @@ class ChartManifold:
 
     def metric_second_partials(self, point) -> np.ndarray:
         d = self.dim
-        out = _evaluate_all(self._d2g, point, (d, d, d, d))
-        self._finite(out, 4, "metric second partials", point)
-        # mixed partials commute; symmetrize away evaluation-order noise,
-        # one pair (l, k) at a time so no copy of ``out`` is made
-        for l in range(d):
-            for k in range(l + 1, d):
-                mean = out[..., l, k, :, :] + out[..., k, l, :, :]
-                mean *= 0.5
-                out[..., l, k, :, :] = out[..., k, l, :, :] = mean
-        return out
+        out = component_major(_evaluate_all(self._d2g, point, (d, d, d, d)), 4)
+        self._finite(sample_major(out, 4), 4, "metric second partials", point)
+        # mixed partials commute; symmetrize away evaluation-order noise in
+        # one component-major pass ((x + x)/2 = x keeps the l = k blocks)
+        mean = out + out.swapaxes(0, 1)
+        mean *= 0.5
+        return sample_major(mean, 4)
 
     def metric_at_cached(self, point) -> MetricData:
         """Metric data at ``point``, memoised on a batch.
@@ -370,12 +370,15 @@ def _gamma_combo(dg: np.ndarray) -> np.ndarray:
 def christoffel_partials(manifold, point) -> np.ndarray:
     """dGamma[a, l, i, j] = d_a Gamma^l_ij, from exact metric partials."""
     m = manifold.metric_at_cached(point)
-    d2g = manifold.metric_second_partials(point)
+    # component-major (a view of the buffer the partials come in)
+    d2g = component_major(manifold.metric_second_partials(point), 4)
     # dcombo[a, i, j, k] = d_a combo[i, j, k], using d2g[l,k,i,j] = d_l d_k g_ij
-    dcombo = d2g + np.einsum("...ajik->...aijk", d2g)
-    dcombo -= np.einsum("...akij->...aijk", d2g)
+    rest = tuple(range(4, d2g.ndim))
+    dcombo = d2g + d2g.transpose((0, 2, 1, 3) + rest)
+    dcombo -= d2g.transpose((0, 2, 3, 1) + rest)
     del d2g
     d = m.dim
+    dcombo = sample_major(dcombo, 4)
     shape = dcombo.shape
     lead = shape[:-4]
     # out[a, l, i, j] = g^lk dcombo[a, i, j, k] + dinv[a, l, k] combo[i, j, k]
@@ -400,30 +403,45 @@ def riemann(manifold, point):
     return bundle["R13"], bundle["R04"]
 
 
-def _check_curvature_symmetries(r04: np.ndarray, name, point):
-    labels = (
-        "antisymmetry in the first pair",
-        "antisymmetry in the second pair",
-        "pair interchange symmetry",
-        "first Bianchi identity",
-    )
+_SYMMETRY_LABELS = (
+    "antisymmetry in the first pair",
+    "antisymmetry in the second pair",
+    "pair interchange symmetry",
+    "first Bianchi identity",
+)
 
-    def bianchi():
-        out = r04 + np.einsum("...cabd->...abcd", r04)
-        out += np.einsum("...bcad->...abcd", r04)
-        return out
 
-    residuals = (
-        lambda: r04 + np.einsum("...bacd->...abcd", r04),
-        lambda: r04 + np.einsum("...abdc->...abcd", r04),
-        lambda: r04 - np.einsum("...cdab->...abcd", r04),
-        bianchi,
-    )
+def _curvature_symmetry_residuals(r04: np.ndarray) -> tuple:
+    """(tol, worst) per sample: the tolerance 1e-10 max(1, max |R04|) and
+    the largest |component| of each residual, in ``_SYMMETRY_LABELS``
+    order along the last axis of ``worst``."""
+    # component-major, so each pass runs over whole rows of samples, and
+    # every residual is written into the one buffer ``out``; a residual is
+    # R04 combined in turn with transposes, r.transpose(p)[a, b, c, d]
+    # being r[c, a, b, d] for p = (1, 2, 0, 3)
+    r = component_major(r04, 4)
+    out = np.empty_like(r)
+    rest = tuple(range(4, r.ndim))
+    worst = []
+    for terms in (
+        ((np.add, (1, 0, 2, 3)),),
+        ((np.add, (0, 1, 3, 2)),),
+        ((np.subtract, (2, 3, 0, 1)),),
+        ((np.add, (1, 2, 0, 3)), (np.add, (2, 0, 1, 3))),
+    ):
+        x = r
+        for op, p in terms:
+            x = op(x, r.transpose(p + rest), out=out)
+        worst.append(max_abs(sample_major(out, 4), 4))
     tol = _CURVATURE_SYMMETRY_TOL * np.maximum(max_abs(r04, 4), 1.0)
-    # one residual tensor at a time keeps a large batch's peak memory low
-    worst = np.stack([max_abs(r(), 4) for r in residuals], axis=-1)
+    return tol, np.stack(worst, axis=-1)
+
+
+def _check_curvature_symmetries(r04: np.ndarray, name, point):
+    tol, worst = _curvature_symmetry_residuals(r04)
     bad = ~(worst <= tol[..., None])  # a NaN residual fails too
     if np.any(bad):
+        labels = _SYMMETRY_LABELS
         rows = bad.reshape(-1, len(labels))
         s = int(np.argmax(rows.any(axis=1)))
         k = int(np.argmax(rows[s]))
@@ -447,22 +465,29 @@ def _riemann_tensors(gamma, dgamma, g):
                  + Gamma^l_am Gamma^m_bc - Gamma^l_bm Gamma^m_ac
 
     ``dgamma`` is released once R13 no longer needs it, so a caller that
-    passes its only reference keeps one fewer (0, 4) array alive.
+    passes its only reference keeps one fewer (0, 4) array alive.  Both
+    results are sample-major views of component-major arrays.
     """
     d = g.shape[-1]
     shape = dgamma.shape
     lead = shape[:-4]
-    r13 = np.einsum("...albc->...labc", dgamma) - np.einsum("...blac->...labc", dgamma)
+    # the sums run component-major: dg[a, l, b, c] = d_a Gamma^l_bc
+    dg = component_major(dgamma, 4)
     del dgamma
+    rest = tuple(range(4, dg.ndim))
+    r13 = dg.transpose((1, 0, 2, 3) + rest) - dg.transpose((1, 2, 0, 3) + rest)
+    del dg
     # gg[l,a,b,c] = Gamma^l_am Gamma^m_bc; the second product is gg with
     # a and b swapped
     gg = gamma.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
-    gg = gg.reshape(shape)
+    gg = component_major(gg.reshape(shape), 4)
     r13 += gg
-    r13 -= np.swapaxes(gg, -3, -2)
+    r13 -= gg.swapaxes(1, 2)
     del gg
+    r13 = sample_major(r13, 4)
     r04 = np.moveaxis(r13, -4, -1) @ g[..., None, None, :, :]
-    return r13, r04
+    # component-major too, for the elementwise passes that read R04
+    return r13, sample_major(component_major(r04, 4), 4)
 
 
 def _christoffel(m: MetricData) -> np.ndarray:

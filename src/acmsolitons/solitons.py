@@ -72,7 +72,8 @@ from .geometry import (
     with_a,
 )
 from .tensor import (
-    StructureError, hs_inner, kulkarni_nomizu, max_abs, outer, symmetric,
+    StructureError, component_major, hs_inner, kulkarni_nomizu, max_abs, outer,
+    sample_major, symmetric,
 )
 
 __all__ = [
@@ -266,7 +267,8 @@ def soliton_residuals(frame: Frame, candidate, point) -> dict:
         out["full"] = eq2
         return out
     # L_V g o g - lambda g o g as one product: o is linear in each slot;
-    # summed in place, so one (0, 4) temporary is alive at a time
+    # 2 R is summed into the product's own buffer, which is laid out
+    # component-major like R04, so the sum runs over whole sample rows
     full = kulkarni_nomizu(lie - _tensor(lam) * g, g)
     full += 2.0 * bundle["R04"]
     out["full"] = max_abs(full, 4)
@@ -296,10 +298,22 @@ def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
     All inputs are base-frame quantities; ``a`` is the deformation
     parameter of the frame the soliton lives in, or an array of them.
     The lambda is that of beta = k xi_bar(eta_bar(V)) - 2n/a^2.
+    Memoised on a batch, so the soliton and inequality suites share one
+    computation per (kind, scenario, potential, a).
     """
+    a = a_column(a, point)
+    return memoised(
+        point,
+        (kind, scenario, structure, vector, scalar, a.shape, a.tobytes(),
+         "theorem lambda"),
+        lambda p: _theorem_lambda(kind, scenario, structure, p, a,
+                                  vector, scalar),
+    )
+
+
+def _theorem_lambda(kind, scenario, structure, point, a, vector, scalar):
     n = structure.n
     tr = _trace(kind, n)
-    a = a_column(a, point)
     a2 = a * a
     if scenario == "reeb":
         xi_eta_v, div_v = 0.0, 2.0 * n / a
@@ -482,7 +496,8 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
     # the forced Ric solves the base (0, 2) equation with beta = -2n
     lam_star = _trace(kind, n).lam(-2.0 * n, 2.0 * n)
     lie = 2.0 * (g - ee)  # L_xi g over a Kenmotsu base
-    a2 = _tensor(a_column(a, point))  # a, shaped to scale (0, 2) tensors
+    column = a_column(a, point)  # a, in front of the sample axes
+    a2 = _tensor(column)  # a, shaped to scale (0, 2) tensors
     gbar = a2 * g + a2 * (a2 - 1.0) * ee
     if kind == "riemann":
         r04 = kulkarni_nomizu(g, ee - g)
@@ -492,14 +507,22 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
         def residual(lam):
             return max_abs(2.0 * r04 + kn_lg - lam * kn_gg, 4)
 
-        a4 = a2[..., None, None]
-        # 2 R_bar + (L g_bar - lambda g_bar) o g_bar, summed in place
-        r04_bar = a4 * r04
-        r04_bar += (a4 - 1.0) * deformation_curvature_term(g, eta)
+        # 2 R_bar + (L g_bar - lambda g_bar) o g_bar, component-major, so a
+        # scales whole rows of samples; 2 R_bar is summed into the
+        # product's own buffer, and (a - 1) T is added one leading
+        # component row at a time, so two stacked (0, 4) arrays are alive
+        premise = component_major(
+            kulkarni_nomizu(lie - lam_bar * gbar, gbar), 4
+        )
+        k = column.ndim
+        r04_bar = column * component_major(r04, 4, k)
+        t = component_major(deformation_curvature_term(g, eta), 4, k)
+        for row, t_row in zip(r04_bar, t):
+            row += (column - 1.0) * t_row
         r04_bar *= 2.0
-        r04_bar += kulkarni_nomizu(lie - lam_bar * gbar, gbar)
-        premise = max_abs(r04_bar, 4)
+        premise += r04_bar
         del r04_bar
+        premise = max_abs(sample_major(premise, 4), 4)
         scale = max_abs(kn_gg, 4)
     else:
         ric = _reeb_forced(kind, g, ee, n)

@@ -771,5 +771,30 @@ def build_report(config: VerificationConfig, checks) -> dict:
     }
 
 
+# a flat check dict's separators in the indented report, three levels deep
+_CHECK_ITEM = ",\n      "
+
+
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte, with the checks written by json's C encoder.
+
+    An indent makes json use its pure-Python encoder, so only the small top
+    level is indented that way.  The check dicts are flat: with the item
+    separator carrying the newline and indent, the C encoder writes the
+    whole list at once, and a raw newline can only stand between items,
+    since json escapes it inside strings.
+    """
+    checks = report.get("checks")
+    if not checks:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    listed = json.dumps(checks, sort_keys=True, separators=(_CHECK_ITEM, ": "))
+    # [{"k": v,<sep>...},<sep>{...}] -> one indented dict per check
+    listed = (
+        "[\n    {\n      "
+        + listed[2:-2].replace("}" + _CHECK_ITEM + "{",
+                               "\n    },\n    {\n      ")
+        + "\n    }\n  ]"
+    )
+    text = json.dumps({**report, "checks": None}, indent=2, sort_keys=True)
+    return text.replace('\n  "checks": null', '\n  "checks": ' + listed, 1) + "\n"

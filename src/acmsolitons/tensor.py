@@ -9,6 +9,15 @@ Conventions used across the package:
   front of the tensor axes, so (N, d, d) holds a (0, 2) tensor per sample;
   the functions here work on either, contracting with batched matmul
   and broadcast products;
+* that sample-major index order is the API, not always the memory layout:
+  an elementwise pass over a rank-4 tensor (a sum of index permutations,
+  a Kulkarni-Nomizu product, a max over components) runs on a
+  component-major copy (``component_major``), whose sample axes are
+  innermost, so each numpy inner loop runs over a whole row of samples
+  rather than over d components; its result is handed back as the
+  sample-major view (``sample_major``) of that buffer, so callers must not
+  assume a rank-4 result is contiguous.  Contractions (matmul, einsum
+  sums) keep their operands, shapes and order, so no value moves by a bit;
 * the curvature (0, 4) index order is R(X, Y, Z, W) = g(R(X, Y)Z, W) with
   slots stored in that order;
 * the Hilbert-Schmidt pairing of two (0, 2) tensors is
@@ -27,6 +36,7 @@ from .expr import locate
 __all__ = [
     "TensorValue", "MetricData", "StructureError",
     "max_abs", "symmetric", "outer", "kulkarni_nomizu", "hs_inner",
+    "component_major", "sample_major",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -101,19 +111,23 @@ def max_abs(data, rank: int):
     """Largest |component| of each sample's rank-``rank`` tensor.
 
     Reduces the last ``rank`` axes; NaN anywhere in a sample's tensor gives
-    NaN for that sample.  |data| is taken once, into one component axis:
-    with at most 27 components that axis leads, so the reduction is a few
+    NaN for that sample.  With at most 27 components, |data| is taken
+    once, into one leading component axis, so the reduction is a few
     elementwise maxima over whole sample arrays rather than one short
-    reduction per sample.
+    reduction per sample.  More components are reduced in the layout they
+    come in, so a component-major view is not copied, and as
+    max(max x, -min x), which is max |x| exactly and needs no |x| array.
     """
     if not rank:
         return np.abs(data)
-    lead = data.shape[:data.ndim - rank]
-    size = math.prod(data.shape[data.ndim - rank:])
-    flat = data.reshape(lead + (size,))
+    k = data.ndim - rank
+    lead = data.shape[:k]
+    size = math.prod(data.shape[k:])
     if size > 27:
-        return np.abs(flat).max(axis=-1)
-    k = len(lead)
+        axes = tuple(range(k, data.ndim))
+        # + 0.0 turns a -0.0 maximum into the 0.0 that |x| gives
+        return np.maximum(data.max(axis=axes), -data.min(axis=axes)) + 0.0
+    flat = data.reshape(lead + (size,))
     components = np.abs(flat.transpose((k,) + tuple(range(k))), order="C")
     return components.max(axis=0)
 
@@ -146,17 +160,49 @@ def outer(u, v) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
+def component_major(x, rank: int, ndim: int = None) -> np.ndarray:
+    """``x`` with its last ``rank`` (component) axes moved in front of its
+    sample axes, as a contiguous array.
+
+    The sample axes are padded on the left with length-1 axes up to
+    ``ndim`` of them, so two such arrays broadcast as their sample-major
+    originals do.  A sample-major view of a component-major array (see
+    ``sample_major``) comes back without a copy.
+    """
+    x = np.asarray(x, dtype=float)
+    pad = 0 if ndim is None else ndim + rank - x.ndim
+    x = x.reshape((1,) * pad + x.shape)
+    k = x.ndim - rank
+    return np.ascontiguousarray(
+        x.transpose(tuple(range(k, x.ndim)) + tuple(range(k)))
+    )
+
+
+def sample_major(x: np.ndarray, rank: int) -> np.ndarray:
+    """The view of a component-major array with its sample axes in front
+    of its ``rank`` component axes: the index order of the API."""
+    return x.transpose(tuple(range(rank, x.ndim)) + tuple(range(rank)))
+
+
 def kulkarni_nomizu(a, b) -> np.ndarray:
     """Kulkarni-Nomizu product of two symmetric (0, 2) tensors.
 
     (A o B)(X,Y,Z,W) = A(X,W)B(Y,Z) + A(Y,Z)B(X,W)
                        - A(X,Z)B(Y,W) - A(Y,W)B(X,Z)
+
+    The product is formed component-major and returned as a sample-major
+    view; writing into it writes into that buffer alone.
     """
-    # h[a,b,c,d] = A_ad B_bc - A_ac B_bd; the other two terms are h with
-    # both the (a, b) and the (c, d) slots swapped
-    h = a[..., :, None, None, :] * b[..., None, :, :, None]
-    h -= a[..., :, None, :, None] * b[..., None, :, None, :]
-    return h + np.swapaxes(np.swapaxes(h, -4, -3), -2, -1)
+    ndim = max(np.ndim(a), np.ndim(b)) - 2
+    a = component_major(a, 2, ndim)
+    b = component_major(b, 2, ndim)
+    # p[a,b,c,d] = A_ad B_bc, so A_ac B_bd is p with c and d swapped;
+    # h = A_ad B_bc - A_ac B_bd, and the other two terms are h with both
+    # the (a, b) and the (c, d) slots swapped
+    p = a[:, None, None, :] * b[None, :, :, None]
+    h = p - p.swapaxes(2, 3)
+    np.add(h, h.swapaxes(0, 1).swapaxes(2, 3), out=p)
+    return sample_major(p, 4)
 
 
 def hs_inner(t1, t2, m):

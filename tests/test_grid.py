@@ -379,3 +379,23 @@ def test_each_lie_derivative_taken_once(monkeypatch):
     assert len(seen["vector"]) == 4  # (base, deformed) x (V, xi)
     for calls in seen.values():
         assert len(set(calls)) == len(calls)
+
+
+def test_each_theorem_lambda_computed_once(monkeypatch):
+    # the pinned lambda of one (kind, scenario, potential, a) is computed
+    # once per run: the deformed gradient lambda of a kind serves its
+    # lambda-gradient, orthogonal-gradient and inequality claims alike
+    seen = []
+    real = solitons._theorem_lambda
+
+    def counted(kind, scenario, structure, point, a, vector, scalar):
+        seen.append((kind, scenario, structure, vector, scalar, a.tobytes()))
+        return real(kind, scenario, structure, point, a, vector, scalar)
+
+    monkeypatch.setattr(solitons, "_theorem_lambda", counted)
+    config = builtin_config("kenmotsu3")
+    config.points = 16
+    assert all(c.passed for c in run_suites(config))
+    gradient = [s for s in seen if s[1] == "gradient"]
+    assert len(gradient) == 4  # (riemann, ricci) x (base, deformed) x f
+    assert len(set(seen)) == len(seen)

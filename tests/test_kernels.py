@@ -1,0 +1,293 @@
+"""The component-major rank-4 kernels equal their sample-major formulas.
+
+The references are the sample-major formulas the kernels replaced: each
+pass there ran over the tensor axes behind the sample axes.  The kernels
+only move elementwise passes and max reductions to a component-major
+layout, and keep every contraction's operands, shapes and order, so the
+results must be equal bit for bit (``assert_array_equal``; NaN matches
+NaN).  Inputs are random and not symmetric, at d = 3, 5 and 7, on an (N,)
+and an (A, N) batch, given contiguous and as the transposed (sample-major)
+view of a component-major buffer, with and without a NaN in one sample.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from acmsolitons import geometry
+from acmsolitons.expr import A, Const
+from acmsolitons.geometry import (
+    ChartManifold,
+    _check_curvature_symmetries,
+    _curvature_symmetry_residuals,
+    _riemann_tensors,
+    christoffel_partials,
+)
+from acmsolitons.tensor import (
+    MetricData, StructureError, component_major, kulkarni_nomizu, max_abs,
+    sample_major,
+)
+
+DIMS = (3, 5, 7)
+LEADS = ((6,), (3, 6))
+NAN_SAMPLE = 2
+
+
+def _random(lead, d, rank, seed):
+    rng = np.random.default_rng(1000 * seed + 10 * d + len(lead))
+    return rng.normal(size=lead + (d,) * rank)
+
+
+def _layouts(x, rank):
+    """``x`` contiguous and as the sample-major view of a component-major
+    copy."""
+    return {
+        "contiguous": np.ascontiguousarray(x),
+        "transposed": sample_major(component_major(x, rank), rank),
+    }
+
+
+def _with_nan(x, rank):
+    x = x.copy()
+    x[(..., NAN_SAMPLE) + (0,) * rank] = np.nan
+    return x
+
+
+def _cases(d, lead, rank, seed):
+    """(label, array) pairs: each layout, clean and with a NaN sample."""
+    x = _random(lead, d, rank, seed)
+    for nan in (False, True):
+        for name, arr in _layouts(_with_nan(x, rank) if nan else x, rank).items():
+            yield f"{name}{'+nan' if nan else ''}", arr
+
+
+def _point(lead):
+    point = {"x": np.arange(lead[-1], dtype=float)}
+    if len(lead) == 2:
+        point[A] = 0.5 + np.arange(lead[0], dtype=float)[:, None]
+    return point
+
+
+# ---------------------------------------------------------------------------
+# references: the sample-major formulas
+
+
+def _max_abs_ref(data, rank):
+    lead = data.shape[:data.ndim - rank]
+    return np.abs(data.reshape(lead + (-1,))).max(axis=-1)
+
+
+def _kn_ref(a, b):
+    h = a[..., :, None, None, :] * b[..., None, :, :, None]
+    h -= a[..., :, None, :, None] * b[..., None, :, None, :]
+    return h + np.swapaxes(np.swapaxes(h, -4, -3), -2, -1)
+
+
+def _symmetry_ref(r04):
+    def bianchi():
+        out = r04 + np.einsum("...cabd->...abcd", r04)
+        out += np.einsum("...bcad->...abcd", r04)
+        return out
+
+    residuals = (
+        lambda: r04 + np.einsum("...bacd->...abcd", r04),
+        lambda: r04 + np.einsum("...abdc->...abcd", r04),
+        lambda: r04 - np.einsum("...cdab->...abcd", r04),
+        bianchi,
+    )
+    tol = 1e-10 * np.maximum(_max_abs_ref(r04, 4), 1.0)
+    worst = np.stack([_max_abs_ref(r(), 4) for r in residuals], axis=-1)
+    return tol, worst
+
+
+def _check_ref(r04, name, point):
+    labels = geometry._SYMMETRY_LABELS
+    tol, worst = _symmetry_ref(r04)
+    bad = ~(worst <= tol[..., None])
+    if np.any(bad):
+        rows = bad.reshape(-1, len(labels))
+        s = int(np.argmax(rows.any(axis=1)))
+        k = int(np.argmax(rows[s]))
+        raise StructureError(
+            f"{labels[k]} fails on {name} at "
+            f"{geometry.locate(point, bad.any(axis=-1))} "
+            f"(residual {worst.reshape(-1, len(labels))[s, k]:.3e})"
+        )
+
+
+def _second_partials_ref(out):
+    out = out.copy()
+    d = out.shape[-1]
+    for l in range(d):
+        for k in range(l + 1, d):
+            mean = out[..., l, k, :, :] + out[..., k, l, :, :]
+            mean *= 0.5
+            out[..., l, k, :, :] = out[..., k, l, :, :] = mean
+    return out
+
+
+def _christoffel_partials_ref(m, d2g):
+    dcombo = d2g + np.einsum("...ajik->...aijk", d2g)
+    dcombo -= np.einsum("...akij->...aijk", d2g)
+    d = m.dim
+    shape = dcombo.shape
+    lead = shape[:-4]
+    raised = dcombo.reshape(lead + (d ** 3, d)) @ np.swapaxes(m.inv, -1, -2)
+    combo = geometry._gamma_combo(m.dg).reshape(lead + (1, d * d, d))
+    out = (m.dinv @ np.swapaxes(combo, -1, -2)).reshape(shape)
+    out += np.moveaxis(raised.reshape(shape), -1, -3)
+    out *= 0.5
+    return out
+
+
+def _riemann_ref(gamma, dgamma, g):
+    d = g.shape[-1]
+    shape = dgamma.shape
+    lead = shape[:-4]
+    r13 = (np.einsum("...albc->...labc", dgamma)
+           - np.einsum("...blac->...labc", dgamma))
+    gg = gamma.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
+    gg = gg.reshape(shape)
+    r13 += gg
+    r13 -= np.swapaxes(gg, -3, -2)
+    r04 = np.moveaxis(r13, -4, -1) @ g[..., None, None, :, :]
+    return r13, r04
+
+
+# ---------------------------------------------------------------------------
+# kernels
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_kulkarni_nomizu(d, lead):
+    b = _random(lead, d, 2, seed=2)
+    for label, a in _cases(d, lead, 2, seed=1):
+        got = kulkarni_nomizu(a, b)
+        assert got.shape == lead + (d,) * 4, label
+        assert_array_equal(got, _kn_ref(a, b), err_msg=label)
+        assert_array_equal(kulkarni_nomizu(b, a), _kn_ref(b, a), err_msg=label)
+    # a factor with fewer sample axes than the other, and a single point
+    fewer, one = b[0], b[(0,) * len(lead)]
+    assert_array_equal(kulkarni_nomizu(b, fewer), _kn_ref(b, fewer))
+    assert_array_equal(kulkarni_nomizu(fewer, b), _kn_ref(fewer, b))
+    assert_array_equal(kulkarni_nomizu(one, one), _kn_ref(one, one))
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_max_abs(d, lead):
+    for label, x in _cases(d, lead, 4, seed=3):
+        assert_array_equal(max_abs(x, 4), _max_abs_ref(x, 4), err_msg=label)
+    # a zero maximum is 0.0, as |x| gives, never -0.0, whose sign a
+    # report would show
+    for zeros in (np.zeros(lead + (d,) * 4), -np.zeros(lead + (d,) * 4)):
+        got = max_abs(zeros, 4)
+        assert_array_equal(got, 0.0)
+        assert not np.any(np.signbit(got))
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_curvature_symmetry_residuals(d, lead):
+    for label, r04 in _cases(d, lead, 4, seed=4):
+        tol, worst = _curvature_symmetry_residuals(r04)
+        tol_ref, worst_ref = _symmetry_ref(r04)
+        assert_array_equal(tol, tol_ref, err_msg=label)
+        assert_array_equal(worst, worst_ref, err_msg=label)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_broken_sample_names_the_same_failure(d, lead):
+    rng = np.random.default_rng(d)
+    m = rng.normal(size=lead + (d, d))
+    g = m @ np.swapaxes(m, -1, -2) + d * np.eye(d)
+    valid = kulkarni_nomizu(g, g)  # has every curvature symmetry
+    _check_curvature_symmetries(valid, "chart", _point(lead))
+    # each perturbation keeps the identities before its own in
+    # ``_SYMMETRY_LABELS`` order and breaks that one
+    breaks = {
+        "antisymmetry in the first pair": {(0, 1, 0, 1): 1},
+        "antisymmetry in the second pair": {(0, 1, 0, 1): 1, (1, 0, 0, 1): -1},
+        "pair interchange symmetry": {
+            (0, 1, 0, 2): 1, (1, 0, 0, 2): -1, (0, 1, 2, 0): -1, (1, 0, 2, 0): 1,
+        },
+    }
+    if d >= 4:
+        # w (x) z + z (x) w for w = e0 ^ e1, z = e2 ^ e3
+        w = np.zeros((d, d))
+        z = np.zeros((d, d))
+        w[0, 1], w[1, 0], z[2, 3], z[3, 2] = 1, -1, 1, -1
+        wz = np.einsum("ab,cd->abcd", w, z) + np.einsum("ab,cd->abcd", z, w)
+        breaks["first Bianchi identity"] = {
+            tuple(int(i) for i in k): wz[tuple(k)] for k in np.argwhere(wz)
+        }
+    for label, change in breaks.items():
+        for value in (1.0, np.nan):
+            broken = np.array(valid)
+            for index, sign in change.items():
+                broken[(..., 4) + index] += sign * value
+            for layout, r04 in _layouts(broken, 4).items():
+                with pytest.raises(StructureError) as ref:
+                    _check_ref(r04, "chart", _point(lead))
+                with pytest.raises(StructureError) as got:
+                    _check_curvature_symmetries(r04, "chart", _point(lead))
+                assert str(got.value) == str(ref.value), layout
+                if value == 1.0:
+                    assert str(got.value).startswith(label), layout
+                assert "{'x': 4.0}" in str(got.value)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_metric_second_partials(d, lead, monkeypatch):
+    coords = [f"x{i}" for i in range(d)]
+    chart = ChartManifold(
+        coords, [[Const(float(i == j)) for j in range(d)] for i in range(d)]
+    )
+    point = {c: np.zeros(lead) for c in coords}
+    for label, d2g in _cases(d, lead, 4, seed=5):
+        monkeypatch.setattr(geometry, "_evaluate_all",
+                            lambda exprs, p, dims: np.array(d2g))
+        if "nan" in label:
+            with pytest.raises(StructureError) as ref:
+                chart._finite(np.array(d2g), 4, "metric second partials", point)
+            with pytest.raises(StructureError) as got:
+                chart.metric_second_partials(point)
+            assert str(got.value) == str(ref.value)
+            continue
+        got = chart.metric_second_partials(point)
+        assert_array_equal(got, _second_partials_ref(d2g), err_msg=label)
+        # (x + x)/2 = x: the l = k blocks keep their bits
+        for l in range(d):
+            assert_array_equal(got[..., l, l, :, :], d2g[..., l, l, :, :])
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_christoffel_partials(d, lead):
+    g, inv = (_random(lead, d, 2, seed=s) for s in (6, 7))
+    dg, dinv = (_random(lead, d, 3, seed=s) for s in (8, 9))
+    m = MetricData(g=g, inv=inv, dg=dg, dinv=dinv)
+    for label, d2g in _cases(d, lead, 4, seed=10):
+        manifold = SimpleNamespace(
+            metric_at_cached=lambda point: m,
+            metric_second_partials=lambda point: d2g,
+        )
+        assert_array_equal(christoffel_partials(manifold, None),
+                           _christoffel_partials_ref(m, d2g), err_msg=label)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_riemann_tensors(d, lead):
+    g = _random(lead, d, 2, seed=11)
+    gamma = _random(lead, d, 3, seed=12)
+    for label, dgamma in _cases(d, lead, 4, seed=13):
+        r13_ref, r04_ref = _riemann_ref(gamma, dgamma, g)
+        r13, r04 = _riemann_tensors(gamma, np.array(dgamma), g)
+        assert_array_equal(r13, r13_ref, err_msg=label)
+        assert_array_equal(r04, r04_ref, err_msg=label)

@@ -1,5 +1,6 @@
 """The maintenance scripts under scripts/ run end to end."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from acmsolitons.config import builtin_names
+from acmsolitons.config import builtin_config, builtin_names, load_config
+from acmsolitons.suites import build_report, report_json, run_suites
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,6 +51,38 @@ def test_determinism_check_on_a_definition_file(tmp_path, kenmotsu5_text):
                        "--points", "4")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "deterministic: 3 identical reports" in proc.stdout
+
+
+def test_determinism_check_digests(tmp_path, kenmotsu5_text):
+    # one line per fixture and point count, the sha256 of its report
+    path = tmp_path / "kenmotsu5.ini"
+    path.write_text(kenmotsu5_text, encoding="utf-8")
+    proc = _run_script("determinism_check.py", "--digests",
+                       "--config", str(path), "--points", "8")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    expected = []
+    loaders = [lambda name=name: builtin_config(name) for name in builtin_names()]
+    loaders.append(lambda: load_config(str(path)))
+    for make in loaders:
+        for points in (None, 8):
+            config = make()
+            if points is not None:
+                config.points = points
+            text = report_json(build_report(config, run_suites(config)))
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            expected.append(f"{config.name} {config.points} points: sha256 {digest}")
+    assert proc.stdout.splitlines() == expected
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--digests", "--fixture", "kenmotsu3"], "drop --fixture"),
+    (["--config", "a.ini", "--config", "b.ini"], "only with --digests"),
+])
+def test_determinism_check_refuses_mixed_modes(args, message):
+    proc = _run_script("determinism_check.py", *args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_determinism_check_takes_one_source(tmp_path):
