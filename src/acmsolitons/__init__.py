@@ -23,7 +23,6 @@ from .geometry import (
     ChartManifold,
     ScalarField,
     VectorField,
-    sample_points,
 )
 from .solitons import Frame, SolitonCandidate, classify
 from .suites import (
@@ -68,5 +67,4 @@ __all__ = [
     "parse_expr",
     "report_json",
     "run_suites",
-    "sample_points",
 ]

@@ -15,10 +15,8 @@ from .config import (
     ConfigError,
     builtin_config,
     builtin_names,
-    check_grid,
-    check_tolerance,
     load_config,
-    parse_suites,
+    set_run_setting,
 )
 from .suites import build_report, report_json, run_suites
 from .tensor import StructureError
@@ -44,8 +42,8 @@ def _parse_args(argv):
         "--a", metavar="A1,A2", dest="a_grid",
         help="comma-separated deformation parameters (all > 0)",
     )
-    parser.add_argument("--points", type=int, help="sample count")
-    parser.add_argument("--seed", type=int, help="sampling seed")
+    parser.add_argument("--points", help="sample count")
+    parser.add_argument("--seed", help="sampling seed")
     parser.add_argument(
         "--tol-override", action="append", default=[], metavar="SUITE=TOL",
         help="override the tolerance of one suite (repeatable)",
@@ -60,36 +58,16 @@ def _parse_args(argv):
 
 
 def _apply_overrides(config, args) -> None:
-    if args.suites is not None:
-        config.suites = parse_suites(args.suites, "--suites")
-    if args.a_grid is not None:
-        try:
-            grid = tuple(float(t) for t in args.a_grid.split(","))
-        except ValueError as err:
-            raise ConfigError("--a must be a comma-separated number list") from err
-        check_grid(grid, "--a")
-        config.a_grid = grid
-    if args.points is not None:
-        if args.points <= 0:
-            raise ConfigError("--points must be positive")
-        config.points = args.points
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
-        config.seed = args.seed
+    for key, raw in (("suites", args.suites), ("a", args.a_grid),
+                     ("points", args.points), ("seed", args.seed)):
+        if raw is not None:
+            set_run_setting(config, key, raw, f"--{key}")
     for item in args.tol_override:
         name, sep, value = item.partition("=")
         if not sep:
             raise ConfigError("--tol-override takes SUITE=TOL")
         name = name.strip()
-        if name not in ALL_SUITES:
-            raise ConfigError(f"tolerance override for unknown suite {name!r}")
-        try:
-            tol = float(value)
-        except ValueError as err:
-            raise ConfigError(f"bad tolerance value {value!r}") from err
-        check_tolerance(tol, f"--tol-override {name}")
-        config.tol_overrides[name] = tol
+        set_run_setting(config, f"tol_{name}", value, f"--tol-override {name}")
 
 
 def main(argv=None) -> int:

@@ -37,9 +37,7 @@ __all__ = [
     "load_config_text",
     "builtin_config",
     "builtin_names",
-    "check_grid",
-    "check_tolerance",
-    "parse_suites",
+    "set_run_setting",
 ]
 
 ALL_SUITES = (
@@ -134,50 +132,78 @@ def _check_name(name: str, source: str, what: str) -> None:
         )
 
 
-def check_grid(grid, source: str) -> None:
-    """Refuse a deformation grid with a value that is not positive and
-    finite, or with two values whose check tags [a=...] coincide, since
-    their checks would share ids."""
-    seen = {}
-    for value in grid:
-        if not math.isfinite(value) or value <= 0.0:
+def set_run_setting(config: VerificationConfig, key: str, raw: str,
+                    where: str) -> None:
+    """Parse the run setting ``key`` from the text ``raw`` into ``config``.
+
+    ``key`` is seed, points, a, suites or tol_<suite>; a [run] section and
+    the command line both set them here, and an error names ``where``.  A
+    grid is refused with a value that is not positive and finite, or with
+    two values whose check tags [a=...] coincide; a suite list when it is
+    empty, names an unknown suite or names one twice (either would give two
+    checks one id); a tolerance when it is negative, infinite or NaN.
+    """
+    if key in ("seed", "points"):
+        try:
+            value = int(raw)
+        except ValueError as err:
+            raise ConfigError(f"{where} must be an integer") from err
+        if key == "seed" and value < 0:
+            raise ConfigError(f"{where} must be non-negative")
+        if key == "points" and value <= 0:
+            raise ConfigError(f"{where} must be positive")
+        setattr(config, key, value)
+    elif key == "a":
+        try:
+            grid = tuple(float(t) for t in raw.split(","))
+        except ValueError as err:
             raise ConfigError(
-                f"{source}: deformation parameter must be positive and finite, "
+                f"{where} must be a comma-separated list of numbers"
+            ) from err
+        seen = {}
+        for value in grid:
+            if not math.isfinite(value) or value <= 0.0:
+                raise ConfigError(
+                    f"{where}: deformation parameter must be positive and "
+                    f"finite, got {value:g}"
+                )
+            tag = a_tag(value)
+            if tag in seen:
+                raise ConfigError(
+                    f"{where}: deformation parameters {seen[tag]!r} and "
+                    f"{value!r} share the check tag {tag}"
+                )
+            seen[tag] = value
+        config.a_grid = grid
+    elif key == "suites":
+        suites = tuple(t.strip() for t in raw.split(",") if t.strip())
+        if not suites:
+            raise ConfigError(f"{where}: must name at least one suite")
+        for i, name in enumerate(suites):
+            if name not in ALL_SUITES:
+                raise ConfigError(
+                    f"{where}: unknown suite {name!r}; valid suites: "
+                    f"{', '.join(ALL_SUITES)}"
+                )
+            if name in suites[:i]:
+                raise ConfigError(f"{where}: suite {name!r} is named twice")
+        config.suites = suites
+    else:  # tol_<suite>
+        suite = key[len("tol_"):]
+        if suite not in ALL_SUITES:
+            raise ConfigError(
+                f"{where}: tolerance override for unknown suite {suite!r}"
+            )
+        try:
+            value = float(raw)
+        except ValueError as err:
+            raise ConfigError(f"{where} must be a number") from err
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(
+                f"{where}: tolerance must be finite and non-negative, "
                 f"got {value:g}"
             )
-        tag = a_tag(value)
-        if tag in seen:
-            raise ConfigError(
-                f"{source}: deformation parameters {seen[tag]!r} and {value!r} "
-                f"share the check tag {tag}"
-            )
-        seen[tag] = value
-
-
-def parse_suites(text: str, source: str) -> tuple:
-    """The suites a comma-separated list names, in its order.  Refuses an
-    empty list, an unknown name and a name given twice (its checks would
-    share ids), naming ``source``."""
-    suites = tuple(t.strip() for t in text.split(",") if t.strip())
-    if not suites:
-        raise ConfigError(f"{source}: must name at least one suite")
-    for i, s in enumerate(suites):
-        if s not in ALL_SUITES:
-            raise ConfigError(
-                f"{source}: unknown suite {s!r}; valid suites: "
-                f"{', '.join(ALL_SUITES)}"
-            )
-        if s in suites[:i]:
-            raise ConfigError(f"{source}: suite {s!r} is named twice")
-    return suites
-
-
-def check_tolerance(value: float, source: str) -> None:
-    """Refuse a tolerance that is negative, infinite or NaN."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ConfigError(
-            f"{source}: tolerance must be finite and non-negative, got {value:g}"
-        )
+        config.tol_overrides[suite] = value
 
 
 def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
@@ -373,39 +399,18 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
                 raise ConfigError(f"{source}: candidate {key!r}: {err}") from err
             candidates.append(cand)
 
+    config = VerificationConfig(
+        name=name,
+        manifold=manifold,
+        structure=structure,
+        scalars=scalars,
+        vectors=vectors,
+        candidates=candidates,
+    )
     run = dict(parser.items("run")) if parser.has_section("run") else {}
-
-    def _int(key, default):
-        raw = run.pop(key, None)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as err:
-            raise ConfigError(f"{source}: [run] {key} must be an integer") from err
-
-    seed = _int("seed", 42)
-    if seed < 0:
-        raise ConfigError(f"{source}: [run] seed must be non-negative")
-    points = _int("points", 64)
-    if points <= 0:
-        raise ConfigError(f"{source}: [run] points must be positive")
-
-    a_text = run.pop("a", None)
-    if a_text is None:
-        a_grid = DEFAULT_A_GRID
-    else:
-        try:
-            a_grid = tuple(float(t) for t in a_text.split(","))
-        except ValueError as err:
-            raise ConfigError(f"{source}: [run] a must be a list of numbers") from err
-    check_grid(a_grid, f"{source}: [run] a")
-
-    suites_text = run.pop("suites", None)
-    if suites_text is None:
-        suites = ALL_SUITES
-    else:
-        suites = parse_suites(suites_text, f"{source}: [run] suites")
+    for key in ("seed", "points", "a", "suites"):
+        if key in run:
+            set_run_setting(config, key, run.pop(key), f"{source}: [run] {key}")
 
     scalar_name = run.pop("scalar", None)
     if scalar_name is None and "f" in scalars:
@@ -414,12 +419,12 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
         raise ConfigError(
             f"{source}: [run] scalar references unknown scalar {scalar_name!r}"
         )
+    config.scalar_name = scalar_name
 
-    box = {}
     for c in coords:
         raw = run.pop(f"box_{c}", None)
         if raw is None:
-            box[c] = (-1.0, 1.0)
+            config.box[c] = (-1.0, 1.0)
             continue
         try:
             lo, hi = (float(t) for t in raw.split(","))
@@ -431,44 +436,15 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
             raise ConfigError(f"{source}: [run] box_{c} must be finite")
         if not lo < hi:
             raise ConfigError(f"{source}: [run] box_{c} must have low < high")
-        box[c] = (lo, hi)
+        config.box[c] = (lo, hi)
 
-    tol_overrides = {}
-    for key in list(run):
-        if key.startswith("tol_"):
-            sname = key[4:]
-            if sname not in ALL_SUITES:
-                raise ConfigError(
-                    f"{source}: tolerance override for unknown suite {sname!r}"
-                )
-            try:
-                value = float(run.pop(key))
-            except ValueError as err:
-                raise ConfigError(
-                    f"{source}: [run] {key} must be a number"
-                ) from err
-            check_tolerance(value, f"{source}: [run] {key}")
-            tol_overrides[sname] = value
+    for key in [k for k in run if k.startswith("tol_")]:
+        set_run_setting(config, key, run.pop(key), f"{source}: [run] {key}")
     if run:
         raise ConfigError(
             f"{source}: unknown [run] entries: {', '.join(sorted(run))}"
         )
-
-    return VerificationConfig(
-        name=name,
-        manifold=manifold,
-        structure=structure,
-        scalars=scalars,
-        vectors=vectors,
-        candidates=candidates,
-        seed=seed,
-        points=points,
-        a_grid=a_grid,
-        box=box,
-        suites=suites,
-        tol_overrides=tol_overrides,
-        scalar_name=scalar_name,
-    )
+    return config
 
 
 # ---------------------------------------------------------------------------

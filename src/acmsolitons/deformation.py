@@ -39,6 +39,11 @@ and sample.  Each refuses to evaluate when the base structure fails the
 Kenmotsu condition, since none of them is valid then.  The deformed chart
 itself is always constructed, so every closed form can be compared against
 a direct computation from g_bar.
+
+A structure is deformed once: a base whose expressions read a, such as a
+deformed structure, is refused, and a run deforms its base once over its
+whole grid.  What needs another value of a and base data alone, such as
+``harmonic_transfer``, reads the closed forms and builds no deformation.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import math
 
 import numpy as np
 
-from .expr import A, Const, Coord, add, div, locate, mul, sub, substitute
+from .expr import A, Const, Coord, add, div, locate, mul, sub
 from .geometry import (
     AcmStructure,
     ChartManifold,
@@ -61,6 +66,7 @@ from .geometry import (
     laplacian,
     memoised,
     with_a,
+    xi_derivatives,
 )
 from .tensor import (
     StructureError, component_major, hs_inner, kulkarni_nomizu, outer,
@@ -73,6 +79,8 @@ __all__ = [
     "DeformedStructure",
     "deform",
     "deformation_curvature_term",
+    "ricci_bar",
+    "riemann_bar",
     "laplacian_bar",
     "base_inner",
     "prop_inner_battery",
@@ -99,6 +107,49 @@ def deformation_curvature_term(g: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return kulkarni_nomizu(g, 0.5 * g - outer(eta, eta))
 
 
+def _curvature_term(structure: AcmStructure, point) -> np.ndarray:
+    """``deformation_curvature_term`` of the base, memoised on a batch."""
+    return memoised(point, (structure, "curvature term"), lambda p: (
+        deformation_curvature_term(
+            structure.manifold.metric_at_cached(p).g, structure.eta_values(p)
+        )
+    ), reads_a=False)
+
+
+def ricci_bar(structure: AcmStructure, point, ric, a) -> np.ndarray:
+    """Ric_bar = Ric + (2n(a-1)/a)(g - eta (x) eta) over a Kenmotsu base.
+
+    ``ric`` is a base Ricci tensor at ``point``, the chart's or one a
+    soliton forces; ``a`` is one value or an (A,) array, put in front of
+    the sample axes.
+    """
+    a = a_column(a, point)
+    g = structure.manifold.metric_at_cached(point).g
+    eta = structure.eta_values(point)
+    q = (2.0 * structure.n * (a - 1.0) / a)[..., None, None]
+    return ric + q * (g - outer(eta, eta))
+
+
+def riemann_bar(structure: AcmStructure, point, r04, a) -> np.ndarray:
+    """R_bar04 = a R04 + (a-1) T over a Kenmotsu base, T as in
+    ``deformation_curvature_term``, component-major.
+
+    ``r04`` is a base (0,4) curvature at ``point``, the chart's or one a
+    soliton forces; ``a`` is one value or an (A,) array, put in front of
+    the sample axes.  The result is laid out as ``component_major`` lays
+    it out, so a scales whole rows of samples; (a - 1) T is added one
+    leading component row at a time, so no second stacked (0,4) array is
+    alive.  T is memoised on the base batch.
+    """
+    a = a_column(a, point)
+    k = a.ndim  # sample axes, a in front
+    out = a * component_major(r04, 4, k)
+    t = component_major(_curvature_term(structure, point), 4, k)
+    for row, t_row in zip(out, t):
+        row += (a - 1.0) * t_row
+    return out
+
+
 def laplacian_bar(n: int, a, lap, xif, xixif):
     """Lap_bar(f) = Lap(f)/a - ((a-1)/a^2)[2n xi(f) + xi(xi(f))] from base
     data over a Kenmotsu base."""
@@ -109,22 +160,16 @@ def laplacian_bar(n: int, a, lap, xif, xixif):
     )
 
 
-def _fixed(structure: AcmStructure, a: float) -> AcmStructure:
-    """``structure``, whose expressions read the symbol a, with a set to
-    the constant ``a``."""
-
-    def fix(exprs):
-        return [substitute(e, {A: a}) for e in exprs]
-
-    man = structure.manifold
-    chart = ChartManifold(
-        man.coords, [fix(row) for row in man.metric], fix(man.constraints),
-        name=f"{man.name}={a:g}",
-    )
-    return AcmStructure(
-        chart, [fix(row) for row in structure.phi], fix(structure.xi),
-        eta=fix(structure.eta),
-    )
+def _require_kenmotsu(structure: AcmStructure, point) -> None:
+    res = kenmotsu_residual(structure, point)
+    bad = ~(res <= KENMOTSU_TOL)
+    if np.any(bad):
+        first = np.atleast_1d(res)[np.argmax(bad)]
+        raise NotKenmotsuError(
+            f"closed deformation forms need a Kenmotsu base; "
+            f"{structure.manifold.name} has residual {first:.3e} at "
+            f"{locate(point, bad)}"
+        )
 
 
 class DeformedStructure:
@@ -141,9 +186,8 @@ class DeformedStructure:
     their partials evaluate to the base floats bit for bit, since 1 g = g
     and 1 (1 - 1) eta_i eta_j adds zero.
 
-    Deforming a structure that was itself deformed at one value of a first
-    sets that value in its expressions, so a names this deformation's
-    parameter alone.
+    A base whose expressions read the symbol a, such as a deformed
+    structure, is refused: a names this deformation's parameter alone.
     """
 
     def __init__(self, base: AcmStructure, a):
@@ -157,13 +201,10 @@ class DeformedStructure:
         if a.ndim > 1:
             raise StructureError("deformation parameters must form a 1-d grid")
         if base.reads_a:
-            inner = base.deformation
-            if inner is None or inner.a.ndim:
-                raise StructureError(
-                    "only a structure deformed at one value of a can be "
-                    "deformed again"
-                )
-            base = _fixed(base, float(inner.a))
+            raise StructureError(
+                f"the structure on {base.manifold.name} reads the deformation "
+                "parameter a, so it cannot be deformed; deform its base once"
+            )
         self.base = base
         self.a = a
         man = base.manifold
@@ -189,7 +230,6 @@ class DeformedStructure:
             tuple(mul(inv_a, c) for c in base.xi),
             eta=tuple(mul(pa, c) for c in base.eta),
         )
-        self.structure.deformation = self
 
     @property
     def n(self) -> int:
@@ -205,15 +245,7 @@ class DeformedStructure:
         return column.reshape(column.shape + (1,) * rank)
 
     def require_kenmotsu(self, point) -> None:
-        res = kenmotsu_residual(self.base, point)
-        bad = ~(res <= KENMOTSU_TOL)
-        if np.any(bad):
-            first = np.atleast_1d(res)[np.argmax(bad)]
-            raise NotKenmotsuError(
-                f"closed deformation forms need a Kenmotsu base; "
-                f"{self.base.manifold.name} has residual {first:.3e} at "
-                f"{locate(point, bad)}"
-            )
+        _require_kenmotsu(self.base, point)
 
     # -- metric-level closed forms ------------------------------------------
 
@@ -242,11 +274,9 @@ class DeformedStructure:
         """Ric and scal of g_bar from the base curvature."""
         self.require_kenmotsu(point)
         bundle = curvature_bundle(self.base.manifold, point)
-        eta = self.base.eta_values(point)
+        ric = ricci_bar(self.base, point, bundle["Ric"], self.a)
         n = self.n
         a = self._a(point)
-        q = (2.0 * n * (a - 1.0) / a)[..., None, None]
-        ric = bundle["Ric"] + q * (bundle["metric"].g - outer(eta, eta))
         return {
             "Ric": symmetric(ric, self.at(point)),
             "scal": bundle["scal"] / a + 2.0 * n * (2 * n + 1) * (a - 1.0) / (a * a),
@@ -260,12 +290,8 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         a = self._a(point)
         k = a.ndim  # sample axes, a in front
-        # component-major, where a scales whole rows of samples; each
-        # stacked (0, 4) tensor is summed in place
-        r04 = a * component_major(bundle["R04"], 4, k)
-        r04 += (a - 1.0) * component_major(
-            deformation_curvature_term(g, eta), 4, k
-        )
+        # component-major, where a scales whole rows of samples
+        r04 = riemann_bar(self.base, point, bundle["R04"], self.a)
         p = component_major(g - outer(eta, eta), 2, k)  # g(phi ., phi .)
         eye = np.eye(self.manifold.dim)[(...,) + (None,) * (2 + k)]
         # ((a-1)/a) (delta^l_a p_bc - delta^l_b p_ac)
@@ -313,30 +339,11 @@ class DeformedStructure:
 
     # -- scalar operators ----------------------------------------------------
 
-    def xi_derivatives(self, f: ScalarField, point) -> tuple:
-        """xi(f) and xi(xi(f)) from exact partials of f and xi, memoised
-        on a batch."""
-        def compute(p):
-            man = self.base.manifold
-            xi = self.base.xi_values(p)
-            dxi = self.base.xi_partials(p)
-            df = f.gradient_covector(man.coords, p)
-            ddf = f.second_partials(man.coords, p)
-            xif = np.einsum("...k,...k->...", xi, df)
-            xixif = (
-                np.einsum("...k,...km,...m->...", xi, dxi, df)
-                + np.einsum("...k,...m,...km->...", xi, xi, ddf)
-            )
-            return xif, xixif
-
-        return memoised(point, (self.base, f, "xi derivatives"), compute,
-                        f.reads_a)
-
     def hessian_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
         m = self.base.manifold.metric_at_cached(point)
         eta = self.base.eta_values(point)
-        xif, _ = self.xi_derivatives(f, point)
+        xif, _ = xi_derivatives(self.base, f, point)
         p = m.g - outer(eta, eta)
         a = self._a(point, 2)
         data = hessian(self.base.manifold, f, point)
@@ -346,7 +353,7 @@ class DeformedStructure:
     def gradient_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
         xi = self.base.xi_values(point)
-        xif, _ = self.xi_derivatives(f, point)
+        xif, _ = xi_derivatives(self.base, f, point)
         a = self._a(point, 1)
         return grad(self.base.manifold, f, point) / a - (
             (a - 1.0) / (a * a)
@@ -354,7 +361,7 @@ class DeformedStructure:
 
     def laplacian_closed(self, f: ScalarField, point):
         self.require_kenmotsu(point)
-        xif, xixif = self.xi_derivatives(f, point)
+        xif, xixif = xi_derivatives(self.base, f, point)
         return laplacian_bar(
             self.n, self._a(point), laplacian(self.base.manifold, f, point),
             xif, xixif,
@@ -434,7 +441,7 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
         for name, t in tensors.items()
     }
     inner = {pair: base_inner(base, pair, point, f) for pair in _BATTERY_PAIRS}
-    xif, xixif = ds.xi_derivatives(f, point)
+    xif, xixif = xi_derivatives(base, f, point)
     scal = curvature_bundle(base.manifold, point)["scal"]
     lap = laplacian(base.manifold, f, point)
     closed = {
@@ -469,39 +476,35 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
 # ---------------------------------------------------------------------------
 # Harmonicity transfer and the Ricci-norm bound
 
-def harmonic_transfer(ds: DeformedStructure, f: ScalarField, points,
+def harmonic_transfer(structure: AcmStructure, f: ScalarField, points, a,
                       tol: float = 1e-9) -> dict:
     """Whether a harmonic f stays harmonic under deformation.
 
     A harmonic f is harmonic for every deformed metric iff
-        Hess(f)(xi, xi) = -2n eta(grad f)
-    holds; since Lap f = 0 makes the deformed Laplacian a multiple of
-    2n xi(f) + xi(xi(f)) that is the content of the closed form above.  The
-    check is evaluated over the batch ``points`` at each parameter of
-    ``ds``, and reported as not applicable when f is not harmonic to begin
-    with; what depends on a holds one value per parameter.  A non-finite
-    value raises StructureError naming the first such sample.
+        Hess(f)(xi, xi) = -2n eta(grad f),
+    that is xi(xi(f)) + 2n xi(f) = 0 over a Kenmotsu base; since Lap f = 0
+    makes Lap_bar(f) a multiple of that sum, ``laplacian_bar`` shows it.
+    Everything is read from base data over the batch ``points``, so no
+    deformation need be built: ``a`` is one value or an (A,) array, and
+    what depends on it (``lap_bar`` and the verdicts on it) holds one
+    value per parameter.  The check is reported as not applicable when f
+    is not harmonic to begin with.  A base that fails the Kenmotsu
+    condition raises NotKenmotsuError; a non-finite value raises
+    StructureError naming the first such sample.
     """
-    structure = ds.base
-    man = structure.manifold
+    _require_kenmotsu(structure, points)
     n = structure.n
-    lap = laplacian(man, f, points)
-    lap_bar = ds.laplacian_closed(f, points)
-    xi = structure.xi_values(points)
-    eta_grad = np.einsum(
-        "...i,...i->...", structure.eta_values(points), grad(man, f, points)
-    )
-    condition = (
-        np.einsum("...i,...ij,...j->...", xi, hessian(man, f, points), xi)
-        + 2.0 * n * eta_grad
-    )
+    lap = laplacian(structure.manifold, f, points)
+    xif, xixif = xi_derivatives(structure, f, points)
+    lap_bar = laplacian_bar(n, a_column(a, points), lap, xif, xixif)
+    condition = xixif + 2.0 * n * xif
     finite = np.isfinite(lap) & np.isfinite(lap_bar) & np.isfinite(condition)
     if not np.all(finite):
         raise StructureError(
-            f"harmonic transfer not finite at {locate(ds.at(points), ~finite)}"
+            f"harmonic transfer not finite at {locate(with_a(points, a), ~finite)}"
         )
     max_lap = float(np.max(np.abs(lap)))
-    max_lap_bar = np.max(np.abs(lap_bar).reshape(ds.a.shape + (-1,)), axis=-1)
+    max_lap_bar = np.max(np.abs(lap_bar).reshape(np.shape(a) + (-1,)), axis=-1)
     max_condition = float(np.max(np.abs(condition)))
     harmonic = max_lap <= tol
     return {
@@ -509,10 +512,10 @@ def harmonic_transfer(ds: DeformedStructure, f: ScalarField, points,
         "harmonic": harmonic,
         "deformed_harmonic": max_lap_bar <= tol,
         "condition_holds": max_condition <= tol,
+        "lap_bar": lap_bar,
         "max_lap": max_lap,
         "max_lap_bar": max_lap_bar,
         "max_condition_residual": max_condition,
-        "probe_a": ds.a,
     }
 
 

@@ -25,8 +25,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Coord", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "EvalError", "FUNCTIONS", "CONSTANTS", "A",
-    "parse_expr", "evaluate", "locate", "a_tag", "diff", "substitute",
-    "render",
+    "parse_expr", "evaluate", "locate", "a_tag", "diff", "render",
     "coordinates_of", "add", "sub", "mul", "div", "neg", "pow_", "call",
 ]
 
@@ -405,31 +404,6 @@ def diff(e: Expr, name: str) -> Expr:
             return mul(sub(_ONE, pow_(e, Const(2.0))), du)
         if e.func == "sqrt":
             return div(du, mul(Const(2.0), e))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-
-def substitute(e: Expr, values: Mapping[str, float]) -> Expr:
-    """``e`` with every coordinate named in ``values`` replaced by that
-    constant.
-
-    Nodes are rebuilt as they are, without folding, so the result evaluates
-    with the same arithmetic as ``e`` at a point that sets those names.
-    """
-    if isinstance(e, Coord):
-        return Const(float(values[e.name])) if e.name in values else e
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, values))
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, values))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, values), substitute(e.exponent, values))
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return type(e)(substitute(e.left, values), substitute(e.right, values))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -45,11 +45,10 @@ from .tensor import (
 __all__ = [
     "Samples", "with_a", "a_column", "memoised",
     "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
-    "christoffel", "christoffel_partials", "riemann", "ricci", "scalar_curv",
-    "curvature_bundle", "lie_derivative_metric", "grad", "hessian",
-    "divergence", "laplacian", "gradient_lie_derivative",
-    "covariant_derivative", "nabla_phi_tensor",
-    "kenmotsu_residual", "kenmotsu_details", "sample_points", "sample_batch",
+    "christoffel", "christoffel_partials", "curvature_bundle",
+    "lie_derivative_metric", "grad", "hessian", "divergence", "laplacian",
+    "gradient_lie_derivative", "covariant_derivative", "nabla_phi_tensor",
+    "xi_derivatives", "kenmotsu_residual", "kenmotsu_details", "sample_batch",
 ]
 
 _CURVATURE_SYMMETRY_TOL = 1e-10
@@ -391,18 +390,6 @@ def christoffel_partials(manifold, point) -> np.ndarray:
     return out
 
 
-def riemann(manifold, point):
-    """Curvature tensors (R13, R04) at ``point``.
-
-    R13[l, a, b, c] is the component along d_l of R(d_a, d_b) d_c and
-    R04[a, b, c, d] = g(R(d_a, d_b) d_c, d_d).  The algebraic symmetries
-    (antisymmetry in each pair, pair interchange, first Bianchi) are
-    verified on every evaluation.
-    """
-    bundle = curvature_bundle(manifold, point)
-    return bundle["R13"], bundle["R04"]
-
-
 _SYMMETRY_LABELS = (
     "antisymmetry in the first pair",
     "antisymmetry in the second pair",
@@ -453,7 +440,13 @@ def _check_curvature_symmetries(r04: np.ndarray, name, point):
 
 
 def curvature_bundle(manifold, point) -> dict:
-    """All curvature data at ``point``, memoised on a batch."""
+    """All curvature data at ``point``, memoised on a batch.
+
+    The keys are ``metric`` (the MetricData), ``gamma``, ``R13``, ``R04``,
+    ``Ric`` and ``scal``, as in the module docstring.  The algebraic
+    symmetries of R04 (antisymmetry in each pair, pair interchange, first
+    Bianchi) are verified on every evaluation.
+    """
     return memoised(point, (manifold, "curvature"),
                     lambda p: _curvature(manifold, p), manifold.reads_a)
 
@@ -517,15 +510,6 @@ def _curvature(manifold, point) -> dict:
         "Ric": symmetric(0.5 * (ric + _swap(ric)), point),
         "scal": np.einsum("...bc,...bc->...", m.inv, ric),
     }
-
-
-def ricci(manifold, point) -> np.ndarray:
-    """Ricci tensor, the contraction of curvature on its first slot."""
-    return curvature_bundle(manifold, point)["Ric"]
-
-
-def scalar_curv(manifold, point):
-    return curvature_bundle(manifold, point)["scal"]
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +692,6 @@ class AcmStructure:
                 for i in range(d)
             )
         self.eta = tuple(eta)
-        # the DeformedStructure this is the deformed structure of, if any
-        self.deformation = None
         self._dphi = {}
         self._dxi = {}
         self._xi_field = None
@@ -834,6 +816,32 @@ def nabla_phi_tensor(structure: AcmStructure, point) -> np.ndarray:
     return out
 
 
+def xi_derivatives(structure: AcmStructure, f: ScalarField, point) -> tuple:
+    """xi(f) and xi(xi(f)) from exact partials of f and xi, memoised on a
+    batch.
+
+    xi(f) = xi^k d_k f and xi(xi(f)) = xi^k d_k xi^m d_m f
+    + xi^k xi^m d_k d_m f.  Over a Kenmotsu base, where eta = g(xi, .) and
+    nabla_xi xi = 0, these are eta(grad f) and Hess(f)(xi, xi), so every
+    closed form in base data reads them from here.
+    """
+    def compute(p):
+        coords = structure.manifold.coords
+        xi = structure.xi_values(p)
+        dxi = structure.xi_partials(p)
+        df = f.gradient_covector(coords, p)
+        ddf = f.second_partials(coords, p)
+        xif = np.einsum("...k,...k->...", xi, df)
+        xixif = (
+            np.einsum("...k,...km,...m->...", xi, dxi, df)
+            + np.einsum("...k,...m,...km->...", xi, xi, ddf)
+        )
+        return xif, xixif
+
+    return memoised(point, (structure, f, "xi derivatives"), compute,
+                    structure.reads_a or f.reads_a)
+
+
 def kenmotsu_details(structure: AcmStructure, point) -> dict:
     """Residuals of the Kenmotsu condition and its first corollary.
 
@@ -917,8 +925,3 @@ def sample_batch(manifold, box, count, seed) -> Samples:
     return Samples({
         c: np.ascontiguousarray(points[:, i]) for i, c in enumerate(manifold.coords)
     })
-
-
-def sample_points(manifold, box, count, seed) -> list:
-    """``sample_batch`` as a list of single points."""
-    return sample_batch(manifold, box, count, seed).points()

@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .deformation import (
-    DeformedStructure, base_inner, deformation_curvature_term, laplacian_bar,
+    DeformedStructure, base_inner, laplacian_bar, ricci_bar, riemann_bar,
 )
 from .expr import Expr, evaluate
 from .geometry import (
@@ -63,13 +63,12 @@ from .geometry import (
     covariant_derivative,
     curvature_bundle,
     divergence,
-    grad,
     gradient_lie_derivative,
-    hessian,
     laplacian,
     lie_derivative_metric,
     memoised,
     with_a,
+    xi_derivatives,
 )
 from .tensor import (
     StructureError, component_major, hs_inner, kulkarni_nomizu, max_abs, outer,
@@ -85,7 +84,6 @@ __all__ = [
     "xi_of_eta_potential",
     "theorem_lambda",
     "implied_curvature",
-    "reeb_soliton_general",
     "solenoidal_implied",
     "orthogonal_gradient_values",
     "xi_compatibility",
@@ -280,11 +278,6 @@ def soliton_residuals(frame: Frame, candidate, point) -> dict:
 # Scenario lambdas
 
 
-def _reeb_reeb(t, xi):
-    """T(xi, xi) per sample."""
-    return np.einsum("...i,...ij,...j->...", xi, t, xi)
-
-
 def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
     """xi(eta(V)) as an exact symbolic directional derivative."""
     return structure.xi_directional(structure.eta_of_field(field)).value(point)
@@ -320,18 +313,10 @@ def _theorem_lambda(kind, scenario, structure, point, a, vector, scalar):
     elif scenario == "solenoidal":
         xi_eta_v, div_v = xi_of_eta_potential(structure, vector, point), 0.0
     elif scenario == "gradient":
-        man = structure.manifold
-        # Hess f(xi, xi) = xi(xi(f)), as nabla_xi xi = 0 over a Kenmotsu base
-        xixif = _reeb_reeb(
-            hessian(man, scalar, point), structure.xi_values(point)
-        )
-        eta_grad = np.einsum(
-            "...i,...i->...",
-            structure.eta_values(point), grad(man, scalar, point),
-        )
+        xif, xixif = xi_derivatives(structure, scalar, point)
         xi_eta_v = xixif / a2
         div_v = laplacian_bar(
-            n, a, laplacian(man, scalar, point), eta_grad, xixif
+            n, a, laplacian(structure.manifold, scalar, point), xif, xixif
         )
     else:
         raise StructureError(f"unknown scenario {scenario!r}")
@@ -377,31 +362,6 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a) -> dict:
     out["ric_trace"] = np.einsum("...ij,...ij->...", m.inv, ric)
     out["ric_norm_computed"] = hs_inner(ric, ric, m)
     return out
-
-
-def reeb_soliton_general(kind: str, structure: AcmStructure, point, a,
-                         lambda_bar) -> dict:
-    """Implied Ricci and scal for a general Reeb-scenario lambda.
-
-    The Ricci tensor is c_g g + c_e eta (x) eta and scal is its g-trace
-    (2n+1) c_g + c_e, as |eta|_g = 1.  Substituting the pinned lambda
-    reduces these to the fixed tensors of ``implied_curvature``.
-    """
-    m = structure.manifold.metric_at_cached(point)
-    eta = structure.eta_values(point)
-    n = structure.n
-    bound = with_a(point, a)
-    a = a_column(a, point)
-    tr = _trace(kind, n)
-    k = tr.k
-    beta_a = a * tr.beta(lambda_bar, 2.0 * n / a)
-    shift = 2.0 * n * (a - 1.0) / a
-    cg = beta_a - k - shift
-    ce = beta_a * (a - 1.0) + k + shift
-    return {
-        "ric": symmetric(_tensor(cg) * m.g + _tensor(ce) * outer(eta, eta), bound),
-        "scal": (2 * n + 1) * cg + ce,
-    }
 
 
 def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
@@ -457,15 +417,11 @@ def orthogonal_gradient_values(kind: str, structure: AcmStructure,
     """lambda and scal when the gradient potential is g_bar-orthogonal to
     the Reeb field, which amounts to xi(f) = 0; then xi(xi(f)) = 0 and
     Lap_bar(f) = Lap(f)/a, so beta = -2n/a^2."""
-    man = structure.manifold
     n = structure.n
     tr = _trace(kind, n)
     a = a_column(a, point)
-    lap = laplacian(man, scalar, point)
-    xi = structure.xi_values(point)
-    xif = np.einsum(
-        "...i,...i->...", xi, scalar.gradient_covector(man.coords, point)
-    )
+    lap = laplacian(structure.manifold, scalar, point)
+    xif, _ = xi_derivatives(structure, scalar, point)
     return {
         "lambda_bar": tr.lam(-2.0 * n / (a * a), lap / a),
         "scal": -tr.k * lap - 2 * n * (2 * n + 1.0),
@@ -509,16 +465,11 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
 
         # 2 R_bar + (L g_bar - lambda g_bar) o g_bar, component-major, so a
         # scales whole rows of samples; 2 R_bar is summed into the
-        # product's own buffer, and (a - 1) T is added one leading
-        # component row at a time, so two stacked (0, 4) arrays are alive
+        # product's own buffer, so two stacked (0, 4) arrays are alive
         premise = component_major(
             kulkarni_nomizu(lie - lam_bar * gbar, gbar), 4
         )
-        k = column.ndim
-        r04_bar = column * component_major(r04, 4, k)
-        t = component_major(deformation_curvature_term(g, eta), 4, k)
-        for row, t_row in zip(r04_bar, t):
-            row += (column - 1.0) * t_row
+        r04_bar = riemann_bar(structure, point, r04, a)
         r04_bar *= 2.0
         premise += r04_bar
         del r04_bar
@@ -530,7 +481,7 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
         def residual(lam):
             return max_abs(0.5 * lie + ric - lam * g, 2)
 
-        ric_bar = ric + (2.0 * n * (a2 - 1.0) / a2) * (g - ee)
+        ric_bar = ricci_bar(structure, point, ric, a)
         premise = max_abs(0.5 * lie + ric_bar - lam_bar * gbar, 2)
         scale = max_abs(g, 2)
     return {
@@ -557,7 +508,7 @@ def _gradient_norms(ds: DeformedStructure, f: ScalarField, point) -> dict:
         mbar = ds.manifold.metric_at_cached(ds.at(p))
         ric_bar = ds.ricci_closed(p)["Ric"]
         hess_bar = ds.hessian_closed(f, p)
-        xif, xixif = ds.xi_derivatives(f, p)
+        xif, xixif = xi_derivatives(base, f, p)
         return {
             "scal": curvature_bundle(man, p)["scal"],
             "hess_sq": base_inner(base, ("hess", "hess"), p, f),

@@ -68,7 +68,8 @@ __all__ = [
 
 REPORT_VERSION = "0.5.0"
 
-# the deformation parameter at which remark23 probes harmonic transfer
+# the deformation parameter at which remark23 probes harmonic transfer;
+# the probe reads base data alone, so it needs no row of the run's grid
 _HARMONIC_PROBE_A = 2.0
 
 
@@ -467,22 +468,17 @@ def _suite_remark23(run, override):
         0, float(arith), float(tol), bool(arith <= tol),
     ))
 
-    # the probe is a row of the run's deformation when the grid holds it;
-    # else it is deformed alone, so no other suite evaluates it
-    f = run.config.scalar
-    if _HARMONIC_PROBE_A not in ds.a:
-        ds = deform(structure, (_HARMONIC_PROBE_A,))
-    ht = harmonic_transfer(ds, f, points)
-    probe = int(np.flatnonzero(ds.a == _HARMONIC_PROBE_A)[0])
+    ht = harmonic_transfer(structure, run.config.scalar, points,
+                           _HARMONIC_PROBE_A)
     if not ht["applicable"]:
         agree = True
         detail = ("not applicable: f is not harmonic "
                   f"(max |Lap f| = {ht['max_lap']:.3e})")
     else:
-        agree = bool(ht["deformed_harmonic"][probe]) == ht["condition_holds"]
+        agree = bool(ht["deformed_harmonic"]) == ht["condition_holds"]
         detail = (
-            f"max |Lap_bar f| = {ht['max_lap_bar'][probe]:.3e} at a = "
-            f"{ht['probe_a'][probe]:g}; condition residual = "
+            f"max |Lap_bar f| = {ht['max_lap_bar']:.3e} at a = "
+            f"{_HARMONIC_PROBE_A:g}; condition residual = "
             f"{ht['max_condition_residual']:.3e}"
         )
     checks.append(CheckResult(

@@ -3,7 +3,7 @@ import pytest
 
 from acmsolitons import builtin_config, parse_expr
 from acmsolitons.config import load_config_text
-from acmsolitons.geometry import ChartManifold, sample_points
+from acmsolitons.geometry import ChartManifold, sample_batch
 
 
 @pytest.fixture(scope="session")
@@ -18,9 +18,9 @@ def kenmotsu3_structure(kenmotsu3):
 
 @pytest.fixture(scope="session")
 def kenmotsu3_points(kenmotsu3):
-    return sample_points(
+    return sample_batch(
         kenmotsu3.manifold, kenmotsu3.box, kenmotsu3.points, kenmotsu3.seed
-    )
+    ).points()
 
 
 # The n = 2 Kenmotsu model dz^2 + e^{2z} g_flat(C^2): the warped product of a

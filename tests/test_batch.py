@@ -19,7 +19,6 @@ from acmsolitons.geometry import (
     hessian,
     lie_derivative_metric,
     sample_batch,
-    sample_points,
 )
 from acmsolitons.solitons import Frame, SolitonCandidate, soliton_residuals
 from acmsolitons.suites import SuiteError, run_suites
@@ -132,7 +131,7 @@ def test_batch_of_listed_points_is_the_sampled_batch(kenmotsu3):
 def test_sample_points_unchanged(kenmotsu3):
     # the first three kenmotsu3 samples at seed 42, as the one-at-a-time
     # rejection sampler drew them
-    points = sample_points(kenmotsu3.manifold, kenmotsu3.box, 64, 42)
+    points = sample_batch(kenmotsu3.manifold, kenmotsu3.box, 64, 42).points()
     assert points[:3] == [
         {"x": 0.5479120971119267, "y": -0.12224312049589536,
          "z": 2.03738760789809},
@@ -146,8 +145,8 @@ def test_sample_points_unchanged(kenmotsu3):
 def test_lambda_domain_error_names_the_earliest_sample():
     # log(x + 0.8) is undefined where x <= -0.8, at some samples only
     config = load_config_text(_KENMOTSU3_LOG, source="tests:kenmotsu3-log")
-    points = sample_points(config.manifold, config.box, config.points,
-                           config.seed)
+    points = sample_batch(config.manifold, config.box, config.points,
+                          config.seed).points()
     bad = [i for i, p in enumerate(points) if p["x"] + 0.8 <= 0.0]
     assert 0 < bad[0] < len(points) - 1
     with pytest.raises(SuiteError) as info:

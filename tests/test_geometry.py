@@ -23,10 +23,7 @@ from acmsolitons.geometry import (
     laplacian,
     lie_derivative_metric,
     nabla_phi_tensor,
-    riemann,
-    ricci,
-    sample_points,
-    scalar_curv,
+    sample_batch,
 )
 from acmsolitons.expr import parse_expr
 from acmsolitons.tensor import StructureError
@@ -110,7 +107,7 @@ class TestChristoffel:
             "sphere2": sphere2.box,
             "polar2": {"r": (0.5, 2.0), "t": (-3.0, 3.0)},
         }[which]
-        for p in sample_points(man, box, 12, 7):
+        for p in sample_batch(man, box, 12, 7).points():
             assert _rel(christoffel(man, p), _christoffel_fd(man, p)) <= 1e-5
 
 
@@ -127,29 +124,31 @@ class TestCurvature:
             "sphere2": sphere2.box,
             "polar2": {"r": (0.5, 2.0), "t": (-3.0, 3.0)},
         }[which]
-        for p in sample_points(man, box, 8, 11):
-            r13, _ = riemann(man, p)
+        for p in sample_batch(man, box, 8, 11).points():
+            r13 = curvature_bundle(man, p)["R13"]
             assert _rel(r13, _riemann_fd(man, p)) <= 1e-5
 
     def test_sphere_scal_and_ricci(self, sphere2):
         man = sphere2.manifold
-        for p in sample_points(man, sphere2.box, 10, 3):
-            assert scalar_curv(man, p) == pytest.approx(2.0, abs=1e-9)
+        for p in sample_batch(man, sphere2.box, 10, 3).points():
+            bundle = curvature_bundle(man, p)
+            assert bundle["scal"] == pytest.approx(2.0, abs=1e-9)
             g = man.metric_values(p)
-            assert np.allclose(ricci(man, p), g, atol=1e-9)
+            assert np.allclose(bundle["Ric"], g, atol=1e-9)
 
     def test_polar_is_flat(self, polar2):
         p = polar2.point(r=1.3, t=-0.6)
-        r13, r04 = riemann(polar2, p)
-        assert np.max(np.abs(r13)) <= 1e-11
-        assert np.max(np.abs(r04)) <= 1e-11
+        bundle = curvature_bundle(polar2, p)
+        assert np.max(np.abs(bundle["R13"])) <= 1e-11
+        assert np.max(np.abs(bundle["R04"])) <= 1e-11
 
     def test_kenmotsu3_einstein(self, kenmotsu3, kenmotsu3_points):
         man = kenmotsu3.manifold
         for p in kenmotsu3_points[:10]:
             g = man.metric_values(p)
-            assert np.allclose(ricci(man, p), -2.0 * g, atol=1e-10)
-            assert scalar_curv(man, p) == pytest.approx(-6.0, abs=1e-10)
+            bundle = curvature_bundle(man, p)
+            assert np.allclose(bundle["Ric"], -2.0 * g, atol=1e-10)
+            assert bundle["scal"] == pytest.approx(-6.0, abs=1e-10)
 
     def test_curvature_reeb_convention(self, kenmotsu3, kenmotsu3_points):
         # R(X,Y)xi = eta(X)Y - eta(Y)X fixes the index order of R13
@@ -241,8 +240,8 @@ class TestStructures:
         s = kenmotsu5.structure
         man = kenmotsu5.manifold
         assert s.n == 2
-        for p in sample_points(man, kenmotsu5.box, kenmotsu5.points,
-                               kenmotsu5.seed):
+        for p in sample_batch(man, kenmotsu5.box, kenmotsu5.points,
+                              kenmotsu5.seed).points():
             assert s.acm_residual(p) <= 1e-12
             assert kenmotsu_residual(s, p) <= 1e-12
             xi = s.xi_values(p)
@@ -280,15 +279,15 @@ class TestStructures:
 class TestSampling:
     def test_deterministic(self, kenmotsu3):
         man = kenmotsu3.manifold
-        a = sample_points(man, kenmotsu3.box, 16, 42)
-        b = sample_points(man, kenmotsu3.box, 16, 42)
+        a = sample_batch(man, kenmotsu3.box, 16, 42).points()
+        b = sample_batch(man, kenmotsu3.box, 16, 42).points()
         assert a == b
-        c = sample_points(man, kenmotsu3.box, 16, 43)
+        c = sample_batch(man, kenmotsu3.box, 16, 43).points()
         assert a != c
 
     def test_respects_box_and_constraints(self, kenmotsu3):
         man = kenmotsu3.manifold
-        for p in sample_points(man, kenmotsu3.box, 32, 1):
+        for p in sample_batch(man, kenmotsu3.box, 32, 1).points():
             assert 1.05 <= p["z"] <= 2.2
             assert -1.0 <= p["x"] <= 1.0
             assert man.contains(p)
@@ -298,7 +297,7 @@ class TestSampling:
         box = dict(kenmotsu3.box)
         box["z"] = (0.0, 0.5)  # all below the z > 1 constraint
         with pytest.raises(StructureError):
-            sample_points(man, box, 4, 42)
+            sample_batch(man, box, 4, 42).points()
 
     def test_degenerate_metric_rejected(self, sphere2):
         man = sphere2.manifold

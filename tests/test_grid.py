@@ -4,7 +4,7 @@ a at once, equal to evaluating each a on its own."""
 import numpy as np
 import pytest
 
-from acmsolitons import deformation, solitons, suites
+from acmsolitons import deformation, geometry, solitons, suites
 from acmsolitons.cli import main
 from acmsolitons.config import ConfigError, builtin_config, load_config_text
 from acmsolitons.config import _KENMOTSU3
@@ -27,7 +27,6 @@ from acmsolitons.geometry import (
     lie_derivative_metric,
     nabla_phi_tensor,
     sample_batch,
-    sample_points,
 )
 from acmsolitons.solitons import (
     Frame,
@@ -143,8 +142,10 @@ def _deformed(ds, f, frames_of, pts):
             "gradient": ds.gradient_closed(f, pts),
             "laplacian": ds.laplacian_closed(f, pts),
             "prop22": prop_inner_battery(ds, f, pts),
-            "harmonic": {k: v for k, v in harmonic_transfer(ds, f, pts).items()
-                         if k not in ("applicable", "harmonic")},
+            "harmonic": {
+                k: v for k, v in harmonic_transfer(ds.base, f, pts, ds.a).items()
+                if k not in ("applicable", "harmonic")
+            },
             "norm-bound": ricci_norm_bound(ds.base, pts, ds.a),
         },
         "solitons": frames_of(Frame(ds.structure, ds.a)),
@@ -219,9 +220,9 @@ class TestOneDeformationPerRun:
 
     @pytest.mark.parametrize("grid, calls", [
         ((1.0, 2.0, 3.0), [(1.0, 2.0, 3.0)]),
-        # remark23's harmonic-transfer probe a = 2 is no row of the grid's
-        # deformation, so no other suite evaluates it
-        ((1.0, 3.0), [(1.0, 3.0), (2.0,)]),
+        # remark23's harmonic-transfer probe a = 2 reads base data alone,
+        # so a grid without 2 is deformed once too
+        ((1.0, 3.0), [(1.0, 3.0)]),
     ])
     def test_grid_and_probe_calls(self, monkeypatch, grid, calls):
         seen = self._counting(monkeypatch)
@@ -230,6 +231,41 @@ class TestOneDeformationPerRun:
         config.a_grid = grid
         assert all(c.passed for c in run_suites(config))
         assert seen == calls
+
+    @pytest.mark.parametrize("grid", [(0.5, 1.0, 2.0, 3.7), (1.0, 3.0)])
+    def test_base_data_once_per_run(self, monkeypatch, grid):
+        # one deform call; T = g o (g/2 - eta (x) eta), which the deformed
+        # curvature and the riemann Reeb premise both read, built once; and
+        # xi(f), xi(xi(f)) computed once per (structure, f) and batch
+        deforms = self._counting(monkeypatch)
+        terms = []
+        real_term = deformation.deformation_curvature_term
+
+        def term(g, eta):
+            terms.append(g.shape)
+            return real_term(g, eta)
+
+        derivatives = []
+        real_memoised = geometry.memoised
+
+        def memoised(point, key, compute, reads_a=True):
+            if key[-1] == "xi derivatives":
+                def counted(p):
+                    derivatives.append((key[0], key[1], id(p)))
+                    return compute(p)
+
+                return real_memoised(point, key, counted, reads_a)
+            return real_memoised(point, key, compute, reads_a)
+
+        monkeypatch.setattr(deformation, "deformation_curvature_term", term)
+        monkeypatch.setattr(geometry, "memoised", memoised)
+        config = builtin_config("kenmotsu3")
+        config.points = 16
+        config.a_grid = grid
+        assert all(c.passed for c in run_suites(config))
+        assert deforms == [grid]
+        assert terms == [(16, 3, 3)]
+        assert len(derivatives) == 1
 
     def test_no_deformation_before_the_gate(self, monkeypatch):
         calls = self._counting(monkeypatch)
@@ -278,8 +314,8 @@ def _with_candidate(lam):
 
 class TestErrorsNameTheA:
     def _points(self, config):
-        return sample_points(config.manifold, config.box, config.points,
-                             config.seed)
+        return sample_batch(config.manifold, config.box, config.points,
+                            config.seed).points()
 
     def test_lambda_undefined_at_one_grid_value(self):
         # log(a - 0.6) is defined at the base frame's a = 1 and at every
@@ -316,6 +352,29 @@ class TestErrorsNameTheA:
         message = str(info.value)
         assert "check section2/divergence[a=0.5] has residual nan" in message
         assert message.endswith("[a=0.5]")
+
+
+@pytest.mark.parametrize("scalar", [
+    "exp(z)", "x", "x^2 * exp(-2*z) - exp(-4*z)/4",
+])
+def test_remark23_probe_same_with_or_without_two(scalar):
+    # the a = 2 probe and the admissible interval read no grid value: the
+    # same ids, verdicts and details whether the grid holds 2 or not
+    text = _KENMOTSU3.replace("f = exp(z)", f"f = {scalar}").replace(
+        "scalar = f\n", "scalar = f\nsuites = remark23\n"
+    )
+    probes = []
+    for grid in ("1, 2, 3", "1, 3"):
+        config = load_config_text(text.replace("a = 0.5, 1, 2, 3.7",
+                                               f"a = {grid}"))
+        probes.append([
+            c.to_json_dict() for c in run_suites(config)
+            if "[a=" not in c.check_id
+        ])
+    assert [c["id"] for c in probes[0]] == [
+        "remark23/admissible-interval", "remark23/harmonic-transfer",
+    ]
+    assert probes[0] == probes[1]
 
 
 @pytest.mark.parametrize("lam", ["1/(a - 2)", "log(1.5 - a)"])

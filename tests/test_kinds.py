@@ -36,12 +36,12 @@ from acmsolitons.solitons import (
     _reeb_forced,
     _trace,
     orthogonal_gradient_values,
-    reeb_soliton_general,
     soliton_residuals,
     theorem_lambda,
     xi_compatibility,
 )
 from acmsolitons.tensor import MetricData
+from test_solitons import reeb_soliton_general
 
 TOL = 2.0 ** 10 * np.finfo(float).eps
 NS = (1, 2, 3)
@@ -60,9 +60,8 @@ def _close(got, ref, scale=None):
 
 class _Synthetic:
     """N samples of a (2n+1)-dimensional chart: a random metric, xi = eta =
-    the last coordinate vector, and random values of Hess f, grad f, Lap f
-    and xi(eta(V)), so that eta(grad f) = xi(f) and Hess f(xi, xi) =
-    xi(xi(f)) are the last entries."""
+    the last coordinate vector, and random values of xi(f), xi(xi(f)),
+    Lap f and xi(eta(V))."""
 
     def __init__(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -84,14 +83,8 @@ class _Synthetic:
         self.lap[[2, 3]] = 0.0
         # Lap_bar f = Lap f/a - ((a-1)/a^2)(2n xi(f) + xi(xi f)) = 0 at a = 2
         self.lap[4] = 0.5 * (2 * n * self.xif[4] + self.xixif[4])
-        h = rng.normal(size=(N, d, d))
-        self.hess = h + np.swapaxes(h, -1, -2)
-        self.hess[:, -1, -1] = self.xixif
-        self.grad = rng.uniform(-2.0, 2.0, (N, d))
-        self.grad[:, -1] = self.xif
         self.sigma = rng.uniform(-2.0, 2.0, N)
         self.sigma[1] = 0.0
-        self.scalar = SimpleNamespace(gradient_covector=lambda c, p: self.grad)
 
     def xi_values(self, point):
         return self.e
@@ -102,8 +95,9 @@ class _Synthetic:
 @pytest.fixture(params=NS)
 def synthetic(request, monkeypatch):
     s = _Synthetic(request.param, seed=request.param)
-    monkeypatch.setattr(solitons, "hessian", lambda man, f, p: s.hess)
-    monkeypatch.setattr(solitons, "grad", lambda man, f, p: s.grad)
+    monkeypatch.setattr(
+        solitons, "xi_derivatives", lambda st, f, p: (s.xif, s.xixif)
+    )
     monkeypatch.setattr(solitons, "laplacian", lambda man, f, p: s.lap)
     monkeypatch.setattr(
         solitons, "xi_of_eta_potential", lambda st, v, p: s.sigma
@@ -360,7 +354,7 @@ def test_reeb_soliton_general(synthetic, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_orthogonal_gradient_values(synthetic, kind):
     s = synthetic
-    got = orthogonal_gradient_values(kind, s, s.scalar, s.point, A_GRID)
+    got = orthogonal_gradient_values(kind, s, object(), s.point, A_GRID)
     lam, scal = _orthogonal_ref(kind, s.n, A_COL, s.lap)
     _close(got["lambda_bar"], lam)
     _close(got["scal"], scal)
