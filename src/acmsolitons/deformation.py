@@ -506,10 +506,8 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points, a,
     max_lap = float(np.max(np.abs(lap)))
     max_lap_bar = np.max(np.abs(lap_bar).reshape(np.shape(a) + (-1,)), axis=-1)
     max_condition = float(np.max(np.abs(condition)))
-    harmonic = max_lap <= tol
     return {
-        "applicable": harmonic,
-        "harmonic": harmonic,
+        "applicable": max_lap <= tol,
         "deformed_harmonic": max_lap_bar <= tol,
         "condition_holds": max_condition <= tol,
         "lap_bar": lap_bar,

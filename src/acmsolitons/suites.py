@@ -5,7 +5,8 @@ one value per sample; what depends on the deformation parameter is
 evaluated once for the whole a-grid too, as one value per a and sample.
 Each suite hands its residuals over as claims, and one function, ``_emit``,
 turns them into checks the same way for every suite: the worst residual of
-each [a=...] row against a tolerance.  Closed-form versus direct
+each [a=...] row against a tolerance.  A suite's claims are stacked into
+one array and reduced once, not claim by claim.  Closed-form versus direct
 comparisons use a relative residual (scaled by the larger of 1 and the
 magnitudes involved), algebraic axiom checks and soliton equation
 residuals are absolute.  Reports are plain dicts whose JSON serialization
@@ -129,43 +130,47 @@ def _worst(batch: Samples, items, check_id):
     ``items`` lists (key, residuals) or (key, residuals, applicable), in
     the order they are computed: residuals, never negative, and the mask
     ``applicable`` of samples where the key's hypothesis holds (None or
-    absent: all) broadcast to the batch.  A key may repeat.  Returns
-    (worst, applicable): per key, the largest residual over the samples
-    where it applies and the number of those samples, one entry per a (0-d
-    without an a axis).  A non-finite residual raises SuiteError naming
+    absent: all) broadcast to the batch.  A key may repeat.  The items are
+    stacked into one (items,) + batch.shape array, zero where one does not
+    apply, and reduced at once.  Returns (worst, applicable): per key, the
+    largest residual over the samples where it applies and the number of
+    those samples, a list with one entry per a (a number without an a
+    axis).  A non-finite residual raises SuiteError naming
     ``check_id(key)``, the tag of its a and the earliest (a, sample) with
     one, since a NaN would otherwise compare as passing.
     """
     shape = batch.shape
-    rows = []
-    for key, residual, *mask in items:
-        mask = mask[0] if mask else None
-        applies = True if mask is None else np.broadcast_to(mask, shape)
-        residual = np.broadcast_to(residual, shape)
-        top = np.max(residual, axis=-1, where=applies, initial=0.0)
-        rows.append((key, residual, applies, top))
+    items = list(items)
+    keys = {}
+    index = [keys.setdefault(key, len(keys)) for key, *_ in items]
+    stack = np.zeros((len(items),) + shape)
+    covered = np.zeros((len(keys),) + shape, dtype=bool)
+    unmasked = set()
+    for k, row, (_, residual, *mask) in zip(index, stack, items):
+        if mask and mask[0] is not None:
+            np.copyto(row, residual, where=mask[0])
+            covered[k] |= mask[0]
+        else:
+            row[...] = residual
+            unmasked.add(k)
     # residuals are never negative, so a NaN or inf where one applies
-    # leaves its row's maximum non-finite
-    if not all(np.isfinite(top).all() for *_, top in rows):
-        bad = np.array([applies & ~np.isfinite(r) for _, r, applies, _ in rows])
-        flat = bad.reshape(len(rows), -1)
-        s = int(np.argmax(flat.any(axis=0)))
-        key, residual, *_ = rows[int(np.argmax(flat[:, s]))]
+    # leaves its row's maximum non-finite; abs reads a -0.0 maximum as +0.0
+    tops = np.abs(stack.max(axis=-1, initial=0.0))
+    if not np.isfinite(tops).all():
+        bad = ~np.isfinite(stack)
+        # the earliest (a, sample) with a bad item, then its first bad item
+        s, c = divmod(int(np.argmax(bad.reshape(len(items), -1).T)), len(items))
         tag = a_tag(np.broadcast_to(batch[A], shape).flat[s]) if len(shape) > 1 else ""
         raise SuiteError(
-            f"check {check_id(key)}{tag} has residual {residual.flat[s]} at "
-            f"sample {locate(batch, bad.any(axis=0))}"
+            f"check {check_id(items[c][0])}{tag} has residual {stack[c].flat[s]} "
+            f"at sample {locate(batch, bad.any(axis=0))}"
         )
-    worst = {}
-    covered = {}
-    for key, _, applies, top in rows:
-        held = worst.get(key, 0.0)
-        worst[key] = np.where(top > held, top, held)  # a tie keeps +0.0
-        covered[key] = covered.get(key, False) | applies
-    return worst, {
-        key: np.count_nonzero(np.broadcast_to(m, shape), axis=-1)
-        for key, m in covered.items()
-    }
+    worst = np.zeros((len(keys),) + shape[:-1])
+    np.maximum.at(worst, index, tops)
+    counts = np.full(worst.shape, shape[-1])  # what an unmasked key covers
+    masked = list(set(index) - unmasked)
+    counts[masked] = covered[masked].sum(axis=-1)
+    return dict(zip(keys, worst.tolist())), dict(zip(keys, counts.tolist()))
 
 
 class Claim(NamedTuple):
@@ -204,43 +209,39 @@ def _emit(batch: Samples, prefix: str, override, claims) -> list:
     ``override`` when given, else the first claim's default.  Where the
     key's hypothesis holds at no sample of the row the check is vacuous;
     where it holds at only some, its detail says at how many.  A row whose
-    labels are all one label is classified by it, else as "mixed".
+    labels are all one label is classified by it, else as "mixed".  The
+    claims are reduced together, in one ``_worst``; each distinct labels
+    array is classified once, whichever claims share it.
     """
     shape = batch.shape
     npts = shape[-1]
     a_row = [1.0] if len(shape) == 1 else np.ravel(batch[A]).tolist()
     tags = [""] if len(shape) == 1 else [a_tag(a) for a in a_row]
-    worst, counts = _worst(
-        batch, [(c.key, c.residual, c.applies) for c in claims],
-        lambda key: f"{prefix}/{key}",
-    )
-    first = {}
-    for c in claims:
-        first.setdefault(c.key, c)
+    items = [(c.key, c.residual, c.applies) for c in claims]
+    worst, counts = _worst(batch, items, lambda key: f"{prefix}/{key}")
+    first = {c.key: c for c in reversed(claims)}
+    # the class of each row, per distinct labels array (by identity)
+    classes = {id(None): [None] * len(a_row)}
     checks = []
-    for key, c in first.items():
+    for key, tops in worst.items():
+        c, ns = first[key], counts[key]
+        if len(shape) == 1:
+            tops, ns = [tops], [ns]
         tol = c.tol if override is None else override
         tols = [tol(a) for a in a_row] if callable(tol) else [tol] * len(a_row)
-        tops = np.reshape(worst[key], -1).tolist()
-        ns = np.reshape(counts[key], -1).tolist()
-        classes = [None] * len(a_row)
-        if c.labels is not None:
+        if id(c.labels) not in classes:
             rows = np.broadcast_to(c.labels, shape).reshape(len(a_row), npts)
-            classes = [
-                row[0] if len(set(row)) == 1 else "mixed"
-                for row in rows.tolist()
-            ]
-        for tag, top, n, tol, cls in zip(tags, tops, ns, tols, classes):
+            same = (rows == rows[:, :1]).all(axis=1)
+            classes[id(c.labels)] = np.where(same, rows[:, 0], "mixed").tolist()
+        for tag, top, n, tol, cls in zip(tags, tops, ns, tols, classes[id(c.labels)]):
             if n == 0:
                 top, passed = 0.0, True
                 detail = f"{c.hypothesis} fails at every sample; no claim checked"
             else:
                 passed = top <= tol
                 detail = f"checked at {n} of {npts} samples" if n < npts else None
-            checks.append(CheckResult(
-                f"{prefix}/{key}{tag}", c.anchor, n, top, tol, passed, cls,
-                detail,
-            ))
+            checks.append(CheckResult(f"{prefix}/{key}{tag}", c.anchor, n, top,
+                                      tol, passed, cls, detail))
     return checks
 
 

@@ -1,10 +1,20 @@
-"""The one function that turns suite claims into checks, on synthetic data."""
+"""The one function that turns suite claims into checks, on synthetic data.
+
+``_worst`` reduces a suite's claims stacked into one array; the per-claim
+loop it replaced is kept below as ``_reference_worst``, and the two must
+give the same worst values bit for bit, the same counts and the same
+SuiteError text.
+"""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from acmsolitons.expr import A, a_tag, locate
 from acmsolitons.geometry import Samples, with_a
-from acmsolitons.suites import Claim, SuiteError, _closed_tol, _emit
+from acmsolitons.suites import Claim, SuiteError, _closed_tol, _emit, _worst
 
 GRID = np.array([0.5, 1.0, 2.0])
 N = 4
@@ -133,3 +143,122 @@ def test_nan_where_hypothesis_fails_is_ignored(batch):
     applies = np.zeros((3, N), dtype=bool)
     checks = _emit(batch, "s", None, [Claim("k", "A", 1e-8, residual, applies)])
     assert all(c.passed and c.points == 0 for c in checks)
+
+
+def test_shared_labels_classify_every_claim(batch):
+    shared = np.array([["steady"] * N,
+                       ["steady", "expanding", "steady", "steady"],
+                       ["shrinking"] * N])
+    checks = _by_id(_emit(batch, "s", None, [
+        Claim("full", "A", 1e-8, 0.0, labels=shared),
+        Claim("scalar", "B", 1e-8, 0.0, labels=shared),
+        Claim("other", "C", 1e-8, 0.0, labels=np.full(N, "expanding")),
+    ]))
+    for key in ("full", "scalar"):
+        assert [checks[f"s/{key}{a_tag(a)}"].classification for a in GRID] \
+            == ["steady", "mixed", "shrinking"]
+    assert {checks[f"s/other{a_tag(a)}"].classification for a in GRID} \
+        == {"expanding"}
+
+
+def test_no_claims_no_checks(batch):
+    assert _emit(batch, "s", None, []) == []
+    assert _worst(batch, [], str) == ({}, {})
+
+
+def _reference_worst(batch, items, check_id):
+    """The per-claim reduction ``_worst`` replaced: one masked max, one
+    finiteness test and, per key, one count for each claim."""
+    shape = batch.shape
+    rows = []
+    for key, residual, *mask in items:
+        mask = mask[0] if mask else None
+        applies = True if mask is None else np.broadcast_to(mask, shape)
+        residual = np.broadcast_to(residual, shape)
+        top = np.max(residual, axis=-1, where=applies, initial=0.0)
+        rows.append((key, residual, applies, top))
+    if not all(np.isfinite(top).all() for *_, top in rows):
+        bad = np.array([applies & ~np.isfinite(r) for _, r, applies, _ in rows])
+        flat = bad.reshape(len(rows), -1)
+        s = int(np.argmax(flat.any(axis=0)))
+        key, residual, *_ = rows[int(np.argmax(flat[:, s]))]
+        tag = a_tag(np.broadcast_to(batch[A], shape).flat[s]) if len(shape) > 1 else ""
+        raise SuiteError(
+            f"check {check_id(key)}{tag} has residual {residual.flat[s]} at "
+            f"sample {locate(batch, bad.any(axis=0))}"
+        )
+    worst = {}
+    covered = {}
+    for key, _, applies, top in rows:
+        held = worst.get(key, 0.0)
+        worst[key] = np.where(top > held, top, held)  # a tie keeps +0.0
+        covered[key] = covered.get(key, False) | applies
+    return worst, {
+        key: np.count_nonzero(np.broadcast_to(m, shape), axis=-1)
+        for key, m in covered.items()
+    }
+
+
+RESIDUALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-12, 3e-9, 2.5, np.nan, np.inf]),
+    st.floats(min_value=0.0, max_value=1e3),
+)
+
+
+@st.composite
+def batch_and_items(draw):
+    """An (N,) or (A, N) batch and items for ``_worst`` on it: keys that
+    repeat, residuals and masks of every shape that broadcasts to the
+    batch, masks absent, None, partial or all false."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.sampled_from([None, 1, 2, 3]))
+    batch = Samples({"x": np.linspace(0.0, 0.75, n)})
+    if rows is not None:
+        batch = with_a(batch, GRID[:rows])
+    shape = batch.shape
+
+    def array(elements, dtype):
+        sub = draw(st.sampled_from([shape, shape[-1:], shape[:-1] + (1,), ()]))
+        size = math.prod(sub)
+        values = draw(st.lists(elements, min_size=size, max_size=size))
+        return np.array(values, dtype=dtype).reshape(sub)
+
+    items = []
+    for _ in range(draw(st.integers(1, 6))):
+        key = draw(st.sampled_from(["k", "j", "m"]))
+        residual = array(RESIDUALS, float)
+        mask = draw(st.sampled_from(["absent", "none", "mask", "false"]))
+        if mask == "absent":
+            items.append((key, residual))
+        elif mask == "none":
+            items.append((key, residual, None))
+        elif mask == "mask":
+            items.append((key, residual, array(st.booleans(), bool)))
+        else:
+            items.append((key, residual, np.zeros(shape, dtype=bool)))
+    return batch, items
+
+
+def _outcome(worst_of, batch, items):
+    """The worst values as bytes and the counts, per key in order, or the
+    text of the SuiteError raised."""
+    try:
+        worst, counts = worst_of(batch, items, lambda key: f"s/{key}")
+    except SuiteError as err:
+        return str(err)
+    return (
+        [(key, np.asarray(v, dtype=float).tobytes()) for key, v in worst.items()],
+        [(key, np.asarray(n).tolist()) for key, n in counts.items()],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(batch_and_items())
+def test_stacked_reduction_equals_per_claim_loop(case):
+    batch, items = case
+    assert _outcome(_worst, batch, items) == _outcome(_reference_worst, batch, items)
+
+
+def test_zero_ties_read_positive_zero(batch):
+    worst, _ = _worst(batch, [("k", -0.0), ("k", np.full((3, N), -0.0))], str)
+    assert np.asarray(worst["k"]).tobytes() == np.zeros(3).tobytes()

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +10,6 @@ from acmsolitons.expr import (
     Call,
     Const,
     Coord,
-    Div,
     EvalError,
     Mul,
     Neg,

@@ -10,7 +10,6 @@ import pytest
 from acmsolitons.geometry import (
     AcmStructure,
     ChartManifold,
-    ScalarField,
     VectorField,
     christoffel,
     covariant_derivative,

@@ -144,7 +144,7 @@ def _deformed(ds, f, frames_of, pts):
             "prop22": prop_inner_battery(ds, f, pts),
             "harmonic": {
                 k: v for k, v in harmonic_transfer(ds.base, f, pts, ds.a).items()
-                if k not in ("applicable", "harmonic")
+                if k != "applicable"
             },
             "norm-bound": ricci_norm_bound(ds.base, pts, ds.a),
         },

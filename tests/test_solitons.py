@@ -9,7 +9,6 @@ from acmsolitons.geometry import (
     ScalarField,
     VectorField,
     a_column,
-    curvature_bundle,
     hessian,
     laplacian,
     sample_batch,
