@@ -15,6 +15,7 @@ metric dual of xi, and candidate potentials are written ``reeb``,
 ``grad <scalar>`` or ``vector <vector>``.  Candidate lambda expressions and
 vector components may reference the reserved symbol ``a``, the deformation
 parameter of the frame they are evaluated in (1 in the undeformed frame).
+The built-in fixtures are such files, ``fixtures/<name>.ini`` in the package.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import configparser
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .expr import ParseError, a_tag, parse_expr
 from .geometry import AcmStructure, ChartManifold, ScalarField, VectorField
@@ -450,133 +452,10 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
 # ---------------------------------------------------------------------------
 # Built-in fixtures
 
-_KENMOTSU3 = """
-# warped product of a line with a flat plane, restricted to z > 1
-[manifold]
-name = kenmotsu3
-coordinates = x, y, z
-constraints = z - 1
-g_x_x = exp(2*z)
-g_y_y = exp(2*z)
-g_z_z = 1
-
-[structure]
-phi_y_x = 1
-phi_x_y = -1
-xi = 0, 0, 1
-
-[scalars]
-f = exp(z)
-
-[vectors]
-V = 0, 0, exp(z)/a^2
-W = 1, 0, 0
-
-[candidates]
-riemann-grad = riemann, grad f, (2*exp(z) - 1)/a^2
-riemann-vector = riemann, vector V, (2*exp(z) - 1)/a^2
-ricci-grad = ricci, grad f, (exp(z) - 2)/a^2
-ricci-vector = ricci, vector V, (exp(z) - 2)/a^2
-
-[run]
-seed = 42
-points = 64
-a = 0.5, 1, 2, 3.7
-box_x = -1, 1
-box_y = -1, 1
-box_z = 1.05, 2.2
-scalar = f
-"""
-
-_KENMOTSU3_WIDE = """
-# same structure on the widened domain z > 0; the ricci candidate's lambda
-# changes sign at z = ln 2, so classifications mix here
-[manifold]
-name = kenmotsu3-wide
-coordinates = x, y, z
-constraints = z
-g_x_x = exp(2*z)
-g_y_y = exp(2*z)
-g_z_z = 1
-
-[structure]
-phi_y_x = 1
-phi_x_y = -1
-xi = 0, 0, 1
-
-[scalars]
-f = exp(z)
-
-[vectors]
-V = 0, 0, exp(z)/a^2
-W = 1, 0, 0
-
-[candidates]
-riemann-grad = riemann, grad f, (2*exp(z) - 1)/a^2
-ricci-grad = ricci, grad f, (exp(z) - 2)/a^2
-
-[run]
-seed = 42
-points = 64
-a = 0.5, 1, 2, 3.7
-box_x = -1, 1
-box_y = -1, 1
-box_z = 0.1, 1.5
-scalar = f
-"""
-
-_EUCLIDEAN3 = """
-# flat space with the same (phi, xi, eta): almost contact metric but not
-# Kenmotsu, so the deformation suites refuse their closed forms here
-[manifold]
-name = euclidean3
-coordinates = x, y, z
-g_x_x = 1
-g_y_y = 1
-g_z_z = 1
-
-[structure]
-phi_y_x = 1
-phi_x_y = -1
-xi = 0, 0, 1
-
-[scalars]
-f = x
-
-[run]
-seed = 42
-points = 64
-box_x = -1, 1
-box_y = -1, 1
-box_z = -1, 1
-scalar = f
-"""
-
-_SPHERE2 = """
-# round sphere chart; no almost contact structure in even dimension
-[manifold]
-name = sphere2
-coordinates = theta, phi
-constraints = sin(theta)
-g_theta_theta = 1
-g_phi_phi = sin(theta)^2
-
-[scalars]
-f = cos(theta)
-
-[run]
-seed = 42
-points = 64
-box_theta = 0.3, 2.8
-box_phi = -3, 3
-scalar = f
-"""
-
+# one definition file per fixture, named after it, shipped with the package
 _BUILTINS = {
-    "kenmotsu3": _KENMOTSU3,
-    "kenmotsu3-wide": _KENMOTSU3_WIDE,
-    "euclidean3": _EUCLIDEAN3,
-    "sphere2": _SPHERE2,
+    path.stem: path.read_text(encoding="utf-8")
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.ini"))
 }
 
 

@@ -69,8 +69,8 @@ from .geometry import (
     xi_derivatives,
 )
 from .tensor import (
-    StructureError, component_major, hs_inner, kulkarni_nomizu, outer,
-    sample_major, symmetric,
+    StructureError, component_major, hs_pair, hs_raise, kulkarni_nomizu,
+    outer, sample_major, symmetric,
 )
 
 __all__ = [
@@ -407,13 +407,21 @@ def _base_tensor(structure: AcmStructure, name: str, point, f=None):
 def base_inner(structure: AcmStructure, pair: tuple, point, f=None):
     """<T1, T2>_g of two base tensors named as in ``_BATTERY_PAIRS``.
 
-    Memoised on a batch, so each pairing is contracted once per run
-    whichever battery or bound asks for it; ``f`` is needed for "hess".
+    Memoised on a batch, so each pairing is taken once per run whichever
+    battery or bound asks for it; ``f`` is needed for "hess".  The base
+    tensors (Hess(f) only given ``f``) are raised together, in one stacked
+    product memoised on the batch.
     """
+    def raised(p):
+        names = ("g", "ric", "etaeta") + ("hess",) * (f is not None)
+        up = hs_raise([_base_tensor(structure, k, p, f) for k in names],
+                      structure.manifold.metric_at_cached(p))
+        return dict(zip(names, up))
+
     key = (structure, pair, f if "hess" in pair else None, "inner")
-    return memoised(point, key, lambda p: hs_inner(
-        *(_base_tensor(structure, name, p, f) for name in pair),
-        structure.manifold.metric_at_cached(p),
+    return memoised(point, key, lambda p: hs_pair(
+        memoised(p, (structure, f, "raised"), raised)[pair[0]],
+        _base_tensor(structure, pair[1], p, f),
     ), reads_a=False)
 
 
@@ -459,12 +467,13 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
         ("etaeta", "etaeta"): 1.0 / a4,
     }
     mbar = ds.manifold.metric_at_cached(ds.at(point))
+    raised = dict(zip(tensors, hs_raise(list(tensors.values()), mbar)))
     out = []
     for k1, k2 in _BATTERY_PAIRS:
         out.append(
             {
                 "pair": f"{k1}-{k2}",
-                "direct": hs_inner(tensors[k1], tensors[k2], mbar),
+                "direct": hs_pair(raised[k1], tensors[k2]),
                 "transfer": inner[(k1, k2)] / a2
                 - (a2 - 1.0) / a4 * reeb[k1] * reeb[k2],
                 "closed": closed[(k1, k2)],

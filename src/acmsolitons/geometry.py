@@ -30,6 +30,7 @@ R(X, Y) xi = eta(X) Y - eta(Y) X and Ric(xi, xi) = -2n.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -167,20 +168,24 @@ def _evaluate_all(exprs, point, dims) -> np.ndarray:
     """Evaluate a flat sequence of expressions into components of shape
     ``dims``, behind the sample axes of ``point``.
 
-    A constant is written as it stands, and a tree equal to an earlier one
-    (a mirrored entry, or mixed partials that fold to one tree) is copied
-    from it; every other tree is evaluated, in order, so a domain error
-    names the same subtree and sample as evaluating each entry would.
+    Each tree that is no constant and equals no earlier one is evaluated,
+    in order, so a domain error names the same subtree and sample as
+    evaluating each entry would.  Then the constants are written in one
+    pass, and in one more each repeated tree (a mirrored entry, or mixed
+    partials that fold to one tree) is copied from its first.
     """
     shape = _shape(point)
     out = np.empty(shape + (len(exprs),))
-    first = {}
+    first, consts, copies = {}, {}, {}
     for k, e in enumerate(exprs):
         if isinstance(e, Const):
-            out[..., k] = e.value
-            continue
-        j = first.setdefault(e, k)
-        out[..., k] = evaluate(e, point) if j == k else out[..., j]
+            consts[k] = e.value
+        elif first.setdefault(e, k) == k:
+            out[..., k] = evaluate(e, point)
+        else:
+            copies[k] = first[e]
+    out[..., list(consts)] = list(consts.values())
+    out[..., list(copies)] = out[..., list(copies.values())]
     return out.reshape(shape + dims)
 
 
@@ -197,6 +202,12 @@ def _values(exprs, point, dims, reads_a) -> np.ndarray:
 
 def _swap(t: np.ndarray) -> np.ndarray:
     return np.swapaxes(t, -1, -2)
+
+
+def _rows(t: np.ndarray, k: int) -> np.ndarray:
+    """``t`` with the ``k`` slot axes before its last folded into one axis
+    of rows, so a contraction over the last axis is one product per sample."""
+    return t.reshape(t.shape[:-k - 1] + (-1, t.shape[-1]))
 
 
 def _refuse(bad, message: str, point) -> None:
@@ -236,8 +247,22 @@ class ChartManifold:
         self.constraints = tuple(constraints)
         # g_ij, d_k g_ij and d_l d_k g_ij, each flat in row-major order
         self._g = [e for row in self.metric for e in row]
-        self._dg = [diff(e, c) for c in self.coords for e in self._g]
-        self._d2g = [diff(e, c) for c in self.coords for e in self._dg]
+        self._dg = self._partials(self._g)
+        self._d2g = self._partials(self._dg)
+
+    def _partials(self, flat) -> list:
+        """d_c of each entry of ``flat``, a run of (i, j) blocks, for each
+        coordinate c; a (j, i) entry, j < i, takes the tree of (i, j)."""
+        d = self.dim
+        pairs = [(i * d + j, j * d + i) for i in range(d) for j in range(i, d)]
+        out = []
+        for c in self.coords:
+            for start in range(0, len(flat), d * d):
+                block = [None] * (d * d)
+                for k, mirror in pairs:
+                    block[k] = block[mirror] = diff(flat[start + k], c)
+                out.extend(block)
+        return out
 
     @cached_property
     def reads_a(self) -> bool:
@@ -333,8 +358,11 @@ class ChartManifold:
         _refuse(max_abs(g @ inv - np.eye(self.dim), 2) > _INVERSE_TOL,
                 f"metric of {self.name} too ill-conditioned", point)
         dg = self.metric_partials(point)
-        inv1 = inv[..., None, :, :]  # g^-1 broadcast over the partials d_a
-        dinv = inv1 @ dg @ inv1
+        # (g^-1 d_k g) g^-1 as two products per sample: g^-1 times dg as
+        # columns [m, (k, j)], then that as rows [(k, i), n] times g^-1
+        left = inv @ np.moveaxis(dg, -3, -2).reshape(dg.shape[:-2] + (-1,))
+        left = np.swapaxes(left.reshape(dg.shape), -3, -2)
+        dinv = (_rows(left, 2) @ inv).reshape(dg.shape)
         np.negative(dinv, out=dinv)
         return MetricData(g=g, inv=inv, dg=dg, dinv=dinv)
 
@@ -376,15 +404,13 @@ def christoffel_partials(manifold, point) -> np.ndarray:
     dcombo = d2g + d2g.transpose((0, 2, 1, 3) + rest)
     dcombo -= d2g.transpose((0, 2, 3, 1) + rest)
     del d2g
-    d = m.dim
     dcombo = sample_major(dcombo, 4)
     shape = dcombo.shape
-    lead = shape[:-4]
     # out[a, l, i, j] = g^lk dcombo[a, i, j, k] + dinv[a, l, k] combo[i, j, k]
-    raised = dcombo.reshape(lead + (d ** 3, d)) @ _swap(m.inv)
+    raised = _rows(dcombo, 3) @ _swap(m.inv)
     del dcombo
-    combo = _gamma_combo(m.dg).reshape(lead + (1, d * d, d))
-    out = (m.dinv @ _swap(combo)).reshape(shape)
+    combo = _rows(_gamma_combo(m.dg), 2)
+    out = (_rows(m.dinv, 2) @ _swap(combo)).reshape(shape)
     out += np.moveaxis(raised.reshape(shape), -1, -3)
     out *= 0.5
     return out
@@ -477,8 +503,16 @@ def _riemann_tensors(gamma, dgamma, g):
     r13 += gg
     r13 -= gg.swapaxes(1, 2)
     del gg
+    # R04[(a, b, c), d] = R13[l, (a, b, c)] g_ld, one product per sample
+    # over a copy of R13 whose rows of samples have one spare sample: rows
+    # a power of two of bytes apart would put the d^4 components of a
+    # sample into a few cache sets, evicting each other
+    size = math.prod(lead)
+    spaced = np.empty((d ** 4, size + 1))[:, :size].reshape(r13.shape)
+    spaced[...] = r13
     r13 = sample_major(r13, 4)
-    r04 = np.moveaxis(r13, -4, -1) @ g[..., None, None, :, :]
+    r04 = (_rows(np.moveaxis(sample_major(spaced, 4), -4, -1), 3) @ g).reshape(shape)
+    del spaced
     # component-major too, for the elementwise passes that read R04
     return r13, sample_major(component_major(r04, 4), 4)
 
@@ -486,10 +520,7 @@ def _riemann_tensors(gamma, dgamma, g):
 def _christoffel(m: MetricData) -> np.ndarray:
     """Gamma[l, i, j] = (1/2) g^lk combo[i, j, k], as one matmul over the
     flattened (i, j) pairs."""
-    d = m.dim
-    lead = m.dg.shape[:-3]
-    combo = _gamma_combo(m.dg).reshape(lead + (d * d, d))
-    gamma = (m.inv @ _swap(combo)).reshape(lead + (d, d, d))
+    gamma = (m.inv @ _swap(_rows(_gamma_combo(m.dg), 2))).reshape(m.dg.shape)
     gamma *= 0.5
     return gamma
 
@@ -652,7 +683,8 @@ def gradient_lie_derivative(manifold, f: ScalarField, point) -> np.ndarray:
     column = df[..., :, None]
     v = (m.inv @ column)[..., 0]
     # dv[a, i] = d_a g^ik d_k f + g^ik d_a d_k f
-    dv = (m.dinv @ column[..., None, :, :])[..., 0] + ddf @ _swap(m.inv)
+    dv = ((_rows(m.dinv, 2) @ column).reshape(m.dinv.shape[:-1])
+          + ddf @ _swap(m.inv))
     return _lie_metric_numeric(m, v, dv, point)
 
 

@@ -71,8 +71,8 @@ from .geometry import (
     xi_derivatives,
 )
 from .tensor import (
-    StructureError, component_major, hs_inner, kulkarni_nomizu, max_abs, outer,
-    sample_major, symmetric,
+    StructureError, component_major, hs_inner, hs_pair, hs_raise,
+    kulkarni_nomizu, max_abs, outer, sample_major, symmetric,
 )
 
 __all__ = [
@@ -509,15 +509,16 @@ def _gradient_norms(ds: DeformedStructure, f: ScalarField, point) -> dict:
         ric_bar = ds.ricci_closed(p)["Ric"]
         hess_bar = ds.hessian_closed(f, p)
         xif, xixif = xi_derivatives(base, f, p)
+        ric_up, hess_up = hs_raise((ric_bar, hess_bar), mbar)
         return {
             "scal": curvature_bundle(man, p)["scal"],
             "hess_sq": base_inner(base, ("hess", "hess"), p, f),
-            "ric_sq": base_inner(base, ("ric", "ric"), p),
+            "ric_sq": base_inner(base, ("ric", "ric"), p, f),
             "lap": laplacian(man, f, p),
             "xif": xif,
             "xixif": xixif,
-            "ric_bar_sq": hs_inner(ric_bar, ric_bar, mbar),
-            "hess_bar_sq": hs_inner(hess_bar, hess_bar, mbar),
+            "ric_bar_sq": hs_pair(ric_up, ric_bar),
+            "hess_bar_sq": hs_pair(hess_up, hess_bar),
             "lap_bar": ds.laplacian_closed(f, p),
         }
 

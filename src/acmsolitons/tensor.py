@@ -16,8 +16,12 @@ Conventions used across the package:
   innermost, so each numpy inner loop runs over a whole row of samples
   rather than over d components; its result is handed back as the
   sample-major view (``sample_major``) of that buffer, so callers must not
-  assume a rank-4 result is contiguous.  Contractions (matmul, einsum
-  sums) keep their operands, shapes and order, so no value moves by a bit;
+  assume a rank-4 result is contiguous;
+* a small contraction is one product per sample, not per sample and slot:
+  slot axes fold into the rows or columns of its matrices, and tensors
+  contracted alike stack into one product (``hs_raise``), so long as each
+  output element is the same length-d dot product in the same order, so
+  no value moves by a bit;
 * the curvature (0, 4) index order is R(X, Y, Z, W) = g(R(X, Y)Z, W) with
   slots stored in that order;
 * the Hilbert-Schmidt pairing of two (0, 2) tensors is
@@ -35,7 +39,8 @@ from .expr import locate
 
 __all__ = [
     "TensorValue", "MetricData", "StructureError",
-    "max_abs", "symmetric", "outer", "kulkarni_nomizu", "hs_inner",
+    "max_abs", "symmetric", "outer", "kulkarni_nomizu",
+    "hs_raise", "hs_pair", "hs_inner",
     "component_major", "sample_major",
 ]
 
@@ -205,8 +210,21 @@ def kulkarni_nomizu(a, b) -> np.ndarray:
     return sample_major(p, 4)
 
 
-def hs_inner(t1, t2, m):
-    """Hilbert-Schmidt pairing of two (0, 2) tensors under the metric ``m``
-    (anything with an ``inv`` attribute)."""
-    raised = np.swapaxes(m.inv, -1, -2) @ t1 @ m.inv
+def hs_raise(tensors, m) -> np.ndarray:
+    """g^{ik} T_kl g^{lj} of each (0, 2) tensor T in ``tensors`` under the
+    metric ``m`` (anything with an ``inv`` attribute), stacked on a new
+    leading axis by one product; the tensors broadcast against each other
+    and against ``m.inv``."""
+    t = np.stack(np.broadcast_arrays(*tensors))
+    t = t.reshape(t.shape[:1] + (1,) * (m.inv.ndim + 1 - t.ndim) + t.shape[1:])
+    return np.swapaxes(m.inv, -1, -2) @ t @ m.inv
+
+
+def hs_pair(raised, t2):
+    """The pairing of a tensor raised by ``hs_raise`` with ``t2``."""
     return np.sum(raised * t2, axis=(-2, -1))
+
+
+def hs_inner(t1, t2, m):
+    """Hilbert-Schmidt pairing of two (0, 2) tensors under the metric ``m``."""
+    return hs_pair(hs_raise((t1,), m)[0], t2)

@@ -13,6 +13,7 @@ from acmsolitons.config import (
     builtin_names,
     load_config_text,
 )
+from acmsolitons.expr import Const
 from acmsolitons.geometry import sample_batch
 from acmsolitons.tensor import StructureError
 
@@ -36,8 +37,21 @@ phi_x_y = -1
 class TestBuiltins:
     def test_names(self):
         assert builtin_names() == (
-            "euclidean3", "kenmotsu3", "kenmotsu3-wide", "sphere2"
+            "euclidean3", "kenmotsu3", "kenmotsu3-trivial", "kenmotsu3-wide",
+            "kenmotsu5-gh", "sphere2",
         )
+        # each definition file names the fixture it is loaded as
+        for name in builtin_names():
+            assert builtin_config(name).name == name
+
+    def test_kenmotsu5_gh_metric_is_not_diagonal(self):
+        cfg = builtin_config("kenmotsu5-gh")
+        coords = cfg.manifold.coords
+        assert coords == ("x1", "x2", "x3", "tau", "z")
+        i, j = coords.index("x2"), coords.index("tau")
+        entry = cfg.manifold.metric[i][j]
+        assert entry == cfg.manifold.metric[j][i]
+        assert entry != Const(0.0)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):

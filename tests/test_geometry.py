@@ -408,3 +408,23 @@ class TestEntryEvaluation:
         assert all("z" in str(e) for e in seen)
         assert len(seen) == len(set(seen)) == 1
         assert np.array_equal(d2g[:, 0, 1, 0, 1], np.ones(4))
+
+    def test_mirrored_entries_are_differentiated_once(self, monkeypatch):
+        # the (j, i) entry takes the partial trees of its equal (i, j)
+        # entry: of the 9 entries per block of a 3-d chart, 6 are
+        # differentiated, for 3 x 6 first and 9 x 6 second partials
+        from acmsolitons import geometry
+        from acmsolitons.expr import diff
+
+        calls = []
+
+        def counting(e, name):
+            calls.append((e, name))
+            return diff(e, name)
+
+        monkeypatch.setattr(geometry, "diff", counting)
+        man = self._chart({(0, 1): "x*y", (1, 2): "exp(y - z)", (2, 2): "z^2"})
+        assert len(calls) == 3 * 6 + 9 * 6
+        first = [diff(e, c) for c in self.COORDS for e in man._g]
+        assert man._dg == first
+        assert man._d2g == [diff(e, c) for c in self.COORDS for e in first]

@@ -4,10 +4,10 @@ a at once, equal to evaluating each a on its own."""
 import numpy as np
 import pytest
 
-from acmsolitons import deformation, geometry, solitons, suites
+from acmsolitons import deformation, geometry, solitons, suites, tensor
 from acmsolitons.cli import main
 from acmsolitons.config import ConfigError, builtin_config, load_config_text
-from acmsolitons.config import _KENMOTSU3
+from acmsolitons.config import _BUILTINS
 from acmsolitons.deformation import (
     deform,
     harmonic_transfer,
@@ -40,6 +40,7 @@ from acmsolitons.solitons import (
 )
 from acmsolitons.suites import SuiteError, run_suites
 
+_KENMOTSU3 = _BUILTINS["kenmotsu3"]
 GRID = (0.5, 1.0, 2.0, 3.7)
 N = 8
 TOL = 1e-13
@@ -390,24 +391,34 @@ def test_only_grid_values_reach_the_candidates(lam):
 
 
 def test_no_base_pairing_contracted_twice(monkeypatch):
-    # each (t1, t2, metric) triple is contracted once per run; the base
-    # norms are memoised on the batch like the Hessians
-    seen = []
-    real = deformation.hs_inner
+    # each (0, 2) tensor is raised once per metric and run, and each
+    # (raised, t2) pairing taken once; the base raises are memoised on the
+    # batch like the Hessians
+    raises, pairs = [], []
+    real_raise, real_pair = tensor.hs_raise, tensor.hs_pair
 
-    def recording(t1, t2, m):
-        seen.append(tuple(
-            (x.shape, x.tobytes()) for x in (np.asarray(t1), np.asarray(t2), m.inv)
+    def raising(tensors, m):
+        raises.extend(
+            (np.shape(t), np.asarray(t).tobytes(), m.inv.tobytes())
+            for t in tensors
+        )
+        return real_raise(tensors, m)
+
+    def pairing(raised, t2):
+        pairs.append(tuple(
+            (x.shape, x.tobytes()) for x in (np.asarray(raised), np.asarray(t2))
         ))
-        return real(t1, t2, m)
+        return real_pair(raised, t2)
 
-    monkeypatch.setattr(deformation, "hs_inner", recording)
-    monkeypatch.setattr(solitons, "hs_inner", recording)
+    for module in (tensor, deformation, solitons):
+        monkeypatch.setattr(module, "hs_raise", raising)
+        monkeypatch.setattr(module, "hs_pair", pairing)
     config = builtin_config("kenmotsu3")
     config.points = 16
     assert all(c.passed for c in run_suites(config))
-    assert seen
-    assert len(set(seen)) == len(seen)
+    assert raises and pairs
+    assert len(set(raises)) == len(raises)
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_each_lie_derivative_taken_once(monkeypatch):

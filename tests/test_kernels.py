@@ -1,13 +1,18 @@
-"""The component-major rank-4 kernels equal their sample-major formulas.
+"""The batched kernels equal the formulas they replaced, bit for bit.
 
-The references are the sample-major formulas the kernels replaced: each
-pass there ran over the tensor axes behind the sample axes.  The kernels
-only move elementwise passes and max reductions to a component-major
-layout, and keep every contraction's operands, shapes and order, so the
-results must be equal bit for bit (``assert_array_equal``; NaN matches
-NaN).  Inputs are random and not symmetric, at d = 3, 5 and 7, on an (N,)
-and an (A, N) batch, given contiguous and as the transposed (sample-major)
-view of a component-major buffer, with and without a NaN in one sample.
+The references are the formulas the kernels replaced: sample-major
+elementwise passes, which ran over the tensor axes behind the sample axes;
+contractions with one small product per sample and slot (per derivative
+index, per pair of curvature slots, per pair of Hilbert-Schmidt
+arguments); and one strided write per component of an evaluated tensor.
+The kernels move elementwise passes and max reductions to a
+component-major layout, and fold slot axes into the rows or columns of
+one product per sample, so each output element is still the same
+length-d dot product taken in the same order.  So the results must be
+equal bit for bit (``assert_array_equal``; NaN matches NaN).  Inputs are
+random and not symmetric, at d = 3, 5 and 7, on an (N,) and an (A, N)
+batch, given contiguous and as the transposed (sample-major) view of a
+component-major buffer, with and without a NaN in one sample.
 """
 
 from types import SimpleNamespace
@@ -17,17 +22,19 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from acmsolitons import geometry
-from acmsolitons.expr import A, Const
+from acmsolitons.expr import A, Const, Coord, EvalError, call, evaluate
 from acmsolitons.geometry import (
     ChartManifold,
     _check_curvature_symmetries,
     _curvature_symmetry_residuals,
+    _evaluate_all,
     _riemann_tensors,
     christoffel_partials,
+    gradient_lie_derivative,
 )
 from acmsolitons.tensor import (
-    MetricData, StructureError, component_major, kulkarni_nomizu, max_abs,
-    sample_major,
+    MetricData, StructureError, component_major, hs_inner, hs_pair, hs_raise,
+    kulkarni_nomizu, max_abs, sample_major,
 )
 
 DIMS = (3, 5, 7)
@@ -154,6 +161,36 @@ def _riemann_ref(gamma, dgamma, g):
     r13 -= np.swapaxes(gg, -3, -2)
     r04 = np.moveaxis(r13, -4, -1) @ g[..., None, None, :, :]
     return r13, r04
+
+
+def _metric_dinv_ref(inv, dg):
+    inv1 = inv[..., None, :, :]
+    dinv = inv1 @ dg @ inv1
+    np.negative(dinv, out=dinv)
+    return dinv
+
+
+def _gradient_dv_ref(m, df, ddf):
+    column = df[..., :, None]
+    return (m.dinv @ column[..., None, :, :])[..., 0] + ddf @ np.swapaxes(m.inv, -1, -2)
+
+
+def _hs_inner_ref(t1, t2, m):
+    raised = np.swapaxes(m.inv, -1, -2) @ t1 @ m.inv
+    return np.sum(raised * t2, axis=(-2, -1))
+
+
+def _evaluate_all_ref(exprs, point, dims):
+    shape = geometry._shape(point)
+    out = np.empty(shape + (len(exprs),))
+    first = {}
+    for k, e in enumerate(exprs):
+        if isinstance(e, Const):
+            out[..., k] = e.value
+            continue
+        j = first.setdefault(e, k)
+        out[..., k] = evaluate(e, point) if j == k else out[..., j]
+    return out.reshape(shape + dims)
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +328,103 @@ def test_riemann_tensors(d, lead):
         r13, r04 = _riemann_tensors(gamma, np.array(dgamma), g)
         assert_array_equal(r13, r13_ref, err_msg=label)
         assert_array_equal(r04, r04_ref, err_msg=label)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_metric_data_inverse_partials(d, lead):
+    x = _random(lead, d, 2, seed=14)
+    g = x @ np.swapaxes(x, -1, -2)
+    g = 0.5 * (g + np.swapaxes(g, -1, -2)) + d * np.eye(d)
+    for label, dg in _cases(d, lead, 3, seed=15):
+        chart = SimpleNamespace(name="chart", dim=d,
+                                metric_values=lambda point: g,
+                                metric_partials=lambda point: dg)
+        m = ChartManifold._metric_data(chart, _point(lead))
+        assert_array_equal(m.dinv, _metric_dinv_ref(m.inv, dg), err_msg=label)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_gradient_lie_derivative_partials(d, lead, monkeypatch):
+    # dv as _lie_metric_numeric receives it; f is base data, so df and ddf
+    # broadcast against the a axis of an (A, N) metric
+    monkeypatch.setattr(geometry, "_lie_metric_numeric",
+                        lambda m, v, dv, point: dv)
+    inv = _random(lead, d, 2, seed=16)
+    df = _random(lead[-1:], d, 1, seed=17)
+    ddf = _random(lead[-1:], d, 2, seed=18)
+    f = SimpleNamespace(gradient_covector=lambda coords, point: df,
+                        second_partials=lambda coords, point: ddf)
+    for label, dinv in _cases(d, lead, 3, seed=19):
+        m = MetricData(g=inv, inv=inv, dg=None, dinv=dinv)
+        manifold = SimpleNamespace(coords=None,
+                                   metric_at_cached=lambda point: m)
+        assert_array_equal(gradient_lie_derivative(manifold, f, None),
+                           _gradient_dv_ref(m, df, ddf), err_msg=label)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_stacked_raise(d, lead):
+    m = SimpleNamespace(inv=_random(lead, d, 2, seed=20))
+    # base tensors raised by an a-stacked metric, as in the prop22 battery,
+    # and tensors with the metric's own sample axes
+    for sample in (lead[-1:], lead):
+        ts = [t for _, t in _cases(d, sample, 2, seed=21)]
+        raised = hs_raise(ts, m)
+        assert raised.shape == (len(ts),) + lead + (d, d)
+        for i, t1 in enumerate(ts):
+            for t2 in ts:
+                ref = _hs_inner_ref(t1, t2, m)
+                assert_array_equal(hs_pair(raised[i], t2), ref)
+                assert_array_equal(hs_inner(t1, t2, m), ref)
+
+
+def _entries(d, seed):
+    """d * d trees: constants, repeats of earlier trees, and fresh trees
+    reading x, y and the symbol a."""
+    rng = np.random.default_rng(seed)
+    x, y, a = Coord("x"), Coord("y"), Coord(A)
+    out = []
+    for k in range(d * d):
+        kind = rng.integers(3)
+        if kind == 0:
+            out.append(Const(float(rng.normal())))
+        elif kind == 1 and out:
+            out.append(out[int(rng.integers(len(out)))])
+        else:
+            c = float(rng.normal())
+            out.append(call("exp", x * c) * (y + k) + a * c)
+    return out
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_evaluate_all(d, lead):
+    n = lead[-1]
+    rng = np.random.default_rng(d)
+    exprs = _entries(d, seed=d)
+    for nan in (False, True):
+        xs = rng.normal(size=2 * n)
+        if nan:
+            xs[2 * NAN_SAMPLE] = np.nan
+        for name, x in (("contiguous", np.ascontiguousarray(xs[::2])),
+                        ("strided", xs[::2])):
+            point = {"x": x, "y": rng.normal(size=n), A: 0.7}
+            if len(lead) == 2:
+                point[A] = 0.5 + np.arange(lead[0], dtype=float)[:, None]
+            label = f"{name}{'+nan' if nan else ''}"
+            assert_array_equal(_evaluate_all(exprs, point, (d, d)),
+                               _evaluate_all_ref(exprs, point, (d, d)),
+                               err_msg=label)
+            # a tree undefined at some samples fails with the same text,
+            # naming the same subtree and first sample, wherever it sits
+            bad = call("log", Coord("x"))
+            for k in (0, d, d * d - 1):
+                broken = exprs[:k] + [bad] + exprs[k + 1:]
+                with pytest.raises(EvalError) as ref:
+                    _evaluate_all_ref(broken, point, (d, d))
+                with pytest.raises(EvalError) as got:
+                    _evaluate_all(broken, point, (d, d))
+                assert str(got.value) == str(ref.value), label

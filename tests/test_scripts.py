@@ -1,6 +1,7 @@
 """The maintenance scripts under scripts/ run end to end."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -34,6 +35,19 @@ def test_run_all_checks_keeps_negative_controls_negative():
     assert sorted(verdicts) == sorted(builtin_names())
     for line in verdicts.values():
         assert line.endswith("as intended"), line
+
+
+def test_run_all_checks_expectations_ignore_the_a_tag():
+    spec = importlib.util.spec_from_file_location(
+        "run_all_checks", ROOT / "scripts" / "run_all_checks.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert sorted(script.EXPECTED_FAILURES) == sorted(builtin_names())
+    gh = "kenmotsu5-gh"
+    assert script.expected_to_fail(gh, "riemann-soliton/riemann-grad/full")
+    assert script.expected_to_fail(gh, "riemann-soliton/riemann-vector/full[a=2]")
+    assert not script.expected_to_fail(gh, "riemann-soliton/riemann-grad/traced[a=2]")
+    assert not script.expected_to_fail("kenmotsu3", "riemann-soliton/riemann-grad/full")
 
 
 @pytest.mark.parametrize("fixture", builtin_names())
@@ -74,9 +88,48 @@ def test_determinism_check_digests(tmp_path, kenmotsu5_text):
     assert proc.stdout.splitlines() == expected
 
 
+def _git(*args):
+    try:
+        return subprocess.run(["git", "-C", str(ROOT), *args],
+                              capture_output=True, text=True, timeout=60)
+    except OSError:
+        return None
+
+
+def _in_git_checkout() -> bool:
+    proc = _git("rev-parse", "--verify", "HEAD")
+    return proc is not None and proc.returncode == 0
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout")
+def test_determinism_check_against_a_revision():
+    proc = _run_script("determinism_check.py", "--against", "HEAD",
+                       "--points", "4")
+    assert proc.returncode in (0, 1), proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    # one line per fixture and point count, on either side
+    assert {line.split()[0] for line in lines} == set(builtin_names())
+    assert {line.split()[1] for line in lines} == {"4", "64"}
+    for line in lines:
+        assert line.endswith((": same", ": differs")) or ": only in " in line
+    if _git("status", "--porcelain", "--", "src").stdout == "":
+        # src/ is HEAD's, so every report is the same
+        assert proc.returncode == 0, proc.stdout
+        assert all(line.endswith(": same") for line in lines), proc.stdout
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout")
+def test_determinism_check_against_an_unknown_revision():
+    proc = _run_script("determinism_check.py", "--against", "no-such-rev")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "git archive no-such-rev failed" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("args, message", [
     (["--digests", "--fixture", "kenmotsu3"], "drop --fixture"),
     (["--config", "a.ini", "--config", "b.ini"], "only with --digests"),
+    (["--against", "HEAD", "--fixture", "kenmotsu3"], "drop --fixture"),
 ])
 def test_determinism_check_refuses_mixed_modes(args, message):
     proc = _run_script("determinism_check.py", *args)

@@ -148,3 +148,16 @@ class TestSharedDeformations:
         assert all(c.passed for c in checks)
         assert sorted(calls) == built
 
+
+
+def test_constant_potential_leaves_no_check_vacuous():
+    # kenmotsu3 runs exp(z), whose orthogonal and harmonic branches have no
+    # sample to check; kenmotsu3-trivial runs the constant c = 1, which
+    # earns every one of them a claim
+    vacuous = "no claim checked"
+    base = run_suites(builtin_config("kenmotsu3"))
+    assert any(vacuous in (c.detail or "") for c in base)
+    checks = run_suites(builtin_config("kenmotsu3-trivial"))
+    assert [c.check_id for c in checks] == [c.check_id for c in base]
+    assert all(c.passed for c in checks)
+    assert [c.check_id for c in checks if vacuous in (c.detail or "")] == []
