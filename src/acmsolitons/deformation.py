@@ -75,6 +75,7 @@ from .tensor import (
 
 __all__ = [
     "KENMOTSU_TOL",
+    "HYPOTHESIS_TOL",
     "NotKenmotsuError",
     "DeformedStructure",
     "deform",
@@ -90,6 +91,9 @@ __all__ = [
 ]
 
 KENMOTSU_TOL = 1e-8
+# a per-sample hypothesis (xi(f) = 0, Lap f = 0, div V = 0) holds where the
+# quantity is at most this in absolute value
+HYPOTHESIS_TOL = 1e-9
 
 
 class NotKenmotsuError(StructureError):
@@ -485,8 +489,8 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
 # ---------------------------------------------------------------------------
 # Harmonicity transfer and the Ricci-norm bound
 
-def harmonic_transfer(structure: AcmStructure, f: ScalarField, points, a,
-                      tol: float = 1e-9) -> dict:
+def harmonic_transfer(structure: AcmStructure, f: ScalarField, points,
+                      a) -> dict:
     """Whether a harmonic f stays harmonic under deformation.
 
     A harmonic f is harmonic for every deformed metric iff
@@ -516,9 +520,9 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points, a,
     max_lap_bar = np.max(np.abs(lap_bar).reshape(np.shape(a) + (-1,)), axis=-1)
     max_condition = float(np.max(np.abs(condition)))
     return {
-        "applicable": max_lap <= tol,
-        "deformed_harmonic": max_lap_bar <= tol,
-        "condition_holds": max_condition <= tol,
+        "applicable": max_lap <= HYPOTHESIS_TOL,
+        "deformed_harmonic": max_lap_bar <= HYPOTHESIS_TOL,
+        "condition_holds": max_condition <= HYPOTHESIS_TOL,
         "lap_bar": lap_bar,
         "max_lap": max_lap,
         "max_lap_bar": max_lap_bar,

@@ -17,8 +17,12 @@ below matches its textbook coordinate formula exactly:
 * Christoffel symbols  Gamma^l_ij = (1/2) g^{lk} (d_i g_jk + d_j g_ik - d_k g_ij)
 * curvature            R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
                        - nabla_[X,Y] Z, stored as
-                       R13[l, a, b, c] = component of R(d_a, d_b) d_c along d_l,
-                       lowered to R04[a, b, c, d] = g(R(d_a, d_b) d_c, d_d)
+                       R04[a, b, c, d] = g(R(d_a, d_b) d_c, d_d)
+                       = (1/2)(d_a d_c g_bd + d_b d_d g_ac - d_a d_d g_bc
+                       - d_b d_c g_ad) + Gamma_l,bd Gamma^l_ac
+                       - Gamma_l,ad Gamma^l_bc, Gamma_l,ij = g_lk Gamma^k_ij,
+                       and raised to R13[l, a, b, c] = g^ld R04[a, b, c, d],
+                       the component of R(d_a, d_b) d_c along d_l
 * Ricci                Ric(Y, Z) = trace of X -> R(X, Y)Z (first slot)
 * Lie derivative       (L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k
 * Hessian              Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f
@@ -30,7 +34,6 @@ R(X, Y) xi = eta(X) Y - eta(Y) X and Ric(xi, xi) = -2n.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
@@ -46,7 +49,7 @@ from .tensor import (
 __all__ = [
     "Samples", "with_a", "a_column", "memoised",
     "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
-    "christoffel", "christoffel_partials", "curvature_bundle",
+    "christoffel", "curvature_bundle",
     "lie_derivative_metric", "grad", "hessian", "divergence", "laplacian",
     "gradient_lie_derivative", "covariant_derivative", "nabla_phi_tensor",
     "xi_derivatives", "kenmotsu_residual", "kenmotsu_details", "sample_batch",
@@ -357,14 +360,7 @@ class ChartManifold:
         inv = np.linalg.inv(g)
         _refuse(max_abs(g @ inv - np.eye(self.dim), 2) > _INVERSE_TOL,
                 f"metric of {self.name} too ill-conditioned", point)
-        dg = self.metric_partials(point)
-        # (g^-1 d_k g) g^-1 as two products per sample: g^-1 times dg as
-        # columns [m, (k, j)], then that as rows [(k, i), n] times g^-1
-        left = inv @ np.moveaxis(dg, -3, -2).reshape(dg.shape[:-2] + (-1,))
-        left = np.swapaxes(left.reshape(dg.shape), -3, -2)
-        dinv = (_rows(left, 2) @ inv).reshape(dg.shape)
-        np.negative(dinv, out=dinv)
-        return MetricData(g=g, inv=inv, dg=dg, dinv=dinv)
+        return MetricData(g=g, inv=inv, dg=self.metric_partials(point))
 
 
 def _cholesky_succeeds(g: np.ndarray) -> np.ndarray:
@@ -392,28 +388,6 @@ def christoffel(manifold, point) -> np.ndarray:
 def _gamma_combo(dg: np.ndarray) -> np.ndarray:
     """combo[i, j, k] = d_i g_jk + d_j g_ik - d_k g_ij for dg[k,i,j] = d_k g_ij."""
     return dg + np.einsum("...jik->...ijk", dg) - np.einsum("...kij->...ijk", dg)
-
-
-def christoffel_partials(manifold, point) -> np.ndarray:
-    """dGamma[a, l, i, j] = d_a Gamma^l_ij, from exact metric partials."""
-    m = manifold.metric_at_cached(point)
-    # component-major (a view of the buffer the partials come in)
-    d2g = component_major(manifold.metric_second_partials(point), 4)
-    # dcombo[a, i, j, k] = d_a combo[i, j, k], using d2g[l,k,i,j] = d_l d_k g_ij
-    rest = tuple(range(4, d2g.ndim))
-    dcombo = d2g + d2g.transpose((0, 2, 1, 3) + rest)
-    dcombo -= d2g.transpose((0, 2, 3, 1) + rest)
-    del d2g
-    dcombo = sample_major(dcombo, 4)
-    shape = dcombo.shape
-    # out[a, l, i, j] = g^lk dcombo[a, i, j, k] + dinv[a, l, k] combo[i, j, k]
-    raised = _rows(dcombo, 3) @ _swap(m.inv)
-    del dcombo
-    combo = _rows(_gamma_combo(m.dg), 2)
-    out = (_rows(m.dinv, 2) @ _swap(combo)).reshape(shape)
-    out += np.moveaxis(raised.reshape(shape), -1, -3)
-    out *= 0.5
-    return out
 
 
 _SYMMETRY_LABELS = (
@@ -477,60 +451,54 @@ def curvature_bundle(manifold, point) -> dict:
                     lambda p: _curvature(manifold, p), manifold.reads_a)
 
 
-def _riemann_tensors(gamma, dgamma, g):
-    """R13 and R04 from the Christoffel symbols, their partials and g.
-
-    R13[l,a,b,c] = d_a Gamma^l_bc - d_b Gamma^l_ac
-                 + Gamma^l_am Gamma^m_bc - Gamma^l_bm Gamma^m_ac
-
-    ``dgamma`` is released once R13 no longer needs it, so a caller that
-    passes its only reference keeps one fewer (0, 4) array alive.  Both
-    results are sample-major views of component-major arrays.
-    """
-    d = g.shape[-1]
-    shape = dgamma.shape
-    lead = shape[:-4]
-    # the sums run component-major: dg[a, l, b, c] = d_a Gamma^l_bc
-    dg = component_major(dgamma, 4)
-    del dgamma
-    rest = tuple(range(4, dg.ndim))
-    r13 = dg.transpose((1, 0, 2, 3) + rest) - dg.transpose((1, 2, 0, 3) + rest)
-    del dg
-    # gg[l,a,b,c] = Gamma^l_am Gamma^m_bc; the second product is gg with
-    # a and b swapped
-    gg = gamma.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
-    gg = component_major(gg.reshape(shape), 4)
-    r13 += gg
-    r13 -= gg.swapaxes(1, 2)
-    del gg
-    # R04[(a, b, c), d] = R13[l, (a, b, c)] g_ld, one product per sample
-    # over a copy of R13 whose rows of samples have one spare sample: rows
-    # a power of two of bytes apart would put the d^4 components of a
-    # sample into a few cache sets, evicting each other
-    size = math.prod(lead)
-    spaced = np.empty((d ** 4, size + 1))[:, :size].reshape(r13.shape)
-    spaced[...] = r13
-    r13 = sample_major(r13, 4)
-    r04 = (_rows(np.moveaxis(sample_major(spaced, 4), -4, -1), 3) @ g).reshape(shape)
-    del spaced
-    # component-major too, for the elementwise passes that read R04
-    return r13, sample_major(component_major(r04, 4), 4)
-
-
-def _christoffel(m: MetricData) -> np.ndarray:
+def _christoffel(inv, combo) -> np.ndarray:
     """Gamma[l, i, j] = (1/2) g^lk combo[i, j, k], as one matmul over the
     flattened (i, j) pairs."""
-    gamma = (m.inv @ _swap(_rows(_gamma_combo(m.dg), 2))).reshape(m.dg.shape)
+    gamma = (inv @ _swap(_rows(combo, 2))).reshape(combo.shape)
     gamma *= 0.5
     return gamma
 
 
+def _riemann(d2g, gamma, combo, inv) -> tuple:
+    """R04 from the second metric partials and the Christoffel symbols, and
+    R13 raised from it.
+
+    R04[a,b,c,d] = (1/2)(d_a d_c g_bd + d_b d_d g_ac - d_a d_d g_bc
+                   - d_b d_c g_ad) + Gamma_l,bd Gamma^l_ac
+                   - Gamma_l,ad Gamma^l_bc
+    with Gamma_l,ij = (1/2) combo[i, j, l], and R13[l,a,b,c] = g^ld
+    R04[a,b,c,d].  Both are sample-major views of component-major arrays.
+    """
+    d = inv.shape[-1]
+    lead = gamma.shape[:-3]
+    # t[b, d, a, c] = combo[b, d, l] Gamma^l_ac = 2 Gamma_l,bd Gamma^l_ac,
+    # one product per sample
+    t = combo.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
+    t = component_major(t.reshape(lead + (d,) * 4), 4)
+    # component-major, so each pass runs over whole rows of samples: with
+    # s[a, b, c, d] = d2g[a, c, b, d] = d_a d_c g_bd and v[a, b, c, d] =
+    # t[b, d, a, c], 2 R04 = w - w.swap(a, b) for w = s - s.swap(c, d) + v
+    s = component_major(d2g, 4)
+    rest = tuple(range(4, s.ndim))
+    w = s.transpose((0, 2, 1, 3) + rest) - s.transpose((0, 2, 3, 1) + rest)
+    w += t.transpose((2, 0, 3, 1) + rest)
+    del t
+    r04 = w - w.swapaxes(0, 1)
+    del w
+    r04 *= 0.5
+    r04 = sample_major(r04, 4)
+    # R13[(a, b, c), l] = R04[(a, b, c), d] g^ld, one product per sample
+    r13 = _rows(r04, 3) @ _swap(inv)
+    r13 = component_major(np.moveaxis(r13.reshape(r04.shape), -1, -4), 4)
+    return sample_major(r13, 4), r04
+
+
 def _curvature(manifold, point) -> dict:
     m = manifold.metric_at_cached(point)
-    gamma = _christoffel(m)
-    r13, r04 = _riemann_tensors(
-        gamma, christoffel_partials(manifold, point), m.g
-    )
+    combo = _gamma_combo(m.dg)
+    gamma = _christoffel(m.inv, combo)
+    r13, r04 = _riemann(manifold.metric_second_partials(point), gamma, combo,
+                        m.inv)
     _check_curvature_symmetries(r04, manifold.name, point)
     ric = np.einsum("...aabc->...bc", r13)
     return {
@@ -680,12 +648,11 @@ def gradient_lie_derivative(manifold, f: ScalarField, point) -> np.ndarray:
     m = manifold.metric_at_cached(point)
     df = f.gradient_covector(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
-    column = df[..., :, None]
-    v = (m.inv @ column)[..., 0]
-    # dv[a, i] = d_a g^ik d_k f + g^ik d_a d_k f
-    dv = ((_rows(m.dinv, 2) @ column).reshape(m.dinv.shape[:-1])
-          + ddf @ _swap(m.inv))
-    return _lie_metric_numeric(m, v, dv, point)
+    v = m.inv @ df[..., :, None]
+    # dv[a, i] = g^ik (d_a d_k f - d_a g_kj v^j), as d_a g^ik = -g^im
+    # d_a g_mj g^jk
+    dv = (ddf - (_rows(m.dg, 2) @ v).reshape(m.dg.shape[:-1])) @ _swap(m.inv)
+    return _lie_metric_numeric(m, v[..., 0], dv, point)
 
 
 # ---------------------------------------------------------------------------

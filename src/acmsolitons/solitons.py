@@ -52,7 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .deformation import (
-    DeformedStructure, base_inner, laplacian_bar, ricci_bar, riemann_bar,
+    HYPOTHESIS_TOL, DeformedStructure, base_inner, laplacian_bar, ricci_bar,
+    riemann_bar,
 )
 from .expr import Expr, evaluate
 from .geometry import (
@@ -71,8 +72,8 @@ from .geometry import (
     xi_derivatives,
 )
 from .tensor import (
-    StructureError, component_major, hs_inner, hs_pair, hs_raise,
-    kulkarni_nomizu, max_abs, outer, sample_major, symmetric,
+    StructureError, hs_inner, hs_pair, hs_raise, kulkarni_nomizu, max_abs,
+    outer, sample_major, symmetric,
 )
 
 __all__ = [
@@ -237,6 +238,20 @@ class Frame:
 # ---------------------------------------------------------------------------
 # Equation residuals (max-abs over components)
 
+def _full_residual(kind: str, g, curvature, lie, lam):
+    """Max-abs residual of the full soliton equation of ``kind`` for the
+    metric g, its curvature (R04 for riemann, Ric for ricci), L_V g and
+    lambda, per sample."""
+    if kind == "ricci":
+        return max_abs(0.5 * lie + (curvature - _tensor(lam) * g), 2)
+    # L_V g o g - lambda g o g as one product: o is linear in each slot;
+    # 2 R is summed into the product's own buffer, which is laid out
+    # component-major like R04, so the sum runs over whole sample rows
+    full = kulkarni_nomizu(lie - _tensor(lam) * g, g)
+    full += 2.0 * curvature
+    return max_abs(full, 4)
+
+
 def soliton_residuals(frame: Frame, candidate, point) -> dict:
     """All residual levels for one candidate at ``point``, per sample.
 
@@ -260,17 +275,13 @@ def soliton_residuals(frame: Frame, candidate, point) -> dict:
         "classification": classify(lam),
         "scalar": np.abs(scal - ((2 * n + 1) * beta - tr.k * div_v)),
     }
-    eq2 = max_abs(0.5 * lie + (bundle["Ric"] - _tensor(beta) * g) / tr.k, 2)
     if candidate.kind == "ricci":
-        out["full"] = eq2
+        out["full"] = _full_residual("ricci", g, bundle["Ric"], lie, lam)
         return out
-    # L_V g o g - lambda g o g as one product: o is linear in each slot;
-    # 2 R is summed into the product's own buffer, which is laid out
-    # component-major like R04, so the sum runs over whole sample rows
-    full = kulkarni_nomizu(lie - _tensor(lam) * g, g)
-    full += 2.0 * bundle["R04"]
-    out["full"] = max_abs(full, 4)
-    out["traced"] = eq2
+    out["full"] = _full_residual("riemann", g, bundle["R04"], lie, lam)
+    out["traced"] = max_abs(
+        0.5 * lie + (bundle["Ric"] - _tensor(beta) * g) / tr.k, 2
+    )
     return out
 
 
@@ -426,7 +437,7 @@ def orthogonal_gradient_values(kind: str, structure: AcmStructure,
         "lambda_bar": tr.lam(-2.0 * n / (a * a), lap / a),
         "scal": -tr.k * lap - 2 * n * (2 * n + 1.0),
         "xi_f": xif,
-        "applicable": np.abs(xif) <= 1e-9,
+        "applicable": np.abs(xif) <= HYPOTHESIS_TOL,
     }
 
 
@@ -448,45 +459,27 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
     eta = structure.eta_values(point)
     n = structure.n
     ee = outer(eta, eta)
-    lam_bar = _tensor(theorem_lambda(kind, "reeb", structure, point, a))
+    lam_bar = theorem_lambda(kind, "reeb", structure, point, a)
     # the forced Ric solves the base (0, 2) equation with beta = -2n
     lam_star = _trace(kind, n).lam(-2.0 * n, 2.0 * n)
     lie = 2.0 * (g - ee)  # L_xi g over a Kenmotsu base
-    column = a_column(a, point)  # a, in front of the sample axes
-    a2 = _tensor(column)  # a, shaped to scale (0, 2) tensors
+    a2 = _tensor(a_column(a, point))  # a, shaped to scale (0, 2) tensors
     gbar = a2 * g + a2 * (a2 - 1.0) * ee
     if kind == "riemann":
-        r04 = kulkarni_nomizu(g, ee - g)
-        kn_gg = kulkarni_nomizu(g, g)
-        kn_lg = kulkarni_nomizu(lie, g)
-
-        def residual(lam):
-            return max_abs(2.0 * r04 + kn_lg - lam * kn_gg, 4)
-
-        # 2 R_bar + (L g_bar - lambda g_bar) o g_bar, component-major, so a
-        # scales whole rows of samples; 2 R_bar is summed into the
-        # product's own buffer, so two stacked (0, 4) arrays are alive
-        premise = component_major(
-            kulkarni_nomizu(lie - lam_bar * gbar, gbar), 4
-        )
-        r04_bar = riemann_bar(structure, point, r04, a)
-        r04_bar *= 2.0
-        premise += r04_bar
-        del r04_bar
-        premise = max_abs(sample_major(premise, 4), 4)
-        scale = max_abs(kn_gg, 4)
+        forced = kulkarni_nomizu(g, ee - g)
+        deformed = sample_major(riemann_bar(structure, point, forced, a), 4)
+        scale = max_abs(kulkarni_nomizu(g, g), 4)
     else:
-        ric = _reeb_forced(kind, g, ee, n)
-
-        def residual(lam):
-            return max_abs(0.5 * lie + ric - lam * g, 2)
-
-        ric_bar = ricci_bar(structure, point, ric, a)
-        premise = max_abs(0.5 * lie + ric_bar - lam_bar * gbar, 2)
+        forced = _reeb_forced(kind, g, ee, n)
+        deformed = ricci_bar(structure, point, forced, a)
         scale = max_abs(g, 2)
+
+    def residual(lam):
+        return _full_residual(kind, g, forced, lie, lam)
+
     return {
         "lambda_star": lam_star,
-        "premise_residual": premise,
+        "premise_residual": _full_residual(kind, gbar, deformed, lie, lam_bar),
         "residual_at_star": residual(lam_star),
         "residual_perturbed": residual(lam_star + perturbation),
         "perturbation": perturbation,
@@ -526,7 +519,7 @@ def _gradient_norms(ds: DeformedStructure, f: ScalarField, point) -> dict:
 
 
 def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
-                       point, *, gate_tol: float = 1e-9) -> list:
+                       point) -> list:
     """Norm identities and bounds for a deformed gradient soliton.
 
     Each entry carries lhs, rhs and margin = lhs - rhs; ``equality`` marks
@@ -540,11 +533,11 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
     lam_bar = theorem_lambda(kind, "gradient", ds.base, point, ds.a, scalar=f)
     return _battery(
         ds.n, _trace(kind, ds.n), a_column(ds.a, point), lam_bar,
-        _gradient_norms(ds, f, point), gate_tol,
+        _gradient_norms(ds, f, point),
     )
 
 
-def _battery(n: int, tr: _Trace, a, lam_bar, data: dict, gate_tol) -> list:
+def _battery(n: int, tr: _Trace, a, lam_bar, data: dict) -> list:
     """The entries of ``inequality_battery`` from the soliton constants, the
     pinned lambda and the ``_gradient_norms`` data.
 
@@ -576,9 +569,9 @@ def _battery(n: int, tr: _Trace, a, lam_bar, data: dict, gate_tol) -> list:
             }
         )
 
-    orthogonal = np.abs(xif) <= gate_tol
-    harmonic = np.abs(lap_g) <= gate_tol
-    solenoidal_bar = np.abs(lap_bar) <= gate_tol
+    orthogonal = np.abs(xif) <= HYPOTHESIS_TOL
+    harmonic = np.abs(lap_g) <= HYPOTHESIS_TOL
+    solenoidal_bar = np.abs(lap_bar) <= HYPOTHESIS_TOL
     put(
         "reconstruction",
         hess_bar_sq,

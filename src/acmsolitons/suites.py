@@ -25,6 +25,7 @@ import numpy as np
 
 from .config import VerificationConfig
 from .deformation import (
+    HYPOTHESIS_TOL,
     KENMOTSU_TOL,
     DeformedStructure,
     admissible_interval,
@@ -592,7 +593,7 @@ def _soliton_suite(run, override, kind):
         lambda w: f"{prefix}/solenoidal-trace/{w}",
     )
     for w in fields:
-        if max_div[w] <= 1e-9:
+        if max_div[w] <= HYPOTHESIS_TOL:
             res = solenoidal_implied(kind, structure, fields[w], points, ds.a)
             claims.append(Claim(
                 f"solenoidal-trace/{w}", anchors["solenoidal-trace"], 1e-9,

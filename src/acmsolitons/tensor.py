@@ -98,14 +98,11 @@ class MetricData:
     g : (d, d) metric components
     inv : (d, d) inverse metric, computed by LU factorization
     dg : (d, d, d) first partials, dg[k, i, j] = d_k g_ij
-    dinv : (d, d, d) partials of the inverse, dinv[k, i, j] = d_k g^ij
-        = -(g^-1 (d_k g) g^-1)_ij
     """
 
     g: np.ndarray
     inv: np.ndarray
     dg: np.ndarray
-    dinv: np.ndarray
 
     @property
     def dim(self) -> int:

@@ -119,7 +119,7 @@ def _deformed(ds, f, frames_of, pts):
     m = ds.manifold.metric_at_cached(pa)
     xi_field = ds.structure.xi_field()
     out = {
-        "metric": {"g": m.g, "inv": m.inv, "dg": m.dg, "dinv": m.dinv},
+        "metric": {"g": m.g, "inv": m.inv, "dg": m.dg},
         "direct": {
             "bundle": {k: v for k, v in curvature_bundle(ds.manifold, pa).items()
                        if k != "metric"},

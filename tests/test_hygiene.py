@@ -1,9 +1,12 @@
-"""Every imported name is read in its module.
+"""Every imported name is read in its module, and every exported one
+exists.
 
 No linter runs on this repository, so this walks the syntax tree of each
 module in ``src/acmsolitons``, ``tests`` and ``scripts`` instead.  A name
 listed in the module's ``__all__`` counts as read; ``from __future__``
-imports are exempt.
+imports are exempt.  Each name in the ``__all__`` of a package module must
+be defined or imported at its top level: ``perfbench/tracing.py`` reads
+every one with ``getattr``.
 """
 
 import ast
@@ -17,6 +20,7 @@ MODULES = sorted(
     for folder in ("src/acmsolitons", "tests", "scripts")
     for path in (ROOT / folder).rglob("*.py")
 )
+PACKAGE = [p for p in MODULES if p.parent == ROOT / "src" / "acmsolitons"]
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -44,6 +48,34 @@ def _unused_imports(tree: ast.Module) -> list:
             if name not in read and name not in exported]
 
 
+def _exports(tree: ast.Module) -> list:
+    """The names in the ``__all__`` of ``tree``."""
+    return [
+        c.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for c in ast.walk(node.value)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+
+
+def _unresolved_exports(tree: ast.Module) -> list:
+    """Each name in ``__all__`` that the top level of ``tree`` neither
+    defines nor imports."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return [name for name in _exports(tree) if name not in bound]
+
+
 def test_walk_finds_the_modules():
     names = {p.relative_to(ROOT).as_posix() for p in MODULES}
     assert {"src/acmsolitons/suites.py", "tests/test_hygiene.py",
@@ -67,3 +99,24 @@ def test_finds_an_unused_import():
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_finds_an_unresolved_export():
+    tree = ast.parse(
+        "from json import dumps as write\n"
+        "import os.path\n"
+        "LIMIT: int = 1\n"
+        "a, b = 1, 2\n"
+        "class K: pass\n"
+        "def f(): pass\n"
+        "__all__ = ['write', 'os', 'LIMIT', 'a', 'K', 'f', 'gone', 'dumps']\n"
+    )
+    assert _unresolved_exports(tree) == ["gone", "dumps"]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[p.relative_to(ROOT).as_posix() for p in PACKAGE]
+)
+def test_every_export_resolves(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unresolved_exports(tree) == []

@@ -13,6 +13,14 @@ equal bit for bit (``assert_array_equal``; NaN matches NaN).  Inputs are
 random and not symmetric, at d = 3, 5 and 7, on an (N,) and an (A, N)
 batch, given contiguous and as the transposed (sample-major) view of a
 component-major buffer, with and without a NaN in one sample.
+
+Two kernels take a shorter route than their references, so they match
+within 2^10 eps of the largest reference component, and hold a NaN in the
+same samples: the curvature, R04 from d d g and Gamma against R13 from
+d_a Gamma lowered by g, and the gradient's partials, g^-1 (d d f - dg v)
+against the partials of the inverse metric applied to df.  The
+curvature's inputs have the symmetries of a metric and its partials,
+without which the two routes differ.
 """
 
 from types import SimpleNamespace
@@ -28,8 +36,7 @@ from acmsolitons.geometry import (
     _check_curvature_symmetries,
     _curvature_symmetry_residuals,
     _evaluate_all,
-    _riemann_tensors,
-    christoffel_partials,
+    _riemann,
     gradient_lie_derivative,
 )
 from acmsolitons.tensor import (
@@ -38,6 +45,7 @@ from acmsolitons.tensor import (
 )
 
 DIMS = (3, 5, 7)
+EPS = np.finfo(float).eps
 LEADS = ((6,), (3, 6))
 NAN_SAMPLE = 2
 
@@ -64,7 +72,10 @@ def _with_nan(x, rank):
 
 def _cases(d, lead, rank, seed):
     """(label, array) pairs: each layout, clean and with a NaN sample."""
-    x = _random(lead, d, rank, seed)
+    return _variants(_random(lead, d, rank, seed), rank)
+
+
+def _variants(x, rank):
     for nan in (False, True):
         for name, arr in _layouts(_with_nan(x, rank) if nan else x, rank).items():
             yield f"{name}{'+nan' if nan else ''}", arr
@@ -135,7 +146,7 @@ def _second_partials_ref(out):
     return out
 
 
-def _christoffel_partials_ref(m, d2g):
+def _christoffel_partials_ref(m, dinv, d2g):
     dcombo = d2g + np.einsum("...ajik->...aijk", d2g)
     dcombo -= np.einsum("...akij->...aijk", d2g)
     d = m.dim
@@ -143,7 +154,7 @@ def _christoffel_partials_ref(m, d2g):
     lead = shape[:-4]
     raised = dcombo.reshape(lead + (d ** 3, d)) @ np.swapaxes(m.inv, -1, -2)
     combo = geometry._gamma_combo(m.dg).reshape(lead + (1, d * d, d))
-    out = (m.dinv @ np.swapaxes(combo, -1, -2)).reshape(shape)
+    out = (dinv @ np.swapaxes(combo, -1, -2)).reshape(shape)
     out += np.moveaxis(raised.reshape(shape), -1, -3)
     out *= 0.5
     return out
@@ -170,9 +181,9 @@ def _metric_dinv_ref(inv, dg):
     return dinv
 
 
-def _gradient_dv_ref(m, df, ddf):
+def _gradient_dv_ref(m, dinv, df, ddf):
     column = df[..., :, None]
-    return (m.dinv @ column[..., None, :, :])[..., 0] + ddf @ np.swapaxes(m.inv, -1, -2)
+    return (dinv @ column[..., None, :, :])[..., 0] + ddf @ np.swapaxes(m.inv, -1, -2)
 
 
 def _hs_inner_ref(t1, t2, m):
@@ -303,45 +314,51 @@ def test_metric_second_partials(d, lead, monkeypatch):
             assert_array_equal(got[..., l, l, :, :], d2g[..., l, l, :, :])
 
 
-@pytest.mark.parametrize("lead", LEADS)
-@pytest.mark.parametrize("d", DIMS)
-def test_christoffel_partials(d, lead):
-    g, inv = (_random(lead, d, 2, seed=s) for s in (6, 7))
-    dg, dinv = (_random(lead, d, 3, seed=s) for s in (8, 9))
-    m = MetricData(g=g, inv=inv, dg=dg, dinv=dinv)
-    for label, d2g in _cases(d, lead, 4, seed=10):
-        manifold = SimpleNamespace(
-            metric_at_cached=lambda point: m,
-            metric_second_partials=lambda point: d2g,
-        )
-        assert_array_equal(christoffel_partials(manifold, None),
-                           _christoffel_partials_ref(m, d2g), err_msg=label)
+def _metric(lead, d, seed):
+    """A batch of symmetric positive definite metrics and their inverses."""
+    x = _random(lead, d, 2, seed)
+    g = x @ np.swapaxes(x, -1, -2)
+    g = 0.5 * (g + np.swapaxes(g, -1, -2)) + d * np.eye(d)
+    return g, np.linalg.inv(g)
+
+
+def _near(got, ref, rank):
+    """``got`` within 2^10 eps of ``ref``, relative to max |ref|, at every
+    sample free of NaN; the samples holding a NaN are the same in both."""
+    axes = tuple(range(-rank, 0))
+    nan = np.isnan(ref).any(axis=axes)
+    assert got.shape == ref.shape
+    assert_array_equal(np.isnan(got).any(axis=axes), nan)
+    got, ref = got[~nan], ref[~nan]
+    scale = float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(got - ref))) <= 2.0 ** 10 * EPS * scale
 
 
 @pytest.mark.parametrize("lead", LEADS)
 @pytest.mark.parametrize("d", DIMS)
 def test_riemann_tensors(d, lead):
-    g = _random(lead, d, 2, seed=11)
-    gamma = _random(lead, d, 3, seed=12)
-    for label, dgamma in _cases(d, lead, 4, seed=13):
-        r13_ref, r04_ref = _riemann_ref(gamma, dgamma, g)
-        r13, r04 = _riemann_tensors(gamma, np.array(dgamma), g)
-        assert_array_equal(r13, r13_ref, err_msg=label)
-        assert_array_equal(r04, r04_ref, err_msg=label)
-
-
-@pytest.mark.parametrize("lead", LEADS)
-@pytest.mark.parametrize("d", DIMS)
-def test_metric_data_inverse_partials(d, lead):
-    x = _random(lead, d, 2, seed=14)
-    g = x @ np.swapaxes(x, -1, -2)
-    g = 0.5 * (g + np.swapaxes(g, -1, -2)) + d * np.eye(d)
-    for label, dg in _cases(d, lead, 3, seed=15):
-        chart = SimpleNamespace(name="chart", dim=d,
-                                metric_values=lambda point: g,
-                                metric_partials=lambda point: dg)
-        m = ChartManifold._metric_data(chart, _point(lead))
-        assert_array_equal(m.dinv, _metric_dinv_ref(m.inv, dg), err_msg=label)
+    # the reference is the route through d_a Gamma: it agrees with R04
+    # from d d g and Gamma only on a metric, with dg symmetric in (i, j)
+    # and d2g in each pair of slots, and dinv = -g^-1 dg g^-1
+    g, inv = _metric(lead, d, seed=11)
+    dg = _random(lead, d, 3, seed=12)
+    dg = dg + np.swapaxes(dg, -1, -2)
+    dinv = _metric_dinv_ref(inv, dg)
+    m = MetricData(g=g, inv=inv, dg=dg)
+    combo = geometry._gamma_combo(dg)
+    gamma = geometry._christoffel(inv, combo)
+    d2g = _random(lead, d, 4, seed=13)
+    d2g = d2g + np.swapaxes(d2g, -4, -3)
+    d2g = d2g + np.swapaxes(d2g, -2, -1)
+    for label, x in _variants(d2g, 4):
+        r13_ref, r04_ref = _riemann_ref(
+            gamma, _christoffel_partials_ref(m, dinv, x), g
+        )
+        r13, r04 = _riemann(x, gamma, combo, inv)
+        for got, ref in ((r13, r13_ref), (r04, r04_ref)):
+            _near(got, ref, 4)
+            # sample-major views of component-major buffers
+            assert np.shares_memory(component_major(got, 4), got), label
 
 
 @pytest.mark.parametrize("lead", LEADS)
@@ -351,17 +368,17 @@ def test_gradient_lie_derivative_partials(d, lead, monkeypatch):
     # broadcast against the a axis of an (A, N) metric
     monkeypatch.setattr(geometry, "_lie_metric_numeric",
                         lambda m, v, dv, point: dv)
-    inv = _random(lead, d, 2, seed=16)
+    g, inv = _metric(lead, d, seed=16)
     df = _random(lead[-1:], d, 1, seed=17)
     ddf = _random(lead[-1:], d, 2, seed=18)
     f = SimpleNamespace(gradient_covector=lambda coords, point: df,
                         second_partials=lambda coords, point: ddf)
-    for label, dinv in _cases(d, lead, 3, seed=19):
-        m = MetricData(g=inv, inv=inv, dg=None, dinv=dinv)
+    for label, dg in _cases(d, lead, 3, seed=19):
+        m = MetricData(g=g, inv=inv, dg=dg)
         manifold = SimpleNamespace(coords=None,
                                    metric_at_cached=lambda point: m)
-        assert_array_equal(gradient_lie_derivative(manifold, f, None),
-                           _gradient_dv_ref(m, df, ddf), err_msg=label)
+        _near(gradient_lie_derivative(manifold, f, None),
+              _gradient_dv_ref(m, _metric_dinv_ref(inv, dg), df, ddf), 2)
 
 
 @pytest.mark.parametrize("lead", LEADS)
