@@ -70,7 +70,7 @@ from .geometry import (
 )
 from .tensor import (
     StructureError, component_major, hs_pair, hs_raise, kulkarni_nomizu,
-    outer, sample_major, symmetric,
+    outer, plus, sample_major, symmetric,
 )
 
 __all__ = [
@@ -141,15 +141,18 @@ def riemann_bar(structure: AcmStructure, point, r04, a) -> np.ndarray:
     ``r04`` is a base (0,4) curvature at ``point``, the chart's or one a
     soliton forces; ``a`` is one value or an (A,) array, put in front of
     the sample axes.  The result is laid out as ``component_major`` lays
-    it out, so a scales whole rows of samples; (a - 1) T is added one
-    leading component row at a time, so no second stacked (0,4) array is
-    alive.  T is memoised on the base batch.
+    it out, so a scales whole rows of samples, and has the broadcast
+    sample axes of a, R04 and T; (a - 1) T is added one leading component
+    row at a time, so no second stacked (0,4) array is alive.  T is
+    memoised on the base batch.
     """
     a = a_column(a, point)
     k = a.ndim  # sample axes, a in front
-    out = a * component_major(r04, 4, k)
+    r = component_major(r04, 4, k)
     t = component_major(_curvature_term(structure, point), 4, k)
-    for row, t_row in zip(out, t):
+    out = np.empty(np.broadcast_shapes(r.shape, t.shape, a.shape))
+    for row, r_row, t_row in zip(out, r, t):
+        np.multiply(a, r_row, out=row)
         row += (a - 1.0) * t_row
     return out
 
@@ -302,7 +305,7 @@ class DeformedStructure:
         r13 = ((a - 1.0) / a) * (
             p[None, None] * eye - p[None, :, None] * eye.swapaxes(1, 2)
         )
-        r13 += component_major(bundle["R13"], 4, k)
+        r13 = plus(r13, component_major(bundle["R13"], 4, k))
         out["R13"] = sample_major(r13, 4)
         out["R04"] = sample_major(r04, 4)
         return out
@@ -536,11 +539,7 @@ def ricci_norm_bound(structure: AcmStructure, point, a) -> dict:
     n = structure.n
     a2 = a_column(a, point) ** 2
     bound = 4.0 * n * n * (a2 - 1.0) / a2
-    return {
-        "ric_norm_sq": ric_sq,
-        "bound": bound,
-        "satisfied": ric_sq >= bound - 1e-9,
-    }
+    return {"ric_norm_sq": ric_sq, "bound": bound}
 
 
 def admissible_interval(ric_norm_sq: float, n: int) -> tuple:

@@ -10,7 +10,12 @@ also read the reserved symbol a, the deformation parameter, which a point
 binds with ``with_a``: to one value, or to an (A,) array that puts an a
 axis in front of the sample axis, so an (A, N) batch evaluates every value
 of a at once.  Whatever reads no a is computed without it, on the samples
-alone, and broadcasts against the a axis.  The symbolic
+alone, and broadcasts against the a axis.  Likewise a sample axis has
+length N, or 1 where a value reads no coordinate: a batched value's
+sample axes are the broadcast of those of the trees it is evaluated from
+(a constant contributes none, a tree reading only a gives (A, 1)),
+padded with length-1 axes to the batch's rank, so a flat metric and its
+curvature are computed once, not once per sample.  The symbolic
 layer only ever differentiates the defining expressions, so each operator
 below matches its textbook coordinate formula exactly:
 
@@ -42,8 +47,8 @@ from .expr import (
     A, Const, EvalError, Expr, coordinates_of, diff, evaluate, locate, mul,
 )
 from .tensor import (
-    MetricData, StructureError, component_major, max_abs, outer, sample_major,
-    symmetric,
+    MetricData, StructureError, component_major, max_abs, outer, plus,
+    sample_major, symmetric,
 )
 
 __all__ = [
@@ -169,24 +174,32 @@ def _reads_a(exprs) -> bool:
 
 def _evaluate_all(exprs, point, dims) -> np.ndarray:
     """Evaluate a flat sequence of expressions into components of shape
-    ``dims``, behind the sample axes of ``point``.
+    ``dims``, behind the sample axes of the result.
 
     Each tree that is no constant and equals no earlier one is evaluated,
     in order, so a domain error names the same subtree and sample as
-    evaluating each entry would.  Then the constants are written in one
-    pass, and in one more each repeated tree (a mirrored entry, or mixed
-    partials that fold to one tree) is copied from its first.
+    evaluating each entry would.  The sample axes are the broadcast of
+    the shapes of those values, padded on the left with length-1 axes to
+    the rank of ``point``'s: a constant reads no sample, so a sequence of
+    constants has length-1 sample axes, and one that reads a alone has
+    (A, 1).  Then the constants are written in one pass, and in one more
+    each repeated tree (a mirrored entry, or mixed partials that fold to
+    one tree) is copied from its first.
     """
-    shape = _shape(point)
-    out = np.empty(shape + (len(exprs),))
-    first, consts, copies = {}, {}, {}
+    first, consts, copies, values = {}, {}, {}, {}
     for k, e in enumerate(exprs):
         if isinstance(e, Const):
             consts[k] = e.value
         elif first.setdefault(e, k) == k:
-            out[..., k] = evaluate(e, point)
+            values[k] = evaluate(e, point)
         else:
             copies[k] = first[e]
+    # the values come in few distinct shapes; broadcasting each once is cheap
+    shape = np.broadcast_shapes(*{np.shape(v) for v in values.values()})
+    shape = (1,) * (len(_shape(point)) - len(shape)) + shape
+    out = np.empty(shape + (len(exprs),))
+    for k, v in values.items():
+        out[..., k] = v
     out[..., list(consts)] = list(consts.values())
     out[..., list(copies)] = out[..., list(copies.values())]
     return out.reshape(shape + dims)
@@ -454,7 +467,8 @@ def curvature_bundle(manifold, point) -> dict:
 def _christoffel(inv, combo) -> np.ndarray:
     """Gamma[l, i, j] = (1/2) g^lk combo[i, j, k], as one matmul over the
     flattened (i, j) pairs."""
-    gamma = (inv @ _swap(_rows(combo, 2))).reshape(combo.shape)
+    gamma = inv @ _swap(_rows(combo, 2))
+    gamma = gamma.reshape(gamma.shape[:-1] + combo.shape[-2:])
     gamma *= 0.5
     return gamma
 
@@ -470,18 +484,17 @@ def _riemann(d2g, gamma, combo, inv) -> tuple:
     R04[a,b,c,d].  Both are sample-major views of component-major arrays.
     """
     d = inv.shape[-1]
-    lead = gamma.shape[:-3]
     # t[b, d, a, c] = combo[b, d, l] Gamma^l_ac = 2 Gamma_l,bd Gamma^l_ac,
     # one product per sample
-    t = combo.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
-    t = component_major(t.reshape(lead + (d,) * 4), 4)
+    t = _rows(combo, 2) @ gamma.reshape(gamma.shape[:-3] + (d, d * d))
+    t = component_major(t.reshape(t.shape[:-2] + (d,) * 4), 4)
     # component-major, so each pass runs over whole rows of samples: with
     # s[a, b, c, d] = d2g[a, c, b, d] = d_a d_c g_bd and v[a, b, c, d] =
     # t[b, d, a, c], 2 R04 = w - w.swap(a, b) for w = s - s.swap(c, d) + v
     s = component_major(d2g, 4)
     rest = tuple(range(4, s.ndim))
     w = s.transpose((0, 2, 1, 3) + rest) - s.transpose((0, 2, 3, 1) + rest)
-    w += t.transpose((2, 0, 3, 1) + rest)
+    w = plus(w, t.transpose((2, 0, 3, 1) + rest))
     del t
     r04 = w - w.swapaxes(0, 1)
     del w
@@ -489,7 +502,8 @@ def _riemann(d2g, gamma, combo, inv) -> tuple:
     r04 = sample_major(r04, 4)
     # R13[(a, b, c), l] = R04[(a, b, c), d] g^ld, one product per sample
     r13 = _rows(r04, 3) @ _swap(inv)
-    r13 = component_major(np.moveaxis(r13.reshape(r04.shape), -1, -4), 4)
+    r13 = r13.reshape(r13.shape[:-2] + (d,) * 4)
+    r13 = component_major(np.moveaxis(r13, -1, -4), 4)
     return sample_major(r13, 4), r04
 
 
@@ -651,7 +665,8 @@ def gradient_lie_derivative(manifold, f: ScalarField, point) -> np.ndarray:
     v = m.inv @ df[..., :, None]
     # dv[a, i] = g^ik (d_a d_k f - d_a g_kj v^j), as d_a g^ik = -g^im
     # d_a g_mj g^jk
-    dv = (ddf - (_rows(m.dg, 2) @ v).reshape(m.dg.shape[:-1])) @ _swap(m.inv)
+    dgv = _rows(m.dg, 2) @ v
+    dv = (ddf - dgv.reshape(dgv.shape[:-2] + m.dg.shape[-3:-1])) @ _swap(m.inv)
     return _lie_metric_numeric(m, v[..., 0], dv, point)
 
 

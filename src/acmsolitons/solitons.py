@@ -73,7 +73,7 @@ from .geometry import (
 )
 from .tensor import (
     StructureError, hs_inner, hs_pair, hs_raise, kulkarni_nomizu, max_abs,
-    outer, sample_major, symmetric,
+    outer, plus, sample_major, symmetric,
 )
 
 __all__ = [
@@ -248,8 +248,7 @@ def _full_residual(kind: str, g, curvature, lie, lam):
     # 2 R is summed into the product's own buffer, which is laid out
     # component-major like R04, so the sum runs over whole sample rows
     full = kulkarni_nomizu(lie - _tensor(lam) * g, g)
-    full += 2.0 * curvature
-    return max_abs(full, 4)
+    return max_abs(plus(full, 2.0 * curvature), 4)
 
 
 def soliton_residuals(frame: Frame, candidate, point) -> dict:
@@ -268,7 +267,7 @@ def soliton_residuals(frame: Frame, candidate, point) -> dict:
     scal = bundle["scal"]
     lie = frame.lie_metric(candidate, point)
     div_v = frame.div_potential(candidate, point)
-    lam = np.broadcast_to(frame.lam_value(candidate, point), np.shape(scal))
+    lam = frame.lam_value(candidate, point)
     beta = tr.beta(lam, div_v)
     out = {
         "lambda": lam,

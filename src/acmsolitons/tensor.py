@@ -9,6 +9,12 @@ Conventions used across the package:
   front of the tensor axes, so (N, d, d) holds a (0, 2) tensor per sample;
   the functions here work on either, contracting with batched matmul
   and broadcast products;
+* a sample axis has length N, or 1 where a value reads no coordinate: a
+  batched value's sample axes are the broadcast of those of what it is
+  computed from, so a constant metric is evaluated once, not once per
+  sample, and every function here takes operands whose sample axes differ
+  in length and returns their broadcast (``plus`` sums into a buffer
+  only when that does not widen it);
 * that sample-major index order is the API, not always the memory layout:
   an elementwise pass over a rank-4 tensor (a sum of index permutations,
   a Kulkarni-Nomizu product, a max over components) runs on a
@@ -41,7 +47,7 @@ __all__ = [
     "TensorValue", "MetricData", "StructureError",
     "max_abs", "symmetric", "outer", "kulkarni_nomizu",
     "hs_raise", "hs_pair", "hs_inner",
-    "component_major", "sample_major",
+    "component_major", "sample_major", "plus",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -155,6 +161,15 @@ def symmetric(data, point) -> np.ndarray:
             f"tensor declared symmetric is not at {locate(point, bad)}"
         )
     return data
+
+
+def plus(x: np.ndarray, y) -> np.ndarray:
+    """x + y, summed into the buffer of ``x`` unless ``y`` widens its
+    sample axes; the caller must own ``x``."""
+    if np.broadcast_shapes(x.shape, np.shape(y)) != x.shape:
+        return x + y
+    x += y
+    return x
 
 
 def outer(u, v) -> np.ndarray:

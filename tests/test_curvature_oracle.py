@@ -1,17 +1,22 @@
 """The curvature bundle equals an exact symbolic oracle.
 
-The oracle reads a built-in fixture's definition file, parses its metric
-entries with sympy (``^`` becomes ``**``) and differentiates them with
-sympy alone, so it shares no code with ``expr.diff`` or with the curvature
+The oracle reads a chart's definition file, parses its metric entries
+with sympy (``^`` becomes ``**``) and differentiates them with sympy
+alone, so it shares no code with ``expr.diff`` or with the curvature
 kernel.  It builds Gamma, R13 by the textbook d_a Gamma route, R04 = R13
 lowered by g, Ric and scal symbolically, for the base chart and for the
 deformed chart g_bar = a g + a(a-1) eta (x) eta, eta = g(xi, .), at
 a = 3.7.  Each quantity of ``curvature_bundle`` at 4 sample points must
-match within 1e-12 of max(1, max |oracle|).
+match within 1e-12 of max(1, max |oracle|); a quantity with one sample,
+which reads no coordinate, must match at each point.
 
 kenmotsu5-gh is 5-dimensional, not diagonal and not a space form, so no
 slot symmetry or constant curvature hides a wrong term; kenmotsu3-wide is
-the 3-dimensional warped product on a domain reaching z near 0.
+the 3-dimensional warped product on a domain reaching z near 0; linear3
+(``tests/data/linear3.ini``) has constant first partials against a metric
+that varies from sample to sample.  A hypothesis sweep runs the warped
+products dx3^2 + V^2 (dx1^2 + dx2^2), V = 1 + c x3, over the warping
+constant c and over a, against one oracle symbolic in both.
 """
 
 import configparser
@@ -21,13 +26,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 import acmsolitons
 from acmsolitons import builtin_config
+from acmsolitons.config import load_config, load_config_text
 from acmsolitons.deformation import deform
 from acmsolitons.geometry import curvature_bundle, sample_batch
 
 FIXTURES = Path(acmsolitons.__file__).parent / "fixtures"
+LINEAR3 = Path(__file__).parent / "data" / "linear3.ini"
 A_VALUE = sp.Rational(37, 10)
 POINTS = 4
 TOL = 1e-12
@@ -38,29 +46,18 @@ def _parse(text: str, symbols: dict):
     return sp.sympify(text.replace("^", "**"), locals=symbols)
 
 
-@lru_cache(maxsize=None)
-def _oracle(name: str, deformed: bool):
-    """(coordinate symbols, a function of one point's coordinates giving
-    each of ``KEYS`` as an array)."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    parser.read_string((FIXTURES / f"{name}.ini").read_text(encoding="utf-8"))
-    man = parser["manifold"]
-    names = [c.strip() for c in man["coordinates"].split(",")]
-    x = sp.symbols(names, real=True)
-    symbols = dict(zip(names, x))
+def _path(name: str) -> Path:
+    return LINEAR3 if name == "linear3" else FIXTURES / f"{name}.ini"
+
+
+def _config(name: str):
+    return load_config(LINEAR3) if name == "linear3" else builtin_config(name)
+
+
+def _bundle(g, x) -> list:
+    """[Gamma, R13, R04, Ric, scal] of the sympy metric ``g`` in the
+    coordinate symbols ``x``, as nested lists of expressions."""
     d = len(x)
-    g = sp.zeros(d, d)
-    for i in range(d):
-        for j in range(i, d):
-            text = man.get(f"g_{names[i]}_{names[j]}",
-                           man.get(f"g_{names[j]}_{names[i]}", "0"))
-            g[i, j] = g[j, i] = _parse(text, symbols)
-    if deformed:
-        xi = sp.Matrix([_parse(t, symbols)
-                        for t in parser["structure"]["xi"].split(",")])
-        eta = g * xi
-        g = A_VALUE * g + A_VALUE * (A_VALUE - 1) * (eta * eta.T)
     inv = sp.simplify(g.inv())
     dg = [[[sp.diff(g[i, j], x[k]) for j in range(d)] for i in range(d)]
           for k in range(d)]
@@ -88,11 +85,51 @@ def _oracle(name: str, deformed: bool):
     ric = [[sum(r13[a][a][b][c] for a in range(d)) for c in range(d)]
            for b in range(d)]
     scal = sum(inv[b, c] * ric[b][c] for b in range(d) for c in range(d))
-    f = sp.lambdify(x, [gamma, r13, r04, ric, scal], "numpy", cse=True)
-    return names, f
+    return [gamma, r13, r04, ric, scal]
 
 
-CASES = [(name, deformed) for name in ("kenmotsu5-gh", "kenmotsu3-wide")
+def _assert_matches(bundle, want):
+    """Each ``KEYS`` entry of ``bundle`` against the oracle's values at each
+    sample point, ``want`` holding one list of them per point."""
+    for k, key in enumerate(KEYS):
+        ref = np.array([np.asarray(w[k], dtype=float) for w in want])
+        got = np.asarray(bundle[key])
+        assert got.shape[1:] == ref.shape[1:], key
+        assert got.shape[0] in (1, len(want)), key
+        got = np.broadcast_to(got, ref.shape)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        err = float(np.max(np.abs(got - ref)))
+        assert err <= TOL * scale, f"{key}: {err:.3e} at scale {scale:.3e}"
+
+
+@lru_cache(maxsize=None)
+def _oracle(name: str, deformed: bool):
+    """(coordinate names, a function of one point's coordinates giving
+    each of ``KEYS`` as nested lists)."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(_path(name).read_text(encoding="utf-8"))
+    man = parser["manifold"]
+    names = [c.strip() for c in man["coordinates"].split(",")]
+    x = sp.symbols(names, real=True)
+    symbols = dict(zip(names, x))
+    d = len(x)
+    g = sp.zeros(d, d)
+    for i in range(d):
+        for j in range(i, d):
+            text = man.get(f"g_{names[i]}_{names[j]}",
+                           man.get(f"g_{names[j]}_{names[i]}", "0"))
+            g[i, j] = g[j, i] = _parse(text, symbols)
+    if deformed:
+        xi = sp.Matrix([_parse(t, symbols)
+                        for t in parser["structure"]["xi"].split(",")])
+        eta = g * xi
+        g = A_VALUE * g + A_VALUE * (A_VALUE - 1) * (eta * eta.T)
+    return names, sp.lambdify(x, _bundle(g, x), "numpy", cse=True)
+
+
+CASES = [(name, deformed)
+         for name in ("kenmotsu5-gh", "kenmotsu3-wide", "linear3")
          for deformed in (False, True)]
 
 
@@ -102,7 +139,7 @@ CASES = [(name, deformed) for name in ("kenmotsu5-gh", "kenmotsu3-wide")
 )
 def test_curvature_bundle_matches_sympy(name, deformed):
     names, oracle = _oracle(name, deformed)
-    config = builtin_config(name)
+    config = _config(name)
     batch = sample_batch(config.manifold, config.box, POINTS, config.seed)
     if deformed:
         ds = deform(config.structure, float(A_VALUE))
@@ -110,14 +147,58 @@ def test_curvature_bundle_matches_sympy(name, deformed):
     else:
         bundle = curvature_bundle(config.manifold, batch)
     assert tuple(config.manifold.coords) == tuple(names)
-    want = [
-        [np.asarray(v, dtype=float) for v in oracle(*(p[c] for c in names))]
-        for p in batch.points()
-    ]
-    for k, key in enumerate(KEYS):
-        ref = np.array([w[k] for w in want])
-        got = np.asarray(bundle[key])
-        assert got.shape == ref.shape, key
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        err = float(np.max(np.abs(got - ref)))
-        assert err <= TOL * scale, f"{key}: {err:.3e} at scale {scale:.3e}"
+    _assert_matches(bundle, [oracle(*(p[c] for c in names))
+                             for p in batch.points()])
+
+
+@lru_cache(maxsize=None)
+def _warped_oracle():
+    """The bundle of a g + a(a-1) dx3^2 for g = dx3^2 + V^2 (dx1^2 + dx2^2),
+    V = 1 + c x3, as a function of (x1, x2, x3, c, a); a = 1 is the base."""
+    x = sp.symbols("x1 x2 x3", real=True)
+    c, a = sp.symbols("c a", real=True)
+    v = 1 + c * x[2]
+    g = sp.diag(v ** 2, v ** 2, 1)
+    g = a * g + a * (a - 1) * sp.diag(0, 0, 1)
+    return sp.lambdify((*x, c, a), _bundle(g, x), "numpy", cse=True)
+
+
+_WARPED = """
+[manifold]
+name = warped3
+coordinates = x1, x2, x3
+constraints = 1 + ({c})*x3
+g_x1_x1 = (1 + ({c})*x3)^2
+g_x2_x2 = (1 + ({c})*x3)^2
+g_x3_x3 = 1
+
+[structure]
+phi_x2_x1 = 1
+phi_x1_x2 = -1
+xi = 0, 0, 1
+
+[run]
+seed = 7
+points = 4
+box_x1 = -1, 1
+box_x2 = -1, 1
+box_x3 = -0.5, 0.5
+"""
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    c=st.floats(-1.5, 1.5).map(lambda c: round(c, 6)),
+    a=st.floats(0.2, 5.0).map(lambda a: round(a, 6)),
+)
+def test_warped_products_match_sympy(c, a):
+    # 1 + c x3 >= 0.25 on the box, so every sample lies in the domain
+    oracle = _warped_oracle()
+    config = load_config_text(_WARPED.format(c=f"{c:.6f}"), source="tests:warped3")
+    batch = sample_batch(config.manifold, config.box, POINTS, config.seed)
+    points = [(p["x1"], p["x2"], p["x3"]) for p in batch.points()]
+    _assert_matches(curvature_bundle(config.manifold, batch),
+                    [oracle(*p, c, 1.0) for p in points])
+    ds = deform(config.structure, a)
+    _assert_matches(curvature_bundle(ds.manifold, ds.at(batch)),
+                    [oracle(*p, c, a) for p in points])

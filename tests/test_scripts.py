@@ -162,3 +162,29 @@ def test_bad_counts_are_refused(script, args, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_mutation_check_kills_the_cheap_mutants():
+    # three mutants of the closed forms that kenmotsu3 alone kills
+    proc = _run_script("mutation_check.py", "--only", "M04,M05,M09",
+                       "--fixtures", "kenmotsu3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "killed 3/3" in proc.stdout
+    for mutant in ("M04", "M05", "M09"):
+        assert f"{mutant} " in proc.stdout
+
+
+def test_mutation_list_matches_the_source():
+    # each mutant's old text occurs once in its module, and each known
+    # survivor says why it survives
+    spec = importlib.util.spec_from_file_location(
+        "mutation_check", ROOT / "scripts" / "mutation_check.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert [m.id for m in script.MUTANTS] == [f"M{i:02d}" for i in range(1, 16)]
+    for m in script.MUTANTS:
+        text = (ROOT / "src" / "acmsolitons" / m.module).read_text()
+        assert text.count(m.old) == 1, m.id
+        assert m.new != m.old, m.id
+        assert bool(m.killers) != bool(m.survives), m.id
+        assert set(m.killers) <= set(script.FIXTURES), m.id

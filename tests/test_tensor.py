@@ -10,6 +10,7 @@ from acmsolitons.tensor import (
     hs_inner,
     kulkarni_nomizu,
     max_abs,
+    plus,
     symmetric,
 )
 
@@ -229,3 +230,16 @@ class TestSymmetric:
         data[1, 0, 1] += 5e-12
         with pytest.raises(StructureError, match=r"at \{'x': 1.0\}"):
             symmetric(data, {"x": np.arange(5.0)})
+
+
+def test_plus_sums_in_place_unless_widened(rng):
+    # a one-sample value plus an N-sample one is their broadcast sum
+    wide = rng.normal(size=(5, 3, 3))
+    narrow = rng.normal(size=(1, 3, 3))
+    got = plus(narrow.copy(), wide)
+    assert got.shape == (5, 3, 3)
+    np.testing.assert_array_equal(got, narrow + wide)
+    # where the sum keeps the first operand's shape it is its own buffer
+    x = wide.copy()
+    assert plus(x, narrow) is x
+    np.testing.assert_array_equal(x, wide + narrow)
