@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from acmsolitons.expr import (
     Call,
     Const,
     Coord,
+    Div,
     EvalError,
     Mul,
     Neg,
@@ -184,6 +186,27 @@ def test_render_parse_round_trip(e):
     assert evaluate(back, POINT) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+_MP_BINARY = {Add: lambda u, v: u + v, Sub: lambda u, v: u - v,
+              Mul: lambda u, v: u * v, Div: lambda u, v: u / v}
+
+
+def _mp_evaluate(e, point):
+    """Evaluate an expression tree in mpmath at 50 significant digits."""
+    with mpmath.workdps(50):
+        if isinstance(e, Const):
+            return mpmath.mpf(e.value)
+        if isinstance(e, Coord):
+            return mpmath.mpf(point[e.name])
+        if isinstance(e, Neg):
+            return -_mp_evaluate(e.arg, point)
+        if isinstance(e, Call):
+            return getattr(mpmath, e.func)(_mp_evaluate(e.arg, point))
+        if isinstance(e, Pow):
+            return _mp_evaluate(e.base, point) ** _mp_evaluate(e.exponent, point)
+        op = _MP_BINARY[type(e)]
+        return op(_mp_evaluate(e.left, point), _mp_evaluate(e.right, point))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_exprs(3), st.sampled_from(COORDS))
 def test_diff_matches_central_difference(e, name):
@@ -195,9 +218,15 @@ def test_diff_matches_central_difference(e, name):
     hi[name] += h
     try:
         exact = evaluate(d, POINT)
-        fd = (evaluate(e, hi) - evaluate(e, lo)) / (2.0 * h)
+        evaluate(e, hi)
+        evaluate(e, lo)
     except EvalError:
         return
+    # the difference quotient is taken in 50-digit arithmetic: in doubles,
+    # f(x+h) - f(x-h) loses about eps*|f|/h, which for x + exp(exp(3)) is 0.1
+    with mpmath.workdps(50):
+        step = mpmath.mpf(hi[name]) - mpmath.mpf(lo[name])
+        fd = float((_mp_evaluate(e, hi) - _mp_evaluate(e, lo)) / step)
     # skip badly conditioned samples; the fixed-seed sweep below is strict
     if abs(exact) > 1e6 or abs(fd) > 1e6:
         return
