@@ -70,7 +70,7 @@ from .geometry import (
 )
 from .tensor import (
     StructureError, component_major, hs_pair, hs_raise, kulkarni_nomizu,
-    outer, plus, sample_major, symmetric,
+    outer, pair_index, plus, sample_major, symmetric,
 )
 
 __all__ = [
@@ -106,7 +106,8 @@ def deformation_curvature_term(g: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
     T[a,b,c,d] = eta_c (eta_a g_bd - eta_b g_ad)
                  - g_ac (g_bd - eta_b eta_d) + g_bc (g_ad - eta_a eta_d),
-    which is the Kulkarni-Nomizu product g o (g/2 - eta (x) eta).
+    which is the Kulkarni-Nomizu product g o (g/2 - eta (x) eta), on its
+    first-pair block.
     """
     return kulkarni_nomizu(g, 0.5 * g - outer(eta, eta))
 
@@ -136,20 +137,21 @@ def ricci_bar(structure: AcmStructure, point, ric, a) -> np.ndarray:
 
 def riemann_bar(structure: AcmStructure, point, r04, a) -> np.ndarray:
     """R_bar04 = a R04 + (a-1) T over a Kenmotsu base, T as in
-    ``deformation_curvature_term``, component-major.
+    ``deformation_curvature_term``, component-major, on the first-pair
+    block.
 
-    ``r04`` is a base (0,4) curvature at ``point``, the chart's or one a
-    soliton forces; ``a`` is one value or an (A,) array, put in front of
-    the sample axes.  The result is laid out as ``component_major`` lays
-    it out, so a scales whole rows of samples, and has the broadcast
-    sample axes of a, R04 and T; (a - 1) T is added one leading component
-    row at a time, so no second stacked (0,4) array is alive.  T is
-    memoised on the base batch.
+    ``r04`` is the first-pair block of a base (0,4) curvature at
+    ``point``, the chart's or one a soliton forces; ``a`` is one value or
+    an (A,) array, put in front of the sample axes.  The result is laid
+    out as ``component_major`` lays it out, so a scales whole rows of
+    samples, and has the broadcast sample axes of a, R04 and T; (a - 1) T
+    is added one pair row at a time, so no second stacked (0,4) array is
+    alive.  T is memoised on the base batch.
     """
     a = a_column(a, point)
     k = a.ndim  # sample axes, a in front
-    r = component_major(r04, 4, k)
-    t = component_major(_curvature_term(structure, point), 4, k)
+    r = component_major(r04, 3, k)
+    t = component_major(_curvature_term(structure, point), 3, k)
     out = np.empty(np.broadcast_shapes(r.shape, t.shape, a.shape))
     for row, r_row, t_row in zip(out, r, t):
         np.multiply(a, r_row, out=row)
@@ -290,7 +292,8 @@ class DeformedStructure:
         }
 
     def curvature_closed(self, point) -> dict:
-        """R13, R04, Ric and scal of g_bar from the base curvature."""
+        """R13, R04, Ric and scal of g_bar from the base curvature, R13 and
+        R04 on their first-pair blocks."""
         out = self.ricci_closed(point)
         bundle = curvature_bundle(self.base.manifold, point)
         g = bundle["metric"].g
@@ -300,14 +303,16 @@ class DeformedStructure:
         # component-major, where a scales whole rows of samples
         r04 = riemann_bar(self.base, point, bundle["R04"], self.a)
         p = component_major(g - outer(eta, eta), 2, k)  # g(phi ., phi .)
-        eye = np.eye(self.manifold.dim)[(...,) + (None,) * (2 + k)]
-        # ((a-1)/a) (delta^l_a p_bc - delta^l_b p_ac)
+        pairs = pair_index(self.manifold.dim)
+        eye = np.eye(self.manifold.dim)[(...,) + (None,) * k]
+        # ((a-1)/a) (p_bc delta_la - p_ac delta_lb) at [(a < b), c, l]
         r13 = ((a - 1.0) / a) * (
-            p[None, None] * eye - p[None, :, None] * eye.swapaxes(1, 2)
+            p[pairs.j][:, :, None] * eye[pairs.i][:, None]
+            - p[pairs.i][:, :, None] * eye[pairs.j][:, None]
         )
-        r13 = plus(r13, component_major(bundle["R13"], 4, k))
-        out["R13"] = sample_major(r13, 4)
-        out["R04"] = sample_major(r04, 4)
+        r13 = plus(r13, component_major(bundle["R13"], 3, k))
+        out["R13"] = sample_major(r13, 3)
+        out["R04"] = sample_major(r04, 3)
         return out
 
     # -- structure tensors ---------------------------------------------------

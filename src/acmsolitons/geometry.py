@@ -26,8 +26,12 @@ below matches its textbook coordinate formula exactly:
                        = (1/2)(d_a d_c g_bd + d_b d_d g_ac - d_a d_d g_bc
                        - d_b d_c g_ad) + Gamma_l,bd Gamma^l_ac
                        - Gamma_l,ad Gamma^l_bc, Gamma_l,ij = g_lk Gamma^k_ij,
-                       and raised to R13[l, a, b, c] = g^ld R04[a, b, c, d],
-                       the component of R(d_a, d_b) d_c along d_l
+                       and raised to R13[a, b, c, l] = R04[a, b, c, d] g^ld,
+                       the component of R(d_a, d_b) d_c along d_l; both
+                       are kept on their first-pair block, rows a < b only
+                       (``tensor.pair_index``): R04 as x[(a < b), c, d],
+                       R13 as x[(a < b), c, l], each a sample-major view
+                       of a component-major buffer
 * Ricci                Ric(Y, Z) = trace of X -> R(X, Y)Z (first slot)
 * Lie derivative       (L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k
 * Hessian              Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f
@@ -39,7 +43,7 @@ R(X, Y) xi = eta(X) Y - eta(Y) X and Ric(xi, xi) = -2n.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -47,8 +51,8 @@ from .expr import (
     A, Const, EvalError, Expr, coordinates_of, diff, evaluate, locate, mul,
 )
 from .tensor import (
-    MetricData, StructureError, component_major, max_abs, outer, plus,
-    sample_major, symmetric,
+    MetricData, StructureError, component_major, max_abs, outer, pair_index,
+    plus, sample_major, symmetric,
 )
 
 __all__ = [
@@ -404,7 +408,6 @@ def _gamma_combo(dg: np.ndarray) -> np.ndarray:
 
 
 _SYMMETRY_LABELS = (
-    "antisymmetry in the first pair",
     "antisymmetry in the second pair",
     "pair interchange symmetry",
     "first Bianchi identity",
@@ -412,29 +415,60 @@ _SYMMETRY_LABELS = (
 
 
 def _curvature_symmetry_residuals(r04: np.ndarray) -> tuple:
-    """(tol, worst) per sample: the tolerance 1e-10 max(1, max |R04|) and
-    the largest |component| of each residual, in ``_SYMMETRY_LABELS``
-    order along the last axis of ``worst``."""
+    """(tol, worst) per sample of a first-pair block R04: the tolerance
+    1e-10 max(1, max |R04|) and the largest |component| of each residual,
+    in ``_SYMMETRY_LABELS`` order along the last axis of ``worst``.
+
+    Antisymmetry in the first pair holds by construction.  Each residual
+    is taken on the rows a < b, reading R[c, d, ...] of any pair (c, d)
+    from the block with its sign.  The full tensor's second-pair residual
+    has the same maximum; its interchange residual at a row a > b differs
+    from the negated one at (b, a) by a second-pair residual, and its
+    Bianchi residual by rounding alone, so the block guard bounds the
+    full-tensor residuals to within the second-pair residual.
+    """
     # component-major, so each pass runs over whole rows of samples, and
-    # every residual is written into the one buffer ``out``; a residual is
-    # R04 combined in turn with transposes, r.transpose(p)[a, b, c, d]
-    # being r[c, a, b, d] for p = (1, 2, 0, 3)
-    r = component_major(r04, 4)
-    out = np.empty_like(r)
-    rest = tuple(range(4, r.ndim))
-    worst = []
-    for terms in (
-        ((np.add, (1, 0, 2, 3)),),
-        ((np.add, (0, 1, 3, 2)),),
-        ((np.subtract, (2, 3, 0, 1)),),
-        ((np.add, (1, 2, 0, 3)), (np.add, (2, 0, 1, 3))),
-    ):
-        x = r
-        for op, p in terms:
-            x = op(x, r.transpose(p + rest), out=out)
-        worst.append(max_abs(sample_major(out, 4), 4))
-    tol = _CURVATURE_SYMMETRY_TOL * np.maximum(max_abs(r04, 4), 1.0)
+    # each residual is written into the buffer of the entries it reads
+    r = component_major(r04, 3)
+    x = _entries(r, *_block_reads(r.shape[1])[0])
+    np.subtract(r, x[1], out=x[1])
+    np.add(np.add(r, x[0], out=x[0]), x[2], out=x[2])
+    np.add(r, r.swapaxes(1, 2), out=x[0])
+    worst = [max_abs(sample_major(residual, 3), 3) for residual in x]
+    tol = _CURVATURE_SYMMETRY_TOL * np.maximum(max_abs(r04, 3), 1.0)
     return tol, np.stack(worst, axis=-1)
+
+
+@cache
+def _block_reads(d: int) -> tuple:
+    """The entries of a full (0,4) tensor that the symmetry guard and the
+    Ricci trace read from its first-pair block, as (rows, signs) for
+    ``_entries``, built once per d and read-only: R[c, a, b, d],
+    R[c, d, a, b] and R[b, c, a, d] at [(a < b), c, d], stacked, and
+    R13[a, b, c, a] at [a, b, c]."""
+    pairs = pair_index(d)
+
+    def at(w, x, y, z):
+        rows = (pairs.row[w, x] * d + y) * d + z
+        return rows, np.broadcast_to(pairs.sign[w, x], rows.shape)
+
+    a, b = pairs.i[:, None, None], pairs.j[:, None, None]
+    c, e = np.arange(d)[:, None], np.arange(d)
+    guard = [np.stack(x) for x in zip(at(c, a, b, e), at(c, e, a, b),
+                                      at(b, c, a, e))]
+    i = np.arange(d)
+    trace = at(i[:, None, None], i[:, None], i, i[:, None, None])
+    for x in guard + list(trace):
+        x.flags.writeable = False
+    return tuple(guard), trace
+
+
+def _entries(block: np.ndarray, rows, signs) -> np.ndarray:
+    """signs times the component ``rows`` of a component-major block
+    flattened to one component axis: whole rows of samples, in one take."""
+    out = np.take(block.reshape((-1,) + block.shape[3:]), rows, axis=0)
+    out *= signs[(...,) + (None,) * (block.ndim - 3)]
+    return out
 
 
 def _check_curvature_symmetries(r04: np.ndarray, name, point):
@@ -457,7 +491,8 @@ def curvature_bundle(manifold, point) -> dict:
 
     The keys are ``metric`` (the MetricData), ``gamma``, ``R13``, ``R04``,
     ``Ric`` and ``scal``, as in the module docstring.  The algebraic
-    symmetries of R04 (antisymmetry in each pair, pair interchange, first
+    symmetries of R04 that its first-pair block does not hold by
+    construction (antisymmetry in the second pair, pair interchange, first
     Bianchi) are verified on every evaluation.
     """
     return memoised(point, (manifold, "curvature"),
@@ -475,13 +510,13 @@ def _christoffel(inv, combo) -> np.ndarray:
 
 def _riemann(d2g, gamma, combo, inv) -> tuple:
     """R04 from the second metric partials and the Christoffel symbols, and
-    R13 raised from it.
+    R13 raised from it, both on their first-pair blocks.
 
     R04[a,b,c,d] = (1/2)(d_a d_c g_bd + d_b d_d g_ac - d_a d_d g_bc
                    - d_b d_c g_ad) + Gamma_l,bd Gamma^l_ac
                    - Gamma_l,ad Gamma^l_bc
-    with Gamma_l,ij = (1/2) combo[i, j, l], and R13[l,a,b,c] = g^ld
-    R04[a,b,c,d].  Both are sample-major views of component-major arrays.
+    with Gamma_l,ij = (1/2) combo[i, j, l], and R13[a,b,c,l] = R04[a,b,c,d]
+    g^ld.  Both are sample-major views of component-major arrays.
     """
     d = inv.shape[-1]
     # t[b, d, a, c] = combo[b, d, l] Gamma^l_ac = 2 Gamma_l,bd Gamma^l_ac,
@@ -490,21 +525,25 @@ def _riemann(d2g, gamma, combo, inv) -> tuple:
     t = component_major(t.reshape(t.shape[:-2] + (d,) * 4), 4)
     # component-major, so each pass runs over whole rows of samples: with
     # s[a, b, c, d] = d2g[a, c, b, d] = d_a d_c g_bd and v[a, b, c, d] =
-    # t[b, d, a, c], 2 R04 = w - w.swap(a, b) for w = s - s.swap(c, d) + v
+    # t[b, d, a, c], 2 R04 = w - w.swap(a, b) for w = s - s.swap(c, d) + v,
+    # and w is taken at the pairs (a < b) and at their swaps alone
     s = component_major(d2g, 4)
     rest = tuple(range(4, s.ndim))
-    w = s.transpose((0, 2, 1, 3) + rest) - s.transpose((0, 2, 3, 1) + rest)
-    w = plus(w, t.transpose((2, 0, 3, 1) + rest))
+    pairs = pair_index(d)
+    rows = pairs.ij, pairs.ji
+    w = s.transpose((0, 2, 1, 3) + rest)[rows]
+    w -= s.transpose((0, 2, 3, 1) + rest)[rows]
+    w = plus(w, t.transpose((2, 0, 3, 1) + rest)[rows])
     del t
-    r04 = w - w.swapaxes(0, 1)
+    P = pairs.i.size
+    r04 = w[:P] - w[P:]
     del w
     r04 *= 0.5
-    r04 = sample_major(r04, 4)
+    r04 = sample_major(r04, 3)
     # R13[(a, b, c), l] = R04[(a, b, c), d] g^ld, one product per sample
-    r13 = _rows(r04, 3) @ _swap(inv)
-    r13 = r13.reshape(r13.shape[:-2] + (d,) * 4)
-    r13 = component_major(np.moveaxis(r13, -1, -4), 4)
-    return sample_major(r13, 4), r04
+    r13 = _rows(r04, 2) @ _swap(inv)
+    r13 = component_major(r13.reshape(r13.shape[:-2] + (P, d, d)), 3)
+    return sample_major(r13, 3), r04
 
 
 def _curvature(manifold, point) -> dict:
@@ -514,7 +553,11 @@ def _curvature(manifold, point) -> dict:
     r13, r04 = _riemann(manifold.metric_second_partials(point), gamma, combo,
                         m.inv)
     _check_curvature_symmetries(r04, manifold.name, point)
-    ric = np.einsum("...aabc->...bc", r13)
+    # Ric[b, c] = R13[a, b, c, a] summed over a, from the signed diagonal
+    # diag[a, b, c] (the block at a < b, its negative at a > b, zero at
+    # a = b) summed as einsum("...aabc->...bc") sums the full R13
+    diag = _entries(component_major(r13, 3), *_block_reads(manifold.dim)[1])
+    ric = np.einsum("...abc->...bc", sample_major(diag, 3))
     return {
         "metric": m,
         "gamma": gamma,

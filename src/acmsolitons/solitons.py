@@ -240,15 +240,16 @@ class Frame:
 
 def _full_residual(kind: str, g, curvature, lie, lam):
     """Max-abs residual of the full soliton equation of ``kind`` for the
-    metric g, its curvature (R04 for riemann, Ric for ricci), L_V g and
-    lambda, per sample."""
+    metric g, its curvature (the first-pair block of R04 for riemann, Ric
+    for ricci), L_V g and lambda, per sample."""
     if kind == "ricci":
         return max_abs(0.5 * lie + (curvature - _tensor(lam) * g), 2)
     # L_V g o g - lambda g o g as one product: o is linear in each slot;
     # 2 R is summed into the product's own buffer, which is laid out
-    # component-major like R04, so the sum runs over whole sample rows
+    # component-major on the first-pair block like R04, so the sum runs
+    # over whole sample rows
     full = kulkarni_nomizu(lie - _tensor(lam) * g, g)
-    return max_abs(plus(full, 2.0 * curvature), 4)
+    return max_abs(plus(full, 2.0 * curvature), 3)
 
 
 def soliton_residuals(frame: Frame, candidate, point) -> dict:
@@ -347,7 +348,7 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a) -> dict:
 
     Returns the implied Ricci tensor and scalar curvature, the stated value
     of |Ric|^2 alongside the one recomputed from the implied tensor, and for
-    the riemann kind the full implied (0,4) curvature.
+    the riemann kind the implied (0,4) curvature on its first-pair block.
 
     For the ricci kind ``ric_norm_stated`` is the stated 2n(4n^2 + 6n + 3).
     It is not the norm of the returned tensor -(2n+1)g + eta(x)eta, which is
@@ -466,8 +467,8 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
     gbar = a2 * g + a2 * (a2 - 1.0) * ee
     if kind == "riemann":
         forced = kulkarni_nomizu(g, ee - g)
-        deformed = sample_major(riemann_bar(structure, point, forced, a), 4)
-        scale = max_abs(kulkarni_nomizu(g, g), 4)
+        deformed = sample_major(riemann_bar(structure, point, forced, a), 3)
+        scale = max_abs(kulkarni_nomizu(g, g), 3)
     else:
         forced = _reeb_forced(kind, g, ee, n)
         deformed = ricci_bar(structure, point, forced, a)

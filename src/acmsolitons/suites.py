@@ -57,7 +57,7 @@ from .solitons import (
     theorem_lambda,
     xi_compatibility,
 )
-from .tensor import StructureError, max_abs, outer
+from .tensor import StructureError, max_abs, outer, pair_index
 
 __all__ = [
     "REPORT_VERSION",
@@ -310,10 +310,12 @@ def _suite_kenmotsu(run, override):
     xi = s.xi_values(pts)
     lie = lie_derivative_metric(man, s.xi_field(), pts)
     bundle = curvature_bundle(man, pts)
-    rxy_xi = np.einsum("...labc,...c->...lab", bundle["R13"], xi)
+    # R(d_a, d_b) xi and eta_a d_b - eta_b d_a at the pairs (a < b), [p, l]
+    pairs = pair_index(man.dim)
+    rxy_xi = np.einsum("...pcl,...c->...pl", bundle["R13"], xi)
     target = (
-        np.einsum("...a,lb->...lab", eta, eye)
-        - np.einsum("...b,la->...lab", eta, eye)
+        eta[..., pairs.i, None] * eye[pairs.j]
+        - eta[..., pairs.j, None] * eye[pairs.i]
     )
     ric_xi = np.einsum("...i,...ij,...j->...", xi, bundle["Ric"], xi)
     return _emit(pts, "kenmotsu", override, [
@@ -324,7 +326,7 @@ def _suite_kenmotsu(run, override):
              np.abs(divergence(man, s.xi_field(), pts) - 2.0 * n)),
             ("lie-xi-metric", 1e-10,
              max_abs(lie - 2.0 * (m.g - outer(eta, eta)), 2)),
-            ("curvature-reeb", 1e-9, max_abs(rxy_xi - target, 3)),
+            ("curvature-reeb", 1e-9, max_abs(rxy_xi - target, 2)),
             ("ricci-reeb", 1e-9, np.abs(ric_xi + 2.0 * n)),
         )
     ])
@@ -368,8 +370,8 @@ def _suite_section2(run, override):
     closed = ds.curvature_closed(pts)
     items = [
         ("christoffel", _rel(ds.christoffel_closed(pts), direct["gamma"], 3)),
-        ("curvature-13", _rel(closed["R13"], direct["R13"], 4)),
-        ("curvature-04", _rel(closed["R04"], direct["R04"], 4)),
+        ("curvature-13", _rel(closed["R13"], direct["R13"], 3)),
+        ("curvature-04", _rel(closed["R04"], direct["R04"], 3)),
         ("ricci", _rel(closed["Ric"], direct["Ric"], 2)),
         ("scalar", _rel(closed["scal"], direct["scal"])),
         ("inverse-metric", _rel(ds.inverse_metric_closed(pts), mb.inv, 2)),

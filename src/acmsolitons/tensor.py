@@ -23,6 +23,16 @@ Conventions used across the package:
   rather than over d components; its result is handed back as the
   sample-major view (``sample_major``) of that buffer, so callers must not
   assume a rank-4 result is contiguous;
+* every (0, 4) tensor of the package (the curvature R04, each
+  Kulkarni-Nomizu product, the deformed curvature and the soliton
+  residuals built from them) is antisymmetric in its first pair by
+  construction, and is stored on its first-pair block x[(a < b), c, d]:
+  P = d(d-1)/2 rows of (c, d) components, in the order of ``pair_index``,
+  rank 3 to ``max_abs``.  The full tensor's rows with a > b are the exact
+  negatives of these (x - y = -(y - x), and products, sums and matmul rows
+  commute with negation exactly) and its rows with a = b exact zeros, so
+  a max over the block's components is the max over the full tensor's,
+  bit for bit;
 * a small contraction is one product per sample, not per sample and slot:
   slot axes fold into the rows or columns of its matrices, and tensors
   contracted alike stack into one product (``hs_raise``), so long as each
@@ -38,6 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +57,7 @@ from .expr import locate
 
 __all__ = [
     "TensorValue", "MetricData", "StructureError",
-    "max_abs", "symmetric", "outer", "kulkarni_nomizu",
+    "max_abs", "symmetric", "outer", "kulkarni_nomizu", "pair_index",
     "hs_raise", "hs_pair", "hs_inner",
     "component_major", "sample_major", "plus",
 ]
@@ -120,11 +132,12 @@ def max_abs(data, rank: int):
 
     Reduces the last ``rank`` axes; NaN anywhere in a sample's tensor gives
     NaN for that sample.  With at most 27 components, |data| is taken
-    once, into one leading component axis, so the reduction is a few
-    elementwise maxima over whole sample arrays rather than one short
-    reduction per sample.  More components are reduced in the layout they
-    come in, so a component-major view is not copied, and as
-    max(max x, -min x), which is max |x| exactly and needs no |x| array.
+    once, into one leading component axis (one pass, no reshaping copy,
+    for a component-major view), so the reduction is a few elementwise
+    maxima over whole sample arrays rather than one short reduction per
+    sample.  More components are reduced in the layout they come in, so a
+    component-major view is not copied, and as max(max x, -min x), which
+    is max |x| exactly and needs no |x| array.
     """
     if not rank:
         return np.abs(data)
@@ -135,9 +148,12 @@ def max_abs(data, rank: int):
         axes = tuple(range(k, data.ndim))
         # + 0.0 turns a -0.0 maximum into the 0.0 that |x| gives
         return np.maximum(data.max(axis=axes), -data.min(axis=axes)) + 0.0
-    flat = data.reshape(lead + (size,))
-    components = np.abs(flat.transpose((k,) + tuple(range(k))), order="C")
-    return components.max(axis=0)
+    # the component axes in front, as one C-ordered |x| pass: a
+    # sample-major view of a component-major buffer is read in its own order
+    components = np.abs(
+        data.transpose(tuple(range(k, data.ndim)) + tuple(range(k))), order="C"
+    )
+    return components.reshape((size,) + lead).max(axis=0)
 
 
 def symmetric(data, point) -> np.ndarray:
@@ -201,25 +217,54 @@ def sample_major(x: np.ndarray, rank: int) -> np.ndarray:
     return x.transpose(tuple(range(rank, x.ndim)) + tuple(range(rank)))
 
 
+class Pairs(NamedTuple):
+    """The first-pair block of dimension d (see the module docstring)."""
+
+    i: np.ndarray  # (P,): row p is the pair (i[p], j[p]), i < j
+    j: np.ndarray
+    ij: np.ndarray  # (2P,): i then j, and j then i: the pairs and their swaps
+    ji: np.ndarray
+    row: np.ndarray  # (d, d): x[a, b] = sign[a, b] * block[row[a, b]]
+    sign: np.ndarray
+
+
+@cache
+def pair_index(d: int) -> Pairs:
+    """The index arrays of the first-pair block of dimension ``d``, built
+    once per d; they are read-only."""
+    i, j = np.triu_indices(d, 1)
+    row = np.zeros((d, d), dtype=np.intp)
+    sign = np.zeros((d, d))
+    row[i, j] = row[j, i] = np.arange(i.size)
+    sign[i, j], sign[j, i] = 1.0, -1.0
+    out = Pairs(i, j, np.r_[i, j], np.r_[j, i], row, sign)
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 def kulkarni_nomizu(a, b) -> np.ndarray:
-    """Kulkarni-Nomizu product of two symmetric (0, 2) tensors.
+    """Kulkarni-Nomizu product of two symmetric (0, 2) tensors, on its
+    first-pair block.
 
     (A o B)(X,Y,Z,W) = A(X,W)B(Y,Z) + A(Y,Z)B(X,W)
                        - A(X,Z)B(Y,W) - A(Y,W)B(X,Z)
 
+    Each kept entry is (A_ad B_bc - A_ac B_bd) + (A_bc B_ad - A_bd B_ac).
     The product is formed component-major and returned as a sample-major
     view; writing into it writes into that buffer alone.
     """
     ndim = max(np.ndim(a), np.ndim(b)) - 2
     a = component_major(a, 2, ndim)
     b = component_major(b, 2, ndim)
-    # p[a,b,c,d] = A_ad B_bc, so A_ac B_bd is p with c and d swapped;
-    # h = A_ad B_bc - A_ac B_bd, and the other two terms are h with both
-    # the (a, b) and the (c, d) slots swapped
-    p = a[:, None, None, :] * b[None, :, :, None]
-    h = p - p.swapaxes(2, 3)
-    np.add(h, h.swapaxes(0, 1).swapaxes(2, 3), out=p)
-    return sample_major(p, 4)
+    pairs = pair_index(a.shape[0])
+    # p[r, c, d] = A_ad B_bc at the pairs (a, b) and their swaps, so
+    # h = A_ad B_bc - A_ac B_bd is p with c and d swapped, and the other
+    # two terms are h at the swapped pair with c and d swapped
+    p = a[pairs.ij][:, None, :] * b[pairs.ji][:, :, None]
+    h = p - p.swapaxes(1, 2)
+    P = pairs.i.size
+    return sample_major(np.add(h[:P], h[P:].swapaxes(1, 2)), 3)
 
 
 def hs_raise(tensors, m) -> np.ndarray:

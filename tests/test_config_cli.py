@@ -37,8 +37,8 @@ phi_x_y = -1
 class TestBuiltins:
     def test_names(self):
         assert builtin_names() == (
-            "euclidean3", "kenmotsu3", "kenmotsu3-trivial", "kenmotsu3-wide",
-            "kenmotsu5-gh", "sphere2",
+            "euclidean3", "kenmotsu3", "kenmotsu3-sph", "kenmotsu3-trivial",
+            "kenmotsu3-wide", "kenmotsu5-gh", "sphere2",
         )
         # each definition file names the fixture it is loaded as
         for name in builtin_names():

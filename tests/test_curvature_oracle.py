@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from conftest import expand
 from hypothesis import given, settings, strategies as st
 
 import acmsolitons
@@ -94,6 +95,8 @@ def _assert_matches(bundle, want):
     for k, key in enumerate(KEYS):
         ref = np.array([np.asarray(w[k], dtype=float) for w in want])
         got = np.asarray(bundle[key])
+        if key in ("R13", "R04"):
+            got = expand(got, raised=key == "R13")
         assert got.shape[1:] == ref.shape[1:], key
         assert got.shape[0] in (1, len(want)), key
         got = np.broadcast_to(got, ref.shape)

@@ -14,6 +14,14 @@ random and not symmetric, at d = 3, 5 and 7, on an (N,) and an (A, N)
 batch, given contiguous and as the transposed (sample-major) view of a
 component-major buffer, with and without a NaN in one sample.
 
+The (0,4) kernels (the curvature, the Kulkarni-Nomizu product, the
+symmetry guard) compute on the first-pair block x[(a < b), c, d] alone.
+Their references are the full-layout kernels they replaced, and the block
+must be the reference's rows a < b bit for bit, its rows a > b their
+exact negatives and its rows a = b exact zeros: that is what keeps every
+max over components, and so every reported residual, unchanged.  These
+run on length-1 sample axes too.
+
 Two kernels take a shorter route than their references, so they match
 within 2^10 eps of the largest reference component, and hold a NaN in the
 same samples: the curvature, R04 from d d g and Gamma against R13 from
@@ -27,6 +35,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import expand
 from numpy.testing import assert_array_equal
 
 from acmsolitons import geometry
@@ -41,12 +50,14 @@ from acmsolitons.geometry import (
 )
 from acmsolitons.tensor import (
     MetricData, StructureError, component_major, hs_inner, hs_pair, hs_raise,
-    kulkarni_nomizu, max_abs, sample_major,
+    kulkarni_nomizu, max_abs, pair_index, plus, sample_major,
 )
 
 DIMS = (3, 5, 7)
 EPS = np.finfo(float).eps
 LEADS = ((6,), (3, 6))
+# and with length-1 sample axes, as a sample-free value has them
+BLOCK_LEADS = LEADS + ((1,), (3, 1))
 NAN_SAMPLE = 2
 
 
@@ -64,9 +75,9 @@ def _layouts(x, rank):
     }
 
 
-def _with_nan(x, rank):
+def _with_nan(x, rank, at=None):
     x = x.copy()
-    x[(..., NAN_SAMPLE) + (0,) * rank] = np.nan
+    x[(..., NAN_SAMPLE) + (at or (0,) * rank)] = np.nan
     return x
 
 
@@ -75,9 +86,11 @@ def _cases(d, lead, rank, seed):
     return _variants(_random(lead, d, rank, seed), rank)
 
 
-def _variants(x, rank):
-    for nan in (False, True):
-        for name, arr in _layouts(_with_nan(x, rank) if nan else x, rank).items():
+def _variants(x, rank, nan_at=None):
+    # a NaN sample where there is one to spare
+    for nan in (False, True)[:1 + (x.shape[-rank - 1] > NAN_SAMPLE)]:
+        y = _with_nan(x, rank, nan_at) if nan else x
+        for name, arr in _layouts(y, rank).items():
             yield f"{name}{'+nan' if nan else ''}", arr
 
 
@@ -103,25 +116,35 @@ def _kn_ref(a, b):
     return h + np.swapaxes(np.swapaxes(h, -4, -3), -2, -1)
 
 
-def _symmetry_ref(r04):
-    def bianchi():
-        out = r04 + np.einsum("...cabd->...abcd", r04)
-        out += np.einsum("...bcad->...abcd", r04)
-        return out
-
-    residuals = (
-        lambda: r04 + np.einsum("...bacd->...abcd", r04),
-        lambda: r04 + np.einsum("...abdc->...abcd", r04),
-        lambda: r04 - np.einsum("...cdab->...abcd", r04),
+def _symmetry_terms_ref(r04):
+    """The residual of each of ``_FULL_LABELS`` over the full R04."""
+    bianchi = r04 + np.einsum("...cabd->...abcd", r04)
+    bianchi += np.einsum("...bcad->...abcd", r04)
+    return (
+        r04 + np.einsum("...bacd->...abcd", r04),
+        r04 + np.einsum("...abdc->...abcd", r04),
+        r04 - np.einsum("...cdab->...abcd", r04),
         bianchi,
     )
+
+
+_FULL_LABELS = (
+    "antisymmetry in the first pair",
+    "antisymmetry in the second pair",
+    "pair interchange symmetry",
+    "first Bianchi identity",
+)
+
+
+def _symmetry_ref(r04):
     tol = 1e-10 * np.maximum(_max_abs_ref(r04, 4), 1.0)
-    worst = np.stack([_max_abs_ref(r(), 4) for r in residuals], axis=-1)
+    worst = np.stack([_max_abs_ref(r, 4) for r in _symmetry_terms_ref(r04)],
+                     axis=-1)
     return tol, worst
 
 
 def _check_ref(r04, name, point):
-    labels = geometry._SYMMETRY_LABELS
+    labels = _FULL_LABELS
     tol, worst = _symmetry_ref(r04)
     bad = ~(worst <= tol[..., None])
     if np.any(bad):
@@ -158,6 +181,25 @@ def _christoffel_partials_ref(m, dinv, d2g):
     out += np.moveaxis(raised.reshape(shape), -1, -3)
     out *= 0.5
     return out
+
+
+def _riemann_full_ref(d2g, gamma, combo, inv):
+    """R13[l, a, b, c] and R04[a, b, c, d], as the kernel formed them on
+    every row before it kept the first-pair block."""
+    d = inv.shape[-1]
+    t = geometry._rows(combo, 2) @ gamma.reshape(gamma.shape[:-3] + (d, d * d))
+    t = component_major(t.reshape(t.shape[:-2] + (d,) * 4), 4)
+    s = component_major(d2g, 4)
+    rest = tuple(range(4, s.ndim))
+    w = s.transpose((0, 2, 1, 3) + rest) - s.transpose((0, 2, 3, 1) + rest)
+    w = plus(w, t.transpose((2, 0, 3, 1) + rest))
+    r04 = w - w.swapaxes(0, 1)
+    r04 *= 0.5
+    r04 = sample_major(r04, 4)
+    r13 = geometry._rows(r04, 3) @ np.swapaxes(inv, -1, -2)
+    r13 = r13.reshape(r13.shape[:-2] + (d,) * 4)
+    r13 = component_major(np.moveaxis(r13, -1, -4), 4)
+    return sample_major(r13, 4), r04
 
 
 def _riemann_ref(gamma, dgamma, g):
@@ -204,47 +246,89 @@ def _evaluate_all_ref(exprs, point, dims):
     return out.reshape(shape + dims)
 
 
+def _assert_block(block, full, label=""):
+    """``block`` is the rows a < b of the full-layout ``full`` bit for bit;
+    the rows a > b of ``full`` are their exact negatives and its rows
+    a = b exact zeros, so the block's max over components is the full
+    tensor's: at each sample where those rows hold no NaN (a NaN input
+    the rows a < b never read gives NaN - NaN there alone)."""
+    d = full.shape[-1]
+    pairs = pair_index(d)
+    assert block.shape == full.shape[:-4] + (pairs.i.size, d, d), label
+    assert_array_equal(block, full[..., pairs.i, pairs.j, :, :], err_msg=label)
+    assert_array_equal(full[..., pairs.j, pairs.i, :, :], -block,
+                       err_msg=label)
+    diag = full[..., np.arange(d), np.arange(d), :, :]
+    clean = ~np.isnan(diag).any(axis=(-3, -2, -1))
+    assert_array_equal(diag[clean], 0.0, err_msg=label)
+    assert_array_equal(max_abs(block, 3)[clean], _max_abs_ref(full, 4)[clean],
+                       err_msg=label)
+
+
 # ---------------------------------------------------------------------------
 # kernels
 
 
-@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("lead", BLOCK_LEADS)
 @pytest.mark.parametrize("d", DIMS)
 def test_kulkarni_nomizu(d, lead):
     b = _random(lead, d, 2, seed=2)
     for label, a in _cases(d, lead, 2, seed=1):
-        got = kulkarni_nomizu(a, b)
-        assert got.shape == lead + (d,) * 4, label
-        assert_array_equal(got, _kn_ref(a, b), err_msg=label)
-        assert_array_equal(kulkarni_nomizu(b, a), _kn_ref(b, a), err_msg=label)
+        _assert_block(kulkarni_nomizu(a, b), _kn_ref(a, b), label)
+        _assert_block(kulkarni_nomizu(b, a), _kn_ref(b, a), label)
     # a factor with fewer sample axes than the other, and a single point
     fewer, one = b[0], b[(0,) * len(lead)]
-    assert_array_equal(kulkarni_nomizu(b, fewer), _kn_ref(b, fewer))
-    assert_array_equal(kulkarni_nomizu(fewer, b), _kn_ref(fewer, b))
-    assert_array_equal(kulkarni_nomizu(one, one), _kn_ref(one, one))
+    _assert_block(kulkarni_nomizu(b, fewer), _kn_ref(b, fewer))
+    _assert_block(kulkarni_nomizu(fewer, b), _kn_ref(fewer, b))
+    _assert_block(kulkarni_nomizu(one, one), _kn_ref(one, one))
 
 
 @pytest.mark.parametrize("lead", LEADS)
 @pytest.mark.parametrize("d", DIMS)
 def test_max_abs(d, lead):
-    for label, x in _cases(d, lead, 4, seed=3):
-        assert_array_equal(max_abs(x, 4), _max_abs_ref(x, 4), err_msg=label)
-    # a zero maximum is 0.0, as |x| gives, never -0.0, whose sign a
-    # report would show
-    for zeros in (np.zeros(lead + (d,) * 4), -np.zeros(lead + (d,) * 4)):
-        got = max_abs(zeros, 4)
-        assert_array_equal(got, 0.0)
-        assert not np.any(np.signbit(got))
+    for rank in (4, 3):  # rank 3 is a (0,4) block: at d = 3, 27 components
+        for label, x in _cases(d, lead, rank, seed=3):
+            assert_array_equal(max_abs(x, rank), _max_abs_ref(x, rank),
+                               err_msg=label)
+        # a zero maximum is 0.0, as |x| gives, never -0.0, whose sign a
+        # report would show
+        shape = lead + (d,) * rank
+        for zeros in (np.zeros(shape), -np.zeros(shape)):
+            got = max_abs(zeros, rank)
+            assert_array_equal(got, 0.0)
+            assert not np.any(np.signbit(got))
 
 
-@pytest.mark.parametrize("lead", LEADS)
+def _block(lead, d, seed):
+    return _random(lead + (d * (d - 1) // 2,), d, 2, seed)
+
+
+@pytest.mark.parametrize("lead", BLOCK_LEADS)
 @pytest.mark.parametrize("d", DIMS)
 def test_curvature_symmetry_residuals(d, lead):
-    for label, r04 in _cases(d, lead, 4, seed=4):
+    pairs = pair_index(d)
+    for label, r04 in _variants(_block(lead, d, seed=4), 3):
+        full = expand(r04)
         tol, worst = _curvature_symmetry_residuals(r04)
-        tol_ref, worst_ref = _symmetry_ref(r04)
+        # the block guard is the full-layout guard on the rows a < b
+        kept = [_max_abs_ref(t[..., pairs.i, pairs.j, :, :], 3)
+                for t in _symmetry_terms_ref(full)[1:]]
+        assert_array_equal(worst, np.stack(kept, axis=-1), err_msg=label)
+        tol_ref, worst_ref = _symmetry_ref(full)
         assert_array_equal(tol, tol_ref, err_msg=label)
-        assert_array_equal(worst, worst_ref, err_msg=label)
+        nan = np.isnan(worst_ref).any(axis=-1)
+        assert_array_equal(np.isnan(worst).any(axis=-1), nan, err_msg=label)
+        # over the full tensor: the first pair holds exactly, the second
+        # pair has the same residual, pair interchange is bounded within
+        # the second-pair residual and Bianchi within rounding
+        got, ref = worst[~nan], worst_ref[~nan]
+        slack = 8.0 * EPS * (tol_ref[~nan] / 1e-10)
+        assert_array_equal(ref[:, 0], 0.0, err_msg=label)
+        assert_array_equal(ref[:, 1], got[:, 0], err_msg=label)
+        assert np.all(got[:, 1] <= ref[:, 2]), label
+        assert np.all(ref[:, 2] <= got[:, 1] + got[:, 0] + slack), label
+        assert np.all(got[:, 2] <= ref[:, 3]), label
+        assert np.all(ref[:, 3] <= got[:, 2] + slack), label
 
 
 @pytest.mark.parametrize("lead", LEADS)
@@ -255,10 +339,12 @@ def test_broken_sample_names_the_same_failure(d, lead):
     g = m @ np.swapaxes(m, -1, -2) + d * np.eye(d)
     valid = kulkarni_nomizu(g, g)  # has every curvature symmetry
     _check_curvature_symmetries(valid, "chart", _point(lead))
-    # each perturbation keeps the identities before its own in
-    # ``_SYMMETRY_LABELS`` order and breaks that one
+    # each perturbation, written on the full tensor and antisymmetric in
+    # its first pair, keeps the identities before its own in
+    # ``_SYMMETRY_LABELS`` order and breaks that one; the block takes its
+    # entries a < b
+    row = pair_index(d).row
     breaks = {
-        "antisymmetry in the first pair": {(0, 1, 0, 1): 1},
         "antisymmetry in the second pair": {(0, 1, 0, 1): 1, (1, 0, 0, 1): -1},
         "pair interchange symmetry": {
             (0, 1, 0, 2): 1, (1, 0, 0, 2): -1, (0, 1, 2, 0): -1, (1, 0, 2, 0): 1,
@@ -276,17 +362,24 @@ def test_broken_sample_names_the_same_failure(d, lead):
     for label, change in breaks.items():
         for value in (1.0, np.nan):
             broken = np.array(valid)
-            for index, sign in change.items():
-                broken[(..., 4) + index] += sign * value
-            for layout, r04 in _layouts(broken, 4).items():
+            for (a, b, c, e), sign in change.items():
+                if a < b:
+                    broken[..., 4, row[a, b], c, e] += sign * value
+            for layout, r04 in _layouts(broken, 3).items():
                 with pytest.raises(StructureError) as ref:
-                    _check_ref(r04, "chart", _point(lead))
+                    _check_ref(expand(r04), "chart", _point(lead))
                 with pytest.raises(StructureError) as got:
                     _check_curvature_symmetries(r04, "chart", _point(lead))
-                assert str(got.value) == str(ref.value), layout
-                if value == 1.0:
-                    assert str(got.value).startswith(label), layout
                 assert "{'x': 4.0}" in str(got.value)
+                if value == 1.0:
+                    assert str(got.value) == str(ref.value), layout
+                    assert str(got.value).startswith(label), layout
+                else:
+                    # NaN fails every residual of its sample; the full
+                    # layout named its first pair, the block its second
+                    assert "{'x': 4.0}" in str(ref.value)
+                    assert str(got.value).startswith(
+                        geometry._SYMMETRY_LABELS[0]), layout
 
 
 @pytest.mark.parametrize("lead", LEADS)
@@ -350,15 +443,37 @@ def test_riemann_tensors(d, lead):
     d2g = _random(lead, d, 4, seed=13)
     d2g = d2g + np.swapaxes(d2g, -4, -3)
     d2g = d2g + np.swapaxes(d2g, -2, -1)
-    for label, x in _variants(d2g, 4):
+    # the NaN sits at d_0 d_0 g_11, which R_0101 reads: the rows a < b
+    # read no d_a d_c g_ad, which enters the full R04 at rows a = b alone
+    for label, x in _variants(d2g, 4, nan_at=(0, 0, 1, 1)):
         r13_ref, r04_ref = _riemann_ref(
             gamma, _christoffel_partials_ref(m, dinv, x), g
         )
         r13, r04 = _riemann(x, gamma, combo, inv)
-        for got, ref in ((r13, r13_ref), (r04, r04_ref)):
-            _near(got, ref, 4)
+        _near(expand(r13, raised=True), r13_ref, 4)
+        _near(expand(r04), r04_ref, 4)
+
+
+@pytest.mark.parametrize("lead", BLOCK_LEADS)
+@pytest.mark.parametrize("d", DIMS)
+def test_riemann_block(d, lead):
+    # random inputs: first-pair antisymmetry needs no metric
+    inv = _random(lead, d, 2, seed=7)
+    gamma = _random(lead, d, 3, seed=8)
+    combo = _random(lead, d, 3, seed=9)
+    # a NaN at d_0 d_0 g_00 reaches the full rows a = b alone, one at
+    # d_0 d_0 g_11 the rows a < b too
+    d2g = _random(lead, d, 4, seed=10)
+    cases = [c for at in (None, (0, 0, 1, 1)) for c in _variants(d2g, 4, at)]
+    for label, d2g in cases:
+        r13_ref, r04_ref = _riemann_full_ref(d2g, gamma, combo, inv)
+        r13, r04 = _riemann(d2g, gamma, combo, inv)
+        _assert_block(r04, r04_ref, label)
+        # R13[l, a, b, c] has its block at [(a < b), c, l]
+        _assert_block(r13, np.moveaxis(r13_ref, -4, -1), label)
+        for got in (r13, r04):
             # sample-major views of component-major buffers
-            assert np.shares_memory(component_major(got, 4), got), label
+            assert np.shares_memory(component_major(got, 3), got), label
 
 
 @pytest.mark.parametrize("lead", LEADS)

@@ -380,7 +380,7 @@ def test_soliton_residuals(synthetic, kind, monkeypatch):
     div_v[1] = 0.0
     bundle = {
         "metric": s.metric, "Ric": ric + np.swapaxes(ric, -1, -2),
-        "scal": scal, "R04": np.zeros((N,) + (d,) * 4),
+        "scal": scal, "R04": np.zeros((N, d * (d - 1) // 2, d, d)),
     }
     monkeypatch.setattr(solitons, "curvature_bundle", lambda man, p: bundle)
     frame = SimpleNamespace(

@@ -161,3 +161,15 @@ def test_constant_potential_leaves_no_check_vacuous():
     assert [c.check_id for c in checks] == [c.check_id for c in base]
     assert all(c.passed for c in checks)
     assert [c.check_id for c in checks if vacuous in (c.detail or "")] == []
+
+
+def test_seven_dimensional_chart_passes_every_suite(kenmotsu7):
+    # the n = 3 chart runs its (0,4) kernels at d = 7, 21 pair rows
+    checks = run_suites(kenmotsu7)
+    assert kenmotsu7.points == 16
+    assert {c.check_id.split("/")[0] for c in checks} == {
+        "acm", "kenmotsu", "section2", "prop22", "remark23",
+        "riemann-soliton", "ricci-soliton", "inequality",
+    }
+    assert len(checks) == 233
+    assert [c.check_id for c in checks if not c.passed] == []
