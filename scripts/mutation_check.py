@@ -54,8 +54,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("M01", "deformation.py",
-           'riemann_bar(self.base, point, bundle["R04"], self.a)',
-           'riemann_bar(self.base, point, -0.5 * kulkarni_nomizu(g, g), self.a)',
+           'riemann_bar(self.base, self.at(point), bundle["R04"])',
+           'riemann_bar(self.base, self.at(point), -0.5 * kulkarni_nomizu(g, g))',
            ("kenmotsu3-sph", "kenmotsu5-gh")),
     Mutant("M02", "solitons.py",
            "lap_bar ** 2 / (2 * n + 1)),", "lap_bar ** 2 / (2 * n)),", (),

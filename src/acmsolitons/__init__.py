@@ -24,7 +24,7 @@ from .geometry import (
     ScalarField,
     VectorField,
 )
-from .solitons import Frame, SolitonCandidate, classify
+from .solitons import SolitonCandidate, classify
 from .suites import (
     REPORT_VERSION,
     CheckResult,
@@ -43,7 +43,6 @@ __all__ = [
     "ConfigError",
     "DeformedStructure",
     "EvalError",
-    "Frame",
     "NotKenmotsuError",
     "ParseError",
     "REPORT_VERSION",

@@ -57,7 +57,6 @@ from .geometry import (
     AcmStructure,
     ChartManifold,
     ScalarField,
-    a_column,
     christoffel,
     curvature_bundle,
     grad,
@@ -121,34 +120,34 @@ def _curvature_term(structure: AcmStructure, point) -> np.ndarray:
     ), reads_a=False)
 
 
-def ricci_bar(structure: AcmStructure, point, ric, a) -> np.ndarray:
+def ricci_bar(structure: AcmStructure, point, ric) -> np.ndarray:
     """Ric_bar = Ric + (2n(a-1)/a)(g - eta (x) eta) over a Kenmotsu base.
 
-    ``ric`` is a base Ricci tensor at ``point``, the chart's or one a
-    soliton forces; ``a`` is one value or an (A,) array, put in front of
-    the sample axes.
+    ``point`` binds a (``geometry.with_a``), one value or an (A,) array in
+    front of the sample axes; ``ric`` is a base Ricci tensor there, the
+    chart's or one a soliton forces.
     """
-    a = a_column(a, point)
+    a = point[A]
     g = structure.manifold.metric_at_cached(point).g
     eta = structure.eta_values(point)
     q = (2.0 * structure.n * (a - 1.0) / a)[..., None, None]
     return ric + q * (g - outer(eta, eta))
 
 
-def riemann_bar(structure: AcmStructure, point, r04, a) -> np.ndarray:
+def riemann_bar(structure: AcmStructure, point, r04) -> np.ndarray:
     """R_bar04 = a R04 + (a-1) T over a Kenmotsu base, T as in
     ``deformation_curvature_term``, component-major, on the first-pair
     block.
 
-    ``r04`` is the first-pair block of a base (0,4) curvature at
-    ``point``, the chart's or one a soliton forces; ``a`` is one value or
-    an (A,) array, put in front of the sample axes.  The result is laid
-    out as ``component_major`` lays it out, so a scales whole rows of
-    samples, and has the broadcast sample axes of a, R04 and T; (a - 1) T
-    is added one pair row at a time, so no second stacked (0,4) array is
-    alive.  T is memoised on the base batch.
+    ``point`` binds a, one value or an (A,) array in front of the sample
+    axes; ``r04`` is the first-pair block of a base (0,4) curvature there,
+    the chart's or one a soliton forces.  The result is laid out as
+    ``component_major`` lays it out, so a scales whole rows of samples,
+    and has the broadcast sample axes of a, R04 and T; (a - 1) T is added
+    one pair row at a time, so no second stacked (0,4) array is alive.
+    T is memoised on the base batch.
     """
-    a = a_column(a, point)
+    a = point[A]
     k = a.ndim  # sample axes, a in front
     r = component_major(r04, 3, k)
     t = component_major(_curvature_term(structure, point), 3, k)
@@ -174,10 +173,12 @@ def _require_kenmotsu(structure: AcmStructure, point) -> None:
     bad = ~(res <= KENMOTSU_TOL)
     if np.any(bad):
         first = np.atleast_1d(res)[np.argmax(bad)]
+        # a condition on the base names a base sample, whatever a is bound
+        base = {k: v for k, v in point.items() if k != A}
         raise NotKenmotsuError(
             f"closed deformation forms need a Kenmotsu base; "
             f"{structure.manifold.name} has residual {first:.3e} at "
-            f"{locate(point, bad)}"
+            f"{locate(base, bad)}"
         )
 
 
@@ -189,11 +190,12 @@ class DeformedStructure:
     entries a g_ij + a(a-1) eta_i eta_j in the symbol a, and ``structure``
     the deformed (phi, xi/a, a eta); each is built and differentiated once,
     whatever the number of values.  Direct computation evaluates them at
-    ``at(point)``, which binds a to the values, and every closed form takes
-    a point or a batch of the base and returns data of the same shape: the
-    a axis, if any, in front of the sample axis.  At a = 1 the entries and
-    their partials evaluate to the base floats bit for bit, since 1 g = g
-    and 1 (1 - 1) eta_i eta_j adds zero.
+    ``at(point)``, which binds a to the values: ``(structure, at(point))``
+    is the deformation's frame.  Every closed form takes a point or a batch
+    of the base, binds the grid itself, and returns data of the same
+    shape: the a axis, if any, in front of the sample axis.  At a = 1 the
+    entries and their partials evaluate to the base floats bit for bit,
+    since 1 g = g and 1 (1 - 1) eta_i eta_j adds zero.
 
     A base whose expressions read the symbol a, such as a deformed
     structure, is refused: a names this deformation's parameter alone.
@@ -250,7 +252,7 @@ class DeformedStructure:
 
     def _a(self, point, rank: int = 0) -> np.ndarray:
         """The parameters shaped to scale rank-``rank`` data at ``point``."""
-        column = a_column(self.a, point)
+        column = self.at(point)[A]
         return column.reshape(column.shape + (1,) * rank)
 
     def require_kenmotsu(self, point) -> None:
@@ -283,7 +285,7 @@ class DeformedStructure:
         """Ric and scal of g_bar from the base curvature."""
         self.require_kenmotsu(point)
         bundle = curvature_bundle(self.base.manifold, point)
-        ric = ricci_bar(self.base, point, bundle["Ric"], self.a)
+        ric = ricci_bar(self.base, self.at(point), bundle["Ric"])
         n = self.n
         a = self._a(point)
         return {
@@ -301,7 +303,7 @@ class DeformedStructure:
         a = self._a(point)
         k = a.ndim  # sample axes, a in front
         # component-major, where a scales whole rows of samples
-        r04 = riemann_bar(self.base, point, bundle["R04"], self.a)
+        r04 = riemann_bar(self.base, self.at(point), bundle["R04"])
         p = component_major(g - outer(eta, eta), 2, k)  # g(phi ., phi .)
         pairs = pair_index(self.manifold.dim)
         eye = np.eye(self.manifold.dim)[(...,) + (None,) * k]
@@ -449,7 +451,8 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     ds.require_kenmotsu(point)
     base = ds.base
     n = ds.n
-    a2 = a_column(ds.a, point) ** 2
+    pa = ds.at(point)
+    a2 = pa[A] ** 2
     a4 = a2 * a2
     tensors = {
         name: _base_tensor(base, name, point, f)
@@ -478,7 +481,7 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
         ("hess", "etaeta"): xixif / a4,
         ("etaeta", "etaeta"): 1.0 / a4,
     }
-    mbar = ds.manifold.metric_at_cached(ds.at(point))
+    mbar = ds.manifold.metric_at_cached(pa)
     raised = dict(zip(tensors, hs_raise(list(tensors.values()), mbar)))
     out = []
     for k1, k2 in _BATTERY_PAIRS:
@@ -497,8 +500,7 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
 # ---------------------------------------------------------------------------
 # Harmonicity transfer and the Ricci-norm bound
 
-def harmonic_transfer(structure: AcmStructure, f: ScalarField, points,
-                      a) -> dict:
+def harmonic_transfer(structure: AcmStructure, f: ScalarField, points) -> dict:
     """Whether a harmonic f stays harmonic under deformation.
 
     A harmonic f is harmonic for every deformed metric iff
@@ -506,26 +508,29 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points,
     that is xi(xi(f)) + 2n xi(f) = 0 over a Kenmotsu base; since Lap f = 0
     makes Lap_bar(f) a multiple of that sum, ``laplacian_bar`` shows it.
     Everything is read from base data over the batch ``points``, so no
-    deformation need be built: ``a`` is one value or an (A,) array, and
-    what depends on it (``lap_bar`` and the verdicts on it) holds one
-    value per parameter.  The check is reported as not applicable when f
-    is not harmonic to begin with.  A base that fails the Kenmotsu
-    condition raises NotKenmotsuError; a non-finite value raises
-    StructureError naming the first such sample.
+    deformation need be built: ``points`` binds a to one value or an (A,)
+    array, and what depends on it (``lap_bar`` and the verdicts on it)
+    holds one value per parameter.  The check is reported as not
+    applicable when f is not harmonic to begin with.  A base that fails
+    the Kenmotsu condition raises NotKenmotsuError naming the first such
+    base sample; a non-finite value raises StructureError naming the first
+    such sample and its a.
     """
     _require_kenmotsu(structure, points)
     n = structure.n
     lap = laplacian(structure.manifold, f, points)
     xif, xixif = xi_derivatives(structure, f, points)
-    lap_bar = laplacian_bar(n, a_column(a, points), lap, xif, xixif)
+    lap_bar = laplacian_bar(n, points[A], lap, xif, xixif)
     condition = xixif + 2.0 * n * xif
     finite = np.isfinite(lap) & np.isfinite(lap_bar) & np.isfinite(condition)
     if not np.all(finite):
         raise StructureError(
-            f"harmonic transfer not finite at {locate(with_a(points, a), ~finite)}"
+            f"harmonic transfer not finite at {locate(points, ~finite)}"
         )
     max_lap = float(np.max(np.abs(lap)))
-    max_lap_bar = np.max(np.abs(lap_bar).reshape(np.shape(a) + (-1,)), axis=-1)
+    # the largest over the sample axes, which follow those of a
+    samples = tuple(range(-np.ndim(lap), 0))
+    max_lap_bar = np.max(np.abs(lap_bar), axis=samples)
     max_condition = float(np.max(np.abs(condition)))
     return {
         "applicable": max_lap <= HYPOTHESIS_TOL,
@@ -538,11 +543,12 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points,
     }
 
 
-def ricci_norm_bound(structure: AcmStructure, point, a) -> dict:
-    """|Ric|_g^2 >= 4 n^2 (a^2 - 1)/a^2, forced by |Ric_bar|^2 >= 0."""
+def ricci_norm_bound(structure: AcmStructure, point) -> dict:
+    """|Ric|_g^2 >= 4 n^2 (a^2 - 1)/a^2, forced by |Ric_bar|^2 >= 0, at
+    the a that ``point`` binds."""
     ric_sq = base_inner(structure, ("ric", "ric"), point)
     n = structure.n
-    a2 = a_column(a, point) ** 2
+    a2 = point[A] ** 2
     bound = 4.0 * n * n * (a2 - 1.0) / a2
     return {"ric_norm_sq": ric_sq, "bound": bound}
 

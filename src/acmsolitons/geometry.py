@@ -56,7 +56,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "Samples", "with_a", "a_column", "memoised",
+    "Samples", "with_a", "memoised",
     "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
     "christoffel", "curvature_bundle",
     "lie_derivative_metric", "grad", "hessian", "divergence", "laplacian",
@@ -129,22 +129,19 @@ def _unbound(point):
     return point
 
 
-def a_column(a, point) -> np.ndarray:
-    """``a``, one value or an (A,) array, shaped to broadcast in front of
-    the sample axes of ``point``."""
-    a = np.asarray(a, dtype=float)
-    return a.reshape(a.shape + (1,) * len(_shape(_unbound(point))))
-
-
 def with_a(point, a):
     """``point`` with the symbol a bound to ``a``, one value or an (A,)
     array; an array gives an a axis in front of the sample axis.
 
+    The bound point is a frame: whatever depends on a reads it there as
+    ``with_a(point, a)[A]``, shaped to broadcast in front of the sample
+    axes, and what does not reaches the samples alone (``memoised``).
     Binding a batch gives a batch memoised on it, so every caller binding
     the same values shares one bound batch and what is memoised on it.
     """
     base = _unbound(point)
-    column = a_column(a, base)
+    a = np.asarray(a, dtype=float)
+    column = a.reshape(a.shape + (1,) * len(_shape(base)))
     if not isinstance(base, Samples):
         return {**base, A: column}
     return memoised(
@@ -749,9 +746,8 @@ class AcmStructure:
                 for i in range(d)
             )
         self.eta = tuple(eta)
+        self.xi_field = VectorField(self.xi)
         self._dphi = {}
-        self._dxi = {}
-        self._xi_field = None
 
     @property
     def n(self) -> int:
@@ -771,7 +767,7 @@ class AcmStructure:
         return _evaluate_all([e for row in self.phi for e in row], point, (d, d))
 
     def xi_values(self, point) -> np.ndarray:
-        return _values(self.xi, point, (len(self.xi),), self.reads_a)
+        return self.xi_field.values(self.manifold.coords, point)
 
     def eta_values(self, point) -> np.ndarray:
         return _values(self.eta, point, (len(self.eta),), self.reads_a)
@@ -792,20 +788,7 @@ class AcmStructure:
 
     def xi_partials(self, point) -> np.ndarray:
         """dxi[k, i] = d_k xi^i."""
-        d = self.manifold.dim
-        exprs = []
-        for ck in self.manifold.coords:
-            row = self._dxi.get(ck)
-            if row is None:
-                row = tuple(diff(c, ck) for c in self.xi)
-                self._dxi[ck] = row
-            exprs.extend(row)
-        return _values(exprs, point, (d, d), self.reads_a)
-
-    def xi_field(self) -> VectorField:
-        if self._xi_field is None:
-            self._xi_field = VectorField(self.xi)
-        return self._xi_field
+        return self.xi_field.partials(self.manifold.coords, point)
 
     def xi_directional(self, f: ScalarField) -> ScalarField:
         """The scalar xi(f), built symbolically."""
@@ -923,7 +906,7 @@ def _kenmotsu(structure: AcmStructure, point) -> dict:
         np.einsum("...ij,...k->...ikj", g_phi, xi)
         - np.einsum("...j,...ki->...ikj", eta, phi)
     )
-    nabla_xi = covariant_derivative(structure.manifold, structure.xi_field(), point)
+    nabla_xi = covariant_derivative(structure.manifold, structure.xi_field, point)
     target_xi = np.eye(structure.manifold.dim) - outer(eta, xi)
     return {
         "nabla-phi": max_abs(nabla_phi - target, 3),

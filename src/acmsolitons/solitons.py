@@ -19,10 +19,14 @@ and every scalar and (0,2) closed form below is written once through
 Residuals are reported as max-abs over components, so the traced residuals
 are controlled by the full ones through the inverse-metric entries.  Every
 function takes a point or a batch of sample points, and returns per-sample
-values for a batch.  A deformation parameter ``a`` is one value or an (A,)
-array of them; an array puts an a axis in front of the sample axis of what
-depends on a, while base data is computed on the samples alone and
-broadcasts.
+values for a batch.  What depends on the deformation parameter takes a
+point that binds it (``geometry.with_a``) and reads a there: one value, or
+an (A,) array that puts an a axis in front of the sample axis, while base
+data is computed on the samples alone and broadcasts.  A frame is a
+structure with such a point: ``(structure, with_a(points, 1.0))`` is the
+base frame, and ``(ds.structure, ds.at(points))`` that of a deformation
+``ds``, whose chart carries g_bar, so no closed form enters a soliton
+residual computed there.
 
 For a deformed Kenmotsu frame beta = k xi_bar(eta_bar(V)) - 2n/a^2, with
 xi_bar(eta_bar(V)) = 0, xi(eta(V)), xi(xi(f))/a^2 and div V = 2n/a, 0,
@@ -55,12 +59,11 @@ from .deformation import (
     HYPOTHESIS_TOL, DeformedStructure, base_inner, laplacian_bar, ricci_bar,
     riemann_bar,
 )
-from .expr import Expr, evaluate
+from .expr import A, Expr, evaluate
 from .geometry import (
     AcmStructure,
     ScalarField,
     VectorField,
-    a_column,
     covariant_derivative,
     curvature_bundle,
     divergence,
@@ -68,7 +71,6 @@ from .geometry import (
     laplacian,
     lie_derivative_metric,
     memoised,
-    with_a,
     xi_derivatives,
 )
 from .tensor import (
@@ -79,7 +81,6 @@ from .tensor import (
 __all__ = [
     "STEADY_BAND",
     "SolitonCandidate",
-    "Frame",
     "classify",
     "soliton_residuals",
     "xi_of_eta_potential",
@@ -92,6 +93,9 @@ __all__ = [
 ]
 
 STEADY_BAND = 1e-10
+# the shift of lambda off lambda_star at which xi_compatibility measures the
+# base residual
+_PERTURBATION = 0.5
 
 
 def classify(lam_value):
@@ -175,67 +179,6 @@ class SolitonCandidate:
 
 
 # ---------------------------------------------------------------------------
-# Frames
-
-class Frame:
-    """Soliton quantities of one structure, with the symbol a bound to ``a``.
-
-    ``a`` is one value or an (A,) array; the frame evaluates at ``at(point)``,
-    which binds a there, so a grid of values is one (A, N) batch.
-    Everything is computed directly on the structure's own chart.  For a
-    deformed structure that chart carries g_bar, so no closed form enters a
-    soliton residual; the closed forms are checked against the same direct
-    computation in the section2-identities suite.  The base frame of a
-    structure is ``Frame(structure, 1.0)``.
-    """
-
-    def __init__(self, structure: AcmStructure, a):
-        self.structure = structure
-        self.manifold = structure.manifold
-        self.a = np.asarray(a, dtype=float)
-
-    @property
-    def n(self) -> int:
-        return self.structure.n
-
-    def at(self, point):
-        """``point`` with a bound to this frame's parameters."""
-        return with_a(point, self.a)
-
-    def _field(self, candidate) -> VectorField:
-        if candidate.potential == "reeb":
-            return self.structure.xi_field()
-        return candidate.field
-
-    def _potential(self, candidate, what: str, point, gradient, vector):
-        """``gradient(chart, f, p)`` or ``vector(chart, V, p)`` at the bound
-        batch ``p``, memoised there by the chart and the potential: the
-        scalar field, or the components, as each candidate builds its own
-        VectorField.  Candidates of both kinds with one potential share it.
-        """
-        if candidate.potential == "gradient":
-            potential, compute = candidate.scalar, gradient
-            key = potential
-        else:
-            potential, compute = self._field(candidate), vector
-            key = potential.components
-        return memoised(self.at(point), (self.manifold, what, key),
-                        lambda p: compute(self.manifold, potential, p))
-
-    def lie_metric(self, candidate, point) -> np.ndarray:
-        """L_V g of the candidate's potential; callers must not write into
-        it."""
-        return self._potential(candidate, "lie", point,
-                               gradient_lie_derivative, lie_derivative_metric)
-
-    def div_potential(self, candidate, point):
-        return self._potential(candidate, "div", point, laplacian, divergence)
-
-    def lam_value(self, candidate, point):
-        return evaluate(candidate.lam, self.at(point))
-
-
-# ---------------------------------------------------------------------------
 # Equation residuals (max-abs over components)
 
 def _full_residual(kind: str, g, curvature, lie, lam):
@@ -252,23 +195,46 @@ def _full_residual(kind: str, g, curvature, lie, lam):
     return max_abs(plus(full, 2.0 * curvature), 3)
 
 
-def soliton_residuals(frame: Frame, candidate, point) -> dict:
-    """All residual levels for one candidate at ``point``, per sample.
+def _lie_and_div(structure: AcmStructure, candidate, point) -> tuple:
+    """L_V g and div V of the candidate's potential on the structure's
+    chart at the bound batch ``point``.
 
+    Memoised there by the chart and the potential: the scalar field, or
+    the components, as each candidate builds its own VectorField, so
+    candidates of both kinds with one potential share them.  Callers must
+    not write into them.
+    """
+    man = structure.manifold
+    if candidate.potential == "gradient":
+        potential = key = candidate.scalar
+        lie, div = gradient_lie_derivative, laplacian
+    else:
+        potential = (structure.xi_field if candidate.potential == "reeb"
+                     else candidate.field)
+        key = potential.components
+        lie, div = lie_derivative_metric, divergence
+    return memoised(point, (man, key, "lie and div"), lambda p: (
+        lie(man, potential, p), div(man, potential, p)
+    ))
+
+
+def soliton_residuals(structure: AcmStructure, candidate, point) -> dict:
+    """All residual levels for one candidate in the frame of ``structure``
+    at ``point``, which binds a, per sample.
+
+    Everything is computed directly on the structure's own chart.
     Curvature, L_V g, div V and lambda are each evaluated once; riemann
     candidates get the full, once-traced and twice-traced residuals, ricci
     candidates the full and scalar ones.  The (0, 2) equation is the full
     ricci residual and the once-traced riemann one.
     """
-    n = frame.n
+    n = structure.n
     tr = _trace(candidate.kind, n)
-    point = frame.at(point)
-    bundle = curvature_bundle(frame.manifold, point)
+    bundle = curvature_bundle(structure.manifold, point)
     g = bundle["metric"].g
     scal = bundle["scal"]
-    lie = frame.lie_metric(candidate, point)
-    div_v = frame.div_potential(candidate, point)
-    lam = frame.lam_value(candidate, point)
+    lie, div_v = _lie_and_div(structure, candidate, point)
+    lam = evaluate(candidate.lam, point)
     beta = tr.beta(lam, div_v)
     out = {
         "lambda": lam,
@@ -295,29 +261,26 @@ def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
 
 
 def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
-                   a, *, vector: VectorField = None,
+                   *, vector: VectorField = None,
                    scalar: ScalarField = None):
     """The lambda pinned by (kind, scenario) over a Kenmotsu base.
 
-    All inputs are base-frame quantities; ``a`` is the deformation
+    All inputs are base-frame quantities; ``point`` binds the deformation
     parameter of the frame the soliton lives in, or an array of them.
     The lambda is that of beta = k xi_bar(eta_bar(V)) - 2n/a^2.
-    Memoised on a batch, so the soliton and inequality suites share one
-    computation per (kind, scenario, potential, a).
+    Memoised on the bound batch, so the soliton and inequality suites
+    share one computation per (kind, scenario, potential, a).
     """
-    a = a_column(a, point)
     return memoised(
-        point,
-        (kind, scenario, structure, vector, scalar, a.shape, a.tobytes(),
-         "theorem lambda"),
-        lambda p: _theorem_lambda(kind, scenario, structure, p, a,
-                                  vector, scalar),
+        point, (kind, scenario, structure, vector, scalar, "theorem lambda"),
+        lambda p: _theorem_lambda(kind, scenario, structure, p, vector, scalar),
     )
 
 
-def _theorem_lambda(kind, scenario, structure, point, a, vector, scalar):
+def _theorem_lambda(kind, scenario, structure, point, vector, scalar):
     n = structure.n
     tr = _trace(kind, n)
+    a = point[A]
     a2 = a * a
     if scenario == "reeb":
         xi_eta_v, div_v = 0.0, 2.0 * n / a
@@ -343,8 +306,9 @@ def _reeb_forced(kind: str, g, ee, n: int):
     return -_trace(kind, n).k * (g - ee) - 2.0 * n * g
 
 
-def implied_curvature(kind: str, structure: AcmStructure, point, a) -> dict:
-    """Base curvature forced by a deformed-Reeb soliton.
+def implied_curvature(kind: str, structure: AcmStructure, point) -> dict:
+    """Base curvature forced by a deformed-Reeb soliton at the a that
+    ``point`` binds.
 
     Returns the implied Ricci tensor and scalar curvature, the stated value
     of |Ric|^2 alongside the one recomputed from the implied tensor, and for
@@ -361,7 +325,7 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a) -> dict:
     ee = outer(eta, eta)
     ric = _reeb_forced(kind, m.g, ee, n)
     out = {
-        "lambda_bar": theorem_lambda(kind, "reeb", structure, point, a),
+        "lambda_bar": theorem_lambda(kind, "reeb", structure, point),
         "scal": -2.0 * n * (_trace(kind, n).k + 2 * n + 1),
     }
     if kind == "riemann":
@@ -376,8 +340,9 @@ def implied_curvature(kind: str, structure: AcmStructure, point, a) -> dict:
 
 
 def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
-                       point, a) -> dict:
-    """Ricci tensor and scal forced by a solenoidal-potential soliton.
+                       point) -> dict:
+    """Ricci tensor and scal forced by a solenoidal-potential soliton at the
+    a that ``point`` binds.
 
     The tensor is evaluated with the actual covariant derivative of V; its
     metric trace must reproduce the scal value whenever div V = 0 and
@@ -400,8 +365,9 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
     eta_v = np.einsum("...i,...i->...", eta, v)
     ee = outer(eta, eta)
     brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
-    ca = _trace(kind, n).k * a_column(a, point)
-    q = ca * (a_column(a, point) - 1.0)
+    a = point[A]
+    ca = _trace(kind, n).k * a
+    q = ca * (a - 1.0)
     ric = (
         _tensor(ca * sigma - 2.0 * n) * g
         + _tensor(q * sigma) * ee
@@ -409,28 +375,20 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
         - _tensor(0.5 * q) * brace
     )
     scal = (2 * n + 1.0) * (ca * sigma - 2.0 * n)
-    ric = symmetric(0.5 * (ric + np.swapaxes(ric, -1, -2)), with_a(point, a))
+    ric = symmetric(0.5 * (ric + np.swapaxes(ric, -1, -2)), point)
     trace = np.einsum("...ij,...ij->...", m.inv, ric)
-    return {
-        "sigma": sigma,
-        "ric": ric,
-        "scal": scal,
-        "trace_residual": np.abs(trace - scal),
-        "div_v": divergence(man, vector, point),
-        "lambda_bar": theorem_lambda(
-            kind, "solenoidal", structure, point, a, vector=vector
-        ),
-    }
+    return {"ric": ric, "scal": scal, "trace_residual": np.abs(trace - scal)}
 
 
 def orthogonal_gradient_values(kind: str, structure: AcmStructure,
-                               scalar: ScalarField, point, a) -> dict:
+                               scalar: ScalarField, point) -> dict:
     """lambda and scal when the gradient potential is g_bar-orthogonal to
     the Reeb field, which amounts to xi(f) = 0; then xi(xi(f)) = 0 and
-    Lap_bar(f) = Lap(f)/a, so beta = -2n/a^2."""
+    Lap_bar(f) = Lap(f)/a, so beta = -2n/a^2, at the a that ``point``
+    binds."""
     n = structure.n
     tr = _trace(kind, n)
-    a = a_column(a, point)
+    a = point[A]
     lap = laplacian(structure.manifold, scalar, point)
     xif, _ = xi_derivatives(structure, scalar, point)
     return {
@@ -444,34 +402,35 @@ def orthogonal_gradient_values(kind: str, structure: AcmStructure,
 # ---------------------------------------------------------------------------
 # Reeb compatibility across the deformation
 
-def xi_compatibility(kind: str, structure: AcmStructure, point,
-                     a=2.0, perturbation: float = 0.5) -> dict:
-    """Premise and conclusion of the Reeb-compatibility statement.
+def xi_compatibility(kind: str, structure: AcmStructure, point) -> dict:
+    """Premise and conclusion of the Reeb-compatibility statement at the a
+    that ``point`` binds.
 
     Premise: with the curvature implied by the deformed-Reeb soliton, that
     soliton equation holds exactly at the pinned lambda.  Conclusion: the
     base Reeb pair solves the base equation only at lambda = 0 (riemann)
     resp. lambda = -2n (ricci); any other lambda leaves a residual of order
-    |lambda - lambda_star| times the reported scale.
+    |lambda - lambda_star| times the reported scale, measured at
+    lambda_star + ``perturbation``.
     """
     m = structure.manifold.metric_at_cached(point)
     g = m.g
     eta = structure.eta_values(point)
     n = structure.n
     ee = outer(eta, eta)
-    lam_bar = theorem_lambda(kind, "reeb", structure, point, a)
+    lam_bar = theorem_lambda(kind, "reeb", structure, point)
     # the forced Ric solves the base (0, 2) equation with beta = -2n
     lam_star = _trace(kind, n).lam(-2.0 * n, 2.0 * n)
     lie = 2.0 * (g - ee)  # L_xi g over a Kenmotsu base
-    a2 = _tensor(a_column(a, point))  # a, shaped to scale (0, 2) tensors
+    a2 = _tensor(point[A])  # a, shaped to scale (0, 2) tensors
     gbar = a2 * g + a2 * (a2 - 1.0) * ee
     if kind == "riemann":
         forced = kulkarni_nomizu(g, ee - g)
-        deformed = sample_major(riemann_bar(structure, point, forced, a), 3)
+        deformed = sample_major(riemann_bar(structure, point, forced), 3)
         scale = max_abs(kulkarni_nomizu(g, g), 3)
     else:
         forced = _reeb_forced(kind, g, ee, n)
-        deformed = ricci_bar(structure, point, forced, a)
+        deformed = ricci_bar(structure, point, forced)
         scale = max_abs(g, 2)
 
     def residual(lam):
@@ -481,8 +440,8 @@ def xi_compatibility(kind: str, structure: AcmStructure, point,
         "lambda_star": lam_star,
         "premise_residual": _full_residual(kind, gbar, deformed, lie, lam_bar),
         "residual_at_star": residual(lam_star),
-        "residual_perturbed": residual(lam_star + perturbation),
-        "perturbation": perturbation,
+        "residual_perturbed": residual(lam_star + _PERTURBATION),
+        "perturbation": _PERTURBATION,
         "scale": scale,
     }
 
@@ -530,10 +489,10 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
     there and carry no claim there.  All of it presumes the gradient
     soliton equation holds with the pinned lambda.
     """
-    lam_bar = theorem_lambda(kind, "gradient", ds.base, point, ds.a, scalar=f)
+    pa = ds.at(point)
+    lam_bar = theorem_lambda(kind, "gradient", ds.base, pa, scalar=f)
     return _battery(
-        ds.n, _trace(kind, ds.n), a_column(ds.a, point), lam_bar,
-        _gradient_norms(ds, f, point),
+        ds.n, _trace(kind, ds.n), pa[A], lam_bar, _gradient_norms(ds, f, point)
     )
 
 

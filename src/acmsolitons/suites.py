@@ -47,9 +47,9 @@ from .geometry import (
     lie_derivative_metric,
     nabla_phi_tensor,
     sample_batch,
+    with_a,
 )
 from .solitons import (
-    Frame,
     inequality_battery,
     orthogonal_gradient_values,
     solenoidal_implied,
@@ -308,7 +308,7 @@ def _suite_kenmotsu(run, override):
     m = man.metric_at_cached(pts)
     eta = s.eta_values(pts)
     xi = s.xi_values(pts)
-    lie = lie_derivative_metric(man, s.xi_field(), pts)
+    lie = lie_derivative_metric(man, s.xi_field, pts)
     bundle = curvature_bundle(man, pts)
     # R(d_a, d_b) xi and eta_a d_b - eta_b d_a at the pairs (a < b), [p, l]
     pairs = pair_index(man.dim)
@@ -323,7 +323,7 @@ def _suite_kenmotsu(run, override):
             ("nabla-phi", 1e-10, det["nabla-phi"]),
             ("nabla-xi", 1e-10, det["nabla-xi"]),
             ("div-xi", 1e-10,
-             np.abs(divergence(man, s.xi_field(), pts) - 2.0 * n)),
+             np.abs(divergence(man, s.xi_field, pts) - 2.0 * n)),
             ("lie-xi-metric", 1e-10,
              max_abs(lie - 2.0 * (m.g - outer(eta, eta)), 2)),
             ("curvature-reeb", 1e-9, max_abs(rxy_xi - target, 2)),
@@ -361,7 +361,7 @@ def _suite_section2(run, override):
     pts = run.points
     ds = run.deformed
     pa = ds.at(pts)
-    xi_field = ds.structure.xi_field()
+    xi_field = ds.structure.xi_field
     div_fields = sorted(config.vectors) or [None]
 
     ds.require_kenmotsu(pts)
@@ -457,8 +457,9 @@ def _suite_remark23(run, override):
     structure = run.config.structure
     points = run.points
     ds = run.deformed
-    res = ricci_norm_bound(structure, points, ds.a)
-    checks = _emit(ds.at(points), "remark23", override, [Claim(
+    pa = ds.at(points)
+    res = ricci_norm_bound(structure, pa)
+    checks = _emit(pa, "remark23", override, [Claim(
         "norm-bound", "|Ric|^2 >= 4n^2(a^2-1)/a^2", 1e-9,
         _below(res["ric_norm_sq"] - res["bound"]),
     )])
@@ -472,8 +473,8 @@ def _suite_remark23(run, override):
         0, float(arith), float(tol), bool(arith <= tol),
     ))
 
-    ht = harmonic_transfer(structure, run.config.scalar, points,
-                           _HARMONIC_PROBE_A)
+    ht = harmonic_transfer(structure, run.config.scalar,
+                           with_a(points, _HARMONIC_PROBE_A))
     if not ht["applicable"]:
         agree = True
         detail = ("not applicable: f is not harmonic "
@@ -547,12 +548,13 @@ def _soliton_suite(run, override, kind):
     keys = ("full", "traced", "scalar") if kind == "riemann" else ("full", "scalar")
 
     ds = run.deformed
-    frames = (Frame(structure, 1.0), Frame(ds.structure, ds.a))
+    pa = ds.at(points)
+    frames = ((structure, with_a(points, 1.0)), (ds.structure, pa))
     for cand in config.candidates:
         if cand.kind != kind:
             continue
-        for frame in frames:
-            res = soliton_residuals(frame, cand, points)
+        for frame, at in frames:
+            res = soliton_residuals(frame, cand, at)
             claims = [
                 Claim(f"{cand.name}/{k}", anchors[k], 1e-8, res[k],
                       labels=res["classification"])
@@ -560,18 +562,17 @@ def _soliton_suite(run, override, kind):
             ]
             if cand.potential == "gradient":
                 lam_thm = theorem_lambda(
-                    kind, "gradient", structure, points, frame.a,
-                    scalar=cand.scalar,
+                    kind, "gradient", structure, at, scalar=cand.scalar
                 )
                 claims.append(Claim(
                     f"{cand.name}/lambda-gradient", anchors["lambda-gradient"],
                     1e-9, _rel(lam_thm, res["lambda"]),
                 ))
-            checks += _emit(frame.at(points), prefix, override, claims)
+            checks += _emit(at, prefix, override, claims)
 
     # the Reeb-compatibility, solenoidal-trace and orthogonal-gradient
     # claims, one aggregation pass over the (A, N) batch
-    res = xi_compatibility(kind, structure, points, a=ds.a)
+    res = xi_compatibility(kind, structure, pa)
     scale = np.maximum(1.0, res["scale"])
     claims = [
         Claim("reeb-compatibility", anchors["reeb-compatibility"], 1e-9, r)
@@ -596,22 +597,21 @@ def _soliton_suite(run, override, kind):
     )
     for w in fields:
         if max_div[w] <= HYPOTHESIS_TOL:
-            res = solenoidal_implied(kind, structure, fields[w], points, ds.a)
+            res = solenoidal_implied(kind, structure, fields[w], pa)
             claims.append(Claim(
                 f"solenoidal-trace/{w}", anchors["solenoidal-trace"], 1e-9,
                 res["trace_residual"] / np.maximum(1.0, np.abs(res["scal"])),
             ))
     f = config.scalar
     if f is not None:
-        res = orthogonal_gradient_values(kind, structure, f, points, ds.a)
-        lam_thm = theorem_lambda(kind, "gradient", structure, points, ds.a,
-                                 scalar=f)
+        res = orthogonal_gradient_values(kind, structure, f, pa)
+        lam_thm = theorem_lambda(kind, "gradient", structure, pa, scalar=f)
         claims.append(Claim(
             "orthogonal-gradient", anchors["orthogonal-gradient"], 1e-9,
             _rel(res["lambda_bar"], lam_thm), res["applicable"],
             hypothesis="hypothesis xi(f) = 0",
         ))
-    return checks + _emit(ds.at(points), prefix, override, claims)
+    return checks + _emit(pa, prefix, override, claims)
 
 
 def _suite_riemann_solitons(run, override):

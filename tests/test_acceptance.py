@@ -20,10 +20,10 @@ from acmsolitons.geometry import (
     laplacian,
     lie_derivative_metric,
     sample_batch,
+    with_a,
     xi_derivatives,
 )
 from acmsolitons.solitons import (
-    Frame,
     SolitonCandidate,
     implied_curvature,
     inequality_battery,
@@ -57,7 +57,7 @@ def test_criterion_01_kenmotsu_axioms():
     cfg = _config()
     s = cfg.structure
     man = cfg.manifold
-    xi_field = s.xi_field()
+    xi_field = s.xi_field
     worst = {"structure": 0.0, "div": 0.0, "lie": 0.0, "curv": 0.0, "ric": 0.0}
     eye = np.eye(man.dim)
     for p in _points(cfg):
@@ -130,12 +130,12 @@ def _example_worst(cfg, points, names):
     labels = set()
     for name in names:
         cand = _cand(cfg, name)
-        frames = [Frame(cfg.structure, 1.0)] + [
-            Frame(deform(cfg.structure, a).structure, a) for a in A_GRID
+        frames = [(cfg.structure, 1.0)] + [
+            (deform(cfg.structure, a).structure, a) for a in A_GRID
         ]
-        for frame in frames:
+        for frame, a in frames:
             for p in points:
-                res = soliton_residuals(frame, cand, p)
+                res = soliton_residuals(frame, cand, with_a(p, a))
                 worst = max(worst, res["full"])
                 labels.add(res["classification"])
     return worst, labels
@@ -198,8 +198,10 @@ def test_criterion_05_lambda_theorems_consistent():
             worst_mid, abs(xif - ez) / ez, abs(xixif - ez) / ez
         )
         for a in A_GRID:
-            lam_r = theorem_lambda("riemann", "gradient", s, p, a, scalar=f)
-            lam_c = theorem_lambda("ricci", "gradient", s, p, a, scalar=f)
+            lam_r = theorem_lambda("riemann", "gradient", s, with_a(p, a),
+                                   scalar=f)
+            lam_c = theorem_lambda("ricci", "gradient", s, with_a(p, a),
+                                   scalar=f)
             tgt_r = (2.0 * ez - 1.0) / (a * a)
             tgt_c = (ez - 2.0) / (a * a)
             worst_lam = max(
@@ -253,7 +255,7 @@ def test_criterion_06_implied_constants(kenmotsu5, kenmotsu7):
         }
         for a in A_GRID:
             for kind, want in closed.items():
-                out = implied_curvature(kind, s, p, a)
+                out = implied_curvature(kind, s, with_a(p, a))
                 ric = out["ric"]
                 trace = float(np.trace(np.linalg.solve(m.g, ric)))
                 norm = hs_inner(ric, ric, m)
@@ -268,10 +270,10 @@ def test_criterion_06_implied_constants(kenmotsu5, kenmotsu7):
                     abs(out["ric_norm_computed"] - norm),
                     abs(out["ric_norm_stated"] - want["ric_norm_stated"]),
                 )
-        ricci_out = implied_curvature("ricci", s, p, 2.0)
+        ricci_out = implied_curvature("ricci", s, with_a(p, 2.0))
         stated = ricci_out["ric_norm_stated"]
         oracle = hs_inner(ricci_out["ric"], ricci_out["ric"], m)
-        riemann_out = implied_curvature("riemann", s, p, 2.0)
+        riemann_out = implied_curvature("riemann", s, with_a(p, 2.0))
         riemann_norm = hs_inner(riemann_out["ric"], riemann_out["ric"], m)
         reported.append(
             (n, stated, oracle, riemann_out["ric_norm_stated"], riemann_norm)
@@ -321,7 +323,6 @@ def test_criterion_07_trace_implication():
     coords = cfg.manifold.coords
     pts = _points(cfg)[:5]
     rng = np.random.default_rng(20260814)
-    frame = Frame(s, 1.0)
     worst_ratio = 0.0
     checked = 0
     for k in range(200):
@@ -337,7 +338,7 @@ def test_criterion_07_trace_implication():
             f"rand{k}", kind, "vector", lam, components=comps
         )
         for p in pts:
-            res = soliton_residuals(frame, cand, p)
+            res = soliton_residuals(s, cand, with_a(p, 1.0))
             eps = res["full"]
             bound = 9.0 * eps + 1e-12
             others = (

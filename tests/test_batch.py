@@ -28,9 +28,10 @@ from acmsolitons.geometry import (
     hessian,
     lie_derivative_metric,
     sample_batch,
+    with_a,
 )
 from acmsolitons.solitons import (
-    Frame, SolitonCandidate, _full_residual, soliton_residuals,
+    SolitonCandidate, _full_residual, soliton_residuals,
 )
 from acmsolitons.suites import SuiteError, run_suites
 from acmsolitons.tensor import StructureError
@@ -130,17 +131,19 @@ def test_batch_equals_single_points(name, kenmotsu5):
         ),
     ]
     frames = (
-        Frame(config.structure, 1.0),
-        Frame(deform(config.structure, 2.0).structure, 2.0),
+        (config.structure, 1.0),
+        (deform(config.structure, 2.0).structure, 2.0),
     )
-    for frame in frames:
+    for frame, a in frames:
         for cand in candidates:
-            got = soliton_residuals(frame, cand, batch)
-            want = [soliton_residuals(frame, cand, p) for p in points]
+            got = soliton_residuals(frame, cand, with_a(batch, a))
+            want = [
+                soliton_residuals(frame, cand, with_a(p, a)) for p in points
+            ]
             for key in set(got) - {"classification"}:
                 _assert_batch_matches(
                     got[key], [w[key] for w in want],
-                    f"{cand.name} {key} at a={frame.a}",
+                    f"{cand.name} {key} at a={a}",
                 )
             assert list(np.broadcast_to(got["classification"], N)) == [
                 w["classification"] for w in want
@@ -233,8 +236,8 @@ def test_kernels_broadcast_sample_axes(kenmotsu3, keep):
                   f"{what} from narrow {[names[i] for i in cut]}")
     # a base curvature of one sample against the base metric's N
     r04 = curvature_bundle(s.manifold, batch)["R04"]
-    close(riemann_bar(s, batch, r04[:1], ds.a),
-          riemann_bar(s, batch, np.broadcast_to(r04[:1], r04.shape), ds.a),
+    close(riemann_bar(s, ds.at(batch), r04[:1]),
+          riemann_bar(s, ds.at(batch), np.broadcast_to(r04[:1], r04.shape)),
           "riemann_bar")
     g_narrow, g_wide = _narrow_and_wide(m.g, keep)
     lie_narrow, lie_wide = _narrow_and_wide(lie, keep)

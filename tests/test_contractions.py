@@ -24,6 +24,7 @@ from acmsolitons.geometry import (
     _riemann,
     gradient_lie_derivative,
     nabla_phi_tensor,
+    with_a,
 )
 from acmsolitons.solitons import implied_curvature
 from acmsolitons.tensor import MetricData, hs_inner, kulkarni_nomizu
@@ -146,8 +147,9 @@ def test_implied_riemann_curvature(d):
         - np.einsum("...bd,...a,...c->...abcd", g, eta, eta)
     )
     point = {"x": np.zeros(BATCH)}
-    _close(expand(implied_curvature("riemann", structure, point, 2.0)["r04"]),
-           ref)
+    _close(expand(
+        implied_curvature("riemann", structure, with_a(point, 2.0))["r04"]
+    ), ref)
 
 
 @pytest.mark.parametrize("d", DIMS)

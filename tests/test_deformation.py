@@ -28,6 +28,7 @@ from acmsolitons.geometry import (
     laplacian,
     lie_derivative_metric,
     nabla_phi_tensor,
+    with_a,
     xi_derivatives,
 )
 from acmsolitons.tensor import StructureError, TensorValue, kulkarni_nomizu
@@ -123,7 +124,7 @@ class TestClosedForms:
         ds = deform(kenmotsu3.structure, a)
         f = kenmotsu3.scalars["f"]
         tol = 1e-12 if a == 1.0 else 1e-8
-        xi_field = ds.structure.xi_field()
+        xi_field = ds.structure.xi_field
         for p in kenmotsu3_points[:4]:
             assert _rel(
                 ds.hessian_closed(f, p), hessian(ds.manifold, f, ds.at(p))
@@ -213,7 +214,8 @@ class TestHarmonicTransfer:
         coords = kenmotsu3.manifold.coords
         f = ScalarField(parse_expr(HARMONIC_PROBES[1], coords=coords))
         res = harmonic_transfer(
-            kenmotsu3.structure, f, Samples.stack(kenmotsu3_points[:16]), 2.0
+            kenmotsu3.structure, f,
+            with_a(Samples.stack(kenmotsu3_points[:16]), 2.0),
         )
         assert res["applicable"]
         assert res["deformed_harmonic"]
@@ -223,7 +225,8 @@ class TestHarmonicTransfer:
         coords = kenmotsu3.manifold.coords
         f = ScalarField(parse_expr(HARMONIC_PROBES[2], coords=coords))
         res = harmonic_transfer(
-            kenmotsu3.structure, f, Samples.stack(kenmotsu3_points[:16]), 2.0
+            kenmotsu3.structure, f,
+            with_a(Samples.stack(kenmotsu3_points[:16]), 2.0),
         )
         assert res["applicable"]
         assert not res["deformed_harmonic"]
@@ -233,7 +236,7 @@ class TestHarmonicTransfer:
     def test_nonharmonic_not_applicable(self, kenmotsu3, kenmotsu3_points):
         res = harmonic_transfer(
             kenmotsu3.structure, kenmotsu3.scalars["f"],
-            Samples.stack(kenmotsu3_points[:8]), 2.0,
+            with_a(Samples.stack(kenmotsu3_points[:8]), 2.0),
         )
         assert not res["applicable"]
 
@@ -243,7 +246,7 @@ class TestHarmonicTransfer:
         # a = 2 row of the deformation over the whole grid
         f = ScalarField(parse_expr(expr, coords=kenmotsu3.manifold.coords))
         pts = Samples.stack(kenmotsu3_points[:16])
-        probe = harmonic_transfer(kenmotsu3.structure, f, pts, 2.0)
+        probe = harmonic_transfer(kenmotsu3.structure, f, with_a(pts, 2.0))
         grid = deform(kenmotsu3.structure, A_GRID).laplacian_closed(f, pts)
         assert np.array_equal(probe["lap_bar"], grid[A_GRID.index(2.0)])
 
@@ -252,7 +255,7 @@ class TestRicciNormBound:
     def test_holds_on_fixture(self, kenmotsu3, kenmotsu3_points):
         for a in A_GRID:
             for p in kenmotsu3_points[:6]:
-                res = ricci_norm_bound(kenmotsu3.structure, p, a)
+                res = ricci_norm_bound(kenmotsu3.structure, with_a(p, a))
                 assert res["ric_norm_sq"] >= res["bound"]
                 assert res["ric_norm_sq"] == pytest.approx(12.0, rel=1e-10)
 
@@ -269,15 +272,20 @@ class TestRefusal:
     def test_euclidean_base_refused(self, euclidean3):
         ds = deform(euclidean3.structure, 2.0)
         p = euclidean3.manifold.point(x=0.1, y=0.2, z=0.3)
-        with pytest.raises(NotKenmotsuError, match="Kenmotsu"):
+        with pytest.raises(NotKenmotsuError, match="Kenmotsu") as base:
             ds.require_kenmotsu(p)
         with pytest.raises(NotKenmotsuError):
             ds.curvature_closed(p)
         with pytest.raises(NotKenmotsuError):
             prop_inner_battery(ds, euclidean3.scalars["f"], p)
-        with pytest.raises(NotKenmotsuError):
-            harmonic_transfer(euclidean3.structure, euclidean3.scalars["f"],
-                              p, 2.0)
+        # a condition on the base names the base sample, with no [a=...] tag
+        message = str(base.value)
+        assert message.endswith("at {'x': 0.1, 'y': 0.2, 'z': 0.3}")
+        for bound in (with_a(p, 2.0), with_a(Samples.stack([p]), A_GRID)):
+            with pytest.raises(NotKenmotsuError) as refused:
+                harmonic_transfer(euclidean3.structure,
+                                  euclidean3.scalars["f"], bound)
+            assert str(refused.value) == message
 
 
 class TestMemo:
@@ -301,7 +309,7 @@ class TestMemo:
             self, kenmotsu3, kenmotsu3_points):
         pts = Samples.stack(kenmotsu3_points[:5])
         man = kenmotsu3.manifold
-        field = kenmotsu3.structure.xi_field()
+        field = kenmotsu3.structure.xi_field
         first = divergence(man, field, pts)
         assert first == pytest.approx(2.0, rel=1e-12)
         assert divergence(man, VectorField(field.components), pts) is first

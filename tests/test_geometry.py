@@ -194,13 +194,15 @@ class TestOperators:
         man = kenmotsu3.manifold
         s = kenmotsu3.structure
         for p in kenmotsu3_points[:6]:
-            assert divergence(man, s.xi_field(), p) == pytest.approx(2.0, abs=1e-12)
+            assert divergence(man, s.xi_field, p) == pytest.approx(
+                2.0, abs=1e-12
+            )
 
     def test_lie_reeb_metric(self, kenmotsu3, kenmotsu3_points):
         man = kenmotsu3.manifold
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
-        lie = lie_derivative_metric(man, s.xi_field(), p)
+        lie = lie_derivative_metric(man, s.xi_field, p)
         g = man.metric_values(p)
         eta = s.eta_values(p)
         assert np.allclose(lie, 2.0 * (g - np.outer(eta, eta)), atol=1e-12)
@@ -218,7 +220,7 @@ class TestOperators:
         man = kenmotsu3.manifold
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
-        nabla_xi = covariant_derivative(man, s.xi_field(), p)
+        nabla_xi = covariant_derivative(man, s.xi_field, p)
         eta = s.eta_values(p)
         xi = s.xi_values(p)
         assert np.allclose(nabla_xi, np.eye(3) - np.outer(eta, xi), atol=1e-12)

@@ -14,7 +14,7 @@ from acmsolitons.deformation import (
     prop_inner_battery,
     ricci_norm_bound,
 )
-from acmsolitons.expr import parse_expr
+from acmsolitons.expr import A, parse_expr
 from acmsolitons.geometry import (
     ScalarField,
     VectorField,
@@ -29,7 +29,6 @@ from acmsolitons.geometry import (
     sample_batch,
 )
 from acmsolitons.solitons import (
-    Frame,
     SolitonCandidate,
     inequality_battery,
     orthogonal_gradient_values,
@@ -117,7 +116,7 @@ def _deformed(ds, f, frames_of, pts):
     """Every per-a quantity of one deformation at the batch ``pts``."""
     pa = ds.at(pts)
     m = ds.manifold.metric_at_cached(pa)
-    xi_field = ds.structure.xi_field()
+    xi_field = ds.structure.xi_field
     out = {
         "metric": {"g": m.g, "inv": m.inv, "dg": m.dg},
         "direct": {
@@ -144,12 +143,12 @@ def _deformed(ds, f, frames_of, pts):
             "laplacian": ds.laplacian_closed(f, pts),
             "prop22": prop_inner_battery(ds, f, pts),
             "harmonic": {
-                k: v for k, v in harmonic_transfer(ds.base, f, pts, ds.a).items()
+                k: v for k, v in harmonic_transfer(ds.base, f, pa).items()
                 if k != "applicable"
             },
-            "norm-bound": ricci_norm_bound(ds.base, pts, ds.a),
+            "norm-bound": ricci_norm_bound(ds.base, pa),
         },
-        "solitons": frames_of(Frame(ds.structure, ds.a)),
+        "solitons": frames_of(ds.structure, pa),
     }
     w = VectorField(tuple(
         parse_expr("1" if k == 0 else "0", coords=ds.base.manifold.coords)
@@ -158,12 +157,10 @@ def _deformed(ds, f, frames_of, pts):
     for kind in ("riemann", "ricci"):
         out[kind] = {
             "inequalities": inequality_battery(ds, f, kind, pts),
-            "lambda": theorem_lambda(kind, "gradient", ds.base, pts, ds.a,
-                                     scalar=f),
-            "compatibility": xi_compatibility(kind, ds.base, pts, a=ds.a),
-            "solenoidal": solenoidal_implied(kind, ds.base, w, pts, ds.a),
-            "orthogonal": orthogonal_gradient_values(kind, ds.base, f, pts,
-                                                     ds.a),
+            "lambda": theorem_lambda(kind, "gradient", ds.base, pa, scalar=f),
+            "compatibility": xi_compatibility(kind, ds.base, pa),
+            "solenoidal": solenoidal_implied(kind, ds.base, w, pa),
+            "orthogonal": orthogonal_gradient_values(kind, ds.base, f, pa),
         }
     return out
 
@@ -174,8 +171,8 @@ def test_stacked_batch_equals_each_a_alone(name, kenmotsu5):
     f = _scalar(config)
     candidates = _candidates(config, f)
 
-    def frames_of(frame):
-        return {c.name: soliton_residuals(frame, c, pts) for c in candidates}
+    def frames_of(frame, at):
+        return {c.name: soliton_residuals(frame, c, at) for c in candidates}
 
     pts = sample_batch(config.manifold, config.box, N, config.seed)
     stacked = _deformed(deform(config.structure, GRID), f, frames_of, pts)
@@ -458,9 +455,10 @@ def test_each_theorem_lambda_computed_once(monkeypatch):
     seen = []
     real = solitons._theorem_lambda
 
-    def counted(kind, scenario, structure, point, a, vector, scalar):
-        seen.append((kind, scenario, structure, vector, scalar, a.tobytes()))
-        return real(kind, scenario, structure, point, a, vector, scalar)
+    def counted(kind, scenario, structure, point, vector, scalar):
+        seen.append((kind, scenario, structure, vector, scalar,
+                     point[A].tobytes()))
+        return real(kind, scenario, structure, point, vector, scalar)
 
     monkeypatch.setattr(solitons, "_theorem_lambda", counted)
     config = builtin_config("kenmotsu3")

@@ -1,12 +1,14 @@
-"""Every imported name is read in its module, and every exported one
-exists.
+"""Every imported name is read in its module, every exported one exists,
+and the package has one frame abstraction.
 
 No linter runs on this repository, so this walks the syntax tree of each
 module in ``src/acmsolitons``, ``tests`` and ``scripts`` instead.  A name
 listed in the module's ``__all__`` counts as read; ``from __future__``
 imports are exempt.  Each name in the ``__all__`` of a package module must
 be defined or imported at its top level: ``perfbench/tracing.py`` reads
-every one with ``getattr``.
+every one with ``getattr``.  No function of the package takes the
+deformation parameter ``a`` next to a point: a point that binds it
+(``geometry.with_a``, the one exception) carries it.
 """
 
 import ast
@@ -76,6 +78,21 @@ def _unresolved_exports(tree: ast.Module) -> list:
     return [name for name in _exports(tree) if name not in bound]
 
 
+def _a_beside_a_point(tree: ast.Module) -> list:
+    """(line, name) of each function but ``with_a`` with a parameter named
+    ``a`` next to one named ``point`` or ``points``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name != "with_a"):
+            args = node.args
+            names = {arg.arg for arg in
+                     args.posonlyargs + args.args + args.kwonlyargs}
+            if "a" in names and names & {"point", "points"}:
+                found.append((node.lineno, node.name))
+    return found
+
+
 def test_walk_finds_the_modules():
     names = {p.relative_to(ROOT).as_posix() for p in MODULES}
     assert {"src/acmsolitons/suites.py", "tests/test_hygiene.py",
@@ -120,3 +137,24 @@ def test_finds_an_unresolved_export():
 def test_every_export_resolves(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unresolved_exports(tree) == []
+
+
+def test_finds_an_a_beside_a_point():
+    tree = ast.parse(
+        "def with_a(point, a): pass\n"
+        "def f(kind, point, a=2.0): pass\n"
+        "def g(points, *, a): pass\n"
+        "def h(point, scale): pass\n"
+        "class K:\n"
+        "    def m(self, a, points): pass\n"
+        "def n(a): pass\n"
+    )
+    assert _a_beside_a_point(tree) == [(2, "f"), (3, "g"), (6, "m")]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[p.relative_to(ROOT).as_posix() for p in PACKAGE]
+)
+def test_no_a_beside_a_point(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _a_beside_a_point(tree) == []

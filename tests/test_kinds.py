@@ -31,6 +31,7 @@ import pytest
 import sympy as sp
 
 from acmsolitons import solitons
+from acmsolitons.geometry import with_a
 from acmsolitons.solitons import (
     _battery,
     _reeb_forced,
@@ -324,7 +325,7 @@ def _battery_ref(kind, n, a, lam_bar, data, gate_tol):
 @pytest.mark.parametrize("scenario", ["reeb", "solenoidal", "gradient"])
 def test_theorem_lambda(synthetic, kind, scenario):
     s = synthetic
-    got = theorem_lambda(kind, scenario, s, s.point, A_GRID,
+    got = theorem_lambda(kind, scenario, s, with_a(s.point, A_GRID),
                          vector=object(), scalar=object())
     ref = _theorem_lambda_ref(
         kind, scenario, s.n, A_COL, s.sigma, s.xixif, s.lap, s.xif
@@ -354,7 +355,8 @@ def test_reeb_soliton_general(synthetic, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_orthogonal_gradient_values(synthetic, kind):
     s = synthetic
-    got = orthogonal_gradient_values(kind, s, object(), s.point, A_GRID)
+    got = orthogonal_gradient_values(kind, s, object(),
+                                     with_a(s.point, A_GRID))
     lam, scal = _orthogonal_ref(kind, s.n, A_COL, s.lap)
     _close(got["lambda_bar"], lam)
     _close(got["scal"], scal)
@@ -365,7 +367,7 @@ def test_orthogonal_gradient_values(synthetic, kind):
 def test_reeb_compatibility_star(synthetic, kind):
     # the base Reeb pair solves the base equation at lambda = 0 resp. -2n
     s = synthetic
-    star = xi_compatibility(kind, s, s.point, a=A_GRID)["lambda_star"]
+    star = xi_compatibility(kind, s, with_a(s.point, A_GRID))["lambda_star"]
     assert star == (0.0 if kind == "riemann" else -2.0 * s.n)
 
 
@@ -383,12 +385,13 @@ def test_soliton_residuals(synthetic, kind, monkeypatch):
         "scal": scal, "R04": np.zeros((N, d * (d - 1) // 2, d, d)),
     }
     monkeypatch.setattr(solitons, "curvature_bundle", lambda man, p: bundle)
-    frame = SimpleNamespace(
-        n=s.n, manifold=None, at=lambda p: p,
-        lie_metric=lambda c, p: lie, div_potential=lambda c, p: div_v,
-        lam_value=lambda c, p: lam,
+    monkeypatch.setattr(
+        solitons, "_lie_and_div", lambda st, c, p: (lie, div_v)
     )
-    got = soliton_residuals(frame, SimpleNamespace(kind=kind), s.point)
+    monkeypatch.setattr(solitons, "evaluate", lambda e, p: lam)
+    structure = SimpleNamespace(n=s.n, manifold=None)
+    got = soliton_residuals(structure, SimpleNamespace(kind=kind, lam=None),
+                            with_a(s.point, 1.0))
     ref = _residuals_ref(
         kind, s.n, s.metric.g, bundle["Ric"], scal, lie, div_v, lam
     )

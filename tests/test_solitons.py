@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from acmsolitons.deformation import deform
-from acmsolitons.expr import evaluate, parse_expr
+from acmsolitons.expr import A, evaluate, parse_expr
 from acmsolitons.geometry import (
     ScalarField,
     VectorField,
-    a_column,
+    divergence,
     hessian,
     laplacian,
     sample_batch,
@@ -16,7 +16,6 @@ from acmsolitons.geometry import (
     xi_derivatives,
 )
 from acmsolitons.solitons import (
-    Frame,
     _trace,
     SolitonCandidate,
     classify,
@@ -53,7 +52,7 @@ def reeb_soliton_general(kind, structure, point, a, lambda_bar) -> dict:
     eta = structure.eta_values(point)
     n = structure.n
     bound = with_a(point, a)
-    a = a_column(a, point)
+    a = bound[A]
     tr = _trace(kind, n)
     k = tr.k
     beta_a = a * tr.beta(lambda_bar, 2.0 * n / a)
@@ -86,8 +85,7 @@ class TestClassify:
             wide.manifold, wide.box, wide.points, wide.seed
         ).points()
         cand = next(c for c in wide.candidates if c.kind == "ricci")
-        frame = Frame(wide.structure, 1.0)
-        labels = {classify(frame.lam_value(cand, p)) for p in pts}
+        labels = {classify(evaluate(cand.lam, with_a(p, 1.0))) for p in pts}
         # lambda = exp(z) - 2 changes sign at z = ln 2 inside the box
         assert "shrinking" in labels and "expanding" in labels
 
@@ -113,9 +111,9 @@ class TestExampleResiduals:
     @pytest.mark.parametrize("name", ["riemann-grad", "riemann-vector"])
     def test_riemann_example(self, kenmotsu3, kenmotsu3_points, name):
         cand = _cand(kenmotsu3, name)
-        frame = Frame(kenmotsu3.structure, 1.0)
+        s = kenmotsu3.structure
         for p in kenmotsu3_points[:10]:
-            res = soliton_residuals(frame, cand, p)
+            res = soliton_residuals(s, cand, with_a(p, 1.0))
             assert res["full"] <= 1e-8
             assert res["traced"] <= 1e-8
             assert res["scalar"] <= 1e-8
@@ -124,9 +122,9 @@ class TestExampleResiduals:
     @pytest.mark.parametrize("name", ["ricci-grad", "ricci-vector"])
     def test_ricci_example(self, kenmotsu3, kenmotsu3_points, name):
         cand = _cand(kenmotsu3, name)
-        frame = Frame(kenmotsu3.structure, 1.0)
+        s = kenmotsu3.structure
         for p in kenmotsu3_points[:10]:
-            res = soliton_residuals(frame, cand, p)
+            res = soliton_residuals(s, cand, with_a(p, 1.0))
             assert res["full"] <= 1e-8
             assert res["scalar"] <= 1e-8
             # lambda = exp(z) - 2 > 0 for z > 1.05 > ln 2
@@ -136,9 +134,9 @@ class TestExampleResiduals:
     @pytest.mark.parametrize("name", ["riemann-grad", "ricci-grad"])
     def test_deformed_examples(self, kenmotsu3, kenmotsu3_points, a, name):
         cand = _cand(kenmotsu3, name)
-        frame = Frame(deform(kenmotsu3.structure, a).structure, a)
+        s = deform(kenmotsu3.structure, a).structure
         for p in kenmotsu3_points[:6]:
-            res = soliton_residuals(frame, cand, p)
+            res = soliton_residuals(s, cand, with_a(p, a))
             assert res["full"] <= 1e-8
 
     def test_wrong_lambda_fails_loudly(self, kenmotsu3, kenmotsu3_points):
@@ -148,18 +146,18 @@ class TestExampleResiduals:
             parse_expr("exp(z)", coords=coords),
             scalar=kenmotsu3.scalars["f"],
         )
-        frame = Frame(kenmotsu3.structure, 1.0)
+        s = kenmotsu3.structure
         worst = max(
-            soliton_residuals(frame, wrong, p)["full"]
+            soliton_residuals(s, wrong, with_a(p, 1.0))["full"]
             for p in kenmotsu3_points[:10]
         )
         assert worst >= 1.0
 
     def test_base_frame_equals_unit_deformation(self, kenmotsu3, kenmotsu3_points):
         cand = _cand(kenmotsu3, "riemann-grad")
-        base = Frame(kenmotsu3.structure, 1.0)
-        unit = Frame(deform(kenmotsu3.structure, 1.0).structure, 1.0)
-        p = kenmotsu3_points[0]
+        base = kenmotsu3.structure
+        unit = deform(kenmotsu3.structure, 1.0).structure
+        p = with_a(kenmotsu3_points[0], 1.0)
         assert soliton_residuals(base, cand, p)["full"] == pytest.approx(
             soliton_residuals(unit, cand, p)["full"], abs=1e-12
         )
@@ -186,18 +184,21 @@ class TestTheoremLambda:
         f = kenmotsu3.scalars["f"]
         for p in kenmotsu3_points[:8]:
             ez = np.exp(p["z"])
-            lam_r = theorem_lambda("riemann", "gradient", s, p, a, scalar=f)
-            lam_c = theorem_lambda("ricci", "gradient", s, p, a, scalar=f)
+            lam_r = theorem_lambda("riemann", "gradient", s, with_a(p, a),
+                                   scalar=f)
+            lam_c = theorem_lambda("ricci", "gradient", s, with_a(p, a),
+                                   scalar=f)
             assert lam_r == pytest.approx((2 * ez - 1) / (a * a), rel=1e-9)
             assert lam_c == pytest.approx((ez - 2) / (a * a), rel=1e-9)
 
     def test_reeb_lambdas(self, kenmotsu3, kenmotsu3_points):
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
-        assert theorem_lambda("riemann", "reeb", s, p, 2.0) == pytest.approx(0.25)
-        assert theorem_lambda("ricci", "reeb", s, p, 2.0) == pytest.approx(-0.5)
-        assert theorem_lambda("riemann", "reeb", s, p, 1.0) == 0.0
-        assert theorem_lambda("ricci", "reeb", s, p, 1.0) == -2.0
+        at2, at1 = with_a(p, 2.0), with_a(p, 1.0)
+        assert theorem_lambda("riemann", "reeb", s, at2) == pytest.approx(0.25)
+        assert theorem_lambda("ricci", "reeb", s, at2) == pytest.approx(-0.5)
+        assert theorem_lambda("riemann", "reeb", s, at1) == 0.0
+        assert theorem_lambda("ricci", "reeb", s, at1) == -2.0
 
     def test_solenoidal_lambda(self, kenmotsu3, kenmotsu3_points):
         s = kenmotsu3.structure
@@ -209,10 +210,10 @@ class TestTheoremLambda:
         # eta(W) = 0 identically, so sigma = xi(eta(W)) = 0
         assert xi_of_eta_potential(s, w, p) == 0.0
         assert theorem_lambda(
-            "riemann", "solenoidal", s, p, 2.0, vector=w
+            "riemann", "solenoidal", s, with_a(p, 2.0), vector=w
         ) == pytest.approx(-0.25)
         assert theorem_lambda(
-            "ricci", "solenoidal", s, p, 2.0, vector=w
+            "ricci", "solenoidal", s, with_a(p, 2.0), vector=w
         ) == pytest.approx(-0.5)
 
 
@@ -220,7 +221,7 @@ class TestImpliedCurvature:
     def test_riemann_constants(self, kenmotsu3, kenmotsu3_points):
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
-        out = implied_curvature("riemann", s, p, 2.0)
+        out = implied_curvature("riemann", s, with_a(p, 2.0))
         assert out["scal"] == pytest.approx(-8.0)
         assert out["ric_trace"] == pytest.approx(out["scal"], rel=1e-12)
         # stated and recomputed |Ric|^2 agree: 2n(16n^2 - 6n + 1) = 22
@@ -236,7 +237,7 @@ class TestImpliedCurvature:
         # match its own tensor
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
-        out = implied_curvature("ricci", s, p, 2.0)
+        out = implied_curvature("ricci", s, with_a(p, 2.0))
         assert out["scal"] == pytest.approx(-8.0)
         assert out["ric_trace"] == pytest.approx(out["scal"], rel=1e-12)
         assert out["ric_norm_computed"] == pytest.approx(22.0, rel=1e-12)
@@ -248,7 +249,9 @@ class TestImpliedCurvature:
         # pinned lambda; xi_compatibility reports that premise residual
         s = kenmotsu3.structure
         for a in A_GRID:
-            res = xi_compatibility("riemann", s, kenmotsu3_points[0], a=a)
+            res = xi_compatibility(
+                "riemann", s, with_a(kenmotsu3_points[0], a)
+            )
             assert res["premise_residual"] <= 1e-9 * max(1.0, res["scale"])
 
     @pytest.mark.parametrize("kind", ["riemann", "ricci"])
@@ -258,7 +261,7 @@ class TestImpliedCurvature:
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
         for a in (0.5, 2.0, 3.7):
-            implied = implied_curvature(kind, s, p, a)
+            implied = implied_curvature(kind, s, with_a(p, a))
             general = reeb_soliton_general(
                 kind, s, p, a, implied["lambda_bar"]
             )
@@ -278,7 +281,8 @@ class TestImpliedCurvature:
         p = kenmotsu3_points[0]
         inv = s.manifold.metric_at_cached(p).inv
         for a in (0.5, 2.0, 3.7):
-            shifted = implied_curvature(kind, s, p, a)["lambda_bar"] + 0.3
+            implied = implied_curvature(kind, s, with_a(p, a))
+            shifted = implied["lambda_bar"] + 0.3
             general = reeb_soliton_general(kind, s, p, a, shifted)
             trace = np.einsum("ij,ij->", inv, general["ric"])
             assert general["scal"] == pytest.approx(trace, rel=1e-12, abs=1e-12)
@@ -289,7 +293,7 @@ class TestReebCompatibility:
     def test_only_at_star(self, kenmotsu3, kenmotsu3_points, kind):
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
-        res = xi_compatibility(kind, s, p, a=2.0)
+        res = xi_compatibility(kind, s, with_a(p, 2.0))
         scale = res["scale"]
         assert res["premise_residual"] <= 1e-9 * max(1.0, scale)
         assert res["residual_at_star"] <= 1e-9 * max(1.0, scale)
@@ -298,6 +302,7 @@ class TestReebCompatibility:
     def test_star_values(self, kenmotsu3, kenmotsu3_points):
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
+        p = with_a(p, 2.0)
         assert xi_compatibility("riemann", s, p)["lambda_star"] == 0.0
         assert xi_compatibility("ricci", s, p)["lambda_star"] == -2.0
 
@@ -312,9 +317,9 @@ class TestSolenoidal:
         ))
         for a in A_GRID:
             for p in kenmotsu3_points[:6]:
-                res = solenoidal_implied(kind, s, w, p, a)
-                assert abs(res["div_v"]) <= 1e-12
-                assert res["sigma"] == 0.0
+                res = solenoidal_implied(kind, s, w, with_a(p, a))
+                assert abs(divergence(man, w, p)) <= 1e-12
+                assert xi_of_eta_potential(s, w, p) == 0.0
                 assert res["trace_residual"] <= 1e-9 * max(1.0, abs(res["scal"]))
                 # sigma = 0 collapses scal to -2n(2n+1)
                 assert res["scal"] == pytest.approx(-6.0)
@@ -324,7 +329,7 @@ class TestOrthogonalGradient:
     def test_fixture_not_applicable(self, kenmotsu3, kenmotsu3_points):
         res = orthogonal_gradient_values(
             "riemann", kenmotsu3.structure, kenmotsu3.scalars["f"],
-            kenmotsu3_points[0], 2.0,
+            with_a(kenmotsu3_points[0], 2.0),
         )
         assert not res["applicable"]
 
@@ -337,9 +342,10 @@ class TestOrthogonalGradient:
         f = ScalarField(parse_expr("x", coords=coords))
         for a in (0.5, 2.0):
             for p in kenmotsu3_points[:4]:
-                res = orthogonal_gradient_values(kind, s, f, p, a)
+                res = orthogonal_gradient_values(kind, s, f, with_a(p, a))
                 assert res["applicable"]
-                lam = theorem_lambda(kind, "gradient", s, p, a, scalar=f)
+                lam = theorem_lambda(kind, "gradient", s, with_a(p, a),
+                                     scalar=f)
                 assert res["lambda_bar"] == pytest.approx(lam, abs=1e-12)
                 assert res["scal"] == pytest.approx(-6.0, abs=1e-9)
 
@@ -444,9 +450,8 @@ class TestFrame:
             scalar=kenmotsu3.scalars["f"] if potential == "gradient" else None,
         )
         ds = deform(kenmotsu3.structure, a)
-        frame = Frame(ds.structure, a)
         for p in kenmotsu3_points[:6]:
-            got = soliton_residuals(frame, cand, p)
+            got = soliton_residuals(ds.structure, cand, ds.at(p))
             want = _closed_residuals(ds, cand, p)
             assert set(want) <= set(got)
             for level, value in want.items():
@@ -465,13 +470,12 @@ class TestFrame:
             parse_expr("2*exp(z) - 1", coords=coords),
             scalar=kenmotsu3.scalars["f"],
         )
-        frames = [("base", Frame(kenmotsu3.structure, 1.0))] + [
-            (a, Frame(deform(kenmotsu3.structure, a).structure, a))
-            for a in A_GRID
+        frames = [("base", kenmotsu3.structure, 1.0)] + [
+            (a, deform(kenmotsu3.structure, a).structure, a) for a in A_GRID
         ]
-        for label, frame in frames:
+        for label, frame, a in frames:
             worst = max(
-                soliton_residuals(frame, cand, p)["full"]
+                soliton_residuals(frame, cand, with_a(p, a))["full"]
                 for p in kenmotsu3_points[:6]
             )
             if label in ("base", 1.0):
