@@ -86,7 +86,7 @@ MUTANTS = (
     Mutant("M10", "solitons.py",
            "_tensor(q * sigma) * ee", "_tensor(2.0 * q * sigma) * ee", (),
            "every fixture's solenoidal field has sigma = xi(eta(V)) = 0; "
-           "no Tier-1 test kills it"),
+           "tests/test_routes.py::test_solenoidal_trace_with_sigma kills it"),
     Mutant("M11", "solitons.py",
            "lap / a),", "lap / (a * a)),", (),
            "orthogonal-gradient is vacuous: no fixture's scalar has "

@@ -387,9 +387,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
                             f"{source}: candidate {key!r} references unknown "
                             f"vector {pot[1]!r}"
                         )
-                    cand = SolitonCandidate(
-                        key, kind, "vector", lam, components=vf.components
-                    )
+                    cand = SolitonCandidate(key, kind, "vector", lam, field=vf)
                 else:
                     raise ConfigError(
                         f"{source}: candidate {key!r} potential must be 'reeb', "

@@ -158,14 +158,22 @@ def riemann_bar(structure: AcmStructure, point, r04) -> np.ndarray:
     return out
 
 
-def laplacian_bar(n: int, a, lap, xif, xixif):
-    """Lap_bar(f) = Lap(f)/a - ((a-1)/a^2)[2n xi(f) + xi(xi(f))] from base
-    data over a Kenmotsu base."""
-    return (
-        lap / a
-        - 2.0 * n * (a - 1.0) / (a * a) * xif
-        - (a - 1.0) / (a * a) * xixif
-    )
+def laplacian_bar(structure: AcmStructure, f: ScalarField, point):
+    """Lap_bar(f) = Lap(f)/a - ((a-1)/a^2)[2n xi(f) + xi(xi(f))] over a
+    Kenmotsu base, at the a that ``point`` binds; memoised there.
+
+    Lap(f) and the xi-derivatives are base data, read on the samples alone.
+    """
+    def compute(p):
+        a = p[A]
+        xif, xixif = xi_derivatives(structure, f, p)
+        return (
+            laplacian(structure.manifold, f, p) / a
+            - 2.0 * structure.n * (a - 1.0) / (a * a) * xif
+            - (a - 1.0) / (a * a) * xixif
+        )
+
+    return memoised(point, (structure, f, "laplacian bar"), compute)
 
 
 def _require_kenmotsu(structure: AcmStructure, point) -> None:
@@ -347,9 +355,9 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         return symmetric(2.0 * (m.g - outer(eta, eta)), point)
 
-    def div_reeb_closed(self, point=None):
-        """div_bar(xi_bar) = 2n/a, shaped for ``point`` when one is given."""
-        return 2.0 * self.n / self._a({} if point is None else point)
+    def div_reeb_closed(self, point):
+        """div_bar(xi_bar) = 2n/a, shaped for ``point``."""
+        return 2.0 * self.n / self._a(point)
 
     # -- scalar operators ----------------------------------------------------
 
@@ -375,11 +383,7 @@ class DeformedStructure:
 
     def laplacian_closed(self, f: ScalarField, point):
         self.require_kenmotsu(point)
-        xif, xixif = xi_derivatives(self.base, f, point)
-        return laplacian_bar(
-            self.n, self._a(point), laplacian(self.base.manifold, f, point),
-            xif, xixif,
-        )
+        return laplacian_bar(self.base, f, self.at(point))
 
 
 def deform(structure: AcmStructure, a) -> DeformedStructure:
@@ -520,7 +524,7 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points) -> dict:
     n = structure.n
     lap = laplacian(structure.manifold, f, points)
     xif, xixif = xi_derivatives(structure, f, points)
-    lap_bar = laplacian_bar(n, points[A], lap, xif, xixif)
+    lap_bar = laplacian_bar(structure, f, points)
     condition = xixif + 2.0 * n * xif
     finite = np.isfinite(lap) & np.isfinite(lap_bar) & np.isfinite(condition)
     if not np.all(finite):

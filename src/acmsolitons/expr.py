@@ -56,41 +56,10 @@ class EvalError(ExprError):
 class Expr:
     """Base expression node.
 
-    Python arithmetic operators build trees through the folding
-    constructors below, so ``Const(1.0) * e`` collapses to ``e`` and
-    fixture code can assemble metrics without leaving trivial wrappers
-    behind.
+    Trees are built by the parser or by the folding constructors below
+    (``add``, ``mul``, ...), which collapse trivial wrappers such as
+    ``1 * e``; nodes define no arithmetic operators.
     """
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, other):
-        return pow_(self, _coerce(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def __str__(self):
         return render(self)
@@ -166,14 +135,6 @@ A = "a"
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
-
-
-def _coerce(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, float)):
-        return Const(float(value))
-    raise TypeError(f"cannot use {value!r} in an expression")
 
 
 def _const_value(e: Expr):

@@ -43,12 +43,12 @@ R(X, Y) xi = eta(X) Y - eta(Y) X and Ric(xi, xi) = -2n.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
 from .expr import (
-    A, Const, EvalError, Expr, coordinates_of, diff, evaluate, locate, mul,
+    A, Const, EvalError, Expr, add, coordinates_of, diff, evaluate, locate, mul,
 )
 from .tensor import (
     MetricData, StructureError, component_major, max_abs, outer, pair_index,
@@ -595,9 +595,6 @@ class ScalarField:
             self._dd[key] = found
         return found
 
-    def value(self, point):
-        return evaluate(self.expr, point)
-
     def gradient_covector(self, coords, point) -> np.ndarray:
         return _values([self.partial(c) for c in coords], point, (len(coords),),
                        self.reads_a)
@@ -623,7 +620,7 @@ class VectorField:
     def reads_a(self) -> bool:
         return _reads_a(self.components)
 
-    def values(self, coords, point) -> np.ndarray:
+    def values(self, point) -> np.ndarray:
         return _values(self.components, point, (len(self.components),),
                        self.reads_a)
 
@@ -644,7 +641,7 @@ class VectorField:
 def lie_derivative_metric(manifold, field: VectorField, point) -> np.ndarray:
     """(L_V g)_ij at ``point``."""
     m = manifold.metric_at_cached(point)
-    v = field.values(manifold.coords, point)
+    v = field.values(point)
     dv = field.partials(manifold.coords, point)
     return _lie_metric_numeric(m, v, dv, point)
 
@@ -682,7 +679,7 @@ def divergence(manifold, field: VectorField, point):
     """div V = d_i V^i + Gamma^i_ik V^k, memoised on a batch."""
     def compute(p):
         gamma = christoffel(manifold, p)
-        v = field.values(manifold.coords, p)
+        v = field.values(p)
         dv = field.partials(manifold.coords, p)
         return np.einsum("...ii->...", dv) + np.einsum("...iik,...k->...", gamma, v)
 
@@ -739,14 +736,13 @@ class AcmStructure:
             raise StructureError("phi/xi shape does not match the chart dimension")
         if eta is None:
             eta = tuple(
-                sum(
-                    (mul(manifold.metric[i][j], self.xi[j]) for j in range(d)),
-                    Const(0.0),
-                )
+                reduce(add, (mul(manifold.metric[i][j], self.xi[j])
+                             for j in range(d)), Const(0.0))
                 for i in range(d)
             )
         self.eta = tuple(eta)
         self.xi_field = VectorField(self.xi)
+        self.eta_field = VectorField(self.eta)
         self._dphi = {}
 
     @property
@@ -767,10 +763,10 @@ class AcmStructure:
         return _evaluate_all([e for row in self.phi for e in row], point, (d, d))
 
     def xi_values(self, point) -> np.ndarray:
-        return self.xi_field.values(self.manifold.coords, point)
+        return self.xi_field.values(point)
 
     def eta_values(self, point) -> np.ndarray:
-        return _values(self.eta, point, (len(self.eta),), self.reads_a)
+        return self.eta_field.values(point)
 
     def phi_partials(self, point) -> np.ndarray:
         """dphi[k, i, j] = d_k phi^i_j."""
@@ -789,23 +785,6 @@ class AcmStructure:
     def xi_partials(self, point) -> np.ndarray:
         """dxi[k, i] = d_k xi^i."""
         return self.xi_field.partials(self.manifold.coords, point)
-
-    def xi_directional(self, f: ScalarField) -> ScalarField:
-        """The scalar xi(f), built symbolically."""
-        d = self.manifold.dim
-        expr = sum(
-            (mul(self.xi[k], f.partial(self.manifold.coords[k])) for k in range(d)),
-            Const(0.0),
-        )
-        return ScalarField(expr)
-
-    def eta_of_field(self, field: VectorField) -> ScalarField:
-        """The scalar eta(V), built symbolically."""
-        d = self.manifold.dim
-        expr = sum(
-            (mul(self.eta[i], field.components[i]) for i in range(d)), Const(0.0)
-        )
-        return ScalarField(expr)
 
     def validate(self, point) -> dict:
         """Residuals of the defining axioms at ``point`` (all should vanish)."""
@@ -834,7 +813,7 @@ class AcmStructure:
 def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> np.ndarray:
     """nablaV[i, k] = (nabla_{d_i} field)^k = d_i V^k + Gamma^k_im V^m."""
     gamma = christoffel(manifold, point)
-    v = field.values(manifold.coords, point)
+    v = field.values(point)
     dv = field.partials(manifold.coords, point)
     return dv + np.einsum("...kim,...m->...ik", gamma, v)
 

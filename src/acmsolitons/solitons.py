@@ -50,7 +50,6 @@ inequalities for the gradient scenario are implemented below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -145,17 +144,18 @@ class SolitonCandidate:
 
     The potential is an explicit vector field, the gradient of a scalar, or
     the Reeb field of whatever frame the candidate is evaluated in.
-    Component and lambda expressions may reference the reserved symbol
-    ``a``, which the frame's batch binds to its deformation parameters (1
-    in an undeformed frame); that way a single candidate describes the whole
-    deformation family.
+    ``field`` is the configured vector field itself, so every candidate
+    with that potential shares it.  Its components and the lambda
+    expression may reference the reserved symbol ``a``, which the frame's
+    batch binds to its deformation parameters (1 in an undeformed frame);
+    that way a single candidate describes the whole deformation family.
     """
 
     name: str
     kind: str
     potential: str
     lam: Expr
-    components: tuple = None
+    field: VectorField = None
     scalar: ScalarField = None
 
     def __post_init__(self):
@@ -163,19 +163,14 @@ class SolitonCandidate:
             raise StructureError(f"unknown soliton kind {self.kind!r}")
         if self.potential not in ("vector", "gradient", "reeb"):
             raise StructureError(f"unknown potential kind {self.potential!r}")
-        if self.potential == "vector" and not self.components:
+        if self.potential == "vector" and self.field is None:
             raise StructureError(
-                f"candidate {self.name!r} needs vector components"
+                f"candidate {self.name!r} needs a vector field"
             )
         if self.potential == "gradient" and self.scalar is None:
             raise StructureError(
                 f"candidate {self.name!r} needs a scalar potential"
             )
-
-    @cached_property
-    def field(self) -> VectorField:
-        """The explicit vector potential, shared by every frame."""
-        return VectorField(self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +194,19 @@ def _lie_and_div(structure: AcmStructure, candidate, point) -> tuple:
     """L_V g and div V of the candidate's potential on the structure's
     chart at the bound batch ``point``.
 
-    Memoised there by the chart and the potential: the scalar field, or
-    the components, as each candidate builds its own VectorField, so
-    candidates of both kinds with one potential share them.  Callers must
-    not write into them.
+    Memoised there by the chart and the potential, the configured scalar
+    or vector field itself, so candidates of both kinds with one potential
+    share them.  Callers must not write into them.
     """
     man = structure.manifold
     if candidate.potential == "gradient":
-        potential = key = candidate.scalar
+        potential = candidate.scalar
         lie, div = gradient_lie_derivative, laplacian
     else:
         potential = (structure.xi_field if candidate.potential == "reeb"
                      else candidate.field)
-        key = potential.components
         lie, div = lie_derivative_metric, divergence
-    return memoised(point, (man, key, "lie and div"), lambda p: (
+    return memoised(point, (man, potential, "lie and div"), lambda p: (
         lie(man, potential, p), div(man, potential, p)
     ))
 
@@ -256,8 +249,17 @@ def soliton_residuals(structure: AcmStructure, candidate, point) -> dict:
 
 
 def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
-    """xi(eta(V)) as an exact symbolic directional derivative."""
-    return structure.xi_directional(structure.eta_of_field(field)).value(point)
+    """xi(eta(V)) = xi^k (d_k eta_i V^i + eta_i d_k V^i), from exact
+    partials of eta and V."""
+    coords = structure.manifold.coords
+    xi = structure.xi_values(point)
+    v = field.values(point)
+    return (
+        np.einsum("...k,...ki,...i->...", xi,
+                  structure.eta_field.partials(coords, point), v)
+        + np.einsum("...k,...i,...ki->...", xi, structure.eta_values(point),
+                    field.partials(coords, point))
+    )
 
 
 def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
@@ -287,11 +289,9 @@ def _theorem_lambda(kind, scenario, structure, point, vector, scalar):
     elif scenario == "solenoidal":
         xi_eta_v, div_v = xi_of_eta_potential(structure, vector, point), 0.0
     elif scenario == "gradient":
-        xif, xixif = xi_derivatives(structure, scalar, point)
+        _, xixif = xi_derivatives(structure, scalar, point)
         xi_eta_v = xixif / a2
-        div_v = laplacian_bar(
-            n, a, laplacian(structure.manifold, scalar, point), xif, xixif
-        )
+        div_v = laplacian_bar(structure, scalar, point)
     else:
         raise StructureError(f"unknown scenario {scenario!r}")
     return tr.lam(tr.k * xi_eta_v - 2.0 * n / a2, div_v)
@@ -354,7 +354,7 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
     eta = structure.eta_values(point)
     n = structure.n
     nv = covariant_derivative(man, vector, point)
-    v = vector.values(man.coords, point)
+    v = vector.values(point)
     sigma = xi_of_eta_potential(structure, vector, point)
     nv_flat = np.einsum("...ik,...kj->...ij", nv, g)
     sym_nv = nv_flat + np.swapaxes(nv_flat, -1, -2)

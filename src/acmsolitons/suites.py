@@ -34,7 +34,7 @@ from .deformation import (
     prop_inner_battery,
     ricci_norm_bound,
 )
-from .expr import A, EvalError, a_tag, coordinates_of, locate
+from .expr import A, EvalError, a_tag, locate
 from .geometry import (
     Samples,
     covariant_derivative,
@@ -588,7 +588,7 @@ def _soliton_suite(run, override, kind):
     # fields free of the symbol a whose divergence vanishes at every sample
     fields = {
         w: v for w, v in sorted(config.vectors.items())
-        if not any(A in coordinates_of(c) for c in v.components)
+        if not v.reads_a
     }
     max_div, _ = _worst(
         points,

@@ -13,6 +13,7 @@ from acmsolitons.config import builtin_config
 from acmsolitons.deformation import deform
 from acmsolitons.expr import diff, evaluate, parse_expr
 from acmsolitons.geometry import (
+    VectorField,
     curvature_bundle,
     divergence,
     hessian,
@@ -335,7 +336,7 @@ def test_criterion_07_trace_implication():
             _random_polynomial(rng, coords), coords=coords + ("a",)
         )
         cand = SolitonCandidate(
-            f"rand{k}", kind, "vector", lam, components=comps
+            f"rand{k}", kind, "vector", lam, field=VectorField(comps)
         )
         for p in pts:
             res = soliton_residuals(s, cand, with_a(p, 1.0))

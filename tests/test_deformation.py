@@ -148,7 +148,7 @@ class TestClosedForms:
                 lie_derivative_metric(ds.manifold, xi_field, ds.at(p)),
             ) <= tol
             assert _rel(
-                ds.div_reeb_closed(),
+                ds.div_reeb_closed(p),
                 divergence(ds.manifold, xi_field, ds.at(p)),
             ) <= tol
 
@@ -163,7 +163,7 @@ class TestClosedForms:
         assert battery["ric-ric"]["direct"] == pytest.approx(2.25, rel=1e-12)
         assert ds.curvature_closed(p)["scal"] == pytest.approx(-1.5, rel=1e-12)
         assert ds.laplacian_closed(f, p) == pytest.approx(0.75 * ez, rel=1e-12)
-        assert ds.div_reeb_closed() == pytest.approx(1.0)
+        assert ds.div_reeb_closed(p) == pytest.approx(1.0)
 
     def test_gradient_potential_scaling(self, kenmotsu3, kenmotsu3_points):
         # grad_bar of the warp potential is the base potential over a^2

@@ -71,7 +71,7 @@ def _candidates(config, scalar):
                          scalar=scalar),
         SolitonCandidate("grid-vector", "ricci", "vector",
                          parse_expr(f"(exp({z}) - 2)/a^2", coords=coords),
-                         components=vector),
+                         field=VectorField(vector)),
         SolitonCandidate("grid-reeb", "riemann", "reeb",
                          parse_expr("(a - 1)/a^2", coords=coords)),
     ]

@@ -8,7 +8,8 @@ imports are exempt.  Each name in the ``__all__`` of a package module must
 be defined or imported at its top level: ``perfbench/tracing.py`` reads
 every one with ``getattr``.  No function of the package takes the
 deformation parameter ``a`` next to a point: a point that binds it
-(``geometry.with_a``, the one exception) carries it.
+(``geometry.with_a``, the one exception) carries it.  And no function of
+the package takes a parameter that its body never reads.
 """
 
 import ast
@@ -93,6 +94,23 @@ def _a_beside_a_point(tree: ast.Module) -> list:
     return found
 
 
+def _unread_parameters(tree: ast.Module) -> list:
+    """(line, function, parameter) of each parameter, but ``self`` and
+    ``cls``, that its function's body never reads; lambdas are exempt."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [arg.arg for arg in
+                      args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if arg is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [(node.lineno, node.name, name) for name in params
+                      if name not in read and name not in ("self", "cls")]
+    return found
+
+
 def test_walk_finds_the_modules():
     names = {p.relative_to(ROOT).as_posix() for p in MODULES}
     assert {"src/acmsolitons/suites.py", "tests/test_hygiene.py",
@@ -158,3 +176,30 @@ def test_finds_an_a_beside_a_point():
 def test_no_a_beside_a_point(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _a_beside_a_point(tree) == []
+
+
+def test_finds_an_unread_parameter():
+    tree = ast.parse(
+        "def f(x, y, *rest, scale=1.0, **extra):\n"
+        "    return x * scale\n"
+        "class K:\n"
+        "    def m(self, point):\n"
+        "        return lambda q: point\n"
+        "    @classmethod\n"
+        "    def c(cls, coords, point):\n"
+        "        def inner(p):\n"
+        "            return p\n"
+        "        return inner(point)\n"
+        "g = lambda unused: 0\n"
+    )
+    assert _unread_parameters(tree) == [
+        (1, "f", "y"), (1, "f", "rest"), (1, "f", "extra"), (7, "c", "coords"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[p.relative_to(ROOT).as_posix() for p in PACKAGE]
+)
+def test_no_unread_parameter(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unread_parameters(tree) == []

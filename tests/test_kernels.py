@@ -39,7 +39,7 @@ from conftest import expand
 from numpy.testing import assert_array_equal
 
 from acmsolitons import geometry
-from acmsolitons.expr import A, Const, Coord, EvalError, call, evaluate
+from acmsolitons.expr import A, Const, Coord, EvalError, add, call, evaluate, mul
 from acmsolitons.geometry import (
     ChartManifold,
     _check_curvature_symmetries,
@@ -526,8 +526,9 @@ def _entries(d, seed):
         elif kind == 1 and out:
             out.append(out[int(rng.integers(len(out)))])
         else:
-            c = float(rng.normal())
-            out.append(call("exp", x * c) * (y + k) + a * c)
+            c = Const(float(rng.normal()))
+            out.append(add(mul(call("exp", mul(x, c)), add(y, Const(float(k)))),
+                           mul(a, c)))
     return out
 
 

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from acmsolitons import solitons
+from acmsolitons import deformation, solitons
 from acmsolitons.geometry import with_a
 from acmsolitons.solitons import (
     _battery,
@@ -100,6 +100,11 @@ def synthetic(request, monkeypatch):
         solitons, "xi_derivatives", lambda st, f, p: (s.xif, s.xixif)
     )
     monkeypatch.setattr(solitons, "laplacian", lambda man, f, p: s.lap)
+    # Lap_bar reads them in deformation; laplacian_bar itself stays real
+    monkeypatch.setattr(
+        deformation, "xi_derivatives", lambda st, f, p: (s.xif, s.xixif)
+    )
+    monkeypatch.setattr(deformation, "laplacian", lambda man, f, p: s.lap)
     monkeypatch.setattr(
         solitons, "xi_of_eta_potential", lambda st, v, p: s.sigma
     )

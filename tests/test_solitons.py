@@ -411,7 +411,7 @@ def _closed_residuals(ds, cand, p):
         div_v = ds.laplacian_closed(cand.scalar, p)
     else:
         lie = ds.lie_reeb_closed(p)
-        div_v = ds.div_reeb_closed()
+        div_v = ds.div_reeb_closed(p)
     lam = evaluate(cand.lam, dict(p, a=a))
     if cand.kind == "ricci":
         return {
