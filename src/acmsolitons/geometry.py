@@ -16,8 +16,12 @@ sample axes are the broadcast of those of the trees it is evaluated from
 (a constant contributes none, a tree reading only a gives (A, 1)),
 padded with length-1 axes to the batch's rank, so a flat metric and its
 curvature are computed once, not once per sample.  The symbolic
-layer only ever differentiates the defining expressions, so each operator
-below matches its textbook coordinate formula exactly:
+layer only ever differentiates the defining expressions, and only through
+``Field``, the one type of the metric, phi, xi, eta and every scalar or
+vector field: a field's values are memoised on a batch by the field, its
+exact partials are built once per coordinate tuple, on first use, and its
+second partials are the mean of both orders.  So each operator below
+matches its textbook coordinate formula exactly:
 
 * Christoffel symbols  Gamma^l_ij = (1/2) g^{lk} (d_i g_jk + d_j g_ik - d_k g_ij)
 * curvature            R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
@@ -57,7 +61,7 @@ from .tensor import (
 
 __all__ = [
     "Samples", "with_a", "memoised",
-    "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
+    "Field", "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
     "christoffel", "curvature_bundle",
     "lie_derivative_metric", "grad", "hessian", "divergence", "laplacian",
     "gradient_lie_derivative", "covariant_derivative", "nabla_phi_tensor",
@@ -74,8 +78,8 @@ class Samples(dict):
     What a run derives from the batch alone (metric data, curvature,
     Hessians of scalar fields, divergences, Kenmotsu residuals, the values
     and partials of fields) is memoised on it, keyed by the chart,
-    structure or field it belongs to, or by the expressions evaluated, so
-    each is computed once per batch whichever suite asks first.  A batch that binds the symbol a
+    structure or ``Field`` it belongs to, so each is computed once per
+    batch whichever suite asks first.  A batch that binds the symbol a
     (see ``with_a``) keeps the batch it binds as ``parent``.  A batch is
     never written to once built.
     """
@@ -206,17 +210,6 @@ def _evaluate_all(exprs, point, dims) -> np.ndarray:
     return out.reshape(shape + dims)
 
 
-def _values(exprs, point, dims, reads_a) -> np.ndarray:
-    """``_evaluate_all``, memoised on a batch by the expressions themselves.
-
-    A field's values and partials are evaluated once per batch whichever
-    operator asks; callers must not write into the result.
-    """
-    exprs = tuple(exprs)
-    return memoised(point, (exprs, dims),
-                    lambda p: _evaluate_all(exprs, p, dims), reads_a)
-
-
 def _swap(t: np.ndarray) -> np.ndarray:
     return np.swapaxes(t, -1, -2)
 
@@ -262,29 +255,15 @@ class ChartManifold:
                         f"metric of {name} is not symmetric at entry ({i},{j})"
                     )
         self.constraints = tuple(constraints)
-        # g_ij, d_k g_ij and d_l d_k g_ij, each flat in row-major order
-        self._g = [e for row in self.metric for e in row]
-        self._dg = self._partials(self._g)
-        self._d2g = self._partials(self._dg)
-
-    def _partials(self, flat) -> list:
-        """d_c of each entry of ``flat``, a run of (i, j) blocks, for each
-        coordinate c; a (j, i) entry, j < i, takes the tree of (i, j)."""
-        d = self.dim
-        pairs = [(i * d + j, j * d + i) for i in range(d) for j in range(i, d)]
-        out = []
-        for c in self.coords:
-            for start in range(0, len(flat), d * d):
-                block = [None] * (d * d)
-                for k, mirror in pairs:
-                    block[k] = block[mirror] = diff(flat[start + k], c)
-                out.extend(block)
-        return out
+        # a (j, i) entry, j < i, is the tree of (i, j): differentiated once
+        self.g = Field((self.metric[min(i, j)][max(i, j)]
+                        for i in range(self.dim) for j in range(self.dim)),
+                       (self.dim, self.dim))
 
     @cached_property
     def reads_a(self) -> bool:
         """Whether the metric or a constraint reads the symbol a."""
-        return _reads_a(self._g + list(self.constraints))
+        return self.g.reads_a or _reads_a(self.constraints)
 
     @property
     def n(self) -> int:
@@ -332,27 +311,20 @@ class ChartManifold:
                 f"{what} of {self.name} not finite", point)
         return values
 
-    # the metric is symmetric entry by entry, so _evaluate_all evaluates
-    # each (i, j) entry and its partials once and copies them to (j, i)
     def metric_values(self, point) -> np.ndarray:
-        d = self.dim
-        out = _evaluate_all(self._g, point, (d, d))
-        return self._finite(out, 2, "metric", point)
+        return self._finite(self.g.values(point), 2, "metric", point)
 
     def metric_partials(self, point) -> np.ndarray:
-        d = self.dim
-        out = _evaluate_all(self._dg, point, (d, d, d))
-        return self._finite(out, 3, "metric first partials", point)
+        return self._finite(self.g.partials(self.coords, point), 3,
+                            "metric first partials", point)
 
     def metric_second_partials(self, point) -> np.ndarray:
-        d = self.dim
-        out = component_major(_evaluate_all(self._d2g, point, (d, d, d, d)), 4)
-        self._finite(sample_major(out, 4), 4, "metric second partials", point)
-        # mixed partials commute; symmetrize away evaluation-order noise in
-        # one component-major pass ((x + x)/2 = x keeps the l = k blocks)
-        mean = out + out.swapaxes(0, 1)
-        mean *= 0.5
-        return sample_major(mean, 4)
+        # only the curvature reads them, once per chart and batch, so they
+        # are evaluated unmemoised: d^4 N doubles are not kept for the run
+        second = self.g.derivative(self.coords).derivative(self.coords)
+        out = _evaluate_all(second.exprs, point, second.dims)
+        self._finite(out, 4, "metric second partials", point)
+        return _mean_of_orders(out, 4)
 
     def metric_at_cached(self, point) -> MetricData:
         """Metric data at ``point``, memoised on a batch.
@@ -568,74 +540,78 @@ def _curvature(manifold, point) -> dict:
 # ---------------------------------------------------------------------------
 # Fields
 
-class ScalarField:
-    """A scalar function given by one expression; partials are cached."""
+class Field:
+    """Expression trees in row-major order with a component shape ``dims``,
+    () for a scalar: the metric, phi, xi, eta and each scalar or vector.
 
-    def __init__(self, expr: Expr):
-        self.expr = expr
-        self._d = {}
-        self._dd = {}
+    Its values are memoised on a batch by the field, so they are evaluated
+    once per batch whichever operator asks; callers must not write into
+    them.  Its exact partials are the field ``derivative`` builds once per
+    coordinate tuple, on first use, differentiating each distinct tree
+    object once (a mirrored metric entry or a shared zero is one tree);
+    its second partials are the mean of both orders.
+    """
+
+    def __init__(self, exprs, dims):
+        self.exprs = tuple(exprs)
+        self.dims = tuple(dims)
+        self._derivatives = {}
 
     @cached_property
     def reads_a(self) -> bool:
-        return _reads_a((self.expr,))
+        return _reads_a(self.exprs)
 
-    def partial(self, coord: str) -> Expr:
-        found = self._d.get(coord)
-        if found is None:
-            found = diff(self.expr, coord)
-            self._d[coord] = found
-        return found
+    def values(self, point) -> np.ndarray:
+        return memoised(point, (self, "values"),
+                        lambda p: _evaluate_all(self.exprs, p, self.dims),
+                        self.reads_a)
 
-    def second_partial(self, c1: str, c2: str) -> Expr:
-        key = (c1, c2)
-        found = self._dd.get(key)
-        if found is None:
-            found = diff(self.partial(c1), c2)
-            self._dd[key] = found
-        return found
+    def derivative(self, coords) -> "Field":
+        """The field of first partials, [k, ...] = d_k of each component."""
+        coords = tuple(coords)
+        if coords not in self._derivatives:
+            trees = {id(e): e for e in self.exprs}
+            d = [{k: diff(e, c) for k, e in trees.items()} for c in coords]
+            self._derivatives[coords] = Field(
+                [dc[id(e)] for dc in d for e in self.exprs],
+                (len(coords),) + self.dims)
+        return self._derivatives[coords]
 
-    def gradient_covector(self, coords, point) -> np.ndarray:
-        return _values([self.partial(c) for c in coords], point, (len(coords),),
-                       self.reads_a)
+    def partials(self, coords, point) -> np.ndarray:
+        """[k, ...] = d_k of each component at ``point``."""
+        return self.derivative(coords).values(point)
 
     def second_partials(self, coords, point) -> np.ndarray:
-        d = len(coords)
-        # d_i d_j f is evaluated from one tree for both orders
-        exprs = [
-            self.second_partial(coords[min(i, j)], coords[max(i, j)])
-            for i in range(d) for j in range(d)
-        ]
-        return _values(exprs, point, (d, d), self.reads_a)
+        """[k, l, ...] = d_k d_l of each component at ``point``, the mean
+        of both orders."""
+        second = self.derivative(coords).derivative(coords)
+        return _mean_of_orders(second.values(point), len(second.dims))
 
 
-class VectorField:
+def _mean_of_orders(x: np.ndarray, rank: int) -> np.ndarray:
+    """The mean of x[..., k, l, *] and x[..., l, k, *] over the first two of
+    its ``rank`` component axes: mixed partials commute, so this takes
+    evaluation-order noise away, in one component-major pass, and
+    (x + x)/2 = x keeps the l = k blocks."""
+    x = component_major(x, rank)
+    mean = x + x.swapaxes(0, 1)
+    mean *= 0.5
+    return sample_major(mean, rank)
+
+
+class ScalarField(Field):
+    """A scalar function given by one expression."""
+
+    def __init__(self, expr: Expr):
+        super().__init__((expr,), ())
+
+
+class VectorField(Field):
     """A vector field given by one expression per component."""
 
     def __init__(self, components):
-        self.components = tuple(components)
-        self._d = {}
-
-    @cached_property
-    def reads_a(self) -> bool:
-        return _reads_a(self.components)
-
-    def values(self, point) -> np.ndarray:
-        return _values(self.components, point, (len(self.components),),
-                       self.reads_a)
-
-    def partial_exprs(self, coord: str):
-        found = self._d.get(coord)
-        if found is None:
-            found = tuple(diff(c, coord) for c in self.components)
-            self._d[coord] = found
-        return found
-
-    def partials(self, coords, point) -> np.ndarray:
-        """dV[i, k] = d_i V^k."""
-        d = len(coords)
-        exprs = [e for c in coords for e in self.partial_exprs(c)]
-        return _values(exprs, point, (d, d), self.reads_a)
+        components = tuple(components)
+        super().__init__(components, (len(components),))
 
 
 def lie_derivative_metric(manifold, field: VectorField, point) -> np.ndarray:
@@ -656,7 +632,7 @@ def _lie_metric_numeric(m: MetricData, v, dv, point) -> np.ndarray:
 def grad(manifold, f: ScalarField, point) -> np.ndarray:
     """(grad f)^i = g^{ij} d_j f."""
     m = manifold.metric_at_cached(point)
-    df = f.gradient_covector(manifold.coords, point)
+    df = f.partials(manifold.coords, point)
     return np.einsum("...ij,...j->...i", m.inv, df)
 
 
@@ -669,7 +645,7 @@ def hessian(manifold, f: ScalarField, point) -> np.ndarray:
 
 def _hessian(manifold, f: ScalarField, point) -> np.ndarray:
     gamma = christoffel(manifold, point)
-    df = f.gradient_covector(manifold.coords, point)
+    df = f.partials(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
     out = ddf - np.einsum("...kij,...k->...ij", gamma, df)
     return symmetric(0.5 * (out + _swap(out)), point)
@@ -683,7 +659,7 @@ def divergence(manifold, field: VectorField, point):
         dv = field.partials(manifold.coords, p)
         return np.einsum("...ii->...", dv) + np.einsum("...iik,...k->...", gamma, v)
 
-    return memoised(point, (manifold, field.components, "divergence"),
+    return memoised(point, (manifold, field.exprs, "divergence"),
                     compute, manifold.reads_a or field.reads_a)
 
 
@@ -697,7 +673,7 @@ def gradient_lie_derivative(manifold, f: ScalarField, point) -> np.ndarray:
     """(L_{grad f} g)_ij, with the gradient field differentiated numerically
     through exact metric and scalar partials (no symbolic inverse metric)."""
     m = manifold.metric_at_cached(point)
-    df = f.gradient_covector(manifold.coords, point)
+    df = f.partials(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
     v = m.inv @ df[..., :, None]
     # dv[a, i] = g^ik (d_a d_k f - d_a g_kj v^j), as d_a g^ik = -g^im
@@ -741,9 +717,9 @@ class AcmStructure:
                 for i in range(d)
             )
         self.eta = tuple(eta)
+        self.phi_field = Field((e for row in self.phi for e in row), (d, d))
         self.xi_field = VectorField(self.xi)
         self.eta_field = VectorField(self.eta)
-        self._dphi = {}
 
     @property
     def n(self) -> int:
@@ -752,15 +728,12 @@ class AcmStructure:
     @cached_property
     def reads_a(self) -> bool:
         """Whether the chart or one of phi, xi, eta reads the symbol a."""
-        return self.manifold.reads_a or _reads_a(
-            [e for row in self.phi for e in row] + list(self.xi) + list(self.eta)
+        return self.manifold.reads_a or any(
+            f.reads_a for f in (self.phi_field, self.xi_field, self.eta_field)
         )
 
-    # phi and its partials are read once or twice per structure and batch,
-    # so they are not memoised: that keeps a large batch's memory down
     def phi_values(self, point) -> np.ndarray:
-        d = self.manifold.dim
-        return _evaluate_all([e for row in self.phi for e in row], point, (d, d))
+        return self.phi_field.values(point)
 
     def xi_values(self, point) -> np.ndarray:
         return self.xi_field.values(point)
@@ -770,21 +743,7 @@ class AcmStructure:
 
     def phi_partials(self, point) -> np.ndarray:
         """dphi[k, i, j] = d_k phi^i_j."""
-        d = self.manifold.dim
-        exprs = []
-        for ck in self.manifold.coords:
-            rows = self._dphi.get(ck)
-            if rows is None:
-                rows = tuple(
-                    tuple(diff(self.phi[i][j], ck) for j in range(d)) for i in range(d)
-                )
-                self._dphi[ck] = rows
-            exprs.extend(e for row in rows for e in row)
-        return _evaluate_all(exprs, point, (d, d, d))
-
-    def xi_partials(self, point) -> np.ndarray:
-        """dxi[k, i] = d_k xi^i."""
-        return self.xi_field.partials(self.manifold.coords, point)
+        return self.phi_field.partials(self.manifold.coords, point)
 
     def validate(self, point) -> dict:
         """Residuals of the defining axioms at ``point`` (all should vanish)."""
@@ -847,8 +806,8 @@ def xi_derivatives(structure: AcmStructure, f: ScalarField, point) -> tuple:
     def compute(p):
         coords = structure.manifold.coords
         xi = structure.xi_values(p)
-        dxi = structure.xi_partials(p)
-        df = f.gradient_covector(coords, p)
+        dxi = structure.xi_field.partials(coords, p)
+        df = f.partials(coords, p)
         ddf = f.second_partials(coords, p)
         xif = np.einsum("...k,...k->...", xi, df)
         xixif = (

@@ -346,30 +346,38 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
 
     The tensor is evaluated with the actual covariant derivative of V; its
     metric trace must reproduce the scal value whenever div V = 0 and
-    eta(nabla_xi V) = xi(eta(V)), which holds over a Kenmotsu base.
+    eta(nabla_xi V) = xi(eta(V)), which holds over a Kenmotsu base.  Only
+    k and a enter per kind: the rest is memoised on the batch.
     """
     man = structure.manifold
     m = man.metric_at_cached(point)
-    g = m.g
-    eta = structure.eta_values(point)
-    n = structure.n
-    nv = covariant_derivative(man, vector, point)
-    v = vector.values(point)
-    sigma = xi_of_eta_potential(structure, vector, point)
-    nv_flat = np.einsum("...ik,...kj->...ij", nv, g)
-    sym_nv = nv_flat + np.swapaxes(nv_flat, -1, -2)
-    w = (
-        np.einsum("...ik,...k->...i", nv, eta)
-        + np.einsum("...ij,...j->...i", g, v)
+
+    def terms(p):
+        # sigma = xi(eta(V)), sym(nabla V^flat), eta (x) eta and the brace
+        eta = structure.eta_values(p)
+        nv = covariant_derivative(man, vector, p)
+        v = vector.values(p)
+        nv_flat = np.einsum("...ik,...kj->...ij", nv, m.g)
+        w = (
+            np.einsum("...ik,...k->...i", nv, eta)
+            + np.einsum("...ij,...j->...i", m.g, v)
+        )
+        eta_v = np.einsum("...i,...i->...", eta, v)
+        ee = outer(eta, eta)
+        brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
+        return (xi_of_eta_potential(structure, vector, p),
+                nv_flat + np.swapaxes(nv_flat, -1, -2), ee, brace)
+
+    sigma, sym_nv, ee, brace = memoised(
+        point, (structure, vector, "solenoidal"), terms,
+        structure.reads_a or vector.reads_a,
     )
-    eta_v = np.einsum("...i,...i->...", eta, v)
-    ee = outer(eta, eta)
-    brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
+    n = structure.n
     a = point[A]
     ca = _trace(kind, n).k * a
     q = ca * (a - 1.0)
     ric = (
-        _tensor(ca * sigma - 2.0 * n) * g
+        _tensor(ca * sigma - 2.0 * n) * m.g
         + _tensor(q * sigma) * ee
         - _tensor(0.5 * ca) * sym_nv
         - _tensor(0.5 * q) * brace

@@ -197,7 +197,7 @@ def test_gradient_lie_derivative(d):
         coords=None, metric_at_cached=lambda point: m
     )
     f = SimpleNamespace(
-        gradient_covector=lambda coords, point: df,
+        partials=lambda coords, point: df,
         second_partials=lambda coords, point: ddf,
     )
     v = np.einsum("...ik,...k->...i", inv, df)

@@ -17,6 +17,11 @@ the 3-dimensional warped product on a domain reaching z near 0; linear3
 that varies from sample to sample.  A hypothesis sweep runs the warped
 products dx3^2 + V^2 (dx1^2 + dx2^2), V = 1 + c x3, over the warping
 constant c and over a, against one oracle symbolic in both.
+
+The scalar operators (grad, Hess, Lap, L_{grad f} g and xi(f), xi(xi(f)))
+are checked the same way on kenmotsu3-wide and kenmotsu5-gh, base and
+deformed, with xi_bar = xi/a, for a scalar whose mixed second partials do
+not fold to one tree, so the mean of both orders is what is tested.
 """
 
 import configparser
@@ -30,10 +35,13 @@ from conftest import expand
 from hypothesis import given, settings, strategies as st
 
 import acmsolitons
-from acmsolitons import builtin_config
+from acmsolitons import builtin_config, parse_expr
 from acmsolitons.config import load_config, load_config_text
 from acmsolitons.deformation import deform
-from acmsolitons.geometry import curvature_bundle, sample_batch
+from acmsolitons.geometry import (
+    ScalarField, curvature_bundle, grad, gradient_lie_derivative, hessian,
+    laplacian, sample_batch, xi_derivatives,
+)
 
 FIXTURES = Path(acmsolitons.__file__).parent / "fixtures"
 LINEAR3 = Path(__file__).parent / "data" / "linear3.ini"
@@ -55,17 +63,23 @@ def _config(name: str):
     return load_config(LINEAR3) if name == "linear3" else builtin_config(name)
 
 
+def _christoffel(g, inv, x) -> list:
+    """Gamma[l][i][j] of the sympy metric ``g`` with inverse ``inv``."""
+    d = len(x)
+    dg = [[[sp.diff(g[i, j], x[k]) for j in range(d)] for i in range(d)]
+          for k in range(d)]
+    return [[[sp.expand(sum(
+        inv[l, k] * (dg[i][j][k] + dg[j][i][k] - dg[k][i][j])
+        for k in range(d)) / 2) for j in range(d)] for i in range(d)]
+        for l in range(d)]
+
+
 def _bundle(g, x) -> list:
     """[Gamma, R13, R04, Ric, scal] of the sympy metric ``g`` in the
     coordinate symbols ``x``, as nested lists of expressions."""
     d = len(x)
     inv = sp.simplify(g.inv())
-    dg = [[[sp.diff(g[i, j], x[k]) for j in range(d)] for i in range(d)]
-          for k in range(d)]
-    gamma = [[[sp.expand(sum(
-        inv[l, k] * (dg[i][j][k] + dg[j][i][k] - dg[k][i][j])
-        for k in range(d)) / 2) for j in range(d)] for i in range(d)]
-        for l in range(d)]
+    gamma = _christoffel(g, inv, x)
     r13 = [[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
     for l in range(d):
         for a in range(d):
@@ -89,10 +103,10 @@ def _bundle(g, x) -> list:
     return [gamma, r13, r04, ric, scal]
 
 
-def _assert_matches(bundle, want):
-    """Each ``KEYS`` entry of ``bundle`` against the oracle's values at each
+def _assert_matches(bundle, want, keys=KEYS):
+    """Each ``keys`` entry of ``bundle`` against the oracle's values at each
     sample point, ``want`` holding one list of them per point."""
-    for k, key in enumerate(KEYS):
+    for k, key in enumerate(keys):
         ref = np.array([np.asarray(w[k], dtype=float) for w in want])
         got = np.asarray(bundle[key])
         if key in ("R13", "R04"):
@@ -105,10 +119,9 @@ def _assert_matches(bundle, want):
         assert err <= TOL * scale, f"{key}: {err:.3e} at scale {scale:.3e}"
 
 
-@lru_cache(maxsize=None)
-def _oracle(name: str, deformed: bool):
-    """(coordinate names, a function of one point's coordinates giving
-    each of ``KEYS`` as nested lists)."""
+def _chart(name: str, deformed: bool) -> tuple:
+    """(coordinate names, their symbols, g, xi) of a chart's definition
+    file as sympy data; deformed, g_bar and xi_bar = xi/a at ``A_VALUE``."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
     parser.read_string(_path(name).read_text(encoding="utf-8"))
@@ -123,11 +136,20 @@ def _oracle(name: str, deformed: bool):
             text = man.get(f"g_{names[i]}_{names[j]}",
                            man.get(f"g_{names[j]}_{names[i]}", "0"))
             g[i, j] = g[j, i] = _parse(text, symbols)
+    xi = sp.Matrix([_parse(t, symbols)
+                    for t in parser["structure"]["xi"].split(",")])
     if deformed:
-        xi = sp.Matrix([_parse(t, symbols)
-                        for t in parser["structure"]["xi"].split(",")])
         eta = g * xi
         g = A_VALUE * g + A_VALUE * (A_VALUE - 1) * (eta * eta.T)
+        xi = xi / A_VALUE
+    return names, x, g, xi
+
+
+@lru_cache(maxsize=None)
+def _oracle(name: str, deformed: bool):
+    """(coordinate names, a function of one point's coordinates giving
+    each of ``KEYS`` as nested lists)."""
+    names, x, g, _ = _chart(name, deformed)
     return names, sp.lambdify(x, _bundle(g, x), "numpy", cse=True)
 
 
@@ -152,6 +174,71 @@ def test_curvature_bundle_matches_sympy(name, deformed):
     assert tuple(config.manifold.coords) == tuple(names)
     _assert_matches(bundle, [oracle(*(p[c] for c in names))
                              for p in batch.points()])
+
+
+SCALARS = {
+    "kenmotsu3-wide": "x*y*exp(z) + sin(x - 2*y)",
+    "kenmotsu5-gh": "x1*tau*exp(z) + sin(x2 - x3)",
+}
+SCALAR_KEYS = ("grad", "hessian", "laplacian", "gradient_lie_derivative",
+               "xi f", "xi xi f")
+
+
+@lru_cache(maxsize=None)
+def _scalar_oracle(name: str, deformed: bool):
+    """(coordinate names, a function of one point's coordinates giving
+    each of ``SCALAR_KEYS`` for the scalar ``SCALARS[name]``): the
+    gradient g^ij d_j f, Hess_ij = d_i d_j f - Gamma^k_ij d_k f, its
+    trace, L_V g of V = grad f from the coordinate formula, xi^k d_k f and
+    xi^k d_k (xi(f))."""
+    names, x, g, xi = _chart(name, deformed)
+    d = len(x)
+    f = _parse(SCALARS[name], dict(zip(names, x)))
+    inv = sp.simplify(g.inv())
+    gamma = _christoffel(g, inv, x)
+    df = [sp.diff(f, c) for c in x]
+    v = [sum(inv[i, j] * df[j] for j in range(d)) for i in range(d)]
+    hess = [[sp.diff(df[i], x[j]) - sum(gamma[k][i][j] * df[k]
+                                        for k in range(d))
+             for j in range(d)] for i in range(d)]
+    lie = [[sum(v[k] * sp.diff(g[i, j], x[k]) + g[k, j] * sp.diff(v[k], x[i])
+                + g[i, k] * sp.diff(v[k], x[j]) for k in range(d))
+            for j in range(d)] for i in range(d)]
+    lap = sum(inv[i, j] * hess[i][j] for i in range(d) for j in range(d))
+    xif = sum(xi[k] * df[k] for k in range(d))
+    xixif = sum(xi[k] * sp.diff(xif, x[k]) for k in range(d))
+    return names, sp.lambdify(x, [v, hess, lap, lie, xif, xixif], "numpy",
+                              cse=True)
+
+
+SCALAR_CASES = [(name, deformed) for name in SCALARS
+                for deformed in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "name, deformed", SCALAR_CASES,
+    ids=[f"{n}-{'deformed' if dfm else 'base'}" for n, dfm in SCALAR_CASES],
+)
+def test_scalar_operators_match_sympy(name, deformed):
+    names, oracle = _scalar_oracle(name, deformed)
+    config = _config(name)
+    f = ScalarField(parse_expr(SCALARS[name], config.manifold.coords))
+    batch = sample_batch(config.manifold, config.box, POINTS, config.seed)
+    structure, point = config.structure, batch
+    if deformed:
+        ds = deform(config.structure, float(A_VALUE))
+        structure, point = ds.structure, ds.at(batch)
+    man = structure.manifold
+    got = {
+        "grad": grad(man, f, point),
+        "hessian": hessian(man, f, point),
+        "laplacian": laplacian(man, f, point),
+        "gradient_lie_derivative": gradient_lie_derivative(man, f, point),
+    }
+    got["xi f"], got["xi xi f"] = xi_derivatives(structure, f, point)
+    assert tuple(man.coords) == tuple(names)
+    _assert_matches(got, [oracle(*(p[c] for c in names))
+                          for p in batch.points()], SCALAR_KEYS)
 
 
 @lru_cache(maxsize=None)

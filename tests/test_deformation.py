@@ -312,7 +312,7 @@ class TestMemo:
         field = kenmotsu3.structure.xi_field
         first = divergence(man, field, pts)
         assert first == pytest.approx(2.0, rel=1e-12)
-        assert divergence(man, VectorField(field.components), pts) is first
+        assert divergence(man, VectorField(field.exprs), pts) is first
         ds = deform(kenmotsu3.structure, A_GRID)
         bound = divergence(ds.manifold, field, ds.at(pts))
         assert bound is not first and bound.shape == (len(A_GRID), 5)

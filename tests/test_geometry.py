@@ -413,9 +413,11 @@ class TestEntryEvaluation:
         assert np.array_equal(d2g[:, 0, 1, 0, 1], np.ones(4))
 
     def test_mirrored_entries_are_differentiated_once(self, monkeypatch):
-        # the (j, i) entry takes the partial trees of its equal (i, j)
-        # entry: of the 9 entries per block of a 3-d chart, 6 are
-        # differentiated, for 3 x 6 first and 9 x 6 second partials
+        # nothing is differentiated before first use; then each level of
+        # partials differentiates each distinct tree object once per
+        # coordinate, and the (j, i) entry is the tree of its equal (i, j)
+        # entry: 6 distinct entries (two of them the constants 1), then 7
+        # distinct first partials (shared folded constants count once)
         from acmsolitons import geometry
         from acmsolitons.expr import diff
 
@@ -427,7 +429,61 @@ class TestEntryEvaluation:
 
         monkeypatch.setattr(geometry, "diff", counting)
         man = self._chart({(0, 1): "x*y", (1, 2): "exp(y - z)", (2, 2): "z^2"})
-        assert len(calls) == 3 * 6 + 9 * 6
-        first = [diff(e, c) for c in self.COORDS for e in man._g]
-        assert man._dg == first
-        assert man._d2g == [diff(e, c) for c in self.COORDS for e in first]
+        assert calls == []
+        man.metric_second_partials(self._batch())
+        first = man.g.derivative(self.COORDS)
+        assert first is man.g.derivative(list(self.COORDS))
+        assert all(man.g.exprs[3 * j + i] is man.g.exprs[3 * i + j]
+                   for i in range(3) for j in range(i))
+        assert len(calls) == sum(
+            3 * len({id(e) for e in level.exprs}) for level in (man.g, first)
+        ) == 3 * 6 + 3 * 7
+        assert first.exprs == tuple(diff(e, c) for c in self.COORDS
+                                    for e in man.g.exprs)
+        assert first.derivative(self.COORDS).exprs == tuple(
+            diff(e, c) for c in self.COORDS for e in first.exprs)
+
+
+class TestField:
+    """A field's values are memoised by the field, its partials are exact
+    and built once per coordinates, and its second partials are the mean
+    of both orders."""
+
+    COORDS = ("x", "y", "z")
+
+    def _batch(self):
+        from acmsolitons.geometry import Samples
+
+        return Samples({
+            "x": np.array([1.0, 0.5, -1.0, -2.0]),
+            "y": np.array([0.3, -0.2, 0.7, 2.0]),
+            "z": np.array([1.0, 2.0, 3.0, 0.0]),
+        })
+
+    def test_second_partials_are_the_mean_of_both_orders(self):
+        # the mixed partials of this scalar do not fold to one tree
+        from acmsolitons.expr import diff, evaluate
+        from acmsolitons.geometry import ScalarField
+
+        f = ScalarField(parse_expr("x*y*exp(z) + sin(x - 2*y)", self.COORDS))
+        batch = self._batch()
+        got = f.second_partials(self.COORDS, batch)
+        [e] = f.exprs
+        ordered = np.array([
+            [evaluate(diff(diff(e, k), l), batch) for l in self.COORDS]
+            for k in self.COORDS
+        ])
+        assert diff(diff(e, "x"), "y") != diff(diff(e, "y"), "x")
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+        mean = 0.5 * (ordered + np.swapaxes(ordered, 0, 1))
+        assert np.array_equal(got, np.moveaxis(mean, -1, 0))
+        for k in range(3):
+            assert np.array_equal(got[:, k, k], ordered[k, k])
+
+    def test_values_and_partials_are_memoised_by_the_field(self, kenmotsu3):
+        batch = self._batch()
+        f = kenmotsu3.scalars["f"]
+        assert f.partials(self.COORDS, batch) is f.partials(self.COORDS, batch)
+        s = kenmotsu3.structure
+        assert s.phi_values(batch) is s.phi_values(batch)
+        assert f.derivative(self.COORDS) is f.derivative(list(self.COORDS))

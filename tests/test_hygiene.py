@@ -8,8 +8,11 @@ imports are exempt.  Each name in the ``__all__`` of a package module must
 be defined or imported at its top level: ``perfbench/tracing.py`` reads
 every one with ``getattr``.  No function of the package takes the
 deformation parameter ``a`` next to a point: a point that binds it
-(``geometry.with_a``, the one exception) carries it.  And no function of
-the package takes a parameter that its body never reads.
+(``geometry.with_a``, the one exception) carries it.  No function of the
+package takes a parameter that its body never reads.  And the package has
+one evaluation path: outside ``expr.py`` only ``Field.derivative`` calls
+``diff``, and only ``Field.values`` and the metric's unmemoised
+``ChartManifold.metric_second_partials`` call ``_evaluate_all``.
 """
 
 import ast
@@ -111,6 +114,39 @@ def _unread_parameters(tree: ast.Module) -> list:
     return found
 
 
+def _calls_outside(tree: ast.Module, callee: str, allowed) -> list:
+    """(line, scope) of each call of ``callee``, by name or as an
+    attribute, made outside the functions named in ``allowed``; a scope is
+    the dotted path of the classes and functions around the call, such as
+    ``Field.derivative``, and ``<module>`` at the top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                where = ".".join(scope) or "<module>"
+                if name == callee and where not in allowed:
+                    found.append((child.lineno, where))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+# (callee, the functions that may call it, the modules exempt)
+ONE_PATH = (
+    ("diff", {"Field.derivative"}, {"expr.py"}),
+    ("_evaluate_all",
+     {"Field.values", "ChartManifold.metric_second_partials"}, set()),
+)
+
+
 def test_walk_finds_the_modules():
     names = {p.relative_to(ROOT).as_posix() for p in MODULES}
     assert {"src/acmsolitons/suites.py", "tests/test_hygiene.py",
@@ -203,3 +239,31 @@ def test_finds_an_unread_parameter():
 def test_no_unread_parameter(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unread_parameters(tree) == []
+
+
+def test_finds_a_call_outside_its_functions():
+    tree = ast.parse(
+        "from expr import diff\n"
+        "class Field:\n"
+        "    def derivative(self, trees):\n"
+        "        return [diff(e, 'x') for e in trees]\n"
+        "    def partial(self, e):\n"
+        "        return expr.diff(e, 'x')\n"
+        "def second(e):\n"
+        "    inner = lambda t: diff(t, 'y')\n"
+        "    return inner(e)\n"
+        "diff(e, 'z')\n"
+    )
+    assert _calls_outside(tree, "diff", {"Field.derivative"}) == [
+        (6, "Field.partial"), (8, "second"), (10, "<module>"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[p.relative_to(ROOT).as_posix() for p in PACKAGE]
+)
+def test_one_differentiation_and_evaluation_path(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for callee, allowed, exempt in ONE_PATH:
+        if path.name not in exempt:
+            assert _calls_outside(tree, callee, allowed) == [], callee

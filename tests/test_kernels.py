@@ -486,7 +486,7 @@ def test_gradient_lie_derivative_partials(d, lead, monkeypatch):
     g, inv = _metric(lead, d, seed=16)
     df = _random(lead[-1:], d, 1, seed=17)
     ddf = _random(lead[-1:], d, 2, seed=18)
-    f = SimpleNamespace(gradient_covector=lambda coords, point: df,
+    f = SimpleNamespace(partials=lambda coords, point: df,
                         second_partials=lambda coords, point: ddf)
     for label, dg in _cases(d, lead, 3, seed=19):
         m = MetricData(g=g, inv=inv, dg=dg)

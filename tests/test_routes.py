@@ -50,7 +50,7 @@ def _xi_of_eta_ref(structure, field, point):
     coords = structure.manifold.coords
     d = structure.manifold.dim
     eta_v = reduce(
-        add, (mul(structure.eta[i], field.components[i]) for i in range(d)),
+        add, (mul(structure.eta[i], field.exprs[i]) for i in range(d)),
         Const(0.0),
     )
     xi_eta_v = reduce(
