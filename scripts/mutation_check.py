@@ -35,12 +35,11 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 KENMOTSU5_INI = "kenmotsu5.ini"
-FIXTURES = ("kenmotsu3", "kenmotsu3-sph", "kenmotsu3-trivial",
-            "kenmotsu3-wide", "kenmotsu5-gh", "euclidean3", "sphere2",
-            KENMOTSU5_INI)
 # every Kenmotsu fixture: all of them run the deformation suites
-KENMOTSU = ("kenmotsu3", "kenmotsu3-sph", "kenmotsu3-trivial",
-            "kenmotsu3-wide", "kenmotsu5-gh", KENMOTSU5_INI)
+KENMOTSU = ("kenmotsu3", "kenmotsu3-hyp-soliton", "kenmotsu3-sph",
+            "kenmotsu3-sph-soliton", "kenmotsu3-trivial", "kenmotsu3-wide",
+            "kenmotsu5-gh", KENMOTSU5_INI)
+FIXTURES = KENMOTSU + ("euclidean3", "sphere2")
 
 
 class Mutant(NamedTuple):
@@ -54,9 +53,10 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("M01", "deformation.py",
-           'riemann_bar(self.base, self.at(point), bundle["R04"])',
-           'riemann_bar(self.base, self.at(point), -0.5 * kulkarni_nomizu(g, g))',
-           ("kenmotsu3-sph", "kenmotsu5-gh")),
+           'riemann_bar(self.base, point, bundle["R04"])',
+           'riemann_bar(self.base, point, -0.5 * kulkarni_nomizu(g, g))',
+           ("kenmotsu3-hyp-soliton", "kenmotsu3-sph", "kenmotsu3-sph-soliton",
+            "kenmotsu5-gh")),
     Mutant("M02", "solitons.py",
            "lap_bar ** 2 / (2 * n + 1)),", "lap_bar ** 2 / (2 * n)),", (),
            "deformed-bound holds with slack on every fixture; "
@@ -92,7 +92,8 @@ MUTANTS = (
            "orthogonal-gradient is vacuous: no fixture's scalar has "
            "xi(f) = 0; test_orthogonal_gradient_values kills it"),
     Mutant("M12", "deformation.py",
-           "bound = 4.0 * n * n", "bound = 9.0 * n * n", ("kenmotsu3-sph",)),
+           "bound = 4.0 * n * n", "bound = 9.0 * n * n",
+           ("kenmotsu3-sph", "kenmotsu3-sph-soliton")),
     Mutant("M13", "solitons.py",
            "+ 4 * n * k * q * lap_g", "+ 2 * n * k * q * lap_g", (),
            "equivalent where base-bound-orthogonal is checked: under the "

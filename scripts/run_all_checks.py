@@ -8,11 +8,13 @@ kenmotsu5-gh, Einstein but not a space form, must fail the full (0,4)
 riemann soliton equation, and kenmotsu3-sph, whose round-sphere fibre
 makes it no Einstein chart, must fail every residual of the candidates it
 shares with kenmotsu3 (none solves its soliton equation there) and the
-inequality suite's soliton reconstruction.  euclidean3 and sphere2 are
-negative controls: euclidean3 carries a valid almost contact metric
-structure that is not Kenmotsu, sphere2 has no structure at all, so both
-must fail in the expected, well-reported way.  Exit status 0 means every
-fixture behaved as intended.
+inequality suite's soliton reconstruction; kenmotsu3-sph-soliton and
+kenmotsu3-hyp-soliton carry the genuine gradient soliton of such a chart,
+over a round and a hyperbolic fibre, and pass everything.  euclidean3 and
+sphere2 are negative controls: euclidean3 carries a valid almost contact
+metric structure that is not Kenmotsu, sphere2 has no structure at all,
+so both must fail in the expected, well-reported way.  Exit status 0
+means every fixture behaved as intended.
 """
 
 import argparse
@@ -24,11 +26,13 @@ from acmsolitons.suites import run_suites
 
 EXPECTED_FAILURES = {
     "kenmotsu3": (),
+    "kenmotsu3-hyp-soliton": (),
     "kenmotsu3-sph": (
         "riemann-soliton/*/full", "riemann-soliton/*/traced",
         "riemann-soliton/*/scalar", "ricci-soliton/*/full",
         "ricci-soliton/*/scalar", "inequality/*/reconstruction",
     ),
+    "kenmotsu3-sph-soliton": (),
     "kenmotsu3-trivial": (),
     "kenmotsu3-wide": (),
     "kenmotsu5-gh": ("riemann-soliton/*/full",),
@@ -61,7 +65,7 @@ def main() -> int:
         unexpected = [c for c, f in zip(checks, failing) if c.passed == f]
         ok = ok and not unexpected
         verdict = "UNEXPECTED" if unexpected else "as intended"
-        print(f"{name:17s} {n_pass:3d}/{len(checks):3d} passed "
+        print(f"{name:21s} {n_pass:3d}/{len(checks):3d} passed "
               f"(expected {sum(failing)} failing): {verdict}")
         for c in unexpected:
             print(f"    {'PASS' if c.passed else 'FAIL'} "

@@ -5,16 +5,16 @@ A definition file has sections
     [manifold]    name, coordinates, constraints, metric entries g_<i>_<j>
     [structure]   phi_<i>_<j> entries, xi components, optional eta components
     [scalars]     named scalar fields
-    [vectors]     named vector fields (components may use the symbol ``a``)
+    [vectors]     named vector fields
     [candidates]  name = kind, potential, lambda
     [run]         seed, points, a grid, sampling box, suites, tolerances
 
 Values are expressions over the declared coordinates; ``#`` starts a
 comment.  Omitted metric or phi entries are zero, eta defaults to the
 metric dual of xi, and candidate potentials are written ``reeb``,
-``grad <scalar>`` or ``vector <vector>``.  Candidate lambda expressions and
-vector components may reference the reserved symbol ``a``, the deformation
-parameter of the frame they are evaluated in (1 in the undeformed frame).
+``grad <scalar>`` or ``vector <vector>``.  Every scalar, vector component
+and candidate lambda may reference the reserved symbol ``a``, the
+deformation parameter of the frame it is evaluated in (1 in the base one).
 The built-in fixtures are such files, ``fixtures/<name>.ini`` in the package.
 """
 
@@ -317,6 +317,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
         except StructureError as err:
             raise ConfigError(f"{source}: {err}") from err
 
+    symbols = coords + ("a",)  # what a field or a lambda may read
     scalars = {}
     if parser.has_section("scalars"):
         for key, value in parser.items("scalars"):
@@ -325,7 +326,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
                 raise ConfigError(
                     f"{source}: scalar {key!r} collides with a coordinate"
                 )
-            scalars[key] = ScalarField(_parse(value, coords, source, f"scalar {key}"))
+            scalars[key] = ScalarField(_parse(value, symbols, source, f"scalar {key}"))
 
     vectors = {}
     if parser.has_section("vectors"):
@@ -343,7 +344,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
                 )
             vectors[key] = VectorField(
                 tuple(
-                    _parse(t, coords + ("a",), source, f"vector {key} component {k}")
+                    _parse(t, symbols, source, f"vector {key} component {k}")
                     for k, t in enumerate(comps)
                 )
             )
@@ -368,7 +369,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
                 )
             kind = parts[0].strip()
             pot = parts[1].split()
-            lam = _parse(parts[2], coords + ("a",), source, f"candidate {key} lambda")
+            lam = _parse(parts[2], symbols, source, f"candidate {key} lambda")
             try:
                 if pot == ["reeb"]:
                     cand = SolitonCandidate(key, kind, "reeb", lam)

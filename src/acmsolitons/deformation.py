@@ -33,12 +33,13 @@ together with the inner-product transfer for symmetric (0,2)-tensors
     <T1, T2>_bar = (1/a^2) <T1, T2>_g - ((a^2-1)/a^4) T1(xi,xi) T2(xi,xi),
 
 exact whenever i_xi T = T(xi,xi) eta for both arguments (true for g, Ric and
-eta (x) eta over a Kenmotsu base).  Each closed form reads its base data on
-the samples alone, once for every value of a, and returns one value per a
-and sample.  Each refuses to evaluate when the base structure fails the
-Kenmotsu condition, since none of them is valid then.  The deformed chart
-itself is always constructed, so every closed form can be compared against
-a direct computation from g_bar.
+eta (x) eta over a Kenmotsu base).  Each closed form takes the frame
+``DeformedStructure.at(points)``, reads a there and base data on the
+samples alone, and returns one value per a and sample.  Each refuses to
+evaluate when the base structure fails the Kenmotsu condition, since none
+of them is valid then.  The deformed chart itself is always constructed,
+so every closed form can be compared against a direct computation from
+g_bar.
 
 A structure is deformed once: a base whose expressions read a, such as a
 deformed structure, is refused, and a run deforms its base once over its
@@ -162,7 +163,8 @@ def laplacian_bar(structure: AcmStructure, f: ScalarField, point):
     """Lap_bar(f) = Lap(f)/a - ((a-1)/a^2)[2n xi(f) + xi(xi(f))] over a
     Kenmotsu base, at the a that ``point`` binds; memoised there.
 
-    Lap(f) and the xi-derivatives are base data, read on the samples alone.
+    Lap(f) and the xi-derivatives are read on the samples alone unless f
+    reads a.
     """
     def compute(p):
         a = p[A]
@@ -174,6 +176,12 @@ def laplacian_bar(structure: AcmStructure, f: ScalarField, point):
         )
 
     return memoised(point, (structure, f, "laplacian bar"), compute)
+
+
+def _a(point, rank: int = 0) -> np.ndarray:
+    """The a that ``point`` binds, shaped to scale rank-``rank`` data there."""
+    a = point[A]
+    return a.reshape(a.shape + (1,) * rank)
 
 
 def _require_kenmotsu(structure: AcmStructure, point) -> None:
@@ -197,13 +205,12 @@ class DeformedStructure:
     ``a`` is one value or an (A,) array.  ``manifold`` carries g_bar with
     entries a g_ij + a(a-1) eta_i eta_j in the symbol a, and ``structure``
     the deformed (phi, xi/a, a eta); each is built and differentiated once,
-    whatever the number of values.  Direct computation evaluates them at
-    ``at(point)``, which binds a to the values: ``(structure, at(point))``
-    is the deformation's frame.  Every closed form takes a point or a batch
-    of the base, binds the grid itself, and returns data of the same
-    shape: the a axis, if any, in front of the sample axis.  At a = 1 the
-    entries and their partials evaluate to the base floats bit for bit,
-    since 1 g = g and 1 (1 - 1) eta_i eta_j adds zero.
+    whatever the number of values; phi's field is the base's.  ``at(point)``
+    binds a to the values: ``(structure, at(point))`` is the deformation's
+    frame, and direct computation and every closed form take that bound
+    point or batch, with the a axis, if any, in front of the sample axis.
+    At a = 1 the entries and their partials evaluate to the base floats bit
+    for bit, since 1 g = g and 1 (1 - 1) eta_i eta_j adds zero.
 
     A base whose expressions read the symbol a, such as a deformed
     structure, is refused: a names this deformation's parameter alone.
@@ -249,6 +256,7 @@ class DeformedStructure:
             tuple(mul(inv_a, c) for c in base.xi),
             eta=tuple(mul(pa, c) for c in base.eta),
         )
+        self.structure.phi_field = base.phi_field  # evaluated once per batch
 
     @property
     def n(self) -> int:
@@ -257,11 +265,6 @@ class DeformedStructure:
     def at(self, point):
         """``point`` with a bound to this deformation's parameters."""
         return with_a(point, self.a)
-
-    def _a(self, point, rank: int = 0) -> np.ndarray:
-        """The parameters shaped to scale rank-``rank`` data at ``point``."""
-        column = self.at(point)[A]
-        return column.reshape(column.shape + (1,) * rank)
 
     def require_kenmotsu(self, point) -> None:
         _require_kenmotsu(self.base, point)
@@ -276,7 +279,7 @@ class DeformedStructure:
         """
         m = self.base.manifold.metric_at_cached(point)
         xi = self.base.xi_values(point)
-        a = self._a(point, 2)
+        a = _a(point, 2)
         return m.inv / a - ((a - 1.0) / (a * a)) * outer(xi, xi)
 
     def christoffel_closed(self, point) -> np.ndarray:
@@ -286,18 +289,18 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         xi = self.base.xi_values(point)
         p = m.g - outer(eta, eta)
-        a = self._a(point, 3)
+        a = _a(point, 3)
         return gamma + ((a - 1.0) / a) * np.einsum("...ij,...l->...lij", p, xi)
 
     def ricci_closed(self, point) -> dict:
         """Ric and scal of g_bar from the base curvature."""
         self.require_kenmotsu(point)
         bundle = curvature_bundle(self.base.manifold, point)
-        ric = ricci_bar(self.base, self.at(point), bundle["Ric"])
+        ric = ricci_bar(self.base, point, bundle["Ric"])
         n = self.n
-        a = self._a(point)
+        a = _a(point)
         return {
-            "Ric": symmetric(ric, self.at(point)),
+            "Ric": symmetric(ric, point),
             "scal": bundle["scal"] / a + 2.0 * n * (2 * n + 1) * (a - 1.0) / (a * a),
         }
 
@@ -308,10 +311,10 @@ class DeformedStructure:
         bundle = curvature_bundle(self.base.manifold, point)
         g = bundle["metric"].g
         eta = self.base.eta_values(point)
-        a = self._a(point)
+        a = _a(point)
         k = a.ndim  # sample axes, a in front
         # component-major, where a scales whole rows of samples
-        r04 = riemann_bar(self.base, self.at(point), bundle["R04"])
+        r04 = riemann_bar(self.base, point, bundle["R04"])
         p = component_major(g - outer(eta, eta), 2, k)  # g(phi ., phi .)
         pairs = pair_index(self.manifold.dim)
         eye = np.eye(self.manifold.dim)[(...,) + (None,) * k]
@@ -336,7 +339,7 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         g_phi = np.einsum("...mi,...mj->...ij", phi, m.g)
         return (
-            np.einsum("...ij,...k->...ikj", g_phi, xi) / self._a(point, 3)
+            np.einsum("...ij,...k->...ikj", g_phi, xi) / _a(point, 3)
             - np.einsum("...j,...ki->...ikj", eta, phi)
         )
 
@@ -346,7 +349,7 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         xi = self.base.xi_values(point)
         d = self.manifold.dim
-        return (np.eye(d) - outer(eta, xi)) / self._a(point, 2)
+        return (np.eye(d) - outer(eta, xi)) / _a(point, 2)
 
     def lie_reeb_closed(self, point) -> np.ndarray:
         """L_{xi_bar} g_bar = 2 (g - eta (x) eta), the same for every a."""
@@ -357,7 +360,7 @@ class DeformedStructure:
 
     def div_reeb_closed(self, point):
         """div_bar(xi_bar) = 2n/a, shaped for ``point``."""
-        return 2.0 * self.n / self._a(point)
+        return 2.0 * self.n / _a(point)
 
     # -- scalar operators ----------------------------------------------------
 
@@ -367,23 +370,19 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         xif, _ = xi_derivatives(self.base, f, point)
         p = m.g - outer(eta, eta)
-        a = self._a(point, 2)
+        a = _a(point, 2)
         data = hessian(self.base.manifold, f, point)
         data = data - ((a - 1.0) / a) * xif[..., None, None] * p
-        return symmetric(data, self.at(point))
+        return symmetric(data, point)
 
     def gradient_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
         xi = self.base.xi_values(point)
         xif, _ = xi_derivatives(self.base, f, point)
-        a = self._a(point, 1)
+        a = _a(point, 1)
         return grad(self.base.manifold, f, point) / a - (
             (a - 1.0) / (a * a)
         ) * xif[..., None] * xi
-
-    def laplacian_closed(self, f: ScalarField, point):
-        self.require_kenmotsu(point)
-        return laplacian_bar(self.base, f, self.at(point))
 
 
 def deform(structure: AcmStructure, a) -> DeformedStructure:
@@ -422,25 +421,28 @@ def _base_tensor(structure: AcmStructure, name: str, point, f=None):
     return outer(eta, eta)
 
 
+def _raised(structure: AcmStructure, name: str, point, f=None):
+    """A base tensor raised by ``hs_raise``, memoised: g, Ric and eta (x) eta
+    stacked on the samples alone, Hess(f) alone, at the bound a if f reads a."""
+    names = ("hess",) if name == "hess" else ("g", "ric", "etaeta")
+    f = f if name == "hess" else None
+    return memoised(point, (structure, f, "raised"), lambda p: dict(zip(
+        names, hs_raise([_base_tensor(structure, k, p, f) for k in names],
+                        structure.manifold.metric_at_cached(p)),
+    )), f is not None and f.reads_a)[name]
+
+
 def base_inner(structure: AcmStructure, pair: tuple, point, f=None):
     """<T1, T2>_g of two base tensors named as in ``_BATTERY_PAIRS``.
 
     Memoised on a batch, so each pairing is taken once per run whichever
-    battery or bound asks for it; ``f`` is needed for "hess".  The base
-    tensors (Hess(f) only given ``f``) are raised together, in one stacked
-    product memoised on the batch.
+    battery or bound asks for it; ``f`` is read for "hess" alone, and a
+    pairing with a Hess(f) that reads a is taken at the bound a.
     """
-    def raised(p):
-        names = ("g", "ric", "etaeta") + ("hess",) * (f is not None)
-        up = hs_raise([_base_tensor(structure, k, p, f) for k in names],
-                      structure.manifold.metric_at_cached(p))
-        return dict(zip(names, up))
-
-    key = (structure, pair, f if "hess" in pair else None, "inner")
-    return memoised(point, key, lambda p: hs_pair(
-        memoised(p, (structure, f, "raised"), raised)[pair[0]],
-        _base_tensor(structure, pair[1], p, f),
-    ), reads_a=False)
+    f = f if "hess" in pair else None
+    return memoised(point, (structure, pair, f, "inner"), lambda p: hs_pair(
+        _raised(structure, pair[0], p, f), _base_tensor(structure, pair[1], p, f)
+    ), f is not None and f.reads_a)
 
 
 def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
@@ -450,13 +452,12 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     against the deformed inverse metric), ``transfer`` (the base-data
     inner-product formula) and ``closed`` (the fully reduced form, which over
     a Kenmotsu base needs only scal, Lap(f), xi-derivatives of f and the
-    base norms).  Each holds one value per a and sample.
+    base norms), one value per a of the frame ``point`` and sample.
     """
     ds.require_kenmotsu(point)
     base = ds.base
     n = ds.n
-    pa = ds.at(point)
-    a2 = pa[A] ** 2
+    a2 = point[A] ** 2
     a4 = a2 * a2
     tensors = {
         name: _base_tensor(base, name, point, f)
@@ -485,7 +486,7 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
         ("hess", "etaeta"): xixif / a4,
         ("etaeta", "etaeta"): 1.0 / a4,
     }
-    mbar = ds.manifold.metric_at_cached(pa)
+    mbar = ds.manifold.metric_at_cached(point)
     raised = dict(zip(tensors, hs_raise(list(tensors.values()), mbar)))
     out = []
     for k1, k2 in _BATTERY_PAIRS:
@@ -511,14 +512,13 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points) -> dict:
         Hess(f)(xi, xi) = -2n eta(grad f),
     that is xi(xi(f)) + 2n xi(f) = 0 over a Kenmotsu base; since Lap f = 0
     makes Lap_bar(f) a multiple of that sum, ``laplacian_bar`` shows it.
-    Everything is read from base data over the batch ``points``, so no
-    deformation need be built: ``points`` binds a to one value or an (A,)
-    array, and what depends on it (``lap_bar`` and the verdicts on it)
-    holds one value per parameter.  The check is reported as not
-    applicable when f is not harmonic to begin with.  A base that fails
-    the Kenmotsu condition raises NotKenmotsuError naming the first such
-    base sample; a non-finite value raises StructureError naming the first
-    such sample and its a.
+    ``points`` binds a, one value or an (A,) array, and no deformation is
+    built: ``lap_bar`` and the verdicts on it hold one value per
+    parameter, from base data.  The check is reported as not applicable
+    when f is not harmonic to begin with.  A base that fails the Kenmotsu
+    condition raises NotKenmotsuError naming the first such base sample; a
+    non-finite value raises StructureError naming the first such sample
+    and its a.
     """
     _require_kenmotsu(structure, points)
     n = structure.n

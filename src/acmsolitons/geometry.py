@@ -417,16 +417,16 @@ def _block_reads(d: int) -> tuple:
     R13[a, b, c, a] at [a, b, c]."""
     pairs = pair_index(d)
 
-    def at(w, x, y, z):
+    def entry(w, x, y, z):
         rows = (pairs.row[w, x] * d + y) * d + z
         return rows, np.broadcast_to(pairs.sign[w, x], rows.shape)
 
     a, b = pairs.i[:, None, None], pairs.j[:, None, None]
     c, e = np.arange(d)[:, None], np.arange(d)
-    guard = [np.stack(x) for x in zip(at(c, a, b, e), at(c, e, a, b),
-                                      at(b, c, a, e))]
+    guard = [np.stack(x) for x in zip(entry(c, a, b, e), entry(c, e, a, b),
+                                      entry(b, c, a, e))]
     i = np.arange(d)
-    trace = at(i[:, None, None], i[:, None], i, i[:, None, None])
+    trace = entry(i[:, None, None], i[:, None], i, i[:, None, None])
     for x in guard + list(trace):
         x.flags.writeable = False
     return tuple(guard), trace

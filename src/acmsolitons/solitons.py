@@ -144,11 +144,11 @@ class SolitonCandidate:
 
     The potential is an explicit vector field, the gradient of a scalar, or
     the Reeb field of whatever frame the candidate is evaluated in.
-    ``field`` is the configured vector field itself, so every candidate
-    with that potential shares it.  Its components and the lambda
-    expression may reference the reserved symbol ``a``, which the frame's
-    batch binds to its deformation parameters (1 in an undeformed frame);
-    that way a single candidate describes the whole deformation family.
+    ``field`` and ``scalar`` are the configured fields themselves, so every
+    candidate with that potential shares them.  Either and the lambda may
+    reference the reserved symbol ``a``, which the frame's batch binds to
+    its deformation parameters (1 in an undeformed frame); that way a
+    single candidate describes the whole deformation family.
     """
 
     name: str
@@ -459,13 +459,13 @@ def xi_compatibility(kind: str, structure: AcmStructure, point) -> dict:
 
 def _gradient_norms(ds: DeformedStructure, f: ScalarField, point) -> dict:
     """The data of ``inequality_battery`` that both kinds share, memoised
-    on a batch: base and deformed norms, Laplacians and xi-derivatives."""
+    on the frame: base and deformed norms, Laplacians and xi-derivatives."""
 
     def compute(p):
         ds.require_kenmotsu(p)
         base = ds.base
         man = base.manifold
-        mbar = ds.manifold.metric_at_cached(ds.at(p))
+        mbar = ds.manifold.metric_at_cached(p)
         ric_bar = ds.ricci_closed(p)["Ric"]
         hess_bar = ds.hessian_closed(f, p)
         xif, xixif = xi_derivatives(base, f, p)
@@ -473,13 +473,13 @@ def _gradient_norms(ds: DeformedStructure, f: ScalarField, point) -> dict:
         return {
             "scal": curvature_bundle(man, p)["scal"],
             "hess_sq": base_inner(base, ("hess", "hess"), p, f),
-            "ric_sq": base_inner(base, ("ric", "ric"), p, f),
+            "ric_sq": base_inner(base, ("ric", "ric"), p),
             "lap": laplacian(man, f, p),
             "xif": xif,
             "xixif": xixif,
             "ric_bar_sq": hs_pair(ric_up, ric_bar),
             "hess_bar_sq": hs_pair(hess_up, hess_bar),
-            "lap_bar": ds.laplacian_closed(f, p),
+            "lap_bar": laplacian_bar(base, f, p),
         }
 
     return memoised(point, (ds, f, "gradient norms"), compute)
@@ -491,17 +491,16 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
 
     Each entry carries lhs, rhs and margin = lhs - rhs; ``equality`` marks
     reconstruction identities (margin must vanish), the rest are one-sided
-    bounds; lhs, rhs, margin and applicable hold one value per a of ``ds``
-    and sample.  Entries whose hypothesis (orthogonality to the Reeb field,
-    harmonicity, solenoidality) fails at a sample are flagged not applicable
-    there and carry no claim there.  All of it presumes the gradient
-    soliton equation holds with the pinned lambda.
+    bounds; lhs, rhs, margin and applicable hold one value per a of the
+    frame ``point`` = ``ds.at(points)`` and sample.  Entries whose
+    hypothesis (orthogonality to the Reeb field, harmonicity,
+    solenoidality) fails at a sample are flagged not applicable there and
+    carry no claim there.  All of it presumes the gradient soliton
+    equation holds with the pinned lambda.
     """
-    pa = ds.at(point)
-    lam_bar = theorem_lambda(kind, "gradient", ds.base, pa, scalar=f)
-    return _battery(
-        ds.n, _trace(kind, ds.n), pa[A], lam_bar, _gradient_norms(ds, f, point)
-    )
+    lam_bar = theorem_lambda(kind, "gradient", ds.base, point, scalar=f)
+    return _battery(ds.n, _trace(kind, ds.n), point[A], lam_bar,
+                    _gradient_norms(ds, f, point))
 
 
 def _battery(n: int, tr: _Trace, a, lam_bar, data: dict) -> list:

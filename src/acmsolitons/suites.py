@@ -31,6 +31,7 @@ from .deformation import (
     admissible_interval,
     deform,
     harmonic_transfer,
+    laplacian_bar,
     prop_inner_battery,
     ricci_norm_bound,
 )
@@ -249,10 +250,10 @@ def _emit(batch: Samples, prefix: str, override, claims) -> list:
 class _Run:
     """What the suites of one run share.
 
-    The batch of sample points, and one deformation over the whole a-grid,
-    built on first use.  Its chart is differentiated once per run, and what
-    it evaluates on the (A, N) batch, memoised there, is evaluated once;
-    row i of the a axis belongs to the grid's i-th value.
+    The batch of sample points, and one deformation over the whole a-grid
+    with its frame, the (A, N) batch that binds it, built on first use.
+    Its chart is differentiated once per run, and what is evaluated on the
+    frame, memoised there, once; row i of the a axis is the grid's i-th.
     """
 
     def __init__(self, config: VerificationConfig, points: Samples):
@@ -262,6 +263,10 @@ class _Run:
     @cached_property
     def deformed(self) -> DeformedStructure:
         return deform(self.config.structure, self.config.a_grid)
+
+    @cached_property
+    def frame(self) -> Samples:
+        return self.deformed.at(self.points)
 
 
 # ---------------------------------------------------------------------------
@@ -358,49 +363,48 @@ def _suite_section2(run, override):
     config = run.config
     structure = config.structure
     f = config.scalar
-    pts = run.points
     ds = run.deformed
-    pa = ds.at(pts)
+    pa = run.frame
     xi_field = ds.structure.xi_field
     div_fields = sorted(config.vectors) or [None]
 
-    ds.require_kenmotsu(pts)
+    ds.require_kenmotsu(pa)
     mb = ds.manifold.metric_at_cached(pa)
     direct = curvature_bundle(ds.manifold, pa)
-    closed = ds.curvature_closed(pts)
+    closed = ds.curvature_closed(pa)
     items = [
-        ("christoffel", _rel(ds.christoffel_closed(pts), direct["gamma"], 3)),
+        ("christoffel", _rel(ds.christoffel_closed(pa), direct["gamma"], 3)),
         ("curvature-13", _rel(closed["R13"], direct["R13"], 3)),
         ("curvature-04", _rel(closed["R04"], direct["R04"], 3)),
         ("ricci", _rel(closed["Ric"], direct["Ric"], 2)),
         ("scalar", _rel(closed["scal"], direct["scal"])),
-        ("inverse-metric", _rel(ds.inverse_metric_closed(pts), mb.inv, 2)),
+        ("inverse-metric", _rel(ds.inverse_metric_closed(pa), mb.inv, 2)),
         ("nabla-phi", _rel(
-            ds.nabla_phi_closed(pts), nabla_phi_tensor(ds.structure, pa), 3
+            ds.nabla_phi_closed(pa), nabla_phi_tensor(ds.structure, pa), 3
         )),
         ("nabla-reeb", _rel(
-            ds.nabla_reeb_closed(pts),
+            ds.nabla_reeb_closed(pa),
             covariant_derivative(ds.manifold, xi_field, pa), 2,
         )),
         ("lie-reeb-metric", _rel(
-            ds.lie_reeb_closed(pts),
+            ds.lie_reeb_closed(pa),
             lie_derivative_metric(ds.manifold, xi_field, pa), 2,
         )),
         ("div-reeb", _rel(
-            ds.div_reeb_closed(pts), divergence(ds.manifold, xi_field, pa)
+            ds.div_reeb_closed(pa), divergence(ds.manifold, xi_field, pa)
         )),
     ]
     del closed  # the stacked 4-tensors are reduced
     if f is not None:
         items += [
             ("hessian", _rel(
-                ds.hessian_closed(f, pts), hessian(ds.manifold, f, pa), 2
+                ds.hessian_closed(f, pa), hessian(ds.manifold, f, pa), 2
             )),
             ("gradient", _rel(
-                ds.gradient_closed(f, pts), grad(ds.manifold, f, pa), 1
+                ds.gradient_closed(f, pa), grad(ds.manifold, f, pa), 1
             )),
             ("laplacian", _rel(
-                ds.laplacian_closed(f, pts), laplacian(ds.manifold, f, pa)
+                laplacian_bar(structure, f, pa), laplacian(ds.manifold, f, pa)
             )),
         ]
     for wname in div_fields:
@@ -437,17 +441,15 @@ _PROP22_ANCHORS = {
 
 
 def _suite_prop22(run, override):
-    f = run.config.scalar
-    ds = run.deformed
     claims = []
-    for item in prop_inner_battery(ds, f, run.points):
+    for item in prop_inner_battery(run.deformed, run.config.scalar, run.frame):
         anchor = _PROP22_ANCHORS[item["pair"]]
         for other in ("transfer", "closed"):
             claims.append(Claim(
                 item["pair"], anchor, _closed_tol,
                 _rel(item["direct"], item[other]),
             ))
-    return _emit(ds.at(run.points), "prop22", override, claims)
+    return _emit(run.frame, "prop22", override, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +458,7 @@ def _suite_prop22(run, override):
 def _suite_remark23(run, override):
     structure = run.config.structure
     points = run.points
-    ds = run.deformed
-    pa = ds.at(points)
+    pa = run.frame
     res = ricci_norm_bound(structure, pa)
     checks = _emit(pa, "remark23", override, [Claim(
         "norm-bound", "|Ric|^2 >= 4n^2(a^2-1)/a^2", 1e-9,
@@ -547,9 +548,8 @@ def _soliton_suite(run, override, kind):
     checks = []
     keys = ("full", "traced", "scalar") if kind == "riemann" else ("full", "scalar")
 
-    ds = run.deformed
-    pa = ds.at(points)
-    frames = ((structure, with_a(points, 1.0)), (ds.structure, pa))
+    pa = run.frame
+    frames = ((structure, with_a(points, 1.0)), (run.deformed.structure, pa))
     for cand in config.candidates:
         if cand.kind != kind:
             continue
@@ -663,10 +663,10 @@ _INEQ_ANCHORS = {
 
 
 def _suite_inequalities(run, override):
-    ds = run.deformed
     claims = []
     for kind in ("riemann", "ricci"):
-        for item in inequality_battery(ds, run.config.scalar, kind, run.points):
+        for item in inequality_battery(run.deformed, run.config.scalar, kind,
+                                       run.frame):
             scale = np.maximum(
                 1.0, np.maximum(np.abs(item["lhs"]), np.abs(item["rhs"]))
             )
@@ -676,7 +676,7 @@ def _suite_inequalities(run, override):
                 f"{kind}/{item['check']}", _INEQ_ANCHORS[kind][item["check"]],
                 1e-8, shortfall / scale, item["applicable"],
             ))
-    return _emit(ds.at(run.points), "inequality", override, claims)
+    return _emit(run.frame, "inequality", override, claims)
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ def test_criterion_08_inequality_battery():
         ds = deform(cfg.structure, a)
         for kind in ("riemann", "ricci"):
             for p in pts:
-                for item in inequality_battery(ds, f, kind, p):
+                for item in inequality_battery(ds, f, kind, ds.at(p)):
                     if not item["applicable"]:
                         continue
                     n_applicable += 1

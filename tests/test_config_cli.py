@@ -37,7 +37,8 @@ phi_x_y = -1
 class TestBuiltins:
     def test_names(self):
         assert builtin_names() == (
-            "euclidean3", "kenmotsu3", "kenmotsu3-sph", "kenmotsu3-trivial",
+            "euclidean3", "kenmotsu3", "kenmotsu3-hyp-soliton",
+            "kenmotsu3-sph", "kenmotsu3-sph-soliton", "kenmotsu3-trivial",
             "kenmotsu3-wide", "kenmotsu5-gh", "sphere2",
         )
         # each definition file names the fixture it is loaded as
@@ -117,6 +118,22 @@ class TestConfigErrors:
     def test_scalar_coordinate_collision(self):
         with pytest.raises(ConfigError, match="collides"):
             load_config_text(MINIMAL + "[scalars]\nx = 1\n")
+
+    def test_scalar_may_read_a(self):
+        # scalars are parsed by the rule of vectors and candidate lambdas
+        cfg = load_config_text(MINIMAL + "[scalars]\nf = a*x + z\n")
+        assert cfg.scalars["f"].reads_a
+
+    @pytest.mark.parametrize("section", [
+        "[scalars]\nf = b*x\n", "[vectors]\nV = b, 0, 0\n",
+    ])
+    def test_field_with_undeclared_identifier(self, section):
+        with pytest.raises(ConfigError, match="unknown identifier 'b'"):
+            load_config_text(MINIMAL + section)
+
+    def test_metric_may_not_read_a(self):
+        with pytest.raises(ConfigError, match="unknown identifier 'a'"):
+            load_config_text(MINIMAL.replace("g_z_z = 1", "g_z_z = a"))
 
     def test_vector_component_count(self):
         with pytest.raises(ConfigError, match="3 components"):

@@ -11,6 +11,7 @@ from acmsolitons.config import _BUILTINS
 from acmsolitons.deformation import (
     deform,
     harmonic_transfer,
+    laplacian_bar,
     prop_inner_battery,
     ricci_norm_bound,
 )
@@ -132,16 +133,16 @@ def _deformed(ds, f, frames_of, pts):
             "acm": ds.structure.acm_residual(pa),
         },
         "closed": {
-            "inverse": ds.inverse_metric_closed(pts),
-            "christoffel": ds.christoffel_closed(pts),
-            "curvature": ds.curvature_closed(pts),
-            "nabla-phi": ds.nabla_phi_closed(pts),
-            "nabla-reeb": ds.nabla_reeb_closed(pts),
-            "div-reeb": ds.div_reeb_closed(pts),
-            "hessian": ds.hessian_closed(f, pts),
-            "gradient": ds.gradient_closed(f, pts),
-            "laplacian": ds.laplacian_closed(f, pts),
-            "prop22": prop_inner_battery(ds, f, pts),
+            "inverse": ds.inverse_metric_closed(ds.at(pts)),
+            "christoffel": ds.christoffel_closed(ds.at(pts)),
+            "curvature": ds.curvature_closed(ds.at(pts)),
+            "nabla-phi": ds.nabla_phi_closed(ds.at(pts)),
+            "nabla-reeb": ds.nabla_reeb_closed(ds.at(pts)),
+            "div-reeb": ds.div_reeb_closed(ds.at(pts)),
+            "hessian": ds.hessian_closed(f, ds.at(pts)),
+            "gradient": ds.gradient_closed(f, ds.at(pts)),
+            "laplacian": laplacian_bar(ds.base, f, ds.at(pts)),
+            "prop22": prop_inner_battery(ds, f, ds.at(pts)),
             "harmonic": {
                 k: v for k, v in harmonic_transfer(ds.base, f, pa).items()
                 if k != "applicable"
@@ -156,7 +157,7 @@ def _deformed(ds, f, frames_of, pts):
     ))
     for kind in ("riemann", "ricci"):
         out[kind] = {
-            "inequalities": inequality_battery(ds, f, kind, pts),
+            "inequalities": inequality_battery(ds, f, kind, ds.at(pts)),
             "lambda": theorem_lambda(kind, "gradient", ds.base, pa, scalar=f),
             "compatibility": xi_compatibility(kind, ds.base, pa),
             "solenoidal": solenoidal_implied(kind, ds.base, w, pa),

@@ -12,7 +12,10 @@ deformation parameter ``a`` next to a point: a point that binds it
 package takes a parameter that its body never reads.  And the package has
 one evaluation path: outside ``expr.py`` only ``Field.derivative`` calls
 ``diff``, and only ``Field.values`` and the metric's unmemoised
-``ChartManifold.metric_second_partials`` call ``_evaluate_all``.
+``ChartManifold.metric_second_partials`` call ``_evaluate_all``.  It has
+one frame too, and only the suites bind it: outside ``suites.py`` nothing
+calls ``at`` and only ``DeformedStructure.at`` calls ``with_a``, so every
+closed form takes the bound batch it is given.
 """
 
 import ast
@@ -144,6 +147,8 @@ ONE_PATH = (
     ("diff", {"Field.derivative"}, {"expr.py"}),
     ("_evaluate_all",
      {"Field.values", "ChartManifold.metric_second_partials"}, set()),
+    ("with_a", {"DeformedStructure.at"}, {"suites.py"}),
+    ("at", set(), {"suites.py"}),
 )
 
 
@@ -256,6 +261,25 @@ def test_finds_a_call_outside_its_functions():
     )
     assert _calls_outside(tree, "diff", {"Field.derivative"}) == [
         (6, "Field.partial"), (8, "second"), (10, "<module>"),
+    ]
+
+
+def test_finds_a_frame_bound_below_the_suites():
+    tree = ast.parse(
+        "class DeformedStructure:\n"
+        "    def at(self, point):\n"
+        "        return with_a(point, self.a)\n"
+        "    def ricci_closed(self, point):\n"
+        "        return ricci_bar(self.base, self.at(point))\n"
+        "def battery(ds, point):\n"
+        "    pa = ds.at(point)\n"
+        "    return pa, geometry.with_a(point, 1.0)\n"
+    )
+    assert _calls_outside(tree, "with_a", {"DeformedStructure.at"}) == [
+        (8, "battery"),
+    ]
+    assert _calls_outside(tree, "at", set()) == [
+        (5, "DeformedStructure.ricci_closed"), (7, "battery"),
     ]
 
 
