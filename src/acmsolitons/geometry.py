@@ -187,9 +187,12 @@ def _evaluate_all(exprs, point, dims) -> np.ndarray:
     the shapes of those values, padded on the left with length-1 axes to
     the rank of ``point``'s: a constant reads no sample, so a sequence of
     constants has length-1 sample axes, and one that reads a alone has
-    (A, 1).  Then the constants are written in one pass, and in one more
-    each repeated tree (a mirrored entry, or mixed partials that fold to
-    one tree) is copied from its first.
+    (A, 1).  Each value is one contiguous row of a component-major buffer;
+    then the constants are written in one pass, and in one more each
+    repeated tree (a mirrored entry, or mixed partials that fold to one
+    tree) is copied from its first.  The result is the sample-major view
+    of that buffer, so ``component_major`` of it is the buffer itself; the
+    buffer is read-only, as values are memoised.
     """
     first, consts, copies, values = {}, {}, {}, {}
     for k, e in enumerate(exprs):
@@ -202,12 +205,14 @@ def _evaluate_all(exprs, point, dims) -> np.ndarray:
     # the values come in few distinct shapes; broadcasting each once is cheap
     shape = np.broadcast_shapes(*{np.shape(v) for v in values.values()})
     shape = (1,) * (len(_shape(point)) - len(shape)) + shape
-    out = np.empty(shape + (len(exprs),))
+    out = np.empty((len(exprs),) + shape)
     for k, v in values.items():
-        out[..., k] = v
-    out[..., list(consts)] = list(consts.values())
-    out[..., list(copies)] = out[..., list(copies.values())]
-    return out.reshape(shape + dims)
+        out[k] = v
+    out[list(consts)] = np.array(list(consts.values())).reshape(
+        (-1,) + (1,) * len(shape))
+    out[list(copies)] = out[list(copies.values())]
+    out.flags.writeable = False
+    return sample_major(out.reshape(dims + shape), len(dims))
 
 
 def _swap(t: np.ndarray) -> np.ndarray:
@@ -330,36 +335,57 @@ class ChartManifold:
         """Metric data at ``point``, memoised on a batch.
 
         The chart refuses non-finite components; positive definiteness is
-        enforced by a Cholesky factorization and the inverse must reproduce
-        the identity to 1e-10.  Failure raises StructureError naming the
+        enforced by the pivots of the Gauss-Jordan elimination that gives
+        the inverse (``_gauss_jordan``), and the inverse must reproduce the
+        identity to 1e-10.  Failure raises StructureError naming the
         first offending sample.
         """
         return memoised(point, (self, "metric"), self._metric_data, self.reads_a)
 
     def _metric_data(self, point) -> MetricData:
+        """Unmemoised ``metric_at_cached``: the inverse and positive
+        definiteness come from one elimination, ``_gauss_jordan``."""
         g = symmetric(self.metric_values(point), point)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            _refuse(~_cholesky_succeeds(g),
-                    f"metric of {self.name} not positive definite", point)
-        inv = np.linalg.inv(g)
+        inv, definite = _gauss_jordan(g)
+        _refuse(~definite, f"metric of {self.name} not positive definite", point)
         _refuse(max_abs(g @ inv - np.eye(self.dim), 2) > _INVERSE_TOL,
                 f"metric of {self.name} too ill-conditioned", point)
         return MetricData(g=g, inv=inv, dg=self.metric_partials(point))
 
 
-def _cholesky_succeeds(g: np.ndarray) -> np.ndarray:
-    """Per sample, whether g factors; locates the sample that failed a
-    batched factorization."""
-    ok = []
-    for block in g.reshape((-1,) + g.shape[-2:]):
-        try:
-            np.linalg.cholesky(block)
-            ok.append(True)
-        except np.linalg.LinAlgError:
-            ok.append(False)
-    return np.array(ok).reshape(g.shape[:-2])
+def _gauss_jordan(g: np.ndarray) -> tuple:
+    """(inverse, definite) of each symmetric matrix of ``g`` (only read):
+    one Gauss-Jordan elimination without pivoting over the component-major
+    rows of the augmented array [g | I], each step over whole sample rows.
+
+    A symmetric matrix is positive definite exactly when every pivot, a
+    ratio of leading principal minors, is positive; ``definite`` marks
+    those samples (a NaN pivot fails), and the inverse means something
+    there alone; a refused sample may divide by a zero pivot, so the
+    elimination runs under ``np.errstate``.  The inverse comes back
+    contiguous and sample-major, as LAPACK's did; on a diagonal g it is
+    LAPACK's reciprocals 1/g_ii.
+    """
+    d = g.shape[-1]
+    aug = np.zeros((d, 2 * d) + g.shape[:-2])
+    sample_major(aug[:, :d], 2)[...] = g
+    # the rows of aug, flat: aug[k, j] is row 2 d k + j, so I's ones are
+    # rows d + (2d + 1) k and the pivots aug[k, k] rows (2d + 1) k
+    flat = aug.reshape((2 * d * d,) + g.shape[:-2])
+    flat[d::2 * d + 1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(d):
+            # step k reads column k and changes columns k + 1 .. d + k
+            # alone: the columns left of k are eliminated (their entries
+            # are never read again, and aug[k, k] keeps its pivot), and
+            # row k is still zero right of column d + k
+            row = aug[k, k + 1:d + k + 1]
+            row /= aug[k, k]
+            for rows in (aug[:k], aug[k + 1:]):
+                if len(rows):
+                    rows[:, k + 1:d + k + 1] -= rows[:, k, None] * row
+    definite = (flat[::2 * d + 1] > 0.0).all(axis=0)
+    return np.ascontiguousarray(sample_major(aug[:, d:], 2)), definite
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +511,10 @@ def _riemann(d2g, gamma, combo, inv) -> tuple:
                    - d_b d_c g_ad) + Gamma_l,bd Gamma^l_ac
                    - Gamma_l,ad Gamma^l_bc
     with Gamma_l,ij = (1/2) combo[i, j, l], and R13[a,b,c,l] = R04[a,b,c,d]
-    g^ld.  Both are sample-major views of component-major arrays.
+    g^ld.  Both are sample-major views of component-major arrays.  d2g is
+    read as the component-major buffer it is evaluated into; the two
+    products are formed sample-major, where numpy's matmul writes fastest,
+    and copied.
     """
     d = inv.shape[-1]
     # t[b, d, a, c] = combo[b, d, l] Gamma^l_ac = 2 Gamma_l,bd Gamma^l_ac,

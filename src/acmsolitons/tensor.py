@@ -18,11 +18,14 @@ Conventions used across the package:
 * that sample-major index order is the API, not always the memory layout:
   an elementwise pass over a rank-4 tensor (a sum of index permutations,
   a Kulkarni-Nomizu product, a max over components) runs on a
-  component-major copy (``component_major``), whose sample axes are
+  component-major array (``component_major``), whose sample axes are
   innermost, so each numpy inner loop runs over a whole row of samples
   rather than over d components; its result is handed back as the
   sample-major view (``sample_major``) of that buffer, so callers must not
-  assume a rank-4 result is contiguous;
+  assume a result is contiguous.  Evaluated values (the metric, its
+  partials, phi, xi, eta and every field) are such views too, each tree
+  one row of its buffer, so ``component_major`` of one is that memoised,
+  read-only buffer itself, not a copy;
 * every (0, 4) tensor of the package (the curvature R04, each
   Kulkarni-Nomizu product, the deformed curvature and the soliton
   residuals built from them) is antisymmetric in its first pair by
@@ -114,7 +117,9 @@ class MetricData:
     Attributes (each with the sample axis in front for a batch)
     ----------
     g : (d, d) metric components
-    inv : (d, d) inverse metric, computed by LU factorization
+    inv : (d, d) inverse metric, from a Gauss-Jordan elimination without
+        pivoting that also decides positive definiteness
+        (``geometry._gauss_jordan``)
     dg : (d, d, d) first partials, dg[k, i, j] = d_k g_ij
     """
 
@@ -259,12 +264,14 @@ def kulkarni_nomizu(a, b) -> np.ndarray:
     b = component_major(b, 2, ndim)
     pairs = pair_index(a.shape[0])
     # p[r, c, d] = A_ad B_bc at the pairs (a, b) and their swaps, so
-    # h = A_ad B_bc - A_ac B_bd is p with c and d swapped, and the other
-    # two terms are h at the swapped pair with c and d swapped
+    # A_ad B_bc - A_ac B_bd is p less p with c and d swapped at the pairs,
+    # and A_bc B_ad - A_bd B_ac is p with c and d swapped less p at their
+    # swaps
     p = a[pairs.ij][:, None, :] * b[pairs.ji][:, :, None]
-    h = p - p.swapaxes(1, 2)
     P = pairs.i.size
-    return sample_major(np.add(h[:P], h[P:].swapaxes(1, 2)), 3)
+    out = p[:P] - p[:P].swapaxes(1, 2)
+    out += p[P:].swapaxes(1, 2) - p[P:]
+    return sample_major(out, 3)
 
 
 def hs_raise(tensors, m) -> np.ndarray:

@@ -270,6 +270,32 @@ class TestRicciNormBound:
         assert lo == 0.0
         assert hi == np.inf
 
+    def test_stated_interval_is_not_the_derived_one(self):
+        # |Ric|^2 >= 4n^2 (a^2 - 1)/a^2 holds exactly for
+        # a^2 <= 4n^2 / (4n^2 - |Ric|^2) when |Ric|^2 < 4n^2.  At |Ric|^2 = 2
+        # and n = 1 that is a in (0, sqrt 2); the stated interval (0, 2) is
+        # that bound without its square root.  Both are pinned as numbers,
+        # stated next to derived, until the report check derives its own.
+        ric_sq, n = 2.0, 1
+        cap = 4.0 * n * n
+        stated = admissible_interval(ric_sq, n)
+        derived = (0.0, np.sqrt(cap / (cap - ric_sq)))
+        assert stated == (0.0, 2.0)
+        assert derived == (0.0, np.sqrt(2.0))
+
+        def bound(a):
+            return 4.0 * n * n * (a * a - 1.0) / (a * a)
+
+        # the derived endpoint is where the bound reaches |Ric|^2
+        assert bound(derived[1]) == pytest.approx(ric_sq, rel=1e-15)
+        # a = 1.8 lies in the stated interval, not in the derived one: the
+        # bound there, 4 (1.8^2 - 1)/1.8^2 = 2.77, exceeds |Ric|^2 = 2
+        a = 1.8
+        assert stated[0] < a < stated[1]
+        assert not derived[0] < a < derived[1]
+        assert bound(a) == pytest.approx(8.96 / 3.24, rel=1e-15)
+        assert round(bound(a), 2) == 2.77 and bound(a) > ric_sq
+
 
 class TestRefusal:
     def test_euclidean_base_refused(self, euclidean3):

@@ -15,7 +15,9 @@ one evaluation path: outside ``expr.py`` only ``Field.derivative`` calls
 ``ChartManifold.metric_second_partials`` call ``_evaluate_all``.  It has
 one frame too, and only the suites bind it: outside ``suites.py`` nothing
 calls ``at`` and only ``DeformedStructure.at`` calls ``with_a``, so every
-closed form takes the bound batch it is given.
+closed form takes the bound batch it is given.  Nothing in the package
+calls ``np.linalg``: the metric's inverse and its positive definiteness
+come from the one elimination, ``geometry._gauss_jordan``.
 """
 
 import ast
@@ -119,9 +121,11 @@ def _unread_parameters(tree: ast.Module) -> list:
 
 def _calls_outside(tree: ast.Module, callee: str, allowed) -> list:
     """(line, scope) of each call of ``callee``, by name or as an
-    attribute, made outside the functions named in ``allowed``; a scope is
-    the dotted path of the classes and functions around the call, such as
-    ``Field.derivative``, and ``<module>`` at the top level."""
+    attribute, made outside the functions named in ``allowed``; a dotted
+    ``callee`` such as ``np.linalg`` is a module, and every call made
+    through it counts.  A scope is the dotted path of the classes and
+    functions around the call, such as ``Field.derivative``, and
+    ``<module>`` at the top level."""
     found = []
 
     def visit(node, scope):
@@ -131,10 +135,18 @@ def _calls_outside(tree: ast.Module, callee: str, allowed) -> list:
                                   ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
             if isinstance(child, ast.Call):
+                path = []
                 func = child.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                while isinstance(func, ast.Attribute):
+                    path.append(func.attr)
+                    func = func.value
+                if isinstance(func, ast.Name):
+                    path.append(func.id)
+                dotted = ".".join(reversed(path))
+                hit = path[:1] == [callee] or (
+                    "." in callee and dotted.startswith(callee + "."))
                 where = ".".join(scope) or "<module>"
-                if name == callee and where not in allowed:
+                if hit and where not in allowed:
                     found.append((child.lineno, where))
             visit(child, inner)
 
@@ -149,6 +161,7 @@ ONE_PATH = (
      {"Field.values", "ChartManifold.metric_second_partials"}, set()),
     ("with_a", {"DeformedStructure.at"}, {"suites.py"}),
     ("at", set(), {"suites.py"}),
+    ("np.linalg", set(), set()),
 )
 
 
@@ -280,6 +293,26 @@ def test_finds_a_frame_bound_below_the_suites():
     ]
     assert _calls_outside(tree, "at", set()) == [
         (5, "DeformedStructure.ricci_closed"), (7, "battery"),
+    ]
+
+
+def test_finds_a_linear_algebra_call():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "class ChartManifold:\n"
+        "    def _metric_data(self, g):\n"
+        "        try:\n"
+        "            np.linalg.cholesky(g)\n"
+        "        except np.linalg.LinAlgError:\n"
+        "            pass\n"
+        "        return np.linalg.inv(g)\n"
+        "def _gauss_jordan(g):\n"
+        "    return np.matmul(g, g), g.linalg.inv(g), np.linalg\n"
+        "np.linalg.eigh(g)\n"
+    )
+    assert _calls_outside(tree, "np.linalg", set()) == [
+        (5, "ChartManifold._metric_data"), (8, "ChartManifold._metric_data"),
+        (11, "<module>"),
     ]
 
 

@@ -22,6 +22,13 @@ exact negatives and its rows a = b exact zeros: that is what keeps every
 max over components, and so every reported residual, unchanged.  These
 run on length-1 sample axes too.
 
+Two kernels skip a copy the routes they replaced made:
+``_evaluate_all`` writes each tree into one row of a component-major
+buffer and returns its sample-major view, so ``component_major`` of an
+evaluated value copies nothing, and ``kulkarni_nomizu`` sums its two
+differences without the full-size one.  Each is compared bit for bit with
+the route it replaced, kept here as its reference.
+
 Two kernels take a shorter route than their references, so they match
 within 2^10 eps of the largest reference component, and hold a NaN in the
 same samples: the curvature, R04 from d d g and Gamma against R13 from
@@ -114,6 +121,20 @@ def _kn_ref(a, b):
     h = a[..., :, None, None, :] * b[..., None, :, :, None]
     h -= a[..., :, None, :, None] * b[..., None, :, None, :]
     return h + np.swapaxes(np.swapaxes(h, -4, -3), -2, -1)
+
+
+def _kn_block_ref(a, b):
+    """The block route ``kulkarni_nomizu`` took before: the full-size
+    difference h, then its rows at the pairs plus its rows at their swaps
+    with c and d swapped."""
+    ndim = max(np.ndim(a), np.ndim(b)) - 2
+    a = component_major(a, 2, ndim)
+    b = component_major(b, 2, ndim)
+    pairs = pair_index(a.shape[0])
+    p = a[pairs.ij][:, None, :] * b[pairs.ji][:, :, None]
+    h = p - p.swapaxes(1, 2)
+    P = pairs.i.size
+    return sample_major(np.add(h[:P], h[P:].swapaxes(1, 2)), 3)
 
 
 def _symmetry_terms_ref(r04):
@@ -273,14 +294,16 @@ def _assert_block(block, full, label=""):
 @pytest.mark.parametrize("d", DIMS)
 def test_kulkarni_nomizu(d, lead):
     b = _random(lead, d, 2, seed=2)
-    for label, a in _cases(d, lead, 2, seed=1):
-        _assert_block(kulkarni_nomizu(a, b), _kn_ref(a, b), label)
-        _assert_block(kulkarni_nomizu(b, a), _kn_ref(b, a), label)
     # a factor with fewer sample axes than the other, and a single point
     fewer, one = b[0], b[(0,) * len(lead)]
-    _assert_block(kulkarni_nomizu(b, fewer), _kn_ref(b, fewer))
-    _assert_block(kulkarni_nomizu(fewer, b), _kn_ref(fewer, b))
-    _assert_block(kulkarni_nomizu(one, one), _kn_ref(one, one))
+    pairs = [(a, b) for _, a in _cases(d, lead, 2, seed=1)]
+    pairs += [(b, a) for a, _ in pairs] + [(b, fewer), (fewer, b), (one, one)]
+    for x, y in pairs:
+        got = kulkarni_nomizu(x, y)
+        _assert_block(got, _kn_ref(x, y))
+        # the route it replaced, bit for bit, and the same layout
+        assert_array_equal(got, _kn_block_ref(x, y))
+        assert np.shares_memory(component_major(got, 3), got)
 
 
 @pytest.mark.parametrize("lead", LEADS)
@@ -391,8 +414,11 @@ def test_metric_second_partials(d, lead, monkeypatch):
     )
     point = {c: np.zeros(lead) for c in coords}
     for label, d2g in _cases(d, lead, 4, seed=5):
-        monkeypatch.setattr(geometry, "_evaluate_all",
-                            lambda exprs, p, dims: np.array(d2g))
+        # as _evaluate_all returns it: a sample-major view of a
+        # component-major buffer
+        monkeypatch.setattr(
+            geometry, "_evaluate_all",
+            lambda exprs, p, dims: sample_major(component_major(d2g, 4), 4))
         if "nan" in label:
             with pytest.raises(StructureError) as ref:
                 chart._finite(np.array(d2g), 4, "metric second partials", point)
@@ -561,3 +587,43 @@ def test_evaluate_all(d, lead):
                 with pytest.raises(EvalError) as got:
                     _evaluate_all(broken, point, (d, d))
                 assert str(got.value) == str(ref.value), label
+
+
+# one point of each sample shape: a single point, a length-1 batch, an (N,)
+# batch, and a batch of one sample or N that binds a to an (A, 1) column
+SAMPLE_SHAPES = ((), (1,), (6,), (3, 1), (3, 6))
+
+
+def _sample_point(shape, seed):
+    rng = np.random.default_rng(seed)
+    n = shape[-1] if shape else None
+    point = {c: rng.normal() if n is None else rng.normal(size=n)
+             for c in ("x", "y")}
+    point[A] = (0.5 + np.arange(shape[0], dtype=float)[:, None]
+                if len(shape) == 2 else 0.7)
+    return point
+
+
+@pytest.mark.parametrize("shape", SAMPLE_SHAPES)
+def test_evaluate_all_layout(shape):
+    # every evaluated value is the sample-major view of a component-major
+    # buffer, so component_major of it copies nothing, and the buffer is
+    # read-only, as it is memoised; sequences of constants alone, or of
+    # trees reading a alone, have length-1 sample axes
+    point = _sample_point(shape, seed=len(shape))
+    a, c = Coord(A), Const(1.5)
+    cases = {
+        "mixed": (_entries(3, seed=4), (3, 3)),
+        "constants": ([c, Const(-2.0), c, Const(0.0)], (2, 2)),
+        "a alone": ([mul(a, a), c, mul(a, a)], (3,)),
+        "scalar": (_entries(1, seed=5), ()),
+    }
+    for label, (exprs, dims) in cases.items():
+        got = _evaluate_all(exprs, point, dims)
+        rank = len(dims)
+        assert np.shares_memory(component_major(got, rank), got), label
+        assert component_major(got, rank).flags.c_contiguous, label
+        assert not component_major(got, rank).flags.writeable, label
+        ref = _evaluate_all_ref(exprs, point, dims)
+        assert_array_equal(np.broadcast_to(got, ref.shape), ref,
+                           err_msg=label)
