@@ -108,6 +108,9 @@ MUTANTS = (
            "point), 0.0",
            (), "no claim reads the solenoidal lambda; "
            "tests/test_kinds.py::test_theorem_lambda[*-solenoidal-*] kills it"),
+    # the cross term of the general prop22 transfer
+    Mutant("M16", "deformation.py",
+           "cross = 2.0 * (a - 1.0)", "cross = (a - 1.0)", KENMOTSU),
 )
 
 

@@ -122,6 +122,40 @@ def _parse(text: str, coords, source: str, where: str):
         raise ConfigError(f"{source}: {where}: {err}") from err
 
 
+def _components(text: str, what: str, label: str, symbols, dim: int,
+                source: str) -> tuple:
+    """The ``dim`` comma-separated expressions of ``text``: xi, eta or a
+    vector, named ``what`` in a count error and ``label`` in a parse one."""
+    parts = _split_top(text)
+    if len(parts) != dim:
+        raise ConfigError(
+            f"{source}: {what} needs {dim} components, got {len(parts)}"
+        )
+    return tuple(_parse(t, symbols, source, f"{label} component {k}")
+                 for k, t in enumerate(parts))
+
+
+def _matrix_entries(items, prefix: str, what: str, section: str,
+                    expected: str, coords, source: str) -> dict:
+    """(i, j) -> expression of each entry ``<prefix>_<coord>_<coord>`` of
+    a section, in order: the metric's or phi's."""
+    entries = {}
+    for key, value in items:
+        parts = key.split("_")
+        if len(parts) != 3 or parts[0] != prefix:
+            raise ConfigError(
+                f"{source}: unknown [{section}] entry {key!r} "
+                f"(expected {expected})"
+            )
+        if parts[1] not in coords or parts[2] not in coords:
+            raise ConfigError(
+                f"{source}: {what} entry {key!r} names an unknown coordinate"
+            )
+        entries[coords.index(parts[1]), coords.index(parts[2])] = _parse(
+            value, coords, source, f"{what} entry {key}")
+    return entries
+
+
 def _check_name(name: str, source: str, what: str) -> None:
     if not _NAME_RE.match(name):
         raise ConfigError(
@@ -242,28 +276,13 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
         if part:
             constraints.append(_parse(part, coords, source, "constraint"))
 
-    metric = [[None] * dim for _ in range(dim)]
-    for key, value in man_sec.items():
-        parts = key.split("_")
-        if len(parts) != 3 or parts[0] != "g":
-            raise ConfigError(
-                f"{source}: unknown [manifold] entry {key!r} "
-                f"(expected g_<coord>_<coord>)"
-            )
-        if parts[1] not in coords or parts[2] not in coords:
-            raise ConfigError(
-                f"{source}: metric entry {key!r} names an unknown coordinate"
-            )
-        i = coords.index(parts[1])
-        j = coords.index(parts[2])
-        entry = _parse(value, coords, source, f"metric entry {key}")
-        metric[i][j] = entry
-        metric[j][i] = entry
     zero = _parse("0", coords, source, "metric zero")
-    for i in range(dim):
-        for j in range(dim):
-            if metric[i][j] is None:
-                metric[i][j] = zero
+    metric = [[zero] * dim for _ in range(dim)]
+    for (i, j), entry in _matrix_entries(
+        man_sec.items(), "g", "metric", "manifold", "g_<coord>_<coord>",
+        coords, source,
+    ).items():
+        metric[i][j] = metric[j][i] = entry
 
     try:
         manifold = ChartManifold(coords, metric, tuple(constraints), name=name)
@@ -276,42 +295,16 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
         xi_text = sec.pop("xi", None)
         if xi_text is None:
             raise ConfigError(f"{source}: [structure] needs an 'xi' entry")
-        xi_parts = _split_top(xi_text)
-        if len(xi_parts) != dim:
-            raise ConfigError(
-                f"{source}: xi needs {dim} components, got {len(xi_parts)}"
-            )
-        xi = tuple(
-            _parse(t, coords, source, f"xi component {k}")
-            for k, t in enumerate(xi_parts)
-        )
-        eta = None
+        xi = _components(xi_text, "xi", "xi", coords, dim, source)
         eta_text = sec.pop("eta", None)
-        if eta_text is not None:
-            eta_parts = _split_top(eta_text)
-            if len(eta_parts) != dim:
-                raise ConfigError(
-                    f"{source}: eta needs {dim} components, got {len(eta_parts)}"
-                )
-            eta = tuple(
-                _parse(t, coords, source, f"eta component {k}")
-                for k, t in enumerate(eta_parts)
-            )
+        eta = None if eta_text is None else _components(
+            eta_text, "eta", "eta", coords, dim, source)
         phi = [[zero] * dim for _ in range(dim)]
-        for key, value in sec.items():
-            parts = key.split("_")
-            if len(parts) != 3 or parts[0] != "phi":
-                raise ConfigError(
-                    f"{source}: unknown [structure] entry {key!r} "
-                    f"(expected phi_<coord>_<coord>, xi or eta)"
-                )
-            if parts[1] not in coords or parts[2] not in coords:
-                raise ConfigError(
-                    f"{source}: phi entry {key!r} names an unknown coordinate"
-                )
-            i = coords.index(parts[1])
-            j = coords.index(parts[2])
-            phi[i][j] = _parse(value, coords, source, f"phi entry {key}")
+        for (i, j), entry in _matrix_entries(
+            sec.items(), "phi", "phi", "structure",
+            "phi_<coord>_<coord>, xi or eta", coords, source,
+        ).items():
+            phi[i][j] = entry
         try:
             structure = AcmStructure(manifold, phi, xi, eta=eta)
         except StructureError as err:
@@ -336,20 +329,16 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
                 raise ConfigError(
                     f"{source}: vector {key!r} collides with another name"
                 )
-            comps = _split_top(value)
-            if len(comps) != dim:
-                raise ConfigError(
-                    f"{source}: vector {key!r} needs {dim} components, "
-                    f"got {len(comps)}"
-                )
-            vectors[key] = VectorField(
-                tuple(
-                    _parse(t, symbols, source, f"vector {key} component {k}")
-                    for k, t in enumerate(comps)
-                )
-            )
+            vectors[key] = VectorField(_components(
+                value, f"vector {key!r}", f"vector {key}", symbols, dim, source))
 
     candidates = []
+    # potential word -> (potential, SolitonCandidate field, what it names,
+    # the named fields)
+    potentials = {
+        "grad": ("gradient", "scalar", "scalar", scalars),
+        "vector": ("vector", "field", "vector", vectors),
+    }
     if parser.has_section("candidates"):
         if structure is None:
             raise ConfigError(
@@ -370,32 +359,24 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
             kind = parts[0].strip()
             pot = parts[1].split()
             lam = _parse(parts[2], symbols, source, f"candidate {key} lambda")
-            try:
-                if pot == ["reeb"]:
-                    cand = SolitonCandidate(key, kind, "reeb", lam)
-                elif len(pot) == 2 and pot[0] == "grad":
-                    sf = scalars.get(pot[1])
-                    if sf is None:
-                        raise ConfigError(
-                            f"{source}: candidate {key!r} references unknown "
-                            f"scalar {pot[1]!r}"
-                        )
-                    cand = SolitonCandidate(key, kind, "gradient", lam, scalar=sf)
-                elif len(pot) == 2 and pot[0] == "vector":
-                    vf = vectors.get(pot[1])
-                    if vf is None:
-                        raise ConfigError(
-                            f"{source}: candidate {key!r} references unknown "
-                            f"vector {pot[1]!r}"
-                        )
-                    cand = SolitonCandidate(key, kind, "vector", lam, field=vf)
-                else:
+            fields = {}
+            if len(pot) == 2 and pot[0] in potentials:
+                potential, arg, what, named = potentials[pot[0]]
+                if pot[1] not in named:
                     raise ConfigError(
-                        f"{source}: candidate {key!r} potential must be 'reeb', "
-                        f"'grad <scalar>' or 'vector <vector>'"
+                        f"{source}: candidate {key!r} references unknown "
+                        f"{what} {pot[1]!r}"
                     )
-            except ConfigError:
-                raise
+                fields[arg] = named[pot[1]]
+            elif pot == ["reeb"]:
+                potential = "reeb"
+            else:
+                raise ConfigError(
+                    f"{source}: candidate {key!r} potential must be 'reeb', "
+                    f"'grad <scalar>' or 'vector <vector>'"
+                )
+            try:
+                cand = SolitonCandidate(key, kind, potential, lam, **fields)
             except StructureError as err:
                 raise ConfigError(f"{source}: candidate {key!r}: {err}") from err
             candidates.append(cand)

@@ -28,12 +28,16 @@ in base data:
     div_bar = div,    Lap_bar(f) = (1/a) Lap(f) - (2n(a-1)/a^2) xi(f)
                                    - ((a-1)/a^2) xi(xi(f))
 
-together with the inner-product transfer for symmetric (0,2)-tensors
+together with the inner-product transfer for symmetric (0,2)-tensors,
+from g_bar^{-1} = (1/a) g^{-1} - ((a-1)/a^2) xi (x) xi,
 
-    <T1, T2>_bar = (1/a^2) <T1, T2>_g - ((a^2-1)/a^4) T1(xi,xi) T2(xi,xi),
+    <T1, T2>_bar = (1/a^2) <T1, T2>_g - (2(a-1)/a^3) <T1(xi,.), T2(xi,.)>_g
+                   + ((a-1)^2/a^4) T1(xi,xi) T2(xi,xi),
 
-exact whenever i_xi T = T(xi,xi) eta for both arguments (true for g, Ric and
-eta (x) eta over a Kenmotsu base).  Each closed form takes the frame
+which reduces to (1/a^2) <T1, T2>_g - ((a^2-1)/a^4) T1(xi,xi) T2(xi,xi)
+whenever T(xi, .) = T(xi,xi) eta for both arguments (true for g, Ric and
+eta (x) eta over a Kenmotsu base, not for Hess(f) in general).  Each
+closed form takes the frame
 ``DeformedStructure.at(points)``, reads a there and base data on the
 samples alone, and returns one value per a and sample.  Each refuses to
 evaluate when the base structure fails the Kenmotsu condition, since none
@@ -64,13 +68,14 @@ from .geometry import (
     hessian,
     kenmotsu_residual,
     laplacian,
-    memoised,
+    on_batch,
+    on_bound_batch,
     with_a,
     xi_derivatives,
 )
 from .tensor import (
     StructureError, component_major, hs_pair, hs_raise, kulkarni_nomizu,
-    outer, pair_index, plus, sample_major, symmetric,
+    max_abs, outer, pair_index, plus, sample_major, symmetric,
 )
 
 __all__ = [
@@ -112,13 +117,11 @@ def deformation_curvature_term(g: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return kulkarni_nomizu(g, 0.5 * g - outer(eta, eta))
 
 
+@on_batch
 def _curvature_term(structure: AcmStructure, point) -> np.ndarray:
     """``deformation_curvature_term`` of the base, memoised on a batch."""
-    return memoised(point, (structure, "curvature term"), lambda p: (
-        deformation_curvature_term(
-            structure.manifold.metric_at_cached(p).g, structure.eta_values(p)
-        )
-    ), reads_a=False)
+    g = structure.manifold.metric_at_cached(point).g
+    return deformation_curvature_term(g, structure.eta_values(point))
 
 
 def ricci_bar(structure: AcmStructure, point, ric) -> np.ndarray:
@@ -159,6 +162,7 @@ def riemann_bar(structure: AcmStructure, point, r04) -> np.ndarray:
     return out
 
 
+@on_bound_batch
 def laplacian_bar(structure: AcmStructure, f: ScalarField, point):
     """Lap_bar(f) = Lap(f)/a - ((a-1)/a^2)[2n xi(f) + xi(xi(f))] over a
     Kenmotsu base, at the a that ``point`` binds; memoised there.
@@ -166,16 +170,13 @@ def laplacian_bar(structure: AcmStructure, f: ScalarField, point):
     Lap(f) and the xi-derivatives are read on the samples alone unless f
     reads a.
     """
-    def compute(p):
-        a = p[A]
-        xif, xixif = xi_derivatives(structure, f, p)
-        return (
-            laplacian(structure.manifold, f, p) / a
-            - 2.0 * structure.n * (a - 1.0) / (a * a) * xif
-            - (a - 1.0) / (a * a) * xixif
-        )
-
-    return memoised(point, (structure, f, "laplacian bar"), compute)
+    a = point[A]
+    xif, xixif = xi_derivatives(structure, f, point)
+    return (
+        laplacian(structure.manifold, f, point) / a
+        - 2.0 * structure.n * (a - 1.0) / (a * a) * xif
+        - (a - 1.0) / (a * a) * xixif
+    )
 
 
 def _a(point, rank: int = 0) -> np.ndarray:
@@ -421,28 +422,28 @@ def _base_tensor(structure: AcmStructure, name: str, point, f=None):
     return outer(eta, eta)
 
 
-def _raised(structure: AcmStructure, name: str, point, f=None):
-    """A base tensor raised by ``hs_raise``, memoised: g, Ric and eta (x) eta
-    stacked on the samples alone, Hess(f) alone, at the bound a if f reads a."""
-    names = ("hess",) if name == "hess" else ("g", "ric", "etaeta")
-    f = f if name == "hess" else None
-    return memoised(point, (structure, f, "raised"), lambda p: dict(zip(
-        names, hs_raise([_base_tensor(structure, k, p, f) for k in names],
-                        structure.manifold.metric_at_cached(p)),
-    )), f is not None and f.reads_a)[name]
+@on_batch
+def _raised(structure: AcmStructure, names: tuple, f, point) -> dict:
+    """The base tensors ``names`` raised in one ``hs_raise``, memoised: g,
+    Ric and eta (x) eta with ``f`` None, or Hess(f) alone."""
+    return dict(zip(names, hs_raise(
+        [_base_tensor(structure, k, point, f) for k in names],
+        structure.manifold.metric_at_cached(point),
+    )))
 
 
-def base_inner(structure: AcmStructure, pair: tuple, point, f=None):
+@on_batch
+def base_inner(structure: AcmStructure, pair: tuple, f, point):
     """<T1, T2>_g of two base tensors named as in ``_BATTERY_PAIRS``.
 
     Memoised on a batch, so each pairing is taken once per run whichever
-    battery or bound asks for it; ``f`` is read for "hess" alone, and a
-    pairing with a Hess(f) that reads a is taken at the bound a.
+    battery or bound asks for it; ``f`` is None unless the pair holds
+    "hess", and a pairing with a Hess(f) that reads a is taken at the
+    bound a.
     """
-    f = f if "hess" in pair else None
-    return memoised(point, (structure, pair, f, "inner"), lambda p: hs_pair(
-        _raised(structure, pair[0], p, f), _base_tensor(structure, pair[1], p, f)
-    ), f is not None and f.reads_a)
+    first = ("hess",) if pair[0] == "hess" else ("g", "ric", "etaeta")
+    raised = _raised(structure, first, f if pair[0] == "hess" else None, point)
+    return hs_pair(raised[pair[0]], _base_tensor(structure, pair[1], point, f))
 
 
 def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
@@ -452,23 +453,38 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     against the deformed inverse metric), ``transfer`` (the base-data
     inner-product formula) and ``closed`` (the fully reduced form, which over
     a Kenmotsu base needs only scal, Lap(f), xi-derivatives of f and the
-    base norms), one value per a of the frame ``point`` and sample.
+    base norms), one value per a of the frame ``point`` and sample.  The
+    closed form of |Hess f|_bar^2 assumes Hess f(xi, X) = 0 for X
+    orthogonal to xi; ``applicable`` marks the samples where
+    |Hess f(xi, .) - Hess f(xi, xi) eta| is at most ``HYPOTHESIS_TOL``
+    (everywhere for the other pairs).
     """
     ds.require_kenmotsu(point)
     base = ds.base
     n = ds.n
-    a2 = point[A] ** 2
+    a = point[A]
+    a2 = a * a
     a4 = a2 * a2
     tensors = {
         name: _base_tensor(base, name, point, f)
         for name in ("g", "ric", "hess", "etaeta")
     }
     xi = base.xi_values(point)
-    reeb = {
-        name: np.einsum("...i,...ij,...j->...", xi, t, xi)
-        for name, t in tensors.items()
+    # the rows T(xi, .) of the four tensors, their g-inner products and
+    # T(xi, xi), each as one product per sample
+    index = {name: k for k, name in enumerate(tensors)}
+    rows = np.stack(np.broadcast_arrays(*tensors.values()), axis=-3)
+    rows = (rows @ xi[..., None, :, None])[..., 0]
+    gram = (rows @ base.manifold.metric_at_cached(point).inv
+            @ np.swapaxes(rows, -1, -2))
+    reeb = (rows @ xi[..., None])[..., 0]
+    hess_xi = rows[..., index["hess"], :]
+    reduced = max_abs(
+        hess_xi - reeb[..., index["hess"], None] * base.eta_values(point), 1)
+    inner = {
+        pair: base_inner(base, pair, f if "hess" in pair else None, point)
+        for pair in _BATTERY_PAIRS
     }
-    inner = {pair: base_inner(base, pair, point, f) for pair in _BATTERY_PAIRS}
     xif, xixif = xi_derivatives(base, f, point)
     scal = curvature_bundle(base.manifold, point)["scal"]
     lap = laplacian(base.manifold, f, point)
@@ -488,15 +504,21 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     }
     mbar = ds.manifold.metric_at_cached(point)
     raised = dict(zip(tensors, hs_raise(list(tensors.values()), mbar)))
+    # the transfer's weights of <T1(xi,.), T2(xi,.)>_g and T1(xi,xi) T2(xi,xi)
+    cross = 2.0 * (a - 1.0) / (a2 * a)
+    both = (a - 1.0) ** 2 / a4
     out = []
     for k1, k2 in _BATTERY_PAIRS:
+        i, j = index[k1], index[k2]
         out.append(
             {
                 "pair": f"{k1}-{k2}",
                 "direct": hs_pair(raised[k1], tensors[k2]),
-                "transfer": inner[(k1, k2)] / a2
-                - (a2 - 1.0) / a4 * reeb[k1] * reeb[k2],
+                "transfer": inner[(k1, k2)] / a2 - cross * gram[..., i, j]
+                + both * reeb[..., i] * reeb[..., j],
                 "closed": closed[(k1, k2)],
+                "applicable": (reduced <= HYPOTHESIS_TOL
+                               if (k1, k2) == ("hess", "hess") else None),
             }
         )
     return out
@@ -550,7 +572,7 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points) -> dict:
 def ricci_norm_bound(structure: AcmStructure, point) -> dict:
     """|Ric|_g^2 >= 4 n^2 (a^2 - 1)/a^2, forced by |Ric_bar|^2 >= 0, at
     the a that ``point`` binds."""
-    ric_sq = base_inner(structure, ("ric", "ric"), point)
+    ric_sq = base_inner(structure, ("ric", "ric"), None, point)
     n = structure.n
     a2 = point[A] ** 2
     bound = 4.0 * n * n * (a2 - 1.0) / a2

@@ -15,7 +15,11 @@ length N, or 1 where a value reads no coordinate: a batched value's
 sample axes are the broadcast of those of the trees it is evaluated from
 (a constant contributes none, a tree reading only a gives (A, 1)),
 padded with length-1 axes to the batch's rank, so a flat metric and its
-curvature are computed once, not once per sample.  The symbolic
+curvature are computed once, not once per sample.  One rule keeps what
+a run derives: each such quantity is a function decorated with
+``on_batch``, memoised on the batch by the function and its other
+arguments, and computed on the samples alone unless an argument reads a
+or the function is declared to (``on_bound_batch``).  The symbolic
 layer only ever differentiates the defining expressions, and only through
 ``Field``, the one type of the metric, phi, xi, eta and every scalar or
 vector field: a field's values are memoised on a batch by the field, its
@@ -47,7 +51,7 @@ R(X, Y) xi = eta(X) Y - eta(Y) X and Ric(xi, xi) = -2n.
 
 from __future__ import annotations
 
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, reduce, wraps
 
 import numpy as np
 
@@ -60,7 +64,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "Samples", "with_a", "memoised",
+    "Samples", "with_a", "on_batch", "on_bound_batch",
     "Field", "ChartManifold", "AcmStructure", "ScalarField", "VectorField",
     "christoffel", "curvature_bundle",
     "lie_derivative_metric", "grad", "hessian", "divergence", "laplacian",
@@ -75,13 +79,13 @@ _INVERSE_TOL = 1e-10
 class Samples(dict):
     """A batch of N sample points: coordinate name -> (N,) array.
 
-    What a run derives from the batch alone (metric data, curvature,
-    Hessians of scalar fields, divergences, Kenmotsu residuals, the values
-    and partials of fields) is memoised on it, keyed by the chart,
-    structure or ``Field`` it belongs to, so each is computed once per
-    batch whichever suite asks first.  A batch that binds the symbol a
-    (see ``with_a``) keeps the batch it binds as ``parent``.  A batch is
-    never written to once built.
+    What a run derives from the batch (metric data, curvature, Hessians
+    of scalar fields, divergences, Kenmotsu residuals, the values and
+    partials of fields) is memoised on it by ``on_batch``, keyed by the
+    function and the chart, structure or ``Field`` it is taken of, so
+    each is computed once per batch whichever suite asks first.  A batch
+    that binds the symbol a (see ``with_a``) keeps the batch it binds as
+    ``parent``.  A batch is never written to once built.
     """
 
     def __init__(self, values, parent=None):
@@ -139,7 +143,7 @@ def with_a(point, a):
 
     The bound point is a frame: whatever depends on a reads it there as
     ``with_a(point, a)[A]``, shaped to broadcast in front of the sample
-    axes, and what does not reaches the samples alone (``memoised``).
+    axes, and what does not reaches the samples alone (``on_batch``).
     Binding a batch gives a batch memoised on it, so every caller binding
     the same values shares one bound batch and what is memoised on it.
     """
@@ -148,29 +152,55 @@ def with_a(point, a):
     column = a.reshape(a.shape + (1,) * len(_shape(base)))
     if not isinstance(base, Samples):
         return {**base, A: column}
-    return memoised(
-        base, (A, column.shape, column.tobytes()),
-        lambda b: Samples({**b, A: column}, parent=b),
-    )
+    key = (A, column.shape, column.tobytes())
+    if key not in base.memo:
+        base.memo[key] = Samples({**base, A: column}, parent=base)
+    return base.memo[key]
 
 
-def memoised(point, key, compute, reads_a=True):
-    """``compute(p)``, memoised under ``key`` when ``p`` is a batch (a
-    single point carries no memo).
+def on_batch(fn):
+    """Memoise ``fn(*args, point)`` on the batch ``point``, keyed by
+    ``fn`` and the other arguments, keywords as name, value in call order.
 
-    ``p`` is ``point``; for a quantity that does not read the symbol a
-    (``reads_a`` false) it is ``_unbound(point)``, so base data is computed
-    on the samples alone and shared by every binding of a.
+    One rule decides the frame: ``fn`` runs on ``point`` as given when
+    something in its key has a true ``reads_a``, an argument or ``fn``
+    itself (``on_bound_batch``), else on ``_unbound(point)``, so base data
+    is computed on the samples alone and shared by every binding of a.  A
+    single point carries no memo.  Callers must not write into the result.
     """
-    if not reads_a:
-        point = _unbound(point)
-    memo = getattr(point, "memo", None)
-    if memo is None:
-        return compute(point)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = compute(point)
-    return found
+    @wraps(fn)
+    def batched(*args, **kwargs):
+        key = (batched,) + args[:-1]
+        if kwargs:
+            for item in kwargs.items():
+                key += item
+        point = args[-1]
+        if isinstance(point, Samples):
+            # by the rule, an entry on a batch that binds a reads a and one
+            # on the samples alone does not, so a hit needs no look at it
+            found = point.memo.get(key)
+            if found is None and point.parent is not None:
+                found = point.parent.memo.get(key)
+            if found is not None:
+                return found
+        for x in key:
+            if getattr(x, "reads_a", False):
+                break
+        else:
+            point = _unbound(point)
+        value = fn(*args[:-1], point, **kwargs)
+        if isinstance(point, Samples):
+            point.memo[key] = value
+        return value
+
+    return batched
+
+
+def on_bound_batch(fn):
+    """``on_batch`` for a function that reads a where ``point`` binds it
+    (``point[A]``): it is computed and memoised on that bound batch."""
+    fn.reads_a = True
+    return on_batch(fn)
 
 
 def _reads_a(exprs) -> bool:
@@ -331,6 +361,7 @@ class ChartManifold:
         self._finite(out, 4, "metric second partials", point)
         return _mean_of_orders(out, 4)
 
+    @on_batch
     def metric_at_cached(self, point) -> MetricData:
         """Metric data at ``point``, memoised on a batch.
 
@@ -340,11 +371,6 @@ class ChartManifold:
         identity to 1e-10.  Failure raises StructureError naming the
         first offending sample.
         """
-        return memoised(point, (self, "metric"), self._metric_data, self.reads_a)
-
-    def _metric_data(self, point) -> MetricData:
-        """Unmemoised ``metric_at_cached``: the inverse and positive
-        definiteness come from one elimination, ``_gauss_jordan``."""
         g = symmetric(self.metric_values(point), point)
         inv, definite = _gauss_jordan(g)
         _refuse(~definite, f"metric of {self.name} not positive definite", point)
@@ -481,19 +507,6 @@ def _check_curvature_symmetries(r04: np.ndarray, name, point):
         )
 
 
-def curvature_bundle(manifold, point) -> dict:
-    """All curvature data at ``point``, memoised on a batch.
-
-    The keys are ``metric`` (the MetricData), ``gamma``, ``R13``, ``R04``,
-    ``Ric`` and ``scal``, as in the module docstring.  The algebraic
-    symmetries of R04 that its first-pair block does not hold by
-    construction (antisymmetry in the second pair, pair interchange, first
-    Bianchi) are verified on every evaluation.
-    """
-    return memoised(point, (manifold, "curvature"),
-                    lambda p: _curvature(manifold, p), manifold.reads_a)
-
-
 def _christoffel(inv, combo) -> np.ndarray:
     """Gamma[l, i, j] = (1/2) g^lk combo[i, j, k], as one matmul over the
     flattened (i, j) pairs."""
@@ -544,7 +557,16 @@ def _riemann(d2g, gamma, combo, inv) -> tuple:
     return sample_major(r13, 3), r04
 
 
-def _curvature(manifold, point) -> dict:
+@on_batch
+def curvature_bundle(manifold, point) -> dict:
+    """All curvature data at ``point``, memoised on a batch.
+
+    The keys are ``metric`` (the MetricData), ``gamma``, ``R13``, ``R04``,
+    ``Ric`` and ``scal``, as in the module docstring.  The algebraic
+    symmetries of R04 that its first-pair block does not hold by
+    construction (antisymmetry in the second pair, pair interchange, first
+    Bianchi) are verified on every evaluation.
+    """
     m = manifold.metric_at_cached(point)
     combo = _gamma_combo(m.dg)
     gamma = _christoffel(m.inv, combo)
@@ -590,10 +612,9 @@ class Field:
     def reads_a(self) -> bool:
         return _reads_a(self.exprs)
 
+    @on_batch
     def values(self, point) -> np.ndarray:
-        return memoised(point, (self, "values"),
-                        lambda p: _evaluate_all(self.exprs, p, self.dims),
-                        self.reads_a)
+        return _evaluate_all(self.exprs, point, self.dims)
 
     def derivative(self, coords) -> "Field":
         """The field of first partials, [k, ...] = d_k of each component."""
@@ -665,14 +686,9 @@ def grad(manifold, f: ScalarField, point) -> np.ndarray:
     return np.einsum("...ij,...j->...i", m.inv, df)
 
 
+@on_batch
 def hessian(manifold, f: ScalarField, point) -> np.ndarray:
     """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f, memoised on a batch."""
-    return memoised(point, (manifold, f, "hessian"),
-                    lambda p: _hessian(manifold, f, p),
-                    manifold.reads_a or f.reads_a)
-
-
-def _hessian(manifold, f: ScalarField, point) -> np.ndarray:
     gamma = christoffel(manifold, point)
     df = f.partials(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
@@ -680,16 +696,13 @@ def _hessian(manifold, f: ScalarField, point) -> np.ndarray:
     return symmetric(0.5 * (out + _swap(out)), point)
 
 
+@on_batch
 def divergence(manifold, field: VectorField, point):
     """div V = d_i V^i + Gamma^i_ik V^k, memoised on a batch."""
-    def compute(p):
-        gamma = christoffel(manifold, p)
-        v = field.values(p)
-        dv = field.partials(manifold.coords, p)
-        return np.einsum("...ii->...", dv) + np.einsum("...iik,...k->...", gamma, v)
-
-    return memoised(point, (manifold, field.exprs, "divergence"),
-                    compute, manifold.reads_a or field.reads_a)
+    gamma = christoffel(manifold, point)
+    v = field.values(point)
+    dv = field.partials(manifold.coords, point)
+    return np.einsum("...ii->...", dv) + np.einsum("...iik,...k->...", gamma, v)
 
 
 def laplacian(manifold, f: ScalarField, point):
@@ -823,6 +836,7 @@ def nabla_phi_tensor(structure: AcmStructure, point) -> np.ndarray:
     return out
 
 
+@on_batch
 def xi_derivatives(structure: AcmStructure, f: ScalarField, point) -> tuple:
     """xi(f) and xi(xi(f)) from exact partials of f and xi, memoised on a
     batch.
@@ -832,23 +846,20 @@ def xi_derivatives(structure: AcmStructure, f: ScalarField, point) -> tuple:
     nabla_xi xi = 0, these are eta(grad f) and Hess(f)(xi, xi), so every
     closed form in base data reads them from here.
     """
-    def compute(p):
-        coords = structure.manifold.coords
-        xi = structure.xi_values(p)
-        dxi = structure.xi_field.partials(coords, p)
-        df = f.partials(coords, p)
-        ddf = f.second_partials(coords, p)
-        xif = np.einsum("...k,...k->...", xi, df)
-        xixif = (
-            np.einsum("...k,...km,...m->...", xi, dxi, df)
-            + np.einsum("...k,...m,...km->...", xi, xi, ddf)
-        )
-        return xif, xixif
-
-    return memoised(point, (structure, f, "xi derivatives"), compute,
-                    structure.reads_a or f.reads_a)
+    coords = structure.manifold.coords
+    xi = structure.xi_values(point)
+    dxi = structure.xi_field.partials(coords, point)
+    df = f.partials(coords, point)
+    ddf = f.second_partials(coords, point)
+    xif = np.einsum("...k,...k->...", xi, df)
+    xixif = (
+        np.einsum("...k,...km,...m->...", xi, dxi, df)
+        + np.einsum("...k,...m,...km->...", xi, xi, ddf)
+    )
+    return xif, xixif
 
 
+@on_batch
 def kenmotsu_details(structure: AcmStructure, point) -> dict:
     """Residuals of the Kenmotsu condition and its first corollary.
 
@@ -857,11 +868,6 @@ def kenmotsu_details(structure: AcmStructure, point) -> dict:
     and the corollary checked alongside is nabla xi = I - eta (x) xi.
     Memoised on a batch.
     """
-    return memoised(point, (structure, "kenmotsu"),
-                    lambda p: _kenmotsu(structure, p), structure.reads_a)
-
-
-def _kenmotsu(structure: AcmStructure, point) -> dict:
     m = structure.manifold.metric_at_cached(point)
     phi = structure.phi_values(point)
     xi = structure.xi_values(point)

@@ -69,7 +69,8 @@ from .geometry import (
     gradient_lie_derivative,
     laplacian,
     lie_derivative_metric,
-    memoised,
+    on_batch,
+    on_bound_batch,
     xi_derivatives,
 )
 from .tensor import (
@@ -190,25 +191,16 @@ def _full_residual(kind: str, g, curvature, lie, lam):
     return max_abs(plus(full, 2.0 * curvature), 3)
 
 
-def _lie_and_div(structure: AcmStructure, candidate, point) -> tuple:
-    """L_V g and div V of the candidate's potential on the structure's
-    chart at the bound batch ``point``.
-
-    Memoised there by the chart and the potential, the configured scalar
-    or vector field itself, so candidates of both kinds with one potential
-    share them.  Callers must not write into them.
-    """
-    man = structure.manifold
-    if candidate.potential == "gradient":
-        potential = candidate.scalar
-        lie, div = gradient_lie_derivative, laplacian
-    else:
-        potential = (structure.xi_field if candidate.potential == "reeb"
-                     else candidate.field)
-        lie, div = lie_derivative_metric, divergence
-    return memoised(point, (man, potential, "lie and div"), lambda p: (
-        lie(man, potential, p), div(man, potential, p)
-    ))
+@on_batch
+def _lie_and_div(manifold, potential, point) -> tuple:
+    """L_V g and div V on ``manifold`` of the potential V, the gradient of
+    a scalar field or a vector field, memoised: candidates of both kinds
+    with one potential share them."""
+    if isinstance(potential, ScalarField):
+        return (gradient_lie_derivative(manifold, potential, point),
+                laplacian(manifold, potential, point))
+    return (lie_derivative_metric(manifold, potential, point),
+            divergence(manifold, potential, point))
 
 
 def soliton_residuals(structure: AcmStructure, candidate, point) -> dict:
@@ -226,7 +218,9 @@ def soliton_residuals(structure: AcmStructure, candidate, point) -> dict:
     bundle = curvature_bundle(structure.manifold, point)
     g = bundle["metric"].g
     scal = bundle["scal"]
-    lie, div_v = _lie_and_div(structure, candidate, point)
+    potential = {"gradient": candidate.scalar, "vector": candidate.field,
+                 "reeb": structure.xi_field}[candidate.potential]
+    lie, div_v = _lie_and_div(structure.manifold, potential, point)
     lam = evaluate(candidate.lam, point)
     beta = tr.beta(lam, div_v)
     out = {
@@ -262,6 +256,7 @@ def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
     )
 
 
+@on_bound_batch
 def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
                    *, vector: VectorField = None,
                    scalar: ScalarField = None):
@@ -273,13 +268,6 @@ def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
     Memoised on the bound batch, so the soliton and inequality suites
     share one computation per (kind, scenario, potential, a).
     """
-    return memoised(
-        point, (kind, scenario, structure, vector, scalar, "theorem lambda"),
-        lambda p: _theorem_lambda(kind, scenario, structure, p, vector, scalar),
-    )
-
-
-def _theorem_lambda(kind, scenario, structure, point, vector, scalar):
     n = structure.n
     tr = _trace(kind, n)
     a = point[A]
@@ -347,31 +335,10 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
     The tensor is evaluated with the actual covariant derivative of V; its
     metric trace must reproduce the scal value whenever div V = 0 and
     eta(nabla_xi V) = xi(eta(V)), which holds over a Kenmotsu base.  Only
-    k and a enter per kind: the rest is memoised on the batch.
+    k and a enter per kind: the rest is ``_solenoidal_terms``.
     """
-    man = structure.manifold
-    m = man.metric_at_cached(point)
-
-    def terms(p):
-        # sigma = xi(eta(V)), sym(nabla V^flat), eta (x) eta and the brace
-        eta = structure.eta_values(p)
-        nv = covariant_derivative(man, vector, p)
-        v = vector.values(p)
-        nv_flat = np.einsum("...ik,...kj->...ij", nv, m.g)
-        w = (
-            np.einsum("...ik,...k->...i", nv, eta)
-            + np.einsum("...ij,...j->...i", m.g, v)
-        )
-        eta_v = np.einsum("...i,...i->...", eta, v)
-        ee = outer(eta, eta)
-        brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
-        return (xi_of_eta_potential(structure, vector, p),
-                nv_flat + np.swapaxes(nv_flat, -1, -2), ee, brace)
-
-    sigma, sym_nv, ee, brace = memoised(
-        point, (structure, vector, "solenoidal"), terms,
-        structure.reads_a or vector.reads_a,
-    )
+    m = structure.manifold.metric_at_cached(point)
+    sigma, sym_nv, ee, brace = _solenoidal_terms(structure, vector, point)
     n = structure.n
     a = point[A]
     ca = _trace(kind, n).k * a
@@ -386,6 +353,28 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
     ric = symmetric(0.5 * (ric + np.swapaxes(ric, -1, -2)), point)
     trace = np.einsum("...ij,...ij->...", m.inv, ric)
     return {"ric": ric, "scal": scal, "trace_residual": np.abs(trace - scal)}
+
+
+@on_batch
+def _solenoidal_terms(structure: AcmStructure, vector: VectorField,
+                      point) -> tuple:
+    """sigma = xi(eta(V)), sym(nabla V^flat), eta (x) eta and the brace of
+    ``solenoidal_implied``, which no kind enters, memoised on a batch."""
+    man = structure.manifold
+    g = man.metric_at_cached(point).g
+    eta = structure.eta_values(point)
+    nv = covariant_derivative(man, vector, point)
+    v = vector.values(point)
+    nv_flat = np.einsum("...ik,...kj->...ij", nv, g)
+    w = (
+        np.einsum("...ik,...k->...i", nv, eta)
+        + np.einsum("...ij,...j->...i", g, v)
+    )
+    eta_v = np.einsum("...i,...i->...", eta, v)
+    ee = outer(eta, eta)
+    brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
+    return (xi_of_eta_potential(structure, vector, point),
+            nv_flat + np.swapaxes(nv_flat, -1, -2), ee, brace)
 
 
 def orthogonal_gradient_values(kind: str, structure: AcmStructure,
@@ -457,32 +446,29 @@ def xi_compatibility(kind: str, structure: AcmStructure, point) -> dict:
 # ---------------------------------------------------------------------------
 # Norm inequalities for the gradient scenario
 
+@on_bound_batch
 def _gradient_norms(ds: DeformedStructure, f: ScalarField, point) -> dict:
     """The data of ``inequality_battery`` that both kinds share, memoised
     on the frame: base and deformed norms, Laplacians and xi-derivatives."""
-
-    def compute(p):
-        ds.require_kenmotsu(p)
-        base = ds.base
-        man = base.manifold
-        mbar = ds.manifold.metric_at_cached(p)
-        ric_bar = ds.ricci_closed(p)["Ric"]
-        hess_bar = ds.hessian_closed(f, p)
-        xif, xixif = xi_derivatives(base, f, p)
-        ric_up, hess_up = hs_raise((ric_bar, hess_bar), mbar)
-        return {
-            "scal": curvature_bundle(man, p)["scal"],
-            "hess_sq": base_inner(base, ("hess", "hess"), p, f),
-            "ric_sq": base_inner(base, ("ric", "ric"), p),
-            "lap": laplacian(man, f, p),
-            "xif": xif,
-            "xixif": xixif,
-            "ric_bar_sq": hs_pair(ric_up, ric_bar),
-            "hess_bar_sq": hs_pair(hess_up, hess_bar),
-            "lap_bar": laplacian_bar(base, f, p),
-        }
-
-    return memoised(point, (ds, f, "gradient norms"), compute)
+    ds.require_kenmotsu(point)
+    base = ds.base
+    man = base.manifold
+    mbar = ds.manifold.metric_at_cached(point)
+    ric_bar = ds.ricci_closed(point)["Ric"]
+    hess_bar = ds.hessian_closed(f, point)
+    xif, xixif = xi_derivatives(base, f, point)
+    ric_up, hess_up = hs_raise((ric_bar, hess_bar), mbar)
+    return {
+        "scal": curvature_bundle(man, point)["scal"],
+        "hess_sq": base_inner(base, ("hess", "hess"), f, point),
+        "ric_sq": base_inner(base, ("ric", "ric"), None, point),
+        "lap": laplacian(man, f, point),
+        "xif": xif,
+        "xixif": xixif,
+        "ric_bar_sq": hs_pair(ric_up, ric_bar),
+        "hess_bar_sq": hs_pair(hess_up, hess_bar),
+        "lap_bar": laplacian_bar(base, f, point),
+    }
 
 
 def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,

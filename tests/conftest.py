@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acmsolitons import builtin_config, parse_expr
+from acmsolitons import builtin_config, parse_expr, suites
 from acmsolitons.config import load_config_text
 from acmsolitons.geometry import ChartManifold, sample_batch
 from acmsolitons.tensor import pair_index
@@ -157,3 +157,18 @@ def polar2():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def sampled_batches(monkeypatch):
+    """The sample batches ``run_suites`` draws, appended as drawn, so a
+    test can read what the run memoised on them."""
+    batches = []
+    real = suites.sample_batch
+
+    def sample(*args):
+        batches.append(real(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(suites, "sample_batch", sample)
+    return batches

@@ -341,7 +341,10 @@ class TestMemo:
         field = kenmotsu3.structure.xi_field
         first = divergence(man, field, pts)
         assert first == pytest.approx(2.0, rel=1e-12)
-        assert divergence(man, VectorField(field.exprs), pts) is first
+        assert divergence(man, field, pts) is first
+        # a distinct field is a distinct key: an equal value, computed again
+        other = divergence(man, VectorField(field.exprs), pts)
+        assert other is not first and np.array_equal(other, first)
         ds = deform(kenmotsu3.structure, A_GRID)
         bound = divergence(ds.manifold, field, ds.at(pts))
         assert bound is not first and bound.shape == (len(A_GRID), 5)

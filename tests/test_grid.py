@@ -205,6 +205,16 @@ def test_unit_row_is_the_base_chart(name, kenmotsu5):
                           man.metric_second_partials(pts))
 
 
+def _memo_keys(points, fn) -> list:
+    """The memo keys of ``fn`` on ``points`` and on every batch binding a
+    over it, each with the a that batch binds (None for ``points``)."""
+    batches = [(points, None)] + [
+        (b, b[A].tobytes()) for b in points.memo.values()
+        if isinstance(b, geometry.Samples)
+    ]
+    return [(key, a) for b, a in batches for key in b.memo if key[0] is fn]
+
+
 class TestOneDeformationPerRun:
     def _counting(self, monkeypatch):
         calls = []
@@ -232,7 +242,7 @@ class TestOneDeformationPerRun:
         assert seen == calls
 
     @pytest.mark.parametrize("grid", [(0.5, 1.0, 2.0, 3.7), (1.0, 3.0)])
-    def test_base_data_once_per_run(self, monkeypatch, grid):
+    def test_base_data_once_per_run(self, monkeypatch, sampled_batches, grid):
         # one deform call; T = g o (g/2 - eta (x) eta), which the deformed
         # curvature and the riemann Reeb premise both read, built once; and
         # xi(f), xi(xi(f)) computed once per (structure, f) and batch
@@ -244,27 +254,16 @@ class TestOneDeformationPerRun:
             terms.append(g.shape)
             return real_term(g, eta)
 
-        derivatives = []
-        real_memoised = geometry.memoised
-
-        def memoised(point, key, compute, reads_a=True):
-            if key[-1] == "xi derivatives":
-                def counted(p):
-                    derivatives.append((key[0], key[1], id(p)))
-                    return compute(p)
-
-                return real_memoised(point, key, counted, reads_a)
-            return real_memoised(point, key, compute, reads_a)
-
         monkeypatch.setattr(deformation, "deformation_curvature_term", term)
-        monkeypatch.setattr(geometry, "memoised", memoised)
         config = builtin_config("kenmotsu3")
         config.points = 16
         config.a_grid = grid
         assert all(c.passed for c in run_suites(config))
         assert deforms == [grid]
         assert terms == [(16, 3, 3)]
-        assert len(derivatives) == 1
+        # each memo entry is one computation
+        [points] = sampled_batches
+        assert len(_memo_keys(points, geometry.xi_derivatives)) == 1
 
     def test_no_deformation_before_the_gate(self, monkeypatch):
         calls = self._counting(monkeypatch)
@@ -449,22 +448,19 @@ def test_each_lie_derivative_taken_once(monkeypatch):
         assert len(set(calls)) == len(calls)
 
 
-def test_each_theorem_lambda_computed_once(monkeypatch):
+def test_each_theorem_lambda_computed_once(sampled_batches):
     # the pinned lambda of one (kind, scenario, potential, a) is computed
     # once per run: the deformed gradient lambda of a kind serves its
     # lambda-gradient, orthogonal-gradient and inequality claims alike
-    seen = []
-    real = solitons._theorem_lambda
-
-    def counted(kind, scenario, structure, point, vector, scalar):
-        seen.append((kind, scenario, structure, vector, scalar,
-                     point[A].tobytes()))
-        return real(kind, scenario, structure, point, vector, scalar)
-
-    monkeypatch.setattr(solitons, "_theorem_lambda", counted)
     config = builtin_config("kenmotsu3")
     config.points = 16
     assert all(c.passed for c in run_suites(config))
+    # each memo entry is one computation, keyed by (kind, scenario,
+    # structure, potential) on the batch that binds a
+    [points] = sampled_batches
+    seen = [key[1:] + (a,) for key, a in
+            _memo_keys(points, solitons.theorem_lambda)]
+    assert all(a is not None for *_, a in seen)
     gradient = [s for s in seen if s[1] == "gradient"]
     assert len(gradient) == 4  # (riemann, ricci) x (base, deformed) x f
     assert len(set(seen)) == len(seen)

@@ -17,13 +17,21 @@ one frame too, and only the suites bind it: outside ``suites.py`` nothing
 calls ``at`` and only ``DeformedStructure.at`` calls ``with_a``, so every
 closed form takes the bound batch it is given.  Nothing in the package
 calls ``np.linalg``: the metric's inverse and its positive definiteness
-come from the one elimination, ``geometry._gauss_jordan``.
+come from the one elimination, ``geometry._gauss_jordan``.  And it has
+one memo rule: only ``geometry.on_batch`` and ``with_a`` read a batch's
+``memo``, and over full runs every entry on the unbound batch reads no a
+while every entry on a batch that binds a has an argument that reads it,
+or a function declared to read it (``on_bound_batch``).
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from acmsolitons.config import builtin_config
+from acmsolitons.geometry import Samples
+from acmsolitons.suites import run_suites
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -152,6 +160,39 @@ def _calls_outside(tree: ast.Module, callee: str, allowed) -> list:
 
     visit(tree, ())
     return found
+
+
+def _memo_reads(tree: ast.Module) -> list:
+    """(line, scope) of each read of an attribute ``memo``, as ``x.memo``
+    or ``getattr(x, "memo", ...)``; a scope is the dotted path of the
+    classes and functions around the read, ``<module>`` at the top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            attribute = (isinstance(child, ast.Attribute)
+                         and child.attr == "memo"
+                         and isinstance(child.ctx, ast.Load))
+            by_name = (isinstance(child, ast.Call)
+                       and isinstance(child.func, ast.Name)
+                       and child.func.id == "getattr"
+                       and len(child.args) > 1
+                       and isinstance(child.args[1], ast.Constant)
+                       and child.args[1].value == "memo")
+            if attribute or by_name:
+                found.append((child.lineno, ".".join(scope) or "<module>"))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+# the functions that may read a batch's memo, and what they nest
+MEMO_READERS = ("on_batch", "with_a")
 
 
 # (callee, the functions that may call it, the modules exempt)
@@ -324,3 +365,51 @@ def test_one_differentiation_and_evaluation_path(path):
     for callee, allowed, exempt in ONE_PATH:
         if path.name not in exempt:
             assert _calls_outside(tree, callee, allowed) == [], callee
+
+
+def test_finds_a_memo_read():
+    tree = ast.parse(
+        "class Samples(dict):\n"
+        "    def __init__(self):\n"
+        "        self.memo = {}\n"
+        "def on_batch(fn):\n"
+        "    def batched(point):\n"
+        "        return getattr(point, 'memo', None)\n"
+        "    return batched\n"
+        "def hessian(f, point):\n"
+        "    return point.memo.get(f), getattr(point, 'memo')\n"
+        "cached = batch.memo\n"
+    )
+    assert _memo_reads(tree) == [
+        (6, "on_batch.batched"), (9, "hessian"), (9, "hessian"),
+        (10, "<module>"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[p.relative_to(ROOT).as_posix() for p in PACKAGE]
+)
+def test_one_memo_rule(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert [(line, scope) for line, scope in _memo_reads(tree)
+            if scope.split(".")[0] not in MEMO_READERS] == []
+
+
+def _reads_a(key) -> bool:
+    """Whether a memo key names a function declared to read a, or holds
+    an argument that reads it."""
+    return any(getattr(x, "reads_a", False) for x in key)
+
+
+@pytest.mark.parametrize("name", ["kenmotsu3", "kenmotsu3-sph-soliton"])
+def test_every_entry_in_its_frame(sampled_batches, name):
+    config = builtin_config(name)
+    config.points = 16
+    run_suites(config)
+    [points] = sampled_batches
+    bound = [b for b in points.memo.values() if isinstance(b, Samples)]
+    assert len(bound) == 3  # the base frame, the grid and remark23's probe
+    assert [key for key in points.memo if _reads_a(key)] == []
+    for batch in bound:
+        assert batch.memo
+        assert [key for key in batch.memo if not _reads_a(key)] == []

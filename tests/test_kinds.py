@@ -391,12 +391,13 @@ def test_soliton_residuals(synthetic, kind, monkeypatch):
     }
     monkeypatch.setattr(solitons, "curvature_bundle", lambda man, p: bundle)
     monkeypatch.setattr(
-        solitons, "_lie_and_div", lambda st, c, p: (lie, div_v)
+        solitons, "_lie_and_div", lambda man, v, p: (lie, div_v)
     )
     monkeypatch.setattr(solitons, "evaluate", lambda e, p: lam)
-    structure = SimpleNamespace(n=s.n, manifold=None)
-    got = soliton_residuals(structure, SimpleNamespace(kind=kind, lam=None),
-                            with_a(s.point, 1.0))
+    structure = SimpleNamespace(n=s.n, manifold=None, xi_field=None)
+    candidate = SimpleNamespace(kind=kind, lam=None, potential="reeb",
+                                field=None, scalar=None)
+    got = soliton_residuals(structure, candidate, with_a(s.point, 1.0))
     ref = _residuals_ref(
         kind, s.n, s.metric.g, bundle["Ric"], scal, lie, div_v, lam
     )

@@ -48,7 +48,7 @@ def _checks(draw):
 def _reports(draw):
     return {
         "fixture": draw(_TEXT),
-        "version": "0.5.0",
+        "version": "0.5.1",
         "seed": draw(st.integers(min_value=0, max_value=2 ** 63)),
         "points": draw(st.integers(min_value=1, max_value=4096)),
         "a_grid": draw(st.lists(_FLOATS, max_size=4)),
