@@ -103,8 +103,9 @@ MUTANTS = (
            ".lam(-2.0 * n, 2.0 * n)", ".lam(-2.0 * n - 1.0, 2.0 * n)",
            KENMOTSU),
     Mutant("M15", "solitons.py",
-           "xi_eta_v, div_v = xi_of_eta_potential(structure, vector, point), 0.0",
-           "xi_eta_v, div_v = 2.0 * xi_of_eta_potential(structure, vector, "
+           "xi_eta_v, div_v = xi_of_eta_potential(structure, potential, point), "
+           "0.0",
+           "xi_eta_v, div_v = 2.0 * xi_of_eta_potential(structure, potential, "
            "point), 0.0",
            (), "no claim reads the solenoidal lambda; "
            "tests/test_kinds.py::test_theorem_lambda[*-solenoidal-*] kills it"),

@@ -45,10 +45,6 @@ def _parse_args(argv):
     parser.add_argument("--points", help="sample count")
     parser.add_argument("--seed", help="sampling seed")
     parser.add_argument(
-        "--tol-override", action="append", default=[], metavar="SUITE=TOL",
-        help="override the tolerance of one suite (repeatable)",
-    )
-    parser.add_argument(
         "--report", metavar="PATH", help="write the JSON report here"
     )
     parser.add_argument(
@@ -62,12 +58,6 @@ def _apply_overrides(config, args) -> None:
                      ("points", args.points), ("seed", args.seed)):
         if raw is not None:
             set_run_setting(config, key, raw, f"--{key}")
-    for item in args.tol_override:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError("--tol-override takes SUITE=TOL")
-        name = name.strip()
-        set_run_setting(config, f"tol_{name}", value, f"--tol-override {name}")
 
 
 def main(argv=None) -> int:

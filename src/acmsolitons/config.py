@@ -7,7 +7,7 @@ A definition file has sections
     [scalars]     named scalar fields
     [vectors]     named vector fields
     [candidates]  name = kind, potential, lambda
-    [run]         seed, points, a grid, sampling box, suites, tolerances
+    [run]         seed, points, a grid, sampling box, suites
 
 Values are expressions over the declared coordinates; ``#`` starts a
 comment.  Omitted metric or phi entries are zero, eta defaults to the
@@ -77,7 +77,6 @@ class VerificationConfig:
     a_grid: tuple = DEFAULT_A_GRID
     box: dict = field(default_factory=dict)
     suites: tuple = ALL_SUITES
-    tol_overrides: dict = field(default_factory=dict)
     scalar_name: str | None = None
 
     @property
@@ -172,12 +171,12 @@ def set_run_setting(config: VerificationConfig, key: str, raw: str,
                     where: str) -> None:
     """Parse the run setting ``key`` from the text ``raw`` into ``config``.
 
-    ``key`` is seed, points, a, suites or tol_<suite>; a [run] section and
-    the command line both set them here, and an error names ``where``.  A
-    grid is refused with a value that is not positive and finite, or with
-    two values whose check tags [a=...] coincide; a suite list when it is
+    ``key`` is seed, points, a or suites; a [run] section and the command
+    line both set them here, and an error names ``where``.  A grid is
+    refused with a value that is not positive and finite, or with two
+    values whose check tags [a=...] coincide; a suite list when it is
     empty, names an unknown suite or names one twice (either would give two
-    checks one id); a tolerance when it is negative, infinite or NaN.
+    checks one id).
     """
     if key in ("seed", "points"):
         try:
@@ -224,22 +223,6 @@ def set_run_setting(config: VerificationConfig, key: str, raw: str,
             if name in suites[:i]:
                 raise ConfigError(f"{where}: suite {name!r} is named twice")
         config.suites = suites
-    else:  # tol_<suite>
-        suite = key[len("tol_"):]
-        if suite not in ALL_SUITES:
-            raise ConfigError(
-                f"{where}: tolerance override for unknown suite {suite!r}"
-            )
-        try:
-            value = float(raw)
-        except ValueError as err:
-            raise ConfigError(f"{where} must be a number") from err
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(
-                f"{where}: tolerance must be finite and non-negative, "
-                f"got {value:g}"
-            )
-        config.tol_overrides[suite] = value
 
 
 def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
@@ -420,8 +403,6 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
             raise ConfigError(f"{source}: [run] box_{c} must have low < high")
         config.box[c] = (lo, hi)
 
-    for key in [k for k in run if k.startswith("tol_")]:
-        set_run_setting(config, key, run.pop(key), f"{source}: [run] {key}")
     if run:
         raise ConfigError(
             f"{source}: unknown [run] entries: {', '.join(sorted(run))}"

@@ -293,8 +293,10 @@ class DeformedStructure:
         a = _a(point, 3)
         return gamma + ((a - 1.0) / a) * np.einsum("...ij,...l->...lij", p, xi)
 
+    @on_bound_batch
     def ricci_closed(self, point) -> dict:
-        """Ric and scal of g_bar from the base curvature."""
+        """Ric and scal of g_bar from the base curvature, memoised on the
+        bound batch; callers must not write into the result."""
         self.require_kenmotsu(point)
         bundle = curvature_bundle(self.base.manifold, point)
         ric = ricci_bar(self.base, point, bundle["Ric"])
@@ -308,7 +310,7 @@ class DeformedStructure:
     def curvature_closed(self, point) -> dict:
         """R13, R04, Ric and scal of g_bar from the base curvature, R13 and
         R04 on their first-pair blocks."""
-        out = self.ricci_closed(point)
+        out = dict(self.ricci_closed(point))  # the memo entry stays as it is
         bundle = curvature_bundle(self.base.manifold, point)
         g = bundle["metric"].g
         eta = self.base.eta_values(point)
@@ -365,6 +367,7 @@ class DeformedStructure:
 
     # -- scalar operators ----------------------------------------------------
 
+    @on_bound_batch
     def hessian_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
         m = self.base.manifold.metric_at_cached(point)

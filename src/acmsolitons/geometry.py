@@ -160,7 +160,7 @@ def with_a(point, a):
 
 def on_batch(fn):
     """Memoise ``fn(*args, point)`` on the batch ``point``, keyed by
-    ``fn`` and the other arguments, keywords as name, value in call order.
+    ``fn`` and the other arguments.
 
     One rule decides the frame: ``fn`` runs on ``point`` as given when
     something in its key has a true ``reads_a``, an argument or ``fn``
@@ -169,11 +169,8 @@ def on_batch(fn):
     single point carries no memo.  Callers must not write into the result.
     """
     @wraps(fn)
-    def batched(*args, **kwargs):
+    def batched(*args):
         key = (batched,) + args[:-1]
-        if kwargs:
-            for item in kwargs.items():
-                key += item
         point = args[-1]
         if isinstance(point, Samples):
             # by the rule, an entry on a batch that binds a reads a and one
@@ -188,7 +185,7 @@ def on_batch(fn):
                 break
         else:
             point = _unbound(point)
-        value = fn(*args[:-1], point, **kwargs)
+        value = fn(*args[:-1], point)
         if isinstance(point, Samples):
             point.memo[key] = value
         return value

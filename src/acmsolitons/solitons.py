@@ -257,13 +257,14 @@ def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
 
 
 @on_bound_batch
-def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
-                   *, vector: VectorField = None,
-                   scalar: ScalarField = None):
+def theorem_lambda(kind: str, scenario: str, structure: AcmStructure,
+                   potential, point):
     """The lambda pinned by (kind, scenario) over a Kenmotsu base.
 
-    All inputs are base-frame quantities; ``point`` binds the deformation
-    parameter of the frame the soliton lives in, or an array of them.
+    All inputs are base-frame quantities: ``potential`` is the vector of
+    the "solenoidal" scenario, the scalar of the "gradient" one and None
+    for "reeb"; ``point`` binds the deformation parameter of the frame the
+    soliton lives in, or an array of them.
     The lambda is that of beta = k xi_bar(eta_bar(V)) - 2n/a^2.
     Memoised on the bound batch, so the soliton and inequality suites
     share one computation per (kind, scenario, potential, a).
@@ -275,11 +276,11 @@ def theorem_lambda(kind: str, scenario: str, structure: AcmStructure, point,
     if scenario == "reeb":
         xi_eta_v, div_v = 0.0, 2.0 * n / a
     elif scenario == "solenoidal":
-        xi_eta_v, div_v = xi_of_eta_potential(structure, vector, point), 0.0
+        xi_eta_v, div_v = xi_of_eta_potential(structure, potential, point), 0.0
     elif scenario == "gradient":
-        _, xixif = xi_derivatives(structure, scalar, point)
+        _, xixif = xi_derivatives(structure, potential, point)
         xi_eta_v = xixif / a2
-        div_v = laplacian_bar(structure, scalar, point)
+        div_v = laplacian_bar(structure, potential, point)
     else:
         raise StructureError(f"unknown scenario {scenario!r}")
     return tr.lam(tr.k * xi_eta_v - 2.0 * n / a2, div_v)
@@ -313,7 +314,7 @@ def implied_curvature(kind: str, structure: AcmStructure, point) -> dict:
     ee = outer(eta, eta)
     ric = _reeb_forced(kind, m.g, ee, n)
     out = {
-        "lambda_bar": theorem_lambda(kind, "reeb", structure, point),
+        "lambda_bar": theorem_lambda(kind, "reeb", structure, None, point),
         "scal": -2.0 * n * (_trace(kind, n).k + 2 * n + 1),
     }
     if kind == "riemann":
@@ -415,7 +416,7 @@ def xi_compatibility(kind: str, structure: AcmStructure, point) -> dict:
     eta = structure.eta_values(point)
     n = structure.n
     ee = outer(eta, eta)
-    lam_bar = theorem_lambda(kind, "reeb", structure, point)
+    lam_bar = theorem_lambda(kind, "reeb", structure, None, point)
     # the forced Ric solves the base (0, 2) equation with beta = -2n
     lam_star = _trace(kind, n).lam(-2.0 * n, 2.0 * n)
     lie = 2.0 * (g - ee)  # L_xi g over a Kenmotsu base
@@ -484,7 +485,7 @@ def inequality_battery(ds: DeformedStructure, f: ScalarField, kind: str,
     carry no claim there.  All of it presumes the gradient soliton
     equation holds with the pinned lambda.
     """
-    lam_bar = theorem_lambda(kind, "gradient", ds.base, point, scalar=f)
+    lam_bar = theorem_lambda(kind, "gradient", ds.base, f, point)
     return _battery(ds.n, _trace(kind, ds.n), point[A], lam_bar,
                     _gradient_norms(ds, f, point))
 

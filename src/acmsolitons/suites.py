@@ -179,7 +179,7 @@ class Claim(NamedTuple):
     """One identity or bound of the paper, as residuals on a batch.
 
     ``key`` names the check under its suite's prefix; ``tol`` is its
-    default tolerance, a number or a function of a; ``residual`` is never
+    tolerance, a number or a function of a; ``residual`` is never
     negative and broadcasts to the batch.  ``applies`` masks the samples
     where the claim's ``hypothesis`` holds (None: everywhere), and
     ``labels`` are per-sample soliton classifications (None: the check
@@ -201,16 +201,16 @@ def _closed_tol(a) -> float:
     return 1e-12 if a == 1.0 else 1e-8
 
 
-def _emit(batch: Samples, prefix: str, override, claims) -> list:
+def _emit(batch: Samples, prefix: str, claims) -> list:
     """The checks ``prefix/key[a=...]`` of ``claims`` on ``batch``.
 
     One check per key and row of a (one untagged row when ``batch`` binds
     no a).  A check takes the worst residual of its key's claims on its
     row (``_worst``: a repeated key takes the larger, a non-finite
-    residual raises SuiteError) and passes at or below its tolerance:
-    ``override`` when given, else the first claim's default.  Where the
-    key's hypothesis holds at no sample of the row the check is vacuous;
-    where it holds at only some, its detail says at how many.  A row whose
+    residual raises SuiteError) and passes at or below the tolerance of
+    its first claim.  Where the key's hypothesis holds at no sample of the
+    row the check is vacuous; where it holds at only some, its detail says
+    at how many.  A row whose
     labels are all one label is classified by it, else as "mixed".  The
     claims are reduced together, in one ``_worst``; each distinct labels
     array is classified once, whichever claims share it.
@@ -229,8 +229,8 @@ def _emit(batch: Samples, prefix: str, override, claims) -> list:
         c, ns = first[key], counts[key]
         if len(shape) == 1:
             tops, ns = [tops], [ns]
-        tol = c.tol if override is None else override
-        tols = [tol(a) for a in a_row] if callable(tol) else [tol] * len(a_row)
+        tols = ([c.tol(a) for a in a_row] if callable(c.tol)
+                else [c.tol] * len(a_row))
         if id(c.labels) not in classes:
             rows = np.broadcast_to(c.labels, shape).reshape(len(a_row), npts)
             same = (rows == rows[:, :1]).all(axis=1)
@@ -282,9 +282,9 @@ _ACM_ANCHORS = {
 }
 
 
-def _suite_acm_axioms(run, override):
+def _suite_acm_axioms(run):
     residuals = run.config.structure.validate(run.points)
-    return _emit(run.points, "acm", override, [
+    return _emit(run.points, "acm", [
         Claim(k, _ACM_ANCHORS[k], 1e-10, r) for k, r in residuals.items()
     ])
 
@@ -302,7 +302,7 @@ _KENMOTSU_ANCHORS = {
 }
 
 
-def _suite_kenmotsu(run, override):
+def _suite_kenmotsu(run):
     s = run.config.structure
     man = s.manifold
     n = s.n
@@ -323,7 +323,7 @@ def _suite_kenmotsu(run, override):
         - eta[..., pairs.j, None] * eye[pairs.i]
     )
     ric_xi = np.einsum("...i,...ij,...j->...", xi, bundle["Ric"], xi)
-    return _emit(pts, "kenmotsu", override, [
+    return _emit(pts, "kenmotsu", [
         Claim(k, _KENMOTSU_ANCHORS[k], tol, r) for k, tol, r in (
             ("nabla-phi", 1e-10, det["nabla-phi"]),
             ("nabla-xi", 1e-10, det["nabla-xi"]),
@@ -359,7 +359,7 @@ _SECTION2_ANCHORS = {
 }
 
 
-def _suite_section2(run, override):
+def _suite_section2(run):
     config = run.config
     structure = config.structure
     f = config.scalar
@@ -420,7 +420,7 @@ def _suite_section2(run, override):
         "deformed-acm", _SECTION2_ANCHORS["deformed-acm"], 1e-10,
         ds.structure.acm_residual(pa),
     ))
-    return _emit(pa, "section2", override, claims)
+    return _emit(pa, "section2", claims)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +440,7 @@ _PROP22_ANCHORS = {
 }
 
 
-def _suite_prop22(run, override):
+def _suite_prop22(run):
     claims = []
     for item in prop_inner_battery(run.deformed, run.config.scalar, run.frame):
         anchor = _PROP22_ANCHORS[item["pair"]]
@@ -451,29 +451,28 @@ def _suite_prop22(run, override):
         claims.append(Claim(item["pair"], anchor, _closed_tol,
                             _rel(item["direct"], item["closed"]),
                             item["applicable"]))
-    return _emit(run.frame, "prop22", override, claims)
+    return _emit(run.frame, "prop22", claims)
 
 
 # ---------------------------------------------------------------------------
 # remark23
 
-def _suite_remark23(run, override):
+def _suite_remark23(run):
     structure = run.config.structure
     points = run.points
     pa = run.frame
     res = ricci_norm_bound(structure, pa)
-    checks = _emit(pa, "remark23", override, [Claim(
+    checks = _emit(pa, "remark23", [Claim(
         "norm-bound", "|Ric|^2 >= 4n^2(a^2-1)/a^2", 1e-9,
         _below(res["ric_norm_sq"] - res["bound"]),
     )])
 
     lo, hi = admissible_interval(2.0, 1)
     arith = abs(lo - 0.0) + abs(hi - 2.0)
-    tol = 1e-12 if override is None else override
     checks.append(CheckResult(
         "remark23/admissible-interval",
         "|Ric|^2 = 2, n = 1 gives the admissible range a in (0, 2)",
-        0, float(arith), float(tol), bool(arith <= tol),
+        0, float(arith), 1e-12, bool(arith <= 1e-12),
     ))
 
     ht = harmonic_transfer(structure, run.config.scalar,
@@ -540,7 +539,7 @@ _EQ_ANCHORS = {
 }
 
 
-def _soliton_suite(run, override, kind):
+def _soliton_suite(run, kind):
     config = run.config
     structure = config.structure
     man = structure.manifold
@@ -564,13 +563,13 @@ def _soliton_suite(run, override, kind):
             ]
             if cand.potential == "gradient":
                 lam_thm = theorem_lambda(
-                    kind, "gradient", structure, at, scalar=cand.scalar
+                    kind, "gradient", structure, cand.scalar, at
                 )
                 claims.append(Claim(
                     f"{cand.name}/lambda-gradient", anchors["lambda-gradient"],
                     1e-9, _rel(lam_thm, res["lambda"]),
                 ))
-            checks += _emit(at, prefix, override, claims)
+            checks += _emit(at, prefix, claims)
 
     # the Reeb-compatibility, solenoidal-trace and orthogonal-gradient
     # claims, one aggregation pass over the (A, N) batch
@@ -607,21 +606,21 @@ def _soliton_suite(run, override, kind):
     f = config.scalar
     if f is not None:
         res = orthogonal_gradient_values(kind, structure, f, pa)
-        lam_thm = theorem_lambda(kind, "gradient", structure, pa, scalar=f)
+        lam_thm = theorem_lambda(kind, "gradient", structure, f, pa)
         claims.append(Claim(
             "orthogonal-gradient", anchors["orthogonal-gradient"], 1e-9,
             _rel(res["lambda_bar"], lam_thm), res["applicable"],
             hypothesis="hypothesis xi(f) = 0",
         ))
-    return checks + _emit(pa, prefix, override, claims)
+    return checks + _emit(pa, prefix, claims)
 
 
-def _suite_riemann_solitons(run, override):
-    return _soliton_suite(run, override, "riemann")
+def _suite_riemann_solitons(run):
+    return _soliton_suite(run, "riemann")
 
 
-def _suite_ricci_solitons(run, override):
-    return _soliton_suite(run, override, "ricci")
+def _suite_ricci_solitons(run):
+    return _soliton_suite(run, "ricci")
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +663,7 @@ _INEQ_ANCHORS = {
 }
 
 
-def _suite_inequalities(run, override):
+def _suite_inequalities(run):
     claims = []
     for kind in ("riemann", "ricci"):
         for item in inequality_battery(run.deformed, run.config.scalar, kind,
@@ -678,7 +677,7 @@ def _suite_inequalities(run, override):
                 f"{kind}/{item['check']}", _INEQ_ANCHORS[kind][item["check"]],
                 1e-8, shortfall / scale, item["applicable"],
             ))
-    return _emit(run.frame, "inequality", override, claims)
+    return _emit(run.frame, "inequality", claims)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +718,6 @@ def run_suites(config: VerificationConfig) -> list:
     gate = None
     for suite in config.suites:
         runner = _SUITE_RUNNERS[suite]
-        override = config.tol_overrides.get(suite)
         if config.structure is None:
             checks.append(CheckResult(
                 f"{suite}/requires-structure",
@@ -753,7 +751,7 @@ def run_suites(config: VerificationConfig) -> list:
                     detail="no scalar field configured",
                 ))
                 continue
-            checks.extend(runner(run, override))
+            checks.extend(runner(run))
         except (EvalError, StructureError) as err:
             raise SuiteError(f"suite {suite}: {err}") from err
     checks.sort(key=lambda c: c.check_id)

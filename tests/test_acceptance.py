@@ -199,10 +199,8 @@ def test_criterion_05_lambda_theorems_consistent():
             worst_mid, abs(xif - ez) / ez, abs(xixif - ez) / ez
         )
         for a in A_GRID:
-            lam_r = theorem_lambda("riemann", "gradient", s, with_a(p, a),
-                                   scalar=f)
-            lam_c = theorem_lambda("ricci", "gradient", s, with_a(p, a),
-                                   scalar=f)
+            lam_r = theorem_lambda("riemann", "gradient", s, f, with_a(p, a))
+            lam_c = theorem_lambda("ricci", "gradient", s, f, with_a(p, a))
             tgt_r = (2.0 * ez - 1.0) / (a * a)
             tgt_c = (ez - 2.0) / (a * a)
             worst_lam = max(

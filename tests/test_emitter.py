@@ -34,7 +34,7 @@ def test_one_check_per_row_of_a(batch):
     residual = np.array([[1e-3, 2e-3, 0.0, 0.0],
                          [0.0, 0.0, 0.0, 5e-9],
                          [0.0, 0.0, 0.0, 0.0]])
-    checks = _by_id(_emit(batch, "s", None, [Claim("k", "A", 1e-8, residual)]))
+    checks = _by_id(_emit(batch, "s", [Claim("k", "A", 1e-8, residual)]))
     assert sorted(checks) == ["s/k[a=0.5]", "s/k[a=1]", "s/k[a=2]"]
     worst = checks["s/k[a=0.5]"]
     assert (worst.max_residual, worst.passed, worst.points) == (2e-3, False, N)
@@ -46,7 +46,7 @@ def test_one_check_per_row_of_a(batch):
 
 def test_base_batch_has_one_untagged_row():
     base = Samples({"x": np.linspace(0.0, 0.3, N)})
-    (check,) = _emit(base, "s", None, [Claim("k", "A", 1e-8, np.full(N, 1e-9))])
+    (check,) = _emit(base, "s", [Claim("k", "A", 1e-8, np.full(N, 1e-9))])
     assert check.check_id == "s/k"
     assert check.max_residual == 1e-9 and check.passed
 
@@ -56,32 +56,19 @@ def test_repeated_key_takes_the_larger_residual(batch):
         Claim("k", "A", 1e-8, np.array([[1e-9], [3e-9], [0.0]])),
         Claim("k", "A", 1e-8, np.array([[2e-9], [1e-9], [4e-9]])),
     ]
-    checks = _emit(batch, "s", None, claims)
+    checks = _emit(batch, "s", claims)
     assert [c.max_residual for c in sorted(checks, key=lambda c: c.check_id)] \
         == [2e-9, 3e-9, 4e-9]
 
 
 def test_tolerance_may_depend_on_a(batch):
-    checks = _by_id(_emit(batch, "s", None, [
+    checks = _by_id(_emit(batch, "s", [
         Claim("k", "A", _closed_tol, np.full((3, N), 1e-10)),
     ]))
     assert checks["s/k[a=1]"].tolerance == 1e-12
     assert not checks["s/k[a=1]"].passed
     assert checks["s/k[a=0.5]"].tolerance == 1e-8
     assert checks["s/k[a=2]"].passed
-
-
-def test_override_replaces_every_tolerance(batch):
-    claims = [
-        Claim("k", "A", _closed_tol, np.full((3, N), 1e-10)),
-        Claim("j", "B", 1e-9, 0.0),
-        Claim("m", "C", 1e-9, 1e-10, np.zeros((3, N), dtype=bool)),
-    ]
-    checks = _emit(batch, "s", 1e-11, claims)
-    assert len(checks) == 9
-    assert {c.tolerance for c in checks} == {1e-11}
-    assert [c.passed for c in checks if c.check_id.startswith("s/k")] \
-        == [False] * 3
 
 
 def test_vacuous_and_partial_applicability(batch):
@@ -91,7 +78,7 @@ def test_vacuous_and_partial_applicability(batch):
     residual = np.array([[9.0] * N,
                          [1e-10, 9.0, 2e-10, 9.0],
                          [3e-10] * N])
-    checks = _by_id(_emit(batch, "s", None, [
+    checks = _by_id(_emit(batch, "s", [
         Claim("k", "A", 1e-9, residual, applies, hypothesis="hypothesis P"),
     ]))
     vacuous = checks["s/k[a=0.5]"]
@@ -105,7 +92,7 @@ def test_vacuous_and_partial_applicability(batch):
 
 
 def test_default_hypothesis_text(batch):
-    (check, *_) = _emit(batch, "s", None, [
+    (check, *_) = _emit(batch, "s", [
         Claim("k", "A", 1e-9, 0.0, np.zeros(N, dtype=bool)),
     ])
     assert check.detail == "hypothesis fails at every sample; no claim checked"
@@ -115,7 +102,7 @@ def test_labels_classify_each_row(batch):
     labels = np.array([["steady"] * N,
                        ["steady", "shrinking", "steady", "steady"],
                        ["expanding"] * N])
-    checks = _by_id(_emit(batch, "s", None, [
+    checks = _by_id(_emit(batch, "s", [
         Claim("k", "A", 1e-8, 0.0, labels=labels),
         Claim("j", "B", 1e-8, 0.0),
     ]))
@@ -129,7 +116,7 @@ def test_nan_names_check_row_and_sample(batch):
     residual = np.zeros((3, N))
     residual[2, 1] = np.nan
     with pytest.raises(SuiteError) as info:
-        _emit(batch, "s", None, [
+        _emit(batch, "s", [
             Claim("ok", "A", 1e-8, 0.0),
             Claim("k", "B", 1e-8, residual),
         ])
@@ -141,7 +128,7 @@ def test_nan_names_check_row_and_sample(batch):
 def test_nan_where_hypothesis_fails_is_ignored(batch):
     residual = np.full((3, N), np.nan)
     applies = np.zeros((3, N), dtype=bool)
-    checks = _emit(batch, "s", None, [Claim("k", "A", 1e-8, residual, applies)])
+    checks = _emit(batch, "s", [Claim("k", "A", 1e-8, residual, applies)])
     assert all(c.passed and c.points == 0 for c in checks)
 
 
@@ -149,7 +136,7 @@ def test_shared_labels_classify_every_claim(batch):
     shared = np.array([["steady"] * N,
                        ["steady", "expanding", "steady", "steady"],
                        ["shrinking"] * N])
-    checks = _by_id(_emit(batch, "s", None, [
+    checks = _by_id(_emit(batch, "s", [
         Claim("full", "A", 1e-8, 0.0, labels=shared),
         Claim("scalar", "B", 1e-8, 0.0, labels=shared),
         Claim("other", "C", 1e-8, 0.0, labels=np.full(N, "expanding")),
@@ -162,7 +149,7 @@ def test_shared_labels_classify_every_claim(batch):
 
 
 def test_no_claims_no_checks(batch):
-    assert _emit(batch, "s", None, []) == []
+    assert _emit(batch, "s", []) == []
     assert _worst(batch, [], str) == ({}, {})
 
 

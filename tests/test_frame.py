@@ -67,8 +67,8 @@ def _consumers(config) -> dict:
         for k in ("direct", "transfer", "closed"):
             out[f"prop22/{e['pair']}/{k}"] = e[k]
     for kind in ("riemann", "ricci"):
-        out[f"lambda/{kind}"] = theorem_lambda(kind, "gradient", ds.base, pa,
-                                               scalar=f)
+        out[f"lambda/{kind}"] = theorem_lambda(kind, "gradient", ds.base, f,
+                                               pa)
         ortho = orthogonal_gradient_values(kind, ds.base, f, pa)
         for k in ("lambda_bar", "scal", "xi_f"):
             out[f"orthogonal/{kind}/{k}"] = ortho[k]

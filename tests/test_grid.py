@@ -158,7 +158,7 @@ def _deformed(ds, f, frames_of, pts):
     for kind in ("riemann", "ricci"):
         out[kind] = {
             "inequalities": inequality_battery(ds, f, kind, ds.at(pts)),
-            "lambda": theorem_lambda(kind, "gradient", ds.base, pa, scalar=f),
+            "lambda": theorem_lambda(kind, "gradient", ds.base, f, pa),
             "compatibility": xi_compatibility(kind, ds.base, pa),
             "solenoidal": solenoidal_implied(kind, ds.base, w, pa),
             "orthogonal": orthogonal_gradient_values(kind, ds.base, f, pa),
@@ -464,3 +464,26 @@ def test_each_theorem_lambda_computed_once(sampled_batches):
     gradient = [s for s in seen if s[1] == "gradient"]
     assert len(gradient) == 4  # (riemann, ricci) x (base, deformed) x f
     assert len(set(seen)) == len(seen)
+
+
+def test_deformed_ricci_and_hessian_computed_once(monkeypatch, sampled_batches):
+    # section2-identities and the inequality battery read the same deformed
+    # Ric and Hess(f) on the run's frame; the memo serves both
+    computed = []
+    real = deformation.ricci_bar
+
+    def counting(*args):
+        computed.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(deformation, "ricci_bar", counting)
+    config = builtin_config("kenmotsu3")
+    config.points = 16
+    assert all(c.passed for c in run_suites(config))
+    assert computed == [(4, 16)]  # the one frame: the grid by the samples
+    # each memo entry is one computation, on the batch that binds a
+    [points] = sampled_batches
+    ds = deformation.DeformedStructure
+    for method in (ds.ricci_closed, ds.hessian_closed):
+        [(_, a)] = _memo_keys(points, method)
+        assert a is not None

@@ -330,8 +330,9 @@ def _battery_ref(kind, n, a, lam_bar, data, gate_tol):
 @pytest.mark.parametrize("scenario", ["reeb", "solenoidal", "gradient"])
 def test_theorem_lambda(synthetic, kind, scenario):
     s = synthetic
-    got = theorem_lambda(kind, scenario, s, with_a(s.point, A_GRID),
-                         vector=object(), scalar=object())
+    potential = None if scenario == "reeb" else object()
+    got = theorem_lambda(kind, scenario, s, potential,
+                         with_a(s.point, A_GRID))
     ref = _theorem_lambda_ref(
         kind, scenario, s.n, A_COL, s.sigma, s.xixif, s.lap, s.xif
     )

@@ -184,10 +184,8 @@ class TestTheoremLambda:
         f = kenmotsu3.scalars["f"]
         for p in kenmotsu3_points[:8]:
             ez = np.exp(p["z"])
-            lam_r = theorem_lambda("riemann", "gradient", s, with_a(p, a),
-                                   scalar=f)
-            lam_c = theorem_lambda("ricci", "gradient", s, with_a(p, a),
-                                   scalar=f)
+            lam_r = theorem_lambda("riemann", "gradient", s, f, with_a(p, a))
+            lam_c = theorem_lambda("ricci", "gradient", s, f, with_a(p, a))
             assert lam_r == pytest.approx((2 * ez - 1) / (a * a), rel=1e-9)
             assert lam_c == pytest.approx((ez - 2) / (a * a), rel=1e-9)
 
@@ -195,10 +193,10 @@ class TestTheoremLambda:
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
         at2, at1 = with_a(p, 2.0), with_a(p, 1.0)
-        assert theorem_lambda("riemann", "reeb", s, at2) == pytest.approx(0.25)
-        assert theorem_lambda("ricci", "reeb", s, at2) == pytest.approx(-0.5)
-        assert theorem_lambda("riemann", "reeb", s, at1) == 0.0
-        assert theorem_lambda("ricci", "reeb", s, at1) == -2.0
+        assert theorem_lambda("riemann", "reeb", s, None, at2) == pytest.approx(0.25)
+        assert theorem_lambda("ricci", "reeb", s, None, at2) == pytest.approx(-0.5)
+        assert theorem_lambda("riemann", "reeb", s, None, at1) == 0.0
+        assert theorem_lambda("ricci", "reeb", s, None, at1) == -2.0
 
     def test_solenoidal_lambda(self, kenmotsu3, kenmotsu3_points):
         s = kenmotsu3.structure
@@ -210,10 +208,10 @@ class TestTheoremLambda:
         # eta(W) = 0 identically, so sigma = xi(eta(W)) = 0
         assert xi_of_eta_potential(s, w, p) == 0.0
         assert theorem_lambda(
-            "riemann", "solenoidal", s, with_a(p, 2.0), vector=w
+            "riemann", "solenoidal", s, w, with_a(p, 2.0)
         ) == pytest.approx(-0.25)
         assert theorem_lambda(
-            "ricci", "solenoidal", s, with_a(p, 2.0), vector=w
+            "ricci", "solenoidal", s, w, with_a(p, 2.0)
         ) == pytest.approx(-0.5)
 
 
@@ -344,8 +342,7 @@ class TestOrthogonalGradient:
             for p in kenmotsu3_points[:4]:
                 res = orthogonal_gradient_values(kind, s, f, with_a(p, a))
                 assert res["applicable"]
-                lam = theorem_lambda(kind, "gradient", s, with_a(p, a),
-                                     scalar=f)
+                lam = theorem_lambda(kind, "gradient", s, f, with_a(p, a))
                 assert res["lambda_bar"] == pytest.approx(lam, abs=1e-12)
                 assert res["scal"] == pytest.approx(-6.0, abs=1e-9)
 
