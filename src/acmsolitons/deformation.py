@@ -81,6 +81,7 @@ from .tensor import (
 __all__ = [
     "KENMOTSU_TOL",
     "HYPOTHESIS_TOL",
+    "HARMONIC_PROBE_A",
     "NotKenmotsuError",
     "DeformedStructure",
     "deform",
@@ -99,6 +100,8 @@ KENMOTSU_TOL = 1e-8
 # a per-sample hypothesis (xi(f) = 0, Lap f = 0, div V = 0) holds where the
 # quantity is at most this in absolute value
 HYPOTHESIS_TOL = 1e-9
+# the deformation parameter at which ``harmonic_transfer`` takes Lap_bar
+HARMONIC_PROBE_A = 2.0
 
 
 class NotKenmotsuError(StructureError):
@@ -170,11 +173,17 @@ def laplacian_bar(structure: AcmStructure, f: ScalarField, point):
     Lap(f) and the xi-derivatives are read on the samples alone unless f
     reads a.
     """
-    a = point[A]
     xif, xixif = xi_derivatives(structure, f, point)
+    return _deformed_laplacian(structure.n, point[A],
+                               laplacian(structure.manifold, f, point), xif,
+                               xixif)
+
+
+def _deformed_laplacian(n: int, a, lap, xif, xixif):
+    """Lap_bar(f) at the parameter a from Lap(f), xi(f) and xi(xi(f))."""
     return (
-        laplacian(structure.manifold, f, point) / a
-        - 2.0 * structure.n * (a - 1.0) / (a * a) * xif
+        lap / a
+        - 2.0 * n * (a - 1.0) / (a * a) * xif
         - (a - 1.0) / (a * a) * xixif
     )
 
@@ -289,9 +298,10 @@ class DeformedStructure:
         m = self.base.manifold.metric_at_cached(point)
         eta = self.base.eta_values(point)
         xi = self.base.xi_values(point)
-        p = m.g - outer(eta, eta)
+        p = component_major(m.g - outer(eta, eta), 2)
         a = _a(point, 3)
-        return gamma + ((a - 1.0) / a) * np.einsum("...ij,...l->...lij", p, xi)
+        return gamma + ((a - 1.0) / a) * sample_major(
+            np.einsum("ij...,l...->lij...", p, component_major(xi, 1)), 3)
 
     @on_bound_batch
     def ricci_closed(self, point) -> dict:
@@ -337,13 +347,14 @@ class DeformedStructure:
         """(nabla_bar_i phi)^k_j as [i, k, j]."""
         self.require_kenmotsu(point)
         m = self.base.manifold.metric_at_cached(point)
-        phi = self.base.phi_values(point)
-        xi = self.base.xi_values(point)
-        eta = self.base.eta_values(point)
-        g_phi = np.einsum("...mi,...mj->...ij", phi, m.g)
+        phi = component_major(self.base.phi_values(point), 2)
+        xi = component_major(self.base.xi_values(point), 1)
+        eta = component_major(self.base.eta_values(point), 1)
+        g_phi = np.einsum("mi...,mj...->ij...", phi, component_major(m.g, 2))
         return (
-            np.einsum("...ij,...k->...ikj", g_phi, xi) / _a(point, 3)
-            - np.einsum("...j,...ki->...ikj", eta, phi)
+            sample_major(np.einsum("ij...,k...->ikj...", g_phi, xi), 3)
+            / _a(point, 3)
+            - sample_major(np.einsum("j...,ki...->ikj...", eta, phi), 3)
         )
 
     def nabla_reeb_closed(self, point) -> np.ndarray:
@@ -449,6 +460,21 @@ def base_inner(structure: AcmStructure, pair: tuple, f, point):
     return hs_pair(raised[pair[0]], _base_tensor(structure, pair[1], point, f))
 
 
+def _reeb_rows(tensors, xi, m) -> tuple:
+    """The rows T(., xi) of the (0, 2) tensors ``tensors``, their Gram
+    matrix <T1(., xi), T2(., xi)> under the metric ``m`` and T(xi, xi),
+    component-major with the tensor index first: each one product over the
+    stacked tensors."""
+    k = max(np.ndim(t) for t in tensors) - 2
+    stacked = np.stack(np.broadcast_arrays(
+        *(component_major(t, 2, k) for t in tensors)))
+    xi = component_major(xi, 1)
+    rows = np.einsum("tij...,j...->ti...", stacked, xi)
+    gram = np.einsum("tk...,sk...->ts...", np.einsum(
+        "ti...,ik...->tk...", rows, component_major(m.inv, 2)), rows)
+    return rows, gram, np.einsum("ti...,i...->t...", rows, xi)
+
+
 def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     """All g_bar inner products among g, Ric, Hess(f) and eta (x) eta.
 
@@ -472,18 +498,12 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
         name: _base_tensor(base, name, point, f)
         for name in ("g", "ric", "hess", "etaeta")
     }
-    xi = base.xi_values(point)
-    # the rows T(xi, .) of the four tensors, their g-inner products and
-    # T(xi, xi), each as one product per sample
     index = {name: k for k, name in enumerate(tensors)}
-    rows = np.stack(np.broadcast_arrays(*tensors.values()), axis=-3)
-    rows = (rows @ xi[..., None, :, None])[..., 0]
-    gram = (rows @ base.manifold.metric_at_cached(point).inv
-            @ np.swapaxes(rows, -1, -2))
-    reeb = (rows @ xi[..., None])[..., 0]
-    hess_xi = rows[..., index["hess"], :]
-    reduced = max_abs(
-        hess_xi - reeb[..., index["hess"], None] * base.eta_values(point), 1)
+    rows, gram, reeb = _reeb_rows(list(tensors.values()), base.xi_values(point),
+                                  base.manifold.metric_at_cached(point))
+    hess = index["hess"]
+    reduced = max_abs(sample_major(rows[hess], 1)
+                      - reeb[hess][..., None] * base.eta_values(point), 1)
     inner = {
         pair: base_inner(base, pair, f if "hess" in pair else None, point)
         for pair in _BATTERY_PAIRS
@@ -517,8 +537,8 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
             {
                 "pair": f"{k1}-{k2}",
                 "direct": hs_pair(raised[k1], tensors[k2]),
-                "transfer": inner[(k1, k2)] / a2 - cross * gram[..., i, j]
-                + both * reeb[..., i] * reeb[..., j],
+                "transfer": inner[(k1, k2)] / a2 - cross * gram[i, j]
+                + both * reeb[i] * reeb[j],
                 "closed": closed[(k1, k2)],
                 "applicable": (reduced <= HYPOTHESIS_TOL
                                if (k1, k2) == ("hess", "hess") else None),
@@ -536,10 +556,11 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points) -> dict:
     A harmonic f is harmonic for every deformed metric iff
         Hess(f)(xi, xi) = -2n eta(grad f),
     that is xi(xi(f)) + 2n xi(f) = 0 over a Kenmotsu base; since Lap f = 0
-    makes Lap_bar(f) a multiple of that sum, ``laplacian_bar`` shows it.
-    ``points`` binds a, one value or an (A,) array, and no deformation is
-    built: ``lap_bar`` and the verdicts on it hold one value per
-    parameter, from base data.  The check is reported as not applicable
+    makes Lap_bar(f) a multiple of that sum, Lap_bar(f) at the probe
+    parameter ``HARMONIC_PROBE_A`` shows it.  ``points`` binds a, one value
+    or an (A,) array, at which f is read: Lap f, its xi-derivatives and
+    Lap_bar of that same f hold one value per bound a, from base data, and
+    no deformation is built.  The check is reported as not applicable
     when f is not harmonic to begin with.  A base that fails the Kenmotsu
     condition raises NotKenmotsuError naming the first such base sample; a
     non-finite value raises StructureError naming the first such sample
@@ -549,7 +570,7 @@ def harmonic_transfer(structure: AcmStructure, f: ScalarField, points) -> dict:
     n = structure.n
     lap = laplacian(structure.manifold, f, points)
     xif, xixif = xi_derivatives(structure, f, points)
-    lap_bar = laplacian_bar(structure, f, points)
+    lap_bar = _deformed_laplacian(n, HARMONIC_PROBE_A, lap, xif, xixif)
     condition = xixif + 2.0 * n * xif
     finite = np.isfinite(lap) & np.isfinite(lap_bar) & np.isfinite(condition)
     if not np.all(finite):

@@ -60,7 +60,7 @@ from .expr import (
 )
 from .tensor import (
     MetricData, StructureError, component_major, max_abs, outer, pair_index,
-    plus, sample_major, symmetric,
+    plus, sample_major, symmetric, trace,
 )
 
 __all__ = [
@@ -371,6 +371,9 @@ class ChartManifold:
         g = symmetric(self.metric_values(point), point)
         inv, definite = _gauss_jordan(g)
         _refuse(~definite, f"metric of {self.name} not positive definite", point)
+        # a batched matmul, not an einsum: it fuses each multiply-add, so
+        # g inv - I keeps the error of an ill-conditioned inverse that a
+        # sum of rounded products can cancel to zero
         _refuse(max_abs(g @ inv - np.eye(self.dim), 2) > _INVERSE_TOL,
                 f"metric of {self.name} too ill-conditioned", point)
         return MetricData(g=g, inv=inv, dg=self.metric_partials(point))
@@ -385,9 +388,10 @@ def _gauss_jordan(g: np.ndarray) -> tuple:
     ratio of leading principal minors, is positive; ``definite`` marks
     those samples (a NaN pivot fails), and the inverse means something
     there alone; a refused sample may divide by a zero pivot, so the
-    elimination runs under ``np.errstate``.  The inverse comes back
-    contiguous and sample-major, as LAPACK's did; on a diagonal g it is
-    LAPACK's reciprocals 1/g_ii.
+    elimination runs under ``np.errstate``.  The inverse comes back as the
+    sample-major view of its own component-major buffer, the rows of
+    [g | I]'s right half copied out as they lie, as an evaluated value
+    does; on a diagonal g it is LAPACK's reciprocals 1/g_ii.
     """
     d = g.shape[-1]
     aug = np.zeros((d, 2 * d) + g.shape[:-2])
@@ -408,7 +412,7 @@ def _gauss_jordan(g: np.ndarray) -> tuple:
                 if len(rows):
                     rows[:, k + 1:d + k + 1] -= rows[:, k, None] * row
     definite = (flat[::2 * d + 1] > 0.0).all(axis=0)
-    return np.ascontiguousarray(sample_major(aug[:, d:], 2)), definite
+    return sample_major(np.ascontiguousarray(aug[:, d:]), 2), definite
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +425,12 @@ def christoffel(manifold, point) -> np.ndarray:
 
 
 def _gamma_combo(dg: np.ndarray) -> np.ndarray:
-    """combo[i, j, k] = d_i g_jk + d_j g_ik - d_k g_ij for dg[k,i,j] = d_k g_ij."""
-    return dg + np.einsum("...jik->...ijk", dg) - np.einsum("...kij->...ijk", dg)
+    """combo[i, j, k] = d_i g_jk + d_j g_ik - d_k g_ij for dg[k,i,j] = d_k g_ij,
+    in one component-major pass."""
+    x = component_major(dg, 3)
+    combo = x + x.swapaxes(0, 1)
+    combo -= x.transpose((1, 2, 0) + tuple(range(3, x.ndim)))
+    return sample_major(combo, 3)
 
 
 _SYMMETRY_LABELS = (
@@ -505,12 +513,11 @@ def _check_curvature_symmetries(r04: np.ndarray, name, point):
 
 
 def _christoffel(inv, combo) -> np.ndarray:
-    """Gamma[l, i, j] = (1/2) g^lk combo[i, j, k], as one matmul over the
-    flattened (i, j) pairs."""
-    gamma = inv @ _swap(_rows(combo, 2))
-    gamma = gamma.reshape(gamma.shape[:-1] + combo.shape[-2:])
+    """Gamma[l, i, j] = (1/2) g^lk combo[i, j, k], component-major."""
+    gamma = np.einsum("lk...,ijk...->lij...", component_major(inv, 2),
+                      component_major(combo, 3))
     gamma *= 0.5
-    return gamma
+    return sample_major(gamma, 3)
 
 
 def _riemann(d2g, gamma, combo, inv) -> tuple:
@@ -572,16 +579,16 @@ def curvature_bundle(manifold, point) -> dict:
     _check_curvature_symmetries(r04, manifold.name, point)
     # Ric[b, c] = R13[a, b, c, a] summed over a, from the signed diagonal
     # diag[a, b, c] (the block at a < b, its negative at a > b, zero at
-    # a = b) summed as einsum("...aabc->...bc") sums the full R13
+    # a = b) summed in a as the full R13's a = d diagonal would be
     diag = _entries(component_major(r13, 3), *_block_reads(manifold.dim)[1])
-    ric = np.einsum("...abc->...bc", sample_major(diag, 3))
+    ric = sample_major(np.einsum("abc...->bc...", diag), 2)
     return {
         "metric": m,
         "gamma": gamma,
         "R13": r13,
         "R04": r04,
         "Ric": symmetric(0.5 * (ric + _swap(ric)), point),
-        "scal": np.einsum("...bc,...bc->...", m.inv, ric),
+        "scal": trace(ric, m),
     }
 
 
@@ -671,8 +678,11 @@ def lie_derivative_metric(manifold, field: VectorField, point) -> np.ndarray:
 
 def _lie_metric_numeric(m: MetricData, v, dv, point) -> np.ndarray:
     # g_kj d_i V^k is dV g; g_ik d_j V^k is its transpose, as g is symmetric
-    dv_g = dv @ m.g
-    out = np.einsum("...k,...kij->...ij", v, m.dg) + dv_g + _swap(dv_g)
+    dv_g = sample_major(np.einsum("ik...,kj...->ij...", component_major(dv, 2),
+                                  component_major(m.g, 2)), 2)
+    out = sample_major(np.einsum("k...,kij...->ij...", component_major(v, 1),
+                                 component_major(m.dg, 3)), 2)
+    out = out + dv_g + _swap(dv_g)
     return symmetric(0.5 * (out + _swap(out)), point)
 
 
@@ -680,7 +690,8 @@ def grad(manifold, f: ScalarField, point) -> np.ndarray:
     """(grad f)^i = g^{ij} d_j f."""
     m = manifold.metric_at_cached(point)
     df = f.partials(manifold.coords, point)
-    return np.einsum("...ij,...j->...i", m.inv, df)
+    return sample_major(np.einsum("ij...,j...->i...", component_major(m.inv, 2),
+                                  component_major(df, 1)), 1)
 
 
 @on_batch
@@ -689,7 +700,9 @@ def hessian(manifold, f: ScalarField, point) -> np.ndarray:
     gamma = christoffel(manifold, point)
     df = f.partials(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
-    out = ddf - np.einsum("...kij,...k->...ij", gamma, df)
+    out = ddf - sample_major(np.einsum("kij...,k...->ij...",
+                                       component_major(gamma, 3),
+                                       component_major(df, 1)), 2)
     return symmetric(0.5 * (out + _swap(out)), point)
 
 
@@ -699,27 +712,30 @@ def divergence(manifold, field: VectorField, point):
     gamma = christoffel(manifold, point)
     v = field.values(point)
     dv = field.partials(manifold.coords, point)
-    return np.einsum("...ii->...", dv) + np.einsum("...iik,...k->...", gamma, v)
+    return (np.einsum("ii...->...", component_major(dv, 2))
+            + np.einsum("iik...,k...->...", component_major(gamma, 3),
+                        component_major(v, 1)))
 
 
 def laplacian(manifold, f: ScalarField, point):
     """Laplace-Beltrami operator, the metric trace of the Hessian."""
-    m = manifold.metric_at_cached(point)
-    return np.einsum("...ij,...ij->...", m.inv, hessian(manifold, f, point))
+    return trace(hessian(manifold, f, point), manifold.metric_at_cached(point))
 
 
 def gradient_lie_derivative(manifold, f: ScalarField, point) -> np.ndarray:
     """(L_{grad f} g)_ij, with the gradient field differentiated numerically
     through exact metric and scalar partials (no symbolic inverse metric)."""
     m = manifold.metric_at_cached(point)
+    inv = component_major(m.inv, 2)
     df = f.partials(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
-    v = m.inv @ df[..., :, None]
+    v = np.einsum("ij...,j...->i...", inv, component_major(df, 1))
     # dv[a, i] = g^ik (d_a d_k f - d_a g_kj v^j), as d_a g^ik = -g^im
     # d_a g_mj g^jk
-    dgv = _rows(m.dg, 2) @ v
-    dv = (ddf - dgv.reshape(dgv.shape[:-2] + m.dg.shape[-3:-1])) @ _swap(m.inv)
-    return _lie_metric_numeric(m, v[..., 0], dv, point)
+    dgv = np.einsum("akj...,j...->ak...", component_major(m.dg, 3), v)
+    dv = np.einsum("ak...,ik...->ai...",
+                   component_major(ddf - sample_major(dgv, 2), 2), inv)
+    return _lie_metric_numeric(m, sample_major(v, 1), sample_major(dv, 2), point)
 
 
 # ---------------------------------------------------------------------------
@@ -791,17 +807,25 @@ class AcmStructure:
         xi = self.xi_values(point)
         eta = self.eta_values(point)
         eye = np.eye(self.manifold.dim)
+        p, g = component_major(phi, 2), component_major(m.g, 2)
+        x, e = component_major(xi, 1), component_major(eta, 1)
+        phi_phi = sample_major(np.einsum("ik...,kj...->ij...", p, p), 2)
+        # (phi^T g) phi
+        phi_g = np.einsum("ki...,kj...->ij...", p, g)
+        phi_g_phi = sample_major(np.einsum("ik...,kj...->ij...", phi_g, p), 2)
         return {
-            "phi-squared": max_abs(phi @ phi - (-eye + outer(xi, eta)), 2),
-            "eta-xi": np.abs(np.einsum("...i,...i->...", eta, xi) - 1.0),
+            "phi-squared": max_abs(phi_phi - (-eye + outer(xi, eta)), 2),
+            "eta-xi": np.abs(np.einsum("i...,i...->...", e, x) - 1.0),
             "eta-is-xi-flat": max_abs(
-                eta - np.einsum("...ij,...j->...i", m.g, xi), 1
+                eta - sample_major(np.einsum("ij...,j...->i...", g, x), 1), 1
             ),
             "phi-compatibility": max_abs(
-                _swap(phi) @ m.g @ phi - (m.g - outer(eta, eta)), 2
+                phi_g_phi - (m.g - outer(eta, eta)), 2
             ),
-            "phi-xi": max_abs(np.einsum("...ij,...j->...i", phi, xi), 1),
-            "eta-phi": max_abs(np.einsum("...i,...ij->...j", eta, phi), 1),
+            "phi-xi": max_abs(sample_major(
+                np.einsum("ij...,j...->i...", p, x), 1), 1),
+            "eta-phi": max_abs(sample_major(
+                np.einsum("i...,ij...->j...", e, p), 1), 1),
         }
 
     def acm_residual(self, point):
@@ -813,23 +837,19 @@ def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> 
     gamma = christoffel(manifold, point)
     v = field.values(point)
     dv = field.partials(manifold.coords, point)
-    return dv + np.einsum("...kim,...m->...ik", gamma, v)
+    return dv + sample_major(np.einsum("kim...,m...->ik...",
+                                       component_major(gamma, 3),
+                                       component_major(v, 1)), 2)
 
 
 def nabla_phi_tensor(structure: AcmStructure, point) -> np.ndarray:
     """(nabla_i phi)^k_j as [i, k, j], from exact partials of phi and g."""
-    gamma = christoffel(structure.manifold, point)
-    phi = structure.phi_values(point)
-    dphi = structure.phi_partials(point)
-    d = phi.shape[-1]
-    lead = gamma.shape[:-3]
-    # dphi[i, k, j] = d_i phi^k_j since the derivative index comes first;
-    # Gamma^k_im phi^m_j comes as [(k, i), j], phi^k_m Gamma^m_ij as
-    # [k, (i, j)]
-    turn = gamma.reshape(lead + (d * d, d)) @ phi
-    out = dphi + np.swapaxes(turn.reshape(turn.shape[:-2] + (d, d, d)), -3, -2)
-    turn = phi @ gamma.reshape(lead + (d, d * d))
-    out -= np.swapaxes(turn.reshape(turn.shape[:-2] + (d, d, d)), -3, -2)
+    gamma = component_major(christoffel(structure.manifold, point), 3)
+    phi = component_major(structure.phi_values(point), 2)
+    # dphi[i, k, j] = d_i phi^k_j since the derivative index comes first
+    out = structure.phi_partials(point) + sample_major(
+        np.einsum("kim...,mj...->ikj...", gamma, phi), 3)
+    out -= sample_major(np.einsum("km...,mij...->ikj...", phi, gamma), 3)
     return out
 
 
@@ -844,14 +864,14 @@ def xi_derivatives(structure: AcmStructure, f: ScalarField, point) -> tuple:
     closed form in base data reads them from here.
     """
     coords = structure.manifold.coords
-    xi = structure.xi_values(point)
-    dxi = structure.xi_field.partials(coords, point)
-    df = f.partials(coords, point)
-    ddf = f.second_partials(coords, point)
-    xif = np.einsum("...k,...k->...", xi, df)
+    xi = component_major(structure.xi_values(point), 1)
+    dxi = component_major(structure.xi_field.partials(coords, point), 2)
+    df = component_major(f.partials(coords, point), 1)
+    ddf = component_major(f.second_partials(coords, point), 2)
+    xif = np.einsum("k...,k...->...", xi, df)
     xixif = (
-        np.einsum("...k,...km,...m->...", xi, dxi, df)
-        + np.einsum("...k,...m,...km->...", xi, xi, ddf)
+        np.einsum("k...,km...,m...->...", xi, dxi, df)
+        + np.einsum("k...,m...,km...->...", xi, xi, ddf)
     )
     return xif, xixif
 
@@ -866,15 +886,16 @@ def kenmotsu_details(structure: AcmStructure, point) -> dict:
     Memoised on a batch.
     """
     m = structure.manifold.metric_at_cached(point)
-    phi = structure.phi_values(point)
+    phi = component_major(structure.phi_values(point), 2)
     xi = structure.xi_values(point)
     eta = structure.eta_values(point)
     nabla_phi = nabla_phi_tensor(structure, point)
     # target: g(phi d_i, d_j) xi^k - eta_j phi^k_i
-    g_phi = np.einsum("...mi,...mj->...ij", phi, m.g)
-    target = (
-        np.einsum("...ij,...k->...ikj", g_phi, xi)
-        - np.einsum("...j,...ki->...ikj", eta, phi)
+    g_phi = np.einsum("mi...,mj...->ij...", phi, component_major(m.g, 2))
+    target = sample_major(
+        np.einsum("ij...,k...->ikj...", g_phi, component_major(xi, 1)), 3
+    ) - sample_major(
+        np.einsum("j...,ki...->ikj...", component_major(eta, 1), phi), 3
     )
     nabla_xi = covariant_derivative(structure.manifold, structure.xi_field, point)
     target_xi = np.eye(structure.manifold.dim) - outer(eta, xi)

@@ -74,8 +74,8 @@ from .geometry import (
     xi_derivatives,
 )
 from .tensor import (
-    StructureError, hs_inner, hs_pair, hs_raise, kulkarni_nomizu, max_abs,
-    outer, plus, sample_major, symmetric,
+    StructureError, component_major, hs_inner, hs_pair, hs_raise,
+    kulkarni_nomizu, max_abs, outer, plus, sample_major, symmetric, trace,
 )
 
 __all__ = [
@@ -246,13 +246,14 @@ def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
     """xi(eta(V)) = xi^k (d_k eta_i V^i + eta_i d_k V^i), from exact
     partials of eta and V."""
     coords = structure.manifold.coords
-    xi = structure.xi_values(point)
-    v = field.values(point)
+    xi = component_major(structure.xi_values(point), 1)
+    v = component_major(field.values(point), 1)
+    deta = component_major(structure.eta_field.partials(coords, point), 2)
+    eta = component_major(structure.eta_values(point), 1)
+    dv = component_major(field.partials(coords, point), 2)
     return (
-        np.einsum("...k,...ki,...i->...", xi,
-                  structure.eta_field.partials(coords, point), v)
-        + np.einsum("...k,...i,...ki->...", xi, structure.eta_values(point),
-                    field.partials(coords, point))
+        np.einsum("k...,ki...,i...->...", xi, deta, v)
+        + np.einsum("k...,i...,ki...->...", xi, eta, dv)
     )
 
 
@@ -323,7 +324,7 @@ def implied_curvature(kind: str, structure: AcmStructure, point) -> dict:
     else:
         out["ric_norm_stated"] = float(2 * n * (4 * n * n + 6 * n + 3))
     out["ric"] = symmetric(ric, point)
-    out["ric_trace"] = np.einsum("...ij,...ij->...", m.inv, ric)
+    out["ric_trace"] = trace(ric, m)
     out["ric_norm_computed"] = hs_inner(ric, ric, m)
     return out
 
@@ -352,8 +353,8 @@ def solenoidal_implied(kind: str, structure: AcmStructure, vector: VectorField,
     )
     scal = (2 * n + 1.0) * (ca * sigma - 2.0 * n)
     ric = symmetric(0.5 * (ric + np.swapaxes(ric, -1, -2)), point)
-    trace = np.einsum("...ij,...ij->...", m.inv, ric)
-    return {"ric": ric, "scal": scal, "trace_residual": np.abs(trace - scal)}
+    return {"ric": ric, "scal": scal,
+            "trace_residual": np.abs(trace(ric, m) - scal)}
 
 
 @on_batch
@@ -362,16 +363,17 @@ def _solenoidal_terms(structure: AcmStructure, vector: VectorField,
     """sigma = xi(eta(V)), sym(nabla V^flat), eta (x) eta and the brace of
     ``solenoidal_implied``, which no kind enters, memoised on a batch."""
     man = structure.manifold
-    g = man.metric_at_cached(point).g
+    g = component_major(man.metric_at_cached(point).g, 2)
     eta = structure.eta_values(point)
-    nv = covariant_derivative(man, vector, point)
-    v = vector.values(point)
-    nv_flat = np.einsum("...ik,...kj->...ij", nv, g)
+    e = component_major(eta, 1)
+    nv = component_major(covariant_derivative(man, vector, point), 2)
+    v = component_major(vector.values(point), 1)
+    nv_flat = sample_major(np.einsum("ik...,kj...->ij...", nv, g), 2)
     w = (
-        np.einsum("...ik,...k->...i", nv, eta)
-        + np.einsum("...ij,...j->...i", g, v)
+        sample_major(np.einsum("ik...,k...->i...", nv, e), 1)
+        + sample_major(np.einsum("ij...,j...->i...", g, v), 1)
     )
-    eta_v = np.einsum("...i,...i->...", eta, v)
+    eta_v = np.einsum("i...,i...->...", e, v)
     ee = outer(eta, eta)
     brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
     return (xi_of_eta_potential(structure, vector, point),

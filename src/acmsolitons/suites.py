@@ -25,6 +25,7 @@ import numpy as np
 
 from .config import VerificationConfig
 from .deformation import (
+    HARMONIC_PROBE_A,
     HYPOTHESIS_TOL,
     KENMOTSU_TOL,
     DeformedStructure,
@@ -58,7 +59,9 @@ from .solitons import (
     theorem_lambda,
     xi_compatibility,
 )
-from .tensor import StructureError, max_abs, outer, pair_index
+from .tensor import (
+    StructureError, component_major, max_abs, outer, pair_index, sample_major,
+)
 
 __all__ = [
     "REPORT_VERSION",
@@ -70,10 +73,6 @@ __all__ = [
 ]
 
 REPORT_VERSION = "0.5.1"
-
-# the deformation parameter at which remark23 probes harmonic transfer;
-# the probe reads base data alone, so it needs no row of the run's grid
-_HARMONIC_PROBE_A = 2.0
 
 
 class SuiteError(StructureError):
@@ -317,12 +316,15 @@ def _suite_kenmotsu(run):
     bundle = curvature_bundle(man, pts)
     # R(d_a, d_b) xi and eta_a d_b - eta_b d_a at the pairs (a < b), [p, l]
     pairs = pair_index(man.dim)
-    rxy_xi = np.einsum("...pcl,...c->...pl", bundle["R13"], xi)
+    x = component_major(xi, 1)
+    rxy_xi = sample_major(np.einsum("pcl...,c...->pl...",
+                                    component_major(bundle["R13"], 3), x), 2)
     target = (
         eta[..., pairs.i, None] * eye[pairs.j]
         - eta[..., pairs.j, None] * eye[pairs.i]
     )
-    ric_xi = np.einsum("...i,...ij,...j->...", xi, bundle["Ric"], xi)
+    ric_xi = np.einsum("i...,ij...,j...->...", x,
+                       component_major(bundle["Ric"], 2), x)
     return _emit(pts, "kenmotsu", [
         Claim(k, _KENMOTSU_ANCHORS[k], tol, r) for k, tol, r in (
             ("nabla-phi", 1e-10, det["nabla-phi"]),
@@ -475,8 +477,9 @@ def _suite_remark23(run):
         0, float(arith), 1e-12, bool(arith <= 1e-12),
     ))
 
-    ht = harmonic_transfer(structure, run.config.scalar,
-                           with_a(points, _HARMONIC_PROBE_A))
+    # f is read on the base frame, and probed at HARMONIC_PROBE_A from
+    # base data alone, so the probe needs no row of the run's grid
+    ht = harmonic_transfer(structure, run.config.scalar, with_a(points, 1.0))
     if not ht["applicable"]:
         agree = True
         detail = ("not applicable: f is not harmonic "
@@ -485,7 +488,7 @@ def _suite_remark23(run):
         agree = bool(ht["deformed_harmonic"]) == ht["condition_holds"]
         detail = (
             f"max |Lap_bar f| = {ht['max_lap_bar']:.3e} at a = "
-            f"{_HARMONIC_PROBE_A:g}; condition residual = "
+            f"{HARMONIC_PROBE_A:g}; condition residual = "
             f"{ht['max_condition_residual']:.3e}"
         )
     checks.append(CheckResult(

@@ -7,8 +7,8 @@ Conventions used across the package:
   covariant (lower) ones;
 * data for a batch of N sample points carries one leading sample axis in
   front of the tensor axes, so (N, d, d) holds a (0, 2) tensor per sample;
-  the functions here work on either, contracting with batched matmul
-  and broadcast products;
+  the functions here work on either, contracting with ``np.einsum`` and
+  broadcast products;
 * a sample axis has length N, or 1 where a value reads no coordinate: a
   batched value's sample axes are the broadcast of those of what it is
   computed from, so a constant metric is evaluated once, not once per
@@ -36,11 +36,20 @@ Conventions used across the package:
   commute with negation exactly) and its rows with a = b exact zeros, so
   a max over the block's components is the max over the full tensor's,
   bit for bit;
-* a small contraction is one product per sample, not per sample and slot:
-  slot axes fold into the rows or columns of its matrices, and tensors
-  contracted alike stack into one product (``hs_raise``), so long as each
-  output element is the same length-d dot product in the same order, so
-  no value moves by a bit;
+* a small contraction (a Hilbert-Schmidt raise or pairing, a metric
+  trace, a product of (0, 2), (1, 1) and (1, 2) tensors, a Lie derivative)
+  is one ``np.einsum`` over ``component_major`` operands, whose subscripts
+  put the sample axes last (``"ik...,kj...->ij..."``), so each of its
+  passes runs over whole rows of samples; it returns the sample-major view
+  of its result.  An operand that is itself such a view (an evaluated
+  value, a kernel's result) is not copied.  Each output element is then
+  the sum of its terms in the order of the subscripts, from the first
+  term on, where the per-sample products this replaced summed in an
+  order of their own: a sum with one nonzero term, as on a diagonal
+  metric, keeps its bits, and others move at round-off.  On a batch
+  whose every operand is sample-free, numpy reduces the components of
+  its one sample in an order of its own.  The curvature's two products
+  and the metric's inverse guard stay batched matmul (``geometry``);
 * the curvature (0, 4) index order is R(X, Y, Z, W) = g(R(X, Y)Z, W) with
   slots stored in that order;
 * the Hilbert-Schmidt pairing of two (0, 2) tensors is
@@ -61,7 +70,7 @@ from .expr import locate
 __all__ = [
     "TensorValue", "MetricData", "StructureError",
     "max_abs", "symmetric", "outer", "kulkarni_nomizu", "pair_index",
-    "hs_raise", "hs_pair", "hs_inner",
+    "hs_raise", "hs_pair", "hs_inner", "trace",
     "component_major", "sample_major", "plus",
 ]
 
@@ -208,18 +217,24 @@ def component_major(x, rank: int, ndim: int = None) -> np.ndarray:
     ``sample_major``) comes back without a copy.
     """
     x = np.asarray(x, dtype=float)
-    pad = 0 if ndim is None else ndim + rank - x.ndim
-    x = x.reshape((1,) * pad + x.shape)
     k = x.ndim - rank
-    return np.ascontiguousarray(
-        x.transpose(tuple(range(k, x.ndim)) + tuple(range(k)))
-    )
+    if ndim is not None and ndim > k:
+        x = x.reshape((1,) * (ndim - k) + x.shape)
+        k = ndim
+    return np.ascontiguousarray(x.transpose(_moved(k, rank)))
 
 
 def sample_major(x: np.ndarray, rank: int) -> np.ndarray:
     """The view of a component-major array with its sample axes in front
     of its ``rank`` component axes: the index order of the API."""
-    return x.transpose(tuple(range(rank, x.ndim)) + tuple(range(rank)))
+    return x.transpose(_moved(rank, x.ndim - rank))
+
+
+@cache
+def _moved(k: int, rank: int) -> tuple:
+    """The axis order that moves the last ``rank`` of k + rank axes in
+    front of the first k."""
+    return tuple(range(k, k + rank)) + tuple(range(k))
 
 
 class Pairs(NamedTuple):
@@ -274,21 +289,31 @@ def kulkarni_nomizu(a, b) -> np.ndarray:
     return sample_major(out, 3)
 
 
-def hs_raise(tensors, m) -> np.ndarray:
+def hs_raise(tensors, m) -> list:
     """g^{ik} T_kl g^{lj} of each (0, 2) tensor T in ``tensors`` under the
-    metric ``m`` (anything with an ``inv`` attribute), stacked on a new
-    leading axis by one product; the tensors broadcast against each other
-    and against ``m.inv``."""
-    t = np.stack(np.broadcast_arrays(*tensors))
-    t = t.reshape(t.shape[:1] + (1,) * (m.inv.ndim + 1 - t.ndim) + t.shape[1:])
-    return np.swapaxes(m.inv, -1, -2) @ t @ m.inv
+    metric ``m`` (anything with an ``inv`` attribute), as (g^{-1} T) g^{-1};
+    each broadcasts against ``m.inv``."""
+    inv = component_major(m.inv, 2)
+    out = []
+    for t in tensors:
+        left = np.einsum("ki...,kl...->il...", inv, component_major(t, 2))
+        out.append(sample_major(np.einsum("il...,lj...->ij...", left, inv), 2))
+    return out
 
 
 def hs_pair(raised, t2):
     """The pairing of a tensor raised by ``hs_raise`` with ``t2``."""
-    return np.sum(raised * t2, axis=(-2, -1))
+    return np.einsum("ij...,ij...->...", component_major(raised, 2),
+                     component_major(t2, 2))
 
 
 def hs_inner(t1, t2, m):
     """Hilbert-Schmidt pairing of two (0, 2) tensors under the metric ``m``."""
     return hs_pair(hs_raise((t1,), m)[0], t2)
+
+
+def trace(t, m):
+    """The metric trace g^{ij} T_ij of (0, 2) tensors under the metric
+    ``m``."""
+    return np.einsum("ij...,ij...->...", component_major(m.inv, 2),
+                     component_major(t, 2))

@@ -163,3 +163,24 @@ def test_chart_refuses_an_indefinite_sample():
     head = {k: v[:3] for k, v in point.items()}
     m = chart.metric_at_cached(head)
     assert np.max(np.abs(m.inv - np.linalg.inv(g[:3]))) <= 1e-12
+
+
+def test_chart_refuses_an_ill_conditioned_inverse():
+    # g = [[1, x], [x, 1]] is positive definite for |x| < 1, with condition
+    # number (1 + x)/(1 - x); at x = 1 - 1e-9 the inverse reproduces the
+    # identity only to 5e-10, which the guard's fused products see, while
+    # a sum of rounded products reads 0 there
+    x = Coord("x")
+    chart = ChartManifold(["x", "y"], [[Const(1.0), x], [x, Const(1.0)]],
+                          name="tilted")
+    xs = np.array([0.0, 0.5, 1.0 - 1e-12, 0.3, 1.0 - 1e-9, 1.0 - 1e-8])
+    point = {"x": xs, "y": np.zeros_like(xs)}
+    g = chart.metric_values(point)
+    inv, definite = _gauss_jordan(g)
+    assert np.all(definite)
+    row = [float(g[4, 0, k]) * float(inv[4, k, 0]) for k in range(2)]
+    assert row[0] + row[1] - 1.0 == 0.0
+    with pytest.raises(StructureError) as info:
+        chart.metric_at_cached(point)
+    assert str(info.value) == (
+        "metric of tilted too ill-conditioned at {'x': 0.999999999, 'y': 0.0}")

@@ -17,7 +17,11 @@ one frame too, and only the suites bind it: outside ``suites.py`` nothing
 calls ``at`` and only ``DeformedStructure.at`` calls ``with_a``, so every
 closed form takes the bound batch it is given.  Nothing in the package
 calls ``np.linalg``: the metric's inverse and its positive definiteness
-come from the one elimination, ``geometry._gauss_jordan``.  And it has
+come from the one elimination, ``geometry._gauss_jordan``.  Every
+``np.einsum`` of the package contracts component-major operands: its
+subscripts are a literal string, and no term of it puts ``...`` in front
+of a component index, so the sample axes come last and each pass runs
+over whole rows of samples.  And it has
 one memo rule: only ``geometry.on_batch`` and ``with_a`` read a batch's
 ``memo``, and over full runs every entry on the unbound batch reads no a
 while every entry on a batch that binds a has an argument that reads it,
@@ -159,6 +163,27 @@ def _calls_outside(tree: ast.Module, callee: str, allowed) -> list:
             visit(child, inner)
 
     visit(tree, ())
+    return found
+
+
+def _sample_major_einsums(tree: ast.Module) -> list:
+    """(line, subscripts) of each ``np.einsum`` call whose subscripts are
+    not a literal string, or have a term with ``...`` in front of a
+    component index (subscripts None when they are not a literal)."""
+    found = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and func.attr == "einsum" and isinstance(func.value, ast.Name)
+                and func.value.id == "np"):
+            continue
+        first = node.args[0] if node.args else None
+        if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
+            found.append((node.lineno, None))
+            continue
+        terms = first.value.replace("->", ",").split(",")
+        if any("..." in t and t.index("...") < len(t.rstrip(".")) for t in terms):
+            found.append((node.lineno, first.value))
     return found
 
 
@@ -367,6 +392,33 @@ def test_one_differentiation_and_evaluation_path(path):
             assert _calls_outside(tree, callee, allowed) == [], callee
 
 
+def test_finds_a_sample_major_einsum():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def kernels(a, b, spec):\n"
+        "    np.einsum('ij...,j...->i...', a, b)\n"
+        "    np.einsum('ii...->...', a)\n"
+        "    np.einsum('...ij,...j->...i', a, b)\n"
+        "    np.einsum('ij...,...j->i...', a, b)\n"
+        "    np.einsum('ij...,j...->...i', a, b)\n"
+        "    np.einsum(spec, a)\n"
+        "    np.einsum('ij,jk->ik', a, b)\n"
+        "    return b.einsum('...ij->...ji', a)\n"
+    )
+    assert _sample_major_einsums(tree) == [
+        (5, "...ij,...j->...i"), (6, "ij...,...j->i..."),
+        (7, "ij...,j...->...i"), (8, None),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[p.relative_to(ROOT).as_posix() for p in PACKAGE]
+)
+def test_einsums_contract_component_major_operands(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _sample_major_einsums(tree) == []
+
+
 def test_finds_a_memo_read():
     tree = ast.parse(
         "class Samples(dict):\n"
@@ -408,7 +460,9 @@ def test_every_entry_in_its_frame(sampled_batches, name):
     run_suites(config)
     [points] = sampled_batches
     bound = [b for b in points.memo.values() if isinstance(b, Samples)]
-    assert len(bound) == 3  # the base frame, the grid and remark23's probe
+    # the base frame and the grid: remark23 reads f on the base frame and
+    # takes Lap_bar at its probe a from that data, binding nothing more
+    assert len(bound) == 2
     assert [key for key in points.memo if _reads_a(key)] == []
     for batch in bound:
         assert batch.memo

@@ -2,17 +2,29 @@
 
 The references are the formulas the kernels replaced: sample-major
 elementwise passes, which ran over the tensor axes behind the sample axes;
-contractions with one small product per sample and slot (per derivative
-index, per pair of curvature slots, per pair of Hilbert-Schmidt
-arguments); and one strided write per component of an evaluated tensor.
-The kernels move elementwise passes and max reductions to a
-component-major layout, and fold slot axes into the rows or columns of
-one product per sample, so each output element is still the same
-length-d dot product taken in the same order.  So the results must be
-equal bit for bit (``assert_array_equal``; NaN matches NaN).  Inputs are
-random and not symmetric, at d = 3, 5 and 7, on an (N,) and an (A, N)
-batch, given contiguous and as the transposed (sample-major) view of a
+and one strided write per component of an evaluated tensor.  The kernels
+move elementwise passes and max reductions to a component-major layout,
+which changes no value, so the results must be equal bit for bit
+(``assert_array_equal``; NaN matches NaN).  Inputs are random and not
+symmetric, at d = 3, 5 and 7, on an (N,) and an (A, N) batch, given
+contiguous and as the transposed (sample-major) view of a
 component-major buffer, with and without a NaN in one sample.
+
+The small contractions (the Hilbert-Schmidt raise and pairing, the metric
+traces, the Christoffel symbols, the Lie derivatives, the Hessian,
+gradient, divergence, Laplacian and covariant derivative, nabla phi, the
+xi-derivatives, the structure and Kenmotsu residuals, the deformed closed
+forms and the prop22 and solenoidal contractions) are component-major
+einsums, each summing its terms in its own order.  Each has two pins:
+bit for bit its plain component loop (``_loop``: each output element
+from zero, its terms in the order of its summed indices), and within
+2^10 eps of the largest component its sample-major route, the products
+per sample it replaced, kept here as the reference.  They run at d = 3,
+5 and 7 on (N,) and (A, N) batches, on a chart's values with more or
+fewer sample axes than a field's, on sample-free values and with a NaN
+in one sample.  Where every operand is sample-free, numpy reduces the
+components of the one sample in an order of its own, so there the
+second pin alone holds.
 
 The (0,4) kernels (the curvature, the Kulkarni-Nomizu product, the
 symmetry guard) compute on the first-pair block x[(a < b), c, d] alone.
@@ -38,6 +50,8 @@ curvature's inputs have the symmetries of a metric and its partials,
 without which the two routes differ.
 """
 
+import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +59,8 @@ import pytest
 from conftest import expand
 from numpy.testing import assert_array_equal
 
-from acmsolitons import geometry
+from acmsolitons import deformation, geometry, solitons
+from acmsolitons.deformation import DeformedStructure
 from acmsolitons.expr import A, Const, Coord, EvalError, add, call, evaluate, mul
 from acmsolitons.geometry import (
     ChartManifold,
@@ -57,7 +72,8 @@ from acmsolitons.geometry import (
 )
 from acmsolitons.tensor import (
     MetricData, StructureError, component_major, hs_inner, hs_pair, hs_raise,
-    kulkarni_nomizu, max_abs, pair_index, plus, sample_major,
+    kulkarni_nomizu, max_abs, outer, pair_index, plus, sample_major,
+    symmetric, trace,
 )
 
 DIMS = (3, 5, 7)
@@ -522,21 +538,622 @@ def test_gradient_lie_derivative_partials(d, lead, monkeypatch):
               _gradient_dv_ref(m, _metric_dinv_ref(inv, dg), df, ddf), 2)
 
 
+# ---------------------------------------------------------------------------
+# small contractions: component-major einsums against their plain loops and
+# against the sample-major routes they replaced
+
+
+def _loop(subscripts, *operands):
+    """The einsum ``subscripts`` (component letters only) over sample-major
+    operands as a plain loop over components, each step over whole sample
+    arrays: every output element starts from zero and adds its terms in
+    the order of its summed letters as they first appear, each term the
+    product of its operands' entries from left to right."""
+    inputs, output = subscripts.split("->")
+    inputs = inputs.split(",")
+    letters = list(dict.fromkeys("".join(inputs)))
+    summed = [c for c in letters if c not in output]
+    size, leads = {}, []
+    for sub, x in zip(inputs, operands):
+        leads.append(x.shape[:x.ndim - len(sub)])
+        size.update(zip(sub, x.shape[x.ndim - len(sub):]))
+    lead = np.broadcast_shapes(*leads)
+    out = np.empty(lead + tuple(size[c] for c in output))
+    for at_out in itertools.product(*(range(size[c]) for c in output)):
+        total = np.zeros(lead)
+        for at_sum in itertools.product(*(range(size[c]) for c in summed)):
+            at = dict(zip(output, at_out)) | dict(zip(summed, at_sum))
+            term = None
+            for sub, x in zip(inputs, operands):
+                entry = x[(...,) + tuple(at[c] for c in sub)]
+                term = entry if term is None else term * entry
+            total = total + term
+        out[(...,) + at_out] = total
+    return out
+
+
+def _sw(x):
+    return np.swapaxes(x, -1, -2)
+
+
+# each operand's role: a value of the chart or of the field it acts on
+# (the metric and its partials, Gamma, phi, xi and eta are the chart's)
+_ROLES = {
+    "g": ("chart", 2), "inv": ("chart", 2), "dg": ("chart", 3),
+    "gamma": ("chart", 3), "combo": ("chart", 3), "phi": ("chart", 2),
+    "xi": ("chart", 1), "eta": ("chart", 1), "dxi": ("chart", 2),
+    "deta": ("chart", 2), "dphi": ("chart", 3),
+    "t1": ("field", 2), "t2": ("field", 2), "t3": ("field", 2),
+    "v": ("field", 1), "dv": ("field", 2), "df": ("field", 1),
+    "ddf": ("field", 2),
+}
+
+# (label, chart sample shape, field sample shape): a base field on the
+# (A, N) frame of a deformed chart, an a-reading field on a base chart, a
+# sample-free (flat) chart, and sample-free batches alone, on which numpy
+# reduces the components of the one sample in an order of its own
+_BATCHES = (
+    ("(N,)", (6,), (6,)),
+    ("(A, N)", (3, 6), (3, 6)),
+    ("(A, N) chart, (N,) field", (3, 6), (6,)),
+    ("(N,) chart, (A, N) field", (6,), (3, 6)),
+    ("sample-free chart", (1,), (6,)),
+    ("(A, 1)", (3, 1), (3, 1)),
+    ("sample-free", (1,), (1,)),
+)
+
+
+def _operands(names, d, chart, field, seed):
+    rng = np.random.default_rng(seed * 100 + d)
+    out = {}
+    for name in names:
+        role, rank = _ROLES[name]
+        lead = chart if role == "chart" else field
+        out[name] = rng.normal(size=lead + (d,) * rank)
+    return out
+
+
+def _pin_cases(names, d, seed, charts=None):
+    """(label, bit, operands): every batch of ``_BATCHES``, as the
+    sample-major views of component-major buffers that evaluated values
+    are, and at (A, N) also contiguous and with a NaN in one sample of
+    each field operand (of each operand, if none is the field's).
+    ``bit`` is False where every operand is sample-free."""
+    for label, chart, field in _BATCHES:
+        if charts is not None and len(chart) != charts:
+            continue
+        ops = _operands(names, d, chart, field, seed)
+        views = {k: sample_major(component_major(x, _ROLES[k][1]),
+                                 _ROLES[k][1]) for k, x in ops.items()}
+        bit = math.prod(np.broadcast_shapes(*(
+            chart if _ROLES[k][0] == "chart" else field for k in names))) > 1
+        yield label, bit, views
+        if label == "(A, N)":
+            yield label + " contiguous", bit, ops
+            # in the field's operands, or in every operand if none is the
+            # field's
+            fields = [k for k in ops if _ROLES[k][0] == "field"] or list(ops)
+            nan = {k: _with_nan(x, _ROLES[k][1]) if k in fields else x
+                   for k, x in ops.items()}
+            yield label + " +nan", bit, nan
+
+
+def _outcome(fn, ops):
+    """``fn(ops)`` as a tuple of arrays, or the text of the StructureError
+    it raises (a non-finite input, refused by ``symmetric``)."""
+    try:
+        out = fn(ops)
+    except StructureError as err:
+        return str(err)
+    if isinstance(out, dict):
+        out = tuple(out[k] for k in sorted(out))
+    return tuple(np.asarray(x) for x in (out if isinstance(out, tuple) else (out,)))
+
+
+def _pin(kernel, loop, route, names, d, seed=30, charts=None):
+    """The two pins of a contraction kernel: bit for bit its plain
+    component loop, and within 2^10 eps of max |ref| the sample-major
+    route it replaced, on every batch of ``_pin_cases`` (those whose chart
+    values have ``charts`` sample axes, if given); the samples holding a
+    NaN are the same in all three."""
+    for label, bit, ops in _pin_cases(names, d, seed, charts):
+        got, ref, old = (_outcome(fn, ops) for fn in (kernel, loop, route))
+        if isinstance(old, str):
+            assert got == old == ref, label
+            continue
+        assert len(got) == len(ref) == len(old), label
+        for g, r, o in zip(got, ref, old):
+            assert g.shape == o.shape, label
+            if bit:
+                assert_array_equal(g, r, err_msg=label)
+            _near(g, o, 0)
+
+
+def _metric_data(ops):
+    return MetricData(g=ops.get("g"), inv=ops["inv"], dg=ops.get("dg"))
+
+
+def _lead_point(ops):
+    """A point whose sample shape is that of the operands' broadcast, for
+    the messages of ``symmetric``."""
+    lead = np.broadcast_shapes(*(x.shape[:x.ndim - _ROLES[k][1]]
+                                 for k, x in ops.items()))
+    return _point(lead)
+
+
 @pytest.mark.parametrize("lead", LEADS)
 @pytest.mark.parametrize("d", DIMS)
 def test_stacked_raise(d, lead):
-    m = SimpleNamespace(inv=_random(lead, d, 2, seed=20))
-    # base tensors raised by an a-stacked metric, as in the prop22 battery,
-    # and tensors with the metric's own sample axes
-    for sample in (lead[-1:], lead):
-        ts = [t for _, t in _cases(d, sample, 2, seed=21)]
-        raised = hs_raise(ts, m)
-        assert raised.shape == (len(ts),) + lead + (d, d)
-        for i, t1 in enumerate(ts):
-            for t2 in ts:
-                ref = _hs_inner_ref(t1, t2, m)
-                assert_array_equal(hs_pair(raised[i], t2), ref)
-                assert_array_equal(hs_inner(t1, t2, m), ref)
+    # tensors raised by a base metric and by an a-stacked one, as in the
+    # prop22 battery, each against tensors with fewer sample axes and with
+    # the metric's own
+    names = ("inv", "t1", "t2")
+    charts = len(lead)
+
+    def raised(ops):
+        return tuple(hs_raise((ops["t1"], ops["t2"]), _metric_data(ops)))
+
+    def raised_loop(ops):
+        return tuple(_loop("il,lj->ij", _loop("ki,kl->il", ops["inv"], t),
+                           ops["inv"]) for t in (ops["t1"], ops["t2"]))
+
+    def raised_route(ops):
+        return tuple(_sw(ops["inv"]) @ t @ ops["inv"]
+                     for t in (ops["t1"], ops["t2"]))
+
+    _pin(raised, raised_loop, raised_route, names, d, charts=charts)
+    _pin(lambda ops: hs_pair(ops["t1"], ops["t2"]),
+         lambda ops: _loop("ij,ij->", ops["t1"], ops["t2"]),
+         lambda ops: np.sum(ops["t1"] * ops["t2"], axis=(-2, -1)), names, d,
+         charts=charts)
+    _pin(lambda ops: hs_inner(ops["t1"], ops["t2"], _metric_data(ops)),
+         lambda ops: _loop("ij,ij->", raised_loop(ops)[0], ops["t2"]),
+         lambda ops: _hs_inner_ref(ops["t1"], ops["t2"], _metric_data(ops)),
+         names, d, charts=charts)
+    _pin(lambda ops: trace(ops["t1"], _metric_data(ops)),
+         lambda ops: _loop("ij,ij->", ops["inv"], ops["t1"]),
+         lambda ops: np.einsum("...ij,...ij->...", ops["inv"], ops["t1"]),
+         names, d, charts=charts)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_christoffel_and_combo(d):
+    def christoffel_loop(ops):
+        return 0.5 * _loop("lk,ijk->lij", ops["inv"], ops["combo"])
+
+    def christoffel_route(ops):
+        combo = ops["combo"]
+        gamma = ops["inv"] @ _sw(geometry._rows(combo, 2))
+        return 0.5 * gamma.reshape(gamma.shape[:-1] + combo.shape[-2:])
+
+    _pin(lambda ops: geometry._christoffel(ops["inv"], ops["combo"]),
+         christoffel_loop, christoffel_route, ("inv", "combo"), d)
+
+    # the combo sums no components: its route's bits, elementwise
+    def combo_route(ops):
+        dg = ops["dg"]
+        return (dg + np.einsum("...jik->...ijk", dg)
+                - np.einsum("...kij->...ijk", dg))
+
+    _pin(lambda ops: geometry._gamma_combo(ops["dg"]), combo_route,
+         combo_route, ("dg",), d)
+
+
+def _lie_loop(ops, v, dv):
+    dv_g = _loop("ik,kj->ij", dv, ops["g"])
+    out = _loop("k,kij->ij", v, ops["dg"]) + dv_g + _sw(dv_g)
+    return symmetric(0.5 * (out + _sw(out)), _lead_point(ops))
+
+
+def _lie_route(ops, v, dv):
+    dv_g = dv @ ops["g"]
+    out = np.einsum("...k,...kij->...ij", v, ops["dg"]) + dv_g + _sw(dv_g)
+    return symmetric(0.5 * (out + _sw(out)), _lead_point(ops))
+
+
+def _gradient_loop(ops):
+    v = _loop("ij,j->i", ops["inv"], ops["df"])
+    dgv = _loop("akj,j->ak", ops["dg"], v)
+    dv = _loop("ak,ik->ai", ops["ddf"] - dgv, ops["inv"])
+    return _lie_loop(ops, v, dv)
+
+
+def _gradient_route(ops):
+    inv = ops["inv"]
+    v = inv @ ops["df"][..., :, None]
+    dg = ops["dg"]
+    dgv = geometry._rows(dg, 2) @ v
+    dv = (ops["ddf"] - dgv.reshape(dgv.shape[:-2] + dg.shape[-3:-1])) @ _sw(inv)
+    return _lie_route(ops, v[..., 0], dv)
+
+
+def _scalar(ops):
+    return SimpleNamespace(partials=lambda coords, point: ops["df"],
+                           second_partials=lambda coords, point: ops["ddf"])
+
+
+def _chart(ops):
+    """A chart whose metric data are ``ops``'; it reads a, so a memoised
+    kernel runs on the point as given."""
+    m = _metric_data(ops)
+    return SimpleNamespace(coords=None, dim=ops["inv"].shape[-1], reads_a=True,
+                           metric_at_cached=lambda point: m)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_lie_derivatives(d):
+    _pin(lambda ops: geometry._lie_metric_numeric(
+             _metric_data(ops), ops["v"], ops["dv"], _lead_point(ops)),
+         lambda ops: _lie_loop(ops, ops["v"], ops["dv"]),
+         lambda ops: _lie_route(ops, ops["v"], ops["dv"]),
+         ("inv", "g", "dg", "v", "dv"), d)
+    _pin(lambda ops: gradient_lie_derivative(_chart(ops), _scalar(ops),
+                                             _lead_point(ops)),
+         _gradient_loop, _gradient_route,
+         ("inv", "g", "dg", "df", "ddf"), d)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_scalar_operators(d, monkeypatch):
+    # Gamma is the chart's; f's partials are the field's
+    names = ("inv", "gamma", "df", "ddf", "t1")
+    current = {}
+    monkeypatch.setattr(geometry, "christoffel",
+                        lambda manifold, point: current["gamma"])
+
+    def run(fn):
+        def call(ops):
+            current.update(ops)
+            return fn(_chart(ops), _scalar(ops), _lead_point(ops))
+        return call
+
+    def hessian_loop(ops):
+        out = ops["ddf"] - _loop("kij,k->ij", ops["gamma"], ops["df"])
+        return symmetric(0.5 * (out + _sw(out)), _lead_point(ops))
+
+    def hessian_route(ops):
+        out = ops["ddf"] - np.einsum("...kij,...k->...ij", ops["gamma"],
+                                     ops["df"])
+        return symmetric(0.5 * (out + _sw(out)), _lead_point(ops))
+
+    _pin(run(geometry.hessian), hessian_loop, hessian_route, names, d)
+    _pin(run(geometry.grad),
+         lambda ops: _loop("ij,j->i", ops["inv"], ops["df"]),
+         lambda ops: np.einsum("...ij,...j->...i", ops["inv"], ops["df"]),
+         names, d)
+    # the Laplacian is the metric trace of the Hessian
+    monkeypatch.setattr(geometry, "hessian",
+                        lambda manifold, f, point: current["t1"])
+    _pin(run(geometry.laplacian),
+         lambda ops: _loop("ij,ij->", ops["inv"], ops["t1"]),
+         lambda ops: np.einsum("...ij,...ij->...", ops["inv"], ops["t1"]),
+         names, d)
+
+
+def _vector(ops):
+    return SimpleNamespace(values=lambda point: ops["v"],
+                           partials=lambda coords, point: ops["dv"])
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_vector_operators(d, monkeypatch):
+    names = ("inv", "gamma", "v", "dv")
+    current = {}
+    monkeypatch.setattr(geometry, "christoffel",
+                        lambda manifold, point: current["gamma"])
+
+    def run(fn):
+        def call(ops):
+            current.update(ops)
+            return fn(_chart(ops), _vector(ops), _lead_point(ops))
+        return call
+
+    _pin(run(geometry.divergence),
+         lambda ops: (_loop("ii->", ops["dv"])
+                      + _loop("iik,k->", ops["gamma"], ops["v"])),
+         lambda ops: (np.einsum("...ii->...", ops["dv"])
+                      + np.einsum("...iik,...k->...", ops["gamma"], ops["v"])),
+         names, d)
+    _pin(run(geometry.covariant_derivative),
+         lambda ops: ops["dv"] + _loop("kim,m->ik", ops["gamma"], ops["v"]),
+         lambda ops: ops["dv"] + np.einsum("...kim,...m->...ik",
+                                           ops["gamma"], ops["v"]),
+         names, d)
+
+
+def _structure(ops):
+    """A structure whose phi, xi, eta and their partials are ``ops``'."""
+    chart = _chart(ops)
+    return SimpleNamespace(
+        manifold=chart, n=(chart.dim - 1) // 2,
+        phi_values=lambda point: ops["phi"],
+        phi_partials=lambda point: ops["dphi"],
+        xi_values=lambda point: ops["xi"],
+        eta_values=lambda point: ops["eta"],
+        xi_field=SimpleNamespace(partials=lambda coords, point: ops["dxi"]),
+        eta_field=SimpleNamespace(partials=lambda coords, point: ops["deta"]),
+    )
+
+
+def _nabla_phi_route(ops):
+    gamma, phi = ops["gamma"], ops["phi"]
+    d = phi.shape[-1]
+    lead = gamma.shape[:-3]
+    turn = gamma.reshape(lead + (d * d, d)) @ phi
+    out = ops["dphi"] + np.swapaxes(turn.reshape(turn.shape[:-2] + (d, d, d)),
+                                    -3, -2)
+    turn = phi @ gamma.reshape(lead + (d, d * d))
+    out -= np.swapaxes(turn.reshape(turn.shape[:-2] + (d, d, d)), -3, -2)
+    return out
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_structure_operators(d, monkeypatch):
+    names = ("inv", "g", "gamma", "phi", "dphi", "xi", "eta", "dxi", "df",
+             "ddf")
+    current = {}
+    monkeypatch.setattr(geometry, "christoffel",
+                        lambda manifold, point: current["gamma"])
+
+    def run(fn, *args):
+        def call(ops):
+            current.update(ops)
+            return fn(_structure(ops), *(a(ops) for a in args),
+                      _lead_point(ops))
+        return call
+
+    _pin(run(geometry.nabla_phi_tensor),
+         lambda ops: (ops["dphi"] + _loop("kim,mj->ikj", ops["gamma"],
+                                          ops["phi"])
+                      - _loop("km,mij->ikj", ops["phi"], ops["gamma"])),
+         _nabla_phi_route, names, d)
+
+    def xi_loop(ops):
+        xi = ops["xi"]
+        return (_loop("k,k->", xi, ops["df"]),
+                _loop("k,km,m->", xi, ops["dxi"], ops["df"])
+                + _loop("k,m,km->", xi, xi, ops["ddf"]))
+
+    def xi_route(ops):
+        xi = ops["xi"]
+        return (np.einsum("...k,...k->...", xi, ops["df"]),
+                np.einsum("...k,...km,...m->...", xi, ops["dxi"], ops["df"])
+                + np.einsum("...k,...m,...km->...", xi, xi, ops["ddf"]))
+
+    _pin(run(geometry.xi_derivatives, _scalar), xi_loop, xi_route, names, d)
+
+    def validate_loop(ops):
+        phi, g, xi, eta = ops["phi"], ops["g"], ops["xi"], ops["eta"]
+        eye = np.eye(phi.shape[-1])
+        phi_g_phi = _loop("ik,kj->ij", _loop("ki,kj->ij", phi, g), phi)
+        return {
+            "phi-squared": max_abs(_loop("ik,kj->ij", phi, phi)
+                                   - (-eye + outer(xi, eta)), 2),
+            "eta-xi": np.abs(_loop("i,i->", eta, xi) - 1.0),
+            "eta-is-xi-flat": max_abs(eta - _loop("ij,j->i", g, xi), 1),
+            "phi-compatibility": max_abs(phi_g_phi - (g - outer(eta, eta)), 2),
+            "phi-xi": max_abs(_loop("ij,j->i", phi, xi), 1),
+            "eta-phi": max_abs(_loop("i,ij->j", eta, phi), 1),
+        }
+
+    def validate_route(ops):
+        phi, g, xi, eta = ops["phi"], ops["g"], ops["xi"], ops["eta"]
+        eye = np.eye(phi.shape[-1])
+        return {
+            "phi-squared": max_abs(phi @ phi - (-eye + outer(xi, eta)), 2),
+            "eta-xi": np.abs(np.einsum("...i,...i->...", eta, xi) - 1.0),
+            "eta-is-xi-flat": max_abs(
+                eta - np.einsum("...ij,...j->...i", g, xi), 1),
+            "phi-compatibility": max_abs(
+                _sw(phi) @ g @ phi - (g - outer(eta, eta)), 2),
+            "phi-xi": max_abs(np.einsum("...ij,...j->...i", phi, xi), 1),
+            "eta-phi": max_abs(np.einsum("...i,...ij->...j", eta, phi), 1),
+        }
+
+    _pin(lambda ops: geometry.AcmStructure.validate(
+             SimpleNamespace(**vars(_structure(ops))), _lead_point(ops)),
+         validate_loop, validate_route, names, d)
+
+    # the Kenmotsu target, with nabla phi and nabla xi as given
+    monkeypatch.setattr(geometry, "nabla_phi_tensor",
+                        lambda structure, point: current["dphi"])
+    monkeypatch.setattr(geometry, "covariant_derivative",
+                        lambda manifold, field, point: current["dxi"])
+
+    def kenmotsu_loop(ops):
+        target = (_loop("ij,k->ikj", _loop("mi,mj->ij", ops["phi"], ops["g"]),
+                        ops["xi"])
+                  - _loop("j,ki->ikj", ops["eta"], ops["phi"]))
+        return _kenmotsu_residuals(ops, target)
+
+    def kenmotsu_route(ops):
+        g_phi = np.einsum("...mi,...mj->...ij", ops["phi"], ops["g"])
+        target = (np.einsum("...ij,...k->...ikj", g_phi, ops["xi"])
+                  - np.einsum("...j,...ki->...ikj", ops["eta"], ops["phi"]))
+        return _kenmotsu_residuals(ops, target)
+
+    _pin(run(geometry.kenmotsu_details), kenmotsu_loop, kenmotsu_route,
+         names, d)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_curvature_traces(d, monkeypatch):
+    # Ric and scal from a random R13 block, the symmetry guard skipped
+    names = ("inv", "g", "dg", "t1")
+    pairs = pair_index(d)
+    rng = np.random.default_rng(d)
+    current = {}
+
+    def riemann(d2g, gamma, combo, inv):
+        lead = np.broadcast_shapes(inv.shape[:-2], current["t1"].shape[:-2])
+        r13 = rng.normal(size=lead + (pairs.i.size, d, d))
+        current["r13"] = sample_major(component_major(r13, 3), 3)
+        return current["r13"], None
+
+    monkeypatch.setattr(geometry, "_riemann", riemann)
+    monkeypatch.setattr(geometry, "_check_curvature_symmetries",
+                        lambda r04, name, point: None)
+
+    def bundle(ops):
+        current.update(ops)
+        chart = _chart(ops)
+        chart.name = "chart"
+        chart.metric_second_partials = lambda point: None
+        out = geometry.curvature_bundle(chart, _lead_point(ops))
+        return out["Ric"], out["scal"]
+
+    def traces(ops, ric):
+        return (symmetric(0.5 * (ric + _sw(ric)), _lead_point(ops)),
+                _loop("bc,bc->", ops["inv"], ric))
+
+    def traces_route(ops):
+        ric = np.einsum("...aabc->...bc", expand(current["r13"], raised=True))
+        return (symmetric(0.5 * (ric + _sw(ric)), _lead_point(ops)),
+                np.einsum("...bc,...bc->...", ops["inv"], ric))
+
+    _pin(bundle,
+         lambda ops: traces(ops, _loop("aabc->bc",
+                                       expand(current["r13"], raised=True))),
+         traces_route, names, d)
+
+
+def _deformed(ops, a):
+    """A deformation of ``_structure(ops)`` that passes the Kenmotsu gate."""
+    return SimpleNamespace(base=_structure(ops),
+                           require_kenmotsu=lambda point: None)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_deformed_closed_forms(d, monkeypatch):
+    names = ("inv", "g", "gamma", "phi", "xi", "eta")
+    current = {}
+    monkeypatch.setattr(deformation, "christoffel",
+                        lambda manifold, point: current["gamma"])
+
+    def frame(ops):
+        point = _lead_point(ops)
+        point[A] = np.array([0.5, 2.0, 3.7])[:, None]
+        return point
+
+    def run(method):
+        def call(ops):
+            current.update(ops)
+            return method(_deformed(ops, None), frame(ops))
+        return call
+
+    def scale(ops, rank):
+        a = frame(ops)[A]
+        return a.reshape(a.shape + (1,) * rank)
+
+    def christoffel_closed(ops, outer_product):
+        a = scale(ops, 3)
+        p = ops["g"] - outer(ops["eta"], ops["eta"])
+        return ops["gamma"] + ((a - 1.0) / a) * outer_product(p, ops["xi"])
+
+    _pin(run(DeformedStructure.christoffel_closed),
+         lambda ops: christoffel_closed(
+             ops, lambda p, xi: _loop("ij,l->lij", p, xi)),
+         lambda ops: christoffel_closed(
+             ops, lambda p, xi: np.einsum("...ij,...l->...lij", p, xi)),
+         names, d)
+
+    def nabla_phi_loop(ops):
+        g_phi = _loop("mi,mj->ij", ops["phi"], ops["g"])
+        return (_loop("ij,k->ikj", g_phi, ops["xi"]) / scale(ops, 3)
+                - _loop("j,ki->ikj", ops["eta"], ops["phi"]))
+
+    def nabla_phi_route(ops):
+        g_phi = np.einsum("...mi,...mj->...ij", ops["phi"], ops["g"])
+        return (np.einsum("...ij,...k->...ikj", g_phi, ops["xi"])
+                / scale(ops, 3)
+                - np.einsum("...j,...ki->...ikj", ops["eta"], ops["phi"]))
+
+    _pin(run(DeformedStructure.nabla_phi_closed), nabla_phi_loop,
+         nabla_phi_route, names, d)
+
+    # the rows T(., xi) of the prop22 transfer, their Gram matrix and
+    # T(xi, xi), component-major with the tensor index first
+    names = ("inv", "xi", "t1", "t2", "t3")
+
+    def rows_loop(ops):
+        ts = [ops[k] for k in ("t1", "t2", "t3")]
+        rows = [_loop("ij,j->i", t, ops["xi"]) for t in ts]
+        gram = [[_loop("k,k->", _loop("i,ik->k", r, ops["inv"]), s)
+                 for s in rows] for r in rows]
+        reeb = [_loop("i,i->", r, ops["xi"]) for r in rows]
+        return rows + [x for row in gram for x in row] + reeb
+
+    def rows_route(ops):
+        ts = np.stack(np.broadcast_arrays(*(ops[k] for k in ("t1", "t2", "t3"))),
+                      axis=-3)
+        rows = (ts @ ops["xi"][..., None, :, None])[..., 0]
+        gram = rows @ ops["inv"] @ _sw(rows)
+        reeb = (rows @ ops["xi"][..., None])[..., 0]
+        return ([rows[..., t, :] for t in range(3)]
+                + [gram[..., t, s] for t in range(3) for s in range(3)]
+                + [reeb[..., t] for t in range(3)])
+
+    def rows_kernel(ops):
+        rows, gram, reeb = deformation._reeb_rows(
+            [ops[k] for k in ("t1", "t2", "t3")], ops["xi"], _metric_data(ops))
+        return tuple([sample_major(r, 1) for r in rows]
+                     + [gram[t, s] for t in range(3) for s in range(3)]
+                     + list(reeb))
+
+    _pin(rows_kernel, lambda ops: tuple(rows_loop(ops)),
+         lambda ops: tuple(rows_route(ops)), names, d)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_soliton_contractions(d, monkeypatch):
+    names = ("inv", "g", "xi", "eta", "deta", "v", "dv", "t1")
+    current = {}
+
+    def xi_eta(ops, contract):
+        return (contract("k,ki,i->", ops["xi"], ops["deta"], ops["v"])
+                + contract("k,i,ki->", ops["xi"], ops["eta"], ops["dv"]))
+
+    _pin(lambda ops: solitons.xi_of_eta_potential(_structure(ops), _vector(ops),
+                                                  _lead_point(ops)),
+         lambda ops: xi_eta(ops, _loop),
+         lambda ops: xi_eta(ops, _ellipsis), names, d)
+
+    # the solenoidal terms, with nabla V and sigma as given
+    monkeypatch.setattr(solitons, "covariant_derivative",
+                        lambda manifold, field, point: current["t1"])
+    monkeypatch.setattr(solitons, "xi_of_eta_potential",
+                        lambda structure, field, point: current["v"][..., 0])
+
+    def terms(ops, contract):
+        g, eta, nv, v = ops["g"], ops["eta"], ops["t1"], ops["v"]
+        nv_flat = contract("ik,kj->ij", nv, g)
+        w = contract("ik,k->i", nv, eta) + contract("ij,j->i", g, v)
+        ee = outer(eta, eta)
+        brace = (outer(eta, w) + outer(w, eta)
+                 - 2.0 * contract("i,i->", eta, v)[..., None, None] * ee)
+        return v[..., 0], nv_flat + _sw(nv_flat), ee, brace
+
+    def kernel(ops):
+        current.update(ops)
+        return solitons._solenoidal_terms(_structure(ops), _vector(ops),
+                                          _lead_point(ops))
+
+    _pin(kernel, lambda ops: terms(ops, _loop),
+         lambda ops: terms(ops, _ellipsis), names, d)
+
+
+def _ellipsis(subscripts, *operands):
+    """The einsum ``subscripts`` with the sample axes in front, as the
+    routes the kernels replaced wrote it."""
+    inputs, output = subscripts.split("->")
+    inputs = ",".join("..." + x for x in inputs.split(","))
+    return np.einsum(f"{inputs}->...{output}", *operands)
+
+
+def _kenmotsu_residuals(ops, target):
+    target_xi = np.eye(ops["phi"].shape[-1]) - outer(ops["eta"], ops["xi"])
+    return {"nabla-phi": max_abs(ops["dphi"] - target, 3),
+            "nabla-xi": max_abs(ops["dxi"] - target_xi, 2)}
 
 
 def _entries(d, seed):

@@ -5,7 +5,7 @@ import pytest
 
 from acmsolitons import suites
 from acmsolitons.cli import main
-from acmsolitons.config import builtin_config, load_config_text
+from acmsolitons.config import _BUILTINS, builtin_config, load_config_text
 from acmsolitons.suites import SuiteError, run_suites
 from acmsolitons.tensor import StructureError
 
@@ -173,3 +173,18 @@ def test_seven_dimensional_chart_passes_every_suite(kenmotsu7):
     }
     assert len(checks) == 233
     assert [c.check_id for c in checks if not c.passed] == []
+
+
+def test_harmonic_transfer_reads_f_on_the_base_frame():
+    # f = x + (a - 1) exp(z) is f = x, harmonic, on the base frame a = 1;
+    # remark23 reads Lap f, xi(f) and xi(xi(f)) there and takes Lap_bar of
+    # that same f at its probe a, so the check applies, and x stays
+    # harmonic, as xi(x) = 0
+    text = _BUILTINS["kenmotsu3"].replace("f = exp(z)", "f = x + (a - 1)*exp(z)")
+    config = load_config_text(text, source="tests:kenmotsu3-a-scalar")
+    config.points = 16
+    config.suites = ("remark23",)
+    [check] = [c for c in run_suites(config)
+               if c.check_id == "remark23/harmonic-transfer"]
+    assert check.passed
+    assert check.detail.startswith("max |Lap_bar f| = 0.000e+00 at a = 2;")
