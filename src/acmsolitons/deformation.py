@@ -74,8 +74,8 @@ from .geometry import (
     xi_derivatives,
 )
 from .tensor import (
-    StructureError, component_major, hs_pair, hs_raise, kulkarni_nomizu,
-    max_abs, outer, pair_index, plus, sample_major, symmetric,
+    StructureError, component_major, contract, hs_pair, hs_raise,
+    kulkarni_nomizu, max_abs, outer, pair_index, plus, sample_major, symmetric,
 )
 
 __all__ = [
@@ -143,16 +143,15 @@ def ricci_bar(structure: AcmStructure, point, ric) -> np.ndarray:
 
 def riemann_bar(structure: AcmStructure, point, r04) -> np.ndarray:
     """R_bar04 = a R04 + (a-1) T over a Kenmotsu base, T as in
-    ``deformation_curvature_term``, component-major, on the first-pair
-    block.
+    ``deformation_curvature_term``, on the first-pair block.
 
     ``point`` binds a, one value or an (A,) array in front of the sample
     axes; ``r04`` is the first-pair block of a base (0,4) curvature there,
-    the chart's or one a soliton forces.  The result is laid out as
-    ``component_major`` lays it out, so a scales whole rows of samples,
-    and has the broadcast sample axes of a, R04 and T; (a - 1) T is added
-    one pair row at a time, so no second stacked (0,4) array is alive.
-    T is memoised on the base batch.
+    the chart's or one a soliton forces.  The result has the broadcast
+    sample axes of a, R04 and T, and is the sample-major view of a
+    component-major buffer, where a scales whole rows of samples; (a - 1) T
+    is added one pair row at a time, so no second stacked (0,4) array is
+    alive.  T is memoised on the base batch.
     """
     a = point[A]
     k = a.ndim  # sample axes, a in front
@@ -162,7 +161,7 @@ def riemann_bar(structure: AcmStructure, point, r04) -> np.ndarray:
     for row, r_row, t_row in zip(out, r, t):
         np.multiply(a, r_row, out=row)
         row += (a - 1.0) * t_row
-    return out
+    return sample_major(out, 3)
 
 
 @on_bound_batch
@@ -298,10 +297,9 @@ class DeformedStructure:
         m = self.base.manifold.metric_at_cached(point)
         eta = self.base.eta_values(point)
         xi = self.base.xi_values(point)
-        p = component_major(m.g - outer(eta, eta), 2)
         a = _a(point, 3)
-        return gamma + ((a - 1.0) / a) * sample_major(
-            np.einsum("ij...,l...->lij...", p, component_major(xi, 1)), 3)
+        return gamma + ((a - 1.0) / a) * contract(
+            "ij,l->lij", m.g - outer(eta, eta), xi)
 
     @on_bound_batch
     def ricci_closed(self, point) -> dict:
@@ -326,8 +324,7 @@ class DeformedStructure:
         eta = self.base.eta_values(point)
         a = _a(point)
         k = a.ndim  # sample axes, a in front
-        # component-major, where a scales whole rows of samples
-        r04 = riemann_bar(self.base, point, bundle["R04"])
+        out["R04"] = riemann_bar(self.base, point, bundle["R04"])
         p = component_major(g - outer(eta, eta), 2, k)  # g(phi ., phi .)
         pairs = pair_index(self.manifold.dim)
         eye = np.eye(self.manifold.dim)[(...,) + (None,) * k]
@@ -338,7 +335,6 @@ class DeformedStructure:
         )
         r13 = plus(r13, component_major(bundle["R13"], 3, k))
         out["R13"] = sample_major(r13, 3)
-        out["R04"] = sample_major(r04, 3)
         return out
 
     # -- structure tensors ---------------------------------------------------
@@ -347,14 +343,12 @@ class DeformedStructure:
         """(nabla_bar_i phi)^k_j as [i, k, j]."""
         self.require_kenmotsu(point)
         m = self.base.manifold.metric_at_cached(point)
-        phi = component_major(self.base.phi_values(point), 2)
-        xi = component_major(self.base.xi_values(point), 1)
-        eta = component_major(self.base.eta_values(point), 1)
-        g_phi = np.einsum("mi...,mj...->ij...", phi, component_major(m.g, 2))
+        phi = self.base.phi_values(point)
+        g_phi = contract("mi,mj->ij", phi, m.g)
         return (
-            sample_major(np.einsum("ij...,k...->ikj...", g_phi, xi), 3)
+            contract("ij,k->ikj", g_phi, self.base.xi_values(point))
             / _a(point, 3)
-            - sample_major(np.einsum("j...,ki...->ikj...", eta, phi), 3)
+            - contract("j,ki->ikj", self.base.eta_values(point), phi)
         )
 
     def nabla_reeb_closed(self, point) -> np.ndarray:
@@ -463,16 +457,12 @@ def base_inner(structure: AcmStructure, pair: tuple, f, point):
 def _reeb_rows(tensors, xi, m) -> tuple:
     """The rows T(., xi) of the (0, 2) tensors ``tensors``, their Gram
     matrix <T1(., xi), T2(., xi)> under the metric ``m`` and T(xi, xi),
-    component-major with the tensor index first: each one product over the
-    stacked tensors."""
-    k = max(np.ndim(t) for t in tensors) - 2
-    stacked = np.stack(np.broadcast_arrays(
-        *(component_major(t, 2, k) for t in tensors)))
-    xi = component_major(xi, 1)
-    rows = np.einsum("tij...,j...->ti...", stacked, xi)
-    gram = np.einsum("tk...,sk...->ts...", np.einsum(
-        "ti...,ik...->tk...", rows, component_major(m.inv, 2)), rows)
-    return rows, gram, np.einsum("ti...,i...->t...", rows, xi)
+    with the tensor index last of the sample axes: each one product over
+    the stacked tensors."""
+    stacked = np.stack(np.broadcast_arrays(*tensors), axis=-3)
+    rows = contract("tij,j->ti", stacked, xi)
+    gram = contract("tk,sk->ts", contract("ti,ik->tk", rows, m.inv), rows)
+    return rows, gram, contract("ti,i->t", rows, xi)
 
 
 def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
@@ -502,8 +492,8 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
     rows, gram, reeb = _reeb_rows(list(tensors.values()), base.xi_values(point),
                                   base.manifold.metric_at_cached(point))
     hess = index["hess"]
-    reduced = max_abs(sample_major(rows[hess], 1)
-                      - reeb[hess][..., None] * base.eta_values(point), 1)
+    reduced = max_abs(rows[..., hess, :]
+                      - reeb[..., hess, None] * base.eta_values(point), 1)
     inner = {
         pair: base_inner(base, pair, f if "hess" in pair else None, point)
         for pair in _BATTERY_PAIRS
@@ -537,8 +527,8 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
             {
                 "pair": f"{k1}-{k2}",
                 "direct": hs_pair(raised[k1], tensors[k2]),
-                "transfer": inner[(k1, k2)] / a2 - cross * gram[i, j]
-                + both * reeb[i] * reeb[j],
+                "transfer": inner[(k1, k2)] / a2 - cross * gram[..., i, j]
+                + both * reeb[..., i] * reeb[..., j],
                 "closed": closed[(k1, k2)],
                 "applicable": (reduced <= HYPOTHESIS_TOL
                                if (k1, k2) == ("hess", "hess") else None),

@@ -59,8 +59,8 @@ from .expr import (
     A, Const, EvalError, Expr, add, coordinates_of, diff, evaluate, locate, mul,
 )
 from .tensor import (
-    MetricData, StructureError, component_major, max_abs, outer, pair_index,
-    plus, sample_major, symmetric, trace,
+    MetricData, StructureError, component_major, contract, max_abs, outer,
+    pair_index, plus, sample_major, symmetric, trace,
 )
 
 __all__ = [
@@ -513,11 +513,10 @@ def _check_curvature_symmetries(r04: np.ndarray, name, point):
 
 
 def _christoffel(inv, combo) -> np.ndarray:
-    """Gamma[l, i, j] = (1/2) g^lk combo[i, j, k], component-major."""
-    gamma = np.einsum("lk...,ijk...->lij...", component_major(inv, 2),
-                      component_major(combo, 3))
+    """Gamma[l, i, j] = (1/2) g^lk combo[i, j, k]."""
+    gamma = contract("lk,ijk->lij", inv, combo)
     gamma *= 0.5
-    return sample_major(gamma, 3)
+    return gamma
 
 
 def _riemann(d2g, gamma, combo, inv) -> tuple:
@@ -581,7 +580,7 @@ def curvature_bundle(manifold, point) -> dict:
     # diag[a, b, c] (the block at a < b, its negative at a > b, zero at
     # a = b) summed in a as the full R13's a = d diagonal would be
     diag = _entries(component_major(r13, 3), *_block_reads(manifold.dim)[1])
-    ric = sample_major(np.einsum("abc...->bc...", diag), 2)
+    ric = contract("abc->bc", sample_major(diag, 3))
     return {
         "metric": m,
         "gamma": gamma,
@@ -678,11 +677,8 @@ def lie_derivative_metric(manifold, field: VectorField, point) -> np.ndarray:
 
 def _lie_metric_numeric(m: MetricData, v, dv, point) -> np.ndarray:
     # g_kj d_i V^k is dV g; g_ik d_j V^k is its transpose, as g is symmetric
-    dv_g = sample_major(np.einsum("ik...,kj...->ij...", component_major(dv, 2),
-                                  component_major(m.g, 2)), 2)
-    out = sample_major(np.einsum("k...,kij...->ij...", component_major(v, 1),
-                                 component_major(m.dg, 3)), 2)
-    out = out + dv_g + _swap(dv_g)
+    dv_g = contract("ik,kj->ij", dv, m.g)
+    out = contract("k,kij->ij", v, m.dg) + dv_g + _swap(dv_g)
     return symmetric(0.5 * (out + _swap(out)), point)
 
 
@@ -690,8 +686,7 @@ def grad(manifold, f: ScalarField, point) -> np.ndarray:
     """(grad f)^i = g^{ij} d_j f."""
     m = manifold.metric_at_cached(point)
     df = f.partials(manifold.coords, point)
-    return sample_major(np.einsum("ij...,j...->i...", component_major(m.inv, 2),
-                                  component_major(df, 1)), 1)
+    return contract("ij,j->i", m.inv, df)
 
 
 @on_batch
@@ -700,9 +695,7 @@ def hessian(manifold, f: ScalarField, point) -> np.ndarray:
     gamma = christoffel(manifold, point)
     df = f.partials(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
-    out = ddf - sample_major(np.einsum("kij...,k...->ij...",
-                                       component_major(gamma, 3),
-                                       component_major(df, 1)), 2)
+    out = ddf - contract("kij,k->ij", gamma, df)
     return symmetric(0.5 * (out + _swap(out)), point)
 
 
@@ -712,9 +705,7 @@ def divergence(manifold, field: VectorField, point):
     gamma = christoffel(manifold, point)
     v = field.values(point)
     dv = field.partials(manifold.coords, point)
-    return (np.einsum("ii...->...", component_major(dv, 2))
-            + np.einsum("iik...,k...->...", component_major(gamma, 3),
-                        component_major(v, 1)))
+    return contract("ii->", dv) + contract("iik,k->", gamma, v)
 
 
 def laplacian(manifold, f: ScalarField, point):
@@ -726,16 +717,13 @@ def gradient_lie_derivative(manifold, f: ScalarField, point) -> np.ndarray:
     """(L_{grad f} g)_ij, with the gradient field differentiated numerically
     through exact metric and scalar partials (no symbolic inverse metric)."""
     m = manifold.metric_at_cached(point)
-    inv = component_major(m.inv, 2)
     df = f.partials(manifold.coords, point)
     ddf = f.second_partials(manifold.coords, point)
-    v = np.einsum("ij...,j...->i...", inv, component_major(df, 1))
+    v = contract("ij,j->i", m.inv, df)
     # dv[a, i] = g^ik (d_a d_k f - d_a g_kj v^j), as d_a g^ik = -g^im
     # d_a g_mj g^jk
-    dgv = np.einsum("akj...,j...->ak...", component_major(m.dg, 3), v)
-    dv = np.einsum("ak...,ik...->ai...",
-                   component_major(ddf - sample_major(dgv, 2), 2), inv)
-    return _lie_metric_numeric(m, sample_major(v, 1), sample_major(dv, 2), point)
+    dv = contract("ak,ik->ai", ddf - contract("akj,j->ak", m.dg, v), m.inv)
+    return _lie_metric_numeric(m, v, dv, point)
 
 
 # ---------------------------------------------------------------------------
@@ -807,25 +795,19 @@ class AcmStructure:
         xi = self.xi_values(point)
         eta = self.eta_values(point)
         eye = np.eye(self.manifold.dim)
-        p, g = component_major(phi, 2), component_major(m.g, 2)
-        x, e = component_major(xi, 1), component_major(eta, 1)
-        phi_phi = sample_major(np.einsum("ik...,kj...->ij...", p, p), 2)
         # (phi^T g) phi
-        phi_g = np.einsum("ki...,kj...->ij...", p, g)
-        phi_g_phi = sample_major(np.einsum("ik...,kj...->ij...", phi_g, p), 2)
+        phi_g_phi = contract("ik,kj->ij", contract("ki,kj->ij", phi, m.g), phi)
         return {
-            "phi-squared": max_abs(phi_phi - (-eye + outer(xi, eta)), 2),
-            "eta-xi": np.abs(np.einsum("i...,i...->...", e, x) - 1.0),
-            "eta-is-xi-flat": max_abs(
-                eta - sample_major(np.einsum("ij...,j...->i...", g, x), 1), 1
+            "phi-squared": max_abs(
+                contract("ik,kj->ij", phi, phi) - (-eye + outer(xi, eta)), 2
             ),
+            "eta-xi": np.abs(contract("i,i->", eta, xi) - 1.0),
+            "eta-is-xi-flat": max_abs(eta - contract("ij,j->i", m.g, xi), 1),
             "phi-compatibility": max_abs(
                 phi_g_phi - (m.g - outer(eta, eta)), 2
             ),
-            "phi-xi": max_abs(sample_major(
-                np.einsum("ij...,j...->i...", p, x), 1), 1),
-            "eta-phi": max_abs(sample_major(
-                np.einsum("i...,ij...->j...", e, p), 1), 1),
+            "phi-xi": max_abs(contract("ij,j->i", phi, xi), 1),
+            "eta-phi": max_abs(contract("i,ij->j", eta, phi), 1),
         }
 
     def acm_residual(self, point):
@@ -837,19 +819,16 @@ def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> 
     gamma = christoffel(manifold, point)
     v = field.values(point)
     dv = field.partials(manifold.coords, point)
-    return dv + sample_major(np.einsum("kim...,m...->ik...",
-                                       component_major(gamma, 3),
-                                       component_major(v, 1)), 2)
+    return dv + contract("kim,m->ik", gamma, v)
 
 
 def nabla_phi_tensor(structure: AcmStructure, point) -> np.ndarray:
     """(nabla_i phi)^k_j as [i, k, j], from exact partials of phi and g."""
-    gamma = component_major(christoffel(structure.manifold, point), 3)
-    phi = component_major(structure.phi_values(point), 2)
+    gamma = christoffel(structure.manifold, point)
+    phi = structure.phi_values(point)
     # dphi[i, k, j] = d_i phi^k_j since the derivative index comes first
-    out = structure.phi_partials(point) + sample_major(
-        np.einsum("kim...,mj...->ikj...", gamma, phi), 3)
-    out -= sample_major(np.einsum("km...,mij...->ikj...", phi, gamma), 3)
+    out = structure.phi_partials(point) + contract("kim,mj->ikj", gamma, phi)
+    out -= contract("km,mij->ikj", phi, gamma)
     return out
 
 
@@ -864,16 +843,13 @@ def xi_derivatives(structure: AcmStructure, f: ScalarField, point) -> tuple:
     closed form in base data reads them from here.
     """
     coords = structure.manifold.coords
-    xi = component_major(structure.xi_values(point), 1)
-    dxi = component_major(structure.xi_field.partials(coords, point), 2)
-    df = component_major(f.partials(coords, point), 1)
-    ddf = component_major(f.second_partials(coords, point), 2)
-    xif = np.einsum("k...,k...->...", xi, df)
+    xi = structure.xi_values(point)
+    df = f.partials(coords, point)
     xixif = (
-        np.einsum("k...,km...,m...->...", xi, dxi, df)
-        + np.einsum("k...,m...,km...->...", xi, xi, ddf)
+        contract("k,km,m->", xi, structure.xi_field.partials(coords, point), df)
+        + contract("k,m,km->", xi, xi, f.second_partials(coords, point))
     )
-    return xif, xixif
+    return contract("k,k->", xi, df), xixif
 
 
 @on_batch
@@ -886,17 +862,13 @@ def kenmotsu_details(structure: AcmStructure, point) -> dict:
     Memoised on a batch.
     """
     m = structure.manifold.metric_at_cached(point)
-    phi = component_major(structure.phi_values(point), 2)
+    phi = structure.phi_values(point)
     xi = structure.xi_values(point)
     eta = structure.eta_values(point)
     nabla_phi = nabla_phi_tensor(structure, point)
     # target: g(phi d_i, d_j) xi^k - eta_j phi^k_i
-    g_phi = np.einsum("mi...,mj...->ij...", phi, component_major(m.g, 2))
-    target = sample_major(
-        np.einsum("ij...,k...->ikj...", g_phi, component_major(xi, 1)), 3
-    ) - sample_major(
-        np.einsum("j...,ki...->ikj...", component_major(eta, 1), phi), 3
-    )
+    target = (contract("ij,k->ikj", contract("mi,mj->ij", phi, m.g), xi)
+              - contract("j,ki->ikj", eta, phi))
     nabla_xi = covariant_derivative(structure.manifold, structure.xi_field, point)
     target_xi = np.eye(structure.manifold.dim) - outer(eta, xi)
     return {

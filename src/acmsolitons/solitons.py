@@ -74,8 +74,8 @@ from .geometry import (
     xi_derivatives,
 )
 from .tensor import (
-    StructureError, component_major, hs_inner, hs_pair, hs_raise,
-    kulkarni_nomizu, max_abs, outer, plus, sample_major, symmetric, trace,
+    StructureError, contract, hs_inner, hs_pair, hs_raise, kulkarni_nomizu,
+    max_abs, outer, plus, symmetric, trace,
 )
 
 __all__ = [
@@ -246,14 +246,12 @@ def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
     """xi(eta(V)) = xi^k (d_k eta_i V^i + eta_i d_k V^i), from exact
     partials of eta and V."""
     coords = structure.manifold.coords
-    xi = component_major(structure.xi_values(point), 1)
-    v = component_major(field.values(point), 1)
-    deta = component_major(structure.eta_field.partials(coords, point), 2)
-    eta = component_major(structure.eta_values(point), 1)
-    dv = component_major(field.partials(coords, point), 2)
+    xi = structure.xi_values(point)
     return (
-        np.einsum("k...,ki...,i...->...", xi, deta, v)
-        + np.einsum("k...,i...,ki...->...", xi, eta, dv)
+        contract("k,ki,i->", xi, structure.eta_field.partials(coords, point),
+                 field.values(point))
+        + contract("k,i,ki->", xi, structure.eta_values(point),
+                   field.partials(coords, point))
     )
 
 
@@ -363,19 +361,15 @@ def _solenoidal_terms(structure: AcmStructure, vector: VectorField,
     """sigma = xi(eta(V)), sym(nabla V^flat), eta (x) eta and the brace of
     ``solenoidal_implied``, which no kind enters, memoised on a batch."""
     man = structure.manifold
-    g = component_major(man.metric_at_cached(point).g, 2)
+    g = man.metric_at_cached(point).g
     eta = structure.eta_values(point)
-    e = component_major(eta, 1)
-    nv = component_major(covariant_derivative(man, vector, point), 2)
-    v = component_major(vector.values(point), 1)
-    nv_flat = sample_major(np.einsum("ik...,kj...->ij...", nv, g), 2)
-    w = (
-        sample_major(np.einsum("ik...,k...->i...", nv, e), 1)
-        + sample_major(np.einsum("ij...,j...->i...", g, v), 1)
-    )
-    eta_v = np.einsum("i...,i...->...", e, v)
+    nv = covariant_derivative(man, vector, point)
+    v = vector.values(point)
+    nv_flat = contract("ik,kj->ij", nv, g)
+    w = contract("ik,k->i", nv, eta) + contract("ij,j->i", g, v)
     ee = outer(eta, eta)
-    brace = outer(eta, w) + outer(w, eta) - 2.0 * _tensor(eta_v) * ee
+    brace = (outer(eta, w) + outer(w, eta)
+             - 2.0 * _tensor(contract("i,i->", eta, v)) * ee)
     return (xi_of_eta_potential(structure, vector, point),
             nv_flat + np.swapaxes(nv_flat, -1, -2), ee, brace)
 
@@ -426,7 +420,7 @@ def xi_compatibility(kind: str, structure: AcmStructure, point) -> dict:
     gbar = a2 * g + a2 * (a2 - 1.0) * ee
     if kind == "riemann":
         forced = kulkarni_nomizu(g, ee - g)
-        deformed = sample_major(riemann_bar(structure, point, forced), 3)
+        deformed = riemann_bar(structure, point, forced)
         scale = max_abs(kulkarni_nomizu(g, g), 3)
     else:
         forced = _reeb_forced(kind, g, ee, n)

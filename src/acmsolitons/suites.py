@@ -59,9 +59,7 @@ from .solitons import (
     theorem_lambda,
     xi_compatibility,
 )
-from .tensor import (
-    StructureError, component_major, max_abs, outer, pair_index, sample_major,
-)
+from .tensor import StructureError, contract, max_abs, outer, pair_index
 
 __all__ = [
     "REPORT_VERSION",
@@ -316,15 +314,12 @@ def _suite_kenmotsu(run):
     bundle = curvature_bundle(man, pts)
     # R(d_a, d_b) xi and eta_a d_b - eta_b d_a at the pairs (a < b), [p, l]
     pairs = pair_index(man.dim)
-    x = component_major(xi, 1)
-    rxy_xi = sample_major(np.einsum("pcl...,c...->pl...",
-                                    component_major(bundle["R13"], 3), x), 2)
+    rxy_xi = contract("pcl,c->pl", bundle["R13"], xi)
     target = (
         eta[..., pairs.i, None] * eye[pairs.j]
         - eta[..., pairs.j, None] * eye[pairs.i]
     )
-    ric_xi = np.einsum("i...,ij...,j...->...", x,
-                       component_major(bundle["Ric"], 2), x)
+    ric_xi = contract("i,ij,j->", xi, bundle["Ric"], xi)
     return _emit(pts, "kenmotsu", [
         Claim(k, _KENMOTSU_ANCHORS[k], tol, r) for k, tol, r in (
             ("nabla-phi", 1e-10, det["nabla-phi"]),

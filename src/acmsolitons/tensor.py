@@ -7,7 +7,7 @@ Conventions used across the package:
   covariant (lower) ones;
 * data for a batch of N sample points carries one leading sample axis in
   front of the tensor axes, so (N, d, d) holds a (0, 2) tensor per sample;
-  the functions here work on either, contracting with ``np.einsum`` and
+  the functions here work on either, contracting with ``contract`` and
   broadcast products;
 * a sample axis has length N, or 1 where a value reads no coordinate: a
   batched value's sample axes are the broadcast of those of what it is
@@ -38,15 +38,17 @@ Conventions used across the package:
   bit for bit;
 * a small contraction (a Hilbert-Schmidt raise or pairing, a metric
   trace, a product of (0, 2), (1, 1) and (1, 2) tensors, a Lie derivative)
-  is one ``np.einsum`` over ``component_major`` operands, whose subscripts
-  put the sample axes last (``"ik...,kj...->ij..."``), so each of its
-  passes runs over whole rows of samples; it returns the sample-major view
-  of its result.  An operand that is itself such a view (an evaluated
-  value, a kernel's result) is not copied.  Each output element is then
-  the sum of its terms in the order of the subscripts, from the first
-  term on, where the per-sample products this replaced summed in an
-  order of their own: a sum with one nonzero term, as on a diagonal
-  metric, keeps its bits, and others move at round-off.  On a batch
+  is one ``contract`` call, written in component indices alone
+  (``contract("ik,kj->ij", a, b)``) on sample-major operands.  It is the
+  package's one ``np.einsum``: it runs over the ``component_major``
+  operands with the sample axes last (``"ik...,kj...->ij..."``), so each
+  of its passes runs over whole rows of samples, and returns the
+  sample-major view of its result.  An operand that is itself such a view
+  (an evaluated value, a kernel's result) is not copied.  Each output
+  element is then the sum of its terms in the order of the subscripts,
+  from the first term on, where the per-sample products this replaced
+  summed in an order of their own: a sum with one nonzero term, as on a
+  diagonal metric, keeps its bits, and others move at round-off.  On a batch
   whose every operand is sample-free, numpy reduces the components of
   its one sample in an order of its own.  The curvature's two products
   and the metric's inverse guard stay batched matmul (``geometry``);
@@ -73,6 +75,9 @@ __all__ = [
     "hs_raise", "hs_pair", "hs_inner", "trace",
     "component_major", "sample_major", "plus",
 ]
+# ``contract`` is not exported: ``perfbench/tracing.py`` wraps every
+# exported function another layer calls, and each contraction's time
+# belongs to the layer that asks for it
 
 _SYMMETRY_TOL = 1e-12
 
@@ -230,6 +235,30 @@ def sample_major(x: np.ndarray, rank: int) -> np.ndarray:
     return x.transpose(_moved(rank, x.ndim - rank))
 
 
+def contract(spec: str, *operands):
+    """The contraction ``spec`` of sample-major ``operands``, written in
+    component indices alone (``"ik,kj->ij"``): each term's length is its
+    operand's rank, and the sample axes broadcast as in the operands.
+
+    It is the einsum of ``spec`` with ``...`` after every term, over the
+    ``component_major`` operands (each a view when it is already laid out
+    so), and returns the sample-major view of its result.
+    """
+    subscripts, ranks, rank = _parsed(spec)
+    return sample_major(
+        np.einsum(subscripts, *map(component_major, operands, ranks)), rank)
+
+
+@cache
+def _parsed(spec: str) -> tuple:
+    """The einsum subscripts of ``spec`` with the sample axes last, its
+    operands' ranks and its result's rank."""
+    inputs, output = spec.split("->")
+    terms = inputs.split(",")
+    return (",".join(t + "..." for t in terms) + "->" + output + "...",
+            tuple(map(len, terms)), len(output))
+
+
 @cache
 def _moved(k: int, rank: int) -> tuple:
     """The axis order that moves the last ``rank`` of k + rank axes in
@@ -293,18 +322,13 @@ def hs_raise(tensors, m) -> list:
     """g^{ik} T_kl g^{lj} of each (0, 2) tensor T in ``tensors`` under the
     metric ``m`` (anything with an ``inv`` attribute), as (g^{-1} T) g^{-1};
     each broadcasts against ``m.inv``."""
-    inv = component_major(m.inv, 2)
-    out = []
-    for t in tensors:
-        left = np.einsum("ki...,kl...->il...", inv, component_major(t, 2))
-        out.append(sample_major(np.einsum("il...,lj...->ij...", left, inv), 2))
-    return out
+    return [contract("il,lj->ij", contract("ki,kl->il", m.inv, t), m.inv)
+            for t in tensors]
 
 
 def hs_pair(raised, t2):
     """The pairing of a tensor raised by ``hs_raise`` with ``t2``."""
-    return np.einsum("ij...,ij...->...", component_major(raised, 2),
-                     component_major(t2, 2))
+    return contract("ij,ij->", raised, t2)
 
 
 def hs_inner(t1, t2, m):
@@ -315,5 +339,4 @@ def hs_inner(t1, t2, m):
 def trace(t, m):
     """The metric trace g^{ij} T_ij of (0, 2) tensors under the metric
     ``m``."""
-    return np.einsum("ij...,ij...->...", component_major(m.inv, 2),
-                     component_major(t, 2))
+    return contract("ij,ij->", m.inv, t)

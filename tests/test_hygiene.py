@@ -17,11 +17,10 @@ one frame too, and only the suites bind it: outside ``suites.py`` nothing
 calls ``at`` and only ``DeformedStructure.at`` calls ``with_a``, so every
 closed form takes the bound batch it is given.  Nothing in the package
 calls ``np.linalg``: the metric's inverse and its positive definiteness
-come from the one elimination, ``geometry._gauss_jordan``.  Every
-``np.einsum`` of the package contracts component-major operands: its
-subscripts are a literal string, and no term of it puts ``...`` in front
-of a component index, so the sample axes come last and each pass runs
-over whole rows of samples.  And it has
+come from the one elimination, ``geometry._gauss_jordan``.  It has one
+contraction call: only ``tensor.contract`` calls ``einsum``, so it alone
+knows the component-major layout, and every ``contract`` call passes a
+literal spec of component letters, commas and one ``->``.  And it has
 one memo rule: only ``geometry.on_batch`` and ``with_a`` read a batch's
 ``memo``, and over full runs every entry on the unbound batch reads no a
 while every entry on a batch that binds a has an argument that reads it,
@@ -29,6 +28,7 @@ or a function declared to read it (``on_bound_batch``).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -166,23 +166,20 @@ def _calls_outside(tree: ast.Module, callee: str, allowed) -> list:
     return found
 
 
-def _sample_major_einsums(tree: ast.Module) -> list:
-    """(line, subscripts) of each ``np.einsum`` call whose subscripts are
-    not a literal string, or have a term with ``...`` in front of a
-    component index (subscripts None when they are not a literal)."""
+def _bad_specs(tree: ast.Module) -> list:
+    """(line, spec) of each ``contract`` call, by name or as an attribute,
+    whose spec is not a literal string of letters, commas and one ``->``
+    (spec None when it is not a literal)."""
     found = []
     for node in ast.walk(tree):
         func = getattr(node, "func", None)
-        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
-                and func.attr == "einsum" and isinstance(func.value, ast.Name)
-                and func.value.id == "np"):
+        name = getattr(func, "attr", getattr(func, "id", None))
+        if not (isinstance(node, ast.Call) and name == "contract"):
             continue
         first = node.args[0] if node.args else None
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
             found.append((node.lineno, None))
-            continue
-        terms = first.value.replace("->", ",").split(",")
-        if any("..." in t and t.index("...") < len(t.rstrip(".")) for t in terms):
+        elif not re.fullmatch(r"[A-Za-z,]+->[A-Za-z]*", first.value):
             found.append((node.lineno, first.value))
     return found
 
@@ -228,6 +225,7 @@ ONE_PATH = (
     ("with_a", {"DeformedStructure.at"}, {"suites.py"}),
     ("at", set(), {"suites.py"}),
     ("np.linalg", set(), set()),
+    ("einsum", {"contract"}, set()),
 )
 
 
@@ -392,31 +390,41 @@ def test_one_differentiation_and_evaluation_path(path):
             assert _calls_outside(tree, callee, allowed) == [], callee
 
 
-def test_finds_a_sample_major_einsum():
+def test_finds_an_einsum_outside_contract():
     tree = ast.parse(
         "import numpy as np\n"
-        "def kernels(a, b, spec):\n"
-        "    np.einsum('ij...,j...->i...', a, b)\n"
-        "    np.einsum('ii...->...', a)\n"
-        "    np.einsum('...ij,...j->...i', a, b)\n"
-        "    np.einsum('ij...,...j->i...', a, b)\n"
-        "    np.einsum('ij...,j...->...i', a, b)\n"
-        "    np.einsum(spec, a)\n"
-        "    np.einsum('ij,jk->ik', a, b)\n"
-        "    return b.einsum('...ij->...ji', a)\n"
+        "def contract(spec, *operands):\n"
+        "    return np.einsum(spec, *operands)\n"
+        "def trace(t):\n"
+        "    return np.einsum('ii...->...', t)\n"
     )
-    assert _sample_major_einsums(tree) == [
-        (5, "...ij,...j->...i"), (6, "ij...,...j->i..."),
-        (7, "ij...,j...->...i"), (8, None),
+    assert _calls_outside(tree, "einsum", {"contract"}) == [(5, "trace")]
+
+
+def test_finds_a_bad_spec():
+    tree = ast.parse(
+        "def kernels(a, b, spec):\n"
+        "    contract('ik,kj->ij', a, b)\n"
+        "    tensor.contract('ii->', a)\n"
+        "    contract('ij...,j...->i...', a, b)\n"
+        "    contract('ij,j', a, b)\n"
+        "    contract('i,i->->', a, b)\n"
+        "    contract(spec, a)\n"
+        "    contract(f'i{spec}->', a)\n"
+        "    return contract()\n"
+    )
+    assert _bad_specs(tree) == [
+        (4, "ij...,j...->i..."), (5, "ij,j"), (6, "i,i->->"), (7, None),
+        (8, None), (9, None),
     ]
 
 
 @pytest.mark.parametrize(
     "path", PACKAGE, ids=[p.relative_to(ROOT).as_posix() for p in PACKAGE]
 )
-def test_einsums_contract_component_major_operands(path):
+def test_contract_specs_are_literal(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _sample_major_einsums(tree) == []
+    assert _bad_specs(tree) == []
 
 
 def test_finds_a_memo_read():

@@ -14,8 +14,9 @@ The small contractions (the Hilbert-Schmidt raise and pairing, the metric
 traces, the Christoffel symbols, the Lie derivatives, the Hessian,
 gradient, divergence, Laplacian and covariant derivative, nabla phi, the
 xi-derivatives, the structure and Kenmotsu residuals, the deformed closed
-forms and the prop22 and solenoidal contractions) are component-major
-einsums, each summing its terms in its own order.  Each has two pins:
+forms and the prop22 and solenoidal contractions) are ``contract`` calls,
+component-major einsums each summing its terms in its own order.  Each
+kernel, and each spec the package passes to ``contract``, has two pins:
 bit for bit its plain component loop (``_loop``: each output element
 from zero, its terms in the order of its summed indices), and within
 2^10 eps of the largest component its sample-major route, the products
@@ -50,8 +51,10 @@ curvature's inputs have the symmetries of a metric and its partials,
 without which the two routes differ.
 """
 
+import ast
 import itertools
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,8 +74,8 @@ from acmsolitons.geometry import (
     gradient_lie_derivative,
 )
 from acmsolitons.tensor import (
-    MetricData, StructureError, component_major, hs_inner, hs_pair, hs_raise,
-    kulkarni_nomizu, max_abs, outer, pair_index, plus, sample_major,
+    MetricData, StructureError, component_major, contract, hs_inner, hs_pair,
+    hs_raise, kulkarni_nomizu, max_abs, outer, pair_index, plus, sample_major,
     symmetric, trace,
 )
 
@@ -1072,7 +1075,7 @@ def test_deformed_closed_forms(d, monkeypatch):
          nabla_phi_route, names, d)
 
     # the rows T(., xi) of the prop22 transfer, their Gram matrix and
-    # T(xi, xi), component-major with the tensor index first
+    # T(xi, xi), with the tensor index last of the sample axes
     names = ("inv", "xi", "t1", "t2", "t3")
 
     def rows_loop(ops):
@@ -1096,9 +1099,9 @@ def test_deformed_closed_forms(d, monkeypatch):
     def rows_kernel(ops):
         rows, gram, reeb = deformation._reeb_rows(
             [ops[k] for k in ("t1", "t2", "t3")], ops["xi"], _metric_data(ops))
-        return tuple([sample_major(r, 1) for r in rows]
-                     + [gram[t, s] for t in range(3) for s in range(3)]
-                     + list(reeb))
+        return tuple([rows[..., t, :] for t in range(3)]
+                     + [gram[..., t, s] for t in range(3) for s in range(3)]
+                     + [reeb[..., t] for t in range(3)])
 
     _pin(rows_kernel, lambda ops: tuple(rows_loop(ops)),
          lambda ops: tuple(rows_route(ops)), names, d)
@@ -1140,6 +1143,44 @@ def test_soliton_contractions(d, monkeypatch):
 
     _pin(kernel, lambda ops: terms(ops, _loop),
          lambda ops: terms(ops, _ellipsis), names, d)
+
+
+def _package_specs() -> list:
+    """Every literal spec a module of the package passes to ``contract``."""
+    specs = set()
+    for path in Path(geometry.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "contract" and isinstance(node.args[0], ast.Constant):
+                specs.add(node.args[0].value)
+    return sorted(specs)
+
+
+# an operand name of each rank, in turn: a field's and a chart's values
+_SPEC_OPERANDS = {1: ("v", "xi", "df"), 2: ("t1", "inv", "t2"),
+                  3: ("gamma", "dg", "combo")}
+
+
+def test_package_specs_are_found():
+    specs = _package_specs()
+    assert {"ik,kj->ij", "ii->", "k,km,m->", "tij,j->ti"} <= set(specs)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("spec", _package_specs())
+def test_contract_spec(spec, d):
+    # random operands of the spec's ranks, every letter of length d
+    names = []
+    for term in spec.split("->")[0].split(","):
+        taken = [k for k in names if _ROLES[k][1] == len(term)]
+        names.append(_SPEC_OPERANDS[len(term)][len(taken)])
+
+    def run(fn):
+        return lambda ops: fn(spec, *(ops[k] for k in names))
+
+    _pin(run(contract), run(_loop), run(_ellipsis), tuple(names), d)
 
 
 def _ellipsis(subscripts, *operands):
