@@ -70,6 +70,7 @@ from .geometry import (
     laplacian,
     on_batch,
     on_bound_batch,
+    phi_flat,
     with_a,
     xi_derivatives,
 )
@@ -150,17 +151,18 @@ def riemann_bar(structure: AcmStructure, point, r04) -> np.ndarray:
     the chart's or one a soliton forces.  The result has the broadcast
     sample axes of a, R04 and T, and is the sample-major view of a
     component-major buffer, where a scales whole rows of samples; (a - 1) T
-    is added one pair row at a time, so no second stacked (0,4) array is
-    alive.  T is memoised on the base batch.
+    is added one pair row at a time, so no second block is alive.  T is
+    memoised on the base batch.
     """
     a = point[A]
     k = a.ndim  # sample axes, a in front
     r = component_major(r04, 3, k)
     t = component_major(_curvature_term(structure, point), 3, k)
     out = np.empty(np.broadcast_shapes(r.shape, t.shape, a.shape))
-    for row, r_row, t_row in zip(out, r, t):
-        np.multiply(a, r_row, out=row)
-        row += (a - 1.0) * t_row
+    np.multiply(a, r, out=out)
+    b = a - 1.0
+    for row, t_row in zip(out, t):
+        row += b * t_row
     return sample_major(out, 3)
 
 
@@ -342,11 +344,10 @@ class DeformedStructure:
     def nabla_phi_closed(self, point) -> np.ndarray:
         """(nabla_bar_i phi)^k_j as [i, k, j]."""
         self.require_kenmotsu(point)
-        m = self.base.manifold.metric_at_cached(point)
         phi = self.base.phi_values(point)
-        g_phi = contract("mi,mj->ij", phi, m.g)
         return (
-            contract("ij,k->ikj", g_phi, self.base.xi_values(point))
+            contract("ij,k->ikj", phi_flat(self.base, point),
+                     self.base.xi_values(point))
             / _a(point, 3)
             - contract("j,ki->ikj", self.base.eta_values(point), phi)
         )

@@ -246,12 +246,6 @@ def _swap(t: np.ndarray) -> np.ndarray:
     return np.swapaxes(t, -1, -2)
 
 
-def _rows(t: np.ndarray, k: int) -> np.ndarray:
-    """``t`` with the ``k`` slot axes before its last folded into one axis
-    of rows, so a contraction over the last axis is one product per sample."""
-    return t.reshape(t.shape[:-k - 1] + (-1, t.shape[-1]))
-
-
 def _refuse(bad, message: str, point) -> None:
     if np.any(bad):
         raise StructureError(f"{message} at {locate(point, bad)}")
@@ -454,15 +448,17 @@ def _curvature_symmetry_residuals(r04: np.ndarray) -> tuple:
     full-tensor residuals to within the second-pair residual.
     """
     # component-major, so each pass runs over whole rows of samples, and
-    # each residual is written into the buffer of the entries it reads
+    # each residual, then its |x|, is written into the buffer of the
+    # entries it reads, which is reduced once for all three; |R04| is then
+    # written into the first of them
     r = component_major(r04, 3)
     x = _entries(r, *_block_reads(r.shape[1])[0])
     np.subtract(r, x[1], out=x[1])
     np.add(np.add(r, x[0], out=x[0]), x[2], out=x[2])
     np.add(r, r.swapaxes(1, 2), out=x[0])
-    worst = [max_abs(sample_major(residual, 3), 3) for residual in x]
-    tol = _CURVATURE_SYMMETRY_TOL * np.maximum(max_abs(r04, 3), 1.0)
-    return tol, np.stack(worst, axis=-1)
+    worst = sample_major(np.abs(x, out=x).max(axis=(1, 2, 3)), 1)
+    scale = np.abs(r, out=x[0]).max(axis=(0, 1, 2))
+    return _CURVATURE_SYMMETRY_TOL * np.maximum(scale, 1.0), worst
 
 
 @cache
@@ -527,37 +523,34 @@ def _riemann(d2g, gamma, combo, inv) -> tuple:
                    - d_b d_c g_ad) + Gamma_l,bd Gamma^l_ac
                    - Gamma_l,ad Gamma^l_bc
     with Gamma_l,ij = (1/2) combo[i, j, l], and R13[a,b,c,l] = R04[a,b,c,d]
-    g^ld.  Both are sample-major views of component-major arrays.  d2g is
-    read as the component-major buffer it is evaluated into; the two
-    products are formed sample-major, where numpy's matmul writes fastest,
-    and copied.
+    g^ld.  Both are sample-major views of component-major arrays, and
+    every temporary is the size of the block: no d^4 product is formed.
+    d2g is read as the component-major buffer it is evaluated into, at the
+    pairs and at their swaps, and then let go, so a caller that hands over
+    its only reference frees it before the products are formed.
     """
-    d = inv.shape[-1]
-    # t[b, d, a, c] = combo[b, d, l] Gamma^l_ac = 2 Gamma_l,bd Gamma^l_ac,
-    # one product per sample
-    t = _rows(combo, 2) @ gamma.reshape(gamma.shape[:-3] + (d, d * d))
-    t = component_major(t.reshape(t.shape[:-2] + (d,) * 4), 4)
-    # component-major, so each pass runs over whole rows of samples: with
-    # s[a, b, c, d] = d2g[a, c, b, d] = d_a d_c g_bd and v[a, b, c, d] =
-    # t[b, d, a, c], 2 R04 = w - w.swap(a, b) for w = s - s.swap(c, d) + v,
-    # and w is taken at the pairs (a < b) and at their swaps alone
+    pairs = pair_index(inv.shape[-1])
     s = component_major(d2g, 4)
+    x, y = component_major(combo, 3), component_major(gamma, 3)
     rest = tuple(range(4, s.ndim))
-    pairs = pair_index(d)
-    rows = pairs.ij, pairs.ji
-    w = s.transpose((0, 2, 1, 3) + rest)[rows]
-    w -= s.transpose((0, 2, 3, 1) + rest)[rows]
-    w = plus(w, t.transpose((2, 0, 3, 1) + rest)[rows])
-    del t
-    P = pairs.i.size
-    r04 = w[:P] - w[P:]
-    del w
+
+    def second(a, b):
+        # d_a d_c g_bd - d_a d_d g_bc at the pairs (a, b)
+        u = s.transpose((0, 2, 1, 3) + rest)[a, b]
+        return sample_major(u - u.swapaxes(1, 2), 3)
+
+    def w(u, a, b):
+        # w[a, b, c, d] = u + combo[b, d, l] Gamma^l_ac at the pairs (a, b),
+        # so 2 R04 = w(a, b) - w(b, a)
+        return plus(u, contract("pdl,plc->pcd", sample_major(x[b], 3),
+                                sample_major(y.swapaxes(0, 1)[a], 3)))
+
+    u_ab, u_ba = second(pairs.i, pairs.j), second(pairs.j, pairs.i)
+    del d2g, s
+    r04 = w(u_ab, pairs.i, pairs.j)
+    r04 -= w(u_ba, pairs.j, pairs.i)
     r04 *= 0.5
-    r04 = sample_major(r04, 3)
-    # R13[(a, b, c), l] = R04[(a, b, c), d] g^ld, one product per sample
-    r13 = _rows(r04, 2) @ _swap(inv)
-    r13 = component_major(r13.reshape(r13.shape[:-2] + (P, d, d)), 3)
-    return sample_major(r13, 3), r04
+    return contract("pcd,ld->pcl", r04, inv), r04
 
 
 @on_batch
@@ -573,6 +566,7 @@ def curvature_bundle(manifold, point) -> dict:
     m = manifold.metric_at_cached(point)
     combo = _gamma_combo(m.dg)
     gamma = _christoffel(m.inv, combo)
+    # the second partials are handed over, so _riemann frees them once read
     r13, r04 = _riemann(manifold.metric_second_partials(point), gamma, combo,
                         m.inv)
     _check_curvature_symmetries(r04, manifold.name, point)
@@ -708,8 +702,10 @@ def divergence(manifold, field: VectorField, point):
     return contract("ii->", dv) + contract("iik,k->", gamma, v)
 
 
+@on_batch
 def laplacian(manifold, f: ScalarField, point):
-    """Laplace-Beltrami operator, the metric trace of the Hessian."""
+    """Laplace-Beltrami operator, the metric trace of the Hessian, memoised
+    on a batch."""
     return trace(hessian(manifold, f, point), manifold.metric_at_cached(point))
 
 
@@ -795,8 +791,7 @@ class AcmStructure:
         xi = self.xi_values(point)
         eta = self.eta_values(point)
         eye = np.eye(self.manifold.dim)
-        # (phi^T g) phi
-        phi_g_phi = contract("ik,kj->ij", contract("ki,kj->ij", phi, m.g), phi)
+        phi_g_phi = contract("ik,kj->ij", phi_flat(self, point), phi)
         return {
             "phi-squared": max_abs(
                 contract("ik,kj->ij", phi, phi) - (-eye + outer(xi, eta)), 2
@@ -812,6 +807,15 @@ class AcmStructure:
 
     def acm_residual(self, point):
         return np.max(np.broadcast_arrays(*self.validate(point).values()), axis=0)
+
+
+@on_batch
+def phi_flat(structure: AcmStructure, point) -> np.ndarray:
+    """g(phi d_i, d_j) = phi^m_i g_mj, the (0, 2) tensor phi^T g, memoised
+    on a batch: the structure axioms, the Kenmotsu condition and the
+    deformed nabla phi read it."""
+    g = structure.manifold.metric_at_cached(point).g
+    return contract("mi,mj->ij", structure.phi_values(point), g)
 
 
 def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> np.ndarray:
@@ -861,13 +865,12 @@ def kenmotsu_details(structure: AcmStructure, point) -> dict:
     and the corollary checked alongside is nabla xi = I - eta (x) xi.
     Memoised on a batch.
     """
-    m = structure.manifold.metric_at_cached(point)
     phi = structure.phi_values(point)
     xi = structure.xi_values(point)
     eta = structure.eta_values(point)
     nabla_phi = nabla_phi_tensor(structure, point)
     # target: g(phi d_i, d_j) xi^k - eta_j phi^k_i
-    target = (contract("ij,k->ikj", contract("mi,mj->ij", phi, m.g), xi)
+    target = (contract("ij,k->ikj", phi_flat(structure, point), xi)
               - contract("j,ki->ikj", eta, phi))
     nabla_xi = covariant_derivative(structure.manifold, structure.xi_field, point)
     target_xi = np.eye(structure.manifold.dim) - outer(eta, xi)

@@ -184,11 +184,11 @@ def _full_residual(kind: str, g, curvature, lie, lam):
     if kind == "ricci":
         return max_abs(0.5 * lie + (curvature - _tensor(lam) * g), 2)
     # L_V g o g - lambda g o g as one product: o is linear in each slot;
-    # 2 R is summed into the product's own buffer, which is laid out
-    # component-major on the first-pair block like R04, so the sum runs
-    # over whole sample rows
-    full = kulkarni_nomizu(lie - _tensor(lam) * g, g)
-    return max_abs(plus(full, 2.0 * curvature), 3)
+    # 2 R, then |x|, is written into the product's own buffer, which is
+    # laid out component-major on the first-pair block like R04, so each
+    # pass runs over whole sample rows
+    full = plus(kulkarni_nomizu(lie - _tensor(lam) * g, g), 2.0 * curvature)
+    return np.abs(full, out=full).max(axis=(-3, -2, -1))
 
 
 @on_batch

@@ -32,13 +32,16 @@ Conventions used across the package:
   construction, and is stored on its first-pair block x[(a < b), c, d]:
   P = d(d-1)/2 rows of (c, d) components, in the order of ``pair_index``,
   rank 3 to ``max_abs``.  The full tensor's rows with a > b are the exact
-  negatives of these (x - y = -(y - x), and products, sums and matmul rows
-  commute with negation exactly) and its rows with a = b exact zeros, so
-  a max over the block's components is the max over the full tensor's,
-  bit for bit;
-* a small contraction (a Hilbert-Schmidt raise or pairing, a metric
-  trace, a product of (0, 2), (1, 1) and (1, 2) tensors, a Lie derivative)
-  is one ``contract`` call, written in component indices alone
+  negatives of these (x - y = -(y - x), and products and sums commute
+  with negation exactly) and its rows with a = b exact zeros, so a max
+  over the block's components is the max over the full tensor's, bit for
+  bit.  Every rank-4 kernel computes the block alone, in buffers the size
+  of the block (P d^2 values per sample): no d^4 product and no array of
+  2P rows of pairs and their swaps is formed;
+* a contraction (a Hilbert-Schmidt raise or pairing, a metric trace, a
+  product of (0, 2), (1, 1) and (1, 2) tensors, a Lie derivative, the
+  curvature's Gamma Gamma term and its R13 raise) is one ``contract``
+  call, written in component indices alone
   (``contract("ik,kj->ij", a, b)``) on sample-major operands.  It is the
   package's one ``np.einsum``: it runs over the ``component_major``
   operands with the sample axes last (``"ik...,kj...->ij..."``), so each
@@ -50,8 +53,8 @@ Conventions used across the package:
   summed in an order of their own: a sum with one nonzero term, as on a
   diagonal metric, keeps its bits, and others move at round-off.  On a batch
   whose every operand is sample-free, numpy reduces the components of
-  its one sample in an order of its own.  The curvature's two products
-  and the metric's inverse guard stay batched matmul (``geometry``);
+  its one sample in an order of its own.  Only the metric's inverse
+  guard stays a batched matmul (``geometry``);
 * the curvature (0, 4) index order is R(X, Y, Z, W) = g(R(X, Y)Z, W) with
   slots stored in that order;
 * the Hilbert-Schmidt pairing of two (0, 2) tensors is
@@ -271,8 +274,6 @@ class Pairs(NamedTuple):
 
     i: np.ndarray  # (P,): row p is the pair (i[p], j[p]), i < j
     j: np.ndarray
-    ij: np.ndarray  # (2P,): i then j, and j then i: the pairs and their swaps
-    ji: np.ndarray
     row: np.ndarray  # (d, d): x[a, b] = sign[a, b] * block[row[a, b]]
     sign: np.ndarray
 
@@ -286,7 +287,7 @@ def pair_index(d: int) -> Pairs:
     sign = np.zeros((d, d))
     row[i, j] = row[j, i] = np.arange(i.size)
     sign[i, j], sign[j, i] = 1.0, -1.0
-    out = Pairs(i, j, np.r_[i, j], np.r_[j, i], row, sign)
+    out = Pairs(i, j, row, sign)
     for x in out:
         x.flags.writeable = False
     return out
@@ -300,21 +301,21 @@ def kulkarni_nomizu(a, b) -> np.ndarray:
                        - A(X,Z)B(Y,W) - A(Y,W)B(X,Z)
 
     Each kept entry is (A_ad B_bc - A_ac B_bd) + (A_bc B_ad - A_bd B_ac).
-    The product is formed component-major and returned as a sample-major
-    view; writing into it writes into that buffer alone.
+    The product is formed component-major in buffers the size of the block
+    and returned as a sample-major view; writing into it writes into that
+    buffer alone.
     """
     ndim = max(np.ndim(a), np.ndim(b)) - 2
     a = component_major(a, 2, ndim)
     b = component_major(b, 2, ndim)
     pairs = pair_index(a.shape[0])
-    # p[r, c, d] = A_ad B_bc at the pairs (a, b) and their swaps, so
-    # A_ad B_bc - A_ac B_bd is p less p with c and d swapped at the pairs,
-    # and A_bc B_ad - A_bd B_ac is p with c and d swapped less p at their
-    # swaps
-    p = a[pairs.ij][:, None, :] * b[pairs.ji][:, :, None]
-    P = pairs.i.size
-    out = p[:P] - p[:P].swapaxes(1, 2)
-    out += p[P:].swapaxes(1, 2) - p[P:]
+    # x[p, c, d] = A_ad B_bc and y[p, c, d] = A_bc B_ad at the pairs (a, b),
+    # so the entry is x less x with c and d swapped plus y less y with c
+    # and d swapped
+    x = a[pairs.i][:, None, :] * b[pairs.j][:, :, None]
+    y = a[pairs.j][:, :, None] * b[pairs.i][:, None, :]
+    out = x - x.swapaxes(1, 2)
+    out += np.subtract(y, y.swapaxes(1, 2), out=x)
     return sample_major(out, 3)
 
 

@@ -487,3 +487,35 @@ def test_deformed_ricci_and_hessian_computed_once(monkeypatch, sampled_batches):
     for method in (ds.ricci_closed, ds.hessian_closed):
         [(_, a)] = _memo_keys(points, method)
         assert a is not None
+
+
+def test_phi_flat_and_laplacian_computed_once(monkeypatch, sampled_batches):
+    # phi^T g, which the structure axioms, the Kenmotsu condition and the
+    # deformed nabla phi read, is contracted once per structure and frame,
+    # and the Laplacian of a (chart, scalar) once per frame, however many
+    # closed forms and suites read it
+    specs, traced = [], []
+    real_contract, real_hessian = geometry.contract, geometry.hessian
+
+    def contract(spec, *operands):
+        specs.append(spec)
+        return real_contract(spec, *operands)
+
+    def hessian(*args):
+        traced.append(args[-1])
+        return real_hessian(*args)
+
+    monkeypatch.setattr(geometry, "contract", contract)
+    monkeypatch.setattr(geometry, "hessian", hessian)
+    config = builtin_config("kenmotsu3")
+    config.points = 16
+    assert all(c.passed for c in run_suites(config))
+    [points] = sampled_batches
+    flats = _memo_keys(points, geometry.phi_flat)
+    # the base structure on the samples, the deformed one on the frame
+    assert sorted(a is None for _, a in flats) == [False, True]
+    assert specs.count("mi,mj->ij") == len(flats)
+    # geometry.laplacian alone reads the Hessian through the module
+    laplacians = _memo_keys(points, geometry.laplacian)
+    assert len(laplacians) > 1
+    assert len(traced) == len(laplacians)

@@ -29,18 +29,24 @@ second pin alone holds.
 
 The (0,4) kernels (the curvature, the Kulkarni-Nomizu product, the
 symmetry guard) compute on the first-pair block x[(a < b), c, d] alone.
-Their references are the full-layout kernels they replaced, and the block
-must be the reference's rows a < b bit for bit, its rows a > b their
-exact negatives and its rows a = b exact zeros: that is what keeps every
-max over components, and so every reported residual, unchanged.  These
-run on length-1 sample axes too.
+The references of the product and the guard are the full-layout kernels
+they replaced, and the block must be the reference's rows a < b bit for
+bit, its rows a > b their exact negatives and its rows a = b exact zeros:
+that is what keeps every max over components, and so every reported
+residual, unchanged.  The curvature takes its Gamma Gamma term and its
+R13 raise as contractions, so it is pinned as they are: bit for bit its
+plain component loop, and within 2^10 eps of the full-layout kernel it
+replaced.  These run on length-1 sample axes too.  Their peak memory,
+traced, is pinned in blocks, so a d^4 temporary or one of 2P pair rows
+that comes back fails.
 
 Two kernels skip a copy the routes they replaced made:
 ``_evaluate_all`` writes each tree into one row of a component-major
 buffer and returns its sample-major view, so ``component_major`` of an
-evaluated value copies nothing, and ``kulkarni_nomizu`` sums its two
-differences without the full-size one.  Each is compared bit for bit with
-the route it replaced, kept here as its reference.
+evaluated value copies nothing, and ``kulkarni_nomizu`` forms its four
+products on the pair rows alone, without the full-size difference or the
+2P rows of pairs and their swaps.  Each is compared bit for bit with the
+route it replaced, kept here as its reference.
 
 Two kernels take a shorter route than their references, so they match
 within 2^10 eps of the largest reference component, and hold a NaN in the
@@ -54,6 +60,7 @@ without which the two routes differ.
 import ast
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -63,7 +70,7 @@ from conftest import expand
 from numpy.testing import assert_array_equal
 
 from acmsolitons import deformation, geometry, solitons
-from acmsolitons.deformation import DeformedStructure
+from acmsolitons.deformation import DeformedStructure, deform
 from acmsolitons.expr import A, Const, Coord, EvalError, add, call, evaluate, mul
 from acmsolitons.geometry import (
     ChartManifold,
@@ -71,6 +78,7 @@ from acmsolitons.geometry import (
     _curvature_symmetry_residuals,
     _evaluate_all,
     _riemann,
+    curvature_bundle,
     gradient_lie_derivative,
 )
 from acmsolitons.tensor import (
@@ -150,7 +158,8 @@ def _kn_block_ref(a, b):
     a = component_major(a, 2, ndim)
     b = component_major(b, 2, ndim)
     pairs = pair_index(a.shape[0])
-    p = a[pairs.ij][:, None, :] * b[pairs.ji][:, :, None]
+    ij, ji = np.r_[pairs.i, pairs.j], np.r_[pairs.j, pairs.i]
+    p = a[ij][:, None, :] * b[ji][:, :, None]
     h = p - p.swapaxes(1, 2)
     P = pairs.i.size
     return sample_major(np.add(h[:P], h[P:].swapaxes(1, 2)), 3)
@@ -223,11 +232,17 @@ def _christoffel_partials_ref(m, dinv, d2g):
     return out
 
 
+def _rows(t, k):
+    """``t`` with the ``k`` slot axes before its last folded into one axis
+    of rows, so a contraction over the last axis is one product per sample."""
+    return t.reshape(t.shape[:-k - 1] + (-1, t.shape[-1]))
+
+
 def _riemann_full_ref(d2g, gamma, combo, inv):
     """R13[l, a, b, c] and R04[a, b, c, d], as the kernel formed them on
     every row before it kept the first-pair block."""
     d = inv.shape[-1]
-    t = geometry._rows(combo, 2) @ gamma.reshape(gamma.shape[:-3] + (d, d * d))
+    t = _rows(combo, 2) @ gamma.reshape(gamma.shape[:-3] + (d, d * d))
     t = component_major(t.reshape(t.shape[:-2] + (d,) * 4), 4)
     s = component_major(d2g, 4)
     rest = tuple(range(4, s.ndim))
@@ -236,7 +251,7 @@ def _riemann_full_ref(d2g, gamma, combo, inv):
     r04 = w - w.swapaxes(0, 1)
     r04 *= 0.5
     r04 = sample_major(r04, 4)
-    r13 = geometry._rows(r04, 3) @ np.swapaxes(inv, -1, -2)
+    r13 = _rows(r04, 3) @ np.swapaxes(inv, -1, -2)
     r13 = r13.reshape(r13.shape[:-2] + (d,) * 4)
     r13 = component_major(np.moveaxis(r13, -1, -4), 4)
     return sample_major(r13, 4), r04
@@ -499,6 +514,25 @@ def test_riemann_tensors(d, lead):
         _near(expand(r04), r04_ref, 4)
 
 
+def _riemann_loop(d2g, gamma, combo, inv):
+    """R13 and R04 on their first-pair blocks as plain component loops, in
+    the kernel's summation order: at the pairs (a, b) and at their swaps,
+    w = (d_a d_c g_bd - d_a d_d g_bc) + combo[b, d, l] Gamma^l_ac, each
+    product summed over l from zero; R04 = (1/2)(w(a, b) - w(b, a)), and
+    R13[(a, b), c, l] = R04[(a, b), c, d] g^ld summed over d from zero."""
+    pairs = pair_index(inv.shape[-1])
+
+    def w(a, b):
+        t = _loop("pdl,plc->pcd", combo[..., b, :, :],
+                  np.swapaxes(gamma, -3, -2)[..., a, :, :])
+        s = np.moveaxis(d2g, -3, -2)[..., a, b, :, :]
+        return (s - _sw(s)) + t
+
+    r04 = w(pairs.i, pairs.j) - w(pairs.j, pairs.i)
+    r04 *= 0.5
+    return _loop("pcd,ld->pcl", r04, inv), r04
+
+
 @pytest.mark.parametrize("lead", BLOCK_LEADS)
 @pytest.mark.parametrize("d", DIMS)
 def test_riemann_block(d, lead):
@@ -509,16 +543,25 @@ def test_riemann_block(d, lead):
     # a NaN at d_0 d_0 g_00 reaches the full rows a = b alone, one at
     # d_0 d_0 g_11 the rows a < b too
     d2g = _random(lead, d, 4, seed=10)
+    pairs = pair_index(d)
     cases = [c for at in (None, (0, 0, 1, 1)) for c in _variants(d2g, 4, at)]
     for label, d2g in cases:
-        r13_ref, r04_ref = _riemann_full_ref(d2g, gamma, combo, inv)
-        r13, r04 = _riemann(d2g, gamma, combo, inv)
-        _assert_block(r04, r04_ref, label)
-        # R13[l, a, b, c] has its block at [(a < b), c, l]
-        _assert_block(r13, np.moveaxis(r13_ref, -4, -1), label)
-        for got in (r13, r04):
+        got = _riemann(d2g, gamma, combo, inv)
+        # bit for bit the loop in the kernel's order, but on one sample,
+        # whose components numpy reduces in an order of its own
+        loop = _riemann_loop(d2g, gamma, combo, inv)
+        for g, r in zip(got, loop):
+            assert g.shape == r.shape, label
+            if math.prod(lead) > 1:
+                assert_array_equal(g, r, err_msg=label)
             # sample-major views of component-major buffers
-            assert np.shares_memory(component_major(got, 3), got), label
+            assert np.shares_memory(component_major(g, 3), g), label
+        # within 2^10 eps of the full-layout route it replaced, whose rows
+        # a < b are the block: R13[l, a, b, c] has it at [(a < b), c, l]
+        r13_ref, r04_ref = _riemann_full_ref(d2g, gamma, combo, inv)
+        r13_ref = np.moveaxis(r13_ref, -4, -1)
+        for g, r in zip(got, (r13_ref, r04_ref)):
+            _near(g, r[..., pairs.i, pairs.j, :, :], 3)
 
 
 @pytest.mark.parametrize("lead", LEADS)
@@ -726,7 +769,7 @@ def test_christoffel_and_combo(d):
 
     def christoffel_route(ops):
         combo = ops["combo"]
-        gamma = ops["inv"] @ _sw(geometry._rows(combo, 2))
+        gamma = ops["inv"] @ _sw(_rows(combo, 2))
         return 0.5 * gamma.reshape(gamma.shape[:-1] + combo.shape[-2:])
 
     _pin(lambda ops: geometry._christoffel(ops["inv"], ops["combo"]),
@@ -765,7 +808,7 @@ def _gradient_route(ops):
     inv = ops["inv"]
     v = inv @ ops["df"][..., :, None]
     dg = ops["dg"]
-    dgv = geometry._rows(dg, 2) @ v
+    dgv = _rows(dg, 2) @ v
     dv = (ops["ddf"] - dgv.reshape(dgv.shape[:-2] + dg.shape[-3:-1])) @ _sw(inv)
     return _lie_route(ops, v[..., 0], dv)
 
@@ -1285,3 +1328,70 @@ def test_evaluate_all_layout(shape):
         ref = _evaluate_all_ref(exprs, point, dims)
         assert_array_equal(np.broadcast_to(got, ref.shape), ref,
                            err_msg=label)
+
+
+# ---------------------------------------------------------------------------
+# temporaries: every rank-4 kernel works in buffers the size of its block
+
+
+def _peak(call, prepare=None) -> int:
+    """The peak of the memory traced during ``call()``, above what was
+    traced when it began; numpy traces its data buffers.  ``prepare`` runs
+    before, under the trace, so a buffer it makes that ``call`` lets go is
+    traced as going."""
+    tracemalloc.start()
+    try:
+        if prepare is not None:
+            prepare()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fixture", ["kenmotsu3", "kenmotsu5"])
+def test_rank4_peaks(fixture, request):
+    # the deformed frames of the benchmark's k3-dense and k5-sweep
+    # workloads: d = 3 on an (4, 256) batch, d = 5 on an (8, 16) one.  A
+    # block is P d^2 doubles per sample, P = d(d-1)/2; a d^4 temporary is
+    # 3 blocks at d = 3 and 2.5 at d = 5, one of 2P pair rows 2 blocks.
+    # The bounds are the measured peaks with 0.25 blocks to spare:
+    # _riemann, beyond the second partials it is handed and lets go, 3.24
+    # and 3.22 blocks; kulkarni_nomizu 3.56 and 3.31; curvature_bundle,
+    # which holds the d^4 second partials, 9.95 and 7.44.  With the d^4 and
+    # 2P-row temporaries they replaced they were 7.24 and 6.71, 4.56 and
+    # 4.31, 13.95 and 10.93
+    config = request.getfixturevalue(fixture)
+    grid, count, bounds = {
+        "kenmotsu3": (config.a_grid, 256, (3.49, 3.81, 10.2)),
+        "kenmotsu5": ((0.25, 0.5, 0.8, 1.0, 1.5, 2.0, 3.7, 6.0), 16,
+                      (3.47, 3.56, 7.69)),
+    }[fixture]
+    ds = deform(config.structure, grid)
+
+    def frame():
+        return ds.at(geometry.sample_batch(config.manifold, config.box, count,
+                                           config.seed))
+
+    d = ds.manifold.dim
+    block = d * (d - 1) // 2 * d * d * len(grid) * count * 8
+    pa = frame()
+    m = ds.manifold.metric_at_cached(pa)
+    combo = geometry._gamma_combo(m.dg)
+    gamma = geometry._christoffel(m.inv, combo)
+    lie = np.ascontiguousarray(np.broadcast_to(m.g, gamma.shape[:-3] + (d, d)))
+    # as curvature_bundle calls it, _riemann is handed the one reference to
+    # the d^4 second partials, and lets them go before its products
+    handed = []
+    peaks = (_peak(lambda: _riemann(handed.pop(), gamma, combo, m.inv),
+                   lambda: handed.append(
+                       ds.manifold.metric_second_partials(pa))),
+             _peak(lambda: kulkarni_nomizu(lie, m.g)),
+             # a fresh batch: the metric, its partials and the curvature
+             # are evaluated, the d^4 second partials among them
+             _peak(lambda: curvature_bundle(ds.manifold, frame())))
+    for label, got, bound in zip(("_riemann", "kulkarni_nomizu",
+                                  "curvature_bundle"), peaks, bounds):
+        assert got / block <= bound, f"{label}: {got / block:.2f} blocks"

@@ -188,3 +188,22 @@ def test_mutation_list_matches_the_source():
         assert m.new != m.old, m.id
         assert bool(m.killers) != bool(m.survives), m.id
         assert set(m.killers) <= set(script.FIXTURES), m.id
+
+
+def test_perf_ab_dry_run():
+    # two git archive copies, then one worker run per side and pair, the
+    # sides alternating which goes first, each pair at its own seed
+    proc = _run_script("perf_ab.py", "HEAD~1", "HEAD", "--pairs", "3",
+                       "--seconds", "5", "--seed", "7", "--dry-run")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("git archive HEAD~1 | tar -x -C ")
+    assert lines[1].startswith("git archive HEAD | tar -x -C ")
+    runs = lines[2:]
+    assert [Path(line.split()[1]).name for line in runs] == [
+        "base", "change", "change", "base", "base", "change"]
+    assert [line.split("--seed ")[1].split()[0] for line in runs] == [
+        "7", "7", "8", "8", "9", "9"]
+    for line in runs:
+        assert ("perfbench/worker.py --workload k5-sweep" in line
+                and "--seconds 5 --trace 0" in line), line
