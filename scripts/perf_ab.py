@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Compare the benchmark time of two git revisions in alternating runs.
 
-    python3 scripts/perf_ab.py BASE CHANGE --workload k5-sweep --pairs 8
+    python3 scripts/perf_ab.py BASE [CHANGE] --workload k5-sweep --pairs 8
 
 Each revision is extracted with ``git archive`` into a directory of its
 own, so both sides run from the same kind of copy (identical sources read
 from the working checkout run measurably slower than from such a copy).
-Then ``perfbench/worker.py --trace 0`` runs once per revision and pair,
+Without CHANGE the change is the working tree, uncommitted work included:
+the files git tracks or would track (``git ls-files --cached --others
+--exclude-standard``) are copied as they are on disk into a directory of
+their own, as ``git archive`` extracts a commit.  Then ``perfbench/worker.py --trace 0`` runs once per revision and pair,
 the two sides alternating which goes first, every pair at its own seed.
 The script prints each pair's ``verify_s.p50`` (scaled for host speed,
 in ms), which side was faster, the number of pairs the change won, the
@@ -21,6 +24,7 @@ import argparse
 import io
 import json
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -30,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRIC = "verify_s.p50"
+WORKTREE = "working tree"
 
 
 def _extract(rev: str, into: Path) -> None:
@@ -40,6 +45,21 @@ def _extract(rev: str, into: Path) -> None:
                            f"{archive.stderr.decode().strip()}")
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(into, filter="data")
+
+
+def _copy_worktree(into: Path) -> None:
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], capture_output=True)
+    if listed.returncode != 0:
+        raise RuntimeError(f"git ls-files failed: "
+                           f"{listed.stderr.decode().strip()}")
+    for name in listed.stdout.decode().split("\0"):
+        source = ROOT / name
+        # a tracked file deleted in the working tree is left out
+        if name and source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def _worker(args, seed: int) -> list:
@@ -73,7 +93,9 @@ def _order(pair: int) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="git revision to compare against")
-    parser.add_argument("change", help="git revision of the change")
+    parser.add_argument("change", nargs="?", default=None,
+                        help="git revision of the change (default: the "
+                        "working tree, uncommitted work included)")
     parser.add_argument("--workload", default="k5-sweep")
     parser.add_argument("--pairs", type=int, default=8)
     parser.add_argument("--seconds", type=int, default=30,
@@ -89,13 +111,15 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if args.seconds < 1:
         parser.error("--seconds must be at least 1")
-    revs = {"base": args.base, "change": args.change}
+    revs = {"base": args.base, "change": args.change or WORKTREE}
 
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: Path(tmp) / side for side in revs}
         if args.dry_run:
             for side, rev in revs.items():
-                print(f"git archive {rev} | tar -x -C {dirs[side]}")
+                print(f"git ls-files --cached --others --exclude-standard | "
+                      f"copy into {dirs[side]}" if rev == WORKTREE
+                      else f"git archive {rev} | tar -x -C {dirs[side]}")
             for pair in range(args.pairs):
                 for side in _order(pair):
                     cmd = shlex.join(_worker(args, args.seed + pair))
@@ -103,7 +127,10 @@ def main(argv=None) -> int:
             return 0
         try:
             for side, rev in revs.items():
-                _extract(rev, dirs[side])
+                if rev == WORKTREE:
+                    _copy_worktree(dirs[side])
+                else:
+                    _extract(rev, dirs[side])
             runs = {side: [] for side in revs}
             for pair in range(args.pairs):
                 seed = args.seed + pair

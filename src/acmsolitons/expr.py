@@ -286,11 +286,15 @@ def _evaluate(e: Expr, point):
         return _evaluate_pow(e, point)
     if isinstance(e, Call):
         value = _evaluate(e.arg, point)
+        out = FUNCTIONS[e.func](value)
+        # each refusal below needs a non-finite result: log of a value
+        # <= 0 is -inf or NaN, sqrt of a negative value NaN
+        if np.isfinite(out).all():
+            return out
         if e.func == "log":
             _refuse(np.less_equal(value, 0.0), "log of a non-positive value", e, point)
         if e.func == "sqrt":
             _refuse(np.less(value, 0.0), "sqrt of a negative value", e, point)
-        out = FUNCTIONS[e.func](value)
         _refuse(np.isfinite(value) & ~np.isfinite(out),
                 f"{e.func} failed (math range error)", e, point)
         _refuse(np.isinf(value) & np.isnan(out),
@@ -302,12 +306,18 @@ def _evaluate(e: Expr, point):
 def _evaluate_pow(e: Pow, point):
     base = _evaluate(e.base, point)
     exponent = _evaluate(e.exponent, point)
+    out = np.power(base, exponent)
+    # with a finite base and exponent, each refusal below needs a
+    # non-finite result: 0^-1 is inf, (-8)^(1/3) NaN; (-0.5)^inf = 0 is
+    # finite, but its exponent is not, so it is refused below
+    if (np.isfinite(out).all() and np.isfinite(base).all()
+            and np.isfinite(exponent).all()):
+        return out
     _refuse(np.equal(base, 0.0) & np.less(exponent, 0.0),
             "zero base with negative exponent", e, point)
     integral = np.isfinite(exponent) & np.equal(np.floor(exponent), exponent)
     _refuse(np.less(base, 0.0) & ~integral,
             "negative base with non-integer exponent", e, point)
-    out = np.power(base, exponent)
     _refuse(np.isfinite(base) & np.isfinite(exponent) & ~np.isfinite(out),
             "power failed (math range error)", e, point)
     return out

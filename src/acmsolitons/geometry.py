@@ -22,10 +22,13 @@ arguments, and computed on the samples alone unless an argument reads a
 or the function is declared to (``on_bound_batch``).  The symbolic
 layer only ever differentiates the defining expressions, and only through
 ``Field``, the one type of the metric, phi, xi, eta and every scalar or
-vector field: a field's values are memoised on a batch by the field, its
-exact partials are built once per coordinate tuple, on first use, and its
-second partials are the mean of both orders.  So each operator below
-matches its textbook coordinate formula exactly:
+vector field.  A field is compact, its distinct trees and each entry's
+row among them, so each distinct tree is differentiated once per
+coordinate and evaluated once per batch: a field's values are memoised
+on a batch by the field, its exact partials are built once per
+coordinate tuple, on first use, and its second partials are the mean of
+both orders, formed once per distinct pair of trees.  So each operator
+below matches its textbook coordinate formula exactly:
 
 * Christoffel symbols  Gamma^l_ij = (1/2) g^{lk} (d_i g_jk + d_j g_ik - d_k g_ij)
 * curvature            R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
@@ -51,6 +54,7 @@ R(X, Y) xi = eta(X) Y - eta(Y) X and Ric(xi, xi) = -2n.
 
 from __future__ import annotations
 
+import struct
 from functools import cache, cached_property, reduce, wraps
 
 import numpy as np
@@ -204,42 +208,58 @@ def _reads_a(exprs) -> bool:
     return any(A in coordinates_of(e) for e in exprs)
 
 
-def _evaluate_all(exprs, point, dims) -> np.ndarray:
-    """Evaluate a flat sequence of expressions into components of shape
-    ``dims``, behind the sample axes of the result.
+def _distinct(exprs) -> tuple:
+    """(trees, rows): the distinct trees of ``exprs`` in first-seen order,
+    and the row in ``trees`` of each entry, an intp array.  A constant is
+    keyed by the bits of its value, so 0.0 and -0.0 are two rows and equal
+    NaNs one; any other tree by equality."""
+    rows, trees, index = {}, [], []
+    for e in exprs:
+        key = (Const, struct.pack("<d", e.value)) if isinstance(e, Const) else e
+        row = rows.setdefault(key, len(trees))
+        if row == len(trees):
+            trees.append(e)
+        index.append(row)
+    return tuple(trees), np.array(index, dtype=np.intp)
 
-    Each tree that is no constant and equals no earlier one is evaluated,
-    in order, so a domain error names the same subtree and sample as
-    evaluating each entry would.  The sample axes are the broadcast of
-    the shapes of those values, padded on the left with length-1 axes to
-    the rank of ``point``'s: a constant reads no sample, so a sequence of
-    constants has length-1 sample axes, and one that reads a alone has
-    (A, 1).  Each value is one contiguous row of a component-major buffer;
-    then the constants are written in one pass, and in one more each
-    repeated tree (a mirrored entry, or mixed partials that fold to one
-    tree) is copied from its first.  The result is the sample-major view
-    of that buffer, so ``component_major`` of it is the buffer itself; the
-    buffer is read-only, as values are memoised.
+
+def _evaluate_all(trees, point) -> np.ndarray:
+    """The table of ``trees`` at ``point``: row k holds trees[k], in front
+    of the sample axes, so the table is component-major.
+
+    Each tree that is no constant is evaluated, in order, so a domain
+    error names the same subtree and sample as evaluating each entry of a
+    field would.  The sample axes are the broadcast of the shapes of those
+    values, padded on the left with length-1 axes to the rank of
+    ``point``'s: a constant reads no sample, so a table of constants has
+    length-1 sample axes, and one that reads a alone has (A, 1).  The
+    constants are written in one pass.
     """
-    first, consts, copies, values = {}, {}, {}, {}
-    for k, e in enumerate(exprs):
+    consts, values = {}, {}
+    for k, e in enumerate(trees):
         if isinstance(e, Const):
             consts[k] = e.value
-        elif first.setdefault(e, k) == k:
-            values[k] = evaluate(e, point)
         else:
-            copies[k] = first[e]
+            values[k] = evaluate(e, point)
     # the values come in few distinct shapes; broadcasting each once is cheap
     shape = np.broadcast_shapes(*{np.shape(v) for v in values.values()})
     shape = (1,) * (len(_shape(point)) - len(shape)) + shape
-    out = np.empty((len(exprs),) + shape)
+    out = np.empty((len(trees),) + shape)
     for k, v in values.items():
         out[k] = v
     out[list(consts)] = np.array(list(consts.values())).reshape(
         (-1,) + (1,) * len(shape))
-    out[list(copies)] = out[list(copies.values())]
+    return out
+
+
+def _assemble(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The rows ``index`` of a component-major table, taken at once into a
+    read-only component-major buffer of shape ``index.shape``, as its
+    sample-major view: ``component_major`` of it is the buffer itself."""
+    out = np.take(table, index.ravel(), axis=0).reshape(
+        index.shape + table.shape[1:])
     out.flags.writeable = False
-    return sample_major(out.reshape(dims + shape), len(dims))
+    return sample_major(out, index.ndim)
 
 
 def _swap(t: np.ndarray) -> np.ndarray:
@@ -346,11 +366,15 @@ class ChartManifold:
 
     def metric_second_partials(self, point) -> np.ndarray:
         # only the curvature reads them, once per chart and batch, so they
-        # are evaluated unmemoised: d^4 N doubles are not kept for the run
-        second = self.g.derivative(self.coords).derivative(self.coords)
-        out = _evaluate_all(second.exprs, point, second.dims)
-        self._finite(out, 4, "metric second partials", point)
-        return _mean_of_orders(out, 4)
+        # are not memoised: d^4 N doubles are not kept for the run.  The
+        # refusal reads the table of distinct trees, which is finite where
+        # every entry is, and the mean of both orders is the one d^4 buffer
+        trees, index = self.g.derivative(self.coords).derivative(
+            self.coords).compact
+        table = _evaluate_all(trees, point)
+        self._finite(sample_major(table, 1), 1, "metric second partials",
+                     point)
+        return _mean_of_both_orders(table, index)
 
     @on_batch
     def metric_at_cached(self, point) -> MetricData:
@@ -525,9 +549,9 @@ def _riemann(d2g, gamma, combo, inv) -> tuple:
     with Gamma_l,ij = (1/2) combo[i, j, l], and R13[a,b,c,l] = R04[a,b,c,d]
     g^ld.  Both are sample-major views of component-major arrays, and
     every temporary is the size of the block: no d^4 product is formed.
-    d2g is read as the component-major buffer it is evaluated into, at the
-    pairs and at their swaps, and then let go, so a caller that hands over
-    its only reference frees it before the products are formed.
+    d2g is read as the component-major buffer it is assembled into, at
+    the pairs and at their swaps, and then let go, so a caller that hands
+    over its only reference frees it before the products are formed.
     """
     pairs = pair_index(inv.shape[-1])
     s = component_major(d2g, 4)
@@ -592,12 +616,16 @@ class Field:
     """Expression trees in row-major order with a component shape ``dims``,
     () for a scalar: the metric, phi, xi, eta and each scalar or vector.
 
-    Its values are memoised on a batch by the field, so they are evaluated
-    once per batch whichever operator asks; callers must not write into
-    them.  Its exact partials are the field ``derivative`` builds once per
-    coordinate tuple, on first use, differentiating each distinct tree
-    object once (a mirrored metric entry or a shared zero is one tree);
-    its second partials are the mean of both orders.
+    A field is compact: its distinct trees in first-seen order and, for
+    each entry, its row among them, an intp ``index`` of shape ``dims``
+    (``compact``, found on first use, so loading a config hashes no tree).
+    Its values evaluate each distinct tree once and take the entries from
+    that table at once; they are memoised on a batch by the field, and
+    callers must not write into them.  Its exact partials are the field
+    ``derivative`` builds once per coordinate tuple, on first use,
+    differentiating each distinct tree once per coordinate (a mirrored
+    metric entry or a shared zero is one tree); its second partials are
+    the mean of both orders, taken on the distinct pairs of trees.
     """
 
     def __init__(self, exprs, dims):
@@ -605,45 +633,77 @@ class Field:
         self.dims = tuple(dims)
         self._derivatives = {}
 
+    @classmethod
+    def _of(cls, trees: tuple, index: np.ndarray) -> "Field":
+        """The field of distinct ``trees`` and their ``index``."""
+        field = cls.__new__(cls)
+        field.dims = index.shape
+        field.compact = trees, index
+        field._derivatives = {}
+        return field
+
+    @cached_property
+    def compact(self) -> tuple:
+        """(trees, index): the distinct trees and each entry's row."""
+        trees, rows = _distinct(self.exprs)
+        return trees, rows.reshape(self.dims)
+
+    @cached_property
+    def exprs(self) -> tuple:
+        """The entries in row-major order; a field built by ``derivative``
+        keeps only its compact form and lists them when asked."""
+        trees, index = self.compact
+        return tuple(trees[k] for k in index.ravel().tolist())
+
     @cached_property
     def reads_a(self) -> bool:
-        return _reads_a(self.exprs)
+        return _reads_a(self.compact[0])
 
     @on_batch
     def values(self, point) -> np.ndarray:
-        return _evaluate_all(self.exprs, point, self.dims)
+        trees, index = self.compact
+        return _assemble(_evaluate_all(trees, point), index)
 
     def derivative(self, coords) -> "Field":
-        """The field of first partials, [k, ...] = d_k of each component."""
+        """The field of first partials, [k, ...] = d_k of each component:
+        each distinct tree is differentiated once per coordinate, and the
+        entries' rows are one gather of the rows of those partials."""
         coords = tuple(coords)
         if coords not in self._derivatives:
-            trees = {id(e): e for e in self.exprs}
-            d = [{k: diff(e, c) for k, e in trees.items()} for c in coords]
-            self._derivatives[coords] = Field(
-                [dc[id(e)] for dc in d for e in self.exprs],
-                (len(coords),) + self.dims)
+            trees, index = self.compact
+            child, rows = _distinct([diff(e, c) for c in coords for e in trees])
+            self._derivatives[coords] = Field._of(
+                child, rows.reshape(len(coords), len(trees))[:, index])
         return self._derivatives[coords]
 
     def partials(self, coords, point) -> np.ndarray:
         """[k, ...] = d_k of each component at ``point``."""
         return self.derivative(coords).values(point)
 
+    @on_batch
     def second_partials(self, coords, point) -> np.ndarray:
         """[k, l, ...] = d_k d_l of each component at ``point``, the mean
-        of both orders."""
-        second = self.derivative(coords).derivative(coords)
-        return _mean_of_orders(second.values(point), len(second.dims))
+        of both orders, memoised on a batch."""
+        trees, index = self.derivative(coords).derivative(coords).compact
+        return _mean_of_both_orders(_evaluate_all(trees, point), index)
 
 
-def _mean_of_orders(x: np.ndarray, rank: int) -> np.ndarray:
-    """The mean of x[..., k, l, *] and x[..., l, k, *] over the first two of
-    its ``rank`` component axes: mixed partials commute, so this takes
-    evaluation-order noise away, in one component-major pass, and
-    (x + x)/2 = x keeps the l = k blocks."""
-    x = component_major(x, rank)
-    mean = x + x.swapaxes(0, 1)
+def _mean_of_both_orders(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The entries ``index`` [k, l, ...] of a field of second partials from
+    the ``table`` of its trees, each the mean of the rows at [k, l, ...]
+    and [l, k, ...]: mixed partials commute, so this takes
+    evaluation-order noise away.  The mean is formed once per distinct
+    pair of rows, as (t[i] + t[j]) * 0.5 with i <= j, and the entries are
+    taken from those means at once: addition commutes bit for bit, and
+    (x + x) * 0.5 = x keeps the l = k entries."""
+    count, swapped = len(table), index.swapaxes(0, 1)
+    codes = np.minimum(index, swapped) * count + np.maximum(index, swapped)
+    pairs, rows = np.unique(codes.ravel(), return_inverse=True)
+    first, second = np.divmod(pairs, count)
+    mean = np.take(table, first, axis=0)
+    mean += np.take(table, second, axis=0)
     mean *= 0.5
-    return sample_major(mean, rank)
+    return _assemble(mean, rows.reshape(index.shape))
 
 
 class ScalarField(Field):

@@ -77,7 +77,7 @@ class SuiteError(StructureError):
     """A check could not be evaluated."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     check_id: str
     anchor: str
@@ -143,12 +143,11 @@ def _worst(batch: Samples, items, check_id):
     keys = {}
     index = [keys.setdefault(key, len(keys)) for key, *_ in items]
     stack = np.zeros((len(items),) + shape)
-    covered = np.zeros((len(keys),) + shape, dtype=bool)
-    unmasked = set()
+    covered, unmasked = {}, set()  # the union of each key's masks
     for k, row, (_, residual, *mask) in zip(index, stack, items):
         if mask and mask[0] is not None:
             np.copyto(row, residual, where=mask[0])
-            covered[k] |= mask[0]
+            covered[k] = mask[0] if k not in covered else covered[k] | mask[0]
         else:
             row[...] = residual
             unmasked.add(k)
@@ -164,11 +163,14 @@ def _worst(batch: Samples, items, check_id):
             f"check {check_id(items[c][0])}{tag} has residual {stack[c].flat[s]} "
             f"at sample {locate(batch, bad.any(axis=0))}"
         )
-    worst = np.zeros((len(keys),) + shape[:-1])
-    np.maximum.at(worst, index, tops)
+    if len(keys) == len(items):
+        worst = tops  # one item per key, in order
+    else:
+        worst = np.zeros((len(keys),) + shape[:-1])
+        np.maximum.at(worst, index, tops)
     counts = np.full(worst.shape, shape[-1])  # what an unmasked key covers
-    masked = list(set(index) - unmasked)
-    counts[masked] = covered[masked].sum(axis=-1)
+    for k in covered.keys() - unmasked:
+        counts[k] = np.broadcast_to(covered[k], shape).sum(axis=-1)
     return dict(zip(keys, worst.tolist())), dict(zip(keys, counts.tolist()))
 
 
@@ -219,20 +221,23 @@ def _emit(batch: Samples, prefix: str, claims) -> list:
     items = [(c.key, c.residual, c.applies) for c in claims]
     worst, counts = _worst(batch, items, lambda key: f"{prefix}/{key}")
     first = {c.key: c for c in reversed(claims)}
-    # the class of each row, per distinct labels array (by identity)
-    classes = {id(None): [None] * len(a_row)}
+    # the tolerance of each row, per distinct tol, and the class of each
+    # row, per distinct labels array (both by identity)
+    tols, classes = {}, {id(None): [None] * len(a_row)}
     checks = []
     for key, tops in worst.items():
         c, ns = first[key], counts[key]
         if len(shape) == 1:
             tops, ns = [tops], [ns]
-        tols = ([c.tol(a) for a in a_row] if callable(c.tol)
-                else [c.tol] * len(a_row))
+        if id(c.tol) not in tols:
+            tols[id(c.tol)] = ([c.tol(a) for a in a_row] if callable(c.tol)
+                               else [c.tol] * len(a_row))
         if id(c.labels) not in classes:
             rows = np.broadcast_to(c.labels, shape).reshape(len(a_row), npts)
             same = (rows == rows[:, :1]).all(axis=1)
             classes[id(c.labels)] = np.where(same, rows[:, 0], "mixed").tolist()
-        for tag, top, n, tol, cls in zip(tags, tops, ns, tols, classes[id(c.labels)]):
+        for tag, top, n, tol, cls in zip(tags, tops, ns, tols[id(c.tol)],
+                                         classes[id(c.labels)]):
             if n == 0:
                 top, passed = 0.0, True
                 detail = f"{c.hypothesis} fails at every sample; no claim checked"
@@ -771,6 +776,10 @@ def build_report(config: VerificationConfig, checks) -> dict:
 
 # a flat check dict's separators in the indented report, three levels deep
 _CHECK_ITEM = ",\n      "
+# json.dumps(checks, sort_keys=True, separators=(_CHECK_ITEM, ": ")), built
+# once; a list of flat dicts of numbers and strings holds no cycle
+_CHECKS_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False,
+                                   separators=(_CHECK_ITEM, ": "))
 
 
 def report_json(report: dict) -> str:
@@ -786,7 +795,7 @@ def report_json(report: dict) -> str:
     checks = report.get("checks")
     if not checks:
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    listed = json.dumps(checks, sort_keys=True, separators=(_CHECK_ITEM, ": "))
+    listed = _CHECKS_ENCODER.encode(checks)
     # [{"k": v,<sep>...},<sep>{...}] -> one indented dict per check
     listed = (
         "[\n    {\n      "

@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +113,58 @@ class TestEvaluate:
 
     def test_integer_power_of_negative(self):
         assert ev("x^3", x=-2.0) == -8.0
+
+    # every refusal of a function call and a power, at one point and as
+    # the first offending sample of a batch: a finite result skips the
+    # checks, so each case here has a non-finite result or operand, and
+    # the checks of a node run in order, whichever sample comes first
+    @pytest.mark.parametrize("text, x, message", [
+        ("log(x)", 0.0, "log of a non-positive value"),
+        ("log(x)", -1.0, "log of a non-positive value"),
+        ("sqrt(x)", -1.0, "sqrt of a negative value"),
+        ("exp(x)", 1000.0, "exp failed (math range error)"),
+        ("cosh(x)", 1000.0, "cosh failed (math range error)"),
+        ("sin(x)", float("inf"), "sin failed (math domain error)"),
+        ("tan(x)", float("-inf"), "tan failed (math domain error)"),
+        ("x^(-1)", 0.0, "zero base with negative exponent"),
+        ("x^0.5", -1.0, "negative base with non-integer exponent"),
+        ("(-0.5)^x", float("inf"), "negative base with non-integer exponent"),
+        ("x^(1/3)", -8.0, "negative base with non-integer exponent"),
+        ("10^x", 400.0, "power failed (math range error)"),
+        ("x^3", 1e200, "power failed (math range error)"),
+    ])
+    def test_refusals(self, text, x, message):
+        e = parse_expr(text, coords=COORDS)
+        with pytest.raises(EvalError) as one:
+            evaluate(e, {"x": x})
+        assert str(one.value).startswith(message + " in '")
+        batch = {"x": np.array([1.0, 2.0, x, x])}
+        with pytest.raises(EvalError) as info:
+            evaluate(e, batch)
+        assert str(info.value) == str(one.value)
+        assert str(one.value).endswith(f"' at sample {{'x': {x!r}}}")
+
+    @pytest.mark.parametrize("text, x", [
+        ("log(x)", float("nan")), ("sqrt(x)", float("nan")),
+        ("cosh(x)", float("inf")), ("exp(x)", float("-inf")),
+        ("x^2", float("inf")), ("x^x", float("nan")), ("sqrt(x)", -0.0),
+        ("(-0.5)^x", 2.0), ("x^(-2)", float("inf")),
+    ])
+    def test_passes_what_no_refusal_names(self, text, x):
+        # NaN and infinite operands that no check names pass through
+        e = parse_expr(text, coords=COORDS)
+        batch = {"x": np.array([x, 2.0])}
+        got = evaluate(e, batch)
+        assert np.array_equal(got[:1], [evaluate(e, {"x": x})], equal_nan=True)
+
+    def test_checks_run_in_order_over_the_batch(self):
+        # the zero-base check is made over every sample before the
+        # negative-base one, so it is named though its sample comes later
+        e = parse_expr("x^y", coords=COORDS)
+        batch = {"x": np.array([1.0, -2.0, 0.0]), "y": np.array([1.0, 0.5, -1.0])}
+        with pytest.raises(EvalError, match="^zero base with negative "
+                           r"exponent in 'x\^y' at sample \{'x': 0.0"):
+            evaluate(e, batch)
 
 
 class TestDiff:

@@ -24,7 +24,7 @@ from acmsolitons.config import _BUILTINS, builtin_config, load_config_text
 from acmsolitons.deformation import (
     deform, harmonic_transfer, laplacian_bar, prop_inner_battery,
 )
-from acmsolitons.expr import a_tag
+from acmsolitons.expr import a_tag, evaluate
 from acmsolitons.geometry import sample_batch
 from acmsolitons.solitons import (
     inequality_battery, orthogonal_gradient_values, theorem_lambda,
@@ -108,17 +108,27 @@ def test_each_tagged_check_is_the_frozen_check(name):
 
 def test_phi_is_evaluated_once_per_run(monkeypatch):
     # phi_bar = phi: the deformed structure shares the base's phi field,
-    # so its trees are evaluated on one batch, once, for both frames
+    # so its distinct trees are evaluated on one batch, once, for both
+    # frames; its values there are each entry evaluated, bit for bit
     config = builtin_config("kenmotsu5-gh")
     config.points = 8
-    phi = config.structure.phi_field.exprs
+    field = config.structure.phi_field
+    phi = field.compact[0]
     real = geometry._evaluate_all
     calls = []
 
-    def counting(exprs, point, dims):
-        calls.append(tuple(exprs) == phi)
-        return real(exprs, point, dims)
+    def counting(trees, point):
+        if trees == phi:
+            calls.append(point)
+        return real(trees, point)
 
     monkeypatch.setattr(geometry, "_evaluate_all", counting)
     run_suites(config)
-    assert sum(calls) == 1
+    [point] = calls
+    got = field.values(point)
+    d = got.shape[-1]
+    assert len(phi) < d * d
+    for k, e in enumerate(field.exprs):
+        want = np.broadcast_to(evaluate(e, point), got.shape[:-2])
+        assert np.array_equal(got[..., k // d, k % d].view(np.int64),
+                              want.view(np.int64)), e

@@ -25,7 +25,7 @@ from acmsolitons.geometry import (
     nabla_phi_tensor,
     sample_batch,
 )
-from acmsolitons.expr import parse_expr
+from acmsolitons.expr import Const, parse_expr
 from acmsolitons.tensor import StructureError
 
 H = 1e-4
@@ -414,10 +414,12 @@ class TestEntryEvaluation:
 
     def test_mirrored_entries_are_differentiated_once(self, monkeypatch):
         # nothing is differentiated before first use; then each level of
-        # partials differentiates each distinct tree object once per
-        # coordinate, and the (j, i) entry is the tree of its equal (i, j)
-        # entry: 6 distinct entries (two of them the constants 1), then 7
-        # distinct first partials (shared folded constants count once)
+        # partials differentiates each distinct tree once per coordinate,
+        # and the (j, i) entry is the tree of its equal (i, j) entry: 5
+        # distinct entries (the constants 1 and 0 among them), then 6
+        # distinct first partials (equal folded constants count once).
+        # Each level's entries are, in order, those of differentiating
+        # every entry of the level above
         from acmsolitons import geometry
         from acmsolitons.expr import diff
 
@@ -435,13 +437,48 @@ class TestEntryEvaluation:
         assert first is man.g.derivative(list(self.COORDS))
         assert all(man.g.exprs[3 * j + i] is man.g.exprs[3 * i + j]
                    for i in range(3) for j in range(i))
-        assert len(calls) == sum(
-            3 * len({id(e) for e in level.exprs}) for level in (man.g, first)
-        ) == 3 * 6 + 3 * 7
+        levels = (man.g, first)
+        assert [len(level.compact[0]) for level in levels] == [5, 6]
+        assert len(calls) == 3 * 5 + 3 * 6
+        assert calls == [(e, c) for level in levels for c in self.COORDS
+                         for e in level.compact[0]]
+        for level in levels:
+            trees, index = level.compact
+            assert [trees[k] for k in index.ravel()] == list(level.exprs)
+        monkeypatch.undo()
         assert first.exprs == tuple(diff(e, c) for c in self.COORDS
                                     for e in man.g.exprs)
         assert first.derivative(self.COORDS).exprs == tuple(
             diff(e, c) for c in self.COORDS for e in first.exprs)
+
+    def test_each_distinct_tree_is_evaluated_once_per_batch(
+            self, monkeypatch):
+        # the values, partials and second partials of the metric evaluate
+        # each distinct tree that is no constant once, in first-seen order,
+        # whichever entries repeat it
+        from acmsolitons import geometry
+
+        man = self._chart({(0, 1): "x*y", (1, 2): "exp(y - z)",
+                           (0, 2): "exp(y - z)"})
+        batch = self._batch()
+        seen = []
+        real = geometry.evaluate
+
+        def recording(e, point):
+            seen.append(e)
+            return real(e, point)
+
+        monkeypatch.setattr(geometry, "evaluate", recording)
+        second = man.g.derivative(self.COORDS).derivative(self.COORDS)
+        for field, call in ((man.g, man.metric_values),
+                            (man.g.derivative(self.COORDS),
+                             man.metric_partials),
+                            (second, man.metric_second_partials)):
+            seen.clear()
+            call(batch)
+            trees = field.compact[0]
+            assert seen == [e for e in trees if not isinstance(e, Const)]
+            assert len(set(field.exprs)) == len(trees) < len(field.exprs)
 
 
 class TestField:
@@ -479,6 +516,26 @@ class TestField:
         assert np.array_equal(got, np.moveaxis(mean, -1, 0))
         for k in range(3):
             assert np.array_equal(got[:, k, k], ordered[k, k])
+
+    def test_loading_a_config_finds_no_distinct_trees(self, monkeypatch):
+        # a field is made compact on first use, not when a config is
+        # loaded, so a load hashes no tree; then each field once
+        from acmsolitons import geometry
+        from acmsolitons.config import builtin_config
+
+        calls = []
+        real = geometry._distinct
+
+        def counting(exprs):
+            calls.append(len(exprs))
+            return real(exprs)
+
+        monkeypatch.setattr(geometry, "_distinct", counting)
+        config = builtin_config("kenmotsu5-gh")
+        assert calls == []
+        phi = config.structure.phi_field
+        assert phi.compact is phi.compact
+        assert calls == [25]
 
     def test_values_and_partials_are_memoised_by_the_field(self, kenmotsu3):
         batch = self._batch()

@@ -11,8 +11,9 @@ deformation parameter ``a`` next to a point: a point that binds it
 (``geometry.with_a``, the one exception) carries it.  No function of the
 package takes a parameter that its body never reads.  And the package has
 one evaluation path: outside ``expr.py`` only ``Field.derivative`` calls
-``diff``, and only ``Field.values`` and the metric's unmemoised
-``ChartManifold.metric_second_partials`` call ``_evaluate_all``.  It has
+``diff``, and only ``Field.values``, ``Field.second_partials`` and the
+metric's unmemoised ``ChartManifold.metric_second_partials`` call
+``_evaluate_all``.  It has
 one frame too, and only the suites bind it: outside ``suites.py`` nothing
 calls ``at`` and only ``DeformedStructure.at`` calls ``with_a``, so every
 closed form takes the bound batch it is given.  Nothing in the package
@@ -221,7 +222,8 @@ MEMO_READERS = ("on_batch", "with_a")
 ONE_PATH = (
     ("diff", {"Field.derivative"}, {"expr.py"}),
     ("_evaluate_all",
-     {"Field.values", "ChartManifold.metric_second_partials"}, set()),
+     {"Field.values", "Field.second_partials",
+      "ChartManifold.metric_second_partials"}, set()),
     ("with_a", {"DeformedStructure.at"}, {"suites.py"}),
     ("at", set(), {"suites.py"}),
     ("np.linalg", set(), set()),

@@ -40,10 +40,11 @@ replaced.  These run on length-1 sample axes too.  Their peak memory,
 traced, is pinned in blocks, so a d^4 temporary or one of 2P pair rows
 that comes back fails.
 
-Two kernels skip a copy the routes they replaced made:
-``_evaluate_all`` writes each tree into one row of a component-major
-buffer and returns its sample-major view, so ``component_major`` of an
-evaluated value copies nothing, and ``kulkarni_nomizu`` forms its four
+Two kernels skip a copy the routes they replaced made: a field's values
+(``Field.values``) take its entries from the table of its distinct trees
+in one take into a component-major buffer and return its sample-major
+view, so ``component_major`` of an evaluated value copies nothing, and
+``kulkarni_nomizu`` forms its four
 products on the pair rows alone, without the full-size difference or the
 2P rows of pairs and their swaps.  Each is compared bit for bit with the
 route it replaced, kept here as its reference.
@@ -71,12 +72,14 @@ from numpy.testing import assert_array_equal
 
 from acmsolitons import deformation, geometry, solitons
 from acmsolitons.deformation import DeformedStructure, deform
-from acmsolitons.expr import A, Const, Coord, EvalError, add, call, evaluate, mul
+from acmsolitons.expr import (
+    A, Const, Coord, EvalError, Mul, add, call, evaluate, mul,
+)
 from acmsolitons.geometry import (
     ChartManifold,
+    Field,
     _check_curvature_symmetries,
     _curvature_symmetry_residuals,
-    _evaluate_all,
     _riemann,
     curvature_bundle,
     gradient_lie_derivative,
@@ -439,32 +442,80 @@ def test_broken_sample_names_the_same_failure(d, lead):
                         geometry._SYMMETRY_LABELS[0]), layout
 
 
+def _second_partials_chart(d, dense):
+    """A dense chart, whose metric entries are all distinct, as are most
+    of their second partials, g_ij = delta_ij + exp(sum_k c_ijk x_k); or
+    a diagonal one, g_ii = 1 + exp(c_i x_i), with d + 1 distinct second
+    partials."""
+    coords = [f"x{i}" for i in range(d)]
+    rng = np.random.default_rng(d)
+
+    def entry(i, j):
+        if not dense and i != j:
+            return Const(0.0)
+        exponent = Const(0.0)
+        for c in (coords if dense else coords[i:i + 1]):
+            exponent = add(exponent, mul(Const(float(rng.normal())), Coord(c)))
+        return add(Const(float(i == j)), call("exp", exponent))
+
+    g = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            g[i][j] = g[j][i] = entry(i, j)
+    return ChartManifold(coords, g)
+
+
 @pytest.mark.parametrize("lead", LEADS)
 @pytest.mark.parametrize("d", DIMS)
 def test_metric_second_partials(d, lead, monkeypatch):
-    coords = [f"x{i}" for i in range(d)]
-    chart = ChartManifold(
-        coords, [[Const(float(i == j)) for j in range(d)] for i in range(d)]
-    )
-    point = {c: np.zeros(lead) for c in coords}
-    for label, d2g in _cases(d, lead, 4, seed=5):
-        # as _evaluate_all returns it: a sample-major view of a
-        # component-major buffer
-        monkeypatch.setattr(
-            geometry, "_evaluate_all",
-            lambda exprs, p, dims: sample_major(component_major(d2g, 4), 4))
-        if "nan" in label:
-            with pytest.raises(StructureError) as ref:
-                chart._finite(np.array(d2g), 4, "metric second partials", point)
-            with pytest.raises(StructureError) as got:
-                chart.metric_second_partials(point)
-            assert str(got.value) == str(ref.value)
-            continue
-        got = chart.metric_second_partials(point)
-        assert_array_equal(got, _second_partials_ref(d2g), err_msg=label)
-        # (x + x)/2 = x: the l = k blocks keep their bits
-        for l in range(d):
-            assert_array_equal(got[..., l, l, :, :], d2g[..., l, l, :, :])
+    # the table of distinct trees as _evaluate_all returns it, random; the
+    # second partials are its entries, each the mean of both orders, bit
+    # for bit as the entry-by-entry reference takes it.  On the dense
+    # metric the possible pairs of rows outnumber the d^4 entries; on the
+    # diagonal one most entries share the zero row
+    for dense in (True, False):
+        chart = _second_partials_chart(d, dense)
+        second = chart.g.derivative(chart.coords).derivative(chart.coords)
+        trees, index = second.compact
+        assert (len(trees) ** 2 > index.size) == dense
+        assert dense or len(trees) == d + 1
+        point = {c: np.zeros(lead) for c in chart.coords}
+        rng = np.random.default_rng(5)
+        for nan in (False, True):
+            table = rng.normal(size=(len(trees),) + lead)
+            if nan:
+                table[index[1, 0, 1, 1], ..., NAN_SAMPLE] = np.nan
+            entries = np.moveaxis(table[index], (0, 1, 2, 3), (-4, -3, -2, -1))
+            monkeypatch.setattr(geometry, "_evaluate_all",
+                                lambda t, p: table)
+            label = f"dense={dense} nan={nan}"
+            if nan:
+                with pytest.raises(StructureError) as ref:
+                    chart._finite(entries, 4, "metric second partials", point)
+                with pytest.raises(StructureError) as got:
+                    chart.metric_second_partials(point)
+                assert str(got.value) == str(ref.value), label
+                continue
+            got = chart.metric_second_partials(point)
+            assert_array_equal(got, _second_partials_ref(entries),
+                               err_msg=label)
+            # (x + x)/2 = x: the l = k blocks keep their bits
+            for l in range(d):
+                assert_array_equal(got[..., l, l, :, :],
+                                   entries[..., l, l, :, :], err_msg=label)
+
+
+def test_metric_second_partials_hold_one_d4_buffer(kenmotsu3):
+    # the table of distinct trees and the means of its pairs are small;
+    # the entries taken from them are the one buffer of d^4 doubles per
+    # sample (evaluating all of them and then averaging held two)
+    man = kenmotsu3.manifold
+    d = man.dim
+    point = geometry.sample_batch(man, kenmotsu3.box, 256, kenmotsu3.seed)
+    man.metric_second_partials(point)  # builds the fields once
+    buffer = d ** 4 * 256 * 8
+    got = _peak(lambda: man.metric_second_partials(point))
+    assert buffer <= got <= 1.25 * buffer, got / buffer
 
 
 def _metric(lead, d, seed):
@@ -1275,7 +1326,7 @@ def test_evaluate_all(d, lead):
             if len(lead) == 2:
                 point[A] = 0.5 + np.arange(lead[0], dtype=float)[:, None]
             label = f"{name}{'+nan' if nan else ''}"
-            assert_array_equal(_evaluate_all(exprs, point, (d, d)),
+            assert_array_equal(Field(exprs, (d, d)).values(point),
                                _evaluate_all_ref(exprs, point, (d, d)),
                                err_msg=label)
             # a tree undefined at some samples fails with the same text,
@@ -1286,7 +1337,7 @@ def test_evaluate_all(d, lead):
                 with pytest.raises(EvalError) as ref:
                     _evaluate_all_ref(broken, point, (d, d))
                 with pytest.raises(EvalError) as got:
-                    _evaluate_all(broken, point, (d, d))
+                    Field(broken, (d, d)).values(point)
                 assert str(got.value) == str(ref.value), label
 
 
@@ -1320,7 +1371,7 @@ def test_evaluate_all_layout(shape):
         "scalar": (_entries(1, seed=5), ()),
     }
     for label, (exprs, dims) in cases.items():
-        got = _evaluate_all(exprs, point, dims)
+        got = Field(exprs, dims).values(point)
         rank = len(dims)
         assert np.shares_memory(component_major(got, rank), got), label
         assert component_major(got, rank).flags.c_contiguous, label
@@ -1328,6 +1379,34 @@ def test_evaluate_all_layout(shape):
         ref = _evaluate_all_ref(exprs, point, dims)
         assert_array_equal(np.broadcast_to(got, ref.shape), ref,
                            err_msg=label)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("shape", SAMPLE_SHAPES)
+def test_constants_are_keyed_by_their_bits(shape):
+    # 0.0 and -0.0 compare equal, and so do their Const trees, but they
+    # are two rows of the table, each written with its own sign; equal
+    # NaNs and infinities are one row each.  The values are each entry's
+    # own bits, as the entry-by-entry reference writes them
+    point = _sample_point(shape, seed=7)
+    x = Coord("x")
+    nan, inf = float("nan"), float("inf")
+    exprs = [Const(0.0), Const(-0.0), Const(inf), Const(nan), x, Const(-0.0),
+             Const(-inf), Const(nan), Const(0.0), Mul(x, Const(-0.0))]
+    field = Field(exprs, (2, 5))
+    trees, index = field.compact
+    assert Const(0.0) == Const(-0.0)
+    assert [_bits(e.value).item() for e in trees[:4]] == [
+        _bits(v).item() for v in (0.0, -0.0, inf, nan)]
+    assert len(trees) == 7
+    assert index.ravel().tolist() == [0, 1, 2, 3, 4, 1, 5, 3, 0, 6]
+    got = field.values(point)
+    ref = _evaluate_all_ref(exprs, point, (2, 5))
+    assert_array_equal(_bits(np.broadcast_to(got, ref.shape)), _bits(ref))
+    assert np.signbit(got[..., 0, 1]).all() and not np.signbit(got[..., 0, 0]).any()
 
 
 # ---------------------------------------------------------------------------

@@ -207,3 +207,34 @@ def test_perf_ab_dry_run():
     for line in runs:
         assert ("perfbench/worker.py --workload k5-sweep" in line
                 and "--seconds 5 --trace 0" in line), line
+
+
+def test_perf_ab_dry_run_of_the_working_tree():
+    # without CHANGE the change side is a copy of the working tree's
+    # files, uncommitted ones included, made outside the checkout
+    proc = _run_script("perf_ab.py", "HEAD", "--pairs", "2", "--workload",
+                       "k3-dense", "--dry-run")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("git archive HEAD | tar -x -C ")
+    assert lines[1].startswith("git ls-files --cached --others "
+                               "--exclude-standard | copy into ")
+    change = Path(lines[1].split("copy into ")[1])
+    assert change.name == "change" and ROOT not in change.parents
+    assert [Path(line.split()[1]).name for line in lines[2:]] == [
+        "base", "change", "change", "base"]
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout")
+def test_perf_ab_copies_the_working_tree(tmp_path):
+    # every file git tracks or would track, as it is on disk, and no file
+    # git ignores
+    spec = importlib.util.spec_from_file_location(
+        "perf_ab", ROOT / "scripts" / "perf_ab.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script._copy_worktree(tmp_path)
+    for name in ("src/acmsolitons/geometry.py", "scripts/perf_ab.py",
+                 "perfbench/worker.py", "BENCHMARK.json"):
+        assert (tmp_path / name).read_bytes() == (ROOT / name).read_bytes()
+    assert not list(tmp_path.rglob("__pycache__"))
