@@ -5,20 +5,27 @@ one value per sample; what depends on the deformation parameter is
 evaluated once for the whole a-grid too, as one value per a and sample.
 Each suite hands its residuals over as claims, and one function, ``_emit``,
 turns them into checks the same way for every suite: the worst residual of
-each [a=...] row against a tolerance.  A suite's claims are stacked into
-one array and reduced once, not claim by claim.  Closed-form versus direct
+each [a=...] row against a tolerance.  A suite emits once per frame: its
+claims on one batch are stacked into one array and reduced once to
+columns (``_worst``), and the checks of each key are built from its
+columns, not claim by claim or row by row.  Closed-form versus direct
 comparisons use a relative residual (scaled by the larger of 1 and the
 magnitudes involved), algebraic axiom checks and soliton equation
 residuals are absolute.  Reports are plain dicts whose JSON serialization
 is byte-stable for a fixed (config, seed, version): checks are sorted by
-id, keys are sorted, and no timing data enters the report.
+id, keys are sorted, and no timing data enters the report.  ``report_json``
+writes those bytes from templates: a head per distinct anchor,
+classification and detail, and each float's text once per value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +55,7 @@ from .geometry import (
     laplacian,
     lie_derivative_metric,
     nabla_phi_tensor,
+    on_bound_batch,
     sample_batch,
     with_a,
 )
@@ -74,7 +82,13 @@ REPORT_VERSION = "0.5.1"
 
 
 class SuiteError(StructureError):
-    """A check could not be evaluated."""
+    """A check could not be evaluated.
+
+    ``group`` is the emit group of the claim a non-finite residual
+    refused (see ``Claim``), by which a suite that emits on two frames
+    raises the refusal of the claim it computed first."""
+
+    group = 0
 
 
 @dataclass(slots=True)
@@ -123,20 +137,23 @@ def _below(margin) -> np.ndarray:
 
 
 def _worst(batch: Samples, items, check_id):
-    """Worst residual of each key over the samples, per value of a.
+    """Worst residual of each key over the samples, per value of a, as
+    columns.
 
     ``batch`` holds N samples, or (A, N) when it binds a grid of a.
-    ``items`` lists (key, residuals) or (key, residuals, applicable), in
-    the order they are computed: residuals, never negative, and the mask
-    ``applicable`` of samples where the key's hypothesis holds (None or
-    absent: all) broadcast to the batch.  A key may repeat.  The items are
-    stacked into one (items,) + batch.shape array, zero where one does not
-    apply, and reduced at once.  Returns (worst, applicable): per key, the
-    largest residual over the samples where it applies and the number of
-    those samples, a list with one entry per a (a number without an a
-    axis).  A non-finite residual raises SuiteError naming
-    ``check_id(key)``, the tag of its a and the earliest (a, sample) with
-    one, since a NaN would otherwise compare as passing.
+    ``items`` lists (key, residuals[, applicable[, group]]) in the order
+    they are computed: residuals, never negative, the mask ``applicable``
+    of samples where the key's hypothesis holds (None or absent: all)
+    broadcast to the batch, and the emit group of the item (absent: 0).
+    A key may repeat.  The items are stacked into one (items,) +
+    batch.shape array, zero where one does not apply, and reduced at once.
+    Returns (keys, worst, applicable): the distinct keys in first-seen
+    order and two (keys,) + batch.shape[:-1] arrays, the largest residual
+    of each key and row of a over the samples where it applies and the
+    number of those samples.  A non-finite residual raises SuiteError
+    naming ``check_id(key)``, the tag of its a and the earliest (a, sample)
+    with one among the items of the lowest group that has one, since a NaN
+    would otherwise compare as passing; the error's ``group`` is that group.
     """
     shape = batch.shape
     items = list(items)
@@ -144,10 +161,11 @@ def _worst(batch: Samples, items, check_id):
     index = [keys.setdefault(key, len(keys)) for key, *_ in items]
     stack = np.zeros((len(items),) + shape)
     covered, unmasked = {}, set()  # the union of each key's masks
-    for k, row, (_, residual, *mask) in zip(index, stack, items):
-        if mask and mask[0] is not None:
-            np.copyto(row, residual, where=mask[0])
-            covered[k] = mask[0] if k not in covered else covered[k] | mask[0]
+    for k, row, (_, residual, *rest) in zip(index, stack, items):
+        mask = rest[0] if rest else None
+        if mask is not None:
+            np.copyto(row, residual, where=mask)
+            covered[k] = mask if k not in covered else covered[k] | mask
         else:
             row[...] = residual
             unmasked.add(k)
@@ -155,14 +173,7 @@ def _worst(batch: Samples, items, check_id):
     # leaves its row's maximum non-finite; abs reads a -0.0 maximum as +0.0
     tops = np.abs(stack.max(axis=-1, initial=0.0))
     if not np.isfinite(tops).all():
-        bad = ~np.isfinite(stack)
-        # the earliest (a, sample) with a bad item, then its first bad item
-        s, c = divmod(int(np.argmax(bad.reshape(len(items), -1).T)), len(items))
-        tag = a_tag(np.broadcast_to(batch[A], shape).flat[s]) if len(shape) > 1 else ""
-        raise SuiteError(
-            f"check {check_id(items[c][0])}{tag} has residual {stack[c].flat[s]} "
-            f"at sample {locate(batch, bad.any(axis=0))}"
-        )
+        _refuse(batch, items, stack, check_id)
     if len(keys) == len(items):
         worst = tops  # one item per key, in order
     else:
@@ -171,7 +182,28 @@ def _worst(batch: Samples, items, check_id):
     counts = np.full(worst.shape, shape[-1])  # what an unmasked key covers
     for k in covered.keys() - unmasked:
         counts[k] = np.broadcast_to(covered[k], shape).sum(axis=-1)
-    return dict(zip(keys, worst.tolist())), dict(zip(keys, counts.tolist()))
+    return list(keys), worst, counts
+
+
+def _refuse(batch: Samples, items, stack, check_id):
+    """Raise the SuiteError of ``_worst`` for the non-finite entries of
+    ``stack``, the stacked residuals of ``items``."""
+    shape = batch.shape
+    bad = ~np.isfinite(stack)
+    groups = [item[3] if len(item) > 3 else 0 for item in items]
+    held = bad.reshape(len(items), -1).any(axis=1)
+    group = min(g for g, b in zip(groups, held) if b)
+    rows = [i for i, g in enumerate(groups) if g == group]
+    bad = bad[rows]
+    # the earliest (a, sample) with a bad item, then its first bad item
+    s, c = divmod(int(np.argmax(bad.reshape(len(rows), -1).T)), len(rows))
+    tag = a_tag(np.broadcast_to(batch[A], shape).flat[s]) if len(shape) > 1 else ""
+    err = SuiteError(
+        f"check {check_id(items[rows[c]][0])}{tag} has residual "
+        f"{stack[rows[c]].flat[s]} at sample {locate(batch, bad.any(axis=0))}"
+    )
+    err.group = group
+    raise err
 
 
 class Claim(NamedTuple):
@@ -182,7 +214,8 @@ class Claim(NamedTuple):
     negative and broadcasts to the batch.  ``applies`` masks the samples
     where the claim's ``hypothesis`` holds (None: everywhere), and
     ``labels`` are per-sample soliton classifications (None: the check
-    carries none).
+    carries none).  ``group`` orders the refusal of non-finite residuals
+    among claims emitted together: the lowest group with one is refused.
     """
 
     key: str
@@ -192,12 +225,21 @@ class Claim(NamedTuple):
     applies: object = None
     labels: object = None
     hypothesis: str = "hypothesis"
+    group: int = 0
 
 
 def _closed_tol(a) -> float:
     """Tolerance of a closed form against direct computation: both are
     the same expression at a = 1, rounded differently elsewhere."""
     return 1e-12 if a == 1.0 else 1e-8
+
+
+@on_bound_batch
+def _a_rows(point) -> tuple:
+    """The values of a that the (A, N) batch ``point`` binds, one per row,
+    and the ``a_tag`` of each."""
+    row = np.ravel(point[A]).tolist()
+    return row, [a_tag(a) for a in row]
 
 
 def _emit(batch: Samples, prefix: str, claims) -> list:
@@ -209,43 +251,50 @@ def _emit(batch: Samples, prefix: str, claims) -> list:
     residual raises SuiteError) and passes at or below the tolerance of
     its first claim.  Where the key's hypothesis holds at no sample of the
     row the check is vacuous; where it holds at only some, its detail says
-    at how many.  A row whose
-    labels are all one label is classified by it, else as "mixed".  The
-    claims are reduced together, in one ``_worst``; each distinct labels
-    array is classified once, whichever claims share it.
+    at how many.  A row whose labels are all one label is classified by
+    it, else as "mixed".  The claims are reduced together, in one
+    ``_worst``, to columns per key, and each key's checks are built from
+    its columns, the tolerance row of its tol and the class row of its
+    labels: one row per distinct tol and per distinct labels array (both
+    by identity), whichever claims share it, and one tag row per batch.
     """
     shape = batch.shape
     npts = shape[-1]
-    a_row = [1.0] if len(shape) == 1 else np.ravel(batch[A]).tolist()
-    tags = [""] if len(shape) == 1 else [a_tag(a) for a in a_row]
-    items = [(c.key, c.residual, c.applies) for c in claims]
-    worst, counts = _worst(batch, items, lambda key: f"{prefix}/{key}")
+    a_row, tags = ([1.0], [""]) if len(shape) == 1 else _a_rows(batch)
+    keys, worst, counts = _worst(
+        batch, [(c.key, c.residual, c.applies, c.group) for c in claims],
+        lambda key: f"{prefix}/{key}",
+    )
+    rows = len(a_row)
+    worst = worst.reshape(len(keys), rows).tolist()
+    counts = counts.reshape(len(keys), rows).tolist()
     first = {c.key: c for c in reversed(claims)}
-    # the tolerance of each row, per distinct tol, and the class of each
-    # row, per distinct labels array (both by identity)
-    tols, classes = {}, {id(None): [None] * len(a_row)}
+    tols, classes = {}, {id(None): [None] * rows}
     checks = []
-    for key, tops in worst.items():
-        c, ns = first[key], counts[key]
-        if len(shape) == 1:
-            tops, ns = [tops], [ns]
-        if id(c.tol) not in tols:
-            tols[id(c.tol)] = ([c.tol(a) for a in a_row] if callable(c.tol)
-                               else [c.tol] * len(a_row))
-        if id(c.labels) not in classes:
-            rows = np.broadcast_to(c.labels, shape).reshape(len(a_row), npts)
-            same = (rows == rows[:, :1]).all(axis=1)
-            classes[id(c.labels)] = np.where(same, rows[:, 0], "mixed").tolist()
-        for tag, top, n, tol, cls in zip(tags, tops, ns, tols[id(c.tol)],
-                                         classes[id(c.labels)]):
-            if n == 0:
-                top, passed = 0.0, True
-                detail = f"{c.hypothesis} fails at every sample; no claim checked"
-            else:
-                passed = top <= tol
-                detail = f"checked at {n} of {npts} samples" if n < npts else None
-            checks.append(CheckResult(f"{prefix}/{key}{tag}", c.anchor, n, top,
-                                      tol, passed, cls, detail))
+    for key, tops, ns in zip(keys, worst, counts):
+        c = first[key]
+        tol_row = tols.get(id(c.tol))
+        if tol_row is None:
+            tol_row = tols[id(c.tol)] = (
+                [c.tol(a) for a in a_row] if callable(c.tol) else [c.tol] * rows
+            )
+        class_row = classes.get(id(c.labels))
+        if class_row is None:
+            labels = np.broadcast_to(c.labels, shape).reshape(rows, npts)
+            same = (labels == labels[:, :1]).all(axis=1)
+            class_row = classes[id(c.labels)] = np.where(
+                same, labels[:, 0], "mixed").tolist()
+        name = f"{prefix}/{key}"
+        # a vacuous row's worst is +0.0: nothing of its key applies there
+        checks += [
+            CheckResult(
+                name + tag, c.anchor, n, top, tol, n == 0 or top <= tol, cls,
+                f"{c.hypothesis} fails at every sample; no claim checked"
+                if n == 0 else
+                f"checked at {n} of {npts} samples" if n < npts else None,
+            )
+            for tag, top, n, tol, cls in zip(tags, tops, ns, tol_row, class_row)
+        ]
     return checks
 
 
@@ -543,79 +592,115 @@ _EQ_ANCHORS = {
 
 
 def _soliton_suite(run, kind):
+    """The checks of each candidate on the base frame and on the deformed
+    (A, N) frame, and the Reeb, solenoidal and orthogonal claims on the
+    deformed frame, one ``_emit`` per frame.
+
+    Each candidate and frame is one emit group, numbered in the order
+    computed (a candidate's base frame, then its deformed frame), and the
+    frame-wide claims are the last.  A non-finite residual of a group is
+    refused before one of a later group and before an error computing a
+    later group, as when each group was emitted as soon as computed.
+    """
     config = run.config
     structure = config.structure
     man = structure.manifold
     points = run.points
     prefix = f"{kind}-soliton"
     anchors = _EQ_ANCHORS[kind]
-    checks = []
     keys = ("full", "traced", "scalar") if kind == "riemann" else ("full", "scalar")
 
     pa = run.frame
-    frames = ((structure, with_a(points, 1.0)), (run.deformed.structure, pa))
-    for cand in config.candidates:
-        if cand.kind != kind:
-            continue
-        for frame, at in frames:
-            res = soliton_residuals(frame, cand, at)
-            claims = [
-                Claim(f"{cand.name}/{k}", anchors[k], 1e-8, res[k],
-                      labels=res["classification"])
-                for k in keys
-            ]
-            if cand.potential == "gradient":
-                lam_thm = theorem_lambda(
-                    kind, "gradient", structure, cand.scalar, at
-                )
-                claims.append(Claim(
-                    f"{cand.name}/lambda-gradient", anchors["lambda-gradient"],
-                    1e-9, _rel(lam_thm, res["lambda"]),
-                ))
-            checks += _emit(at, prefix, claims)
+    on_pa = []  # the claims on the deformed frame
+    frames = ((structure, with_a(points, 1.0), []),
+              (run.deformed.structure, pa, on_pa))
+    group = 0
+    try:
+        for cand in config.candidates:
+            if cand.kind != kind:
+                continue
+            for frame, at, claims in frames:
+                res = soliton_residuals(frame, cand, at)
+                claims += [
+                    Claim(f"{cand.name}/{k}", anchors[k], 1e-8, res[k],
+                          labels=res["classification"], group=group)
+                    for k in keys
+                ]
+                if cand.potential == "gradient":
+                    lam_thm = theorem_lambda(
+                        kind, "gradient", structure, cand.scalar, at
+                    )
+                    claims.append(Claim(
+                        f"{cand.name}/lambda-gradient",
+                        anchors["lambda-gradient"], 1e-9,
+                        _rel(lam_thm, res["lambda"]), group=group,
+                    ))
+                group += 1
 
-    # the Reeb-compatibility, solenoidal-trace and orthogonal-gradient
-    # claims, one aggregation pass over the (A, N) batch
-    res = xi_compatibility(kind, structure, pa)
-    scale = np.maximum(1.0, res["scale"])
-    claims = [
-        Claim("reeb-compatibility", anchors["reeb-compatibility"], 1e-9, r)
-        for r in (
-            res["premise_residual"] / scale,
-            res["residual_at_star"] / scale,
-            _below(
-                res["residual_perturbed"]
-                - 0.5 * res["perturbation"] * res["scale"]
-            ) / scale,
+        # the Reeb-compatibility, solenoidal-trace and orthogonal-gradient
+        # claims, the last group, on the (A, N) batch
+        res = xi_compatibility(kind, structure, pa)
+        scale = np.maximum(1.0, res["scale"])
+        wide = [
+            Claim("reeb-compatibility", anchors["reeb-compatibility"], 1e-9,
+                  r, group=group)
+            for r in (
+                res["premise_residual"] / scale,
+                res["residual_at_star"] / scale,
+                _below(
+                    res["residual_perturbed"]
+                    - 0.5 * res["perturbation"] * res["scale"]
+                ) / scale,
+            )
+        ]
+        # fields free of the symbol a whose divergence vanishes at every
+        # sample
+        fields = {
+            w: v for w, v in sorted(config.vectors.items())
+            if not v.reads_a
+        }
+        names, max_div, _ = _worst(
+            points,
+            [(w, np.abs(divergence(man, v, points))) for w, v in fields.items()],
+            lambda w: f"{prefix}/solenoidal-trace/{w}",
         )
-    ]
-    # fields free of the symbol a whose divergence vanishes at every sample
-    fields = {
-        w: v for w, v in sorted(config.vectors.items())
-        if not v.reads_a
-    }
-    max_div, _ = _worst(
-        points,
-        [(w, np.abs(divergence(man, v, points))) for w, v in fields.items()],
-        lambda w: f"{prefix}/solenoidal-trace/{w}",
-    )
-    for w in fields:
-        if max_div[w] <= HYPOTHESIS_TOL:
-            res = solenoidal_implied(kind, structure, fields[w], pa)
-            claims.append(Claim(
-                f"solenoidal-trace/{w}", anchors["solenoidal-trace"], 1e-9,
-                res["trace_residual"] / np.maximum(1.0, np.abs(res["scal"])),
+        for w, top in zip(names, max_div.tolist()):
+            if top <= HYPOTHESIS_TOL:
+                res = solenoidal_implied(kind, structure, fields[w], pa)
+                wide.append(Claim(
+                    f"solenoidal-trace/{w}", anchors["solenoidal-trace"], 1e-9,
+                    res["trace_residual"] / np.maximum(1.0, np.abs(res["scal"])),
+                    group=group,
+                ))
+        f = config.scalar
+        if f is not None:
+            res = orthogonal_gradient_values(kind, structure, f, pa)
+            lam_thm = theorem_lambda(kind, "gradient", structure, f, pa)
+            wide.append(Claim(
+                "orthogonal-gradient", anchors["orthogonal-gradient"], 1e-9,
+                _rel(res["lambda_bar"], lam_thm), res["applicable"],
+                hypothesis="hypothesis xi(f) = 0", group=group,
             ))
-    f = config.scalar
-    if f is not None:
-        res = orthogonal_gradient_values(kind, structure, f, pa)
-        lam_thm = theorem_lambda(kind, "gradient", structure, f, pa)
-        claims.append(Claim(
-            "orthogonal-gradient", anchors["orthogonal-gradient"], 1e-9,
-            _rel(res["lambda_bar"], lam_thm), res["applicable"],
-            hypothesis="hypothesis xi(f) = 0",
-        ))
-    return checks + _emit(pa, prefix, claims)
+    except (EvalError, StructureError):
+        _emit_frames(prefix, frames)  # refuses what was computed first
+        raise
+    on_pa += wide
+    return _emit_frames(prefix, frames)
+
+
+def _emit_frames(prefix, frames) -> list:
+    """The checks of the claims of each (frame, batch, claims) of
+    ``frames``, one ``_emit`` per batch.  Of the refusals of non-finite
+    residuals on several batches, the one of the lowest group is raised."""
+    checks, refusals = [], []
+    for _, batch, claims in frames:
+        try:
+            checks += _emit(batch, prefix, claims)
+        except SuiteError as err:
+            refusals.append(err)
+    if refusals:
+        raise min(refusals, key=lambda err: err.group)
+    return checks
 
 
 def _suite_riemann_solitons(run):
@@ -732,12 +817,12 @@ def run_suites(config: VerificationConfig) -> list:
         try:
             if suite in _GATED:
                 if gate is None:
-                    worst, _ = _worst(
+                    _, worst, _ = _worst(
                         points,
                         kenmotsu_details(config.structure, points).items(),
                         lambda k: f"{suite}/kenmotsu-gate",
                     )
-                    gate = max(worst.values())
+                    gate = max(worst.tolist())
                 if gate > KENMOTSU_TOL:
                     checks.append(CheckResult(
                         f"{suite}/kenmotsu-gate",
@@ -757,7 +842,7 @@ def run_suites(config: VerificationConfig) -> list:
             checks.extend(runner(run))
         except (EvalError, StructureError) as err:
             raise SuiteError(f"suite {suite}: {err}") from err
-    checks.sort(key=lambda c: c.check_id)
+    checks.sort(key=attrgetter("check_id"))
     return checks
 
 
@@ -774,34 +859,91 @@ def build_report(config: VerificationConfig, checks) -> dict:
     }
 
 
-# a flat check dict's separators in the indented report, three levels deep
-_CHECK_ITEM = ",\n      "
-# json.dumps(checks, sort_keys=True, separators=(_CHECK_ITEM, ": ")), built
-# once; a list of flat dicts of numbers and strings holds no cycle
-_CHECKS_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False,
-                                   separators=(_CHECK_ITEM, ": "))
+def _float_text(x: float) -> str:
+    """The text json writes for the float ``x``."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# the values every schema check has, in the order of _check_head's key
+_SCHEMA_VALUES = itemgetter("anchor", "id", "points", "max_residual",
+                            "tolerance", "pass")
+
+
+def _check_head(anchor, classification, detail, size: int) -> str:
+    """A check's text up to the value of its id, or "" where a check dict
+    of ``size`` keys with these head values is not schema-shaped."""
+    texts = [t for t in (classification, detail) if t is not None]
+    if size != 6 + len(texts) or any(type(t) is not str for t in [anchor, *texts]):
+        return ""
+    head = '{\n      "anchor": ' + encode_basestring_ascii(anchor)
+    for name, text in (("classification", classification), ("detail", detail)):
+        if text is not None:
+            head += f',\n      "{name}": ' + encode_basestring_ascii(text)
+    return head + ',\n      "id": '
 
 
 def report_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
-    byte, with the checks written by json's C encoder.
+    byte, with each check written from a template.
 
-    An indent makes json use its pure-Python encoder, so only the small top
-    level is indented that way.  The check dicts are flat: with the item
-    separator carrying the newline and indent, the C encoder writes the
-    whole list at once, and a raw newline can only stand between items,
+    A schema check (the keys id, anchor, points, max_residual, tolerance
+    and pass, and classification and detail when present, with str, int,
+    float and bool values) is its head, built once per distinct (anchor,
+    classification, detail) since the sorted keys put those first, then
+    its id, then its numbers.  Each float's text is memoised per value
+    within the call, written as json writes it (``float.__repr__``, NaN,
+    Infinity, -Infinity).  Any other check is written by json.  The small
+    top level is written by json, whose indent makes it use its
+    pure-Python encoder; a raw newline only ever stands between items,
     since json escapes it inside strings.
     """
     checks = report.get("checks")
-    if not checks:
+    if type(checks) is not list or not checks:
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    listed = _CHECKS_ENCODER.encode(checks)
-    # [{"k": v,<sep>...},<sep>{...}] -> one indented dict per check
-    listed = (
-        "[\n    {\n      "
-        + listed[2:-2].replace("}" + _CHECK_ITEM + "{",
-                               "\n    },\n    {\n      ")
-        + "\n    }\n  ]"
-    )
+    # float -> its text, looked up for no zero, since 0.0 == -0.0; a NaN,
+    # equal to nothing, is only found again as the same object
+    heads, floats = {}, {}
+    items = []
+    for check in checks:
+        head = ""
+        if type(check) is dict:
+            try:
+                anchor, ident, points, top, tol, passed = _SCHEMA_VALUES(check)
+            except KeyError:
+                pass
+            else:
+                get = check.get
+                key = (anchor, get("classification"), get("detail"), len(check))
+                try:
+                    head = heads[key]
+                except KeyError:
+                    head = heads[key] = _check_head(*key)
+                except TypeError:  # an unhashable value, which is no str
+                    pass
+        if head and type(ident) is str and type(points) is int \
+                and type(top) is float and type(tol) is float \
+                and type(passed) is bool:
+            top_text = floats.get(top) if top else None
+            if top_text is None:
+                top_text = floats[top] = _float_text(top)
+            tol_text = floats.get(tol) if tol else None
+            if tol_text is None:
+                tol_text = floats[tol] = _float_text(tol)
+            items.append(
+                f"{head}{encode_basestring_ascii(ident)},\n"
+                f'      "max_residual": {top_text},\n'
+                f'      "pass": {"true" if passed else "false"},\n'
+                f'      "points": {points},\n'
+                f'      "tolerance": {tol_text}\n    }}'
+            )
+        else:
+            text = json.dumps(check, indent=2, sort_keys=True)
+            items.append(text.replace("\n", "\n    "))
+    # the checks in place of the null, joined into the one large string
     text = json.dumps({**report, "checks": None}, indent=2, sort_keys=True)
-    return text.replace('\n  "checks": null', '\n  "checks": ' + listed, 1) + "\n"
+    before, _, after = text.partition('\n  "checks": null')
+    items[0] = f'{before}\n  "checks": [\n    {items[0]}'
+    items[-1] = f"{items[-1]}\n  ]{after}\n"
+    return ",\n    ".join(items)

@@ -6,7 +6,9 @@ fails.
 """
 
 import json
+import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,3 +78,118 @@ def test_edge_reports():
                   "checks": checks}
         assert report_json(report) == _reference(report)
     assert report_json({"fixture": "x"}) == _reference({"fixture": "x"})
+
+
+# small pools, so that the writer's memos of heads and float texts hit
+_POOL_TEXT = st.sampled_from(
+    ["A", "R_bar = a R + (a-1) T, é ≤ 1", 'q"\\/', "\x00\x1f\x7f\n\t", "😀", ""]
+)
+_POOL_FLOAT = st.sampled_from([
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
+    123456789012345680.0, 1e-8, 2.5, -1e300,
+])
+
+
+@st.composite
+def _pooled_checks(draw):
+    check = {
+        "id": draw(_POOL_TEXT),
+        "anchor": draw(_POOL_TEXT),
+        "points": draw(st.sampled_from([0, 16, 2 ** 70])),
+        "max_residual": draw(_POOL_FLOAT),
+        "tolerance": draw(_POOL_FLOAT),
+        "pass": draw(st.booleans()),
+    }
+    for key in ("classification", "detail"):
+        if draw(st.booleans()):
+            check[key] = draw(_POOL_TEXT)
+    return check
+
+
+# ways a check dict can fail to be schema-shaped, each taking json's path
+_NOT_SCHEMA = [
+    lambda c: {**c, "extra": 1},
+    lambda c: {k: v for k, v in c.items() if k != "points"},
+    lambda c: {k: v for k, v in c.items() if k != "anchor"},
+    lambda c: {**c, "classification": None},
+    lambda c: {**c, "detail": ["a", {"b": -0.0}]},
+    lambda c: {**c, "anchor": ["unhashable"]},
+    lambda c: {**c, "points": True},
+    lambda c: {**c, "points": 16.0},
+    lambda c: {**c, "max_residual": 1},
+    lambda c: {**c, "tolerance": np.float64(1e-8)},
+    lambda c: {**c, "pass": 1},
+    lambda c: {**c, "id": _Text("subclassed")},
+    lambda c: _Dict(c),
+    lambda c: [c["id"], c["max_residual"]],
+    lambda c: c["id"],
+    lambda c: {},
+]
+
+
+class _Text(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(_pooled_checks(), st.none() | st.sampled_from(_NOT_SCHEMA)),
+    min_size=1, max_size=12,
+))
+def test_pooled_checks_hit_the_memos(drawn):
+    checks = [check if spoil is None else spoil(check) for check, spoil in drawn]
+    report = {"fixture": "x", "a_grid": [0.5, -0.0], "checks": checks}
+    assert report_json(report) == _reference(report)
+
+
+def test_signed_zeros_in_either_order():
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        checks = [
+            {"id": f"c{i}", "anchor": "A", "points": 1, "max_residual": x,
+             "tolerance": y, "pass": True}
+            for i, (x, y) in enumerate([(first, second), (second, first),
+                                        (first, first), (second, second)])
+        ]
+        report = {"checks": checks}
+        text = report_json(report)
+        assert text == _reference(report)
+        assert text.count('"max_residual": -0.0,') == 2
+        assert text.count('"tolerance": -0.0\n') == 2
+
+
+def test_non_finite_and_changing_forms():
+    values = [math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
+              123456789012345680.0]
+    checks = [
+        {"id": f"c{i}{j}", "anchor": "A", "points": 1, "max_residual": x,
+         "tolerance": y, "pass": False, "detail": "d"}
+        for i, x in enumerate(values) for j, y in enumerate(values)
+    ]
+    report = {"checks": checks}
+    text = report_json(report)
+    assert text == _reference(report)
+    for form in ("NaN", "Infinity", "-Infinity", "5e-324", "1e+16", "1e-05",
+                 "1.2345678901234568e+17"):
+        assert f'"max_residual": {form},' in text
+        assert f'"tolerance": {form}\n' in text
+
+
+def test_text_escapes_in_every_field():
+    odd = "é ≤ 😀 \x00\x01\x1f\x7f   \\ \" /\n\r\t\b\f"
+    check = {"id": odd, "anchor": odd, "points": 3, "max_residual": 1.5,
+             "tolerance": 2.0, "pass": True, "classification": odd,
+             "detail": odd}
+    report = {"checks": [check, dict(check, id="second")]}
+    assert report_json(report) == _reference(report)
+
+
+def test_other_check_containers_take_json():
+    check = {"id": "c", "anchor": "A", "points": 1, "max_residual": 0.5,
+             "tolerance": 1.0, "pass": True}
+    for checks in ((check, check), {"c": check}, "checks", 3):
+        report = {"fixture": "x", "checks": checks}
+        assert report_json(report) == _reference(report)

@@ -225,14 +225,71 @@ def test_perf_ab_dry_run_of_the_working_tree():
         "base", "change", "change", "base"]
 
 
-@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout")
-def test_perf_ab_copies_the_working_tree(tmp_path):
-    # every file git tracks or would track, as it is on disk, and no file
-    # git ignores
+def _perf_ab():
     spec = importlib.util.spec_from_file_location(
         "perf_ab", ROOT / "scripts" / "perf_ab.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("workload, names", [
+    ("k3-dense,controls", ["k3-dense", "controls"]),
+    ("all", ["k3-dense", "k5-sweep", "controls"]),
+])
+def test_perf_ab_dry_run_of_several_workloads(workload, names):
+    # every pair runs each workload on both sides, in the pair's order
+    proc = _run_script("perf_ab.py", "HEAD~1", "HEAD", "--pairs", "2",
+                       "--workload", workload, "--dry-run")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    runs = proc.stdout.splitlines()[2:]
+    assert [(Path(line.split()[1]).name,
+             line.split("--workload ")[1].split()[0]) for line in runs] == [
+        (side, name) for order in (("base", "change"), ("change", "base"))
+        for name in names for side in order]
+
+
+def test_perf_ab_refuses_an_unknown_workload():
+    proc = _run_script("perf_ab.py", "HEAD", "--workload", "k3-dense,nope",
+                       "--dry-run")
+    assert proc.returncode == 2
+    assert "unknown workload 'nope'" in proc.stderr
+
+
+def test_perf_ab_summary_flags_a_change_worse_than_its_bound():
+    script = _perf_ab()
+    metrics = [
+        {"name": "verify_s.p50", "unit": "s", "better": "lower", "bound": 0.2},
+        {"name": "points_per_s", "unit": "1/s", "better": "higher",
+         "bound": 0.2},
+        {"name": "absent", "unit": "s", "better": "lower", "bound": 0.2},
+    ]
+    runs = {
+        "base": [{"verify_s.p50": t, "points_per_s": 100.0}
+                 for t in (0.010, 0.011, 0.012, 0.013)],
+        "change": [{"verify_s.p50": t, "points_per_s": p}
+                   for t, p in ((0.009, 79.0), (0.014, 79.0), (0.016, 80.0),
+                                (0.015, 101.0))],
+    }
+    time_line, rate_line = script._summary("w", runs, metrics)
+    assert time_line == (
+        "w verify_s.p50: base 11.500 ms, change 14.500 ms, change better in "
+        "1 of 4 pairs, base interquartile distance 2.500 ms; WORSE by more "
+        "than its bound 0.2")
+    assert rate_line == (
+        "w points_per_s: base 100 1/s, change 79.5 1/s, change better in 1 "
+        "of 4 pairs, base interquartile distance 0 1/s; WORSE by more than "
+        "its bound 0.2")
+    runs["change"] = runs["base"]
+    assert not any("WORSE" in line
+                   for line in script._summary("w", runs, metrics))
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout")
+def test_perf_ab_copies_the_working_tree(tmp_path):
+    # every file git tracks or would track, as it is on disk, and no file
+    # git ignores
+    script = _perf_ab()
     script._copy_worktree(tmp_path)
     for name in ("src/acmsolitons/geometry.py", "scripts/perf_ab.py",
                  "perfbench/worker.py", "BENCHMARK.json"):
