@@ -902,8 +902,8 @@ def report_json(report: dict) -> str:
     checks = report.get("checks")
     if type(checks) is not list or not checks:
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    # float -> its text, looked up for no zero, since 0.0 == -0.0; a NaN,
-    # equal to nothing, is only found again as the same object
+    # float -> its text; a zero is written by repr, since 0.0 == -0.0, and
+    # a NaN, equal to nothing, is only found again as the same object
     heads, floats = {}, {}
     items = []
     for check in checks:
@@ -925,10 +925,10 @@ def report_json(report: dict) -> str:
         if head and type(ident) is str and type(points) is int \
                 and type(top) is float and type(tol) is float \
                 and type(passed) is bool:
-            top_text = floats.get(top) if top else None
+            top_text = floats.get(top) if top else repr(top)
             if top_text is None:
                 top_text = floats[top] = _float_text(top)
-            tol_text = floats.get(tol) if tol else None
+            tol_text = floats.get(tol) if tol else repr(tol)
             if tol_text is None:
                 tol_text = floats[tol] = _float_text(tol)
             items.append(
