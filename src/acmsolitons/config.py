@@ -9,18 +9,25 @@ A definition file has sections
     [candidates]  name = kind, potential, lambda
     [run]         seed, points, a grid, sampling box, suites
 
-Values are expressions over the declared coordinates; ``#`` starts a
-comment.  Omitted metric or phi entries are zero, eta defaults to the
-metric dual of xi, and candidate potentials are written ``reeb``,
-``grad <scalar>`` or ``vector <vector>``.  Every scalar, vector component
-and candidate lambda may reference the reserved symbol ``a``, the
-deformation parameter of the frame it is evaluated in (1 in the base one).
+The text is read in one pass by ``_sections``.  A ``[name]`` line opens a
+section, and each other line is ``key = value``, split at its first ``=``
+with both sides stripped.  A ``#`` at the start of a line or after
+whitespace starts a comment (``x#y`` is not one).  A line indented deeper
+than its option's line continues the value on a new line.  A line before
+any section, a repeated section or key, a line without ``=``, an empty key
+and a ``[DEFAULT]`` section are refused with their line number.
+
+Values are expressions over the declared coordinates.  Omitted metric or
+phi entries are zero, eta defaults to the metric dual of xi, and candidate
+potentials are written ``reeb``, ``grad <scalar>`` or ``vector <vector>``.
+Every scalar, vector component and candidate lambda may reference the
+reserved symbol ``a``, the deformation parameter of the frame it is
+evaluated in (1 in the base one).
 The built-in fixtures are such files, ``fixtures/<name>.ini`` in the package.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
 from dataclasses import dataclass, field
@@ -58,6 +65,10 @@ DEFAULT_A_GRID = (0.5, 1.0, 2.0, 3.7)
 # names with fixed meaning inside expressions
 _RESERVED = ("a", "pi", "e")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
+# the soliton suites' keys <key>/<vector>: a candidate's checks are
+# <candidate>/<residual>, so a candidate named <key> beside a vector named
+# full, traced or scalar would give two checks one id
+_SUITE_KEYS = ("solenoidal-trace",)
 
 
 class ConfigError(StructureError):
@@ -225,22 +236,69 @@ def set_run_setting(config: VerificationConfig, key: str, raw: str,
         config.suites = suites
 
 
-def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
-    parser = configparser.ConfigParser(
-        comment_prefixes=("#",),
-        inline_comment_prefixes=("#",),
-        interpolation=None,
-        delimiters=("=",),
-    )
-    parser.optionxform = str
-    try:
-        parser.read_string(text, source=source)
-    except configparser.Error as err:
-        raise ConfigError(f"config parse error: {err}") from err
+def _parse_error(source: str, number: int, what: str) -> ConfigError:
+    return ConfigError(f"config parse error: {source} line {number}: {what}")
 
-    if not parser.has_section("manifold"):
+
+def _sections(text: str, source: str) -> dict:
+    """{section: {key: value}} of a definition file, in file order.
+
+    The sections, keys and values are those of ``configparser`` with
+    ``#`` comments, ``=`` alone as delimiter, no interpolation and keys
+    kept as written, and it refuses ``[DEFAULT]`` too.  A line indented
+    deeper than the line of its option continues the option; its value is
+    the lines joined by newlines, blank ones kept, then right-stripped.
+    """
+    sections = {}
+    options = None  # the dict of the open section
+    lines = None  # the value lines of the option a deeper line continues
+    indent = 0  # the indent of the last section or option line
+    for number, line in enumerate(text.split("\n"), 1):
+        cut = line.find("#")
+        while cut > 0 and not line[cut - 1].isspace():
+            cut = line.find("#", cut + 1)
+        body = (line if cut < 0 else line[:cut]).strip()
+        if not body:
+            if cut < 0 and lines is not None:
+                lines.append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if lines is not None and depth > indent:
+            lines.append(body)
+            continue
+        indent = depth
+        end = body.rfind("]")
+        if body[0] == "[" and end > 1:
+            name = body[1:end]
+            if name == "DEFAULT":
+                raise _parse_error(source, number, "no [DEFAULT] section")
+            if name in sections:
+                raise _parse_error(source, number, f"repeated section [{name}]")
+            options = sections[name] = {}
+            lines = None
+            continue
+        if options is None:
+            raise _parse_error(source, number, "no section header before it")
+        key, eq, value = body.partition("=")
+        key = key.rstrip()
+        if not eq:
+            raise _parse_error(source, number, f"{body!r} is not 'key = value'")
+        if not key:
+            raise _parse_error(source, number, "empty key")
+        if key in options:
+            raise _parse_error(source, number, f"repeated key {key!r}")
+        lines = options[key] = [value.lstrip()]
+    return {
+        name: {key: "\n".join(value).rstrip() for key, value in options.items()}
+        for name, options in sections.items()
+    }
+
+
+def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
+    sections = _sections(text, source)
+    if "manifold" not in sections:
         raise ConfigError(f"{source}: missing [manifold] section")
-    man_sec = dict(parser.items("manifold"))
+    man_sec = sections["manifold"]
     name = man_sec.pop("name", source)
     coords_text = man_sec.pop("coordinates", None)
     if coords_text is None:
@@ -273,8 +331,8 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
         raise ConfigError(f"{source}: {err}") from err
 
     structure = None
-    if parser.has_section("structure"):
-        sec = dict(parser.items("structure"))
+    if "structure" in sections:
+        sec = sections["structure"]
         xi_text = sec.pop("xi", None)
         if xi_text is None:
             raise ConfigError(f"{source}: [structure] needs an 'xi' entry")
@@ -295,8 +353,8 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
 
     symbols = coords + ("a",)  # what a field or a lambda may read
     scalars = {}
-    if parser.has_section("scalars"):
-        for key, value in parser.items("scalars"):
+    if "scalars" in sections:
+        for key, value in sections["scalars"].items():
             _check_name(key, source, "scalar name")
             if key in coords:
                 raise ConfigError(
@@ -305,8 +363,8 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
             scalars[key] = ScalarField(_parse(value, symbols, source, f"scalar {key}"))
 
     vectors = {}
-    if parser.has_section("vectors"):
-        for key, value in parser.items("vectors"):
+    if "vectors" in sections:
+        for key, value in sections["vectors"].items():
             _check_name(key, source, "vector name")
             if key in coords or key in scalars:
                 raise ConfigError(
@@ -322,7 +380,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
         "grad": ("gradient", "scalar", "scalar", scalars),
         "vector": ("vector", "field", "vector", vectors),
     }
-    if parser.has_section("candidates"):
+    if "candidates" in sections:
         if structure is None:
             raise ConfigError(
                 f"{source}: [candidates] needs a [structure] section"
@@ -331,8 +389,13 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
             raise ConfigError(
                 f"{source}: soliton candidates need dimension >= 3"
             )
-        for key, value in parser.items("candidates"):
+        for key, value in sections["candidates"].items():
             _check_name(key.replace("-", ""), source, "candidate name")
+            if key in _SUITE_KEYS:
+                raise ConfigError(
+                    f"{source}: candidate {key!r} is named like a key of the "
+                    f"soliton suites, so its check ids could repeat theirs"
+                )
             parts = _split_top(value)
             if len(parts) != 3:
                 raise ConfigError(
@@ -372,7 +435,7 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
         vectors=vectors,
         candidates=candidates,
     )
-    run = dict(parser.items("run")) if parser.has_section("run") else {}
+    run = sections.get("run", {})
     for key in ("seed", "points", "a", "suites"):
         if key in run:
             set_run_setting(config, key, run.pop(key), f"{source}: [run] {key}")

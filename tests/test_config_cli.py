@@ -1,6 +1,8 @@
 """Config parsing, validation errors, CLI exit codes and reports."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,15 @@ from acmsolitons.config import (
     ConfigError,
     builtin_config,
     builtin_names,
+    load_config,
     load_config_text,
 )
 from acmsolitons.expr import Const
 from acmsolitons.geometry import sample_batch
+from acmsolitons.suites import build_report, run_suites
 from acmsolitons.tensor import StructureError
+
+PERFBENCH_FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 MINIMAL = """
 [manifold]
@@ -242,6 +248,69 @@ class TestConfigErrors:
     def test_run_scalar_must_exist(self):
         with pytest.raises(ConfigError, match="scalar"):
             load_config_text(MINIMAL + "[run]\nscalar = f\n")
+
+
+class TestReader:
+    """The definition-file reader refuses what configparser refuses, and
+    [DEFAULT], naming the source and the line."""
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("# demo\nname = demo\n" + MINIMAL, 2, "no section header before it"),
+        (MINIMAL + "[manifold]\n", 8, r"repeated section \[manifold\]"),
+        (MINIMAL + "g_x_x = 2\n", 8, "repeated key 'g_x_x'"),
+        (MINIMAL + "g_x_y 0\n", 8, "'g_x_y 0' is not 'key = value'"),
+        (MINIMAL + "= 0\n", 8, "empty key"),
+        ("[DEFAULT]\npoints = 8\n" + MINIMAL, 1, r"no \[DEFAULT\] section"),
+    ], ids=["before-header", "section", "key", "no-equals", "empty-key",
+            "default"])
+    def test_refused(self, text, line, what):
+        with pytest.raises(ConfigError) as err:
+            load_config_text(text, source="demo.ini")
+        assert re.fullmatch(
+            rf"config parse error: demo\.ini line {line}: {what}", str(err.value)
+        )
+
+    def test_inline_comment_after_a_value(self):
+        cfg = load_config_text(
+            MINIMAL + "[scalars]\nf = x + y   # a comment\n"
+            "[run]\npoints = 8 # also cut\n"
+        )
+        assert cfg.scalars["f"].exprs == load_config_text(
+            MINIMAL + "[scalars]\nf = x + y\n").scalars["f"].exprs
+        assert cfg.points == 8
+
+    def test_hash_without_space_is_not_a_comment(self):
+        with pytest.raises(ConfigError, match="scalar f"):
+            load_config_text(MINIMAL + "[scalars]\nf = x#y\n")
+
+    def test_indented_lines_continue_a_value(self):
+        cfg = load_config_text(MINIMAL + "[run]\na = 0.5,\n\n  # note\n    2\n")
+        assert cfg.a_grid == (0.5, 2.0)
+
+
+class TestCheckIds:
+    def test_candidate_named_like_a_suite_key_is_refused(self):
+        # a candidate solenoidal-trace beside a vector full gave
+        # <kind>-soliton/solenoidal-trace/full[a=...] two claims
+        text = (_BUILTINS["kenmotsu3"]
+                .replace("ricci-vector", "solenoidal-trace")
+                .replace("W = ", "full = "))
+        with pytest.raises(ConfigError, match=(
+            "k3.ini: candidate 'solenoidal-trace' is named like a key of "
+            "the soliton suites"
+        )):
+            load_config_text(text, source="k3.ini")
+
+    @pytest.mark.parametrize("name", builtin_names() + ("kenmotsu5.ini",))
+    def test_every_check_id_is_unique(self, name):
+        if name.endswith(".ini"):
+            config = load_config(PERFBENCH_FIXTURES / name)
+        else:
+            config = builtin_config(name)
+        config.points = 4
+        ids = [c["id"] for c in build_report(config, run_suites(config))["checks"]]
+        assert ids
+        assert len(set(ids)) == len(ids)
 
 
 class TestConfigDefaults:

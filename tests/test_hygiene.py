@@ -18,7 +18,9 @@ one frame too, and only the suites bind it: outside ``suites.py`` nothing
 calls ``at`` and only ``DeformedStructure.at`` calls ``with_a``, so every
 closed form takes the bound batch it is given.  Nothing in the package
 calls ``np.linalg``: the metric's inverse and its positive definiteness
-come from the one elimination, ``geometry._gauss_jordan``.  It has one
+come from the one elimination, ``geometry._gauss_jordan``.  It reads
+definition files with the one reader, ``config._sections``: no package
+module imports ``configparser``.  It has one
 contraction call: only ``tensor.contract`` calls ``einsum``, so it alone
 knows the component-major layout, and every ``contract`` call passes a
 literal spec of component letters, commas and one ``->``.  And it has
@@ -182,6 +184,21 @@ def _bad_specs(tree: ast.Module) -> list:
             found.append((node.lineno, None))
         elif not re.fullmatch(r"[A-Za-z,]+->[A-Za-z]*", first.value):
             found.append((node.lineno, first.value))
+    return found
+
+
+def _imports_of(tree: ast.Module, module: str) -> list:
+    """The line of each import of ``module`` or of a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == module for name in names):
+            found.append(node.lineno)
     return found
 
 
@@ -390,6 +407,26 @@ def test_one_differentiation_and_evaluation_path(path):
     for callee, allowed, exempt in ONE_PATH:
         if path.name not in exempt:
             assert _calls_outside(tree, callee, allowed) == [], callee
+
+
+def test_finds_a_configparser_import():
+    tree = ast.parse(
+        "import configparser\n"
+        "from configparser import ConfigParser\n"
+        "from .config import load_config_text\n"
+        "def read(text):\n"
+        "    import configparser as cp\n"
+        "    return cp, configparser, ConfigParser, load_config_text\n"
+    )
+    assert _imports_of(tree, "configparser") == [1, 2, 5]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[p.relative_to(ROOT).as_posix() for p in PACKAGE]
+)
+def test_one_config_reader(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _imports_of(tree, "configparser") == []
 
 
 def test_finds_an_einsum_outside_contract():
