@@ -23,7 +23,9 @@ metric's direction; ties count for neither side) and the distance
 between the quartiles of the base's runs, and flags ``WORSE`` a change
 median that is worse than the base's by more than the metric's
 ``bound``, read as a fraction of the base median.  BENCHMARK.json is
-only read.  Exit status 1 means some run failed or read an op incorrect.
+only read.  Exit status 1 means some run failed or read an op incorrect,
+and 3 that some summary line says ``WORSE``, so the script can gate a
+change.
 
 With --dry-run, print the commands instead of running them.
 """
@@ -209,11 +211,13 @@ def main(argv=None) -> int:
             return 1
 
     print(f"base {revs['base']}, change {revs['change']}")
+    worse = False
     for workload in workloads:
         for line in _summary(workload, runs[workload],
                              benchmark["end_to_end"]):
             print(line)
-    return 0
+            worse |= "WORSE" in line
+    return 3 if worse else 0
 
 
 if __name__ == "__main__":

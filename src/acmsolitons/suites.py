@@ -11,11 +11,13 @@ columns (``_worst``), and the checks of each key are built from its
 columns, not claim by claim or row by row.  Closed-form versus direct
 comparisons use a relative residual (scaled by the larger of 1 and the
 magnitudes involved), algebraic axiom checks and soliton equation
-residuals are absolute.  Reports are plain dicts whose JSON serialization
-is byte-stable for a fixed (config, seed, version): checks are sorted by
-id, keys are sorted, and no timing data enters the report.  ``report_json``
-writes those bytes from templates: a head per distinct anchor,
-classification and detail, and each float's text once per value.
+residuals are absolute.  A non-finite residual refuses the run, naming
+the first claim computed with one.  Reports are plain dicts whose JSON
+serialization is byte-stable for a fixed (config, seed, version): checks
+are sorted by id, keys are sorted, and no timing data enters the report.
+``report_json`` writes those bytes for ``build_report``'s schema from
+templates: a head per distinct anchor, classification and detail, and
+each float's text once per value.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -82,13 +84,8 @@ REPORT_VERSION = "0.5.1"
 
 
 class SuiteError(StructureError):
-    """A check could not be evaluated.
-
-    ``group`` is the emit group of the claim a non-finite residual
-    refused (see ``Claim``), by which a suite that emits on two frames
-    raises the refusal of the claim it computed first."""
-
-    group = 0
+    """A check could not be evaluated: its residual is not finite, or a
+    quantity it reads failed to evaluate."""
 
 
 @dataclass(slots=True)
@@ -141,19 +138,17 @@ def _worst(batch: Samples, items, check_id):
     columns.
 
     ``batch`` holds N samples, or (A, N) when it binds a grid of a.
-    ``items`` lists (key, residuals[, applicable[, group]]) in the order
-    they are computed: residuals, never negative, the mask ``applicable``
-    of samples where the key's hypothesis holds (None or absent: all)
-    broadcast to the batch, and the emit group of the item (absent: 0).
-    A key may repeat.  The items are stacked into one (items,) +
-    batch.shape array, zero where one does not apply, and reduced at once.
+    ``items`` lists (key, residuals[, applicable]) in the order they are
+    computed: residuals, never negative, and the mask ``applicable`` of
+    samples where the key's hypothesis holds (None or absent: all), both
+    broadcast to the batch.  A key may repeat.  The items are stacked into
+    one (items,) + batch.shape array, zero where one does not apply, and
+    reduced at once.
     Returns (keys, worst, applicable): the distinct keys in first-seen
     order and two (keys,) + batch.shape[:-1] arrays, the largest residual
     of each key and row of a over the samples where it applies and the
     number of those samples.  A non-finite residual raises SuiteError
-    naming ``check_id(key)``, the tag of its a and the earliest (a, sample)
-    with one among the items of the lowest group that has one, since a NaN
-    would otherwise compare as passing; the error's ``group`` is that group.
+    (``_refuse``), since a NaN would otherwise compare as passing.
     """
     shape = batch.shape
     items = list(items)
@@ -187,23 +182,17 @@ def _worst(batch: Samples, items, check_id):
 
 def _refuse(batch: Samples, items, stack, check_id):
     """Raise the SuiteError of ``_worst`` for the non-finite entries of
-    ``stack``, the stacked residuals of ``items``."""
+    ``stack``, the stacked residuals of ``items``: it names the earliest
+    (a, sample) with one, then the first item non-finite there, by
+    ``check_id(key)`` and the tag of its a."""
     shape = batch.shape
     bad = ~np.isfinite(stack)
-    groups = [item[3] if len(item) > 3 else 0 for item in items]
-    held = bad.reshape(len(items), -1).any(axis=1)
-    group = min(g for g, b in zip(groups, held) if b)
-    rows = [i for i, g in enumerate(groups) if g == group]
-    bad = bad[rows]
-    # the earliest (a, sample) with a bad item, then its first bad item
-    s, c = divmod(int(np.argmax(bad.reshape(len(rows), -1).T)), len(rows))
+    s, c = divmod(int(np.argmax(bad.reshape(len(items), -1).T)), len(items))
     tag = a_tag(np.broadcast_to(batch[A], shape).flat[s]) if len(shape) > 1 else ""
-    err = SuiteError(
-        f"check {check_id(items[rows[c]][0])}{tag} has residual "
-        f"{stack[rows[c]].flat[s]} at sample {locate(batch, bad.any(axis=0))}"
+    raise SuiteError(
+        f"check {check_id(items[c][0])}{tag} has residual "
+        f"{stack[c].flat[s]} at sample {locate(batch, bad.any(axis=0))}"
     )
-    err.group = group
-    raise err
 
 
 class Claim(NamedTuple):
@@ -214,8 +203,7 @@ class Claim(NamedTuple):
     negative and broadcasts to the batch.  ``applies`` masks the samples
     where the claim's ``hypothesis`` holds (None: everywhere), and
     ``labels`` are per-sample soliton classifications (None: the check
-    carries none).  ``group`` orders the refusal of non-finite residuals
-    among claims emitted together: the lowest group with one is refused.
+    carries none).
     """
 
     key: str
@@ -225,7 +213,6 @@ class Claim(NamedTuple):
     applies: object = None
     labels: object = None
     hypothesis: str = "hypothesis"
-    group: int = 0
 
 
 def _closed_tol(a) -> float:
@@ -262,7 +249,7 @@ def _emit(batch: Samples, prefix: str, claims) -> list:
     npts = shape[-1]
     a_row, tags = ([1.0], [""]) if len(shape) == 1 else _a_rows(batch)
     keys, worst, counts = _worst(
-        batch, [(c.key, c.residual, c.applies, c.group) for c in claims],
+        batch, [(c.key, c.residual, c.applies) for c in claims],
         lambda key: f"{prefix}/{key}",
     )
     rows = len(a_row)
@@ -594,13 +581,13 @@ _EQ_ANCHORS = {
 def _soliton_suite(run, kind):
     """The checks of each candidate on the base frame and on the deformed
     (A, N) frame, and the Reeb, solenoidal and orthogonal claims on the
-    deformed frame, one ``_emit`` per frame.
+    deformed frame, one ``_emit`` per frame (``_emit_frames``).
 
-    Each candidate and frame is one emit group, numbered in the order
-    computed (a candidate's base frame, then its deformed frame), and the
-    frame-wide claims are the last.  A non-finite residual of a group is
-    refused before one of a later group and before an error computing a
-    later group, as when each group was emitted as soon as computed.
+    The claims are kept as (batch, claims) groups in the order computed:
+    each candidate's base frame, then its deformed frame, then the
+    frame-wide claims.  A non-finite residual of a group is refused before
+    one of a later group and before an error computing a later group, as
+    when each group was emitted as soon as computed.
     """
     config = run.config
     structure = config.structure
@@ -611,19 +598,17 @@ def _soliton_suite(run, kind):
     keys = ("full", "traced", "scalar") if kind == "riemann" else ("full", "scalar")
 
     pa = run.frame
-    on_pa = []  # the claims on the deformed frame
-    frames = ((structure, with_a(points, 1.0), []),
-              (run.deformed.structure, pa, on_pa))
-    group = 0
+    frames = ((structure, with_a(points, 1.0)), (run.deformed.structure, pa))
+    groups = []  # (batch, claims), in the order computed
     try:
         for cand in config.candidates:
             if cand.kind != kind:
                 continue
-            for frame, at, claims in frames:
+            for frame, at in frames:
                 res = soliton_residuals(frame, cand, at)
-                claims += [
+                claims = [
                     Claim(f"{cand.name}/{k}", anchors[k], 1e-8, res[k],
-                          labels=res["classification"], group=group)
+                          labels=res["classification"])
                     for k in keys
                 ]
                 if cand.potential == "gradient":
@@ -633,17 +618,16 @@ def _soliton_suite(run, kind):
                     claims.append(Claim(
                         f"{cand.name}/lambda-gradient",
                         anchors["lambda-gradient"], 1e-9,
-                        _rel(lam_thm, res["lambda"]), group=group,
+                        _rel(lam_thm, res["lambda"]),
                     ))
-                group += 1
+                groups.append((at, claims))
 
         # the Reeb-compatibility, solenoidal-trace and orthogonal-gradient
         # claims, the last group, on the (A, N) batch
         res = xi_compatibility(kind, structure, pa)
         scale = np.maximum(1.0, res["scale"])
         wide = [
-            Claim("reeb-compatibility", anchors["reeb-compatibility"], 1e-9,
-                  r, group=group)
+            Claim("reeb-compatibility", anchors["reeb-compatibility"], 1e-9, r)
             for r in (
                 res["premise_residual"] / scale,
                 res["residual_at_star"] / scale,
@@ -670,7 +654,6 @@ def _soliton_suite(run, kind):
                 wide.append(Claim(
                     f"solenoidal-trace/{w}", anchors["solenoidal-trace"], 1e-9,
                     res["trace_residual"] / np.maximum(1.0, np.abs(res["scal"])),
-                    group=group,
                 ))
         f = config.scalar
         if f is not None:
@@ -679,28 +662,30 @@ def _soliton_suite(run, kind):
             wide.append(Claim(
                 "orthogonal-gradient", anchors["orthogonal-gradient"], 1e-9,
                 _rel(res["lambda_bar"], lam_thm), res["applicable"],
-                hypothesis="hypothesis xi(f) = 0", group=group,
+                hypothesis="hypothesis xi(f) = 0",
             ))
     except (EvalError, StructureError):
-        _emit_frames(prefix, frames)  # refuses what was computed first
+        _emit_frames(prefix, groups)  # refuses what was computed first
         raise
-    on_pa += wide
-    return _emit_frames(prefix, frames)
+    groups.append((pa, wide))
+    return _emit_frames(prefix, groups)
 
 
-def _emit_frames(prefix, frames) -> list:
-    """The checks of the claims of each (frame, batch, claims) of
-    ``frames``, one ``_emit`` per batch.  Of the refusals of non-finite
-    residuals on several batches, the one of the lowest group is raised."""
-    checks, refusals = [], []
-    for _, batch, claims in frames:
-        try:
-            checks += _emit(batch, prefix, claims)
-        except SuiteError as err:
-            refusals.append(err)
-    if refusals:
-        raise min(refusals, key=lambda err: err.group)
-    return checks
+def _emit_frames(prefix, groups) -> list:
+    """The checks of ``groups``, (batch, claims) in the order computed,
+    with one ``_emit`` per distinct batch (by identity).  Where that
+    refuses a non-finite residual, the groups are emitted one at a time,
+    in order, so that the first group with one raises its own refusal."""
+    frames = {}
+    for batch, claims in groups:
+        frames.setdefault(id(batch), (batch, []))[1].extend(claims)
+    try:
+        return [check for batch, claims in frames.values()
+                for check in _emit(batch, prefix, claims)]
+    except SuiteError:
+        for batch, claims in groups:
+            _emit(batch, prefix, claims)
+        raise
 
 
 def _suite_riemann_solitons(run):
@@ -866,17 +851,8 @@ def _float_text(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-# the values every schema check has, in the order of _check_head's key
-_SCHEMA_VALUES = itemgetter("anchor", "id", "points", "max_residual",
-                            "tolerance", "pass")
-
-
-def _check_head(anchor, classification, detail, size: int) -> str:
-    """A check's text up to the value of its id, or "" where a check dict
-    of ``size`` keys with these head values is not schema-shaped."""
-    texts = [t for t in (classification, detail) if t is not None]
-    if size != 6 + len(texts) or any(type(t) is not str for t in [anchor, *texts]):
-        return ""
+def _check_head(anchor, classification, detail) -> str:
+    """A check's text up to the value of its id."""
     head = '{\n      "anchor": ' + encode_basestring_ascii(anchor)
     for name, text in (("classification", classification), ("detail", detail)):
         if text is not None:
@@ -888,59 +864,43 @@ def report_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
     byte, with each check written from a template.
 
-    A schema check (the keys id, anchor, points, max_residual, tolerance
-    and pass, and classification and detail when present, with str, int,
-    float and bool values) is its head, built once per distinct (anchor,
-    classification, detail) since the sorted keys put those first, then
-    its id, then its numbers.  Each float's text is memoised per value
-    within the call, written as json writes it (``float.__repr__``, NaN,
-    Infinity, -Infinity).  Any other check is written by json.  The small
-    top level is written by json, whose indent makes it use its
-    pure-Python encoder; a raw newline only ever stands between items,
-    since json escapes it inside strings.
+    ``report`` is what ``build_report`` returns, so each check has the
+    keys and value types of ``CheckResult.to_json_dict``.  A check is its
+    head, built once per distinct (anchor, classification, detail) since
+    the sorted keys put those first, then its id, then its numbers.  Each
+    float's text is memoised per value within the call, written as json
+    writes it (``float.__repr__``, NaN, Infinity, -Infinity).  The small
+    top level, and a report with no checks, is written by json, whose
+    indent makes it use its pure-Python encoder; a raw newline only ever
+    stands between items, since json escapes it inside strings.
     """
-    checks = report.get("checks")
-    if type(checks) is not list or not checks:
+    checks = report["checks"]
+    if not checks:
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     # float -> its text; a zero is written by repr, since 0.0 == -0.0, and
     # a NaN, equal to nothing, is only found again as the same object
     heads, floats = {}, {}
     items = []
     for check in checks:
-        head = ""
-        if type(check) is dict:
-            try:
-                anchor, ident, points, top, tol, passed = _SCHEMA_VALUES(check)
-            except KeyError:
-                pass
-            else:
-                get = check.get
-                key = (anchor, get("classification"), get("detail"), len(check))
-                try:
-                    head = heads[key]
-                except KeyError:
-                    head = heads[key] = _check_head(*key)
-                except TypeError:  # an unhashable value, which is no str
-                    pass
-        if head and type(ident) is str and type(points) is int \
-                and type(top) is float and type(tol) is float \
-                and type(passed) is bool:
-            top_text = floats.get(top) if top else repr(top)
-            if top_text is None:
-                top_text = floats[top] = _float_text(top)
-            tol_text = floats.get(tol) if tol else repr(tol)
-            if tol_text is None:
-                tol_text = floats[tol] = _float_text(tol)
-            items.append(
-                f"{head}{encode_basestring_ascii(ident)},\n"
-                f'      "max_residual": {top_text},\n'
-                f'      "pass": {"true" if passed else "false"},\n'
-                f'      "points": {points},\n'
-                f'      "tolerance": {tol_text}\n    }}'
-            )
-        else:
-            text = json.dumps(check, indent=2, sort_keys=True)
-            items.append(text.replace("\n", "\n    "))
+        get = check.get
+        key = (check["anchor"], get("classification"), get("detail"))
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = _check_head(*key)
+        top, tol = check["max_residual"], check["tolerance"]
+        top_text = floats.get(top) if top else repr(top)
+        if top_text is None:
+            top_text = floats[top] = _float_text(top)
+        tol_text = floats.get(tol) if tol else repr(tol)
+        if tol_text is None:
+            tol_text = floats[tol] = _float_text(tol)
+        items.append(
+            f"{head}{encode_basestring_ascii(check['id'])},\n"
+            f'      "max_residual": {top_text},\n'
+            f'      "pass": {"true" if check["pass"] else "false"},\n'
+            f'      "points": {check["points"]},\n'
+            f'      "tolerance": {tol_text}\n    }}'
+        )
     # the checks in place of the null, joined into the one large string
     text = json.dumps({**report, "checks": None}, indent=2, sort_keys=True)
     before, _, after = text.partition('\n  "checks": null')

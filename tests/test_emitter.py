@@ -7,6 +7,10 @@ the same SuiteError text.  ``_emit`` builds each key's checks from those
 columns; the emitter it replaced, one branch per key and row over
 per-key dicts, is kept below as ``_reference_emit``, and the two must
 give equal checks, floats equal to the bit, or the same SuiteError text.
+A soliton suite emits its (batch, claims) groups once per batch
+(``_emit_frames``), and must refuse as if each group were emitted alone,
+in the order computed.  Runs of every builtin show which claims share a
+key.
 """
 
 import math
@@ -16,11 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acmsolitons import load_config, suites
+from acmsolitons import builtin_config, builtin_names, config, load_config, suites
 from acmsolitons.expr import A, a_tag, locate
 from acmsolitons.geometry import Samples, with_a
 from acmsolitons.suites import (
-    CheckResult, Claim, SuiteError, _closed_tol, _emit, _worst, run_suites,
+    CheckResult, Claim, SuiteError, _closed_tol, _emit, _emit_frames, _worst,
+    run_suites,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,19 +162,62 @@ def test_shared_labels_classify_every_claim(batch):
         == {"expanding"}
 
 
-def test_lowest_group_is_refused_first(batch):
-    early, late = np.zeros((3, N)), np.zeros((3, N))
-    early[0, 0] = np.inf
-    late[2, 3] = np.nan
-    with pytest.raises(SuiteError) as info:
-        _emit(batch, "s", [
-            Claim("k", "A", 1e-8, early, group=1),
-            Claim("j", "B", 1e-8, late, group=0),
-            Claim("m", "C", 1e-8, early, group=2),
+@st.composite
+def groups_on_two_batches(draw):
+    """(batch, claims) groups as a soliton suite builds them, each on the
+    N batch that binds a = 1 or on the (A, N) batch over the same samples,
+    with distinct keys, masks absent or drawn, and, in about half the
+    cases, NaN or inf at drawn entries."""
+    points = Samples({"x": np.linspace(0.0, 0.75, draw(st.integers(1, 4)))})
+    batches = (with_a(points, 1.0), with_a(points, GRID))
+    poisoned = draw(st.booleans())
+    groups = []
+    for g in range(draw(st.integers(1, 5))):
+        batch = draw(st.sampled_from(batches))
+        size = math.prod(batch.shape)
+        claims = []
+        for k in range(draw(st.integers(1, 3))):
+            residual = np.array(draw(st.lists(
+                st.sampled_from([0.0, 1e-9, 2.5]), min_size=size, max_size=size,
+            ))).reshape(batch.shape)
+            if poisoned:
+                for i, bad in draw(st.lists(st.tuples(
+                    st.integers(0, size - 1), st.sampled_from([np.nan, np.inf]),
+                ), max_size=2)):
+                    residual.flat[i] = bad
+            applies = None
+            if draw(st.booleans()):
+                applies = np.array(draw(st.lists(
+                    st.booleans(), min_size=size, max_size=size,
+                ))).reshape(batch.shape)
+            claims.append(Claim(f"g{g}/k{k}", f"anchor {g}", 1e-8, residual,
+                                applies))
+        groups.append((batch, claims))
+    return batches, groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups_on_two_batches())
+def test_groups_refuse_in_the_order_computed(case):
+    batches, groups = case
+    try:
+        for batch, claims in groups:
+            _emit(batch, "s", claims)
+    except SuiteError as err:
+        with pytest.raises(SuiteError) as info:
+            _emit_frames("s", groups)
+        assert str(info.value) == str(err)
+        return
+    one_per_batch = [
+        check for batch in batches for check in _emit(batch, "s", [
+            claim for on, claims in groups if on is batch for claim in claims
         ])
-    assert str(info.value).startswith("check s/j[a=2] has residual nan at "
-                                      "sample {'x': 0.75} [a=2]")
-    assert info.value.group == 0
+    ]
+
+    def by_id(checks):
+        return _bits(sorted(checks, key=lambda c: c.check_id))
+
+    assert by_id(_emit_frames("s", groups)) == by_id(one_per_batch)
 
 
 def test_tag_row_once_per_batch(batch, monkeypatch):
@@ -197,6 +245,66 @@ def test_one_emit_per_frame(monkeypatch):
     run_suites(config)
     assert len(prefixes) == 10
     assert prefixes.count("riemann-soliton") == prefixes.count("ricci-soliton") == 2
+
+
+def _emitted_claims(monkeypatch):
+    """Per config, every builtin and kenmotsu5.ini at 4 points, the config
+    and the (prefix, claims) of each ``_emit`` call of its run."""
+    calls = []
+    emit = suites._emit
+
+    def recorded(batch, prefix, claims):
+        calls.append((prefix, claims))
+        return emit(batch, prefix, claims)
+
+    monkeypatch.setattr(suites, "_emit", recorded)
+    configs = [builtin_config(name) for name in builtin_names()]
+    configs.append(load_config(ROOT / "perfbench" / "fixtures" / "kenmotsu5.ini"))
+    for cfg in configs:
+        cfg.points = 4
+        calls.clear()
+        run_suites(cfg)
+        yield cfg, list(calls)
+
+
+def test_claims_sharing_a_key_share_their_anchor(monkeypatch):
+    """A key repeats within one emit only where its claims are one
+    identity: prop22's transfer and closed form, section2's divergence of
+    each field and the three Reeb-compatibility residuals; a key that two
+    different claims happen to share would merge into one check."""
+    merged = set()
+    for cfg, calls in _emitted_claims(monkeypatch):
+        for prefix, claims in calls:
+            anchors = {}
+            for claim in claims:
+                assert anchors.setdefault(claim.key, claim.anchor) == claim.anchor, \
+                    (cfg.name, prefix, claim.key)
+            merged |= {
+                (prefix, key) for key in anchors
+                if sum(claim.key == key for claim in claims) > 1
+            }
+    assert {(p, k) for p, k in merged if p != "prop22"} == {
+        ("section2", "divergence"),
+        ("riemann-soliton", "reeb-compatibility"),
+        ("ricci-soliton", "reeb-compatibility"),
+    }
+    assert {k for p, k in merged if p == "prop22"} == set(suites._PROP22_ANCHORS)
+
+
+def test_suite_keys_are_the_keys_a_vector_extends(monkeypatch):
+    """The loader refuses a candidate named like ``config._SUITE_KEYS``,
+    since a soliton suite's ``<key>/<vector>`` ids would repeat the
+    candidate's ``<candidate>/<residual>`` ones: those must be every such
+    key the soliton suites emit."""
+    keys = set()
+    for cfg, calls in _emitted_claims(monkeypatch):
+        names = {cand.name for cand in cfg.candidates}
+        keys |= {
+            claim.key.split("/")[0] for prefix, claims in calls
+            if prefix.endswith("-soliton") for claim in claims
+            if "/" in claim.key and claim.key.split("/")[0] not in names
+        }
+    assert keys == set(config._SUITE_KEYS)
 
 
 def test_no_claims_no_checks(batch):

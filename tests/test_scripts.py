@@ -285,6 +285,50 @@ def test_perf_ab_summary_flags_a_change_worse_than_its_bound():
                    for line in script._summary("w", runs, metrics))
 
 
+def test_perf_ab_summary_of_one_pair_and_of_ties():
+    # one pair has no quartiles, a tie counts for neither side, and a
+    # change worse by less than its bound is not flagged
+    script = _perf_ab()
+    metric = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    one = {"base": [{"setup_s": 0.004}], "change": [{"setup_s": 0.0045}]}
+    assert script._summary("w", one, metric) == [
+        "w setup_s: base 4.000 ms, change 4.500 ms, change better in 0 of 1 "
+        "pairs"]
+    tied = {"base": [{"setup_s": 0.004}] * 3,
+            "change": [{"setup_s": 0.004}, {"setup_s": 0.003},
+                       {"setup_s": 0.004}]}
+    assert script._summary("w", tied, metric) == [
+        "w setup_s: base 4.000 ms, change 4.000 ms, change better in 1 of 3 "
+        "pairs, base interquartile distance 0.000 ms"]
+
+
+@pytest.mark.parametrize("slower, status", [(1.0, 0), (1.1, 0), (1.5, 3)])
+def test_perf_ab_exits_3_when_a_metric_is_worse(monkeypatch, capsys, slower,
+                                                 status):
+    # fake runs, no subprocess: the change's times are the base's times
+    # `slower`, and the bound of verify_s.p50 is 0.2
+    script = _perf_ab()
+    monkeypatch.setattr(script, "_extract", lambda rev, into: None)
+    monkeypatch.setattr(script, "_copy_worktree", lambda into: None)
+    seeds = []
+
+    def run(cmd, cwd):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        seeds.append(seed)
+        factor = slower if cwd.name == "change" else 1.0
+        return {"verify_s.p50": factor * (0.010 + 1e-4 * seed),
+                "points_per_s": 100.0 / factor}
+
+    monkeypatch.setattr(script, "_run", run)
+    assert script.main(["HEAD", "--workload", "controls", "--pairs", "4",
+                        "--seed", "7"]) == status
+    assert seeds == [7, 7, 8, 8, 9, 9, 10, 10]
+    summary = capsys.readouterr().out.splitlines()[-2:]
+    assert [line.split(":")[0] for line in summary] == [
+        "controls verify_s.p50", "controls points_per_s"]
+    assert all(("WORSE" in line) == (status == 3) for line in summary)
+
+
 @pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout")
 def test_perf_ab_copies_the_working_tree(tmp_path):
     # every file git tracks or would track, as it is on disk, and no file
