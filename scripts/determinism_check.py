@@ -8,12 +8,15 @@ With --digests, print instead one sha256 per built-in fixture and per
 --config file (which may then be given more than once), at the fixture's
 own point count and at --points (default 256), one report each.  Two
 checkouts that write the same report bytes print the same lines, so
-comparing them is one diff of the two outputs.
+comparing them is one diff of the two outputs.  Each --seed S (which may
+be given more than once) adds a line per fixture and point count at seed
+S, "<fixture> <count> points seed S", after the line at the fixture's own
+seed, so a change to sampling is compared at more than one seed.
 
 With --against REV, make that comparison: extract src/ of the git
 revision REV with ``git archive`` into a temporary directory, print the
 --digests lines of both trees (each in a subprocess), and print per
-(fixture, points) line whether the two reports are the ``same`` or
+(fixture, points, seed) line whether the two reports are the ``same`` or
 ``differ``, naming the fixtures found on one side only.  Exit status 1
 means some report differs.
 """
@@ -97,11 +100,17 @@ def main() -> int:
     parser.add_argument("--against", metavar="REV",
                         help="compare the --digests lines of this tree with "
                              "those of git revision REV")
+    parser.add_argument("--seed", metavar="S", type=int, action="append",
+                        default=[],
+                        help="with --digests or --against, also run each "
+                             "fixture at seed S; may be given more than once")
     args = parser.parse_args()
     if args.runs < 2:
         parser.error("--runs must be at least 2 to compare reports")
     if args.points is not None and args.points < 1:
         parser.error("--points must be at least 1")
+    if any(seed < 0 for seed in args.seed):
+        parser.error("--seed must be at least 0")
     configs = args.config or []
     if args.digests and args.fixture is not None:
         parser.error("--digests covers every built-in fixture; "
@@ -109,6 +118,8 @@ def main() -> int:
     if not (args.digests or args.against) and len(configs) > 1:
         parser.error("--config may be given more than once only "
                      "with --digests or --against")
+    if not (args.digests or args.against) and args.seed:
+        parser.error("--seed is only for --digests or --against")
 
     def load(path):
         try:
@@ -126,6 +137,8 @@ def main() -> int:
             passed += ["--config", str(Path(path).resolve())]
         if args.points is not None:
             passed += ["--points", str(args.points)]
+        for seed in args.seed:
+            passed += ["--seed", str(seed)]
         return _against(args.against, passed)
 
     if args.digests:
@@ -137,11 +150,17 @@ def main() -> int:
         points = _DIGEST_POINTS if args.points is None else args.points
         for make in loaders:
             for count in (None, points):
-                config = make()
-                if count is not None:
-                    config.points = count
-                digest, _ = _digest(config)
-                print(f"{config.name} {config.points} points: sha256 {digest}")
+                for seed in (None, *args.seed):
+                    config = make()
+                    if count is not None:
+                        config.points = count
+                    label = ""
+                    if seed is not None:
+                        config.seed = seed
+                        label = f" seed {seed}"
+                    digest, _ = _digest(config)
+                    print(f"{config.name} {config.points} points{label}: "
+                          f"sha256 {digest}")
         return 0
 
     digests = []

@@ -955,18 +955,34 @@ def sample_batch(manifold, box, count, seed) -> Samples:
     ``box`` maps each coordinate to (lo, hi).  Rejection sampling enforces
     the domain constraints.  Candidates are drawn in blocks of exactly the
     number still missing, which yields the same doubles as drawing them one
-    by one, so a given seed always yields the same points.  A constraint
-    that cannot be evaluated, or a box whose width overflows, raises
-    StructureError naming the chart and the constraint subtree and sample,
-    or the coordinate.
+    by one, so a given seed always yields the same points.  A block is
+    ``lows + widths * rng.random((k, d))``: numpy's
+    ``Generator.uniform(lows, highs, size=(k, d))`` is low + (high - low) u
+    with u from the same stream, so this is its draw bit for bit, without
+    its per-call checks of the bounds.  A chart without constraints takes
+    its one block as drawn, with no domain pass, and a block that rejects
+    nothing is kept as drawn.  A constraint that cannot be evaluated, a box
+    whose width overflows or whose low exceeds its high, or a count below 1
+    raises StructureError naming the chart and the constraint subtree and
+    sample, the coordinate or the count.
     """
-    rng = np.random.default_rng(seed)
-    lows = np.array([box[c][0] for c in manifold.coords])
-    highs = np.array([box[c][1] for c in manifold.coords])
+    if count < 1:
+        raise StructureError(f"cannot draw {count} points in {manifold.name}: "
+                             f"the count must be at least 1")
+    lows, widths = [], []
     for c in manifold.coords:
-        if not np.isfinite(float(box[c][1]) - float(box[c][0])):
+        low = float(box[c][0])
+        width = float(box[c][1]) - low
+        if not np.isfinite(width):
             raise StructureError(f"sampling box of {manifold.name} is too "
                                  f"wide in {c}: {box[c]} has no finite width")
+        if width < 0.0:
+            raise StructureError(f"sampling box of {manifold.name} is "
+                                 f"inverted in {c}: {box[c]} has low > high")
+        lows.append(low)
+        widths.append(width)
+    lows, widths = np.array(lows), np.array(widths)
+    rng = np.random.default_rng(seed)
     limit = 1000 * count + 1000
     blocks = []
     accepted = drawn = 0
@@ -977,17 +993,20 @@ def sample_batch(manifold, box, count, seed) -> Samples:
                 f"{manifold.name}; box {box} may miss the domain"
             )
         k = min(count - accepted, limit - drawn)
-        draw = rng.uniform(lows, highs, size=(k, manifold.dim))
+        draw = lows + widths * rng.random((k, manifold.dim))
         drawn += k
-        try:
-            inside = manifold.contains(dict(zip(manifold.coords, draw.T)))
-        except EvalError as err:
-            raise StructureError(
-                f"domain constraint of {manifold.name} cannot be evaluated: {err}"
-            ) from err
-        blocks.append(draw[inside])
-        accepted += int(np.count_nonzero(inside))
-    points = np.concatenate(blocks)
+        if manifold.constraints:
+            try:
+                inside = manifold.contains(dict(zip(manifold.coords, draw.T)))
+            except EvalError as err:
+                raise StructureError(
+                    f"domain constraint of {manifold.name} cannot be evaluated: {err}"
+                ) from err
+            if not inside.all():
+                draw = draw[inside]
+        blocks.append(draw)
+        accepted += len(draw)
+    points = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return Samples({
         c: np.ascontiguousarray(points[:, i]) for i, c in enumerate(manifold.coords)
     })

@@ -16,13 +16,13 @@ the first claim computed with one.  Reports are plain dicts whose JSON
 serialization is byte-stable for a fixed (config, seed, version): checks
 are sorted by id, keys are sorted, and no timing data enters the report.
 ``report_json`` writes those bytes for ``build_report``'s schema from
-templates: a head per distinct anchor, classification and detail, and
-each float's text once per value.
+templates, with no ``json.dumps`` call: one for the top level, a head per
+distinct anchor, classification and detail, and each float's text once
+per value.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -860,23 +860,44 @@ def _check_head(anchor, classification, detail) -> str:
     return head + ',\n      "id": '
 
 
+def _list_text(texts) -> str:
+    """A top-level json list, indented as json writes it, of the item
+    texts ``texts``."""
+    text = ",\n    ".join(texts)
+    return f"[\n    {text}\n  ]" if text else "[]"
+
+
 def report_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
-    byte, with each check written from a template.
+    byte, written from templates with no ``json.dumps`` call.
 
-    ``report`` is what ``build_report`` returns, so each check has the
-    keys and value types of ``CheckResult.to_json_dict``.  A check is its
-    head, built once per distinct (anchor, classification, detail) since
-    the sorted keys put those first, then its id, then its numbers.  Each
-    float's text is memoised per value within the call, written as json
-    writes it (``float.__repr__``, NaN, Infinity, -Infinity).  The small
-    top level, and a report with no checks, is written by json, whose
-    indent makes it use its pure-Python encoder; a raw newline only ever
-    stands between items, since json escapes it inside strings.
+    ``report`` is what ``build_report`` returns: its eight keys, and each
+    check has the keys and value types of ``CheckResult.to_json_dict``.
+    The top level is one template in sorted key order, with the checks in
+    the middle.  A check is its head, built once per distinct (anchor,
+    classification, detail) since the sorted keys put those first, then
+    its id, then its numbers.  Each float is written as json writes it
+    (``float.__repr__``, NaN, Infinity, -Infinity; ``_float_text``), a
+    check's text memoised per value within the call, and each string by
+    json's ``encode_basestring_ascii``.  A raw newline only ever stands
+    between items, since strings are escaped.
     """
+    before = (
+        f'{{\n  "a_grid": {_list_text(map(_float_text, report["a_grid"]))},\n'
+        f'  "all_pass": {"true" if report["all_pass"] else "false"},\n'
+        f'  "checks": '
+    )
+    suites = _list_text(map(encode_basestring_ascii, report["suites"]))
+    after = (
+        f',\n  "fixture": {encode_basestring_ascii(report["fixture"])},\n'
+        f'  "points": {report["points"]},\n'
+        f'  "seed": {report["seed"]},\n'
+        f'  "suites": {suites},\n'
+        f'  "version": {encode_basestring_ascii(report["version"])}\n}}\n'
+    )
     checks = report["checks"]
     if not checks:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return f'{before}{"null" if checks is None else "[]"}{after}'
     # float -> its text; a zero is written by repr, since 0.0 == -0.0, and
     # a NaN, equal to nothing, is only found again as the same object
     heads, floats = {}, {}
@@ -901,9 +922,7 @@ def report_json(report: dict) -> str:
             f'      "points": {check["points"]},\n'
             f'      "tolerance": {tol_text}\n    }}'
         )
-    # the checks in place of the null, joined into the one large string
-    text = json.dumps({**report, "checks": None}, indent=2, sort_keys=True)
-    before, _, after = text.partition('\n  "checks": null')
-    items[0] = f'{before}\n  "checks": [\n    {items[0]}'
-    items[-1] = f"{items[-1]}\n  ]{after}\n"
+    # the checks joined into the one large string between the two halves
+    items[0] = f"{before}[\n    {items[0]}"
+    items[-1] = f"{items[-1]}\n  ]{after}"
     return ",\n    ".join(items)

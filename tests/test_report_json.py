@@ -25,6 +25,14 @@ def _reference(report) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _report(checks, **top) -> dict:
+    """A report with ``build_report``'s eight keys: ``checks``, the values
+    in ``top``, and fixed values for the rest."""
+    return {"fixture": "x", "version": "0.5.1", "seed": 42, "points": 64,
+            "a_grid": [0.5, 2.0], "suites": ["kenmotsu"], "all_pass": False,
+            "checks": checks, **top}
+
+
 # text with the characters json escapes or writes as \uXXXX
 _TEXT = st.text(
     alphabet=st.sampled_from(list('ab "\\/\n\t\x00\x7fé€😀{}[],:')) | st.characters(),
@@ -80,8 +88,8 @@ def test_edge_reports():
     }
     bare = {k: v for k, v in check.items() if k != "detail"}
     for checks in (None, [], [check], [bare, check, dict(check, tolerance=1e300)]):
-        report = {"fixture": "x", "a_grid": [0.5, 1.0], "all_pass": True,
-                  "checks": checks}
+        report = _report(checks, fixture="x", a_grid=[0.5, 1.0],
+                         all_pass=True)
         assert report_json(report) == _reference(report)
 
 
@@ -127,7 +135,7 @@ def _pooled_checks(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_pooled_checks(), min_size=1, max_size=12))
 def test_pooled_checks_hit_the_memos(checks):
-    report = {"fixture": "x", "a_grid": [0.5, -0.0], "checks": checks}
+    report = _report(checks, fixture="x", a_grid=[0.5, -0.0])
     assert report_json(report) == _reference(report)
 
 
@@ -139,7 +147,7 @@ def test_signed_zeros_in_either_order():
             for i, (x, y) in enumerate([(first, second), (second, first),
                                         (first, first), (second, second)])
         ]
-        report = {"checks": checks}
+        report = _report(checks)
         text = report_json(report)
         assert text == _reference(report)
         assert text.count('"max_residual": -0.0,') == 2
@@ -154,7 +162,7 @@ def test_non_finite_and_changing_forms():
          "tolerance": y, "pass": False, "detail": "d"}
         for i, x in enumerate(values) for j, y in enumerate(values)
     ]
-    report = {"checks": checks}
+    report = _report(checks)
     text = report_json(report)
     assert text == _reference(report)
     for form in ("NaN", "Infinity", "-Infinity", "5e-324", "1e+16", "1e-05",
@@ -168,6 +176,6 @@ def test_text_escapes_in_every_field():
     check = {"id": odd, "anchor": odd, "points": 3, "max_residual": 1.5,
              "tolerance": 2.0, "pass": True, "classification": odd,
              "detail": odd}
-    report = {"checks": [check, dict(check, id="second")]}
+    report = _report([check, dict(check, id="second")])
     assert report_json(report) == _reference(report)
 

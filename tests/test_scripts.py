@@ -88,6 +88,38 @@ def test_determinism_check_digests(tmp_path, kenmotsu5_text):
     assert proc.stdout.splitlines() == expected
 
 
+def _digests(*args) -> dict:
+    proc = _run_script("determinism_check.py", "--digests", "--points", "4",
+                       *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return dict(line.split(": sha256 ") for line in proc.stdout.splitlines())
+
+
+def test_determinism_check_digests_at_given_seeds():
+    both = _digests("--seed", "1", "--seed", "7")
+    again = _digests("--seed", "1")
+    own = _digests()
+    # a line at each fixture's own seed, then one per --seed
+    assert list(both) == [f"{key}{label}" for key in own
+                          for label in ("", " seed 1", " seed 7")]
+    for key, digest in own.items():
+        assert both[key] == digest
+        assert both[f"{key} seed 1"] == again[f"{key} seed 1"]
+        assert both[f"{key} seed 1"] != both[f"{key} seed 7"]
+    assert len(again) == 2 * len(own)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "1"], "--seed is only for --digests or --against"),
+    (["--digests", "--seed", "-1"], "--seed must be at least 0"),
+])
+def test_determinism_check_refuses_bad_seeds(args, message):
+    proc = _run_script("determinism_check.py", *args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
 def _git(*args):
     try:
         return subprocess.run(["git", "-C", str(ROOT), *args],
