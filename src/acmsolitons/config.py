@@ -374,12 +374,8 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
                 value, f"vector {key!r}", f"vector {key}", symbols, dim, source))
 
     candidates = []
-    # potential word -> (potential, SolitonCandidate field, what it names,
-    # the named fields)
-    potentials = {
-        "grad": ("gradient", "scalar", "scalar", scalars),
-        "vector": ("vector", "field", "vector", vectors),
-    }
+    # potential word -> (what it names, the named fields)
+    potentials = {"grad": ("scalar", scalars), "vector": ("vector", vectors)}
     if "candidates" in sections:
         if structure is None:
             raise ConfigError(
@@ -405,24 +401,23 @@ def load_config_text(text: str, source: str = "<config>") -> VerificationConfig:
             kind = parts[0].strip()
             pot = parts[1].split()
             lam = _parse(parts[2], symbols, source, f"candidate {key} lambda")
-            fields = {}
             if len(pot) == 2 and pot[0] in potentials:
-                potential, arg, what, named = potentials[pot[0]]
+                what, named = potentials[pot[0]]
                 if pot[1] not in named:
                     raise ConfigError(
                         f"{source}: candidate {key!r} references unknown "
                         f"{what} {pot[1]!r}"
                     )
-                fields[arg] = named[pot[1]]
+                potential = named[pot[1]]
             elif pot == ["reeb"]:
-                potential = "reeb"
+                potential = None
             else:
                 raise ConfigError(
                     f"{source}: candidate {key!r} potential must be 'reeb', "
                     f"'grad <scalar>' or 'vector <vector>'"
                 )
             try:
-                cand = SolitonCandidate(key, kind, potential, lam, **fields)
+                cand = SolitonCandidate(key, kind, potential, ScalarField(lam))
             except StructureError as err:
                 raise ConfigError(f"{source}: candidate {key!r}: {err}") from err
             candidates.append(cand)

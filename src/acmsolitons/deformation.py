@@ -125,7 +125,7 @@ def deformation_curvature_term(g: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def _curvature_term(structure: AcmStructure, point) -> np.ndarray:
     """``deformation_curvature_term`` of the base, memoised on a batch."""
     g = structure.manifold.metric_at_cached(point).g
-    return deformation_curvature_term(g, structure.eta_values(point))
+    return deformation_curvature_term(g, structure.eta_field.values(point))
 
 
 def ricci_bar(structure: AcmStructure, point, ric) -> np.ndarray:
@@ -137,7 +137,7 @@ def ricci_bar(structure: AcmStructure, point, ric) -> np.ndarray:
     """
     a = point[A]
     g = structure.manifold.metric_at_cached(point).g
-    eta = structure.eta_values(point)
+    eta = structure.eta_field.values(point)
     q = (2.0 * structure.n * (a - 1.0) / a)[..., None, None]
     return ric + q * (g - outer(eta, eta))
 
@@ -289,7 +289,7 @@ class DeformedStructure:
         Kenmotsu condition.
         """
         m = self.base.manifold.metric_at_cached(point)
-        xi = self.base.xi_values(point)
+        xi = self.base.xi_field.values(point)
         a = _a(point, 2)
         return m.inv / a - ((a - 1.0) / (a * a)) * outer(xi, xi)
 
@@ -297,8 +297,8 @@ class DeformedStructure:
         self.require_kenmotsu(point)
         gamma = christoffel(self.base.manifold, point)
         m = self.base.manifold.metric_at_cached(point)
-        eta = self.base.eta_values(point)
-        xi = self.base.xi_values(point)
+        eta = self.base.eta_field.values(point)
+        xi = self.base.xi_field.values(point)
         a = _a(point, 3)
         return gamma + ((a - 1.0) / a) * contract(
             "ij,l->lij", m.g - outer(eta, eta), xi)
@@ -323,7 +323,7 @@ class DeformedStructure:
         out = dict(self.ricci_closed(point))  # the memo entry stays as it is
         bundle = curvature_bundle(self.base.manifold, point)
         g = bundle["metric"].g
-        eta = self.base.eta_values(point)
+        eta = self.base.eta_field.values(point)
         a = _a(point)
         k = a.ndim  # sample axes, a in front
         out["R04"] = riemann_bar(self.base, point, bundle["R04"])
@@ -344,19 +344,19 @@ class DeformedStructure:
     def nabla_phi_closed(self, point) -> np.ndarray:
         """(nabla_bar_i phi)^k_j as [i, k, j]."""
         self.require_kenmotsu(point)
-        phi = self.base.phi_values(point)
+        phi = self.base.phi_field.values(point)
         return (
             contract("ij,k->ikj", phi_flat(self.base, point),
-                     self.base.xi_values(point))
+                     self.base.xi_field.values(point))
             / _a(point, 3)
-            - contract("j,ki->ikj", self.base.eta_values(point), phi)
+            - contract("j,ki->ikj", self.base.eta_field.values(point), phi)
         )
 
     def nabla_reeb_closed(self, point) -> np.ndarray:
         """(nabla_bar_i xi_bar)^k as [i, k] = (1/a)(I - eta (x) xi)."""
         self.require_kenmotsu(point)
-        eta = self.base.eta_values(point)
-        xi = self.base.xi_values(point)
+        eta = self.base.eta_field.values(point)
+        xi = self.base.xi_field.values(point)
         d = self.manifold.dim
         return (np.eye(d) - outer(eta, xi)) / _a(point, 2)
 
@@ -364,7 +364,7 @@ class DeformedStructure:
         """L_{xi_bar} g_bar = 2 (g - eta (x) eta), the same for every a."""
         self.require_kenmotsu(point)
         m = self.base.manifold.metric_at_cached(point)
-        eta = self.base.eta_values(point)
+        eta = self.base.eta_field.values(point)
         return symmetric(2.0 * (m.g - outer(eta, eta)), point)
 
     def div_reeb_closed(self, point):
@@ -377,7 +377,7 @@ class DeformedStructure:
     def hessian_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
         m = self.base.manifold.metric_at_cached(point)
-        eta = self.base.eta_values(point)
+        eta = self.base.eta_field.values(point)
         xif, _ = xi_derivatives(self.base, f, point)
         p = m.g - outer(eta, eta)
         a = _a(point, 2)
@@ -387,7 +387,7 @@ class DeformedStructure:
 
     def gradient_closed(self, f: ScalarField, point) -> np.ndarray:
         self.require_kenmotsu(point)
-        xi = self.base.xi_values(point)
+        xi = self.base.xi_field.values(point)
         xif, _ = xi_derivatives(self.base, f, point)
         a = _a(point, 1)
         return grad(self.base.manifold, f, point) / a - (
@@ -427,7 +427,7 @@ def _base_tensor(structure: AcmStructure, name: str, point, f=None):
         return curvature_bundle(man, point)["Ric"]
     if name == "hess":
         return hessian(man, f, point)
-    eta = structure.eta_values(point)
+    eta = structure.eta_field.values(point)
     return outer(eta, eta)
 
 
@@ -490,11 +490,12 @@ def prop_inner_battery(ds: DeformedStructure, f: ScalarField, point) -> list:
         for name in ("g", "ric", "hess", "etaeta")
     }
     index = {name: k for k, name in enumerate(tensors)}
-    rows, gram, reeb = _reeb_rows(list(tensors.values()), base.xi_values(point),
+    rows, gram, reeb = _reeb_rows(list(tensors.values()),
+                                  base.xi_field.values(point),
                                   base.manifold.metric_at_cached(point))
     hess = index["hess"]
-    reduced = max_abs(rows[..., hess, :]
-                      - reeb[..., hess, None] * base.eta_values(point), 1)
+    eta = base.eta_field.values(point)
+    reduced = max_abs(rows[..., hess, :] - reeb[..., hess, None] * eta, 1)
     inner = {
         pair: base_inner(base, pair, f if "hess" in pair else None, point)
         for pair in _BATTERY_PAIRS

@@ -386,7 +386,7 @@ class ChartManifold:
         identity to 1e-10.  Failure raises StructureError naming the
         first offending sample.
         """
-        g = symmetric(self.metric_values(point), point)
+        g = self.metric_values(point)
         inv, definite = _gauss_jordan(g)
         _refuse(~definite, f"metric of {self.name} not positive definite", point)
         # a batched matmul, not an einsum: it fuses each multiply-add, so
@@ -794,7 +794,8 @@ class AcmStructure:
         phi^2 = -I + eta (x) xi,   eta(xi) = 1,
         g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y),
     with phi(xi) = 0 and eta(phi(.)) = 0 following; ``validate`` reports the
-    numerical residual of each at a point.
+    numerical residual of each at a point.  Callers read phi, xi and eta
+    through their fields, ``phi_field``, ``xi_field`` and ``eta_field``.
     """
 
     def __init__(self, manifold: ChartManifold, phi, xi, eta=None):
@@ -831,25 +832,12 @@ class AcmStructure:
             f.reads_a for f in (self.phi_field, self.xi_field, self.eta_field)
         )
 
-    def phi_values(self, point) -> np.ndarray:
-        return self.phi_field.values(point)
-
-    def xi_values(self, point) -> np.ndarray:
-        return self.xi_field.values(point)
-
-    def eta_values(self, point) -> np.ndarray:
-        return self.eta_field.values(point)
-
-    def phi_partials(self, point) -> np.ndarray:
-        """dphi[k, i, j] = d_k phi^i_j."""
-        return self.phi_field.partials(self.manifold.coords, point)
-
     def validate(self, point) -> dict:
         """Residuals of the defining axioms at ``point`` (all should vanish)."""
         m = self.manifold.metric_at_cached(point)
-        phi = self.phi_values(point)
-        xi = self.xi_values(point)
-        eta = self.eta_values(point)
+        phi = self.phi_field.values(point)
+        xi = self.xi_field.values(point)
+        eta = self.eta_field.values(point)
         eye = np.eye(self.manifold.dim)
         phi_g_phi = contract("ik,kj->ij", phi_flat(self, point), phi)
         return {
@@ -875,7 +863,7 @@ def phi_flat(structure: AcmStructure, point) -> np.ndarray:
     on a batch: the structure axioms, the Kenmotsu condition and the
     deformed nabla phi read it."""
     g = structure.manifold.metric_at_cached(point).g
-    return contract("mi,mj->ij", structure.phi_values(point), g)
+    return contract("mi,mj->ij", structure.phi_field.values(point), g)
 
 
 def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> np.ndarray:
@@ -889,9 +877,10 @@ def covariant_derivative(manifold: ChartManifold, field: VectorField, point) -> 
 def nabla_phi_tensor(structure: AcmStructure, point) -> np.ndarray:
     """(nabla_i phi)^k_j as [i, k, j], from exact partials of phi and g."""
     gamma = christoffel(structure.manifold, point)
-    phi = structure.phi_values(point)
+    phi = structure.phi_field.values(point)
     # dphi[i, k, j] = d_i phi^k_j since the derivative index comes first
-    out = structure.phi_partials(point) + contract("kim,mj->ikj", gamma, phi)
+    dphi = structure.phi_field.partials(structure.manifold.coords, point)
+    out = dphi + contract("kim,mj->ikj", gamma, phi)
     out -= contract("km,mij->ikj", phi, gamma)
     return out
 
@@ -907,7 +896,7 @@ def xi_derivatives(structure: AcmStructure, f: ScalarField, point) -> tuple:
     closed form in base data reads them from here.
     """
     coords = structure.manifold.coords
-    xi = structure.xi_values(point)
+    xi = structure.xi_field.values(point)
     df = f.partials(coords, point)
     xixif = (
         contract("k,km,m->", xi, structure.xi_field.partials(coords, point), df)
@@ -925,9 +914,9 @@ def kenmotsu_details(structure: AcmStructure, point) -> dict:
     and the corollary checked alongside is nabla xi = I - eta (x) xi.
     Memoised on a batch.
     """
-    phi = structure.phi_values(point)
-    xi = structure.xi_values(point)
-    eta = structure.eta_values(point)
+    phi = structure.phi_field.values(point)
+    xi = structure.xi_field.values(point)
+    eta = structure.eta_field.values(point)
     nabla_phi = nabla_phi_tensor(structure, point)
     # target: g(phi d_i, d_j) xi^k - eta_j phi^k_i
     target = (contract("ij,k->ikj", phi_flat(structure, point), xi)

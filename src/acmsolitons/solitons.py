@@ -58,7 +58,7 @@ from .deformation import (
     HYPOTHESIS_TOL, DeformedStructure, base_inner, laplacian_bar, ricci_bar,
     riemann_bar,
 )
-from .expr import A, Expr, evaluate
+from .expr import A
 from .geometry import (
     AcmStructure,
     ScalarField,
@@ -143,34 +143,29 @@ def _trace(kind: str, n: int) -> _Trace:
 class SolitonCandidate:
     """A proposed soliton datum (potential, lambda) for one equation kind.
 
-    The potential is an explicit vector field, the gradient of a scalar, or
-    the Reeb field of whatever frame the candidate is evaluated in.
-    ``field`` and ``scalar`` are the configured fields themselves, so every
-    candidate with that potential shares them.  Either and the lambda may
-    reference the reserved symbol ``a``, which the frame's batch binds to
-    its deformation parameters (1 in an undeformed frame); that way a
-    single candidate describes the whole deformation family.
+    ``potential`` is the configured ``ScalarField`` whose gradient is the
+    potential, the configured ``VectorField`` that is the potential, or
+    None for the Reeb field of whatever frame the candidate is evaluated
+    in; every candidate naming a configured field holds that field itself.
+    ``lam`` is the ``ScalarField`` of lambda.  Either may read the reserved
+    symbol ``a``, which the frame's batch binds to its deformation
+    parameters (1 in an undeformed frame); that way a single candidate
+    describes the whole deformation family.
     """
 
     name: str
     kind: str
-    potential: str
-    lam: Expr
-    field: VectorField = None
-    scalar: ScalarField = None
+    potential: ScalarField | VectorField | None
+    lam: ScalarField
 
     def __post_init__(self):
         if self.kind not in ("riemann", "ricci"):
             raise StructureError(f"unknown soliton kind {self.kind!r}")
-        if self.potential not in ("vector", "gradient", "reeb"):
-            raise StructureError(f"unknown potential kind {self.potential!r}")
-        if self.potential == "vector" and self.field is None:
+        if not (isinstance(self.lam, ScalarField) and isinstance(
+                self.potential, (ScalarField, VectorField, type(None)))):
             raise StructureError(
-                f"candidate {self.name!r} needs a vector field"
-            )
-        if self.potential == "gradient" and self.scalar is None:
-            raise StructureError(
-                f"candidate {self.name!r} needs a scalar potential"
+                f"candidate {self.name!r} needs a ScalarField lambda and a "
+                f"ScalarField, VectorField or None potential"
             )
 
 
@@ -218,10 +213,10 @@ def soliton_residuals(structure: AcmStructure, candidate, point) -> dict:
     bundle = curvature_bundle(structure.manifold, point)
     g = bundle["metric"].g
     scal = bundle["scal"]
-    potential = {"gradient": candidate.scalar, "vector": candidate.field,
-                 "reeb": structure.xi_field}[candidate.potential]
+    potential = (structure.xi_field if candidate.potential is None
+                 else candidate.potential)
     lie, div_v = _lie_and_div(structure.manifold, potential, point)
-    lam = evaluate(candidate.lam, point)
+    lam = candidate.lam.values(point)
     beta = tr.beta(lam, div_v)
     out = {
         "lambda": lam,
@@ -246,11 +241,11 @@ def xi_of_eta_potential(structure: AcmStructure, field: VectorField, point):
     """xi(eta(V)) = xi^k (d_k eta_i V^i + eta_i d_k V^i), from exact
     partials of eta and V."""
     coords = structure.manifold.coords
-    xi = structure.xi_values(point)
+    xi = structure.xi_field.values(point)
     return (
         contract("k,ki,i->", xi, structure.eta_field.partials(coords, point),
                  field.values(point))
-        + contract("k,i,ki->", xi, structure.eta_values(point),
+        + contract("k,i,ki->", xi, structure.eta_field.values(point),
                    field.partials(coords, point))
     )
 
@@ -308,7 +303,7 @@ def implied_curvature(kind: str, structure: AcmStructure, point) -> dict:
     callers must not treat them as an identity.
     """
     m = structure.manifold.metric_at_cached(point)
-    eta = structure.eta_values(point)
+    eta = structure.eta_field.values(point)
     n = structure.n
     ee = outer(eta, eta)
     ric = _reeb_forced(kind, m.g, ee, n)
@@ -362,7 +357,7 @@ def _solenoidal_terms(structure: AcmStructure, vector: VectorField,
     ``solenoidal_implied``, which no kind enters, memoised on a batch."""
     man = structure.manifold
     g = man.metric_at_cached(point).g
-    eta = structure.eta_values(point)
+    eta = structure.eta_field.values(point)
     nv = covariant_derivative(man, vector, point)
     v = vector.values(point)
     nv_flat = contract("ik,kj->ij", nv, g)
@@ -409,7 +404,7 @@ def xi_compatibility(kind: str, structure: AcmStructure, point) -> dict:
     """
     m = structure.manifold.metric_at_cached(point)
     g = m.g
-    eta = structure.eta_values(point)
+    eta = structure.eta_field.values(point)
     n = structure.n
     ee = outer(eta, eta)
     lam_bar = theorem_lambda(kind, "reeb", structure, None, point)

@@ -48,6 +48,7 @@ from .deformation import (
 from .expr import A, EvalError, a_tag, locate
 from .geometry import (
     Samples,
+    ScalarField,
     covariant_derivative,
     curvature_bundle,
     divergence,
@@ -349,8 +350,8 @@ def _suite_kenmotsu(run):
 
     det = kenmotsu_details(s, pts)
     m = man.metric_at_cached(pts)
-    eta = s.eta_values(pts)
-    xi = s.xi_values(pts)
+    eta = s.eta_field.values(pts)
+    xi = s.xi_field.values(pts)
     lie = lie_derivative_metric(man, s.xi_field, pts)
     bundle = curvature_bundle(man, pts)
     # R(d_a, d_b) xi and eta_a d_b - eta_b d_a at the pairs (a < b), [p, l]
@@ -611,9 +612,9 @@ def _soliton_suite(run, kind):
                           labels=res["classification"])
                     for k in keys
                 ]
-                if cand.potential == "gradient":
+                if isinstance(cand.potential, ScalarField):
                     lam_thm = theorem_lambda(
-                        kind, "gradient", structure, cand.scalar, at
+                        kind, "gradient", structure, cand.potential, at
                     )
                     claims.append(Claim(
                         f"{cand.name}/lambda-gradient",
@@ -780,6 +781,24 @@ _GATED = frozenset((
 # suites that need a configured scalar field
 _NEEDS_SCALAR = frozenset(("prop22-norms", "remark23", "inequalities"))
 
+# the failing check that stands for a suite that cannot run: key ->
+# (anchor, tolerance, detail)
+_REFUSALS = {
+    "requires-structure": ("suite needs an almost contact metric structure",
+                           0.0, "fixture defines no [structure] section"),
+    "kenmotsu-gate": ("closed deformation forms require a Kenmotsu base",
+                      KENMOTSU_TOL,
+                      "base structure is not Kenmotsu; suite skipped"),
+    "scalar-missing": ("suite needs a scalar field; set scalar in [run]",
+                       0.0, "no scalar field configured"),
+}
+
+
+def _refusal(suite: str, key: str, points: int, residual=1.0) -> CheckResult:
+    anchor, tol, detail = _REFUSALS[key]
+    return CheckResult(f"{suite}/{key}", anchor, points, residual, tol, False,
+                       detail=detail)
+
 
 def run_suites(config: VerificationConfig) -> list:
     """All checks for the configured suites, sorted by check id."""
@@ -792,12 +811,7 @@ def run_suites(config: VerificationConfig) -> list:
     for suite in config.suites:
         runner = _SUITE_RUNNERS[suite]
         if config.structure is None:
-            checks.append(CheckResult(
-                f"{suite}/requires-structure",
-                "suite needs an almost contact metric structure",
-                points.count, 1.0, 0.0, False,
-                detail="fixture defines no [structure] section",
-            ))
+            checks.append(_refusal(suite, "requires-structure", points.count))
             continue
         try:
             if suite in _GATED:
@@ -809,20 +823,11 @@ def run_suites(config: VerificationConfig) -> list:
                     )
                     gate = max(worst.tolist())
                 if gate > KENMOTSU_TOL:
-                    checks.append(CheckResult(
-                        f"{suite}/kenmotsu-gate",
-                        "closed deformation forms require a Kenmotsu base",
-                        points.count, float(gate), KENMOTSU_TOL, False,
-                        detail="base structure is not Kenmotsu; suite skipped",
-                    ))
+                    checks.append(_refusal(suite, "kenmotsu-gate",
+                                           points.count, gate))
                     continue
             if suite in _NEEDS_SCALAR and config.scalar is None:
-                checks.append(CheckResult(
-                    f"{suite}/scalar-missing",
-                    "suite needs a scalar field; set scalar in [run]",
-                    points.count, 1.0, 0.0, False,
-                    detail="no scalar field configured",
-                ))
+                checks.append(_refusal(suite, "scalar-missing", points.count))
                 continue
             checks.extend(runner(run))
         except (EvalError, StructureError) as err:

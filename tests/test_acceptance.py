@@ -13,6 +13,7 @@ from acmsolitons.config import builtin_config
 from acmsolitons.deformation import deform
 from acmsolitons.expr import diff, evaluate, parse_expr
 from acmsolitons.geometry import (
+    ScalarField,
     VectorField,
     curvature_bundle,
     divergence,
@@ -67,14 +68,14 @@ def test_criterion_01_kenmotsu_axioms():
             worst["div"], abs(divergence(man, xi_field, p) - 2.0)
         )
         m = man.metric_at_cached(p)
-        eta = s.eta_values(p)
+        eta = s.eta_field.values(p)
         lie = lie_derivative_metric(man, xi_field, p)
         worst["lie"] = max(
             worst["lie"],
             float(np.max(np.abs(lie - 2.0 * (m.g - np.outer(eta, eta))))),
         )
         bundle = curvature_bundle(man, p)
-        xi = s.xi_values(p)
+        xi = s.xi_field.values(p)
         got = np.einsum("labc,c->lab", expand(bundle["R13"], raised=True), xi)
         want = np.einsum("a,lb->lab", eta, eye) - np.einsum(
             "b,la->lab", eta, eye
@@ -191,8 +192,8 @@ def test_criterion_05_lambda_theorems_consistent():
         worst_mid = max(
             worst_mid,
             abs(laplacian(man, f, p) - 3.0 * ez) / ez,
-            abs(float(s.xi_values(p) @ hessian(man, f, p)
-                      @ s.xi_values(p)) - ez) / ez,
+            abs(float(s.xi_field.values(p) @ hessian(man, f, p)
+                      @ s.xi_field.values(p)) - ez) / ez,
         )
         xif, xixif = xi_derivatives(s, f, p)
         worst_mid = max(
@@ -237,7 +238,7 @@ def test_criterion_06_implied_constants(kenmotsu5, kenmotsu7):
         n = s.n
         p = _points(cfg)[0]
         m = cfg.manifold.metric_at_cached(p)
-        xi = s.xi_values(p)
+        xi = s.xi_field.values(p)
         closed = {
             "riemann": {
                 "lambda_bar": lambda a: (a - 1.0) / (a * a),
@@ -334,7 +335,7 @@ def test_criterion_07_trace_implication():
             _random_polynomial(rng, coords), coords=coords + ("a",)
         )
         cand = SolitonCandidate(
-            f"rand{k}", kind, "vector", lam, field=VectorField(comps)
+            f"rand{k}", kind, VectorField(comps), ScalarField(lam)
         )
         for p in pts:
             res = soliton_residuals(s, cand, with_a(p, 1.0))

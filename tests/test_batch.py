@@ -122,12 +122,13 @@ def test_batch_equals_single_points(name, kenmotsu5):
     coords = man.coords + ("a",)
     candidates = list(config.candidates) + [
         SolitonCandidate(
-            "batch-grad", "riemann", "gradient",
-            parse_expr(f"exp({man.coords[-1]})/a^2", coords=coords),
-            scalar=scalar,
+            "batch-grad", "riemann", scalar,
+            ScalarField(parse_expr(f"exp({man.coords[-1]})/a^2",
+                                   coords=coords)),
         ),
         SolitonCandidate(
-            "batch-reeb", "ricci", "reeb", parse_expr("-2/a^2", coords=coords),
+            "batch-reeb", "ricci", None,
+            ScalarField(parse_expr("-2/a^2", coords=coords)),
         ),
     ]
     frames = (
@@ -164,12 +165,12 @@ def test_sample_free_values_keep_one_sample(euclidean3, kenmotsu3):
     # pair reads a alone, so it has one sample per value of a
     s = kenmotsu3.structure
     batch = sample_batch(kenmotsu3.manifold, kenmotsu3.box, N, kenmotsu3.seed)
-    assert s.phi_values(batch).shape == (1, 3, 3)
-    assert s.xi_values(batch).shape == (1, 3)
-    assert s.eta_values(batch).shape == (1, 3)
+    assert s.phi_field.values(batch).shape == (1, 3, 3)
+    assert s.xi_field.values(batch).shape == (1, 3)
+    assert s.eta_field.values(batch).shape == (1, 3)
     ds = deform(s, (0.5, 2.0, 3.7))
-    assert ds.structure.xi_values(ds.at(batch)).shape == (3, 1, 3)
-    assert ds.structure.eta_values(ds.at(batch)).shape == (3, 1, 3)
+    assert ds.structure.xi_field.values(ds.at(batch)).shape == (3, 1, 3)
+    assert ds.structure.eta_field.values(ds.at(batch)).shape == (3, 1, 3)
     assert ds.manifold.metric_at_cached(ds.at(batch)).g.shape == (3, N, 3, 3)
 
 

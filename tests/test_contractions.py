@@ -132,7 +132,7 @@ def test_implied_riemann_curvature(d):
     m = MetricData(g=g, inv=np.linalg.inv(g), dg=None)
     structure = SimpleNamespace(
         manifold=SimpleNamespace(metric_at_cached=lambda point: m),
-        eta_values=lambda point: eta,
+        eta_field=SimpleNamespace(values=lambda point: eta),
         n=(d - 1) // 2,
     )
     ref = (
@@ -216,9 +216,9 @@ def test_nabla_phi_tensor(d, monkeypatch):
     dphi = _random(d, "k", "i", "j", seed=34)
     monkeypatch.setattr(geometry, "christoffel", lambda man, point: gamma)
     structure = SimpleNamespace(
-        manifold=None,
-        phi_values=lambda point: phi,
-        phi_partials=lambda point: dphi,
+        manifold=SimpleNamespace(coords=None),
+        phi_field=SimpleNamespace(values=lambda point: phi,
+                                  partials=lambda coords, point: dphi),
     )
     ref = (
         dphi

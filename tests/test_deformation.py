@@ -60,8 +60,8 @@ class TestConstruction:
             ds = deform(kenmotsu3.structure, a)
             p = kenmotsu3_points[0]
             gbar = ds.manifold.metric_values(ds.at(p))
-            xi = kenmotsu3.structure.xi_values(p)
-            xibar = ds.structure.xi_values(ds.at(p))
+            xi = kenmotsu3.structure.xi_field.values(p)
+            xibar = ds.structure.xi_field.values(ds.at(p))
             assert float(xi @ gbar @ xi) == pytest.approx(a * a, rel=1e-12)
             assert float(xibar @ gbar @ xibar) == pytest.approx(1.0, rel=1e-12)
 

@@ -144,7 +144,8 @@ def test_flat_fibre_gives_kenmotsu3s_candidates():
     at = {X: point["x"], Y: point["y"], T: point["z"], A: point["a"], K: 0}
     for cand in config.candidates:
         want = float(LAMBDA[cand.kind].subs(at))
-        assert evaluate(cand.lam, point) == pytest.approx(want, rel=1e-14)
+        assert evaluate(cand.lam.exprs[0], point) == pytest.approx(
+            want, rel=1e-14)
     assert evaluate(config.scalar.exprs[0], point) == pytest.approx(
         float(F.subs(at)), rel=1e-14)
 
@@ -174,5 +175,5 @@ def test_builtin_carries_the_soliton(name, curvature):
             assert evaluate(got, point) == pytest.approx(
                 float(want.subs(at)), rel=1e-13, abs=1e-15)
         for cand in config.candidates:
-            assert evaluate(cand.lam, point) == pytest.approx(
+            assert evaluate(cand.lam.exprs[0], point) == pytest.approx(
                 float(LAMBDA[cand.kind].subs(at)), rel=1e-13)

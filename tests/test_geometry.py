@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from conftest import expand
 
+from acmsolitons.config import builtin_config, builtin_names
+from acmsolitons.deformation import deform
 from acmsolitons.geometry import (
     AcmStructure,
     ChartManifold,
@@ -24,6 +26,7 @@ from acmsolitons.geometry import (
     lie_derivative_metric,
     nabla_phi_tensor,
     sample_batch,
+    with_a,
 )
 from acmsolitons.expr import Const, parse_expr
 from acmsolitons.tensor import StructureError
@@ -156,8 +159,8 @@ class TestCurvature:
         man = kenmotsu3.manifold
         p = kenmotsu3_points[0]
         bundle = curvature_bundle(man, p)
-        xi = s.xi_values(p)
-        eta = s.eta_values(p)
+        xi = s.xi_field.values(p)
+        eta = s.eta_field.values(p)
         got = np.einsum("labc,c->lab", expand(bundle["R13"], raised=True), xi)
         eye = np.eye(3)
         want = np.einsum("a,lb->lab", eta, eye) - np.einsum("b,la->lab", eta, eye)
@@ -181,7 +184,7 @@ class TestOperators:
         f = kenmotsu3.scalars["f"]
         p = kenmotsu3_points[0]
         ez = np.exp(p["z"])
-        assert np.allclose(grad(man, f, p), ez * s.xi_values(p), atol=1e-12)
+        assert np.allclose(grad(man, f, p), ez * s.xi_field.values(p), atol=1e-12)
 
     def test_gradient_lie_is_twice_hessian(self, kenmotsu3, kenmotsu3_points):
         man = kenmotsu3.manifold
@@ -204,7 +207,7 @@ class TestOperators:
         p = kenmotsu3_points[0]
         lie = lie_derivative_metric(man, s.xi_field, p)
         g = man.metric_values(p)
-        eta = s.eta_values(p)
+        eta = s.eta_field.values(p)
         assert np.allclose(lie, 2.0 * (g - np.outer(eta, eta)), atol=1e-12)
 
     def test_killing_field(self, kenmotsu3, kenmotsu3_points):
@@ -221,8 +224,8 @@ class TestOperators:
         s = kenmotsu3.structure
         p = kenmotsu3_points[0]
         nabla_xi = covariant_derivative(man, s.xi_field, p)
-        eta = s.eta_values(p)
-        xi = s.xi_values(p)
+        eta = s.eta_field.values(p)
+        xi = s.xi_field.values(p)
         assert np.allclose(nabla_xi, np.eye(3) - np.outer(eta, xi), atol=1e-12)
 
 
@@ -246,7 +249,7 @@ class TestStructures:
                               kenmotsu5.seed).points():
             assert s.acm_residual(p) <= 1e-12
             assert kenmotsu_residual(s, p) <= 1e-12
-            xi = s.xi_values(p)
+            xi = s.xi_field.values(p)
             ric_xi_xi = float(xi @ curvature_bundle(man, p)["Ric"] @ xi)
             assert abs(ric_xi_xi + 2.0 * s.n) <= 1e-9
 
@@ -262,9 +265,9 @@ class TestStructures:
         p = kenmotsu3_points[0]
         got = nabla_phi_tensor(s, p)
         g = man.metric_values(p)
-        phi = s.phi_values(p)
-        xi = s.xi_values(p)
-        eta = s.eta_values(p)
+        phi = s.phi_field.values(p)
+        xi = s.xi_field.values(p)
+        eta = s.eta_field.values(p)
         want = (
             np.einsum("ij,k->ikj", phi.T @ g, xi)
             - np.einsum("j,ki->ikj", eta, phi)
@@ -341,6 +344,22 @@ class TestNonFiniteMetric:
             _check_curvature_symmetries(
                 np.full((1, 2, 2), np.nan), "chart", {"x": 0.0}
             )
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_metric_is_symmetric_bit_for_bit(name):
+    # metric_at_cached checks no symmetry: g[i, j] and g[j, i] are one row
+    # of the table of distinct trees, and metric_values refuses non-finite
+    # entries, so tensor.symmetric could not fail there
+    config = builtin_config(name)
+    points = sample_batch(config.manifold, config.box, 16, config.seed)
+    charts = [config.manifold]
+    if config.structure is not None:
+        charts.append(deform(config.structure, config.a_grid).manifold)
+    for chart in charts:
+        for frame in (with_a(points, 1.0), with_a(points, config.a_grid)):
+            g = chart.metric_at_cached(frame).g
+            assert g.tobytes() == np.swapaxes(g, -1, -2).tobytes(), chart.name
 
 
 class TestEntryEvaluation:
@@ -542,5 +561,5 @@ class TestField:
         f = kenmotsu3.scalars["f"]
         assert f.partials(self.COORDS, batch) is f.partials(self.COORDS, batch)
         s = kenmotsu3.structure
-        assert s.phi_values(batch) is s.phi_values(batch)
+        assert s.phi_field.values(batch) is s.phi_field.values(batch)
         assert f.derivative(self.COORDS) is f.derivative(list(self.COORDS))

@@ -67,14 +67,13 @@ def _candidates(config, scalar):
         for c in config.manifold.coords
     )
     return list(config.candidates) + [
-        SolitonCandidate("grid-grad", "riemann", "gradient",
-                         parse_expr(f"exp({z})/a^2 - a", coords=coords),
-                         scalar=scalar),
-        SolitonCandidate("grid-vector", "ricci", "vector",
-                         parse_expr(f"(exp({z}) - 2)/a^2", coords=coords),
-                         field=VectorField(vector)),
-        SolitonCandidate("grid-reeb", "riemann", "reeb",
-                         parse_expr("(a - 1)/a^2", coords=coords)),
+        SolitonCandidate("grid-grad", "riemann", scalar, ScalarField(
+            parse_expr(f"exp({z})/a^2 - a", coords=coords))),
+        SolitonCandidate("grid-vector", "ricci", VectorField(vector),
+                         ScalarField(parse_expr(f"(exp({z}) - 2)/a^2",
+                                                coords=coords))),
+        SolitonCandidate("grid-reeb", "riemann", None, ScalarField(
+            parse_expr("(a - 1)/a^2", coords=coords))),
     ]
 
 

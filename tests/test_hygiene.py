@@ -11,9 +11,13 @@ deformation parameter ``a`` next to a point: a point that binds it
 (``geometry.with_a``, the one exception) carries it.  No function of the
 package takes a parameter that its body never reads.  And the package has
 one evaluation path: outside ``expr.py`` only ``Field.derivative`` calls
-``diff``, and only ``Field.values``, ``Field.second_partials`` and the
+``diff``, only ``Field.values``, ``Field.second_partials`` and the
 metric's unmemoised ``ChartManifold.metric_second_partials`` call
-``_evaluate_all``.  It has
+``_evaluate_all``, and only ``_evaluate_all`` and ``ChartManifold.contains``,
+which evaluates each domain constraint on the samples the earlier ones
+keep, call ``evaluate``.  No package method only forwards its own
+parameters to a method of one of its attributes: callers read the
+attribute.  It has
 one frame too, and only the suites bind it: outside ``suites.py`` nothing
 calls ``at`` and only ``DeformedStructure.at`` calls ``with_a``, so every
 closed form takes the bound batch it is given.  Nothing in the package
@@ -169,6 +173,38 @@ def _calls_outside(tree: ast.Module, callee: str, allowed) -> list:
     return found
 
 
+def _forwarders(tree: ast.Module) -> list:
+    """(line, class.method) of each method whose body, but a docstring, is
+    only ``return self.<attr>.<method>(...)`` passing its own parameters,
+    in order, by name."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = fn.body
+            if (len(body) > 1 and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)):
+                body = body[1:]
+            call = getattr(body[0], "value", None) if len(body) == 1 else None
+            if not (isinstance(body[0], ast.Return)
+                    and isinstance(call, ast.Call)):
+                continue
+            owner = getattr(call.func, "value", None)
+            params = [arg.arg for arg in fn.args.posonlyargs + fn.args.args
+                      + fn.args.kwonlyargs][1:]
+            passed = [getattr(x, "id", None) for x in call.args] + [
+                k.arg if getattr(k.value, "id", None) == k.arg else None
+                for k in call.keywords]
+            if (isinstance(owner, ast.Attribute)
+                    and isinstance(owner.value, ast.Name)
+                    and owner.value.id == "self" and passed == params):
+                found.append((fn.lineno, f"{cls.name}.{fn.name}"))
+    return found
+
+
 def _bad_specs(tree: ast.Module) -> list:
     """(line, spec) of each ``contract`` call, by name or as an attribute,
     whose spec is not a literal string of letters, commas and one ``->``
@@ -241,6 +277,7 @@ ONE_PATH = (
     ("_evaluate_all",
      {"Field.values", "Field.second_partials",
       "ChartManifold.metric_second_partials"}, set()),
+    ("evaluate", {"_evaluate_all", "ChartManifold.contains"}, set()),
     ("with_a", {"DeformedStructure.at"}, {"suites.py"}),
     ("at", set(), {"suites.py"}),
     ("np.linalg", set(), set()),
@@ -407,6 +444,40 @@ def test_one_differentiation_and_evaluation_path(path):
     for callee, allowed, exempt in ONE_PATH:
         if path.name not in exempt:
             assert _calls_outside(tree, callee, allowed) == [], callee
+
+
+def test_finds_a_forwarder():
+    tree = ast.parse(
+        "class S:\n"
+        "    def xi_values(self, point):\n"
+        "        return self.xi_field.values(point)\n"
+        "    def dphi(self, point):\n"
+        "        \"\"\"d_k phi.\"\"\"\n"
+        "        return self.phi.partials(coords=coords, point=point)\n"
+        "    def partials(self, coords, point):\n"
+        "        \"\"\"Through the derivative field.\"\"\"\n"
+        "        return self.field.partials(coords, point=point)\n"
+        "    def metric(self, point):\n"
+        "        return self.g.values(point, 2)\n"
+        "    def phi_partials(self, point):\n"
+        "        return self.phi.partials(self.coords, point)\n"
+        "    def scaled(self, point):\n"
+        "        return self.scale(self.g.values(point))\n"
+        "    def checked(self, point):\n"
+        "        self.check(point)\n"
+        "        return self.g.values(point)\n"
+        "def values(self, point):\n"
+        "    return self.field.values(point)\n"
+    )
+    assert _forwarders(tree) == [(2, "S.xi_values"), (7, "S.partials")]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[p.relative_to(ROOT).as_posix() for p in PACKAGE]
+)
+def test_no_forwarder(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _forwarders(tree) == []
 
 
 def test_finds_a_configparser_import():

@@ -963,12 +963,12 @@ def _structure(ops):
     chart = _chart(ops)
     return SimpleNamespace(
         manifold=chart, n=(chart.dim - 1) // 2,
-        phi_values=lambda point: ops["phi"],
-        phi_partials=lambda point: ops["dphi"],
-        xi_values=lambda point: ops["xi"],
-        eta_values=lambda point: ops["eta"],
-        xi_field=SimpleNamespace(partials=lambda coords, point: ops["dxi"]),
-        eta_field=SimpleNamespace(partials=lambda coords, point: ops["deta"]),
+        phi_field=SimpleNamespace(values=lambda point: ops["phi"],
+                                  partials=lambda coords, point: ops["dphi"]),
+        xi_field=SimpleNamespace(values=lambda point: ops["xi"],
+                                 partials=lambda coords, point: ops["dxi"]),
+        eta_field=SimpleNamespace(values=lambda point: ops["eta"],
+                                  partials=lambda coords, point: ops["deta"]),
     )
 
 

@@ -86,11 +86,8 @@ class _Synthetic:
         self.lap[4] = 0.5 * (2 * n * self.xif[4] + self.xixif[4])
         self.sigma = rng.uniform(-2.0, 2.0, N)
         self.sigma[1] = 0.0
-
-    def xi_values(self, point):
-        return self.e
-
-    eta_values = xi_values
+        self.xi_field = self.eta_field = SimpleNamespace(
+            values=lambda point: self.e)
 
 
 @pytest.fixture(params=NS)
@@ -394,10 +391,9 @@ def test_soliton_residuals(synthetic, kind, monkeypatch):
     monkeypatch.setattr(
         solitons, "_lie_and_div", lambda man, v, p: (lie, div_v)
     )
-    monkeypatch.setattr(solitons, "evaluate", lambda e, p: lam)
     structure = SimpleNamespace(n=s.n, manifold=None, xi_field=None)
-    candidate = SimpleNamespace(kind=kind, lam=None, potential="reeb",
-                                field=None, scalar=None)
+    candidate = SimpleNamespace(kind=kind, potential=None,
+                                lam=SimpleNamespace(values=lambda p: lam))
     got = soliton_residuals(structure, candidate, with_a(s.point, 1.0))
     ref = _residuals_ref(
         kind, s.n, s.metric.g, bundle["Ric"], scal, lie, div_v, lam

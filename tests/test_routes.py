@@ -126,7 +126,8 @@ def test_solenoidal_trace_with_sigma(kenmotsu3_u, kind):
 
 
 def test_vector_candidates_hold_the_configured_field(kenmotsu3):
-    fields = [c.field for c in kenmotsu3.candidates if c.potential == "vector"]
+    fields = [c.potential for c in kenmotsu3.candidates
+              if isinstance(c.potential, VectorField)]
     assert len(fields) == 2
     assert all(f is kenmotsu3.vectors["V"] for f in fields)
 

@@ -1,8 +1,13 @@
 """Soliton equations, pinned lambdas, implied curvature, inequalities."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from acmsolitons.config import (
+    _BUILTINS, builtin_config, builtin_names, load_config, load_config_text,
+)
 from acmsolitons.deformation import deform, laplacian_bar
 from acmsolitons.expr import A, evaluate, parse_expr
 from acmsolitons.geometry import (
@@ -28,6 +33,7 @@ from acmsolitons.solitons import (
     xi_compatibility,
     xi_of_eta_potential,
 )
+from acmsolitons.suites import build_report, report_json, run_suites
 from acmsolitons.tensor import (
     StructureError,
     TensorValue,
@@ -38,6 +44,7 @@ from acmsolitons.tensor import (
 )
 
 A_GRID = (0.5, 1.0, 2.0, 3.7)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def reeb_soliton_general(kind, structure, point, a, lambda_bar) -> dict:
@@ -49,7 +56,7 @@ def reeb_soliton_general(kind, structure, point, a, lambda_bar) -> dict:
     reduces these to the fixed tensors of ``implied_curvature``.
     """
     m = structure.manifold.metric_at_cached(point)
-    eta = structure.eta_values(point)
+    eta = structure.eta_field.values(point)
     n = structure.n
     bound = with_a(point, a)
     a = bound[A]
@@ -85,26 +92,82 @@ class TestClassify:
             wide.manifold, wide.box, wide.points, wide.seed
         ).points()
         cand = next(c for c in wide.candidates if c.kind == "ricci")
-        labels = {classify(evaluate(cand.lam, with_a(p, 1.0))) for p in pts}
+        labels = {classify(evaluate(cand.lam.exprs[0], with_a(p, 1.0)))
+                  for p in pts}
         # lambda = exp(z) - 2 changes sign at z = ln 2 inside the box
         assert "shrinking" in labels and "expanding" in labels
 
 
 class TestCandidateValidation:
-    def test_kind_checked(self, kenmotsu3):
-        lam = parse_expr("1", coords=("x", "y", "z", "a"))
-        with pytest.raises(StructureError):
-            SolitonCandidate("bad", "weird", "reeb", lam)
+    def test_kind_checked(self):
+        lam = ScalarField(parse_expr("1", coords=("x", "y", "z", "a")))
+        with pytest.raises(StructureError, match="unknown soliton kind"):
+            SolitonCandidate("bad", "weird", None, lam)
 
-    def test_vector_needs_components(self):
-        lam = parse_expr("1", coords=("x", "y", "z", "a"))
-        with pytest.raises(StructureError):
-            SolitonCandidate("bad", "ricci", "vector", lam)
+    def test_string_potential_refused(self):
+        lam = ScalarField(parse_expr("1", coords=("x", "y", "z", "a")))
+        with pytest.raises(StructureError, match="candidate 'bad'"):
+            SolitonCandidate("bad", "ricci", "reeb", lam)
 
-    def test_gradient_needs_scalar(self):
+    def test_expr_lambda_refused(self, kenmotsu3):
         lam = parse_expr("1", coords=("x", "y", "z", "a"))
-        with pytest.raises(StructureError):
-            SolitonCandidate("bad", "ricci", "gradient", lam)
+        with pytest.raises(StructureError, match="candidate 'bad'"):
+            SolitonCandidate("bad", "ricci", kenmotsu3.scalars["f"], lam)
+
+    def test_plain_field_potential_refused(self, kenmotsu3):
+        # phi is a Field of shape (3, 3): neither a scalar nor a vector
+        lam = ScalarField(parse_expr("1", coords=("x", "y", "z", "a")))
+        with pytest.raises(StructureError, match="candidate 'bad'"):
+            SolitonCandidate("bad", "ricci", kenmotsu3.structure.phi_field,
+                             lam)
+
+
+def _configs():
+    """Every builtin and ``kenmotsu5.ini``."""
+    yield from (builtin_config(name) for name in builtin_names())
+    yield load_config(ROOT / "perfbench" / "fixtures" / "kenmotsu5.ini")
+
+
+def _bits(x, y) -> bool:
+    """Whether ``x`` and ``y`` broadcast to the same doubles, bit for bit."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    return x.tobytes() == y.tobytes()
+
+
+class TestCandidateLambda:
+    def test_values_are_the_evaluated_tree(self):
+        # the field memoises on the frame and pads a constant to length-1
+        # sample axes; its doubles are those of evaluating the tree there
+        checked = 0
+        for config in _configs():
+            if not config.candidates:
+                continue
+            points = sample_batch(config.manifold, config.box, 16, config.seed)
+            frames = (with_a(points, 1.0),
+                      deform(config.structure, config.a_grid).at(points))
+            for cand in config.candidates:
+                [tree] = cand.lam.exprs
+                for frame in frames:
+                    got, shape = cand.lam.values(frame), frame.shape
+                    assert np.broadcast_shapes(got.shape, shape) == shape
+                    assert _bits(got, evaluate(tree, frame)), cand.name
+                    checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("lam", ["-2", "0.5"])
+    def test_constant_lambda_keeps_its_checks(self, lam):
+        # a constant evaluates to length-1 sample axes, lam + 0*z to one
+        # value per sample: the checks, classifications included, agree
+        def report(lam):
+            text = _BUILTINS["kenmotsu3"].replace(
+                "[candidates]\n",
+                f"[candidates]\nreeb-const = ricci, reeb, {lam}\n")
+            config = load_config_text(text, source="kenmotsu3-const")
+            return report_json(build_report(config, run_suites(config)))
+
+        const = report(lam)
+        assert '"id": "ricci-soliton/reeb-const/full[a=1]"' in const
+        assert const == report(f"{lam} + 0*z")
 
 
 class TestExampleResiduals:
@@ -142,9 +205,8 @@ class TestExampleResiduals:
     def test_wrong_lambda_fails_loudly(self, kenmotsu3, kenmotsu3_points):
         coords = kenmotsu3.manifold.coords + ("a",)
         wrong = SolitonCandidate(
-            "wrong", "ricci", "gradient",
-            parse_expr("exp(z)", coords=coords),
-            scalar=kenmotsu3.scalars["f"],
+            "wrong", "ricci", kenmotsu3.scalars["f"],
+            ScalarField(parse_expr("exp(z)", coords=coords)),
         )
         s = kenmotsu3.structure
         worst = max(
@@ -174,7 +236,7 @@ class TestTheoremLambda:
             xif, xixif = xi_derivatives(s, f, p)
             assert xif == pytest.approx(ez, rel=1e-12)
             assert xixif == pytest.approx(ez, rel=1e-12)
-            xi = s.xi_values(p)
+            xi = s.xi_field.values(p)
             hxx = float(xi @ hessian(man, f, p) @ xi)
             assert hxx == pytest.approx(ez, rel=1e-12)
 
@@ -399,18 +461,18 @@ def _closed_residuals(ds, cand, p):
     a = ds.a
     n = ds.n
     m = ds.base.manifold.metric_at_cached(p)
-    eta = ds.base.eta_values(p)
+    eta = ds.base.eta_field.values(p)
     gbar = a * m.g + a * (a - 1.0) * np.outer(eta, eta)
     pa = ds.at(p)
     closed = ds.curvature_closed(pa)
     ric, scal = closed["Ric"], closed["scal"]
-    if cand.potential == "gradient":
-        lie = 2.0 * ds.hessian_closed(cand.scalar, pa)
-        div_v = laplacian_bar(ds.base, cand.scalar, pa)
+    if isinstance(cand.potential, ScalarField):
+        lie = 2.0 * ds.hessian_closed(cand.potential, pa)
+        div_v = laplacian_bar(ds.base, cand.potential, pa)
     else:
         lie = ds.lie_reeb_closed(pa)
         div_v = ds.div_reeb_closed(pa)
-    lam = evaluate(cand.lam, dict(p, a=a))
+    lam = evaluate(cand.lam.exprs[0], dict(p, a=a))
     if cand.kind == "ricci":
         return {
             "full": np.max(np.abs(0.5 * lie + ric - lam * gbar)),
@@ -444,8 +506,9 @@ class TestFrame:
         # a wrong lambda keeps every residual O(1), so agreement is relative
         coords = kenmotsu3.manifold.coords + ("a",)
         cand = SolitonCandidate(
-            "wrong", kind, potential, parse_expr("3*exp(z) + a", coords=coords),
-            scalar=kenmotsu3.scalars["f"] if potential == "gradient" else None,
+            "wrong", kind,
+            kenmotsu3.scalars["f"] if potential == "gradient" else None,
+            ScalarField(parse_expr("3*exp(z) + a", coords=coords)),
         )
         ds = deform(kenmotsu3.structure, a)
         for p in kenmotsu3_points[:6]:
@@ -464,9 +527,8 @@ class TestFrame:
         # works on g_bar
         coords = kenmotsu3.manifold.coords + ("a",)
         cand = SolitonCandidate(
-            "no-a", "riemann", "gradient",
-            parse_expr("2*exp(z) - 1", coords=coords),
-            scalar=kenmotsu3.scalars["f"],
+            "no-a", "riemann", kenmotsu3.scalars["f"],
+            ScalarField(parse_expr("2*exp(z) - 1", coords=coords)),
         )
         frames = [("base", kenmotsu3.structure, 1.0)] + [
             (a, deform(kenmotsu3.structure, a).structure, a) for a in A_GRID
